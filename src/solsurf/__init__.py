@@ -34,13 +34,10 @@ from .profile_odes import (
 from .soliton_residuals import (
     ResidualReport,
     SolitonMode,
-    conformal_residual,
-    minimal_residual,
     reduced_residual_first_kind,
     reduced_residual_second_kind,
     residual,
     residual_report,
-    translator_residual,
 )
 from .surface_factory import (
     FamilyTag,

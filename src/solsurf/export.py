@@ -1,14 +1,17 @@
 """Deterministic text export: residual CSV + summary, profile CSV + events,
 and OBJ meshes.
 
-Every number is written with :func:`fmt` (scientific, 13 significant digits,
-locale independent), and no file contains timestamps or environment detail,
-so identical inputs produce byte-identical files.
+Every number is written in the :func:`fmt` format (scientific, 13 significant
+digits, locale independent), and no file contains timestamps or environment
+detail, so identical inputs produce byte-identical files.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .errors import DomainError
 from .soliton_residuals import ResidualReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,9 +28,18 @@ __all__ = [
 ]
 
 
+_NUM = "%.12e"
+
+
 def fmt(x: float) -> str:
     """Fixed numeric format for all exports: 0.123456789012e+00 style."""
-    return format(float(x), ".12e")
+    return _NUM % float(x)
+
+
+def _rows(template: str, table: np.ndarray) -> str:
+    """Every row of a 2-D table formatted by one ``%`` template (numbers as
+    ``_NUM``, the format of :func:`fmt`), in one call."""
+    return (template * len(table)) % tuple(table.ravel().tolist())
 
 
 def _open_w(path):
@@ -38,8 +50,7 @@ def write_residual_csv(path, report: ResidualReport) -> int:
     """One row per sampled node: ``s,t,residual``.  Returns the row count."""
     with _open_w(path) as fh:
         fh.write("s,t,residual\n")
-        for s, t, r in report.samples:
-            fh.write(f"{fmt(s)},{fmt(t)},{fmt(r)}\n")
+        fh.write(_rows(f"{_NUM},{_NUM},{_NUM}\n", report.samples))
     return len(report.samples)
 
 
@@ -63,8 +74,8 @@ def write_profile_csv(path, sol: "ProfileSolution") -> int:
     family without a conserved quantity).  Returns the row count."""
     with _open_w(path) as fh:
         fh.write("t,g,gp,first_integral_defect\n")
-        for t, g, gp, dd in zip(sol.t, sol.g, sol.gp, sol.node_defect):
-            fh.write(f"{fmt(t)},{fmt(g)},{fmt(gp)},{fmt(dd)}\n")
+        table = np.column_stack([sol.t, sol.g, sol.gp, sol.node_defect])
+        fh.write(_rows(f"{_NUM},{_NUM},{_NUM},{_NUM}\n", table))
     return len(sol.t)
 
 
@@ -90,25 +101,20 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     Vertices are row-major over (s, t) — the node (i, j) is OBJ index
     ``i*nt + j + 1`` — and each grid cell is split into the two triangles
     ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.
-    Returns (vertex_count, face_count).
+    Raises :class:`DomainError`, before the file is opened, if any node
+    fails.  Returns (vertex_count, face_count).
     """
-    from .surface_factory import grid_axes
+    from .surface_factory import sample_grid
 
-    s_axis, t_axis = grid_axes(fam, grid)
-    ns, nt = len(s_axis), len(t_axis)
-
-    def idx(i: int, j: int) -> int:
-        return i * nt + j + 1
-
+    (_, _, j), failures = sample_grid(fam, grid)
+    if failures:
+        n = len(failures)
+        raise DomainError(f"{n} mesh node(s) failed, first (s, t, reason): {failures[0]}")
+    ns, nt = grid.ns, grid.nt
+    idx = np.arange(1, ns * nt + 1).reshape(ns, nt)
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     with _open_w(path) as fh:
-        for s in s_axis:
-            for t in t_axis:
-                x, y, z = fam.position(float(s), float(t))
-                fh.write(f"v {fmt(x)} {fmt(y)} {fmt(z)}\n")
-        n_faces = 0
-        for i in range(ns - 1):
-            for j in range(nt - 1):
-                fh.write(f"f {idx(i, j)} {idx(i + 1, j)} {idx(i + 1, j + 1)}\n")
-                fh.write(f"f {idx(i, j)} {idx(i + 1, j + 1)} {idx(i, j + 1)}\n")
-                n_faces += 2
-    return ns * nt, n_faces
+        fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", j.X.reshape(-1, 3)))
+        fh.write(_rows("f %d %d %d\n", faces))
+    return ns * nt, len(faces)

@@ -25,7 +25,7 @@ Conservation monitor: the first-integral defect ``g'^2 - (rhs)`` is exact in
 the O(1) region but near blow-up ``g'^2 ~ 1e12`` exceeds what float64 can
 resolve absolutely (one ULP of 1e12 is ~2.4e-4), so the per-node monitor
 stored on solutions is the raw defect divided by ``max(1, g'^2)``.  The raw
-pointwise defect functions are also exposed.
+pointwise defect, :func:`first_integral_defect`, is also exposed.
 """
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ __all__ = [
     "ProfileEvents",
     "ProfileSolution",
     "QualitativeVerdict",
-    "minimal_first_integral_defect",
-    "conformal_first_integral_defect",
+    "first_integral_defect",
     "minimal_halfwidth_quadrature",
     "conformal_halfwidth_quadrature",
     "integrate_minimal_profile",
@@ -172,13 +171,10 @@ class ConformalProfileParams:
 ProfileParams = Union[MinimalProfileParams, GrimReaperParams, ConformalProfileParams]
 
 
-def minimal_first_integral_defect(p: MinimalProfileParams, g: float, gp: float) -> float:
-    """Raw conservation defect ``g'^2 - (m/g^4 - 1/(c^2+1))`` at one state."""
-    return gp * gp - p.first_integral_rhs(g)
-
-
-def conformal_first_integral_defect(p: ConformalProfileParams, g: float, gp: float) -> float:
-    """Raw conservation defect ``g'^2 - (C*e^{4/g}/g^4 - 1/(1+a^2))``."""
+def first_integral_defect(p: Union[MinimalProfileParams, ConformalProfileParams], g, gp):
+    """Raw conservation defect ``g'^2 - p.first_integral_rhs(g)`` of a
+    collapsing profile, at one state or at arrays of states: minimal
+    ``m/g^4 - 1/(c^2+1)``, conformal ``C*e^{4/g}/g^4 - 1/(1+a^2)``."""
     return gp * gp - p.first_integral_rhs(g)
 
 
@@ -344,8 +340,7 @@ def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
         left_blowup = left.t[-1] - _blowup_tail(params, left.y[0][-1])
     else:
         truncated = True
-    raw = gp * gp - params.first_integral_rhs(g)
-    defect = raw / np.maximum(1.0, gp * gp)
+    defect = first_integral_defect(params, g, gp) / np.maximum(1.0, gp * gp)
     return ProfileSolution(
         params=params,
         t=t,

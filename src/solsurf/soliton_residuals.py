@@ -1,4 +1,4 @@
-"""Pointwise soliton residuals and grid residual reports.
+"""Soliton residuals, on single jets or whole grid jets, and grid reports.
 
 The three defining equations, written as residuals that vanish on exact
 solutions (X is the embedding, N the unit normal for the canonical
@@ -25,7 +25,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DegenerateJetError, DomainError, SamplingError
 from .surface_jets import (
     ScalarJet2,
     SurfaceJet2,
@@ -35,9 +34,6 @@ from .surface_jets import (
 
 __all__ = [
     "SolitonMode",
-    "minimal_residual",
-    "translator_residual",
-    "conformal_residual",
     "residual",
     "reduced_residual_first_kind",
     "reduced_residual_second_kind",
@@ -52,34 +48,18 @@ class SolitonMode(enum.Enum):
     CONFORMAL = "conformal"
 
 
-def minimal_residual(j: SurfaceJet2, orientation: int = 1) -> float:
+def residual(mode: SolitonMode, j: SurfaceJet2, orientation: int = 1):
+    """Evaluate one soliton residual at every point of a jet: a float for a
+    single point, an array of the grid shape for a grid jet."""
+    mode = SolitonMode(mode)
     N = unit_normal(j, orientation)
     H = mean_curvature(j, orientation)
-    return j.X[2] * H + N[2]
-
-
-def translator_residual(j: SurfaceJet2, orientation: int = 1) -> float:
-    N = unit_normal(j, orientation)
-    H = mean_curvature(j, orientation)
-    return (j.X[2] * j.X[2]) * H - (j.X[0] * N[0] + j.X[1] * N[1])
-
-
-def conformal_residual(j: SurfaceJet2, orientation: int = 1) -> float:
-    N = unit_normal(j, orientation)
-    H = mean_curvature(j, orientation)
-    return (j.X[2] * j.X[2]) * H + (j.X[2] + 1.0) * N[2]
-
-
-_GENERAL = {
-    SolitonMode.MINIMAL: minimal_residual,
-    SolitonMode.TRANSLATOR: translator_residual,
-    SolitonMode.CONFORMAL: conformal_residual,
-}
-
-
-def residual(mode: SolitonMode, j: SurfaceJet2, orientation: int = 1) -> float:
-    """Evaluate one soliton residual at a jet."""
-    return _GENERAL[SolitonMode(mode)](j, orientation)
+    X1, X2, X3 = j.X[..., 0], j.X[..., 1], j.X[..., 2]
+    if mode is SolitonMode.MINIMAL:
+        return X3 * H + N[..., 2]
+    if mode is SolitonMode.TRANSLATOR:
+        return (X3 * X3) * H - (X1 * N[..., 0] + X2 * N[..., 1])
+    return (X3 * X3) * H + (X3 + 1.0) * N[..., 2]
 
 
 def reduced_residual_first_kind(
@@ -149,21 +129,9 @@ def residual_report(fam, mode: SolitonMode, grid) -> ResidualReport:
     from .surface_factory import sample_grid  # deferred: factory imports are heavy
 
     mode = SolitonMode(mode)
-    nodes, failures = sample_grid(fam, grid)
-    fn = _GENERAL[mode]
-    rows = []
-    for s, t, j in nodes:
-        try:
-            rows.append((s, t, fn(j)))
-        except (DomainError, DegenerateJetError, ZeroDivisionError) as exc:
-            failures.append((s, t, str(exc)))
-    if not rows:
-        raise SamplingError(
-            f"no residual of {fam.name!r} could be evaluated ({len(failures)} failures)"
-        )
-    arr = np.asarray(rows, dtype=float)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
+    (s, t, j), failures = sample_grid(fam, grid)
+    S, T = np.meshgrid(s, t, indexing="ij")
+    arr = np.stack([S, T, residual(mode, j)], axis=-1).reshape(-1, 3)
     arr.setflags(write=False)
     return ResidualReport(
         mode=mode,

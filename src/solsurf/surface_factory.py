@@ -1,9 +1,10 @@
 """Constructors for the concrete surface families and grid sampling.
 
 Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
-parameters ``(s, t)``, a callable producing the full second-order jet at a
-point, and bookkeeping (parameter dict, the profile solution where one is
-involved, and whether the ``t`` extent is limited by profile collapse).
+parameters ``(s, t)``, the jets of its factor curves along each axis, and
+bookkeeping (parameter dict, the profile solution where one is involved, and
+whether the ``t`` extent is limited by profile collapse).  Grids evaluate
+each axis jet once per axis node and build one jet for the whole grid.
 
 Families whose ``t`` extent ends at a collapse abscissa are flagged
 ``blowup_limited``; grids on those shrink the ``t`` interval by a relative
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +30,13 @@ from .profile_odes import (
     integrate_grim_reaper,
     integrate_minimal_profile,
 )
-from .surface_jets import ScalarJet2, SurfaceJet2, first_kind_jet, second_kind_jet
+from .surface_jets import (
+    ScalarJet2,
+    SurfaceJet2,
+    check_profile_value,
+    first_kind_jet,
+    second_kind_jet,
+)
 
 __all__ = [
     "FamilyTag",
@@ -79,23 +86,31 @@ class GridSpec:
 
 @dataclass(eq=False)
 class SurfaceFamily:
-    """A parametrized surface with second-order jet access.
+    """A translation surface given by the jets of its two factor curves.
 
-    ``jet(s, t)`` returns the full :class:`SurfaceJet2`; ``position`` is the
-    bare embedding, convenient for finite-difference cross-checks.  Families
-    built from scalar profile curves keep their factor jets around
-    (``_f_jet_fn``/``_g_jet_fn``) so controlled perturbations can be applied.
+    ``_f_jet_fn(s)`` is the jet of the drift ``f``.  A first-kind family,
+    ``X = (s, t + f(s), g(t))``, has the profile jet ``_g_jet_fn(t)``; a
+    second-kind family, ``X = (s, f(s) + b, t)``, has the offset ``b``
+    instead.  ``jet(s, t)`` returns the full :class:`SurfaceJet2` at a point;
+    ``position`` is the bare embedding, convenient for finite-difference
+    cross-checks.
     """
 
     tag: FamilyTag
     params: dict
     s_range: Tuple[float, float]
     t_range: Tuple[float, float]
-    jet: Callable[[float, float], SurfaceJet2]
+    _f_jet_fn: Callable[[float], ScalarJet2] = field(repr=False)
+    _g_jet_fn: Optional[Callable[[float], ScalarJet2]] = field(default=None, repr=False)
+    b: Optional[float] = None
     blowup_limited: bool = False
     profile: Optional[ProfileSolution] = None
-    _f_jet_fn: Optional[Callable[[float], ScalarJet2]] = field(default=None, repr=False)
-    _g_jet_fn: Optional[Callable[[float], ScalarJet2]] = field(default=None, repr=False)
+
+    def jet(self, s: float, t: float) -> SurfaceJet2:
+        fj = self._f_jet_fn(s)
+        if self._g_jet_fn is None:
+            return second_kind_jet(fj, self.b, s, t)
+        return first_kind_jet(fj, self._g_jet_fn(t), s, t)
 
     def position(self, s: float, t: float) -> np.ndarray:
         return self.jet(s, t).X
@@ -112,30 +127,20 @@ def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
     return lo, hi
 
 
-def _first_kind_family(
+def _second_kind_family(
     tag: FamilyTag,
     params: dict,
     f_jet_fn: Callable[[float], ScalarJet2],
-    g_jet_fn: Callable[[float], ScalarJet2],
+    b: float,
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
-    blowup_limited: bool = False,
-    profile: Optional[ProfileSolution] = None,
 ) -> SurfaceFamily:
-    def jet(s: float, t: float) -> SurfaceJet2:
-        return first_kind_jet(f_jet_fn(s), g_jet_fn(t), s, t)
-
-    return SurfaceFamily(
-        tag=tag,
-        params=params,
-        s_range=s_range,
-        t_range=t_range,
-        jet=jet,
-        blowup_limited=blowup_limited,
-        profile=profile,
-        _f_jet_fn=f_jet_fn,
-        _g_jet_fn=g_jet_fn,
-    )
+    """A second-kind family.  Its t range must stay above the boundary plane,
+    which keeps every sampled ``t`` positive."""
+    t_lo, t_hi = _check_range("t_range", t_range)
+    if not t_lo > 0.0:
+        raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
+    return SurfaceFamily(tag, params, _check_range("s_range", s_range), (t_lo, t_hi), f_jet_fn, b=b)
 
 
 def _linear_jet(slope: float, intercept: float) -> Callable[[float], ScalarJet2]:
@@ -160,13 +165,13 @@ def make_horosphere(
     """The flat slice at height ``a > 0``: X(s, t) = (s, t, a)."""
     if not a > 0.0:
         raise ParameterError(f"height must be positive, got {a!r}")
-    return _first_kind_family(
+    return SurfaceFamily(
         FamilyTag.HOROSPHERE,
         {"a": a},
-        _linear_jet(0.0, 0.0),
-        _constant_jet(a),
         _check_range("s_range", s_range),
         _check_range("t_range", t_range),
+        _linear_jet(0.0, 0.0),
+        _constant_jet(a),
     )
 
 
@@ -183,20 +188,8 @@ def make_vertical_plane(
     offset of the construction; only their sum moves the plane, but they play
     different roles in the reduced residual equations, so both are kept.
     """
-    t_lo, t_hi = _check_range("t_range", t_range)
-    if not t_lo > 0.0:
-        raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
-    f_jet_fn = _linear_jet(c, d)
-
-    def jet(s: float, t: float) -> SurfaceJet2:
-        return second_kind_jet(f_jet_fn(s), b, s, t)
-
-    return SurfaceFamily(
-        tag=FamilyTag.VERTICAL_PLANE,
-        params={"c": c, "d": d, "b": b},
-        s_range=_check_range("s_range", s_range),
-        t_range=(t_lo, t_hi),
-        jet=jet,
+    return _second_kind_family(
+        FamilyTag.VERTICAL_PLANE, {"c": c, "d": d, "b": b}, _linear_jet(c, d), b, s_range, t_range
     )
 
 
@@ -218,13 +211,13 @@ def make_minimal_cylinder(
     construction with f(s) = c*s + d and g the integrated minimal profile."""
     params = MinimalProfileParams(c=c, y0=y0, d=d)
     sol = integrate_minimal_profile(params)
-    return _first_kind_family(
+    return SurfaceFamily(
         FamilyTag.MINIMAL_CYLINDER,
         {"c": c, "y0": y0, "d": d},
-        _linear_jet(c, d),
-        _profile_g_jet(sol),
         _check_range("s_range", s_range),
         (float(sol.t[0]), float(sol.t[-1])),
+        _linear_jet(c, d),
+        _profile_g_jet(sol),
         blowup_limited=True,
         profile=sol,
     )
@@ -244,13 +237,13 @@ def make_grim_reaper(
     sol = integrate_grim_reaper(params, span=span)
     t_lo = float(sol.t[0]) - a_shift
     t_hi = float(sol.t[-1]) - a_shift
-    return _first_kind_family(
+    return SurfaceFamily(
         FamilyTag.GRIM_REAPER,
         {"lam": lam, "b_slope": b_slope, "a_shift": a_shift, "k": k},
-        _linear_jet(b_slope, a_shift),
-        _profile_g_jet(sol, shift=a_shift),
         _check_range("s_range", s_range),
         (t_lo, t_hi),
+        _linear_jet(b_slope, a_shift),
+        _profile_g_jet(sol, shift=a_shift),
         profile=sol,
     )
 
@@ -264,22 +257,29 @@ def make_conformal_cylinder(
     profile: first-kind construction with f(s) = a_slope*s."""
     params = ConformalProfileParams(a=a_slope, y0=y0)
     sol = integrate_conformal_profile(params)
-    return _first_kind_family(
+    return SurfaceFamily(
         FamilyTag.CONFORMAL_CYLINDER,
         {"a_slope": a_slope, "y0": y0},
-        _linear_jet(a_slope, 0.0),
-        _profile_g_jet(sol),
         _check_range("s_range", s_range),
         (float(sol.t[0]), float(sol.t[-1])),
+        _linear_jet(a_slope, 0.0),
+        _profile_g_jet(sol),
         blowup_limited=True,
         profile=sol,
     )
 
 
-def _coerce_scalar_jet(v) -> ScalarJet2:
-    if isinstance(v, ScalarJet2):
-        return v
-    return ScalarJet2(float(v[0]), float(v[1]), float(v[2]))
+def _coerced(fn: Callable[[float], object]) -> Callable[[float], ScalarJet2]:
+    """Jet function from a user function returning a ScalarJet2 or a
+    (value, d1, d2) triple."""
+
+    def jet_fn(x: float) -> ScalarJet2:
+        v = fn(x)
+        if isinstance(v, ScalarJet2):
+            return v
+        return ScalarJet2(float(v[0]), float(v[1]), float(v[2]))
+
+    return jet_fn
 
 
 def make_generic_first_kind(
@@ -293,20 +293,13 @@ def make_generic_first_kind(
 
     ``f_fn``/``g_fn`` return a ScalarJet2 or a (value, d1, d2) triple.
     """
-
-    def f_jet_fn(s: float) -> ScalarJet2:
-        return _coerce_scalar_jet(f_fn(s))
-
-    def g_jet_fn(t: float) -> ScalarJet2:
-        return _coerce_scalar_jet(g_fn(t))
-
-    return _first_kind_family(
+    return SurfaceFamily(
         FamilyTag.GENERIC_FIRST_KIND,
         dict(params or {}),
-        f_jet_fn,
-        g_jet_fn,
         _check_range("s_range", s_range),
         _check_range("t_range", t_range),
+        _coerced(f_fn),
+        _coerced(g_fn),
     )
 
 
@@ -318,19 +311,8 @@ def make_generic_second_kind(
     params: Optional[dict] = None,
 ) -> SurfaceFamily:
     """Second-kind surface from a user scalar jet: X = (s, f(s) + b, t)."""
-    t_lo, t_hi = _check_range("t_range", t_range)
-    if not t_lo > 0.0:
-        raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
-
-    def jet(s: float, t: float) -> SurfaceJet2:
-        return second_kind_jet(_coerce_scalar_jet(f_fn(s)), b, s, t)
-
-    return SurfaceFamily(
-        tag=FamilyTag.GENERIC_SECOND_KIND,
-        params=dict(params or {}, b=b),
-        s_range=_check_range("s_range", s_range),
-        t_range=(t_lo, t_hi),
-        jet=jet,
+    return _second_kind_family(
+        FamilyTag.GENERIC_SECOND_KIND, dict(params or {}, b=b), _coerced(f_fn), b, s_range, t_range
     )
 
 
@@ -341,7 +323,7 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
     The result should *fail* residual checks: it is the falsification probe
     that guards the evaluation pipeline against vacuous passes.
     """
-    if fam._g_jet_fn is None or fam._f_jet_fn is None:
+    if fam._g_jet_fn is None:
         raise ParameterError(f"family {fam.name!r} does not expose a profile to perturb")
     if not math.isfinite(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
@@ -355,15 +337,8 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
             j.d2 - amplitude * math.cos(t),
         )
 
-    return _first_kind_family(
-        fam.tag,
-        dict(fam.params, perturb_amplitude=amplitude),
-        fam._f_jet_fn,
-        g_jet_fn,
-        fam.s_range,
-        fam.t_range,
-        blowup_limited=fam.blowup_limited,
-        profile=fam.profile,
+    return replace(
+        fam, params=dict(fam.params, perturb_amplitude=amplitude), _g_jet_fn=g_jet_fn
     )
 
 
@@ -380,27 +355,61 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
     return np.linspace(s_lo, s_hi, grid.ns), np.linspace(t_lo, t_hi, grid.nt)
 
 
+def _axis_jet(fn, nodes: np.ndarray, label: str, check=None):
+    """Call ``fn`` once per axis node.  Returns the jets as rows
+    ``(value, d1, d2)`` and, per node, the reason it failed or None.
+
+    A node fails when ``fn`` or ``check`` (applied to the value) raises a
+    domain error, or when its jet is not finite.
+    """
+    rows = np.ones((len(nodes), 3))
+    reasons: List[Optional[str]] = []
+    for k, x in enumerate(nodes.tolist()):
+        try:
+            j = fn(x)
+            if check is not None:
+                check(j.value)
+            rows[k] = j.value, j.d1, j.d2
+            if not np.isfinite(rows[k]).all():
+                jet = tuple(rows[k].tolist())
+                raise DomainError(f"axis jet at {label}={x!r} is not finite: {jet}")
+            reasons.append(None)
+        except (DomainError, DegenerateJetError) as exc:
+            reasons.append(str(exc))
+    return rows, reasons
+
+
 def sample_grid(
     fam: SurfaceFamily, grid: GridSpec
-) -> Tuple[List[Tuple[float, float, SurfaceJet2]], List[Tuple[float, float, str]]]:
-    """Evaluate jets on the grid, row-major (s varies slowest).
+) -> Tuple[Tuple[np.ndarray, np.ndarray, SurfaceJet2], List[Tuple[float, float, str]]]:
+    """Evaluate the family on the grid: ``((s, t, jet), failures)``.
 
-    Nodes where the jet cannot be evaluated are collected as failures
-    ``(s, t, reason)`` instead of aborting the sweep; if *every* node fails,
+    Each axis jet is evaluated once per axis node.  A node fails when its
+    ``s`` or ``t`` axis node fails (W >= 1 on both kinds, so no other node
+    can); failures are collected row-major (s varies slowest) as
+    ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and ``t`` are
+    the axis nodes that are left, and ``jet`` is the jet on their product
+    grid, with ``(len(s), len(t), 3)`` slots.  If *every* node fails,
     :class:`SamplingError` is raised.
     """
     s_axis, t_axis = grid_axes(fam, grid)
-    nodes: List[Tuple[float, float, SurfaceJet2]] = []
-    failures: List[Tuple[float, float, str]] = []
-    for s in s_axis:
-        for t in t_axis:
-            try:
-                nodes.append((float(s), float(t), fam.jet(float(s), float(t))))
-            except (DomainError, DegenerateJetError) as exc:
-                failures.append((float(s), float(t), str(exc)))
-    if not nodes:
+    f_rows, s_reasons = _axis_jet(fam._f_jet_fn, s_axis, "s")
+    if fam._g_jet_fn is None:
+        t_reasons = [None] * len(t_axis)  # _second_kind_family keeps every t > 0
+    else:
+        g_rows, t_reasons = _axis_jet(fam._g_jet_fn, t_axis, "t", check_profile_value)
+    s_bad = np.array([r is not None for r in s_reasons])
+    t_bad = np.array([r is not None for r in t_reasons])
+    failures = [
+        (float(s_axis[i]), float(t_axis[j]), s_reasons[i] if s_bad[i] else t_reasons[j])
+        for i, j in zip(*np.nonzero(s_bad[:, None] | t_bad[None, :]))
+    ]
+    if s_bad.all() or t_bad.all():
         raise SamplingError(
-            f"no grid node of {fam.name!r} could be evaluated "
-            f"({len(failures)} failures)"
+            f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures)"
         )
-    return nodes, failures
+    s, t = s_axis[~s_bad], t_axis[~t_bad]
+    fj = ScalarJet2(*f_rows[~s_bad].T)
+    if fam._g_jet_fn is None:
+        return (s, t, second_kind_jet(fj, fam.b, s, t)), failures
+    return (s, t, first_kind_jet(fj, ScalarJet2(*g_rows[~t_bad].T), s, t)), failures

@@ -5,6 +5,12 @@ of two curves in the upper half-space.  Everything downstream (fundamental
 forms, mean curvature, soliton residuals) consumes the second-order jet of
 ``X`` at a point: the position together with ``Xs, Xt, Xss, Xst, Xtt``.
 
+Jet slots are ``(..., 3)`` arrays.  A single point has ``(3,)`` slots; the
+two canonical builders below also take 1-D axis arrays and then return the
+jet on the whole product grid, with ``(ns, nt, 3)`` slots.  Every function
+that reads a jet works component-wise, so a grid and a single point go
+through the same expressions.
+
 Two canonical shapes are supported directly:
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))`` with ``g > 0``;
@@ -20,7 +26,6 @@ is ``X3*H + N3``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +40,7 @@ __all__ = [
     "CurveJet2",
     "SurfaceJet2",
     "FundamentalForms",
+    "check_profile_value",
     "first_kind_jet",
     "second_kind_jet",
     "product_surface_jet",
@@ -49,37 +55,60 @@ __all__ = [
 # |Xs x Xt| at or below this is treated as a collapsed (non-immersed) jet.
 DEGENERACY_THRESHOLD = 1e-300
 
+_SLOTS = ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")
 
-def _normal_direction(xs: np.ndarray, xt: np.ndarray):
-    """Cross product Xs x Xt and its length, in scalar arithmetic.
 
-    Grid sweeps hit this per node; generic ufunc dispatch on 3-vectors costs
-    an order of magnitude more than the unrolled formula.
-    """
-    xs0, xs1, xs2 = xs.tolist()
-    xt0, xt1, xt2 = xt.tolist()
-    cx = xs1 * xt2 - xs2 * xt1
-    cy = xs2 * xt0 - xs0 * xt2
-    cz = xs0 * xt1 - xs1 * xt0
-    return cx, cy, cz, math.sqrt(cx * cx + cy * cy + cz * cz)
+def _require_positive(v, message: str) -> None:
+    """Raise :class:`DomainError` unless every element of ``v`` is > 0 (NaN
+    fails); ``message`` is formatted with the smallest element."""
+    if not (np.asarray(v) > 0.0).all():
+        raise DomainError(message.format(float(np.min(v))))
+
+
+def _xyz(v: np.ndarray):
+    """The three components of ``(..., 3)`` slots (``[()]`` turns the 0-d
+    components of a single point into numpy scalars, which compute faster)."""
+    return v[..., 0][()], v[..., 1][()], v[..., 2][()]
+
+
+def _dot(a, b):
+    """``a0*b0 + a1*b1 + a2*b2`` over component triples."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """Cross product of component triples, as a component triple."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _oriented_normal(j: "SurfaceJet2", orientation: int):
+    """Components of the unit normal ``Xs x Xt / W`` (negated exactly for
+    ``orientation=-1``) and the area density ``W = |Xs x Xt|``."""
+    c = _cross(_xyz(j.Xs), _xyz(j.Xt))
+    w = np.sqrt(_dot(c, c))
+    n = tuple(ck / w for ck in c)
+    return (tuple(-nk for nk in n) if orientation == -1 else n), w
 
 
 @dataclass(frozen=True, slots=True)
 class ScalarJet2:
-    """Value and first two derivatives of a scalar function at a point."""
+    """Value and first two derivatives of a scalar function at a point, or
+    at every node of one grid axis when the fields are 1-D arrays."""
 
     value: float
     d1: float
     d2: float
 
 
-def _vec3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ParameterError(f"{name} must be a 3-vector, got shape {a.shape}")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+def _freeze(obj, names, shape: tuple) -> None:
+    """Store each named field of a frozen jet as a read-only float copy of
+    the given ``(..., 3)`` shape."""
+    for name in names:
+        a = np.array(getattr(obj, name), dtype=float)
+        if a.shape[-1:] != (3,) or a.shape != shape:
+            raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -91,9 +120,7 @@ class CurveJet2:
     d2: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _vec3(self.value, "value"))
-        object.__setattr__(self, "d1", _vec3(self.d1, "d1"))
-        object.__setattr__(self, "d2", _vec3(self.d2, "d2"))
+        _freeze(self, ("value", "d1", "d2"), (3,))
 
     @classmethod
     def horospherical(cls, x: ScalarJet2, y: ScalarJet2) -> "CurveJet2":
@@ -107,8 +134,7 @@ class CurveJet2:
     @classmethod
     def vertical(cls, y: ScalarJet2, z: ScalarJet2) -> "CurveJet2":
         """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``."""
-        if not z.value > 0.0:
-            raise DomainError(f"curve height must be positive, got {z.value!r}")
+        _require_positive(z.value, "curve height must be positive, got {!r}")
         return cls(
             np.array([0.0, y.value, z.value]),
             np.array([0.0, y.d1, z.d1]),
@@ -118,11 +144,12 @@ class CurveJet2:
 
 @dataclass(frozen=True)
 class SurfaceJet2:
-    """Second-order jet of a parametrized surface at one point.
+    """Second-order jet of a parametrized surface at one point (``(3,)``
+    slots) or at every point of a grid (``(..., 3)`` slots of one shape).
 
-    Construction rejects points at or below the boundary (``X[2] <= 0``) and
-    collapsed jets (``|Xs x Xt| <= DEGENERACY_THRESHOLD``).  Arrays are
-    read-only once stored.
+    Construction rejects points at or below the boundary (``X[..., 2] <= 0``)
+    and collapsed jets (``|Xs x Xt| <= DEGENERACY_THRESHOLD``) anywhere in the
+    jet.  Arrays are read-only once stored.
     """
 
     X: np.ndarray
@@ -133,18 +160,17 @@ class SurfaceJet2:
     Xtt: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-            object.__setattr__(self, name, _vec3(getattr(self, name), name))
-        if not self.X[2] > 0.0:
-            raise DomainError(f"surface point has non-positive height {self.X[2]!r}")
-        _, _, _, w = _normal_direction(self.Xs, self.Xt)
-        if not w > DEGENERACY_THRESHOLD:
+        _freeze(self, _SLOTS, np.shape(self.X))
+        _require_positive(self.X[..., 2], "surface point has non-positive height {!r}")
+        c = _cross(_xyz(self.Xs), _xyz(self.Xt))
+        if not (np.sqrt(_dot(c, c)) > DEGENERACY_THRESHOLD).all():
             raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
 
 
 @dataclass(frozen=True, slots=True)
 class FundamentalForms:
-    """First/second fundamental form coefficients and the area density W.
+    """First/second fundamental form coefficients and the area density W,
+    as floats for a single point or arrays of the jet's grid shape.
 
     ``W = |Xs x Xt|`` satisfies ``W^2 = E*G - F^2`` up to rounding.
     """
@@ -158,31 +184,63 @@ class FundamentalForms:
     W: float
 
 
-def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s: float, t: float) -> SurfaceJet2:
-    """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``."""
-    if not gj.value > 0.0:
-        raise DomainError(f"profile value must be positive, got {gj.value!r}")
-    return SurfaceJet2(
-        X=np.array([s, t + fj.value, gj.value]),
-        Xs=np.array([1.0, fj.d1, 0.0]),
-        Xt=np.array([0.0, 1.0, gj.d1]),
-        Xss=np.array([0.0, fj.d2, 0.0]),
-        Xst=np.zeros(3),
-        Xtt=np.array([0.0, 0.0, gj.d2]),
+def check_profile_value(g) -> None:
+    """Raise :class:`DomainError` unless every first-kind profile value is
+    positive: the profile is the height of the surface."""
+    _require_positive(g, "profile value must be positive, got {!r}")
+
+
+def _along_s(*values):
+    """Give 1-D s-axis values a trailing axis, so that they broadcast against
+    t-axis values into an ``(ns, nt)`` grid; scalars pass unchanged."""
+    return [v[:, None] if getattr(v, "ndim", 0) == 1 else v for v in values]
+
+
+def _grid_jet(**slots) -> SurfaceJet2:
+    """Jet from per-slot component triples of scalars and arrays.  The grid
+    shape is that of the position ``X``, which depends on both axes."""
+    shape = np.broadcast(*slots["X"]).shape
+    arrays = {}
+    for name, comps in slots.items():
+        a = arrays[name] = np.empty(shape + (3,))
+        a[..., 0], a[..., 1], a[..., 2] = comps
+    return SurfaceJet2(**arrays)
+
+
+def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:
+    """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``.
+
+    Scalars give ``(3,)`` slots.  With ``fj`` and ``s`` given over an s axis
+    and ``gj`` and ``t`` over a t axis (1-D arrays), the slots are
+    ``(ns, nt, 3)`` arrays on the product grid.
+    """
+    check_profile_value(gj.value)
+    s, f, fp, fpp = _along_s(s, fj.value, fj.d1, fj.d2)
+    return _grid_jet(
+        X=(s, t + f, gj.value),
+        Xs=(1.0, fp, 0.0),
+        Xt=(0.0, 1.0, gj.d1),
+        Xss=(0.0, fpp, 0.0),
+        Xst=(0.0, 0.0, 0.0),
+        Xtt=(0.0, 0.0, gj.d2),
     )
 
 
-def second_kind_jet(fj: ScalarJet2, b: float, s: float, t: float) -> SurfaceJet2:
-    """Jet of ``X(s, t) = (s, f(s) + b, t)`` on the half ``t > 0``."""
-    if not t > 0.0:
-        raise DomainError(f"second-kind surfaces live on t > 0, got t={t!r}")
-    return SurfaceJet2(
-        X=np.array([s, fj.value + b, t]),
-        Xs=np.array([1.0, fj.d1, 0.0]),
-        Xt=np.array([0.0, 0.0, 1.0]),
-        Xss=np.array([0.0, fj.d2, 0.0]),
-        Xst=np.zeros(3),
-        Xtt=np.zeros(3),
+def second_kind_jet(fj: ScalarJet2, b: float, s, t) -> SurfaceJet2:
+    """Jet of ``X(s, t) = (s, f(s) + b, t)`` on the half ``t > 0``.
+
+    Takes scalars or, like :func:`first_kind_jet`, 1-D ``fj``/``s`` and
+    ``t`` axes, giving ``(ns, nt, 3)`` slots.
+    """
+    _require_positive(t, "second-kind surfaces live on t > 0, got t={!r}")
+    s, f, fp, fpp = _along_s(s, fj.value, fj.d1, fj.d2)
+    return _grid_jet(
+        X=(s, f + b, t),
+        Xs=(1.0, fp, 0.0),
+        Xt=(0.0, 0.0, 1.0),
+        Xss=(0.0, fpp, 0.0),
+        Xst=(0.0, 0.0, 0.0),
+        Xtt=(0.0, 0.0, 0.0),
     )
 
 
@@ -199,10 +257,8 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
     Both curve heights must be positive.
     """
     a3 = aj.value[2]
-    if not a3 > 0.0:
-        raise DomainError(f"alpha height must be positive, got {a3!r}")
-    if not bj.value[2] > 0.0:
-        raise DomainError(f"beta height must be positive, got {bj.value[2]!r}")
+    _require_positive(a3, "alpha height must be positive, got {!r}")
+    _require_positive(bj.value[2], "beta height must be positive, got {!r}")
     a3_1 = aj.d1[2]
     a3_2 = aj.d2[2]
 
@@ -220,14 +276,16 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
 
 
 def unit_normal(j: SurfaceJet2, orientation: int = 1) -> np.ndarray:
-    """Unit normal ``Xs x Xt / |Xs x Xt|`` for the fixed global orientation.
+    """Unit normal ``Xs x Xt / |Xs x Xt|`` for the fixed global orientation,
+    with the jet's ``(..., 3)`` shape.
 
     ``orientation=-1`` returns the exact negation (every component flips
     sign bit-exactly), which is the hook used by orientation-flip checks.
     """
-    cx, cy, cz, w = _normal_direction(j.Xs, j.Xt)
-    n = np.array([cx / w, cy / w, cz / w])
-    return -n if orientation == -1 else n
+    n, _ = _oriented_normal(j, orientation)
+    out = np.empty_like(j.X)
+    out[..., 0], out[..., 1], out[..., 2] = n
+    return out
 
 
 def fundamental_forms(j: SurfaceJet2, orientation: int = 1) -> FundamentalForms:
@@ -235,36 +293,29 @@ def fundamental_forms(j: SurfaceJet2, orientation: int = 1) -> FundamentalForms:
 
     ``l, m, n`` pair with ``Xss, Xtt, Xst`` respectively.
     """
-    xs0, xs1, xs2 = j.Xs.tolist()
-    xt0, xt1, xt2 = j.Xt.tolist()
-    cx, cy, cz, w = _normal_direction(j.Xs, j.Xt)
-    nx, ny, nz = cx / w, cy / w, cz / w
-    if orientation == -1:
-        nx, ny, nz = -nx, -ny, -nz
-    a0, a1, a2 = j.Xss.tolist()
-    b0, b1, b2 = j.Xtt.tolist()
-    c0, c1, c2 = j.Xst.tolist()
+    N, w = _oriented_normal(j, orientation)
+    xs, xt = _xyz(j.Xs), _xyz(j.Xt)
     return FundamentalForms(
-        E=xs0 * xs0 + xs1 * xs1 + xs2 * xs2,
-        F=xs0 * xt0 + xs1 * xt1 + xs2 * xt2,
-        G=xt0 * xt0 + xt1 * xt1 + xt2 * xt2,
-        l=a0 * nx + a1 * ny + a2 * nz,
-        m=b0 * nx + b1 * ny + b2 * nz,
-        n=c0 * nx + c1 * ny + c2 * nz,
+        E=_dot(xs, xs),
+        F=_dot(xs, xt),
+        G=_dot(xt, xt),
+        l=_dot(_xyz(j.Xss), N),
+        m=_dot(_xyz(j.Xtt), N),
+        n=_dot(_xyz(j.Xst), N),
         W=w,
     )
 
 
-def mean_curvature(j: SurfaceJet2, orientation: int = 1) -> float:
+def mean_curvature(j: SurfaceJet2, orientation: int = 1):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``."""
     f = fundamental_forms(j, orientation)
     return (f.l * f.G - 2.0 * f.n * f.F + f.E * f.m) / (2.0 * (f.E * f.G - f.F * f.F))
 
 
-def hyperbolic_mean_curvature(H: float, N3: float, X3: float) -> float:
-    """Mean curvature of the rescaled metric: ``X3*H + N3``; needs ``X3 > 0``."""
-    if not X3 > 0.0:
-        raise ParameterError(f"height must be positive, got {X3!r}")
+def hyperbolic_mean_curvature(H, N3, X3):
+    """Mean curvature of the rescaled metric: ``X3*H + N3``; needs every ``X3 > 0``."""
+    if not (np.asarray(X3) > 0.0).all():
+        raise ParameterError(f"height must be positive, got {float(np.min(X3))!r}")
     return X3 * H + N3
 
 
@@ -320,12 +371,5 @@ def rotate_jet(theta: float, j: SurfaceJet2) -> SurfaceJet2:
     Rotation acts linearly on positions and derivatives alike, so the
     rotated jet is the jet of the rotated surface.
     """
-    A = rotation_matrix(theta)
-    return SurfaceJet2(
-        X=A @ j.X,
-        Xs=A @ j.Xs,
-        Xt=A @ j.Xt,
-        Xss=A @ j.Xss,
-        Xst=A @ j.Xst,
-        Xtt=A @ j.Xtt,
-    )
+    At = rotation_matrix(theta).T
+    return SurfaceJet2(**{name: getattr(j, name) @ At for name in _SLOTS})

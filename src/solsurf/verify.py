@@ -41,13 +41,10 @@ from .profile_odes import (
 )
 from .soliton_residuals import (
     SolitonMode,
-    conformal_residual,
-    minimal_residual,
     reduced_residual_first_kind,
     reduced_residual_second_kind,
     residual,
     residual_report,
-    translator_residual,
 )
 from .surface_factory import (
     GridSpec,
@@ -173,34 +170,21 @@ def _check_group_laws() -> Tuple[bool, float, float, str]:
 # criteria 2-3: exactly solvable families
 
 
-def _grid_maxima(fam, grid: GridSpec, fns) -> Tuple[List[float], int]:
-    nodes, failures = sample_grid(fam, grid)
-    maxima = [0.0] * len(fns)
-    for _, _, j in nodes:
-        for i, fn in enumerate(fns):
-            v = abs(fn(j))
-            if v > maxima[i]:
-                maxima[i] = v
-    return maxima, len(failures)
-
-
-def _h_tilde(j) -> float:
-    N = unit_normal(j)
-    return hyperbolic_mean_curvature(mean_curvature(j), N[2], j.X[2])
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def _check_horosphere() -> Tuple[bool, float, float, str]:
     grid = GridSpec(101, 101)
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
-        maxima, nf = _grid_maxima(
-            make_horosphere(a),
-            grid,
-            [translator_residual, lambda j: _h_tilde(j) - 1.0],
+        (_, _, j), failures = sample_grid(make_horosphere(a), grid)
+        if failures:
+            return False, math.inf, 1e-10, f"{len(failures)} evaluation failures at a={a}"
+        h_tilde = hyperbolic_mean_curvature(mean_curvature(j), unit_normal(j)[..., 2], j.X[..., 2])
+        worst = max(
+            worst, _max_abs(residual(SolitonMode.TRANSLATOR, j)), _max_abs(h_tilde - 1.0)
         )
-        if nf:
-            return False, math.inf, 1e-10, f"{nf} evaluation failures at a={a}"
-        worst = max(worst, *maxima)
     return worst <= 1e-10, worst, 1e-10, "translator residual and |H~ - 1|, a in {0.5, 1, 2}"
 
 
@@ -208,17 +192,16 @@ def _check_planes() -> Tuple[bool, float, float, str]:
     grid = GridSpec(101, 101)
     worst = 0.0
     for c, d in ((0.0, 0.0), (1.0, -1.0), (3.0, 2.0)):
-        maxima, nf = _grid_maxima(
-            make_vertical_plane(c, d),
-            grid,
-            [minimal_residual, conformal_residual],
-        )
-        maxima_tr, nf_tr = _grid_maxima(
-            make_vertical_plane(c, d, b=-d), grid, [translator_residual]
-        )
-        if nf or nf_tr:
+        (_, _, j), failures = sample_grid(make_vertical_plane(c, d), grid)
+        (_, _, j_tr), failures_tr = sample_grid(make_vertical_plane(c, d, b=-d), grid)
+        if failures or failures_tr:
             return False, math.inf, 1e-10, f"evaluation failures at (c,d)=({c},{d})"
-        worst = max(worst, *maxima, *maxima_tr)
+        worst = max(
+            worst,
+            _max_abs(residual(SolitonMode.MINIMAL, j)),
+            _max_abs(residual(SolitonMode.CONFORMAL, j)),
+            _max_abs(residual(SolitonMode.TRANSLATOR, j_tr)),
+        )
     return worst <= 1e-10, worst, 1e-10, "three planes, translator offset b = -d"
 
 
@@ -516,10 +499,6 @@ _REGISTRY: List[Tuple[str, int, str, Callable[[], Tuple[bool, float, float, str]
     ("determinism.mesh", 10, "<=", _check_determinism_mesh),
     ("determinism.profile", 10, "<=", _check_determinism_profile),
 ]
-
-
-def check_names() -> List[str]:
-    return [name for name, _, _, _ in _REGISTRY]
 
 
 def run_checks(only: Optional[str] = None) -> VerifySummary:

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from solsurf import DomainError, GridSpec, make_generic_first_kind
 from solsurf.cli import main
-from solsurf.export import fmt
+from solsurf.export import fmt, write_obj_mesh
 
 SCI = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -91,6 +92,16 @@ def test_mesh_counts_cylinder(tmp_path):
     assert len(vs) == 51 * 51 == 2601
     assert len(fs) == 2 * 50 * 50 == 5000
     assert all(float(v.split()[3]) > 0.0 for v in vs)
+
+
+def test_mesh_refuses_failed_nodes(tmp_path):
+    # g(t) = t fails at t <= 0: 9 of the 15 nodes; no partial file is left
+    fam = make_generic_first_kind(
+        lambda s: (0.0, 0.0, 0.0), lambda t: (t, 1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0)
+    )
+    with pytest.raises(DomainError, match="9 mesh node"):
+        write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, 5, margin=0.0))
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_underscore_family_alias(tmp_path):

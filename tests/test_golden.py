@@ -1,0 +1,120 @@
+"""Golden output hashes for the ``residual`` and ``mesh`` commands.
+
+Each test runs one command on a small non-square grid and compares the
+sha256 of every file it writes with a pinned value.  The residual files are
+pinned for all five CLI families in all three modes, the OBJ mesh for three
+families.  The family parameters avoid the defaults where that makes both
+factor curves vary.
+
+A hash here may change only together with a CHANGES.md line that explains
+why the bytes changed.
+"""
+import hashlib
+
+import pytest
+
+from solsurf.cli import main
+
+GRID = "23x17"
+
+FAMILY_ARGS = {
+    "horosphere": ["--a", "0.7"],
+    "vertical-plane": ["--d", "-0.5", "--b", "0.2"],
+    "minimal-cylinder": [],
+    "grim-reaper": ["--lambda", "0.5", "--b", "0.5", "--a", "0.2"],
+    "conformal-cylinder": ["--a", "0.3"],
+}
+
+# (family, mode) -> (sha256 of <out>.csv, sha256 of <out>.summary.txt)
+RESIDUAL_SHA256 = {
+    ("horosphere", "minimal"): (
+        "781b441c6267800114feb782559bda705758408908eb43f714310eaea19cfa2b",
+        "f9c6639c01a7642078655f32c4898055274ab0d83d71206f6f3c4f96b1545634",
+    ),
+    ("horosphere", "translator"): (
+        "6e77faebf3719cdadcf0dcb9199bc5abdfd4ba66375a87a8541df06d480d93b0",
+        "c33ad37e819661522d9c343ea87c12a529c756aac14f7c66c6f8232747338de8",
+    ),
+    ("horosphere", "conformal"): (
+        "ee0d6869aa3409486bcac326fe9a377c3948ecca7c391a78442a00445e76307d",
+        "f1abfd6eb8ab86d115e007bcf9db91b4075619d9ea035798e17b8fe2558827c8",
+    ),
+    ("vertical-plane", "minimal"): (
+        "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
+        "592ef1a7cdeb520aefe6014be4fb47b6c6075b374eec7cf5ef26516e879d51ac",
+    ),
+    ("vertical-plane", "translator"): (
+        "b1c0dcfccad5950539d79926b2057a946f9df7a612f54d7e856a4e5d05e73696",
+        "930c120ddb041f46e7bf5663a92eaa1a68214642e799ecd762c5a9f267c36bd0",
+    ),
+    ("vertical-plane", "conformal"): (
+        "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
+        "b7802d4d6201cb0d867c96831f08ec045078e168da944eaedde6912af01a05b5",
+    ),
+    ("minimal-cylinder", "minimal"): (
+        "cdf2bcccf6b22c6c3f0e866397952ce252ba54af9dd0a56ecbca4ea692c0e6ad",
+        "55aaaa0f7c8b978a4940d386cb492756a4a72fa31f3738acfe87d62386e40df2",
+    ),
+    ("minimal-cylinder", "translator"): (
+        "639dae5e059ff25f3514ede6aea302a235764deb83b43f3ae686ded2bb358a7d",
+        "1917388e61158d4683ecef42c1004e604e0532907f400fd298766d65130b8291",
+    ),
+    ("minimal-cylinder", "conformal"): (
+        "3c99c91a83f0f308112c0cc2bcf47f02c4f1bea81c1ef5ff597c8b0f6b887bb3",
+        "cd6fd8edc24aa2f74b58a7249c8f0f623ad1a7516027e4ad2c0f696aeecdd07c",
+    ),
+    ("grim-reaper", "minimal"): (
+        "a5a9ddf7742ea20b1aa0b74624bf5069e395632bbcf8932dfd9f6c5a9bfa68f8",
+        "63a5afb94cff4f17fe6d2458d74bcb6abdaf4581413c6d14bd0838646ffd7c0d",
+    ),
+    ("grim-reaper", "translator"): (
+        "9fdda7231a4c1776fcbb8a54c8881b21090af8abbf257f8eda54e6ae60e87116",
+        "240fa4b76bbdcdfbeb189cf2122a1ab763d16aec264a4572968d3dd256847b78",
+    ),
+    ("grim-reaper", "conformal"): (
+        "a10a4efb7064c2a0ef296b3134f91b905574c7245e07ab24644e56ab6e25cc94",
+        "4a1f87aaecf87089a04dcc0e1b262d3180e6ea67b03bce5415bcf92454340de5",
+    ),
+    ("conformal-cylinder", "minimal"): (
+        "5877a1588211d714e9c38f9d3fb6af00fe414de21c27abd215b4e128996d136d",
+        "dbd723390303fdb5aa34e4352c8919d00c0f6e9a41c69eaf595dd031f81e68c5",
+    ),
+    ("conformal-cylinder", "translator"): (
+        "0cccd884ca9917421bc9fcb76a2d098e938ee3185624cfe2c28baa51b866b387",
+        "e2a9aced6066f4f4b92f2e8682ac4cc39dea99eaee0e60c36655baa57a9c0051",
+    ),
+    ("conformal-cylinder", "conformal"): (
+        "b9eacc9b5c22a6c4113a5ba1942db124366ad684d9a7fea24a97e99bed3edf20",
+        "4c6b4ed5a25e568c130259b15bb96539a71d24077f59a2a54d89ad915eb80f77",
+    ),
+}
+
+# family -> sha256 of <out>.obj
+MESH_SHA256 = {
+    "horosphere": "e95858e0a68d58c5b2e399f0b5b7b1e98bec8b79c1ec8f93d873dce385457900",
+    "minimal-cylinder": "7a2f9b8bb21f8e896d770e5e504dc08c56638ab809fd51bd2b9f23f298acd410",
+    "grim-reaper": "0fbc7f84376f2e8a4658c6dc679957565da17390cd987dc1a1d97a7238c0dead",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("family,mode", list(RESIDUAL_SHA256))
+def test_residual_bytes(tmp_path, family, mode):
+    out = tmp_path / "r"
+    argv = ["residual", "--family", family, *FAMILY_ARGS[family], "--mode", mode,
+            "--grid", GRID, "--out", str(out)]
+    assert main(argv) == 0
+    got = (_sha256(tmp_path / "r.csv"), _sha256(tmp_path / "r.summary.txt"))
+    assert got == RESIDUAL_SHA256[family, mode]
+
+
+@pytest.mark.parametrize("family", list(MESH_SHA256))
+def test_mesh_bytes(tmp_path, family):
+    out = tmp_path / "m"
+    argv = ["mesh", "--family", family, *FAMILY_ARGS[family], "--grid", GRID,
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert _sha256(tmp_path / "m.obj") == MESH_SHA256[family]

@@ -24,10 +24,7 @@ from solsurf import (
     minimal_halfwidth_quadrature,
     qualitative_verdict,
 )
-from solsurf.profile_odes import (
-    conformal_first_integral_defect,
-    minimal_first_integral_defect,
-)
+from solsurf.profile_odes import first_integral_defect
 
 
 # --- oracles --------------------------------------------------------------
@@ -121,11 +118,11 @@ def test_eval_outside_range_raises(minimal_sol):
 def test_raw_defect_responds_to_perturbation():
     # the monitor must not be identically zero by construction
     p = MinimalProfileParams(c=0.0, y0=1.0)
-    assert abs(minimal_first_integral_defect(p, 1.0, 0.0)) <= 1e-15
-    assert abs(minimal_first_integral_defect(p, 1.001, 0.0)) > 1e-4
+    assert abs(first_integral_defect(p, 1.0, 0.0)) <= 1e-15
+    assert abs(first_integral_defect(p, 1.001, 0.0)) > 1e-4
     pc = ConformalProfileParams(a=0.0, y0=1.0)
-    assert abs(conformal_first_integral_defect(pc, 1.0, 0.0)) <= 1e-15
-    assert abs(conformal_first_integral_defect(pc, 1.0, 0.1)) > 1e-3
+    assert abs(first_integral_defect(pc, 1.0, 0.0)) <= 1e-15
+    assert abs(first_integral_defect(pc, 1.0, 0.1)) > 1e-3
 
 
 def test_stop_threshold_override():

@@ -10,19 +10,19 @@ from solsurf import (
     SamplingError,
     ScalarJet2,
     SolitonMode,
-    conformal_residual,
     first_kind_jet,
     make_generic_first_kind,
+    make_generic_second_kind,
     make_horosphere,
     make_vertical_plane,
-    minimal_residual,
     reduced_residual_first_kind,
     reduced_residual_second_kind,
     residual,
     residual_report,
     second_kind_jet,
-    translator_residual,
 )
+
+MINIMAL, TRANSLATOR, CONFORMAL = SolitonMode
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -30,9 +30,9 @@ def test_horosphere_residual_values(a):
     """Flat slices kill the translator equation exactly; the other two
     residuals take the closed values 1 and a+1."""
     j = make_horosphere(a).jet(0.37, -1.21)
-    assert translator_residual(j) == 0.0
-    assert minimal_residual(j) == 1.0
-    assert conformal_residual(j) == a + 1.0
+    assert residual(TRANSLATOR, j) == 0.0
+    assert residual(MINIMAL, j) == 1.0
+    assert residual(CONFORMAL, j) == a + 1.0
 
 
 @pytest.mark.parametrize("c,d", [(0.0, 0.0), (1.0, -1.0), (3.0, 2.0)])
@@ -40,18 +40,18 @@ def test_vertical_plane_residual_values(c, d):
     # minimal and conformal vanish for every plane; the translator residual
     # is (d+b)/sqrt(c^2+1) and vanishes exactly when b = -d
     j = make_vertical_plane(c, d).jet(0.4, 1.2)
-    assert abs(minimal_residual(j)) <= 1e-15
-    assert abs(conformal_residual(j)) <= 1e-15
+    assert abs(residual(MINIMAL, j)) <= 1e-15
+    assert abs(residual(CONFORMAL, j)) <= 1e-15
     expected = d / math.sqrt(c * c + 1.0)
-    assert abs(translator_residual(j) - expected) <= 1e-14
+    assert abs(residual(TRANSLATOR, j) - expected) <= 1e-14
     j0 = make_vertical_plane(c, d, b=-d).jet(0.4, 1.2)
-    assert abs(translator_residual(j0)) <= 1e-15
+    assert abs(residual(TRANSLATOR, j0)) <= 1e-15
 
 
 def test_mode_dispatch_accepts_strings():
     j = make_horosphere(1.0).jet(0.0, 0.0)
-    assert residual("minimal", j) == minimal_residual(j)
-    assert residual(SolitonMode.TRANSLATOR, j) == translator_residual(j)
+    assert residual("minimal", j) == residual(MINIMAL, j)
+    assert residual("translator", j) == residual(TRANSLATOR, j)
     with pytest.raises(ValueError):
         residual("harmonic", j)
 
@@ -119,8 +119,8 @@ def test_second_kind_translator_closed_form():
 
 def test_orientation_flip_negates_residuals():
     j = first_kind_jet(ScalarJet2(0.3, -0.8, 0.7), ScalarJet2(1.4, 0.6, -1.1), 0.5, 0.2)
-    for fn in (minimal_residual, translator_residual, conformal_residual):
-        assert fn(j, -1) == -fn(j, 1)
+    for mode in SolitonMode:
+        assert residual(mode, j, -1) == -residual(mode, j, 1)
 
 
 def test_residual_report_grid_structure():
@@ -147,6 +147,75 @@ def test_residual_report_collects_partial_failures():
     rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 5, margin=0.0))
     assert len(rep.failures) == 3 * 3  # t in {-1, -0.5, 0} for each of 3 s nodes
     assert rep.samples.shape == (6, 3)
+    assert rep.failures == [
+        (s, t, f"profile value must be positive, got {t!r}")
+        for s in (-1.0, 0.0, 1.0)
+        for t in (-1.0, -0.5, 0.0)
+    ]
+
+
+def test_residual_report_fails_non_finite_axis_jets():
+    """A non-finite axis jet fails its whole row or column of nodes, with one
+    reason, where it used to give DegenerateJetError at some nodes and
+    infinite rows at others.  The s reason wins where both axes fail."""
+    fam = make_generic_first_kind(
+        lambda s: (math.inf if s == 0.0 else s, 1.0, 0.0),
+        lambda t: (2.0 + t, math.nan if t == 0.5 else 1.0, 0.0),
+        (-1.0, 1.0),
+        (-1.0, 1.0),
+    )
+    rep = residual_report(fam, SolitonMode.TRANSLATOR, GridSpec(3, 5, margin=0.0))
+    s_reason = "axis jet at s=0.0 is not finite: (inf, 1.0, 0.0)"
+    t_reason = "axis jet at t=0.5 is not finite: (2.5, nan, 0.0)"
+    assert rep.failures == (
+        [(-1.0, 0.5, t_reason)]
+        + [(0.0, t, s_reason) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        + [(1.0, 0.5, t_reason)]
+    )
+    assert rep.samples.shape == (8, 3)
+    assert np.all(np.isfinite(rep.samples))
+
+
+# f and g both vary, over unequal ranges, so a transposed grid shows
+def _f1(s):
+    return ScalarJet2(math.sin(s), math.cos(s), -math.sin(s))
+
+
+def _g1(t):
+    return ScalarJet2(2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t))
+
+
+def _f2(s):
+    return ScalarJet2(math.cos(2.0 * s), -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s))
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_grid_report_matches_reduced_forms(mode):
+    """Every grid residual equals the independent reduced form over 2*W^3,
+    at the node's own (s, t), on non-square grids of both kinds."""
+    grid = GridSpec(13, 7, margin=0.0)
+    b = 0.3
+
+    def first_kind(s, t):
+        fj, gj = _f1(s), _g1(t)
+        w2 = gj.d1 ** 2 * (fj.d1 ** 2 + 1.0) + 1.0
+        return reduced_residual_first_kind(mode, fj, gj, s, t) / (2.0 * w2 ** 1.5)
+
+    def second_kind(s, t):
+        fj = _f2(s)
+        return reduced_residual_second_kind(mode, fj, b, s, t) / (2.0 * (fj.d1 ** 2 + 1.0) ** 1.5)
+
+    for fam, expect in (
+        (make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5)), first_kind),
+        (make_generic_second_kind(_f2, b, (-2.0, 2.0), (0.5, 4.0)), second_kind),
+    ):
+        rep = residual_report(fam, mode, grid)
+        assert rep.samples.shape == (13 * 7, 3) and not rep.failures
+        for s, t, v in rep.samples.tolist():
+            assert _rel(v, expect(s, t)) <= 1e-10, (fam.name, s, t)
+        for k in (0, 8, 50, 13 * 7 - 1):
+            s, t, v = rep.samples[k]
+            assert v == residual(mode, fam.jet(float(s), float(t)))
 
 
 def test_residual_report_raises_when_everything_fails():

@@ -107,20 +107,20 @@ def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl):
 
 def test_sample_grid_row_major_order():
     fam = make_horosphere(1.0, s_range=(0.0, 1.0), t_range=(0.0, 3.0))
-    nodes, failures = sample_grid(fam, GridSpec(2, 4, margin=0.0))
-    assert len(nodes) == 8 and not failures
-    ss = [s for s, _, _ in nodes]
-    ts = [t for _, t, _ in nodes]
-    assert ss == [0.0] * 4 + [1.0] * 4
-    assert ts[:4] == sorted(ts[:4])
+    (s, t, j), failures = sample_grid(fam, GridSpec(2, 4, margin=0.0))
+    assert not failures
+    assert s.tolist() == [0.0, 1.0] and t.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert j.X.shape == (2, 4, 3)
+    # row-major: the flattened nodes have s varying slowest
+    assert j.X[..., 0].ravel().tolist() == [0.0] * 4 + [1.0] * 4
+    assert j.X[..., 1].ravel().tolist() == [0.0, 1.0, 2.0, 3.0] * 2
 
 
 def test_sampling_is_deterministic(minimal_cyl):
-    n1, _ = sample_grid(minimal_cyl, GRID)
-    n2, _ = sample_grid(minimal_cyl, GRID)
-    for (s1, t1, j1), (s2, t2, j2) in zip(n1, n2):
-        assert (s1, t1) == (s2, t2)
-        assert np.array_equal(j1.X, j2.X)
+    (s1, t1, j1), _ = sample_grid(minimal_cyl, GRID)
+    (s2, t2, j2), _ = sample_grid(minimal_cyl, GRID)
+    assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
+    assert np.array_equal(j1.X, j2.X)
 
 
 def test_reaper_shift_reindexes_t(reaper):
