@@ -11,7 +11,6 @@ from .lie_halfspace import (
     IDENTITY,
     HalfSpacePoint,
     SemidirectPoint,
-    hyperbolic_inner,
     lie_inverse,
     lie_product,
     rotation_about_vertical,

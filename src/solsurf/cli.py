@@ -2,7 +2,7 @@
 
     solsurf residual --family horosphere --a 1 --mode translator --grid 101x101
     solsurf profile  --ode minimal --c 0 --y0 1
-    solsurf mesh     --family grim-reaper --lambda 0.5 --grid 41x41
+    solsurf mesh     --family grim-reaper --lambda 0.8 --grid 41x41
     solsurf verify   [--only lie]
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
@@ -16,8 +16,10 @@ from typing import List, Optional, Sequence
 
 from . import commands
 from .errors import DomainError, ParameterError, SamplingError
+from .soliton_residuals import SolitonMode
 
-_PAIR_FLAGS = ("--span", "--s-range", "--t-range")
+_PAIR_FLAGS = {flag for table in (commands.FAMILIES, commands.ODES)
+               for flag, interval in commands.table_flags(table).items() if interval}
 
 
 def _merge_pair_flags(argv: Sequence[str]) -> List[str]:
@@ -42,35 +44,25 @@ def _merge_pair_flags(argv: Sequence[str]) -> List[str]:
     return out
 
 
+def _add_table_flags(p: argparse.ArgumentParser, choice: str, table: dict) -> None:
+    """``choice`` picks an entry of ``table``; then one option per flag of the
+    table, whose help gives the role it plays in each entry that lists it."""
+    p.add_argument(choice, required=True, type=commands.canonical, choices=table)
+    for flag, interval in commands.table_flags(table).items():
+        roles: dict = {}
+        for name, (_, flags) in table.items():
+            if flag in flags:
+                roles.setdefault(flags[flag][1], []).append(name)
+        p.add_argument(flag, dest=commands.dest(flag), type=None if interval else float,
+                       help="; ".join(f"{r} ({', '.join(n)})" for r, n in roles.items()))
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True,
-                   help="one of: " + ", ".join(commands.FAMILIES))
-    p.add_argument("--a", type=float, default=None,
-                   help="height (horosphere), drift slope (conformal-cylinder), "
-                        "or profile shift (grim-reaper)")
-    p.add_argument("--b", type=float, default=None,
-                   help="transverse offset (vertical-plane) or drift slope (grim-reaper)")
-    p.add_argument("--c", type=float, default=None,
-                   help="drift slope (vertical-plane, minimal-cylinder)")
-    p.add_argument("--d", type=float, default=None,
-                   help="drift intercept (vertical-plane, minimal-cylinder)")
-    p.add_argument("--y0", type=float, default=None,
-                   help="initial profile height (cylinders)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="initial profile slope (grim-reaper)")
-    p.add_argument("--k", type=float, default=None,
-                   help="only for the bare profile command (grim-reaper)")
-    p.add_argument("--span", default=None, help="profile span LO:HI (grim-reaper)")
-    p.add_argument("--s-range", dest="s_range", default=None, help="s interval LO:HI")
-    p.add_argument("--t-range", dest="t_range", default=None,
-                   help="t interval LO:HI (horosphere, vertical-plane)")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", default=None, help="sampling grid NSxNT (default 51x51)")
+    _add_table_flags(p, "--family", commands.FAMILIES)
+    p.add_argument("--grid", default="51x51", help="sampling grid NSxNT (default %(default)s)")
     p.add_argument("--margin", type=float, default=None,
                    help="fraction of the t extent clipped per side on "
-                        "blow-up-limited families (default 1e-3)")
+                        "blow-up-limited families")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,34 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_res = sub.add_parser("residual", help="sample a soliton residual over a grid")
     _add_family_flags(p_res)
-    _add_grid_flags(p_res)
-    p_res.add_argument("--mode", required=True,
-                       help="minimal, translator, or conformal")
+    p_res.add_argument("--mode", required=True, type=commands.canonical,
+                       choices=[m.value for m in SolitonMode])
     p_res.add_argument("--out", default=None, help="output prefix (two files)")
     p_res.set_defaults(func=commands.cmd_residual)
 
     p_pro = sub.add_parser("profile", help="integrate a profile curve to CSV")
-    p_pro.add_argument("--ode", required=True,
-                       help="one of: " + ", ".join(commands.ODES))
-    p_pro.add_argument("--a", type=float, default=None, help="drift slope (conformal)")
-    p_pro.add_argument("--c", type=float, default=None, help="drift slope (minimal)")
-    p_pro.add_argument("--d", type=float, default=None, help="drift intercept (minimal)")
-    p_pro.add_argument("--y0", type=float, default=None, help="initial height")
-    p_pro.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="initial slope (grim-reaper)")
-    p_pro.add_argument("--k", type=float, default=None,
-                       help="drift constant (grim-reaper, default 1)")
-    p_pro.add_argument("--span", default=None, help="integration span LO:HI (grim-reaper)")
-    p_pro.add_argument("--eps-g", dest="eps_g", type=float, default=None,
-                       help="stop once g drops below this (default 1e-6)")
-    p_pro.add_argument("--m-stop", dest="m_stop", type=float, default=None,
-                       help="stop once |g'| exceeds this (default 1e6)")
+    _add_table_flags(p_pro, "--ode", commands.ODES)
     p_pro.add_argument("--out", default=None, help="output prefix (two files)")
     p_pro.set_defaults(func=commands.cmd_profile)
 
     p_mesh = sub.add_parser("mesh", help="triangulate a family to Wavefront OBJ")
     _add_family_flags(p_mesh)
-    _add_grid_flags(p_mesh)
     p_mesh.add_argument("--out", default=None, help="output prefix (.obj)")
     p_mesh.set_defaults(func=commands.cmd_mesh)
 

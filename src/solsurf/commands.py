@@ -7,7 +7,7 @@ point.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import ParameterError
 from .export import (
@@ -19,8 +19,6 @@ from .export import (
     write_residual_summary,
 )
 from .profile_odes import (
-    EPS_G_DEFAULT,
-    M_STOP_DEFAULT,
     ConformalProfileParams,
     GrimReaperParams,
     MinimalProfileParams,
@@ -38,18 +36,71 @@ from .surface_factory import (
     make_vertical_plane,
 )
 
-FAMILIES = (
-    "horosphere",
-    "vertical-plane",
-    "minimal-cylinder",
-    "grim-reaper",
-    "conformal-cylinder",
-)
-ODES = ("minimal", "grim-reaper", "conformal")
+# The CLI families and profile ODEs: name -> (builder, {flag: (keyword, role)}).
+# The builder gets the keyword of each flag given and nothing else, so every
+# default lives in the builder's signature.  A given flag that the entry does
+# not list, or lists with keyword None, is refused.  Builders look their
+# function up when called, so a wrapper bound over the module name sees each
+# call.  Keywords named ``span`` or ``*_range`` take an interval LO:HI.
+_DRIFT = {"--c": ("c", "drift slope"), "--d": ("d", "drift intercept")}
+_S_RANGE = {"--s-range": ("s_range", "s interval LO:HI")}
+_T_RANGE = {"--t-range": ("t_range", "t interval LO:HI")}
+_EPS_G = {"--eps-g": ("eps_g", "stop once g drops below this")}
+_M_STOP = {"--m-stop": ("m_stop", "stop once |g'| exceeds this")}
+
+FAMILIES = {
+    "horosphere": (lambda **kw: make_horosphere(**kw),
+                   {"--a": ("a", "height"), **_S_RANGE, **_T_RANGE}),
+    "vertical-plane": (lambda **kw: make_vertical_plane(**kw),
+                       {"--b": ("b", "transverse offset"), **_DRIFT, **_S_RANGE, **_T_RANGE}),
+    "minimal-cylinder": (lambda **kw: make_minimal_cylinder(**kw),
+                         {**_DRIFT, "--y0": ("y0", "initial profile height"), **_S_RANGE}),
+    "grim-reaper": (lambda **kw: make_grim_reaper(**kw), {
+        "--a": ("a_shift", "profile shift"), "--b": ("b_slope", "drift slope"),
+        "--lambda": ("lam", "initial profile slope"),
+        "--k": (None, "not taken: k = 1/(b^2+1) comes from --b"),
+        "--span": ("span", "profile span LO:HI"), **_S_RANGE}),
+    "conformal-cylinder": (lambda **kw: make_conformal_cylinder(**kw), {
+        "--a": ("a_slope", "drift slope"), "--y0": ("y0", "initial profile height"),
+        **_S_RANGE}),
+}
+
+ODES = {
+    "minimal": (lambda **kw: integrate_minimal_profile(
+        MinimalProfileParams(**_take(kw, "c", "y0", "d")), **kw),
+        {**_DRIFT, "--y0": ("y0", "initial height"), **_EPS_G, **_M_STOP}),
+    "grim-reaper": (lambda **kw: integrate_grim_reaper(
+        GrimReaperParams(**_take(kw, "lam", "k")), **kw), {
+        "--lambda": ("lam", "initial slope"), "--k": ("k", "drift constant"),
+        "--span": ("span", "integration span LO:HI"), **_EPS_G}),
+    "conformal": (lambda **kw: integrate_conformal_profile(
+        ConformalProfileParams(**_take(kw, "a", "y0")), **kw),
+        {"--a": ("a", "drift slope"), "--y0": ("y0", "initial height"), **_EPS_G, **_M_STOP}),
+}
+
+
+def _take(kw: dict, *names: str) -> dict:
+    """Pop the profile parameters out of ``kw``, leaving the integrator's keywords."""
+    return {n: kw.pop(n) for n in names if n in kw}
 
 
 def canonical(name: str) -> str:
     return name.strip().lower().replace("_", "-")
+
+
+def dest(flag: str) -> str:
+    """Namespace attribute of a flag: ``--eps-g`` -> ``eps_g``, ``--lambda`` -> ``lam``."""
+    name = flag[2:].replace("-", "_")
+    return "lam" if name == "lambda" else name
+
+
+def table_flags(table: dict) -> dict:
+    """Every flag of a table, in order of first appearance -> whether it takes LO:HI."""
+    return {
+        flag: kw is not None and (kw == "span" or kw.endswith("_range"))
+        for _, flags in table.values()
+        for flag, (kw, _) in flags.items()
+    }
 
 
 def parse_grid(txt: str) -> Tuple[int, int]:
@@ -74,82 +125,34 @@ def parse_pair(txt: str, flag: str) -> Tuple[float, float]:
     return lo, hi
 
 
-def _val(v, default):
-    return default if v is None else v
-
-
-def _ranges(args) -> Tuple[Optional[Tuple[float, float]], Optional[Tuple[float, float]]]:
-    s_range = parse_pair(args.s_range, "--s-range") if args.s_range else None
-    t_range = parse_pair(args.t_range, "--t-range") if args.t_range else None
-    return s_range, t_range
-
-
-def build_family(args):
-    name = canonical(args.family)
-    s_range, t_range = _ranges(args)
-    if name == "horosphere":
-        return make_horosphere(
-            _val(args.a, 1.0),
-            s_range or (-2.0, 2.0),
-            t_range or (-2.0, 2.0),
-        )
-    if name == "vertical-plane":
-        return make_vertical_plane(
-            _val(args.c, 1.0),
-            _val(args.d, 0.0),
-            _val(args.b, 0.0),
-            s_range or (-2.0, 2.0),
-            t_range or (0.5, 4.5),
-        )
-    if t_range is not None:
-        raise ParameterError(
-            f"--t-range does not apply to {name!r}: its t extent comes from the profile"
-        )
-    if getattr(args, "k", None) is not None:
-        raise ParameterError(
-            "--k applies to the bare profile command; for assembled surfaces it is "
-            "derived from the drift slope --b"
-        )
-    if name == "minimal-cylinder":
-        return make_minimal_cylinder(
-            _val(args.c, 0.0),
-            _val(args.y0, 1.0),
-            _val(args.d, 0.0),
-            s_range or (-2.0, 2.0),
-        )
-    if name == "grim-reaper":
-        span = parse_pair(args.span, "--span") if args.span else (-5.0, 5.0)
-        return make_grim_reaper(
-            _val(args.lam, 0.5),
-            _val(args.b, 0.0),
-            _val(args.a, 0.0),
-            span,
-            s_range or (-2.0, 2.0),
-        )
-    if name == "conformal-cylinder":
-        return make_conformal_cylinder(
-            _val(args.a, 0.0),
-            _val(args.y0, 1.0),
-            s_range or (-2.0, 2.0),
-        )
-    raise ParameterError(f"unknown family {args.family!r}; choose from {', '.join(FAMILIES)}")
+def build(table: dict, name: str, args):
+    """Call the builder of ``table[name]`` with the keyword of every flag in
+    ``args`` that was given; a given flag the entry does not take raises
+    :class:`ParameterError` naming the flag as typed."""
+    builder, flags = table[name]
+    kwargs = {}
+    for flag, interval in table_flags(table).items():
+        value = getattr(args, dest(flag))
+        if value is None:
+            continue
+        keyword = flags.get(flag, (None,))[0]
+        if keyword is None:
+            taken = ", ".join(f for f, (kw, _) in flags.items() if kw is not None)
+            raise ParameterError(f"{name} does not take {flag}; it takes {taken}")
+        kwargs[keyword] = parse_pair(value, flag) if interval else value
+    return builder(**kwargs)
 
 
 def build_grid(args) -> GridSpec:
-    ns, nt = parse_grid(_val(args.grid, "51x51"))
-    return GridSpec(ns, nt, margin=_val(args.margin, 1e-3))
+    margin = {} if args.margin is None else {"margin": args.margin}
+    return GridSpec(*parse_grid(args.grid), **margin)
 
 
 def cmd_residual(args) -> int:
-    fam = build_family(args)
-    try:
-        mode = SolitonMode(canonical(args.mode))
-    except ValueError:
-        raise ParameterError(
-            f"unknown mode {args.mode!r}; choose minimal, translator, or conformal"
-        ) from None
+    fam = build(FAMILIES, args.family, args)
+    mode = SolitonMode(args.mode)
     rep = residual_report(fam, mode, build_grid(args))
-    out = _val(args.out, f"residual_{fam.name}_{mode.value}")
+    out = args.out if args.out is not None else f"residual_{fam.name}_{mode.value}"
     n = write_residual_csv(out + ".csv", rep)
     write_residual_summary(out + ".summary.txt", rep)
     print(f"wrote {out}.csv ({n} rows)")
@@ -158,28 +161,9 @@ def cmd_residual(args) -> int:
     return 0
 
 
-def _integrate_ode(args):
-    ode = canonical(args.ode)
-    eps_g = _val(args.eps_g, EPS_G_DEFAULT)
-    m_stop = _val(args.m_stop, M_STOP_DEFAULT)
-    if ode == "minimal":
-        p = MinimalProfileParams(
-            c=_val(args.c, 0.0), y0=_val(args.y0, 1.0), d=_val(args.d, 0.0)
-        )
-        return ode, integrate_minimal_profile(p, eps_g=eps_g, m_stop=m_stop)
-    if ode == "grim-reaper":
-        p = GrimReaperParams(lam=_val(args.lam, 0.5), k=_val(args.k, 1.0))
-        span = parse_pair(args.span, "--span") if args.span else (-5.0, 5.0)
-        return ode, integrate_grim_reaper(p, span=span, eps_g=eps_g)
-    if ode == "conformal":
-        p = ConformalProfileParams(a=_val(args.a, 0.0), y0=_val(args.y0, 1.0))
-        return ode, integrate_conformal_profile(p, eps_g=eps_g, m_stop=m_stop)
-    raise ParameterError(f"unknown ode {args.ode!r}; choose from {', '.join(ODES)}")
-
-
 def cmd_profile(args) -> int:
-    ode, sol = _integrate_ode(args)
-    out = _val(args.out, f"profile_{ode.replace('-', '_')}")
+    sol = build(ODES, args.ode, args)
+    out = args.out if args.out is not None else f"profile_{args.ode.replace('-', '_')}"
     n = write_profile_csv(out + ".csv", sol)
     write_profile_events(out + ".events.txt", sol)
     print(f"wrote {out}.csv ({n} rows)")
@@ -188,8 +172,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    fam = build_family(args)
-    out = _val(args.out, f"mesh_{fam.name}")
+    fam = build(FAMILIES, args.family, args)
+    out = args.out if args.out is not None else f"mesh_{fam.name}"
     nv, nf = write_obj_mesh(out + ".obj", fam, build_grid(args))
     print(f"wrote {out}.obj ({nv} vertices, {nf} triangles)")
     return 0

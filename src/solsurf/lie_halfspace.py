@@ -31,7 +31,6 @@ __all__ = [
     "semidirect_to_halfspace",
     "rotation_matrix",
     "rotation_about_vertical",
-    "hyperbolic_inner",
 ]
 
 
@@ -109,10 +108,3 @@ def rotation_about_vertical(theta: float, p: HalfSpacePoint) -> HalfSpacePoint:
     """
     c, s = math.cos(theta), math.sin(theta)
     return HalfSpacePoint(c * p.x - s * p.y, s * p.x + c * p.y, p.z)
-
-
-def hyperbolic_inner(p: HalfSpacePoint, u, v) -> float:
-    """Inner product of tangent vectors ``u``, ``v`` at ``p``: ``<u, v>/z^2``."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(u @ v) / (p.z * p.z)

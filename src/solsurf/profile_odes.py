@@ -73,8 +73,8 @@ class MinimalProfileParams:
     conditions when omitted.  ``d`` (intercept of the linear drift f(s)=c*s+d)
     is carried for bookkeeping and does not enter the ODE."""
 
-    c: float
-    y0: float
+    c: float = 0.0
+    y0: float = 1.0
     m: Optional[float] = None
     d: float = 0.0
 
@@ -114,8 +114,8 @@ class GrimReaperParams:
     substitution ``v = t_shift + t`` used when the profile is attached to a
     surface; the ODE itself is posed in ``v``."""
 
-    lam: float
-    k: float
+    lam: float = 0.5
+    k: float = 1.0
     t_shift: float = 0.0
 
     def __post_init__(self) -> None:
@@ -135,8 +135,8 @@ class ConformalProfileParams:
     """Parameters of the conformal profile; ``C`` is derived from the initial
     conditions when omitted."""
 
-    a: float
-    y0: float
+    a: float = 0.0
+    y0: float = 1.0
     C: Optional[float] = None
 
     def __post_init__(self) -> None:

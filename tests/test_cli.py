@@ -141,11 +141,27 @@ def test_profile_determinism(tmp_path):
         ["profile", "--ode", "grim-reaper", "--span", "1:5"],
         ["profile", "--ode", "nosuch"],
         ["verify", "--only", "zzz-no-match"],
+        # a flag the family or ODE does not take
+        ["residual", "--family", "horosphere", "--lambda", "7", "--mode", "minimal"],
+        ["residual", "--family", "vertical-plane", "--span", "-1:1", "--mode", "minimal"],
+        ["mesh", "--family", "minimal-cylinder", "--b", "3"],
+        ["profile", "--ode", "grim-reaper", "--m-stop", "5"],
+        ["profile", "--ode", "conformal", "--c", "9"],
+        ["profile", "--ode", "minimal", "--span", "-3:3"],
+        # above the grid-node cap; refused before anything is allocated
+        ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "2x100000000"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+
+
+def test_refusal_names_flag_as_typed(capsys):
+    argv = ["residual", "--family", "horosphere", "--lambda", "7", "--mode", "minimal"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "--lam " not in err
 
 
 def test_missing_required_flag_exits_2():

@@ -1,10 +1,12 @@
-"""Golden output hashes for the ``residual`` and ``mesh`` commands.
+"""Golden output hashes for the ``residual``, ``mesh`` and ``profile`` commands.
 
-Each test runs one command on a small non-square grid and compares the
-sha256 of every file it writes with a pinned value.  The residual files are
-pinned for all five CLI families in all three modes, the OBJ mesh for three
+Each test runs one command and compares the sha256 of every file it writes
+with a pinned value.  The residual files are pinned on a small non-square
+grid for all five CLI families in all three modes, the OBJ mesh for three
 families.  The family parameters avoid the defaults where that makes both
-factor curves vary.
+factor curves vary.  A second set runs every family and every profile ODE
+with no parameter flags, which pins the defaults its builder supplies; the
+profile files are also pinned with every parameter flag of the ODE set.
 
 A hash here may change only together with a CHANGES.md line that explains
 why the bytes changed.
@@ -118,3 +120,92 @@ def test_mesh_bytes(tmp_path, family):
             "--out", str(out)]
     assert main(argv) == 0
     assert _sha256(tmp_path / "m.obj") == MESH_SHA256[family]
+
+
+# family -> (mode, sha256 of <out>.csv, sha256 of <out>.summary.txt, sha256 of <out>.obj)
+# with no parameter flags.  Each mode is one whose residual bytes move with
+# the family's parameters.  minimal-cylinder is left out: its FAMILY_ARGS are
+# empty, so the tables above already pin its defaults.
+DEFAULTS_SHA256 = {
+    "horosphere": (
+        "conformal",
+        "6ddcdc7b0d18110917efe66daf935aa859ad3b59769534bb88399af82335cf18",
+        "b4570158557553ca49e504ec60a513392c62b773bc2a69b6ca5653015b8e9240",
+        "180add82ab25622a198649c5d7c377043c4214f6d9ecf735fb5c2201522cecba",
+    ),
+    "vertical-plane": (
+        "translator",
+        "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
+        "09d5fadf372bfa9a0f7febdc30cedf54a800c13c325ec9e3f035828151ac2bcf",
+        "e3d7e360e73f2a97e6f34b272a84b1c48c443b11add45d87db034c37a1085420",
+    ),
+    "grim-reaper": (
+        "translator",
+        "601481ceeb4e3c79f302dcd38952c7ed634202561309dce51376c74981cbb928",
+        "6f69df1c4cdd87ef9d64dbbda6361db1d481bb755ad2469961d49dc644800b84",
+        "edc40bb2e7b3bf60b9806791a54420b8b1fc9bf60af688f2eb6bfac53e4993c6",
+    ),
+    "conformal-cylinder": (
+        "conformal",
+        "2d458a38f93357f16864765c624b291e018c6bacaf72a515cdd41bcab231eb32",
+        "09ffae93bad9236ec6da4707cc5b8e92fab940b830cf6f188d53096d8756c8d9",
+        "3111cef4735e7c8d04276054020fe0e732a1ab841dd0442404410d2b2ed28502",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(DEFAULTS_SHA256))
+def test_default_parameter_bytes(tmp_path, family):
+    mode, csv, summary, obj = DEFAULTS_SHA256[family]
+    assert main(["residual", "--family", family, "--mode", mode, "--grid", GRID,
+                 "--out", str(tmp_path / "r")]) == 0
+    assert main(["mesh", "--family", family, "--grid", GRID, "--out", str(tmp_path / "m")]) == 0
+    got = (_sha256(tmp_path / "r.csv"), _sha256(tmp_path / "r.summary.txt"),
+           _sha256(tmp_path / "m.obj"))
+    assert got == (csv, summary, obj)
+
+
+# Every parameter flag each ODE takes, away from its default.
+PROFILE_ARGS = {
+    "minimal": ["--c", "0.8", "--y0", "1.3", "--d", "0.4", "--eps-g", "1e-5",
+                "--m-stop", "1e5"],
+    "grim-reaper": ["--lambda", "1.5", "--k", "0.7", "--span", "-4:6", "--eps-g", "1e-5"],
+    "conformal": ["--a", "0.6", "--y0", "0.9", "--eps-g", "1e-5", "--m-stop", "1e5"],
+}
+
+# (ode, with flags) -> (sha256 of <out>.csv, sha256 of <out>.events.txt)
+PROFILE_SHA256 = {
+    ("minimal", True): (
+        "72993dcb8538c1b345108e1415d8b9fac3f53cd2bb4aef4af22ea189557402ed",
+        "e767fbcb802cd736a82eaf86817dc907891427dd3a14a91243cbdd0398276691",
+    ),
+    ("grim-reaper", True): (
+        "b331c4a24f07846c4cdcda394b0defec8b36f679176a02afdfc6c42b438fd9da",
+        "2c1bf552be2eacad84611e17775efa75189ed377cc8d46b2d635b0b6ef551ac4",
+    ),
+    ("conformal", True): (
+        "a95323b5487acab3846b732916268dc3d16508d9609be4dc6c80ad463346af4f",
+        "0988761e26b97992a588599b7ea6d7b2682e4d001396f975d13809794feb95b3",
+    ),
+    ("minimal", False): (
+        "eb846f9af404b66c821d29c4f93260d147d90cf6ed459ab76dc069490903240f",
+        "6c7b2a6986e6581621ca494c338092725bc6db7e2702ac7742985af2a953f613",
+    ),
+    ("grim-reaper", False): (
+        "35f73d2bde9e6fcc69ac3a4229756da843407a6e153872ffc29310dd8051cb40",
+        "6adcb3adf55d2f65d61c40a3172f12390ebbdf929186db2c386112cdbf2e9149",
+    ),
+    ("conformal", False): (
+        "e38abd509ebff3724a353c0931bff8a3129f6dc639b313d2db100ea3bf3bbe2c",
+        "84acca3b9792d68639a25bc328d2f6c1537e189d7b16ec250bceb1f7af56f988",
+    ),
+}
+
+
+@pytest.mark.parametrize("ode,flags", list(PROFILE_SHA256))
+def test_profile_bytes(tmp_path, ode, flags):
+    argv = ["profile", "--ode", ode, *(PROFILE_ARGS[ode] if flags else []),
+            "--out", str(tmp_path / "p")]
+    assert main(argv) == 0
+    got = (_sha256(tmp_path / "p.csv"), _sha256(tmp_path / "p.events.txt"))
+    assert got == PROFILE_SHA256[ode, flags]

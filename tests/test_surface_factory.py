@@ -166,6 +166,12 @@ def test_constructor_validation():
         GridSpec(5, 5, margin=0.5)
 
 
+def test_grid_node_cap():
+    GridSpec(1001, 1001)
+    with pytest.raises(ParameterError, match="200000000 nodes.*1048576"):
+        GridSpec(2, 10**8)
+
+
 def test_position_matches_jet(minimal_cyl):
     j = minimal_cyl.jet(0.3, 0.2)
     assert np.array_equal(minimal_cyl.position(0.3, 0.2), j.X)
