@@ -26,6 +26,7 @@ from .profile_odes import (
     GrimReaperParams,
     MinimalProfileParams,
     ProfileSolution,
+    REAPER_SPAN_DEFAULT,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
@@ -214,9 +215,9 @@ def _profile_g_jet(sol: ProfileSolution, shift: float = 0.0) -> Callable[[float]
 
 
 def make_minimal_cylinder(
-    c: float = 0.0,
-    y0: float = 1.0,
-    d: float = 0.0,
+    c: float = MinimalProfileParams.c,
+    y0: float = MinimalProfileParams.y0,
+    d: float = MinimalProfileParams.d,
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
     """Minimal surface generated by the collapsing even profile: first-kind
@@ -236,10 +237,10 @@ def make_minimal_cylinder(
 
 
 def make_grim_reaper(
-    lam: float = 0.5,
+    lam: float = GrimReaperParams.lam,
     b_slope: float = 0.0,
     a_shift: float = 0.0,
-    span: Tuple[float, float] = (-5.0, 5.0),
+    span: Tuple[float, float] = REAPER_SPAN_DEFAULT,
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
     """Translating surface: f(s) = b_slope*s + a_shift and g(t) the reaper
@@ -261,8 +262,8 @@ def make_grim_reaper(
 
 
 def make_conformal_cylinder(
-    a_slope: float = 0.0,
-    y0: float = 1.0,
+    a_slope: float = ConformalProfileParams.a,
+    y0: float = ConformalProfileParams.y0,
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
     """Conformal-soliton surface generated by the collapsing conformal

@@ -66,16 +66,16 @@ RESIDUAL_SHA256 = {
         "cd6fd8edc24aa2f74b58a7249c8f0f623ad1a7516027e4ad2c0f696aeecdd07c",
     ),
     ("grim-reaper", "minimal"): (
-        "a5a9ddf7742ea20b1aa0b74624bf5069e395632bbcf8932dfd9f6c5a9bfa68f8",
-        "63a5afb94cff4f17fe6d2458d74bcb6abdaf4581413c6d14bd0838646ffd7c0d",
+        "d329e409a8568607ea272f99605dc331d526579ef4ac88edcce374527b2e31d3",
+        "d60e8c0fd812da7345c0845d7a97d939728b7fc043f35101e5d43f64e53d927f",
     ),
     ("grim-reaper", "translator"): (
-        "9fdda7231a4c1776fcbb8a54c8881b21090af8abbf257f8eda54e6ae60e87116",
-        "240fa4b76bbdcdfbeb189cf2122a1ab763d16aec264a4572968d3dd256847b78",
+        "f7be036891a9c08de486487535f55376fbbfb80aacfc4ea214439b6ab6e4246e",
+        "0357545d1e9b8138d36bef00e98d1479dd8be644f86951fd160fdca31289aa5b",
     ),
     ("grim-reaper", "conformal"): (
-        "a10a4efb7064c2a0ef296b3134f91b905574c7245e07ab24644e56ab6e25cc94",
-        "4a1f87aaecf87089a04dcc0e1b262d3180e6ea67b03bce5415bcf92454340de5",
+        "b77e13b4000446c74cabd693a12c49b956022973ddcad99cbfa42f1fcf958ba5",
+        "8815b7c0810c4df57fe05eed68ad5c00ff2dda9ac4356ce021f50b95ec3e03f8",
     ),
     ("conformal-cylinder", "minimal"): (
         "5877a1588211d714e9c38f9d3fb6af00fe414de21c27abd215b4e128996d136d",
@@ -95,7 +95,7 @@ RESIDUAL_SHA256 = {
 MESH_SHA256 = {
     "horosphere": "e95858e0a68d58c5b2e399f0b5b7b1e98bec8b79c1ec8f93d873dce385457900",
     "minimal-cylinder": "7a2f9b8bb21f8e896d770e5e504dc08c56638ab809fd51bd2b9f23f298acd410",
-    "grim-reaper": "0fbc7f84376f2e8a4658c6dc679957565da17390cd987dc1a1d97a7238c0dead",
+    "grim-reaper": "c3fe75a57d68cc858baccc78934daaa14e3077a9b457f52bf114f124fe50371d",
 }
 
 
@@ -141,9 +141,9 @@ DEFAULTS_SHA256 = {
     ),
     "grim-reaper": (
         "translator",
-        "601481ceeb4e3c79f302dcd38952c7ed634202561309dce51376c74981cbb928",
-        "6f69df1c4cdd87ef9d64dbbda6361db1d481bb755ad2469961d49dc644800b84",
-        "edc40bb2e7b3bf60b9806791a54420b8b1fc9bf60af688f2eb6bfac53e4993c6",
+        "b17d1d11a6115bda4a5d790692474e0ff4dcac1d321c7730bfb8f1260e5a032d",
+        "01f544dd8686dbe69b609813cba04c449fa0af9f489b07e38f910d3b3055a766",
+        "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (
         "conformal",
@@ -180,8 +180,8 @@ PROFILE_SHA256 = {
         "e767fbcb802cd736a82eaf86817dc907891427dd3a14a91243cbdd0398276691",
     ),
     ("grim-reaper", True): (
-        "b331c4a24f07846c4cdcda394b0defec8b36f679176a02afdfc6c42b438fd9da",
-        "2c1bf552be2eacad84611e17775efa75189ed377cc8d46b2d635b0b6ef551ac4",
+        "3b290e51bc481e1884c4519fedc4941feeefac1a2729b7af2c166a97ed0d717a",
+        "26f0ec783b17743edca6f56acf9bc9f90f9af3db4bd81f7b4b1188c2145675a0",
     ),
     ("conformal", True): (
         "a95323b5487acab3846b732916268dc3d16508d9609be4dc6c80ad463346af4f",
@@ -192,8 +192,8 @@ PROFILE_SHA256 = {
         "6c7b2a6986e6581621ca494c338092725bc6db7e2702ac7742985af2a953f613",
     ),
     ("grim-reaper", False): (
-        "35f73d2bde9e6fcc69ac3a4229756da843407a6e153872ffc29310dd8051cb40",
-        "6adcb3adf55d2f65d61c40a3172f12390ebbdf929186db2c386112cdbf2e9149",
+        "0a72ee0a5ed9bc5824d735a2460b0e01147a694c7aee159600d72846a99b752f",
+        "ee20044d2aaf15bbcd51b3f56c9b8750177cf60b9e683d1f8874ba70eb45e9e6",
     ),
     ("conformal", False): (
         "e38abd509ebff3724a353c0931bff8a3129f6dc639b313d2db100ea3bf3bbe2c",

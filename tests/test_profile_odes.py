@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import beta as euler_beta
 
 from solsurf import (
@@ -202,6 +203,74 @@ def test_reaper_endpoint_regression(reaper_sol):
 def test_reaper_has_no_conserved_monitor(reaper_sol):
     assert reaper_sol.conserved_max_defect == 0.0
     assert np.all(reaper_sol.node_defect == 0.0)
+
+
+def _reaper_oracle(p, end, method, **kw):
+    """Reference translator profile from 0 to ``end``, integrated in the
+    original ``(g, g')`` variables, where the equation is stiff."""
+
+    def rhs(v, y):
+        return (y[1], p.gpp(v, y[0], y[1]))
+
+    return solve_ivp(rhs, (0.0, end), [1.0, p.lam], method=method, **kw)
+
+
+# (lam, k, span) -> bounds on |g - oracle| and |g' - oracle| at the nodes and
+# on a dense grid through the interpolants.  Each bound sits below the error
+# of the (g, g') RK45 integration at rtol 1e-10, atol 1e-12, measured against
+# the same oracle: nodes g 6.1e-12, 2.2e-11, 1.8e-9, 9.6e-11; g' 8.8e-12,
+# 2.4e-11, 3.5e-10, 5.0e-11; dense g 1.3e-8, 1.1e-8, 2.4e-8, 1.1e-8;
+# g' 5.1e-8, 1.1e-7, 5.1e-7, 1.7e-7.
+REAPER_ORACLE_BOUNDS = {
+    (0.5, 1.0, (-50.0, 50.0)): (5e-12, 5e-12, 1e-8, 5e-8),
+    (1.0, 1.0, (-50.0, 50.0)): (2e-11, 2e-11, 1e-8, 1e-7),
+    (10.0, 1.0, (-40.0, 40.0)): (1e-9, 3e-10, 2e-8, 5e-7),
+    (1.5, 0.7, (-4.0, 6.0)): (5e-11, 5e-11, 1e-8, 1e-7),
+}
+
+
+@pytest.mark.parametrize("case", list(REAPER_ORACLE_BOUNDS),
+                         ids=lambda c: f"lam{c[0]:g}-k{c[1]:g}")
+def test_reaper_matches_oracle(case):
+    lam, k, span = case
+    p = GrimReaperParams(lam=lam, k=k)
+    sol = integrate_grim_reaper(p, span=span)
+    node_g, node_gp, dense_g, dense_gp = REAPER_ORACLE_BOUNDS[case]
+    for end, nodes in ((span[0], sol.t <= 0.0), (span[1], sol.t >= 0.0)):
+        ref = _reaper_oracle(p, end, "DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
+        g_ref, gp_ref = ref(sol.t[nodes])
+        assert np.max(np.abs(sol.g[nodes] - g_ref)) <= node_g
+        assert np.max(np.abs(sol.gp[nodes] - gp_ref)) <= node_gp
+        q = np.linspace(0.0, end, 4001)
+        g_ref, gp_ref = ref(q)
+        assert np.max(np.abs(sol.eval_g(q) - g_ref)) <= dense_g
+        assert np.max(np.abs(sol.eval_gp(q) - gp_ref)) <= dense_gp
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 2.0, 6.0, 10.0])
+def test_reaper_shape_across_lambda(lam):
+    sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=1.0), span=(-40.0, 40.0))
+    v = qualitative_verdict(sol)
+    assert v.monotone_nondecreasing and v.convex_then_concave and not v.truncated
+    assert list(sol.gp[sol.t == 0.0]) == [lam] and np.all(sol.gp >= 0.0)
+
+
+def test_reaper_steep_long_span_finishes():
+    """lam = 50 on span -100:100 is stiff in (g, g'): RK45 there takes
+    ~650k steps.  The left tail sinks to g ~ 0.068, which a stiff solver
+    with the analytic Jacobian resolves in a few hundred steps."""
+    p = GrimReaperParams(lam=50.0, k=1.0)
+    sol = integrate_grim_reaper(p, span=(-100.0, 100.0))
+    assert len(sol.t) < 4000 and not sol.events.truncated
+
+    def jac(v, y):
+        g, gp = y
+        return [[0.0, 1.0],
+                [4.0 * v * gp * (p.k + gp * gp) / g ** 3, -2.0 * v * (p.k + 3.0 * gp * gp) / (g * g)]]
+
+    ref = _reaper_oracle(p, -100.0, "LSODA", jac=jac, rtol=1e-12, atol=1e-14)
+    assert ref.status == 0
+    assert abs(qualitative_verdict(sol).g_min - ref.y[0][-1]) <= 1e-10
 
 
 def test_reaper_one_sided_span():
