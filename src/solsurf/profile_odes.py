@@ -14,20 +14,26 @@ Three initial value problems drive the curved families:
 
 The minimal and conformal profiles are even in ``t``, concave, and collapse
 (``g -> 0`` with ``|g'| -> inf``) at finite abscissae ``+-r``.  Integration
-runs outward from ``t = 0`` with an adaptive embedded Runge--Kutta 5(4)
-scheme; a terminal event stops each branch once ``g`` drops below ``eps_g``
-or ``|g'|`` exceeds ``m_stop``, and the remaining sliver of abscissa is
-recovered by switching the independent variable to ``g`` and integrating
-``dt = -dg / sqrt(first integral)``, so the reported blow-up abscissa has
-quadrature accuracy.
+runs outward from ``t = 0`` with the Dormand--Prince 5(4) pair, stepped the
+way scipy's RK45 steps it but on Python floats, where scipy's per-step
+array overhead on a 2-component state costs several times the arithmetic
+(:func:`_dopri54`).  A stop ends each branch once ``g`` drops below
+``eps_g`` or ``|g'|`` exceeds ``m_stop``, and the remaining sliver of
+abscissa is recovered by switching the independent variable to ``g`` and
+integrating ``dt = -dg / sqrt(first integral)``, so the reported blow-up
+abscissa has quadrature accuracy.
 
-The grim reaper runs through the same two-branch RK45 integration, on the state
+The grim reaper runs through the same two-branch integration, on the state
 ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
 ``-(k + 3*g'^2)*2*v/g^2`` grows with ``|v|/g^2`` even where the solution is
 flat, so the step is held by stability rather than accuracy; in ``(g, w)``
 the Jacobian's trace and determinant carry a factor ``g'``, which vanishes
 in the flat tails, so the equation is not stiff there (see
 :func:`integrate_grim_reaper`).
+
+Every branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that runs out
+ends like one whose step fell below its floor, and the solution is marked
+truncated.
 
 Conservation monitor: the first-integral defect ``g'^2 - (rhs)`` is exact in
 the O(1) region but near blow-up ``g'^2 ~ 1e12`` exceeds what float64 can
@@ -42,8 +48,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 
@@ -54,6 +61,7 @@ __all__ = [
     "ATOL_DEFAULT",
     "SLOPE_CAP",
     "REAPER_SPAN_DEFAULT",
+    "MAX_BRANCH_STEPS",
     "MinimalProfileParams",
     "GrimReaperParams",
     "ConformalProfileParams",
@@ -75,6 +83,10 @@ RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
 SLOPE_CAP = 1e3          # symmetry comparisons restricted to |g'| <= this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
+# Steps attempted per branch before it ends truncated, like a step that fell
+# below its floor.  The largest branch of the tests, the benchmark and verify
+# (the reaper at lam = 0.5 on -1000:1000) takes ~4.2k.
+MAX_BRANCH_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -275,38 +287,181 @@ class ProfileSolution:
         return out if out.shape else float(out)
 
 
-def _height_event(eps_g: float):
-    def height(t, y):
-        return y[0] - eps_g
+def _height_stop(eps_g: float):
+    def height(g, gp):
+        return g - eps_g
 
-    height.terminal = True
-    height.direction = -1
     return height
 
 
-def _speed_event(m_stop: float):
-    def speed(t, y):
-        return m_stop * m_stop - y[1] * y[1]
+def _speed_stop(m_stop: float):
+    def speed(g, gp):
+        return m_stop * m_stop - gp * gp
 
-    speed.terminal = True
-    speed.direction = -1
     return speed
 
 
-def _integrate_branches(rhs, ic, t_lo, t_hi, events, rtol, atol, max_step):
-    """Integrate ``y' = rhs(t, y)`` from t=0 toward t_hi and toward t_lo;
-    return the merged node abscissae and states (one row per state
-    component) plus the per-branch solver results (right, left)."""
-    kw = dict(method="RK45", rtol=rtol, atol=atol, max_step=max_step, events=events)
-    right = solve_ivp(rhs, (0.0, t_hi), ic, **kw) if t_hi > 0.0 else None
-    left = solve_ivp(rhs, (0.0, t_lo), ic, **kw) if t_lo < 0.0 else None
+# Shampine's quartic dense output for the Dormand & Prince (1980) 5(4) pair,
+# as in scipy's RK45: one row per stage that enters it (the second stage's row
+# is 0; the last stage is the derivative at the new state), one column per
+# power x, x^2, x^3, x^4 of the step fraction x.
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+_EPS = float(np.finfo(float).eps)
+_SQRT2 = math.sqrt(2.0)
 
-    parts_t = [left.t[::-1] if left is not None else np.array([0.0])]
-    parts_y = [left.y[:, ::-1] if left is not None else np.array(ic, dtype=float)[:, None]]
-    if right is not None:
-        parts_t.append(right.t[1:])
-        parts_y.append(right.y[:, 1:])
-    return np.concatenate(parts_t), np.concatenate(parts_y, axis=1), right, left
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
+    """scipy's ``select_initial_step`` for a 4th-order error estimator."""
+    span, d = abs(t_bound), math.copysign(1.0, t_bound)
+    sa, sb = atol + abs(ya) * rtol, atol + abs(yb) * rtol
+    d0, d1 = _rms(ya / sa, yb / sb), _rms(fa / sa, fb / sb)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    try:
+        ga, gb = rhs(h0 * d, ya + h0 * d * fa, yb + h0 * d * fb)
+        d2 = _rms((ga - fa) / sa, (gb - fb) / sb) / h0
+    except (ZeroDivisionError, OverflowError):
+        d2 = math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, span, max_step)
+
+
+def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
+    """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, ya, yb)`` toward
+    ``t_bound`` by scipy's RK45 algorithm, on Python floats.
+
+    The Dormand--Prince 5(4) tableau, first step and step control are
+    scipy's: the embedded 4th-order error in the RMS norm scaled by
+    ``atol + max(|y|, |y_new|)*rtol``, step factors ``0.9*err^(-1/5)``
+    clipped to [0.2, 10], no growth right after a rejection, steps at most
+    ``max_step`` and at least 10 ulp of ``t``.  A stage that raises
+    ``ZeroDivisionError`` or ``OverflowError`` counts as an infinite error,
+    so its step is rejected and shrinks, as a non-finite stage's is.  Each
+    ``stop(a, b)`` ends the branch where it crosses zero downward within a
+    step: ``brentq`` locates the crossing on the quartic dense output and the
+    first one in the direction of integration is kept.
+
+    Returns the node abscissae and the two state components as lists from
+    ``t = 0`` outward, and a status: 0 when ``t_bound`` was reached (at once
+    if it is 0), 1 when a stop ended the branch at its last node, -1 when the
+    step fell below its floor or ``MAX_BRANCH_STEPS`` steps were attempted.
+    """
+    t = 0.0
+    ts, as_, bs = [t], [ya], [yb]
+    if t_bound == 0.0:
+        return ts, as_, bs, 0
+    rtol = max(rtol, 100.0 * _EPS)  # scipy's floor
+    d = math.copysign(1.0, t_bound)
+    fa, fb = rhs(t, ya, yb)
+    h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step)
+    old = [stop(ya, yb) for stop in stops]
+    tries = 0
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step or tries == MAX_BRANCH_STEPS:
+                return ts, as_, bs, -1
+            tries += 1
+            t_new = t + h_abs * d
+            if d * (t_new - t_bound) > 0.0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            try:
+                k2a, k2b = rhs(t + 0.2 * h, ya + 0.2 * fa * h, yb + 0.2 * fb * h)
+                k3a, k3b = rhs(t + 0.3 * h,
+                               ya + (3 / 40 * fa + 9 / 40 * k2a) * h,
+                               yb + (3 / 40 * fb + 9 / 40 * k2b) * h)
+                k4a, k4b = rhs(t + 0.8 * h,
+                               ya + (44 / 45 * fa - 56 / 15 * k2a + 32 / 9 * k3a) * h,
+                               yb + (44 / 45 * fb - 56 / 15 * k2b + 32 / 9 * k3b) * h)
+                k5a, k5b = rhs(t + 8 / 9 * h,
+                               ya + (19372 / 6561 * fa - 25360 / 2187 * k2a
+                                     + 64448 / 6561 * k3a - 212 / 729 * k4a) * h,
+                               yb + (19372 / 6561 * fb - 25360 / 2187 * k2b
+                                     + 64448 / 6561 * k3b - 212 / 729 * k4b) * h)
+                k6a, k6b = rhs(t + h,
+                               ya + (9017 / 3168 * fa - 355 / 33 * k2a + 46732 / 5247 * k3a
+                                     + 49 / 176 * k4a - 5103 / 18656 * k5a) * h,
+                               yb + (9017 / 3168 * fb - 355 / 33 * k2b + 46732 / 5247 * k3b
+                                     + 49 / 176 * k4b - 5103 / 18656 * k5b) * h)
+                na = ya + h * (35 / 384 * fa + 500 / 1113 * k3a + 125 / 192 * k4a
+                               - 2187 / 6784 * k5a + 11 / 84 * k6a)
+                nb = yb + h * (35 / 384 * fb + 500 / 1113 * k3b + 125 / 192 * k4b
+                               - 2187 / 6784 * k5b + 11 / 84 * k6b)
+                k7a, k7b = rhs(t + h, na, nb)
+                err = _rms(
+                    (-71 / 57600 * fa + 71 / 16695 * k3a - 71 / 1920 * k4a
+                     + 17253 / 339200 * k5a - 22 / 525 * k6a + 1 / 40 * k7a)
+                    * h / (atol + max(abs(ya), abs(na)) * rtol),
+                    (-71 / 57600 * fb + 71 / 16695 * k3b - 71 / 1920 * k4b
+                     + 17253 / 339200 * k5b - 22 / 525 * k6b + 1 / 40 * k7b)
+                    * h / (atol + max(abs(yb), abs(nb)) * rtol),
+                )
+            except (ZeroDivisionError, OverflowError):
+                err = math.inf
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        new = [stop(na, nb) for stop in stops]
+        crossed = [s for s, g0, g1 in zip(stops, old, new) if g0 >= 0.0 and g1 <= 0.0]
+        if crossed:
+            ks = ((fa, fb), (k3a, k3b), (k4a, k4b), (k5a, k5b), (k6a, k6b), (k7a, k7b))
+            qa, qb = ([sum(k[i] * row[j] for k, row in zip(ks, _P)) for j in range(4)]
+                      for i in (0, 1))
+
+            def dense(s):
+                x = (s - t) / h
+                x2 = x * x
+                x3 = x2 * x
+                p = (x, x2, x3, x3 * x)
+                return (ya + h * sum(q * v for q, v in zip(qa, p)),
+                        yb + h * sum(q * v for q, v in zip(qb, p)))
+
+            roots = [brentq(lambda s: stop(*dense(s)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+                     for stop in crossed]
+            root = min(roots) if d > 0.0 else max(roots)
+            a, b = dense(root)
+            ts.append(root)
+            as_.append(a)
+            bs.append(b)
+            return ts, as_, bs, 1
+        t, ya, yb, fa, fb, old = t_new, na, nb, k7a, k7b, new
+        ts.append(t)
+        as_.append(ya)
+        bs.append(yb)
+        if d * (t - t_bound) >= 0.0:
+            return ts, as_, bs, 0
+
+
+def _integrate_branches(rhs, ic, t_lo, t_hi, stops, rtol, atol, max_step):
+    """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, *ic)`` toward t_hi and
+    toward t_lo; return the merged node abscissae and state rows and the
+    :func:`_dopri54` status of each branch, ``(right, left)``."""
+    rt, ra, rb, right = _dopri54(rhs, *ic, t_hi, stops, rtol, atol, max_step)
+    lt, la, lb, left = _dopri54(rhs, *ic, t_lo, stops, rtol, atol, max_step)
+    t = np.array(lt[::-1] + rt[1:])
+    y = np.array([la[::-1] + ra[1:], lb[::-1] + rb[1:]])
+    return t, y, (right, left)
 
 
 def _blowup_tail(params, g_stop: float) -> float:
@@ -324,23 +479,16 @@ def _blowup_tail(params, g_stop: float) -> float:
 
 def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
     """Shared driver for the two collapsing (minimal/conformal) profiles."""
-    def rhs(t, y):
-        return (y[1], params.gpp(t, y[0], y[1]))
+    def rhs(t, g, gp):
+        return gp, params.gpp(t, g, gp)
 
-    events = [_height_event(eps_g), _speed_event(m_stop)]
-    t, (g, gp), right, left = _integrate_branches(
-        rhs, [params.y0, 0.0], -horizon, horizon, events, rtol, atol, max_step
+    stops = [_height_stop(eps_g), _speed_stop(m_stop)]
+    t, (g, gp), (right, left) = _integrate_branches(
+        rhs, (params.y0, 0.0), -horizon, horizon, stops, rtol, atol, max_step
     )
-    truncated = False
-    right_blowup = left_blowup = None
-    if right is not None and right.status == 1:
-        right_blowup = right.t[-1] + _blowup_tail(params, right.y[0][-1])
-    else:
-        truncated = True
-    if left is not None and left.status == 1:
-        left_blowup = left.t[-1] - _blowup_tail(params, left.y[0][-1])
-    else:
-        truncated = True
+    right_blowup = t[-1] + _blowup_tail(params, g[-1]) if right == 1 else None
+    left_blowup = t[0] - _blowup_tail(params, g[0]) if left == 1 else None
+    truncated = right != 1 or left != 1
     defect = first_integral_defect(params, g, gp) / np.maximum(1.0, gp * gp)
     return ProfileSolution(
         params=params,
@@ -393,7 +541,8 @@ def integrate_grim_reaper(
 ) -> ProfileSolution:
     """Integrate the translator profile over ``span`` (which must contain 0).
 
-    The stepper runs on ``(g, w)`` with ``g' = lam*e^w``, ``w(0) = 0``:
+    The Dormand--Prince stepper runs on ``(g, w)`` with ``g' = lam*e^w``,
+    ``w(0) = 0``:
 
         g' = lam*e^w,    w' = g''/g' = -(k + lam^2*e^{2w}) * 2*v / g^2.
 
@@ -404,8 +553,11 @@ def integrate_grim_reaper(
     trace and determinant both carry a factor ``g'``, which decays in the
     tails where ``|v|`` is large, so the step follows the solution.  The
     stored slopes are ``g' = lam*e^w`` from the routine the right-hand side
-    uses: ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
-    underflow to 0 far out).  The tolerances are tighter than the collapsing
+    uses (``math.exp``; where it overflows, the stage fails and its step is
+    rejected): ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
+    underflow to 0 far out).  ``max_step`` is ``min(0.25, span/40)``, so a
+    span beyond about +-16000 runs into ``MAX_BRANCH_STEPS`` and comes back
+    truncated.  The tolerances are tighter than the collapsing
     profiles': with fewer nodes, the Hermite interpolant's error in ``g`` at
     lam = 10 on -40:40 is 1.8e-7 at ``rtol = 1e-10`` and 1.3e-8 at these
     defaults, against a DOP853 reference at rtol 1e-13.
@@ -422,23 +574,21 @@ def integrate_grim_reaper(
     max_step = min(0.25, (hi - lo) / 40.0)
 
     def slope(w):
-        return p.lam * np.exp(w)
+        return p.lam * math.exp(w)
 
-    def rhs(v, y):
-        gp = slope(y[1])
-        return (gp, -(p.k + gp * gp) * 2.0 * v / (y[0] * y[0]))
+    def rhs(v, g, w):
+        gp = slope(w)
+        return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
 
-    t, (g, w), right, left = _integrate_branches(
-        rhs, [1.0, 0.0], lo, hi, [_height_event(eps_g)], rtol, atol, max_step
+    t, (g, w), (right, left) = _integrate_branches(
+        rhs, (1.0, 0.0), lo, hi, [_height_stop(eps_g)], rtol, atol, max_step
     )
-    truncated = (right is not None and right.status != 0) or (
-        left is not None and left.status != 0
-    )
+    truncated = right != 0 or left != 0
     return ProfileSolution(
         params=p,
         t=t,
         g=g,
-        gp=slope(w),
+        gp=np.array([slope(x) for x in w.tolist()]),
         events=ProfileEvents(None, None, truncated),
         node_defect=np.zeros_like(t),
         conserved_max_defect=0.0,

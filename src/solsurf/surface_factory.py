@@ -4,7 +4,8 @@ Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, the jets of its factor curves along each axis, and
 bookkeeping (parameter dict, the profile solution where one is involved, and
 whether the ``t`` extent is limited by profile collapse).  Grids evaluate
-each axis jet once per axis node and build one jet for the whole grid.
+each axis jet in one call on the whole axis and build one jet for the whole
+grid.
 
 Families whose ``t`` extent ends at a collapse abscissa are flagged
 ``blowup_limited``; grids on those shrink the ``t`` interval by a relative
@@ -101,8 +102,9 @@ class GridSpec:
 class SurfaceFamily:
     """A translation surface given by the jets of its two factor curves.
 
-    ``_f_jet_fn(s)`` is the jet of the drift ``f``.  A first-kind family,
-    ``X = (s, t + f(s), g(t))``, has the profile jet ``_g_jet_fn(t)``; a
+    ``_f_jet_fn(s)`` is the jet of the drift ``f``; it and ``_g_jet_fn``
+    take one abscissa or a 1-D array of them (one grid axis).  A first-kind
+    family, ``X = (s, t + f(s), g(t))``, has the profile jet ``_g_jet_fn(t)``; a
     second-kind family, ``X = (s, f(s) + b, t)``, has the offset ``b``
     instead.  ``jet(s, t)`` returns the full :class:`SurfaceJet2` at a point;
     ``position`` is the bare embedding, convenient for finite-difference
@@ -206,8 +208,19 @@ def make_vertical_plane(
     )
 
 
+class _PartialJet(DomainError):
+    """Raised by an axis jet that failed at some nodes of its axis: ``jet``
+    holds every node (NaN where it failed) and ``reasons`` the reason per
+    node, None where it succeeded."""
+
+    def __init__(self, jet: ScalarJet2, reasons: List[Optional[str]]) -> None:
+        super().__init__(next(r for r in reasons if r is not None))
+        self.jet = jet
+        self.reasons = reasons
+
+
 def _profile_g_jet(sol: ProfileSolution, shift: float = 0.0) -> Callable[[float], ScalarJet2]:
-    def fn(t: float) -> ScalarJet2:
+    def fn(t):
         v = shift + t
         return ScalarJet2(sol.eval_g(v), sol.eval_gp(v), sol.eval_gpp(v))
 
@@ -236,6 +249,18 @@ def make_minimal_cylinder(
     )
 
 
+def _unshifted_range(v_lo: float, v_hi: float, shift: float) -> Tuple[float, float]:
+    """The ``t`` interval whose image ``shift + t`` lies in [v_lo, v_hi].
+    ``v - shift`` alone can round so that ``shift + t`` lands one ulp
+    outside, where the profile cannot be evaluated."""
+    t_lo, t_hi = v_lo - shift, v_hi - shift
+    while shift + t_lo < v_lo:
+        t_lo = math.nextafter(t_lo, math.inf)
+    while shift + t_hi > v_hi:
+        t_hi = math.nextafter(t_hi, -math.inf)
+    return t_lo, t_hi
+
+
 def make_grim_reaper(
     lam: float = GrimReaperParams.lam,
     b_slope: float = 0.0,
@@ -248,13 +273,11 @@ def make_grim_reaper(
     k = 1.0 / (b_slope * b_slope + 1.0)
     params = GrimReaperParams(lam=lam, k=k, t_shift=a_shift)
     sol = integrate_grim_reaper(params, span=span)
-    t_lo = float(sol.t[0]) - a_shift
-    t_hi = float(sol.t[-1]) - a_shift
     return SurfaceFamily(
         FamilyTag.GRIM_REAPER,
         {"lam": lam, "b_slope": b_slope, "a_shift": a_shift, "k": k},
         _check_range("s_range", s_range),
-        (t_lo, t_hi),
+        _unshifted_range(float(sol.t[0]), float(sol.t[-1]), a_shift),
         _linear_jet(b_slope, a_shift),
         _profile_g_jet(sol, shift=a_shift),
         profile=sol,
@@ -283,14 +306,32 @@ def make_conformal_cylinder(
 
 
 def _coerced(fn: Callable[[float], object]) -> Callable[[float], ScalarJet2]:
-    """Jet function from a user function returning a ScalarJet2 or a
-    (value, d1, d2) triple."""
+    """Jet function from a user function of one float returning a ScalarJet2
+    or a (value, d1, d2) triple.  On an axis it calls ``fn`` once per node;
+    if ``fn`` raises a domain error at some nodes, the others' jets and every
+    node's reason come back in a :class:`_PartialJet`."""
 
-    def jet_fn(x: float) -> ScalarJet2:
+    def one(x: float) -> ScalarJet2:
         v = fn(x)
         if isinstance(v, ScalarJet2):
             return v
         return ScalarJet2(float(v[0]), float(v[1]), float(v[2]))
+
+    def jet_fn(x):
+        if np.ndim(x) == 0:
+            return one(x)
+        rows = np.full((len(x), 3), np.nan)
+        reasons: List[Optional[str]] = [None] * len(x)
+        for k, xk in enumerate(x.tolist()):
+            try:
+                j = one(xk)
+                rows[k] = j.value, j.d1, j.d2
+            except (DomainError, DegenerateJetError) as exc:
+                reasons[k] = str(exc)
+        jet = ScalarJet2(*rows.T)
+        if any(r is not None for r in reasons):
+            raise _PartialJet(jet, reasons)
+        return jet
 
     return jet_fn
 
@@ -342,13 +383,18 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
     base = fam._g_jet_fn
 
-    def g_jet_fn(t: float) -> ScalarJet2:
-        j = base(t)
+    def bump(j: ScalarJet2, t) -> ScalarJet2:
         return ScalarJet2(
-            j.value + amplitude * math.cos(t),
-            j.d1 - amplitude * math.sin(t),
-            j.d2 - amplitude * math.cos(t),
+            j.value + amplitude * np.cos(t),
+            j.d1 - amplitude * np.sin(t),
+            j.d2 - amplitude * np.cos(t),
         )
+
+    def g_jet_fn(t):
+        try:
+            return bump(base(t), t)
+        except _PartialJet as exc:
+            raise _PartialJet(bump(exc.jet, t), exc.reasons) from None
 
     return replace(
         fam, params=dict(fam.params, perturb_amplitude=amplitude), _g_jet_fn=g_jet_fn
@@ -369,26 +415,37 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
 
 
 def _axis_jet(fn, nodes: np.ndarray, label: str, check=None):
-    """Call ``fn`` once per axis node.  Returns the jets as rows
+    """Call ``fn`` once on the whole axis.  Returns the jets as rows
     ``(value, d1, d2)`` and, per node, the reason it failed or None.
 
-    A node fails when ``fn`` or ``check`` (applied to the value) raises a
-    domain error, or when its jet is not finite.
+    A node fails, for the first of these reasons, when ``fn`` raises a
+    domain error (a :class:`_PartialJet` names its nodes; any other fails
+    the whole axis), when ``check`` (applied to the node's value) raises
+    one, or when its jet is not finite.
     """
-    rows = np.ones((len(nodes), 3))
-    reasons: List[Optional[str]] = []
-    for k, x in enumerate(nodes.tolist()):
+    n = len(nodes)
+    rows = np.ones((n, 3))
+    try:
+        j, reasons = fn(nodes), [None] * n
+    except _PartialJet as exc:
+        j, reasons = exc.jet, list(exc.reasons)
+    except (DomainError, DegenerateJetError) as exc:
+        return rows, [str(exc)] * n
+    rows[:, 0], rows[:, 1], rows[:, 2] = j.value, j.d1, j.d2
+    live = [k for k, r in enumerate(reasons) if r is None]
+    if check is not None:
         try:
-            j = fn(x)
-            if check is not None:
-                check(j.value)
-            rows[k] = j.value, j.d1, j.d2
-            if not np.isfinite(rows[k]).all():
-                jet = tuple(rows[k].tolist())
-                raise DomainError(f"axis jet at {label}={x!r} is not finite: {jet}")
-            reasons.append(None)
-        except (DomainError, DegenerateJetError) as exc:
-            reasons.append(str(exc))
+            check(rows[live, 0])
+        except DomainError:  # name the nodes, each with its own value
+            for k in live:
+                try:
+                    check(rows[k, 0])
+                except DomainError as exc:
+                    reasons[k] = str(exc)
+    for k in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
+        if reasons[k] is None:
+            jet = tuple(rows[k].tolist())
+            reasons[k] = f"axis jet at {label}={float(nodes[k])!r} is not finite: {jet}"
     return rows, reasons
 
 
@@ -397,7 +454,7 @@ def sample_grid(
 ) -> Tuple[Tuple[np.ndarray, np.ndarray, SurfaceJet2], List[Tuple[float, float, str]]]:
     """Evaluate the family on the grid: ``((s, t, jet), failures)``.
 
-    Each axis jet is evaluated once per axis node.  A node fails when its
+    Each axis jet is evaluated in one call on its axis.  A node fails when its
     ``s`` or ``t`` axis node fails (W >= 1 on both kinds, so no other node
     can); failures are collected row-major (s varies slowest) as
     ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and ``t`` are

@@ -54,47 +54,47 @@ RESIDUAL_SHA256 = {
         "b7802d4d6201cb0d867c96831f08ec045078e168da944eaedde6912af01a05b5",
     ),
     ("minimal-cylinder", "minimal"): (
-        "cdf2bcccf6b22c6c3f0e866397952ce252ba54af9dd0a56ecbca4ea692c0e6ad",
-        "55aaaa0f7c8b978a4940d386cb492756a4a72fa31f3738acfe87d62386e40df2",
+        "a8d74248a2166e7b7b05f0a309c44525981ae7f515bed2408c381ae76f267fdc",
+        "4b1b687a7be8244087439da5c791208986bb022ff136fa38665e54ab075f7ed8",
     ),
     ("minimal-cylinder", "translator"): (
-        "639dae5e059ff25f3514ede6aea302a235764deb83b43f3ae686ded2bb358a7d",
+        "3219fc72d65e4c8857ea3a96821a98e5c8778654646c367a113120f833d17519",
         "1917388e61158d4683ecef42c1004e604e0532907f400fd298766d65130b8291",
     ),
     ("minimal-cylinder", "conformal"): (
-        "3c99c91a83f0f308112c0cc2bcf47f02c4f1bea81c1ef5ff597c8b0f6b887bb3",
+        "b4c8120f145db180a1f916e71d705be4c86ff67b2183acd42d0c43fd73c56c95",
         "cd6fd8edc24aa2f74b58a7249c8f0f623ad1a7516027e4ad2c0f696aeecdd07c",
     ),
     ("grim-reaper", "minimal"): (
-        "d329e409a8568607ea272f99605dc331d526579ef4ac88edcce374527b2e31d3",
+        "d4738eabc8bc98126ec6c959980ee090c1a75a83c171ae94d4ae9c070ee53701",
         "d60e8c0fd812da7345c0845d7a97d939728b7fc043f35101e5d43f64e53d927f",
     ),
     ("grim-reaper", "translator"): (
-        "f7be036891a9c08de486487535f55376fbbfb80aacfc4ea214439b6ab6e4246e",
-        "0357545d1e9b8138d36bef00e98d1479dd8be644f86951fd160fdca31289aa5b",
+        "66474ac887023a9803be601e428b14ae101ccf11ce9126d2100cbe697b069b24",
+        "4362bcfc97ded3ee8517d1207b611f81f61550fac473fba76545e23fb4c3c6cd",
     ),
     ("grim-reaper", "conformal"): (
         "b77e13b4000446c74cabd693a12c49b956022973ddcad99cbfa42f1fcf958ba5",
         "8815b7c0810c4df57fe05eed68ad5c00ff2dda9ac4356ce021f50b95ec3e03f8",
     ),
     ("conformal-cylinder", "minimal"): (
-        "5877a1588211d714e9c38f9d3fb6af00fe414de21c27abd215b4e128996d136d",
+        "ea71b3efb3d5fc4bca198783f9f1e7f970dfc57b235437ab621870c3f07f9426",
         "dbd723390303fdb5aa34e4352c8919d00c0f6e9a41c69eaf595dd031f81e68c5",
     ),
     ("conformal-cylinder", "translator"): (
-        "0cccd884ca9917421bc9fcb76a2d098e938ee3185624cfe2c28baa51b866b387",
+        "04ec10c60f0a3e7071188444765436293028c5d9ce96e2445386188aebbbd814",
         "e2a9aced6066f4f4b92f2e8682ac4cc39dea99eaee0e60c36655baa57a9c0051",
     ),
     ("conformal-cylinder", "conformal"): (
-        "b9eacc9b5c22a6c4113a5ba1942db124366ad684d9a7fea24a97e99bed3edf20",
-        "4c6b4ed5a25e568c130259b15bb96539a71d24077f59a2a54d89ad915eb80f77",
+        "1494f6e3add3fea375a3b0c66ed6776ebe8fa30a2c6461d57adbcb07ee9a7cdd",
+        "34286701147bd62af3bfc8a3f34373edb764cad10bad5903c9e36695d068ab01",
     ),
 }
 
 # family -> sha256 of <out>.obj
 MESH_SHA256 = {
     "horosphere": "e95858e0a68d58c5b2e399f0b5b7b1e98bec8b79c1ec8f93d873dce385457900",
-    "minimal-cylinder": "7a2f9b8bb21f8e896d770e5e504dc08c56638ab809fd51bd2b9f23f298acd410",
+    "minimal-cylinder": "6a8e265903d890a7e54c5a489058be4d0b82bf6d8c5b7923f9ebc195cf447a3b",
     "grim-reaper": "c3fe75a57d68cc858baccc78934daaa14e3077a9b457f52bf114f124fe50371d",
 }
 
@@ -141,15 +141,15 @@ DEFAULTS_SHA256 = {
     ),
     "grim-reaper": (
         "translator",
-        "b17d1d11a6115bda4a5d790692474e0ff4dcac1d321c7730bfb8f1260e5a032d",
-        "01f544dd8686dbe69b609813cba04c449fa0af9f489b07e38f910d3b3055a766",
+        "d3ed06a65ba44ca736f82a3533c5100fa00a0d8b13d30db50d4ed92a6466a471",
+        "fb5ffafef572079cf33b8b005c1720974f738f9682bde77d3cc7ac14e2aad81a",
         "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (
         "conformal",
-        "2d458a38f93357f16864765c624b291e018c6bacaf72a515cdd41bcab231eb32",
-        "09ffae93bad9236ec6da4707cc5b8e92fab940b830cf6f188d53096d8756c8d9",
-        "3111cef4735e7c8d04276054020fe0e732a1ab841dd0442404410d2b2ed28502",
+        "d9cebfc8338a9e8301d2f03f22cae4cba448d0268c82f4346e9081e84bb46c11",
+        "3ac5516cfd0f153a513edbd4faf2635418666bb39ba60862f074c1af074c5ddd",
+        "211f494d3232e28b6f3951dd91db43695e42431ee5a1b4778d06191595968cdf",
     ),
 }
 
@@ -176,28 +176,28 @@ PROFILE_ARGS = {
 # (ode, with flags) -> (sha256 of <out>.csv, sha256 of <out>.events.txt)
 PROFILE_SHA256 = {
     ("minimal", True): (
-        "72993dcb8538c1b345108e1415d8b9fac3f53cd2bb4aef4af22ea189557402ed",
-        "e767fbcb802cd736a82eaf86817dc907891427dd3a14a91243cbdd0398276691",
+        "245fb1cef263ac3e2fda93b5710de36eafa5c4cb7984e08cbe24d0328d7d29e9",
+        "0a4a1b6e4a3bfd2deba429bf2b85ec8dbcabd35c5edfb805f086ed7b8f58d29e",
     ),
     ("grim-reaper", True): (
-        "3b290e51bc481e1884c4519fedc4941feeefac1a2729b7af2c166a97ed0d717a",
+        "c9e040993d898464f8387e82f61ef290893a31748a4a0fdf69b17908a1c8a1a8",
         "26f0ec783b17743edca6f56acf9bc9f90f9af3db4bd81f7b4b1188c2145675a0",
     ),
     ("conformal", True): (
-        "a95323b5487acab3846b732916268dc3d16508d9609be4dc6c80ad463346af4f",
-        "0988761e26b97992a588599b7ea6d7b2682e4d001396f975d13809794feb95b3",
+        "93e9b6df384619d40bdd75132328f9c5e24c790936c3953c5fe897c3141412c6",
+        "8e2584f64f12ce211921920993b4e12e9a970c8d7ebc66774c47b9731f43fe47",
     ),
     ("minimal", False): (
-        "eb846f9af404b66c821d29c4f93260d147d90cf6ed459ab76dc069490903240f",
-        "6c7b2a6986e6581621ca494c338092725bc6db7e2702ac7742985af2a953f613",
+        "37d6d116a975de5c9281edf17d7a200ed91d6168f38c0416c161f93eb91606f9",
+        "702daac31390caa84bc24f368f101f46108dd16e2df7d7818d90c1468741ca3a",
     ),
     ("grim-reaper", False): (
-        "0a72ee0a5ed9bc5824d735a2460b0e01147a694c7aee159600d72846a99b752f",
+        "750c397e52d3d901b1c8c2acd58b50ca9d0b28ba7cc926c2bfd0d5aad420c88e",
         "ee20044d2aaf15bbcd51b3f56c9b8750177cf60b9e683d1f8874ba70eb45e9e6",
     ),
     ("conformal", False): (
-        "e38abd509ebff3724a353c0931bff8a3129f6dc639b313d2db100ea3bf3bbe2c",
-        "84acca3b9792d68639a25bc328d2f6c1537e189d7b16ec250bceb1f7af56f988",
+        "d7bb3de0f3548de942b6c5e29a8d57683d2ac7487e7b21247469ec20c5d0a1ca",
+        "e24b15bcdb0bc318e76ad348978f104d747590258338a0db103402ac11fa2b99",
     ),
 }
 

@@ -20,12 +20,21 @@ from solsurf import (
     MinimalProfileParams,
     ParameterError,
     conformal_halfwidth_quadrature,
+    integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
     minimal_halfwidth_quadrature,
     qualitative_verdict,
 )
-from solsurf.profile_odes import first_integral_defect
+from solsurf.cli import main
+from solsurf.profile_odes import (
+    MAX_BRANCH_STEPS,
+    SLOPE_CAP,
+    _dopri54,
+    _height_stop,
+    _speed_stop,
+    first_integral_defect,
+)
 
 
 # --- oracles --------------------------------------------------------------
@@ -276,6 +285,140 @@ def test_reaper_steep_long_span_finishes():
 def test_reaper_one_sided_span():
     sol = integrate_grim_reaper(GrimReaperParams(lam=0.5, k=1.0), span=(0.0, 3.0))
     assert sol.t[0] == 0.0 and sol.t[-1] == 3.0
+
+
+# --- the stepper against scipy's RK45 --------------------------------------
+
+
+def _collapse_case(p, eps_g=1e-6, m_stop=1e6, end=None):
+    """Right-hand side, initial state, branch ends, stops and step settings
+    of integrate_minimal_profile / integrate_conformal_profile."""
+    slope = getattr(p, "c", getattr(p, "a", None))
+    end = 2.0 * p.y0 * math.sqrt(slope * slope + 1.0) + 1.0 if end is None else end
+    return (lambda t, g, gp: (gp, p.gpp(t, g, gp)), (p.y0, 0.0), (end, -end),
+            [_height_stop(eps_g), _speed_stop(m_stop)], (1e-10, 1e-12, p.y0 / 20.0))
+
+
+def _reaper_case(p, span=(-40.0, 40.0)):
+    """The same for integrate_grim_reaper on ``(g, w)``, ``g' = lam*e^w``."""
+
+    def rhs(v, g, w):
+        gp = p.lam * math.exp(w)
+        return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
+
+    return (rhs, (1.0, 0.0), (span[1], span[0]), [_height_stop(1e-6)],
+            (1e-12, 1e-13, min(0.25, (span[1] - span[0]) / 40.0)))
+
+
+def _rk45(rhs, ic, end, stops, rtol, atol, max_step):
+    events = []
+    for stop in stops:
+        def event(t, y, stop=stop):
+            return stop(y[0], y[1])
+
+        event.terminal, event.direction = True, -1
+        events.append(event)
+    return solve_ivp(lambda t, y: rhs(t, y[0], y[1]), (0.0, end), ic, method="RK45",
+                     rtol=rtol, atol=atol, max_step=max_step, events=events)
+
+
+# case -> (stepper inputs, what ends the branches, the public integration
+# whose eval_g is compared at the oracle's nodes).  Parameters span the
+# benchmark's profile ranges (c in [0, 3], a in [0, 2], y0 in [0.25, 2],
+# reaper lambda in [2, 10] on -40:40) and lambda 0 and 0.5.
+_MIN, _CONF = MinimalProfileParams, ConformalProfileParams
+STEPPER_CASES = {
+    "minimal-speed": (_collapse_case(_MIN(0.0, 1.0)), "speed",
+                      lambda: integrate_minimal_profile(_MIN(0.0, 1.0))),
+    "minimal-corner": (_collapse_case(_MIN(3.0, 0.25)), "speed",
+                       lambda: integrate_minimal_profile(_MIN(3.0, 0.25))),
+    "minimal-height": (_collapse_case(_MIN(1.0, 2.0), eps_g=1e-3, m_stop=math.inf), "height",
+                       lambda: integrate_minimal_profile(_MIN(1.0, 2.0), eps_g=1e-3,
+                                                         m_stop=math.inf)),
+    "minimal-horizon": (_collapse_case(_MIN(1.5, 1.2), end=1.0), "horizon", None),
+    "conformal-speed": (_collapse_case(_CONF(2.0, 0.3)), "speed",
+                        lambda: integrate_conformal_profile(_CONF(2.0, 0.3))),
+    "conformal-horizon": (_collapse_case(_CONF(0.0, 1.0), end=0.25), "horizon", None),
+    # |g'| blows up before g reaches 1e-3: the step floor ends both branches
+    "conformal-floor": (_collapse_case(_CONF(0.0, 1.0), eps_g=1e-3, m_stop=math.inf), "floor",
+                        lambda: integrate_conformal_profile(_CONF(0.0, 1.0), eps_g=1e-3,
+                                                            m_stop=math.inf)),
+    "reaper-lam0": (_reaper_case(GrimReaperParams(lam=0.0)), "horizon",
+                    lambda: integrate_grim_reaper(GrimReaperParams(lam=0.0), (-40.0, 40.0))),
+    "reaper-lam0.5": (_reaper_case(GrimReaperParams(lam=0.5)), "horizon",
+                      lambda: integrate_grim_reaper(GrimReaperParams(lam=0.5), (-40.0, 40.0))),
+    "reaper-lam10": (_reaper_case(GrimReaperParams(lam=10.0)), "horizon",
+                     lambda: integrate_grim_reaper(GrimReaperParams(lam=10.0), (-40.0, 40.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(STEPPER_CASES))
+def test_stepper_matches_rk45(case):
+    """The in-house Dormand--Prince loop takes scipy's RK45 steps: the same
+    node count and status per branch, the same stop abscissa, and nodes that
+    differ only by rounding.  numpy's BLAS sums the stages and the error norm
+    with fused multiply-adds, which Python floats cannot, so step sizes
+    differ in the last bits and the nodes drift (up to 4.5e-6 measured, on
+    the reaper's lambda = 10 left branch); scipy's own nodes there move by
+    2.3e-6 when g(0) moves by one ulp."""
+    (rhs, ic, ends, stops, (rtol, atol, max_step)), ends_by, public = STEPPER_CASES[case]
+    refs = [_rk45(rhs, ic, end, stops, rtol, atol, max_step) for end in ends]
+    for end, ref in zip(ends, refs):
+        t, _, _, status = _dopri54(rhs, *ic, end, stops, rtol, atol, max_step)
+        assert (len(t), status) == (len(ref.t), ref.status)
+        assert np.max(np.abs(np.array(t) - ref.t)) <= 1e-5
+        if ends_by == "horizon":
+            assert status == 0 and t[-1] == end
+        elif ends_by == "floor":
+            assert status == -1 and abs(t[-1] - ref.t[-1]) <= 1e-12
+        else:
+            hit = ref.t_events[0 if ends_by == "height" else 1]
+            assert status == 1 and len(hit) == 1 and abs(t[-1] - hit[0]) <= 1e-12
+    if public is not None:
+        sol = public()
+        for ref in refs:
+            # The oracle's stop abscissa may sit an ulp past the solution's.
+            # Where |g'| ~ 1e6 an ulp of t is worth ~1e-9 in g, so g is
+            # compared where |g'| <= SLOPE_CAP, as the symmetry check does.
+            q = np.clip(ref.t, sol.t[0], sol.t[-1])
+            keep = np.abs(sol.eval_gp(q)) <= SLOPE_CAP
+            assert np.max(np.abs(sol.eval_g(q[keep]) - ref.y[0][keep])) <= 1e-9
+
+
+def test_stage_arithmetic_failures_reject_steps():
+    """Python floats raise where numpy scalars gave inf or nan.  A stage that
+    divides by zero or overflows must count as a rejected step, so the
+    branch shrinks its step toward the bad region and ends truncated
+    (status -1) instead of raising.  The right-hand sides are smooth (the
+    solution is a straight line) up to t = ``edge`` and fail at every
+    t > edge.  With edge = 0 the first-step probe fails too."""
+
+    def divides(edge):
+        return lambda t, a, b: (1.0, 1.0 / (0.0 if t > edge else 1.0))
+
+    def overflows(edge):
+        return lambda t, a, b: (1.0, math.exp(1e3) if t > edge else 1.0)
+
+    for make, edge in ((divides, 1.0), (overflows, 1.0), (divides, 0.0), (overflows, 0.0)):
+        t, a, b, status = _dopri54(make(edge), 0.0, 0.0, 5.0, [], 1e-10, 1e-12, 0.25)
+        assert status == -1
+        assert edge - 1e-12 <= t[-1] <= edge
+        assert np.max(np.abs(np.array(a) - t)) <= 1e-12
+        assert np.max(np.abs(np.array(b) - t)) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ode", "minimal", "--c", "1e8"],
+    ["--ode", "grim-reaper", "--span", "-1e6:1e6"],
+], ids=["minimal-c1e8", "reaper-span1e6"])
+def test_branch_step_budget(tmp_path, argv):
+    """Both inputs ask for ~1e9 and ~8e6 steps per branch.  Each branch stops
+    after MAX_BRANCH_STEPS attempts and the profile is reported truncated."""
+    out = tmp_path / "p"
+    assert main(["profile", *argv, "--out", str(out)]) == 0
+    events = dict(line.split("=", 1) for line in (out.parent / "p.events.txt").read_text().split())
+    assert events["truncated"] == "true"
+    assert int(events["nodes"]) <= 2 * MAX_BRANCH_STEPS + 1
 
 
 # --- parameter validation ---------------------------------------------------

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from solsurf import (
+    DomainError,
     FamilyTag,
     GridSpec,
     ParameterError,
+    ProfileSolution,
     SolitonMode,
     grid_axes,
     make_conformal_cylinder,
+    make_generic_first_kind,
     make_grim_reaper,
     make_horosphere,
     make_minimal_cylinder,
@@ -175,3 +178,56 @@ def test_grid_node_cap():
 def test_position_matches_jet(minimal_cyl):
     j = minimal_cyl.jet(0.3, 0.2)
     assert np.array_equal(minimal_cyl.position(0.3, 0.2), j.X)
+
+
+def test_profile_axis_is_one_call(minimal_cyl, reaper, monkeypatch):
+    """sample_grid evaluates g, g' and g'' of a profile once each, on the
+    whole t axis."""
+    calls = []
+    for name in ("eval_g", "eval_gp", "eval_gpp"):
+        method = getattr(ProfileSolution, name)
+
+        def counted(sol, t, method=method, name=name):
+            calls.append((name, np.size(t)))
+            return method(sol, t)
+
+        monkeypatch.setattr(ProfileSolution, name, counted)
+    for fam in (minimal_cyl, reaper, perturb_profile(reaper, 1e-2)):
+        calls.clear()
+        sample_grid(fam, GRID)
+        assert sorted(calls) == [("eval_g", 21), ("eval_gp", 21), ("eval_gpp", 21)]
+
+
+def test_user_jet_errors_fail_their_own_nodes():
+    """A user profile that raises a domain error at some nodes fails just
+    those nodes, each with its own message, also when it is perturbed."""
+
+    def g(t):
+        if t < 0.0:
+            raise DomainError(f"no profile at {t!r}")
+        return (2.0 + t, 1.0, 0.0)
+
+    fam = make_generic_first_kind(lambda s: (0.0, 0.0, 0.0), g, (-1.0, 1.0), (-1.0, 1.0))
+    for probe in (fam, perturb_profile(fam, 1e-2)):
+        (s, t, j), failures = sample_grid(probe, GridSpec(3, 5, margin=0.0))
+        assert failures == [(si, ti, f"no profile at {ti!r}")
+                            for si in (-1.0, 0.0, 1.0) for ti in (-1.0, -0.5)]
+        assert t.tolist() == [0.0, 0.5, 1.0]
+        want = probe.jet(0.0, 0.5).X
+        assert np.array_equal(j.X[1, 1], want)
+
+
+@pytest.mark.parametrize("shift,end", [(-14.62543, 1), (12.266094, 0)])
+def test_reaper_shift_keeps_every_node(shift, end):
+    """v - shift can round so that shift + t lands an ulp outside the
+    profile: 5 - (-14.62543) rounds to a t with -14.62543 + t > 5, and
+    -5 - 12.266094 to one with 12.266094 + t < -5.  The t range is nudged
+    inward instead, so the end nodes still evaluate."""
+    fam = make_grim_reaper(0.5, a_shift=shift)
+    v_lo, v_hi = fam.profile.t[0], fam.profile.t[-1]
+    t_lo, t_hi = fam.t_range
+    assert v_lo <= shift + t_lo and shift + t_hi <= v_hi
+    naive = (v_lo - shift, v_hi - shift)
+    assert fam.t_range[end] == math.nextafter(naive[end], naive[1 - end])
+    (_, t, _), failures = sample_grid(fam, GridSpec(3, 5))
+    assert not failures and len(t) == 5
