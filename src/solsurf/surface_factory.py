@@ -33,11 +33,11 @@ from .profile_odes import (
     integrate_minimal_profile,
 )
 from .surface_jets import (
+    CurveJet2,
     ScalarJet2,
     SurfaceJet2,
     check_profile_value,
-    first_kind_jet,
-    second_kind_jet,
+    product_surface_jet,
 )
 
 __all__ = [
@@ -100,13 +100,16 @@ class GridSpec:
 
 @dataclass(eq=False)
 class SurfaceFamily:
-    """A translation surface given by the jets of its two factor curves.
+    """A translation surface ``X(s, t) = alpha(s) * beta(t)``, the group
+    product of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
+    ``beta(t) = (0, eta*t, g(t))``.
 
-    ``_f_jet_fn(s)`` is the jet of the drift ``f``; it and ``_g_jet_fn``
-    take one abscissa or a 1-D array of them (one grid axis).  A first-kind
-    family, ``X = (s, t + f(s), g(t))``, has the profile jet ``_g_jet_fn(t)``; a
-    second-kind family, ``X = (s, f(s) + b, t)``, has the offset ``b``
-    instead.  ``jet(s, t)`` returns the full :class:`SurfaceJet2` at a point;
+    ``_f_jet_fn(s)`` is the jet of ``f`` and ``_g_jet_fn(t)`` that of the
+    height ``g``; both take one abscissa or a 1-D array of them (one grid
+    axis).  ``eta`` is 1 for a first-kind family, ``X = (s, t + f(s), g(t))``
+    with a profile ``g``, and 0 for a second-kind one, ``X = (s, f(s) + b,
+    t)``, whose ``f`` has the offset ``b`` folded in and whose ``g(t) = t``.
+    ``jet(s, t)`` returns the full :class:`SurfaceJet2` at a point;
     ``position`` is the bare embedding, convenient for finite-difference
     cross-checks.
     """
@@ -116,16 +119,21 @@ class SurfaceFamily:
     s_range: Tuple[float, float]
     t_range: Tuple[float, float]
     _f_jet_fn: Callable[[float], ScalarJet2] = field(repr=False)
-    _g_jet_fn: Optional[Callable[[float], ScalarJet2]] = field(default=None, repr=False)
-    b: Optional[float] = None
+    _g_jet_fn: Callable[[float], ScalarJet2] = field(repr=False)
+    eta: float = 1.0
     blowup_limited: bool = False
     profile: Optional[ProfileSolution] = None
 
     def jet(self, s: float, t: float) -> SurfaceJet2:
-        fj = self._f_jet_fn(s)
-        if self._g_jet_fn is None:
-            return second_kind_jet(fj, self.b, s, t)
-        return first_kind_jet(fj, self._g_jet_fn(t), s, t)
+        return self._product(s, self._f_jet_fn(s), t, self._g_jet_fn(t))
+
+    def _product(self, s, fj: ScalarJet2, t, gj: ScalarJet2) -> SurfaceJet2:
+        """``alpha(s) * beta(t)`` from the jets of ``f`` at ``s`` and of ``g``
+        at ``t``; the arguments broadcast as in :func:`first_kind_jet`."""
+        return product_surface_jet(
+            CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), fj),
+            CurveJet2.vertical(ScalarJet2(self.eta * t, self.eta, 0.0), gj),
+        )
 
     def position(self, s: float, t: float) -> np.ndarray:
         return self.jet(s, t).X
@@ -142,6 +150,30 @@ def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
     return lo, hi
 
 
+class _PartialJet(DomainError):
+    """Raised by an axis jet that failed at some nodes of its axis: ``jet``
+    holds every node (NaN where it failed) and ``reasons`` the reason per
+    node, None where it succeeded."""
+
+    def __init__(self, jet: ScalarJet2, reasons: List[Optional[str]]) -> None:
+        super().__init__(next(r for r in reasons if r is not None))
+        self.jet = jet
+        self.reasons = reasons
+
+
+def _mapped(fn, op):
+    """Jet function ``x -> op(fn(x), x)``; the jet of a :class:`_PartialJet`
+    that ``fn`` raises is mapped too."""
+
+    def jet_fn(x):
+        try:
+            return op(fn(x), x)
+        except _PartialJet as exc:
+            raise _PartialJet(op(exc.jet, x), exc.reasons) from None
+
+    return jet_fn
+
+
 def _second_kind_family(
     tag: FamilyTag,
     params: dict,
@@ -150,12 +182,15 @@ def _second_kind_family(
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
 ) -> SurfaceFamily:
-    """A second-kind family.  Its t range must stay above the boundary plane,
-    which keeps every sampled ``t`` positive."""
+    """A second-kind family: ``f + b`` against the height ``g(t) = t``.  Its
+    t range must stay above the boundary plane, which keeps every sampled
+    ``t`` positive."""
     t_lo, t_hi = _check_range("t_range", t_range)
     if not t_lo > 0.0:
         raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
-    return SurfaceFamily(tag, params, _check_range("s_range", s_range), (t_lo, t_hi), f_jet_fn, b=b)
+    offset = _mapped(f_jet_fn, lambda j, s: ScalarJet2(j.value + b, j.d1, j.d2))
+    return SurfaceFamily(tag, params, _check_range("s_range", s_range), (t_lo, t_hi), offset,
+                         _linear_jet(1.0, 0.0), eta=0.0)
 
 
 def _linear_jet(slope: float, intercept: float) -> Callable[[float], ScalarJet2]:
@@ -206,17 +241,6 @@ def make_vertical_plane(
     return _second_kind_family(
         FamilyTag.VERTICAL_PLANE, {"c": c, "d": d, "b": b}, _linear_jet(c, d), b, s_range, t_range
     )
-
-
-class _PartialJet(DomainError):
-    """Raised by an axis jet that failed at some nodes of its axis: ``jet``
-    holds every node (NaN where it failed) and ``reasons`` the reason per
-    node, None where it succeeded."""
-
-    def __init__(self, jet: ScalarJet2, reasons: List[Optional[str]]) -> None:
-        super().__init__(next(r for r in reasons if r is not None))
-        self.jet = jet
-        self.reasons = reasons
 
 
 def _profile_g_jet(sol: ProfileSolution, shift: float = 0.0) -> Callable[[float], ScalarJet2]:
@@ -377,11 +401,10 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
     The result should *fail* residual checks: it is the falsification probe
     that guards the evaluation pipeline against vacuous passes.
     """
-    if fam._g_jet_fn is None:
+    if fam.eta == 0.0:  # the height of a second-kind family is t itself
         raise ParameterError(f"family {fam.name!r} does not expose a profile to perturb")
     if not math.isfinite(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
-    base = fam._g_jet_fn
 
     def bump(j: ScalarJet2, t) -> ScalarJet2:
         return ScalarJet2(
@@ -390,15 +413,8 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
             j.d2 - amplitude * np.cos(t),
         )
 
-    def g_jet_fn(t):
-        try:
-            return bump(base(t), t)
-        except _PartialJet as exc:
-            raise _PartialJet(bump(exc.jet, t), exc.reasons) from None
-
-    return replace(
-        fam, params=dict(fam.params, perturb_amplitude=amplitude), _g_jet_fn=g_jet_fn
-    )
+    return replace(fam, params=dict(fam.params, perturb_amplitude=amplitude),
+                   _g_jet_fn=_mapped(fam._g_jet_fn, bump))
 
 
 def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -464,10 +480,7 @@ def sample_grid(
     """
     s_axis, t_axis = grid_axes(fam, grid)
     f_rows, s_reasons = _axis_jet(fam._f_jet_fn, s_axis, "s")
-    if fam._g_jet_fn is None:
-        t_reasons = [None] * len(t_axis)  # _second_kind_family keeps every t > 0
-    else:
-        g_rows, t_reasons = _axis_jet(fam._g_jet_fn, t_axis, "t", check_profile_value)
+    g_rows, t_reasons = _axis_jet(fam._g_jet_fn, t_axis, "t", check_profile_value)
     s_bad = np.array([r is not None for r in s_reasons])
     t_bad = np.array([r is not None for r in t_reasons])
     failures = [
@@ -479,7 +492,5 @@ def sample_grid(
             f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures)"
         )
     s, t = s_axis[~s_bad], t_axis[~t_bad]
-    fj = ScalarJet2(*f_rows[~s_bad].T)
-    if fam._g_jet_fn is None:
-        return (s, t, second_kind_jet(fj, fam.b, s, t)), failures
-    return (s, t, first_kind_jet(fj, ScalarJet2(*g_rows[~t_bad].T), s, t)), failures
+    fj = ScalarJet2(*f_rows[~s_bad].T[..., None])  # (ns, 1): broadcasts against t
+    return (s, t, fam._product(s[:, None], fj, t, ScalarJet2(*g_rows[~t_bad].T))), failures

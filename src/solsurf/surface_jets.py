@@ -5,16 +5,19 @@ of two curves in the upper half-space.  Everything downstream (fundamental
 forms, mean curvature, soliton residuals) consumes the second-order jet of
 ``X`` at a point: the position together with ``Xs, Xt, Xss, Xst, Xtt``.
 
-Jet slots are ``(..., 3)`` arrays.  A single point has ``(3,)`` slots; the
-two canonical builders below also take 1-D axis arrays and then return the
-jet on the whole product grid, with ``(ns, nt, 3)`` slots.  Every function
-that reads a jet works component-wise, so a grid and a single point go
-through the same expressions.
+Jet slots are ``(..., 3)`` arrays.  A single point has ``(3,)`` slots;
+curve jets broadcast like numpy arrays, so ``(n, 3)`` curve jets give ``n``
+surface points and an ``(ns, 1, 3)`` alpha with an ``(nt, 3)`` beta gives
+the jet on the whole ``(ns, nt)`` grid.  Every function that reads a jet
+works component-wise, so a grid and a single point go through the same
+expressions.
 
-Two canonical shapes are supported directly:
+:func:`product_surface_jet` is the one builder.  Both canonical shapes are
+products of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
+``beta(t) = (0, eta(t), g(t))``:
 
-* first kind:  ``X(s, t) = (s, t + f(s), g(t))`` with ``g > 0``;
-* second kind: ``X(s, t) = (s, f(s) + b, t)`` on the half ``t > 0``.
+* first kind:  ``X(s, t) = (s, t + f(s), g(t))`` (``eta = t``, ``g > 0``);
+* second kind: ``X(s, t) = (s, f(s) + b, t)`` (``eta = 0``, ``g = t > 0``).
 
 Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 ``n = <Xst, N>``, so
@@ -27,7 +30,7 @@ is ``X3*H + N3``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,46 +103,50 @@ class ScalarJet2:
     d2: float
 
 
-def _freeze(obj, names, shape: tuple) -> None:
-    """Store each named field of a frozen jet as a read-only float copy of
-    the given ``(..., 3)`` shape."""
+def _freeze(obj, names, shape: Optional[tuple] = None) -> None:
+    """Store each named field of a frozen jet as a read-only float copy.
+    Every field must be ``(..., 3)``, and of ``shape`` where one is given."""
     for name in names:
         a = np.array(getattr(obj, name), dtype=float)
-        if a.shape[-1:] != (3,) or a.shape != shape:
+        if a.shape[-1:] != (3,) or shape not in (None, a.shape):
             raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
 
 
+def _stack(*comps) -> np.ndarray:
+    """``(..., 3)`` slot from three components that broadcast together."""
+    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+
+
 @dataclass(frozen=True)
 class CurveJet2:
-    """Second-order jet of a curve in the half-space: value, d1, d2."""
+    """Second-order jet of a curve in the half-space: value, d1, d2.  The
+    slots are ``(..., 3)`` arrays that broadcast against each other."""
 
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, ("value", "d1", "d2"), (3,))
+        _freeze(self, ("value", "d1", "d2"))
+
+    @classmethod
+    def _from(cls, x: ScalarJet2, y: ScalarJet2, z: ScalarJet2) -> "CurveJet2":
+        """Curve ``(x, y, z)`` from the scalar jets of its components."""
+        return cls(_stack(x.value, y.value, z.value), _stack(x.d1, y.d1, z.d1),
+                   _stack(x.d2, y.d2, z.d2))
 
     @classmethod
     def horospherical(cls, x: ScalarJet2, y: ScalarJet2) -> "CurveJet2":
         """Curve constrained to the unit-height slice: ``(x(s), y(s), 1)``."""
-        return cls(
-            np.array([x.value, y.value, 1.0]),
-            np.array([x.d1, y.d1, 0.0]),
-            np.array([x.d2, y.d2, 0.0]),
-        )
+        return cls._from(x, y, ScalarJet2(1.0, 0.0, 0.0))
 
     @classmethod
     def vertical(cls, y: ScalarJet2, z: ScalarJet2) -> "CurveJet2":
         """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``."""
         _require_positive(z.value, "curve height must be positive, got {!r}")
-        return cls(
-            np.array([0.0, y.value, z.value]),
-            np.array([0.0, y.d1, z.d1]),
-            np.array([0.0, y.d2, z.d2]),
-        )
+        return cls._from(ScalarJet2(0.0, 0.0, 0.0), y, z)
 
 
 @dataclass(frozen=True)
@@ -190,58 +197,32 @@ def check_profile_value(g) -> None:
     _require_positive(g, "profile value must be positive, got {!r}")
 
 
-def _along_s(*values):
-    """Give 1-D s-axis values a trailing axis, so that they broadcast against
-    t-axis values into an ``(ns, nt)`` grid; scalars pass unchanged."""
-    return [v[:, None] if getattr(v, "ndim", 0) == 1 else v for v in values]
-
-
-def _grid_jet(**slots) -> SurfaceJet2:
-    """Jet from per-slot component triples of scalars and arrays.  The grid
-    shape is that of the position ``X``, which depends on both axes."""
-    shape = np.broadcast(*slots["X"]).shape
-    arrays = {}
-    for name, comps in slots.items():
-        a = arrays[name] = np.empty(shape + (3,))
-        a[..., 0], a[..., 1], a[..., 2] = comps
-    return SurfaceJet2(**arrays)
-
-
 def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:
     """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``.
 
-    Scalars give ``(3,)`` slots.  With ``fj`` and ``s`` given over an s axis
-    and ``gj`` and ``t`` over a t axis (1-D arrays), the slots are
-    ``(ns, nt, 3)`` arrays on the product grid.
+    The product of ``alpha = (s, f(s), 1)`` and ``beta = (0, t, g(t))``.
+    Arguments broadcast like numpy arrays: scalars give ``(3,)`` slots,
+    ``n``-vectors ``(n, 3)``, and an ``(ns, 1)`` s side with an ``(nt,)``
+    t side the ``(ns, nt, 3)`` grid.
     """
-    check_profile_value(gj.value)
-    s, f, fp, fpp = _along_s(s, fj.value, fj.d1, fj.d2)
-    return _grid_jet(
-        X=(s, t + f, gj.value),
-        Xs=(1.0, fp, 0.0),
-        Xt=(0.0, 1.0, gj.d1),
-        Xss=(0.0, fpp, 0.0),
-        Xst=(0.0, 0.0, 0.0),
-        Xtt=(0.0, 0.0, gj.d2),
+    return product_surface_jet(
+        CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), fj),
+        CurveJet2.vertical(ScalarJet2(t, 1.0, 0.0), gj),
     )
 
 
 def second_kind_jet(fj: ScalarJet2, b: float, s, t) -> SurfaceJet2:
-    """Jet of ``X(s, t) = (s, f(s) + b, t)`` on the half ``t > 0``.
-
-    Takes scalars or, like :func:`first_kind_jet`, 1-D ``fj``/``s`` and
-    ``t`` axes, giving ``(ns, nt, 3)`` slots.
-    """
-    _require_positive(t, "second-kind surfaces live on t > 0, got t={!r}")
-    s, f, fp, fpp = _along_s(s, fj.value, fj.d1, fj.d2)
-    return _grid_jet(
-        X=(s, f + b, t),
-        Xs=(1.0, fp, 0.0),
-        Xt=(0.0, 0.0, 1.0),
-        Xss=(0.0, fpp, 0.0),
-        Xst=(0.0, 0.0, 0.0),
-        Xtt=(0.0, 0.0, 0.0),
+    """Jet of ``X(s, t) = (s, f(s) + b, t)`` on the half ``t > 0``: the
+    product of ``alpha = (s, f(s) + b, 1)`` and ``beta = (0, 0, t)``.
+    Arguments broadcast as in :func:`first_kind_jet`."""
+    return product_surface_jet(
+        CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), ScalarJet2(fj.value + b, fj.d1, fj.d2)),
+        CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0)),
     )
+
+
+# The horizontal projection P(v) = (v1, v2, 0), as a factor.
+_HORIZONTAL = np.array([1.0, 1.0, 0.0])
 
 
 def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
@@ -254,22 +235,18 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
         Xt  = a3*beta'                  Xss = a3''*beta + P(alpha'')
         Xst = a3'*beta'                 Xtt = a3*beta''
 
-    Both curve heights must be positive.
+    The curve slots broadcast against each other, so ``(n, 3)`` curve jets
+    give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the grid.  Both
+    curve heights must be positive.
     """
-    a3 = aj.value[2]
+    a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
-    _require_positive(bj.value[2], "beta height must be positive, got {!r}")
-    a3_1 = aj.d1[2]
-    a3_2 = aj.d2[2]
-
-    def hor(v: np.ndarray) -> np.ndarray:
-        return np.array([v[0], v[1], 0.0])
-
+    _require_positive(bj.value[..., 2], "beta height must be positive, got {!r}")
     return SurfaceJet2(
-        X=a3 * bj.value + hor(aj.value),
-        Xs=a3_1 * bj.value + hor(aj.d1),
+        X=a3 * bj.value + aj.value * _HORIZONTAL,
+        Xs=a3_1 * bj.value + aj.d1 * _HORIZONTAL,
         Xt=a3 * bj.d1,
-        Xss=a3_2 * bj.value + hor(aj.d2),
+        Xss=a3_2 * bj.value + aj.d2 * _HORIZONTAL,
         Xst=a3_1 * bj.d1,
         Xtt=a3 * bj.d2,
     )

@@ -9,6 +9,7 @@ from solsurf import (
     CurveJet2,
     DegenerateJetError,
     DomainError,
+    HalfSpacePoint,
     ParameterError,
     ScalarJet2,
     SurfaceJet2,
@@ -16,6 +17,7 @@ from solsurf import (
     first_kind_jet,
     fundamental_forms,
     hyperbolic_mean_curvature,
+    lie_product,
     mean_curvature,
     product_surface_jet,
     rotate_jet,
@@ -47,26 +49,55 @@ def test_second_kind_slots():
     assert j.Xtt.tolist() == [0.0, 0.0, 0.0]
 
 
-def test_product_jet_matches_first_kind_bitwise():
-    """The group-product sweep specializes to the first-kind shape when
-    alpha runs in the unit-height slice and beta in the vertical slice."""
+def _alpha(s):
+    """alpha(s) = (sin s, s^2, e^{0.3 s}): every slot varies, the height too."""
+    e = math.exp(0.3 * s)
+    return CurveJet2(np.array([math.sin(s), s * s, e]),
+                     np.array([math.cos(s), 2.0 * s, 0.3 * e]),
+                     np.array([-math.sin(s), 2.0, 0.09 * e]))
+
+
+def _beta(t):
+    """beta(t) = (t, cos t, 2 + sin t)."""
+    return CurveJet2(np.array([t, math.cos(t), 2.0 + math.sin(t)]),
+                     np.array([1.0, -math.sin(t), math.cos(t)]),
+                     np.array([0.0, -math.cos(t), -math.sin(t)]))
+
+
+def _swept(s, t):
+    return lie_product(HalfSpacePoint(*_alpha(s).value), HalfSpacePoint(*_beta(t).value)).as_array()
+
+
+def test_product_jet_is_the_group_law():
+    """X is the group product bit for bit, and every derivative slot agrees
+    with central differences of ``(s, t) -> alpha(s) * beta(t)`` at O(h^2)."""
     s, t = 0.7, -1.1
-    alpha = CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), FJ)
-    beta = CurveJet2.vertical(ScalarJet2(t, 1.0, 0.0), GJ)
-    jp = product_surface_jet(alpha, beta)
-    jd = first_kind_jet(FJ, GJ, s, t)
-    for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-        assert getattr(jp, name).tolist() == getattr(jd, name).tolist()
+    j = product_surface_jet(_alpha(s), _beta(t))
+    assert j.X.tolist() == _swept(s, t).tolist()
+    errs = []
+    for h in (2e-2, 1e-2):
+        fd = finite_difference_jet(_swept, s, t, h)
+        errs.append([float(np.max(np.abs(getattr(fd, n) - getattr(j, n))))
+                     for n in ("Xs", "Xt", "Xss", "Xst", "Xtt")])
+    for coarse, fine in zip(*errs):
+        assert coarse <= 2e-3 and 3.0 <= coarse / fine <= 5.0, errs
 
 
-def test_product_jet_matches_second_kind_bitwise():
-    s, t, b = 0.7, 1.3, -0.6
-    alpha = CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), FJ)
-    beta = CurveJet2.vertical(ScalarJet2(b, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0))
-    jp = product_surface_jet(alpha, beta)
-    jd = second_kind_jet(FJ, b, s, t)
-    for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-        assert getattr(jp, name).tolist() == getattr(jd, name).tolist()
+def test_product_grid_is_the_pointwise_jets():
+    """An (ns, 1, 3) alpha times a (1, nt, 3) beta is the grid of point jets."""
+    ss, ts = [-1.3, 0.2, 0.7], [-0.4, 0.5, 1.1, 2.9]
+
+    def stacked(curves, axis):
+        return CurveJet2(*(np.expand_dims([getattr(c, k) for c in curves], axis)
+                           for k in ("value", "d1", "d2")))
+
+    grid = product_surface_jet(stacked([_alpha(s) for s in ss], 1),
+                               stacked([_beta(t) for t in ts], 0))
+    for i, s in enumerate(ss):
+        for k, t in enumerate(ts):
+            point = product_surface_jet(_alpha(s), _beta(t))
+            for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
+                assert getattr(grid, name)[i, k].tolist() == getattr(point, name).tolist()
 
 
 def test_unit_normal_first_kind_closed_form():
