@@ -55,10 +55,15 @@ def write_residual_csv(path, report: ResidualReport) -> int:
 
 
 def write_residual_summary(path, report: ResidualReport) -> None:
-    """Key=value summary of a residual sweep; the last line is always
-    ``MAX_ABS=<value>`` so shell pipelines can grab it."""
+    """Key=value summary of a residual sweep: the family, its parameters
+    (``param.<name>``, sorted) and ranges, then the sweep.  The last line is
+    always ``MAX_ABS=<value>`` so shell pipelines can grab it."""
     with _open_w(path) as fh:
         fh.write(f"family={report.family}\n")
+        for key in sorted(report.params):
+            fh.write(f"param.{key}={fmt(report.params[key])}\n")
+        for name, (lo, hi) in (("s_range", report.s_range), ("t_range", report.t_range)):
+            fh.write(f"{name}={fmt(lo)}:{fmt(hi)}\n")
         fh.write(f"mode={report.mode.value}\n")
         fh.write(f"grid={report.ns}x{report.nt}\n")
         fh.write(f"margin={fmt(report.margin)}\n")

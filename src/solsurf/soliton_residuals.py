@@ -101,10 +101,14 @@ def reduced_residual_second_kind(
 @dataclass
 class ResidualReport:
     """Residuals sampled over a grid.  ``samples`` has columns (s, t, value),
-    sorted by (s, t); evaluation failures are kept separately."""
+    sorted by (s, t); evaluation failures are kept separately.  ``params``
+    and the ranges are those of the family, which they identify."""
 
     mode: SolitonMode
     family: str
+    params: dict
+    s_range: Tuple[float, float]
+    t_range: Tuple[float, float]
     ns: int
     nt: int
     margin: float
@@ -136,6 +140,9 @@ def residual_report(fam, mode: SolitonMode, grid) -> ResidualReport:
     return ResidualReport(
         mode=mode,
         family=fam.name,
+        params=fam.params,
+        s_range=fam.s_range,
+        t_range=fam.t_range,
         ns=grid.ns,
         nt=grid.nt,
         margin=grid.margin,

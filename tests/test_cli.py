@@ -35,7 +35,26 @@ def test_residual_csv_and_summary(tmp_path):
     assert summary[-1].startswith("MAX_ABS=")
     assert float(summary[-1].split("=")[1]) <= 1e-10
     assert "family=horosphere" in summary
+    assert "param.a=1.000000000000e+00" in summary
+    assert "s_range=-2.000000000000e+00:2.000000000000e+00" in summary
     assert "grid=21x21" in summary
+
+
+@pytest.mark.parametrize("family,mode,flags", [
+    ("horosphere", "translator", ["--a", "0.7"]),
+    ("vertical-plane", "minimal", ["--d", "-0.5", "--b", "0.2"]),
+    ("vertical-plane", "conformal", ["--d", "-0.5", "--b", "0.2"]),
+])
+def test_summary_identifies_the_surface(tmp_path, family, mode, flags):
+    """These sweeps have equal residual CSVs with and without the flags, but
+    the summary names the parameters and ranges, so it tells them apart."""
+    summaries = []
+    for tag, extra in (("given", flags), ("default", [])):
+        out = str(tmp_path / tag)
+        assert main(["residual", "--family", family, *extra, "--mode", mode,
+                     "--grid", "5x5", "--out", out]) == 0
+        summaries.append((tmp_path / f"{tag}.summary.txt").read_text())
+    assert summaries[0] != summaries[1]
 
 
 def test_profile_minimal_run(tmp_path):

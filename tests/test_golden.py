@@ -31,63 +31,63 @@ FAMILY_ARGS = {
 RESIDUAL_SHA256 = {
     ("horosphere", "minimal"): (
         "781b441c6267800114feb782559bda705758408908eb43f714310eaea19cfa2b",
-        "f9c6639c01a7642078655f32c4898055274ab0d83d71206f6f3c4f96b1545634",
+        "771808507e320968ed74684f39d912c91797732c71463d4d0bdc77fcc385dd4b",
     ),
     ("horosphere", "translator"): (
         "6e77faebf3719cdadcf0dcb9199bc5abdfd4ba66375a87a8541df06d480d93b0",
-        "c33ad37e819661522d9c343ea87c12a529c756aac14f7c66c6f8232747338de8",
+        "9a10d27a439793bceb791e2ceede4a283bbd2875240c1ebea7a3dd023844812b",
     ),
     ("horosphere", "conformal"): (
         "ee0d6869aa3409486bcac326fe9a377c3948ecca7c391a78442a00445e76307d",
-        "f1abfd6eb8ab86d115e007bcf9db91b4075619d9ea035798e17b8fe2558827c8",
+        "dec40956cd35557f26d80a1a1f67bc8e76788ab12f69d7baf46e7dc6afaa3682",
     ),
     ("vertical-plane", "minimal"): (
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "592ef1a7cdeb520aefe6014be4fb47b6c6075b374eec7cf5ef26516e879d51ac",
+        "7c176df3f98553c1053c956dd1cd120c9a83c5d35ffb8001a6107933b3b4dd3b",
     ),
     ("vertical-plane", "translator"): (
         "b1c0dcfccad5950539d79926b2057a946f9df7a612f54d7e856a4e5d05e73696",
-        "930c120ddb041f46e7bf5663a92eaa1a68214642e799ecd762c5a9f267c36bd0",
+        "0289f44d4691d92e8c159563b9b7b07338658e7e6cda47d03bd3c3004ab49031",
     ),
     ("vertical-plane", "conformal"): (
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "b7802d4d6201cb0d867c96831f08ec045078e168da944eaedde6912af01a05b5",
+        "75599c95a6c6af4840870b1aba42583c2a18c645b9c03f7ae72b57cf58cac878",
     ),
     ("minimal-cylinder", "minimal"): (
         "a8d74248a2166e7b7b05f0a309c44525981ae7f515bed2408c381ae76f267fdc",
-        "4b1b687a7be8244087439da5c791208986bb022ff136fa38665e54ab075f7ed8",
+        "7041082377c7badd6ca90b03399d3421374c5ddf231c037fae570fb70faa3bfa",
     ),
     ("minimal-cylinder", "translator"): (
         "3219fc72d65e4c8857ea3a96821a98e5c8778654646c367a113120f833d17519",
-        "1917388e61158d4683ecef42c1004e604e0532907f400fd298766d65130b8291",
+        "5ce2bcec2adb7673f88b42dbe41d931992b1f1778f574e876406e970de99ddf0",
     ),
     ("minimal-cylinder", "conformal"): (
         "b4c8120f145db180a1f916e71d705be4c86ff67b2183acd42d0c43fd73c56c95",
-        "cd6fd8edc24aa2f74b58a7249c8f0f623ad1a7516027e4ad2c0f696aeecdd07c",
+        "da4a66ca8a6113d13db41f606c9dae9159d290d461f21f8f45036751daffa98d",
     ),
     ("grim-reaper", "minimal"): (
         "d4738eabc8bc98126ec6c959980ee090c1a75a83c171ae94d4ae9c070ee53701",
-        "d60e8c0fd812da7345c0845d7a97d939728b7fc043f35101e5d43f64e53d927f",
+        "18e7d87830606b1f781f1f51d43bcc112a202310f646328f1b8154d65265f764",
     ),
     ("grim-reaper", "translator"): (
         "66474ac887023a9803be601e428b14ae101ccf11ce9126d2100cbe697b069b24",
-        "4362bcfc97ded3ee8517d1207b611f81f61550fac473fba76545e23fb4c3c6cd",
+        "d6259c36a504c37c48149a48db5ac8705706fed7c9a6eba2897c17ae49810cb6",
     ),
     ("grim-reaper", "conformal"): (
         "b77e13b4000446c74cabd693a12c49b956022973ddcad99cbfa42f1fcf958ba5",
-        "8815b7c0810c4df57fe05eed68ad5c00ff2dda9ac4356ce021f50b95ec3e03f8",
+        "ca27a94789602e1b39ad1bd50220f9b7aa8207a2852daa5481c9de5805dcb9fc",
     ),
     ("conformal-cylinder", "minimal"): (
         "ea71b3efb3d5fc4bca198783f9f1e7f970dfc57b235437ab621870c3f07f9426",
-        "dbd723390303fdb5aa34e4352c8919d00c0f6e9a41c69eaf595dd031f81e68c5",
+        "c3b474cf472b23c4663685d14999bf6cec56bc0d6aae3d25aeb99b2291d0cff2",
     ),
     ("conformal-cylinder", "translator"): (
         "04ec10c60f0a3e7071188444765436293028c5d9ce96e2445386188aebbbd814",
-        "e2a9aced6066f4f4b92f2e8682ac4cc39dea99eaee0e60c36655baa57a9c0051",
+        "7d6f95c2bdd48290f2709a5c1b1470cdb18394db4bd0e49f2cbe1e8cbcc6281c",
     ),
     ("conformal-cylinder", "conformal"): (
         "1494f6e3add3fea375a3b0c66ed6776ebe8fa30a2c6461d57adbcb07ee9a7cdd",
-        "34286701147bd62af3bfc8a3f34373edb764cad10bad5903c9e36695d068ab01",
+        "5db4548b0f92aa3269a0baab30dd65c76cddbaf50eb816fe0461c045e02ad962",
     ),
 }
 
@@ -130,25 +130,25 @@ DEFAULTS_SHA256 = {
     "horosphere": (
         "conformal",
         "6ddcdc7b0d18110917efe66daf935aa859ad3b59769534bb88399af82335cf18",
-        "b4570158557553ca49e504ec60a513392c62b773bc2a69b6ca5653015b8e9240",
+        "b34d07c2fa102bec57fc22a20cff55b90b5c85a6d638f4d6bb47fedb26b2d272",
         "180add82ab25622a198649c5d7c377043c4214f6d9ecf735fb5c2201522cecba",
     ),
     "vertical-plane": (
         "translator",
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "09d5fadf372bfa9a0f7febdc30cedf54a800c13c325ec9e3f035828151ac2bcf",
+        "30a05c1f8d7760a5a3ccdf8b633379b55b8c944a79d04ea353f59507d7fdedfc",
         "e3d7e360e73f2a97e6f34b272a84b1c48c443b11add45d87db034c37a1085420",
     ),
     "grim-reaper": (
         "translator",
         "d3ed06a65ba44ca736f82a3533c5100fa00a0d8b13d30db50d4ed92a6466a471",
-        "fb5ffafef572079cf33b8b005c1720974f738f9682bde77d3cc7ac14e2aad81a",
+        "a970679c71141b1e9185850c2fdb9b7322bc2ffb06f43851ea54d3e9722d42a7",
         "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (
         "conformal",
         "d9cebfc8338a9e8301d2f03f22cae4cba448d0268c82f4346e9081e84bb46c11",
-        "3ac5516cfd0f153a513edbd4faf2635418666bb39ba60862f074c1af074c5ddd",
+        "852bcffb36488ca152d65ead365d686e31a3bda752b7bb46e3e2f20e51b9c07e",
         "211f494d3232e28b6f3951dd91db43695e42431ee5a1b4778d06191595968cdf",
     ),
 }
