@@ -60,35 +60,52 @@ def _rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _assert_batch_is_pointwise(batch, rows):
+    """A jet of n samples, evaluated as one batch (as verify's reduced.*
+    checks do), gives each sample's scalar residuals bit for bit."""
+    for mode in SolitonMode:
+        assert residual(mode, batch).tolist() == [residual(mode, j) for j in rows]
+
+
 def test_reduced_first_kind_matches_general_seeded():
     rng = np.random.default_rng(42)
+    samples, rows = [], []
     for _ in range(300):
         fj = ScalarJet2(*rng.uniform(-2, 2, 3))
         gj = ScalarJet2(float(rng.uniform(0.2, 3.0)), *rng.uniform(-2, 2, 2))
         s, t = rng.uniform(-2, 2, 2)
         j = first_kind_jet(fj, gj, float(s), float(t))
+        samples.append((fj.value, fj.d1, fj.d2, gj.value, gj.d1, gj.d2, s, t))
+        rows.append(j)
         w2 = gj.d1 ** 2 * (fj.d1 ** 2 + 1.0) + 1.0
         clear = 2.0 * w2 ** 1.5
         for mode in SolitonMode:
             a = reduced_residual_first_kind(mode, fj, gj, float(s), float(t))
             b = residual(mode, j) * clear
             assert _rel(a, b) <= 1e-10
+    *f, gv, gp, gpp, s, t = np.array(samples).T
+    _assert_batch_is_pointwise(first_kind_jet(ScalarJet2(*f), ScalarJet2(gv, gp, gpp), s, t), rows)
 
 
 def test_reduced_second_kind_matches_general_seeded():
     rng = np.random.default_rng(43)
+    samples, rows = [], []
     for _ in range(300):
         fj = ScalarJet2(*rng.uniform(-2, 2, 3))
         b = float(rng.uniform(-2, 2))
         s = float(rng.uniform(-2, 2))
         t = float(rng.uniform(0.1, 3.0))
         j = second_kind_jet(fj, b, s, t)
+        samples.append((fj.value, fj.d1, fj.d2, b, s, t))
+        rows.append(j)
         clear = 2.0 * (fj.d1 ** 2 + 1.0) ** 1.5
         for mode in SolitonMode:
             assert _rel(
                 reduced_residual_second_kind(mode, fj, b, s, t),
                 residual(mode, j) * clear,
             ) <= 1e-10
+    *f, b, s, t = np.array(samples).T
+    _assert_batch_is_pointwise(second_kind_jet(ScalarJet2(*f), b, s, t), rows)
 
 
 jet_floats = st.floats(-2.0, 2.0)
