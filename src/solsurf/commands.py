@@ -42,7 +42,8 @@ from .surface_factory import (
 # not list, or lists with keyword None, is refused.  Builders look their
 # function up when called, so a wrapper bound over the module name sees each
 # call.  Keywords named ``span`` or ``*_range`` take an interval LO:HI.
-_DRIFT = {"--c": ("c", "drift slope"), "--d": ("d", "drift intercept")}
+_SLOPE = {"--c": ("c", "drift slope")}
+_DRIFT = {**_SLOPE, "--d": ("d", "drift intercept")}
 _S_RANGE = {"--s-range": ("s_range", "s interval LO:HI")}
 _T_RANGE = {"--t-range": ("t_range", "t interval LO:HI")}
 _EPS_G = {"--eps-g": ("eps_g", "stop once g drops below this")}
@@ -67,8 +68,8 @@ FAMILIES = {
 
 ODES = {
     "minimal": (lambda **kw: integrate_minimal_profile(
-        MinimalProfileParams(**_take(kw, "c", "y0", "d")), **kw),
-        {**_DRIFT, "--y0": ("y0", "initial height"), **_EPS_G, **_M_STOP}),
+        MinimalProfileParams(**_take(kw, "c", "y0")), **kw),
+        {**_SLOPE, "--y0": ("y0", "initial height"), **_EPS_G, **_M_STOP}),
     "grim-reaper": (lambda **kw: integrate_grim_reaper(
         GrimReaperParams(**_take(kw, "lam", "k")), **kw), {
         "--lambda": ("lam", "initial slope"), "--k": ("k", "drift constant"),

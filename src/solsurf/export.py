@@ -57,20 +57,24 @@ def write_residual_csv(path, report: ResidualReport) -> int:
 def write_residual_summary(path, report: ResidualReport) -> None:
     """Key=value summary of a residual sweep: the family, its parameters
     (``param.<name>``, sorted) and ranges, then the sweep.  The last line is
-    always ``MAX_ABS=<value>`` so shell pipelines can grab it."""
+    always ``MAX_ABS=<value>`` so shell pipelines can grab it.  A parameter
+    that does not format raises before the file is opened."""
+    lines = [f"family={report.family}"]
+    lines += [f"param.{key}={fmt(report.params[key])}" for key in sorted(report.params)]
+    lines += [f"{name}={fmt(lo)}:{fmt(hi)}"
+              for name, (lo, hi) in (("s_range", report.s_range), ("t_range", report.t_range))]
+    lines += [
+        f"mode={report.mode.value}",
+        f"grid={report.ns}x{report.nt}",
+        f"margin={fmt(report.margin)}",
+        f"nodes={len(report.samples)}",
+        f"failures={len(report.failures)}",
+        f"mean_abs={fmt(report.mean_abs)}",
+        f"MAX_ABS={fmt(report.max_abs)}",
+    ]
+    text = "".join(line + "\n" for line in lines)  # formatted before the file is opened
     with _open_w(path) as fh:
-        fh.write(f"family={report.family}\n")
-        for key in sorted(report.params):
-            fh.write(f"param.{key}={fmt(report.params[key])}\n")
-        for name, (lo, hi) in (("s_range", report.s_range), ("t_range", report.t_range)):
-            fh.write(f"{name}={fmt(lo)}:{fmt(hi)}\n")
-        fh.write(f"mode={report.mode.value}\n")
-        fh.write(f"grid={report.ns}x{report.nt}\n")
-        fh.write(f"margin={fmt(report.margin)}\n")
-        fh.write(f"nodes={len(report.samples)}\n")
-        fh.write(f"failures={len(report.failures)}\n")
-        fh.write(f"mean_abs={fmt(report.mean_abs)}\n")
-        fh.write(f"MAX_ABS={fmt(report.max_abs)}\n")
+        fh.write(text)
 
 
 def write_profile_csv(path, sol: "ProfileSolution") -> int:

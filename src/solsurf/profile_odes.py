@@ -91,28 +91,23 @@ MAX_BRANCH_STEPS = 1 << 16
 
 @dataclass(frozen=True)
 class MinimalProfileParams:
-    """Parameters of the minimal profile; ``m`` is derived from the initial
-    conditions when omitted.  ``d`` (intercept of the linear drift f(s)=c*s+d)
-    is carried for bookkeeping and does not enter the ODE."""
+    """Parameters of the minimal profile: the drift slope ``c`` and the
+    initial height ``y0``.  The first-integral constant ``m`` is derived from
+    them."""
 
     c: float = 0.0
     y0: float = 1.0
-    m: Optional[float] = None
-    d: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.y0 > 0.0:
             raise ParameterError(f"initial height must be positive, got {self.y0!r}")
         if not math.isfinite(self.c):
             raise ParameterError(f"slope must be finite, got {self.c!r}")
-        m_ic = self.y0 ** 4 / (self.c * self.c + 1.0)
-        if self.m is None:
-            object.__setattr__(self, "m", m_ic)
-        elif not abs(self.m - m_ic) <= 1e-12 * m_ic:
-            raise ParameterError(
-                f"first-integral constant {self.m!r} is inconsistent with the "
-                f"initial conditions (expected {m_ic!r})"
-            )
+
+    @property
+    def m(self) -> float:
+        """``y0^4/(c^2+1)``, the first-integral constant of the initial conditions."""
+        return self.y0 ** 4 / (self.c * self.c + 1.0)
 
     @property
     def kinv(self) -> float:
@@ -132,21 +127,18 @@ class MinimalProfileParams:
 
 @dataclass(frozen=True)
 class GrimReaperParams:
-    """Parameters of the translator profile.  ``t_shift`` records the
-    substitution ``v = t_shift + t`` used when the profile is attached to a
-    surface; the ODE itself is posed in ``v``."""
+    """Parameters of the translator profile: the initial slope ``lam`` and
+    the drift constant ``k``.  The ODE is posed in ``v``; a surface that
+    shifts the profile evaluates it at ``v = a_shift + t``."""
 
     lam: float = 0.5
     k: float = 1.0
-    t_shift: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.lam >= 0.0:
             raise ParameterError(f"initial slope must be nonnegative, got {self.lam!r}")
         if not self.k > 0.0:
             raise ParameterError(f"k must be positive, got {self.k!r}")
-        if not math.isfinite(self.t_shift):
-            raise ParameterError(f"shift must be finite, got {self.t_shift!r}")
 
     def gpp(self, v, g, gp):
         return -gp * (self.k + gp * gp) * 2.0 * v / (g * g)
@@ -154,26 +146,24 @@ class GrimReaperParams:
 
 @dataclass(frozen=True)
 class ConformalProfileParams:
-    """Parameters of the conformal profile; ``C`` is derived from the initial
-    conditions when omitted."""
+    """Parameters of the conformal profile: the drift slope ``a`` and the
+    initial height ``y0``.  The first-integral constant ``C`` is derived from
+    them."""
 
     a: float = 0.0
     y0: float = 1.0
-    C: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.y0 > 0.0:
             raise ParameterError(f"initial height must be positive, got {self.y0!r}")
         if not math.isfinite(self.a):
             raise ParameterError(f"slope must be finite, got {self.a!r}")
-        c_ic = self.y0 ** 4 * math.exp(-4.0 / self.y0) / (self.a * self.a + 1.0)
-        if self.C is None:
-            object.__setattr__(self, "C", c_ic)
-        elif not abs(self.C - c_ic) <= 1e-12 * c_ic:
-            raise ParameterError(
-                f"first-integral constant {self.C!r} is inconsistent with the "
-                f"initial conditions (expected {c_ic!r})"
-            )
+
+    @property
+    def C(self) -> float:
+        """``y0^4*e^{-4/y0}/(1+a^2)``, the first-integral constant of the
+        initial conditions."""
+        return self.y0 ** 4 * math.exp(-4.0 / self.y0) / (self.a * self.a + 1.0)
 
     @property
     def kinv(self) -> float:
@@ -229,8 +219,8 @@ class ProfileSolution:
     events: ProfileEvents
     node_defect: np.ndarray
     conserved_max_defect: float
-    _g_spline: object = field(default=None, repr=False)
-    _gp_spline: object = field(default=None, repr=False)
+    _g_spline: object = field(default=None, init=False, repr=False)
+    _gp_spline: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("t", "g", "gp", "node_defect"):
@@ -264,7 +254,8 @@ class ProfileSolution:
         q = np.asarray(t, dtype=float)
         if np.any(q < self.t[0]) or np.any(q > self.t[-1]):
             raise DomainError(
-                f"query outside the integrated range [{self.t[0]!r}, {self.t[-1]!r}]"
+                f"query outside the integrated range "
+                f"[{float(self.t[0])!r}, {float(self.t[-1])!r}]"
             )
         return q
 
@@ -595,36 +586,25 @@ def integrate_grim_reaper(
     )
 
 
-_PHI_NODE = None  # cached value of the smooth base integral, see below
-
-
 def minimal_halfwidth_quadrature(c: float, y0: float) -> float:
-    """Collapse half-width of the minimal profile by direct quadrature.
+    """Collapse half-width of the minimal profile, in closed form.
 
     ``r = integral_0^{y0} dg / sqrt(m/g^4 - 1/(c^2+1))`` with
-    ``m = y0^4/(c^2+1)``.  The substitution ``g = y0*sin(phi)`` removes the
-    integrable endpoint singularity at ``g = y0`` and scales out the
-    parameters exactly:
+    ``m = y0^4/(c^2+1)``.  The substitution ``g = y0*u^(1/4)`` turns it into
+    a Beta integral and scales out the parameters exactly:
 
-        r = y0*sqrt(c^2+1) * integral_0^{pi/2} sin^2(phi)/sqrt(1+sin^2(phi)) dphi.
+        r = y0*sqrt(c^2+1) * B(3/4, 1/2)/4.
     """
     if not y0 > 0.0:
         raise ParameterError(f"initial height must be positive, got {y0!r}")
-    global _PHI_NODE
-    if _PHI_NODE is None:
-        _PHI_NODE, _ = quad(
-            lambda p: math.sin(p) ** 2 / math.sqrt(1.0 + math.sin(p) ** 2),
-            0.0,
-            math.pi / 2.0,
-            epsabs=1e-14,
-            epsrel=1e-12,
-        )
-    return y0 * math.sqrt(c * c + 1.0) * _PHI_NODE
+    beta = math.gamma(0.75) * math.gamma(0.5) / math.gamma(1.25)
+    return y0 * math.sqrt(c * c + 1.0) * beta / 4.0
 
 
 def conformal_halfwidth_quadrature(a: float, y0: float) -> float:
-    """Collapse half-width of the conformal profile by direct quadrature,
-    with the same ``g = y0*sin(phi)`` endpoint substitution."""
+    """Collapse half-width of the conformal profile by direct quadrature;
+    the substitution ``g = y0*sin(phi)`` removes the integrable endpoint
+    singularity at ``g = y0``."""
     p = ConformalProfileParams(a=a, y0=y0)
 
     def integrand(phi: float) -> float:

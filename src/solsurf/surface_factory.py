@@ -4,8 +4,8 @@ Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, the jets of its factor curves along each axis, and
 bookkeeping (parameter dict, the profile solution where one is involved, and
 whether the ``t`` extent is limited by profile collapse).  Grids evaluate
-each axis jet in one call on the whole axis and build one jet for the whole
-grid.
+each axis jet in one call on the whole axis (node by node only after that
+call raises a domain error) and build one jet for the whole grid.
 
 Families whose ``t`` extent ends at a collapse abscissa are flagged
 ``blowup_limited``; grids on those shrink the ``t`` interval by a relative
@@ -150,28 +150,9 @@ def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
     return lo, hi
 
 
-class _PartialJet(DomainError):
-    """Raised by an axis jet that failed at some nodes of its axis: ``jet``
-    holds every node (NaN where it failed) and ``reasons`` the reason per
-    node, None where it succeeded."""
-
-    def __init__(self, jet: ScalarJet2, reasons: List[Optional[str]]) -> None:
-        super().__init__(next(r for r in reasons if r is not None))
-        self.jet = jet
-        self.reasons = reasons
-
-
 def _mapped(fn, op):
-    """Jet function ``x -> op(fn(x), x)``; the jet of a :class:`_PartialJet`
-    that ``fn`` raises is mapped too."""
-
-    def jet_fn(x):
-        try:
-            return op(fn(x), x)
-        except _PartialJet as exc:
-            raise _PartialJet(op(exc.jet, x), exc.reasons) from None
-
-    return jet_fn
+    """Jet function ``x -> op(fn(x), x)``."""
+    return lambda x: op(fn(x), x)
 
 
 def _second_kind_family(
@@ -254,13 +235,12 @@ def _profile_g_jet(sol: ProfileSolution, shift: float = 0.0) -> Callable[[float]
 def make_minimal_cylinder(
     c: float = MinimalProfileParams.c,
     y0: float = MinimalProfileParams.y0,
-    d: float = MinimalProfileParams.d,
+    d: float = 0.0,
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
     """Minimal surface generated by the collapsing even profile: first-kind
     construction with f(s) = c*s + d and g the integrated minimal profile."""
-    params = MinimalProfileParams(c=c, y0=y0, d=d)
-    sol = integrate_minimal_profile(params)
+    sol = integrate_minimal_profile(MinimalProfileParams(c=c, y0=y0))
     return SurfaceFamily(
         FamilyTag.MINIMAL_CYLINDER,
         {"c": c, "y0": y0, "d": d},
@@ -295,8 +275,7 @@ def make_grim_reaper(
     """Translating surface: f(s) = b_slope*s + a_shift and g(t) the reaper
     profile evaluated at v = a_shift + t, with k = 1/(b_slope^2 + 1)."""
     k = 1.0 / (b_slope * b_slope + 1.0)
-    params = GrimReaperParams(lam=lam, k=k, t_shift=a_shift)
-    sol = integrate_grim_reaper(params, span=span)
+    sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=k), span=span)
     return SurfaceFamily(
         FamilyTag.GRIM_REAPER,
         {"lam": lam, "b_slope": b_slope, "a_shift": a_shift, "k": k},
@@ -331,9 +310,9 @@ def make_conformal_cylinder(
 
 def _coerced(fn: Callable[[float], object]) -> Callable[[float], ScalarJet2]:
     """Jet function from a user function of one float returning a ScalarJet2
-    or a (value, d1, d2) triple.  On an axis it calls ``fn`` once per node;
-    if ``fn`` raises a domain error at some nodes, the others' jets and every
-    node's reason come back in a :class:`_PartialJet`."""
+    or a (value, d1, d2) triple.  On an axis it calls ``fn`` once per node and
+    stacks the jets; an error at any node propagates (:func:`_axis_jet` then
+    retries node by node)."""
 
     def one(x: float) -> ScalarJet2:
         v = fn(x)
@@ -344,18 +323,8 @@ def _coerced(fn: Callable[[float], object]) -> Callable[[float], ScalarJet2]:
     def jet_fn(x):
         if np.ndim(x) == 0:
             return one(x)
-        rows = np.full((len(x), 3), np.nan)
-        reasons: List[Optional[str]] = [None] * len(x)
-        for k, xk in enumerate(x.tolist()):
-            try:
-                j = one(xk)
-                rows[k] = j.value, j.d1, j.d2
-            except (DomainError, DegenerateJetError) as exc:
-                reasons[k] = str(exc)
-        jet = ScalarJet2(*rows.T)
-        if any(r is not None for r in reasons):
-            raise _PartialJet(jet, reasons)
-        return jet
+        rows = np.array([(j.value, j.d1, j.d2) for j in map(one, x.tolist())], dtype=float)
+        return ScalarJet2(*rows.T)
 
     return jet_fn
 
@@ -431,33 +400,33 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
 
 
 def _axis_jet(fn, nodes: np.ndarray, label: str, check=None):
-    """Call ``fn`` once on the whole axis.  Returns the jets as rows
-    ``(value, d1, d2)`` and, per node, the reason it failed or None.
+    """Jets of ``fn`` on one grid axis, as rows ``(value, d1, d2)``, and per
+    node the reason it failed or None.
 
-    A node fails, for the first of these reasons, when ``fn`` raises a
-    domain error (a :class:`_PartialJet` names its nodes; any other fails
-    the whole axis), when ``check`` (applied to the node's value) raises
-    one, or when its jet is not finite.
+    ``fn`` is called once on the whole axis and ``check`` (if given) once on
+    the values.  If either raises a domain or degenerate-jet error, both are
+    rerun node by node, so only the nodes that raise fail, each with its own
+    message.  A node fails, for the first of these reasons, when ``fn``
+    raises at it, when ``check`` raises on its value, or when its jet is not
+    finite.
     """
-    n = len(nodes)
-    rows = np.ones((n, 3))
+
+    def row(x):
+        j = fn(x)
+        if check is not None:
+            check(j.value)
+        return j.value, j.d1, j.d2
+
+    rows = np.full((len(nodes), 3), np.nan)
+    reasons: List[Optional[str]] = [None] * len(nodes)
     try:
-        j, reasons = fn(nodes), [None] * n
-    except _PartialJet as exc:
-        j, reasons = exc.jet, list(exc.reasons)
-    except (DomainError, DegenerateJetError) as exc:
-        return rows, [str(exc)] * n
-    rows[:, 0], rows[:, 1], rows[:, 2] = j.value, j.d1, j.d2
-    live = [k for k, r in enumerate(reasons) if r is None]
-    if check is not None:
-        try:
-            check(rows[live, 0])
-        except DomainError:  # name the nodes, each with its own value
-            for k in live:
-                try:
-                    check(rows[k, 0])
-                except DomainError as exc:
-                    reasons[k] = str(exc)
+        rows[:, 0], rows[:, 1], rows[:, 2] = row(nodes)
+    except (DomainError, DegenerateJetError):
+        for k, x in enumerate(nodes.tolist()):
+            try:
+                rows[k] = row(x)
+            except (DomainError, DegenerateJetError) as exc:
+                reasons[k] = str(exc)
     for k in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
         if reasons[k] is None:
             jet = tuple(rows[k].tolist())
@@ -470,13 +439,14 @@ def sample_grid(
 ) -> Tuple[Tuple[np.ndarray, np.ndarray, SurfaceJet2], List[Tuple[float, float, str]]]:
     """Evaluate the family on the grid: ``((s, t, jet), failures)``.
 
-    Each axis jet is evaluated in one call on its axis.  A node fails when its
-    ``s`` or ``t`` axis node fails (W >= 1 on both kinds, so no other node
-    can); failures are collected row-major (s varies slowest) as
-    ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and ``t`` are
-    the axis nodes that are left, and ``jet`` is the jet on their product
-    grid, with ``(len(s), len(t), 3)`` slots.  If *every* node fails,
-    :class:`SamplingError` is raised.
+    Each axis jet is evaluated in one call on its axis, and node by node only
+    after that call raises (:func:`_axis_jet`), so a domain error fails just
+    the axis nodes that raise it.  A grid node fails when its ``s`` or ``t``
+    axis node fails (W >= 1 on both kinds, so no other node can); failures
+    are collected row-major (s varies slowest) as ``(s, t, reason)`` instead
+    of aborting the sweep.  ``s`` and ``t`` are the axis nodes that are left,
+    and ``jet`` is the jet on their product grid, with ``(len(s), len(t), 3)``
+    slots.  If *every* node fails, :class:`SamplingError` is raised.
     """
     s_axis, t_axis = grid_axes(fam, grid)
     f_rows, s_reasons = _axis_jet(fam._f_jet_fn, s_axis, "s")

@@ -4,9 +4,16 @@ import re
 
 import pytest
 
-from solsurf import DomainError, GridSpec, make_generic_first_kind
+from solsurf import (
+    DomainError,
+    GridSpec,
+    SolitonMode,
+    make_generic_first_kind,
+    residual_report,
+)
+from solsurf import commands
 from solsurf.cli import main
-from solsurf.export import fmt, write_obj_mesh
+from solsurf.export import fmt, write_obj_mesh, write_residual_summary
 
 SCI = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -123,6 +130,18 @@ def test_mesh_refuses_failed_nodes(tmp_path):
     assert not (tmp_path / "m.obj").exists()
 
 
+def test_summary_formats_before_it_opens(tmp_path):
+    """A parameter that does not format raises and leaves no summary file."""
+    fam = make_generic_first_kind(
+        lambda s: (0.0, 0.0, 0.0), lambda t: (2.0 + t, 1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0),
+        params={"note": "flat"},
+    )
+    rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 3))
+    with pytest.raises(ValueError, match="flat"):
+        write_residual_summary(tmp_path / "r.summary.txt", rep)
+    assert not (tmp_path / "r.summary.txt").exists()
+
+
 def test_underscore_family_alias(tmp_path):
     out = str(tmp_path / "alias")
     rc = main(["mesh", "--family", "minimal_cylinder", "--c", "0", "--y0", "1",
@@ -169,11 +188,55 @@ def test_profile_determinism(tmp_path):
         ["profile", "--ode", "minimal", "--span", "-3:3"],
         # above the grid-node cap; refused before anything is allocated
         ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "2x100000000"],
+        # --d moves only the surface's f, never the profile ODE
+        ["profile", "--ode", "minimal", "--d", "0.4"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+
+
+# For every flag of commands.ODES and commands.FAMILIES, a value that takes
+# effect: the profile files, or the mesh on a 3x3 grid, differ from those
+# written with no flags.  The value must clear whatever else would decide the
+# output: a conformal --eps-g of 1e-3 writes the default bytes, because the
+# speed stop ends each branch first, but 0.5 does not.
+FLAG_VALUES = {
+    ("profile", "minimal"): {"--c": "0.8", "--y0": "1.3", "--eps-g": "0.5", "--m-stop": "1e3"},
+    ("profile", "grim-reaper"): {"--lambda": "1.5", "--k": "0.7", "--span": "-4:6",
+                                 "--eps-g": "0.9"},
+    ("profile", "conformal"): {"--a": "0.6", "--y0": "0.9", "--eps-g": "0.5", "--m-stop": "1e3"},
+    ("mesh", "horosphere"): {"--a": "0.7", "--s-range": "-1:1", "--t-range": "-1:1"},
+    ("mesh", "vertical-plane"): {"--b": "0.2", "--c": "0.5", "--d": "-0.5", "--s-range": "-1:1",
+                                 "--t-range": "1:2"},
+    ("mesh", "minimal-cylinder"): {"--c": "0.5", "--d": "0.3", "--y0": "1.3",
+                                   "--s-range": "-1:1"},
+    ("mesh", "grim-reaper"): {"--a": "0.2", "--b": "0.5", "--lambda": "1.5", "--span": "-4:6",
+                              "--s-range": "-1:1"},
+    ("mesh", "conformal-cylinder"): {"--a": "0.3", "--y0": "0.9", "--s-range": "-1:1"},
+}
+
+
+def _taken_flags():
+    for cmd, table in (("profile", commands.ODES), ("mesh", commands.FAMILIES)):
+        for name, (_, flags) in table.items():
+            for flag, (keyword, _) in flags.items():
+                if keyword is not None:
+                    yield cmd, name, flag
+
+
+@pytest.mark.parametrize("cmd,name,flag", list(_taken_flags()))
+def test_every_flag_changes_the_output(tmp_path, cmd, name, flag):
+    """A flag a command accepts must change what it writes."""
+    choice, extra = ("--ode", []) if cmd == "profile" else ("--family", ["--grid", "3x3"])
+
+    def written(tag, *flags):
+        out = str(tmp_path / tag)
+        assert main([cmd, choice, name, *flags, *extra, "--out", out]) == 0
+        return [p.read_bytes() for p in sorted(tmp_path.glob(f"{tag}.*"))]
+
+    assert written("given", flag, FLAG_VALUES[cmd, name][flag]) != written("default")
 
 
 def test_refusal_names_flag_as_typed(capsys):

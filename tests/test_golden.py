@@ -167,8 +167,7 @@ def test_default_parameter_bytes(tmp_path, family):
 
 # Every parameter flag each ODE takes, away from its default.
 PROFILE_ARGS = {
-    "minimal": ["--c", "0.8", "--y0", "1.3", "--d", "0.4", "--eps-g", "1e-5",
-                "--m-stop", "1e5"],
+    "minimal": ["--c", "0.8", "--y0", "1.3", "--eps-g", "1e-5", "--m-stop", "1e5"],
     "grim-reaper": ["--lambda", "1.5", "--k", "0.7", "--span", "-4:6", "--eps-g", "1e-5"],
     "conformal": ["--a", "0.6", "--y0", "0.9", "--eps-g", "1e-5", "--m-stop", "1e5"],
 }

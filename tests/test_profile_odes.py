@@ -430,22 +430,10 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         MinimalProfileParams(c=math.inf, y0=1.0)
     with pytest.raises(ParameterError):
-        MinimalProfileParams(c=0.0, y0=1.0, m=2.0)  # inconsistent with ICs
-    with pytest.raises(ParameterError):
         GrimReaperParams(lam=-0.1, k=1.0)
     with pytest.raises(ParameterError):
         GrimReaperParams(lam=0.0, k=0.0)
     with pytest.raises(ParameterError):
         ConformalProfileParams(a=0.0, y0=-1.0)
     with pytest.raises(ParameterError):
-        ConformalProfileParams(a=0.0, y0=1.0, C=1.0)
-    with pytest.raises(ParameterError):
         integrate_grim_reaper(GrimReaperParams(lam=0.0, k=1.0), span=(1.0, 5.0))
-
-
-def test_explicit_consistent_constants_accepted():
-    m = 1.0 / 2.0  # y0=1, c=1: m = 1/(1+1)
-    p = MinimalProfileParams(c=1.0, y0=1.0, m=m)
-    assert p.m == m
-    pc = ConformalProfileParams(a=0.0, y0=1.0, C=math.exp(-4.0))
-    assert pc.C == math.exp(-4.0)

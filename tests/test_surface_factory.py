@@ -1,5 +1,6 @@
 """Family constructors, grids, and the residual cross-family matrix."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,26 @@ def test_user_jet_errors_fail_their_own_nodes():
         assert t.tolist() == [0.0, 0.5, 1.0]
         want = probe.jet(0.0, 0.5).X
         assert np.array_equal(j.X[1, 1], want)
+
+
+def test_profile_range_errors_fail_their_own_nodes(minimal_cyl):
+    """A t range that runs 0.5 past the profile fails just the t nodes
+    outside it, each with the profile's range message in plain floats; the
+    nodes kept carry the jets of ``fam.jet`` bit for bit."""
+    lo, hi = minimal_cyl.t_range
+    fam = replace(minimal_cyl, t_range=(lo, hi + 0.5), blowup_limited=False)
+    grid = GridSpec(3, 6)
+    s_axis, t_axis = grid_axes(fam, grid)
+    (s, t, j), failures = sample_grid(fam, grid)
+    reason = f"query outside the integrated range [{lo!r}, {hi!r}]"
+    assert failures == [(si, ti, reason) for si in s_axis.tolist() for ti in t_axis[4:].tolist()]
+    assert t_axis[3] < hi < t_axis[4]
+    assert s.tolist() == s_axis.tolist() and t.tolist() == t_axis[:4].tolist()
+    for a, si in enumerate(s.tolist()):
+        for b, ti in enumerate(t.tolist()):
+            want = fam.jet(si, ti)
+            for slot in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
+                assert np.array_equal(getattr(j, slot)[a, b], getattr(want, slot)), (si, ti, slot)
 
 
 @pytest.mark.parametrize("shift,end", [(-14.62543, 1), (12.266094, 0)])
