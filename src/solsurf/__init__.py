@@ -61,7 +61,6 @@ from .surface_jets import (
     finite_difference_jet,
     first_kind_jet,
     fundamental_forms,
-    hyperbolic_mean_curvature,
     mean_curvature,
     product_surface_jet,
     rotate_jet,

@@ -89,6 +89,26 @@ REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 MAX_BRANCH_STEPS = 1 << 16
 
 
+def _check_collapse_params(p, slope: float, constant: str) -> None:
+    """Refuse a collapsing profile unless its slope is finite, its ``y0``
+    finite and positive, and its first-integral constant (``m`` or ``C``)
+    finite and > 0: a ``y0`` far from 1 makes that constant overflow or
+    underflow."""
+    if not math.isfinite(slope):
+        raise ParameterError(f"slope must be finite, got {slope!r}")
+    if not 0.0 < p.y0 < math.inf:
+        raise ParameterError(f"initial height must be positive and finite, got {p.y0!r}")
+    try:
+        value = getattr(p, constant)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ParameterError(
+            f"first-integral constant {constant} = {value!r} is not finite and positive "
+            f"for y0 = {p.y0!r}"
+        )
+
+
 @dataclass(frozen=True)
 class MinimalProfileParams:
     """Parameters of the minimal profile: the drift slope ``c`` and the
@@ -99,10 +119,7 @@ class MinimalProfileParams:
     y0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.y0 > 0.0:
-            raise ParameterError(f"initial height must be positive, got {self.y0!r}")
-        if not math.isfinite(self.c):
-            raise ParameterError(f"slope must be finite, got {self.c!r}")
+        _check_collapse_params(self, self.c, "m")
 
     @property
     def m(self) -> float:
@@ -154,10 +171,7 @@ class ConformalProfileParams:
     y0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.y0 > 0.0:
-            raise ParameterError(f"initial height must be positive, got {self.y0!r}")
-        if not math.isfinite(self.a):
-            raise ParameterError(f"slope must be finite, got {self.a!r}")
+        _check_collapse_params(self, self.a, "C")
 
     @property
     def C(self) -> float:
@@ -279,6 +293,9 @@ class ProfileSolution:
 
 
 def _height_stop(eps_g: float):
+    if not eps_g >= 0.0:
+        raise ParameterError(f"eps_g must be nonnegative, got {eps_g!r}")
+
     def height(g, gp):
         return g - eps_g
 
@@ -286,6 +303,9 @@ def _height_stop(eps_g: float):
 
 
 def _speed_stop(m_stop: float):
+    if not m_stop > 0.0:
+        raise ParameterError(f"m_stop must be positive, got {m_stop!r}")
+
     def speed(g, gp):
         return m_stop * m_stop - gp * gp
 
@@ -628,13 +648,11 @@ class QualitativeVerdict:
     """Shape facts measured on an integrated profile (all fields are computed
     for every family; which ones are meaningful depends on the family)."""
 
-    constant: bool
     constancy_defect: float
     monotone_nondecreasing: bool
     increasing_overall: bool
     concave: bool
     convex_then_concave: bool
-    symmetric: bool
     symmetry_defect: float
     max_at_zero: bool
     bounded: bool
@@ -660,7 +678,6 @@ def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
     g0 = g[i0]
 
     constancy = float(max(np.max(np.abs(g - g0)), np.max(np.abs(gp))))
-    constant = constancy <= 1e-12 * max(1.0, abs(g0))
 
     slack = 1e-13 * np.maximum(1.0, np.abs(g[:-1]))
     monotone = bool(np.all(np.diff(g) >= -slack) and np.all(gp >= -1e-13))
@@ -689,20 +706,17 @@ def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
             ok = np.abs(sol.eval_gp(-probes)) <= SLOPE_CAP
             if np.any(ok):
                 defect = float(np.max(np.abs(g_left[ok] - g_right[ok])))
-    symmetric = bool(defect <= 1e-8) if math.isfinite(defect) else False
 
     max_at_zero = bool(g0 >= np.max(g) - 1e-12 * max(1.0, g0))
     g_min, g_max = float(np.min(g)), float(np.max(g))
     bounded = bool(math.isfinite(g_max) and g_min > 0.0)
 
     return QualitativeVerdict(
-        constant=constant,
         constancy_defect=constancy,
         monotone_nondecreasing=monotone,
         increasing_overall=increasing,
         concave=concave,
         convex_then_concave=convex_then_concave,
-        symmetric=symmetric,
         symmetry_defect=defect,
         max_at_zero=max_at_zero,
         bounded=bounded,

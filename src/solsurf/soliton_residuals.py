@@ -1,16 +1,16 @@
 """Soliton residuals, on single jets or whole grid jets, and grid reports.
 
 The three defining equations, written as residuals that vanish on exact
-solutions (X is the embedding, N the unit normal for the canonical
-orientation, H the Euclidean mean curvature):
+solutions (X is the embedding, N the unit normal ``Xs x Xt / |Xs x Xt|``,
+H the Euclidean mean curvature):
 
     minimal:     X3*H + N3
     translator:  X3^2*H - (X1*N1 + X2*N2)
     conformal:   X3^2*H + (X3 + 1)*N3
 
-``X3*H + N3`` is also the mean curvature of the surface measured in the
-rescaled ambient metric, exposed here as ``hyperbolic_mean_curvature`` via
-the jets module.
+The minimal residual ``X3*H + N3`` is also the mean curvature of the
+surface measured in the rescaled (hyperbolic) ambient metric, so
+``residual("minimal", j)`` is the hyperbolic mean curvature.
 
 For the two product constructions the residuals reduce, after clearing the
 positive factor ``2*W^3``, to polynomial expressions in the factor-curve
@@ -48,12 +48,12 @@ class SolitonMode(enum.Enum):
     CONFORMAL = "conformal"
 
 
-def residual(mode: SolitonMode, j: SurfaceJet2, orientation: int = 1):
+def residual(mode: SolitonMode, j: SurfaceJet2):
     """Evaluate one soliton residual at every point of a jet: a float for a
     single point, an array of the grid shape for a grid jet."""
     mode = SolitonMode(mode)
-    N = unit_normal(j, orientation)
-    H = mean_curvature(j, orientation)
+    N = unit_normal(j)
+    H = mean_curvature(j)
     X1, X2, X3 = j.X[..., 0], j.X[..., 1], j.X[..., 2]
     if mode is SolitonMode.MINIMAL:
         return X3 * H + N[..., 2]
@@ -67,8 +67,8 @@ def reduced_residual_first_kind(
 ) -> float:
     """Residual of X = (s, t + f(s), g(t)) with the 2*W^3 factor cleared.
 
-    Equals ``2*W^3`` times the general residual at the same jet (canonical
-    orientation), with ``W^2 = g'^2*(f'^2 + 1) + 1``.
+    Equals ``2*W^3`` times the general residual at the same jet, with
+    ``W^2 = g'^2*(f'^2 + 1) + 1``.
     """
     mode = SolitonMode(mode)
     fp, fpp = fj.d1, fj.d2

@@ -459,7 +459,8 @@ def sample_grid(
     ]
     if s_bad.all() or t_bad.all():
         raise SamplingError(
-            f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures)"
+            f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures), "
+            f"first (s, t, reason): {failures[0]}"
         )
     s, t = s_axis[~s_bad], t_axis[~t_bad]
     fj = ScalarJet2(*f_rows[~s_bad].T[..., None])  # (ns, 1): broadcasts against t

@@ -24,8 +24,8 @@ Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 
     H = (l*G - 2*n*F + E*m) / (2*(E*G - F^2)).
 
-The curvature of the rescaled (hyperbolic) metric, for the fixed orientation,
-is ``X3*H + N3``.
+The mean curvature of the rescaled (hyperbolic) metric is ``X3*H + N3``,
+which is ``residual("minimal", j)`` in :mod:`solsurf.soliton_residuals`.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ __all__ = [
     "unit_normal",
     "fundamental_forms",
     "mean_curvature",
-    "hyperbolic_mean_curvature",
     "finite_difference_jet",
     "rotate_jet",
 ]
@@ -84,13 +83,12 @@ def _cross(a, b):
     return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
-def _oriented_normal(j: "SurfaceJet2", orientation: int):
-    """Components of the unit normal ``Xs x Xt / W`` (negated exactly for
-    ``orientation=-1``) and the area density ``W = |Xs x Xt|``."""
+def _normal(j: "SurfaceJet2"):
+    """Components of the unit normal ``Xs x Xt / W`` and the area density
+    ``W = |Xs x Xt|``."""
     c = _cross(_xyz(j.Xs), _xyz(j.Xt))
     w = np.sqrt(_dot(c, c))
-    n = tuple(ck / w for ck in c)
-    return (tuple(-nk for nk in n) if orientation == -1 else n), w
+    return tuple(ck / w for ck in c), w
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,25 +250,17 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
     )
 
 
-def unit_normal(j: SurfaceJet2, orientation: int = 1) -> np.ndarray:
-    """Unit normal ``Xs x Xt / |Xs x Xt|`` for the fixed global orientation,
-    with the jet's ``(..., 3)`` shape.
-
-    ``orientation=-1`` returns the exact negation (every component flips
-    sign bit-exactly), which is the hook used by orientation-flip checks.
-    """
-    n, _ = _oriented_normal(j, orientation)
-    out = np.empty_like(j.X)
-    out[..., 0], out[..., 1], out[..., 2] = n
-    return out
+def unit_normal(j: SurfaceJet2) -> np.ndarray:
+    """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape."""
+    return _stack(*_normal(j)[0])
 
 
-def fundamental_forms(j: SurfaceJet2, orientation: int = 1) -> FundamentalForms:
+def fundamental_forms(j: SurfaceJet2) -> FundamentalForms:
     """First and second fundamental forms of the jet.
 
     ``l, m, n`` pair with ``Xss, Xtt, Xst`` respectively.
     """
-    N, w = _oriented_normal(j, orientation)
+    N, w = _normal(j)
     xs, xt = _xyz(j.Xs), _xyz(j.Xt)
     return FundamentalForms(
         E=_dot(xs, xs),
@@ -283,17 +273,10 @@ def fundamental_forms(j: SurfaceJet2, orientation: int = 1) -> FundamentalForms:
     )
 
 
-def mean_curvature(j: SurfaceJet2, orientation: int = 1):
+def mean_curvature(j: SurfaceJet2):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``."""
-    f = fundamental_forms(j, orientation)
+    f = fundamental_forms(j)
     return (f.l * f.G - 2.0 * f.n * f.F + f.E * f.m) / (2.0 * (f.E * f.G - f.F * f.F))
-
-
-def hyperbolic_mean_curvature(H, N3, X3):
-    """Mean curvature of the rescaled metric: ``X3*H + N3``; needs every ``X3 > 0``."""
-    if not (np.asarray(X3) > 0.0).all():
-        raise ParameterError(f"height must be positive, got {float(np.min(X3))!r}")
-    return X3 * H + N3
 
 
 def finite_difference_jet(

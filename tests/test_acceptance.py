@@ -2,10 +2,14 @@
 
 Runs the full built-in verification battery once and partitions the
 results by criterion number, so a failure pinpoints which guarantee
-broke without re-deriving any tolerances here.
+broke.  Each check's sense and tolerance are pinned beside its name, so a
+loosened tolerance fails here too.
 """
+import math
+
 import pytest
 
+from solsurf import verify
 from solsurf.verify import run_checks
 
 
@@ -14,9 +18,10 @@ def summary():
     return run_checks()
 
 
-def _assert_criterion(summary, number, expect_names):
+def _assert_criterion(summary, number, expect):
+    """``expect`` maps each check name of the criterion to its (sense, tolerance)."""
     picked = [r for r in summary.results if r.criterion == number]
-    assert {r.name for r in picked} == set(expect_names)
+    assert {r.name: (r.sense, r.tolerance) for r in picked} == expect
     for r in picked:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -28,27 +33,27 @@ def _assert_criterion(summary, number, expect_names):
 
 
 def test_c01_group_laws(summary):
-    _assert_criterion(summary, 1, ["lie.group_laws"])
+    _assert_criterion(summary, 1, {"lie.group_laws": ("<=", 1e-12)})
 
 
 def test_c02_horosphere_soliton(summary):
-    _assert_criterion(summary, 2, ["horosphere.soliton"])
+    _assert_criterion(summary, 2, {"horosphere.soliton": ("<=", 1e-10)})
 
 
 def test_c03_plane_residuals(summary):
-    _assert_criterion(summary, 3, ["plane.residuals"])
+    _assert_criterion(summary, 3, {"plane.residuals": ("<=", 1e-10)})
 
 
 def test_c04_minimal_cylinder(summary):
     _assert_criterion(
         summary,
         4,
-        [
-            "minimal_cylinder.residual",
-            "minimal_cylinder.first_integral",
-            "minimal_cylinder.symmetry",
-            "minimal_cylinder.halfwidth",
-        ],
+        {
+            "minimal_cylinder.residual": ("<=", 1e-6),
+            "minimal_cylinder.first_integral": ("<=", 1e-8),
+            "minimal_cylinder.symmetry": ("<=", 1e-8),
+            "minimal_cylinder.halfwidth": ("<=", 1e-6),
+        },
     )
 
 
@@ -56,7 +61,11 @@ def test_c05_grim_reaper(summary):
     _assert_criterion(
         summary,
         5,
-        ["grim_reaper.constant", "grim_reaper.shape", "grim_reaper.residual"],
+        {
+            "grim_reaper.constant": ("<=", 1e-12),
+            "grim_reaper.shape": ("<=", 0.5),
+            "grim_reaper.residual": ("<=", 1e-6),
+        },
     )
 
 
@@ -64,21 +73,53 @@ def test_c06_conformal_cylinder(summary):
     _assert_criterion(
         summary,
         6,
-        ["conformal.residual", "conformal.first_integral", "conformal.not_minimal"],
+        {
+            "conformal.residual": ("<=", 1e-6),
+            "conformal.first_integral": ("<=", 1e-8),
+            "conformal.not_minimal": (">", 1e-3),
+        },
     )
 
 
 def test_c07_reduced_forms(summary):
-    _assert_criterion(summary, 7, ["reduced.first_kind", "reduced.second_kind"])
+    _assert_criterion(
+        summary, 7, {"reduced.first_kind": ("<=", 1e-10), "reduced.second_kind": ("<=", 1e-10)}
+    )
 
 
 def test_c08_fd_convergence(summary):
-    _assert_criterion(summary, 8, ["fd.convergence"])
+    _assert_criterion(summary, 8, {"fd.convergence": ("<=", 0.3)})
 
 
 def test_c09_falsification(summary):
-    _assert_criterion(summary, 9, ["falsify.profiles"])
+    _assert_criterion(summary, 9, {"falsify.profiles": (">", 1e-4)})
 
 
 def test_c10_determinism(summary):
-    _assert_criterion(summary, 10, ["determinism.mesh", "determinism.profile"])
+    _assert_criterion(
+        summary, 10, {"determinism.mesh": ("<=", 0.5), "determinism.profile": ("<=", 0.5)}
+    )
+
+
+def test_run_checks_judges_each_defect(monkeypatch):
+    """The registry row's sense and tolerance alone decide pass or fail: a
+    defect at the tolerance passes "<=" and fails ">", and NaN fails both."""
+    above = math.nextafter(1.0, 2.0)
+    stubs = {
+        "le.at_tol": ("<=", 1.0, True),
+        "le.above": ("<=", above, False),
+        "le.nan": ("<=", math.nan, False),
+        "le.inf": ("<=", math.inf, False),
+        "gt.at_tol": (">", 1.0, False),
+        "gt.above": (">", above, True),
+        "gt.nan": (">", math.nan, False),
+    }
+    registry = [(name, 1, sense, 1.0, lambda d=defect: (d, "stub"))
+                for name, (sense, defect, _) in stubs.items()]
+    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    results = run_checks().results
+    assert {r.name: r.passed for r in results} == {k: v[2] for k, v in stubs.items()}
+    for r in results:
+        assert (r.sense, r.tolerance, r.detail) == (stubs[r.name][0], 1.0, "stub")
+        assert r.defect == stubs[r.name][1] or math.isnan(r.defect)
+    assert [r.name for r in run_checks("nan").results] == ["le.nan", "gt.nan"]

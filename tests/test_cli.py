@@ -190,6 +190,17 @@ def test_profile_determinism(tmp_path):
         ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "2x100000000"],
         # --d moves only the surface's f, never the profile ODE
         ["profile", "--ode", "minimal", "--d", "0.4"],
+        # y0 whose first-integral constant overflows, underflows or is not finite
+        ["profile", "--ode", "minimal", "--y0", "1e300"],
+        ["residual", "--family", "conformal-cylinder", "--y0", "1e300", "--mode", "minimal"],
+        ["profile", "--ode", "conformal", "--y0", "1e-300"],
+        ["profile", "--ode", "minimal", "--y0", "inf"],
+        ["profile", "--ode", "minimal", "--y0", "1e-300"],
+        # stops that cannot stop a branch: m_stop <= 0 or NaN, eps_g < 0 or NaN
+        ["profile", "--ode", "minimal", "--m-stop", "-1"],
+        ["profile", "--ode", "conformal", "--m-stop", "nan"],
+        ["profile", "--ode", "minimal", "--eps-g", "-1"],
+        ["profile", "--ode", "grim-reaper", "--eps-g", "nan"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch):

@@ -16,7 +16,6 @@ from solsurf import (
     finite_difference_jet,
     first_kind_jet,
     fundamental_forms,
-    hyperbolic_mean_curvature,
     lie_product,
     mean_curvature,
     product_surface_jet,
@@ -134,23 +133,6 @@ def test_mean_curvature_profile_cylinder():
     gj = ScalarJet2(math.cosh(t), math.sinh(t), math.cosh(t))
     H = mean_curvature(first_kind_jet(ScalarJet2(0.0, 0.0, 0.0), gj, 0.0, t))
     assert abs(H - 1.0 / (2.0 * math.cosh(t) ** 2)) <= 1e-14
-
-
-def test_orientation_flip_is_exact_negation():
-    j = first_kind_jet(FJ, GJ, 0.6, -0.2)
-    assert np.all(unit_normal(j, -1) == -unit_normal(j, 1))
-    assert mean_curvature(j, -1) == -mean_curvature(j, 1)
-    f1 = fundamental_forms(j, 1)
-    f2 = fundamental_forms(j, -1)
-    assert (f2.l, f2.m, f2.n) == (-f1.l, -f1.m, -f1.n)
-    assert (f2.E, f2.F, f2.G, f2.W) == (f1.E, f1.F, f1.G, f1.W)
-
-
-def test_hyperbolic_mean_curvature_basics():
-    assert hyperbolic_mean_curvature(0.0, 1.0, 2.0) == 1.0
-    assert hyperbolic_mean_curvature(0.5, -0.25, 2.0) == 0.75
-    with pytest.raises(ParameterError):
-        hyperbolic_mean_curvature(0.0, 1.0, 0.0)
 
 
 scalar_jets = st.builds(
