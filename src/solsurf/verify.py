@@ -2,9 +2,11 @@
 
 Each check returns a defect and a detail; `run_checks` alone judges it,
 against the tolerance and sense (``<=`` or ``>``) of its ``_REGISTRY`` row,
-so a NaN defect fails either way.  A check whose side condition fails (a
-failed grid node, a run that did not finish) returns an infinite defect and
-names the reason in its detail.  The checks are grouped by the acceptance
+so a NaN defect fails either way; checks combine their values with
+``np.max``/``np.min``, which carry a NaN through.  A check whose side
+condition fails (a failed grid node, a run that did not finish) names the
+reason in its detail and returns a defect that fails its row: inf on a
+``<=`` row, NaN on a ``>`` row.  The checks are grouped by the acceptance
 criterion they implement (the ``criterion`` number, 1..10) and are
 deliberately self-contained: every one rebuilds what it measures from
 scratch so a pass can't lean on shared state.
@@ -140,7 +142,7 @@ def _check_group_laws() -> Measurement:
     qs = _random_points(rng, n)
     rs = _random_points(rng, n)
     thetas = rng.uniform(-math.pi, math.pi, size=n)
-    worst = 0.0
+    defects = []
     for p, q, r, th in zip(ps, qs, rs, thetas):
         u = SemidirectPoint(p.x, p.y, math.log(p.z))
         v = SemidirectPoint(q.x, q.y, math.log(q.z))
@@ -155,27 +157,29 @@ def _check_group_laws() -> Measurement:
             (rotation_about_vertical(th, lie_product(p, q)),
              lie_product(rotation_about_vertical(th, p), rotation_about_vertical(th, q))),
         )
-        worst = max([worst] + [rel_defect(a.as_array(), b.as_array()) for a, b in laws])
-    return worst, f"{n} samples, {len(laws)} laws each"
+        defects += [rel_defect(a.as_array(), b.as_array()) for a, b in laws]
+    return float(np.max(defects)), f"{n} samples, {len(laws)} laws each"
 
 
 # ---------------------------------------------------------------------------
 # criteria 2-3: exactly solvable families
 
 
+def _failure_detail(fam, failures) -> str:
+    return f"{fam.name} {fam.params}: {len(failures)} failures, first (s, t, reason): {failures[0]}"
+
+
 def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     """Worst ``|residual(mode, j) - offset|`` over ``(family, ((mode, offset),
     ...))`` cases, ``j`` the family's jet on ``grid``.  A failed node voids
     the sweep: the defect is inf and the detail names the first failure."""
-    worst = 0.0
+    defects = []
     for fam, terms in cases:
         (_, _, j), failures = sample_grid(fam, grid)
         if failures:
-            return math.inf, (f"{fam.name} {fam.params}: {len(failures)} failures, "
-                              f"first (s, t, reason): {failures[0]}")
-        for mode, offset in terms:
-            worst = max(worst, float(np.max(np.abs(residual(mode, j) - offset))))
-    return worst, detail
+            return math.inf, _failure_detail(fam, failures)
+        defects += [np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]
+    return float(np.max(defects)), detail
 
 
 def _check_horosphere() -> Measurement:
@@ -223,7 +227,7 @@ def _check_minimal_halfwidth() -> Measurement:
     left = sol.events.left_blowup_t
     if right is None or left is None:
         return math.inf, "a branch did not reach collapse"
-    return max(abs(right - r_quad), abs(left + r_quad)), f"quadrature half-width r = {r_quad:.10f}"
+    return float(np.max(np.abs([right - r_quad, left + r_quad]))), f"quadrature half-width r = {r_quad:.10f}"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +286,8 @@ def _check_conformal_first_integral() -> Measurement:
 def _check_conformal_not_minimal() -> Measurement:
     fam = make_conformal_cylinder(0.0, 1.0)
     rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(51, 51, margin=1e-3))
+    if rep.failures:
+        return math.nan, _failure_detail(fam, rep.failures)
     return rep.max_abs, "minimal residual must NOT vanish here"
 
 
@@ -299,8 +305,8 @@ def _uniform_columns(seed: int, bounds) -> List[np.ndarray]:
 def _reduced_defect(reduced: Callable, j, clear) -> float:
     """Worst relative disagreement, over every sample and mode, between a
     reduced residual and ``2W^3`` times the general residual of the jet."""
-    return max(rel_defect(reduced(mode), residual(mode, j) * clear, floor=1.0)
-               for mode in SolitonMode)
+    return float(np.max([rel_defect(reduced(mode), residual(mode, j) * clear, floor=1.0)
+                         for mode in SolitonMode]))
 
 
 def _check_reduced_first_kind() -> Measurement:
@@ -357,19 +363,17 @@ def _check_fd_convergence() -> Measurement:
     for fam, pts in _fd_surfaces():
         errs = []
         for h in hs:
-            worst = 0.0
-            for s, t in pts:
-                exact = mean_curvature(fam.jet(s, t))
-                fd = mean_curvature(finite_difference_jet(fam.position, s, t, h))
-                worst = max(worst, abs(fd - exact))
-            errs.append(worst)
+            errs.append(float(np.max([
+                abs(mean_curvature(finite_difference_jet(fam.position, s, t, h))
+                    - mean_curvature(fam.jet(s, t)))
+                for s, t in pts])))
         for e0, e1 in zip(errs, errs[1:]):
             if e1 <= 0.0:
                 continue  # exact agreement; cannot ratio, but nothing to complain about
             orders.append(math.log2(e0 / e1))
     if not orders:
         return 0.0, "errors vanished identically"
-    return max(abs(o - 2.0) for o in orders), "orders: " + ", ".join(f"{o:.3f}" for o in orders)
+    return float(np.max(np.abs(np.array(orders) - 2.0))), "orders: " + ", ".join(f"{o:.3f}" for o in orders)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +388,15 @@ def _check_falsification() -> Measurement:
         (make_conformal_cylinder(0.0, 1.0), SolitonMode.CONFORMAL),
     ]
     grid = GridSpec(51, 51, margin=1e-3)
-    floor = math.inf
+    floors = []
     parts = []
     for fam, mode in probes:
         rep = residual_report(perturb_profile(fam, 1e-2), mode, grid)
-        floor = min(floor, rep.max_abs)
+        if rep.failures:
+            return math.nan, _failure_detail(fam, rep.failures)
+        floors.append(rep.max_abs)
         parts.append(f"{fam.name}:{rep.max_abs:.2e}")
-    return floor, "; ".join(parts)
+    return float(np.min(floors)), "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +434,9 @@ def _check_determinism_profile() -> Measurement:
 # ---------------------------------------------------------------------------
 
 # (name, criterion, sense, tolerance, measure): the one statement of each
-# check's tolerance, and the only one `run_checks` judges by.
+# check's tolerance, and the only one `run_checks` judges by.  A failed side
+# condition is reported as inf on a "<=" row and as NaN on a ">" row, since
+# inf would pass a ">" row.
 _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
     ("lie.group_laws", 1, "<=", 1e-12, _check_group_laws),
     ("horosphere.soliton", 2, "<=", 1e-10, _check_horosphere),
@@ -455,9 +463,7 @@ _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
 def run_checks(only: Optional[str] = None) -> VerifySummary:
     """Run the acceptance checks (all, or those whose name contains ``only``)
     and judge each defect against its row's tolerance and sense."""
-    selected = [
-        entry for entry in _REGISTRY if only is None or only in entry[0]
-    ]
+    selected = [entry for entry in _REGISTRY if only is None or only in entry[0]]
     if not selected:
         raise ParameterError(f"no check name contains {only!r}")
     results = []
@@ -466,16 +472,9 @@ def run_checks(only: Optional[str] = None) -> VerifySummary:
         defect, detail = measure()
         dt = time.perf_counter() - t0
         defect = float(defect)
-        results.append(
-            CheckResult(
-                name=name,
-                criterion=criterion,
-                passed=defect <= tol if sense == "<=" else defect > tol,
-                defect=defect,
-                tolerance=tol,
-                sense=sense,
-                seconds=dt,
-                detail=detail,
-            )
-        )
+        results.append(CheckResult(
+            name=name, criterion=criterion,
+            passed=defect <= tol if sense == "<=" else defect > tol,
+            defect=defect, tolerance=tol, sense=sense, seconds=dt, detail=detail,
+        ))
     return VerifySummary(results=results)

@@ -5,11 +5,13 @@ results by criterion number, so a failure pinpoints which guarantee
 broke.  Each check's sense and tolerance are pinned beside its name, so a
 loosened tolerance fails here too.
 """
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from solsurf import verify
+from solsurf import soliton_residuals, verify
 from solsurf.verify import run_checks
 
 
@@ -123,3 +125,38 @@ def test_run_checks_judges_each_defect(monkeypatch):
         assert (r.sense, r.tolerance, r.detail) == (stubs[r.name][0], 1.0, "stub")
         assert r.defect == stubs[r.name][1] or math.isnan(r.defect)
     assert [r.name for r in run_checks("nan").results] == ["le.nan", "gt.nan"]
+
+
+def test_nan_residual_at_one_node_fails_its_rows(monkeypatch):
+    """A residual that is NaN at a single node fails every row that reads a
+    residual, whichever way the row is judged, and no other row."""
+    clean = soliton_residuals.residual
+
+    def one_nan(mode, j):
+        out = np.array(clean(mode, j), dtype=float)
+        out.flat[out.size // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(verify, "residual", one_nan)
+    monkeypatch.setattr(soliton_residuals, "residual", one_nan)
+    results = run_checks().results
+    failed = {r.name for r in results if not r.passed}
+    assert failed == {
+        "horosphere.soliton", "plane.residuals", "minimal_cylinder.residual",
+        "grim_reaper.residual", "conformal.residual", "conformal.not_minimal",
+        "reduced.first_kind", "reduced.second_kind", "falsify.profiles",
+    }
+    assert all(math.isnan(r.defect) for r in results if r.name in failed)
+
+
+def test_failed_node_fails_greater_than_rows(monkeypatch):
+    """On a ">" row a failed grid node reads as NaN, not as a large defect."""
+    clean = verify.residual_report
+
+    def one_failure(fam, mode, grid):
+        return dataclasses.replace(clean(fam, mode, grid), failures=[(0.0, 0.0, "stub")])
+
+    monkeypatch.setattr(verify, "residual_report", one_failure)
+    for name in ("conformal.not_minimal", "falsify.profiles"):
+        (r,) = run_checks(name).results
+        assert not r.passed and math.isnan(r.defect) and "stub" in r.detail
