@@ -19,9 +19,11 @@ way scipy's RK45 steps it but on Python floats, where scipy's per-step
 array overhead on a 2-component state costs several times the arithmetic
 (:func:`_dopri54`).  A stop ends each branch once ``g`` drops below
 ``eps_g`` or ``|g'|`` exceeds ``m_stop``, and the remaining sliver of
-abscissa is recovered by switching the independent variable to ``g`` and
-integrating ``dt = -dg / sqrt(first integral)``, so the reported blow-up
-abscissa has quadrature accuracy.
+abscissa is recovered by quadrature of ``dt = -dg / sqrt(first integral)``:
+in ``phi``, with ``g = y0*sin(phi)``, the integrand is smooth from the
+collapse up to ``g = y0``, so a fixed 40-node Gauss--Legendre rule
+(:func:`_gauss`) gives the reported blow-up abscissa quadrature accuracy
+(:func:`_blowup_tail`).
 
 The grim reaper runs through the same two-branch integration, on the state
 ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
@@ -35,6 +37,12 @@ Every branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that runs out
 ends like one whose step fell below its floor, and the solution is marked
 truncated.
 
+Between nodes a solution is read through a piecewise cubic Hermite
+interpolant (:class:`_Hermite`), built from the nodal values and the exact
+nodal slopes.  The interpolant, the stop-root finder (:func:`_brentq`) and
+the quadrature are small numpy and float routines, so importing this module
+costs numpy alone.
+
 Conservation monitor: the first-integral defect ``g'^2 - (rhs)`` is exact in
 the O(1) region but near blow-up ``g'^2 ~ 1e12`` exceeds what float64 can
 resolve absolutely (one ULP of 1e12 is ~2.4e-4), so the per-node monitor
@@ -44,13 +52,11 @@ pointwise defect, :func:`first_integral_defect`, is also exposed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError
 
@@ -91,9 +97,10 @@ MAX_BRANCH_STEPS = 1 << 16
 
 def _check_collapse_params(p, slope: float, constant: str) -> None:
     """Refuse a collapsing profile unless its slope is finite, its ``y0``
-    finite and positive, and its first-integral constant (``m`` or ``C``)
-    finite and > 0: a ``y0`` far from 1 makes that constant overflow or
-    underflow."""
+    finite and positive, and its first-integral constant (``m`` or ``C``) a
+    finite normal float > 0: a ``y0`` far from 1 makes that constant
+    overflow or underflow, and with a subnormal one ``g^4`` underflows to 0
+    near the collapse, where the monitor divides by it."""
     if not math.isfinite(slope):
         raise ParameterError(f"slope must be finite, got {slope!r}")
     if not 0.0 < p.y0 < math.inf:
@@ -102,10 +109,10 @@ def _check_collapse_params(p, slope: float, constant: str) -> None:
         value = getattr(p, constant)
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
+    if not sys.float_info.min <= value < math.inf:
         raise ParameterError(
-            f"first-integral constant {constant} = {value!r} is not finite and positive "
-            f"for y0 = {p.y0!r}"
+            f"first-integral constant {constant} = {value!r} is not a finite, normal, "
+            f"positive float for y0 = {p.y0!r}"
         )
 
 
@@ -140,6 +147,14 @@ class MinimalProfileParams:
         with np.errstate(divide="ignore", over="ignore"):
             out = self.m / g ** 4 - self.kinv
         return out if out.shape else float(out)
+
+    def dt_dphi(self, phi):
+        """``|dt/dphi|`` along a collapsing branch, ``g = y0*sin(phi)``: the
+        first integral reads ``g'^2 = k*cos^2(phi)*(1 + sin^2(phi))/sin^4(phi)``
+        with ``k = 1/(c^2+1)``, so ``|dt/dphi| = y0*cos(phi)/|g'|`` is
+        ``y0*sin^2(phi)/sqrt(k*(1 + sin^2(phi)))``, smooth on [0, pi/2]."""
+        s2 = np.sin(phi) ** 2
+        return self.y0 * s2 / np.sqrt(self.kinv * (1.0 + s2))
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,25 @@ class ConformalProfileParams:
             out = self.C * np.exp(4.0 / g) / g ** 4 - self.kinv
         return out if out.shape else float(out)
 
+    def dt_dphi(self, phi):
+        """``|dt/dphi|`` along a collapsing branch, ``g = y0*sin(phi)``.
+
+        The first integral is written so that it does not cancel as
+        ``phi -> pi/2``: ``g'^2 = k*expm1(E)`` with ``k = 1/(1+a^2)`` and
+
+            E = 4/g - 4/y0 - 4*log(sin(phi))
+              = 4*cos^2(phi)/((1 + sin(phi))*y0*sin(phi)) - 2*log1p(-cos^2(phi)),
+
+        so ``|dt/dphi| = y0*cos(phi)/|g'|`` is evaluated as
+        ``y0/sqrt(k*expm1(E)/cos^2(phi))``, which tends to
+        ``y0/sqrt(k*(4/y0 + 2))`` as ``phi -> pi/2``.  Toward ``phi = 0``,
+        ``expm1(E)`` overflows to inf and the value to 0.
+        """
+        sin, cos2 = np.sin(phi), np.cos(phi) ** 2
+        with np.errstate(over="ignore", divide="ignore"):
+            e = 4.0 * cos2 / ((1.0 + sin) * self.y0 * sin) - 2.0 * np.log1p(-cos2)
+            return self.y0 / np.sqrt(self.kinv * np.expm1(e) / cos2)
+
 
 ProfileParams = Union[MinimalProfileParams, GrimReaperParams, ConformalProfileParams]
 
@@ -202,6 +236,30 @@ def first_integral_defect(p: Union[MinimalProfileParams, ConformalProfileParams]
     collapsing profile, at one state or at arrays of states: minimal
     ``m/g^4 - 1/(c^2+1)``, conformal ``C*e^{4/g}/g^4 - 1/(1+a^2)``."""
     return gp * gp - p.first_integral_rhs(g)
+
+
+class _Hermite:
+    """Piecewise cubic Hermite interpolant through ``(x, y)`` with slopes
+    ``dydx``, on strictly increasing ``x``.
+
+    The coefficients and the evaluation are scipy's ``CubicHermiteSpline``
+    (a ``PPoly``) operation for operation, so the values are the same bits:
+    a query ``q`` falls in the interval ``x[i] <= q < x[i+1]`` (the last one
+    also holds ``x[-1]``), and the cubic in ``s = q - x[i]`` is summed from
+    the constant term up."""
+
+    def __init__(self, x, y, dydx) -> None:
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+
+    def __call__(self, q):
+        i = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, len(self.x) - 2)
+        s = q - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,8 +319,8 @@ class ProfileSolution:
 
     def _ensure_splines(self) -> None:
         if self._g_spline is None:
-            self._g_spline = CubicHermiteSpline(self.t, self.g, self.gp)
-            self._gp_spline = CubicHermiteSpline(self.t, self.gp, self.gpp_nodes())
+            self._g_spline = _Hermite(self.t, self.g, self.gp)
+            self._gp_spline = _Hermite(self.t, self.gp, self.gpp_nodes())
 
     def _check_range(self, t) -> np.ndarray:
         q = np.asarray(t, dtype=float)
@@ -351,6 +409,73 @@ def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
     return min(100.0 * h0, h1, span, max_step)
 
 
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method, as scipy's C
+    ``brentq`` runs it, on Python floats: the same endpoint-zero and sign
+    rules, the same choice between inverse interpolation, extrapolation and
+    bisection, and at most 100 iterations.  Raises ``ValueError`` when the
+    endpoint values share a sign or ``f`` returns NaN, and ``RuntimeError``
+    when the iterations run out."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN step, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("brentq failed to converge after 100 iterations")
+
+
+# Nodes and weights of the 40-point Gauss--Legendre rule on [-1, 1].
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
+
+
+def _gauss(f, a: float, b: float) -> float:
+    """``integral_a^b f`` by the 40-node Gauss--Legendre rule; ``f`` maps an
+    array of abscissae to an array of values."""
+    half = 0.5 * (b - a)
+    return half * float(_GL_W @ f(a + half * (_GL_X + 1.0)))
+
+
 def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, ya, yb)`` toward
     ``t_bound`` by scipy's RK45 algorithm, on Python floats.
@@ -363,13 +488,15 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     ``ZeroDivisionError`` or ``OverflowError`` counts as an infinite error,
     so its step is rejected and shrinks, as a non-finite stage's is.  Each
     ``stop(a, b)`` ends the branch where it crosses zero downward within a
-    step: ``brentq`` locates the crossing on the quartic dense output and the
+    step: :func:`_brentq` locates the crossing on the quartic dense output and the
     first one in the direction of integration is kept.
 
     Returns the node abscissae and the two state components as lists from
     ``t = 0`` outward, and a status: 0 when ``t_bound`` was reached (at once
-    if it is 0), 1 when a stop ended the branch at its last node, -1 when the
-    step fell below its floor or ``MAX_BRANCH_STEPS`` steps were attempted.
+    if it is 0), 1 when a stop ended the branch at its last node (an
+    accepted node when Brent returns the step's left end, the crossing then
+    lying within its ``xtol``), -1 when the step fell below its floor or
+    ``MAX_BRANCH_STEPS`` steps were attempted.
     """
     t = 0.0
     ts, as_, bs = [t], [ya], [yb]
@@ -448,9 +575,11 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
                 return (ya + h * sum(q * v for q, v in zip(qa, p)),
                         yb + h * sum(q * v for q, v in zip(qb, p)))
 
-            roots = [brentq(lambda s: stop(*dense(s)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+            roots = [_brentq(lambda s: stop(*dense(s)), t, t_new, 4 * _EPS, 4 * _EPS)
                      for stop in crossed]
             root = min(roots) if d > 0.0 else max(roots)
+            if root == t:  # the step is below Brent's xtol: the last node is the stop
+                return ts, as_, bs, 1
             a, b = dense(root)
             ts.append(root)
             as_.append(a)
@@ -476,16 +605,12 @@ def _integrate_branches(rhs, ic, t_lo, t_hi, stops, rtol, atol, max_step):
 
 
 def _blowup_tail(params, g_stop: float) -> float:
-    """Remaining abscissa from the stopped state to the collapse, computed by
-    quadrature of ``dt = dg / sqrt(first-integral rhs)`` on (0, g_stop]."""
-
-    def integrand(x: float) -> float:
-        with np.errstate(over="ignore", divide="ignore"):
-            v = params.first_integral_rhs(x)
-            return 0.0 if not np.isfinite(v) else 1.0 / math.sqrt(v)
-
-    val, _ = quad(integrand, 0.0, g_stop, epsabs=1e-15, epsrel=1e-10, limit=200)
-    return val
+    """Remaining abscissa from the stopped state at height ``g_stop`` to the
+    collapse: ``integral_0^{g_stop} dg/|g'|`` over the first integral, by
+    quadrature in ``phi`` with ``g = y0*sin(phi)``.  In ``phi`` the integrand
+    (``params.dt_dphi``) is smooth up to ``g = y0``, where ``|g'|`` vanishes,
+    so the rule holds its accuracy however close to ``y0`` the stop lies."""
+    return _gauss(params.dt_dphi, 0.0, math.asin(min(1.0, g_stop / params.y0)))
 
 
 def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
@@ -494,6 +619,10 @@ def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
         return gp, params.gpp(t, g, gp)
 
     stops = [_height_stop(eps_g), _speed_stop(m_stop)]
+    if not params.y0 > eps_g:
+        raise ParameterError(
+            f"initial height y0 = {params.y0!r} must lie above the height stop eps_g = {eps_g!r}"
+        )
     t, (g, gp), (right, left) = _integrate_branches(
         rhs, (params.y0, 0.0), -horizon, horizon, stops, rtol, atol, max_step
     )
@@ -622,25 +751,12 @@ def minimal_halfwidth_quadrature(c: float, y0: float) -> float:
 
 
 def conformal_halfwidth_quadrature(a: float, y0: float) -> float:
-    """Collapse half-width of the conformal profile by direct quadrature;
-    the substitution ``g = y0*sin(phi)`` removes the integrable endpoint
-    singularity at ``g = y0``."""
-    p = ConformalProfileParams(a=a, y0=y0)
-
-    def integrand(phi: float) -> float:
-        gg = y0 * math.sin(phi)
-        if gg <= 0.0:
-            return 0.0
-        with np.errstate(over="ignore", divide="ignore"):
-            v = p.first_integral_rhs(gg)
-        if not np.isfinite(v):
-            return 0.0
-        if v <= 0.0:  # rounding at the phi = pi/2 endpoint
-            return 0.0
-        return y0 * math.cos(phi) / math.sqrt(v)
-
-    val, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-11, limit=200)
-    return val
+    """Collapse half-width of the conformal profile,
+    ``r = integral_0^{y0} dg / sqrt(C*e^{4/g}/g^4 - 1/(1+a^2))``, by
+    Gauss--Legendre quadrature in ``phi`` with ``g = y0*sin(phi)``, which
+    removes the endpoint singularity at ``g = y0``
+    (:meth:`ConformalProfileParams.dt_dphi`)."""
+    return _blowup_tail(ConformalProfileParams(a=a, y0=y0), y0)
 
 
 @dataclass(frozen=True, slots=True)

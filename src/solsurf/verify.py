@@ -39,6 +39,7 @@ from .lie_halfspace import (
 from .profile_odes import (
     ConformalProfileParams,
     MinimalProfileParams,
+    conformal_halfwidth_quadrature,
     integrate_conformal_profile,
     integrate_minimal_profile,
     minimal_halfwidth_quadrature,
@@ -220,14 +221,19 @@ def _check_minimal_symmetry() -> Measurement:
     return v.symmetry_defect, "even profile, concave, maximal at t=0"
 
 
-def _check_minimal_halfwidth() -> Measurement:
-    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
-    r_quad = minimal_halfwidth_quadrature(0.0, 1.0)
+def _halfwidth_defect(sol, r: float, detail: str) -> Measurement:
+    """Worst distance of the two blow-up abscissae of ``sol`` from ``+-r``."""
     right = sol.events.right_blowup_t
     left = sol.events.left_blowup_t
     if right is None or left is None:
         return math.inf, "a branch did not reach collapse"
-    return float(np.max(np.abs([right - r_quad, left + r_quad]))), f"quadrature half-width r = {r_quad:.10f}"
+    return float(np.max(np.abs([right - r, left + r]))), f"{detail} r = {r:.10f}"
+
+
+def _check_minimal_halfwidth() -> Measurement:
+    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
+    return _halfwidth_defect(sol, minimal_halfwidth_quadrature(0.0, 1.0),
+                             "closed-form half-width")
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,12 @@ def _check_conformal_first_integral() -> Measurement:
         return math.inf, "reconstructed constant is not e^-4"
     sol = integrate_conformal_profile(p)
     return sol.conserved_max_defect, "C = e^-4 reconstructed from the initial state"
+
+
+def _check_conformal_halfwidth() -> Measurement:
+    sol = integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0))
+    return _halfwidth_defect(sol, conformal_halfwidth_quadrature(0.0, 1.0),
+                             "quadrature half-width")
 
 
 def _check_conformal_not_minimal() -> Measurement:
@@ -450,6 +462,7 @@ _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
     ("grim_reaper.residual", 5, "<=", 1e-6, _check_reaper_residual),
     ("conformal.residual", 6, "<=", 1e-6, _check_conformal_residual),
     ("conformal.first_integral", 6, "<=", 1e-8, _check_conformal_first_integral),
+    ("conformal.halfwidth", 6, "<=", 1e-6, _check_conformal_halfwidth),
     ("conformal.not_minimal", 6, ">", 1e-3, _check_conformal_not_minimal),
     ("reduced.first_kind", 7, "<=", 1e-10, _check_reduced_first_kind),
     ("reduced.second_kind", 7, "<=", 1e-10, _check_reduced_second_kind),

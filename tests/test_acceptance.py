@@ -78,6 +78,7 @@ def test_c06_conformal_cylinder(summary):
         {
             "conformal.residual": ("<=", 1e-6),
             "conformal.first_integral": ("<=", 1e-8),
+            "conformal.halfwidth": ("<=", 1e-6),
             "conformal.not_minimal": (">", 1e-3),
         },
     )

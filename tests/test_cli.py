@@ -201,6 +201,11 @@ def test_profile_determinism(tmp_path):
         ["profile", "--ode", "conformal", "--m-stop", "nan"],
         ["profile", "--ode", "minimal", "--eps-g", "-1"],
         ["profile", "--ode", "grim-reaper", "--eps-g", "nan"],
+        # y0 at or below the height stop eps_g = 1e-6
+        ["profile", "--ode", "minimal", "--y0", "1e-80"],
+        ["profile", "--ode", "minimal", "--y0", "1e-6"],
+        # no height stop, and m = 1e-320 is subnormal
+        ["profile", "--ode", "minimal", "--y0", "1e-80", "--eps-g", "0"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch):

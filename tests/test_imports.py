@@ -1,0 +1,24 @@
+"""The runtime needs numpy alone: scipy is a test dependency, the oracle the
+in-house interpolant, root finder and quadrature are checked against."""
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import solsurf.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_source_imports_no_scipy():
+    statement = re.compile(r"^\s*(from|import) scipy", re.MULTILINE)
+    assert [str(p) for p in (ROOT / "src").rglob("*.py") if statement.search(p.read_text())] == []

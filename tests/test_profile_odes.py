@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 from scipy.special import beta as euler_beta
 
 from solsurf import (
@@ -30,6 +32,10 @@ from solsurf.cli import main
 from solsurf.profile_odes import (
     MAX_BRANCH_STEPS,
     SLOPE_CAP,
+    _EPS,
+    _Hermite,
+    _blowup_tail,
+    _brentq,
     _dopri54,
     _height_stop,
     _speed_stop,
@@ -60,6 +66,72 @@ def test_conformal_halfwidth_frozen_anchor():
     # high-precision reference for a=0, y0=1, frozen from an independent
     # arbitrary-precision evaluation of the same integral
     assert abs(conformal_halfwidth_quadrature(0.0, 1.0) - 0.32014030485889) <= 1e-8
+
+
+def _quad_conformal_halfwidth(a, y0):
+    """The conformal half-width as scipy's adaptive ``quad`` computed it from
+    the first integral in its plain form, ``g = y0*sin(phi)``."""
+    p = ConformalProfileParams(a=a, y0=y0)
+
+    def integrand(phi):
+        with np.errstate(over="ignore", divide="ignore"):
+            v = p.first_integral_rhs(y0 * math.sin(phi))
+        if not 0.0 < v < math.inf:  # inf toward phi = 0, rounding at pi/2
+            return 0.0
+        return y0 * math.cos(phi) / math.sqrt(v)
+
+    return quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-11, limit=200)[0]
+
+
+def test_conformal_halfwidth_matches_quad():
+    """Gauss--Legendre on the non-cancelling integrand against adaptive
+    quadrature of the plain one (largest gap measured: 1.1e-13 relative)."""
+    for a in (0.0, 0.5, 1.0, 2.0):
+        for y0 in (0.3, 0.5, 1.0, 2.0, 3.0):
+            want = _quad_conformal_halfwidth(a, y0)
+            assert abs(conformal_halfwidth_quadrature(a, y0) - want) <= 1e-12 * want
+
+
+def _quad_tail(p, g_stop):
+    """The blow-up tail as scipy's adaptive ``quad`` computed it, in ``g``."""
+
+    def integrand(x):
+        with np.errstate(over="ignore", divide="ignore"):
+            v = p.first_integral_rhs(x)
+        return 0.0 if not np.isfinite(v) else 1.0 / math.sqrt(v)
+
+    return quad(integrand, 0.0, g_stop, epsabs=1e-15, epsrel=1e-10, limit=200)[0]
+
+
+@pytest.mark.parametrize("p", [MinimalProfileParams(0.0, 1.0), MinimalProfileParams(1.0, 2.0),
+                               ConformalProfileParams(0.0, 1.0), ConformalProfileParams(2.0, 0.3)],
+                         ids=repr)
+def test_blowup_tail_matches_quad(p):
+    # largest gaps measured: 2.0e-15 (minimal), 8.5e-14 (conformal) relative
+    for g_stop in (1e-6, 1e-3, 0.05):
+        want = _quad_tail(p, g_stop)
+        assert abs(_blowup_tail(p, g_stop) - want) <= 1e-13 * want
+
+
+def test_minimal_tail_from_the_top_is_the_closed_form():
+    """A minimal tail that starts at ``g = y0`` spans the whole half-width,
+    which has a closed form the quadrature never sees."""
+    for c, y0 in ((0.0, 1.0), (1.0, 2.0), (3.0, 0.25)):
+        want = minimal_halfwidth_quadrature(c, y0)
+        assert abs(_blowup_tail(MinimalProfileParams(c, y0), y0) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("eps_g", [0.5, 0.9, 0.99, 0.999999])
+def test_height_stop_near_y0_keeps_the_halfwidth(eps_g):
+    """A height stop just below ``y0`` leaves a tail whose integrand in ``g``
+    is singular at its upper end; the blow-up must still land on the
+    half-width (measured within 2e-11)."""
+    for sol, r in ((integrate_minimal_profile(MinimalProfileParams(0.0, 1.0), eps_g=eps_g),
+                    minimal_halfwidth_quadrature(0.0, 1.0)),
+                   (integrate_conformal_profile(ConformalProfileParams(0.0, 1.0), eps_g=eps_g),
+                    conformal_halfwidth_quadrature(0.0, 1.0))):
+        assert abs(sol.events.right_blowup_t - r) <= 1e-10
+        assert abs(sol.events.left_blowup_t + r) <= 1e-10
 
 
 # --- minimal profile -------------------------------------------------------
@@ -116,6 +188,27 @@ def test_interpolation_between_nodes_conserves(minimal_sol):
     g, gp = sol.eval_g(mids[keep]), sol.eval_gp(mids[keep])
     raw = gp * gp - p.first_integral_rhs(g)
     assert np.max(np.abs(raw) / np.maximum(1.0, gp * gp)) <= 1e-6
+
+
+HERMITE_PROFILES = {
+    "minimal": lambda: integrate_minimal_profile(MinimalProfileParams(0.0, 1.0)),
+    "conformal": lambda: integrate_conformal_profile(ConformalProfileParams(0.0, 1.0)),
+    "reaper-lam10": lambda: integrate_grim_reaper(GrimReaperParams(lam=10.0), (-40.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(HERMITE_PROFILES))
+def test_hermite_is_bitwise_cubic_hermite_spline(name):
+    """The interpolant gives scipy's CubicHermiteSpline values bit for bit,
+    for g and g', at every node and at 100,001 points across the range,
+    array and scalar queries alike."""
+    sol = HERMITE_PROFILES[name]()
+    q = np.concatenate([sol.t, np.linspace(sol.t[0], sol.t[-1], 100001)])
+    for y, dydx, public in ((sol.g, sol.gp, sol.eval_g), (sol.gp, sol.gpp_nodes(), sol.eval_gp)):
+        want = CubicHermiteSpline(sol.t, y, dydx)(q)
+        assert np.array_equal(_Hermite(sol.t, y, dydx)(q), want)
+        assert np.array_equal(public(q), want)
+        assert [public(float(x)) for x in q[::9973]] == want[::9973].tolist()
 
 
 def test_eval_outside_range_raises(minimal_sol):
@@ -385,6 +478,56 @@ def test_stepper_matches_rk45(case):
             assert np.max(np.abs(sol.eval_g(q[keep]) - ref.y[0][keep])) <= 1e-9
 
 
+def _brackets(rng, n):
+    """``n`` random functions with a bracketed root: monotone mixtures of tanh
+    and a cubic, and products with an exponential, on random brackets."""
+    for i in range(n):
+        r, a, b, c = rng.uniform(-1.0, 1.0), *rng.uniform(0.1, 20.0, size=2), rng.normal()
+        lo, hi = r - rng.uniform(1e-3, 2.0), r + rng.uniform(1e-3, 2.0)
+        if i % 2:
+            yield (lambda x, r=r, a=a, b=b: math.tanh(a * (x - r)) + b * (x - r) ** 3), lo, hi
+        else:
+            yield (lambda x, r=r, c=c: (x - r) * math.exp(c * x)), lo, hi
+
+
+def test_brentq_matches_scipy():
+    """Brent's method returns scipy's float on 1,200 random brackets, at the
+    stepper's tolerances and at scipy's defaults, and keeps its endpoint
+    and sign rules."""
+    rng = np.random.default_rng(7)
+    for xtol, rtol in ((4 * _EPS, 4 * _EPS), (2e-12, 4 * _EPS)):
+        for f, lo, hi in _brackets(rng, 600):
+            assert _brentq(f, lo, hi, xtol, rtol) == brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 4 * _EPS) == 1.0
+    assert _brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12, 4 * _EPS) == 2.0
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12, 4 * _EPS)
+    with pytest.raises(ValueError):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 1.0, 0.0, 2.0, 1e-12, 4 * _EPS)
+
+
+# (c, y0) whose stop root fell within Brent's xtol of a step's left end: the
+# root came back as the last node, which was then appended a second time and
+# the profile refused as not strictly increasing.  These are all the failures
+# among 2,000 log-spaced y0 in [1e-3, 1e3] for c in {0, 1, 3}.
+STOP_AT_LAST_NODE = [
+    (0.0, 0.001256173203213155), (0.0, 0.0012648849508141065), (0.0, 0.0012736571156776364),
+    (1.0, 0.0011968480581780018), (1.0, 0.0012051483770933115), (1.0, 0.0012135062599522024),
+    (1.0, 0.004638025868558262), (1.0, 0.004670191266315677), (1.0, 0.014811031058413129),
+    (3.0, 0.0012824901168064279), (3.0, 0.01952744047636824),
+]
+
+
+@pytest.mark.parametrize("c,y0", STOP_AT_LAST_NODE)
+def test_stop_at_last_node_ends_the_branch(c, y0):
+    # blow-up within 2.4e-11 relative of the closed form, measured
+    sol = integrate_minimal_profile(MinimalProfileParams(c, y0))
+    r = minimal_halfwidth_quadrature(c, y0)
+    assert not sol.events.truncated
+    assert abs(sol.events.right_blowup_t - r) <= 1e-9 * r
+    assert abs(sol.events.left_blowup_t + r) <= 1e-9 * r
+
+
 def test_stage_arithmetic_failures_reject_steps():
     """Python floats raise where numpy scalars gave inf or nan.  A stage that
     divides by zero or overflows must count as a rejected step, so the
@@ -437,3 +580,8 @@ def test_parameter_validation():
         ConformalProfileParams(a=0.0, y0=-1.0)
     with pytest.raises(ParameterError):
         integrate_grim_reaper(GrimReaperParams(lam=0.0, k=1.0), span=(1.0, 5.0))
+    # a collapsing profile must start above its height stop
+    with pytest.raises(ParameterError, match=r"y0 = 1e-06 .* eps_g = 1e-06"):
+        integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1e-6))
+    with pytest.raises(ParameterError, match=r"y0 = 0.5 .* eps_g = 0.5"):
+        integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=0.5), eps_g=0.5)
