@@ -57,7 +57,7 @@ FAMILIES = {
     "minimal-cylinder": (lambda **kw: make_minimal_cylinder(**kw),
                          {**_DRIFT, "--y0": ("y0", "initial profile height"), **_S_RANGE}),
     "grim-reaper": (lambda **kw: make_grim_reaper(**kw), {
-        "--a": ("a_shift", "profile shift"), "--b": ("b_slope", "drift slope"),
+        "--b": ("b_slope", "drift slope"),
         "--lambda": ("lam", "initial profile slope"),
         "--k": (None, "not taken: k = 1/(b^2+1) comes from --b"),
         "--span": ("span", "profile span LO:HI"), **_S_RANGE}),

@@ -51,9 +51,10 @@ pointwise defect, :func:`first_integral_defect`, is also exposed.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -63,8 +64,6 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "EPS_G_DEFAULT",
     "M_STOP_DEFAULT",
-    "RTOL_DEFAULT",
-    "ATOL_DEFAULT",
     "SLOPE_CAP",
     "REAPER_SPAN_DEFAULT",
     "MAX_BRANCH_STEPS",
@@ -85,14 +84,16 @@ __all__ = [
 
 EPS_G_DEFAULT = 1e-6     # stop a branch once g drops below this
 M_STOP_DEFAULT = 1e6     # ... or |g'| exceeds this
-RTOL_DEFAULT = 1e-10
-ATOL_DEFAULT = 1e-12
 SLOPE_CAP = 1e3          # symmetry comparisons restricted to |g'| <= this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # Steps attempted per branch before it ends truncated, like a step that fell
 # below its floor.  The largest branch of the tests, the benchmark and verify
 # (the reaper at lam = 0.5 on -1000:1000) takes ~4.2k.
 MAX_BRANCH_STEPS = 1 << 16
+# (rtol, atol) of the stepper: the collapsing profiles', and the reaper's,
+# which are tighter (see integrate_grim_reaper).
+_COLLAPSE_TOL = (1e-10, 1e-12)
+_REAPER_TOL = (1e-12, 1e-13)
 
 
 def _check_collapse_params(p, slope: float, constant: str) -> None:
@@ -160,17 +161,19 @@ class MinimalProfileParams:
 @dataclass(frozen=True)
 class GrimReaperParams:
     """Parameters of the translator profile: the initial slope ``lam`` and
-    the drift constant ``k``.  The ODE is posed in ``v``; a surface that
-    shifts the profile evaluates it at ``v = a_shift + t``."""
+    the drift constant ``k``.  ``lam^2`` must be finite: the right-hand side
+    squares the slope, and with an infinite square no step succeeds."""
 
     lam: float = 0.5
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0.0:
-            raise ParameterError(f"initial slope must be nonnegative, got {self.lam!r}")
-        if not self.k > 0.0:
-            raise ParameterError(f"k must be positive, got {self.k!r}")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam * self.lam)):
+            raise ParameterError(
+                f"initial slope lam must be nonnegative with a finite square, got {self.lam!r}"
+            )
+        if not 0.0 < self.k < math.inf:
+            raise ParameterError(f"k must be positive and finite, got {self.k!r}")
 
     def gpp(self, v, g, gp):
         return -gp * (self.k + gp * gp) * 2.0 * v / (g * g)
@@ -274,9 +277,9 @@ class ProfileEvents:
 
 @dataclass(eq=False)
 class ProfileSolution:
-    """An integrated profile: node arrays, events, and the conservation
-    monitor.  Nodes are strictly increasing in ``t`` with ``g > 0``
-    everywhere, and the arrays are read-only.
+    """An integrated profile: node arrays, events, and the per-node
+    conservation monitor.  Nodes are strictly increasing in ``t`` with
+    ``g > 0`` everywhere, and the arrays are read-only.
 
     Between nodes, ``g`` and ``g'`` come from cubic Hermite interpolation
     (the stored derivatives are the exact nodal slopes) and ``g''`` is
@@ -290,9 +293,6 @@ class ProfileSolution:
     gp: np.ndarray
     events: ProfileEvents
     node_defect: np.ndarray
-    conserved_max_defect: float
-    _g_spline: object = field(default=None, init=False, repr=False)
-    _gp_spline: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("t", "g", "gp", "node_defect"):
@@ -314,40 +314,40 @@ class ProfileSolution:
             return "grim_reaper"
         return "conformal"
 
+    @property
+    def conserved_max_defect(self) -> float:
+        """``max|node_defect|``: 0 for the reaper, which has no monitor."""
+        return float(np.max(np.abs(self.node_defect)))
+
     def gpp_nodes(self) -> np.ndarray:
         return self.params.gpp(self.t, self.g, self.gp)
 
-    def _ensure_splines(self) -> None:
-        if self._g_spline is None:
-            self._g_spline = _Hermite(self.t, self.g, self.gp)
-            self._gp_spline = _Hermite(self.t, self.gp, self.gpp_nodes())
+    @functools.cached_property
+    def _splines(self):
+        """The interpolants of ``g`` and of ``g'``, built on first use."""
+        return _Hermite(self.t, self.g, self.gp), _Hermite(self.t, self.gp, self.gpp_nodes())
 
-    def _check_range(self, t) -> np.ndarray:
+    def _eval(self, t, f):
+        """``f`` at the abscissae ``t``, a float for a scalar ``t``; raises
+        :class:`DomainError` if any lies outside the nodes."""
         q = np.asarray(t, dtype=float)
         if np.any(q < self.t[0]) or np.any(q > self.t[-1]):
             raise DomainError(
                 f"query outside the integrated range "
                 f"[{float(self.t[0])!r}, {float(self.t[-1])!r}]"
             )
-        return q
+        out = f(q)
+        return out if out.shape else float(out)
 
     def eval_g(self, t):
-        q = self._check_range(t)
-        self._ensure_splines()
-        out = self._g_spline(q)
-        return out if out.shape else float(out)
+        return self._eval(t, self._splines[0])
 
     def eval_gp(self, t):
-        q = self._check_range(t)
-        self._ensure_splines()
-        out = self._gp_spline(q)
-        return out if out.shape else float(out)
+        return self._eval(t, self._splines[1])
 
     def eval_gpp(self, t):
-        q = self._check_range(t)
-        self._ensure_splines()
-        out = self.params.gpp(q, self._g_spline(q), self._gp_spline(q))
-        return out if out.shape else float(out)
+        g, gp = self._splines
+        return self._eval(t, lambda q: self.params.gpp(q, g(q), gp(q)))
 
 
 def _height_stop(eps_g: float):
@@ -593,12 +593,13 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
             return ts, as_, bs, 0
 
 
-def _integrate_branches(rhs, ic, t_lo, t_hi, stops, rtol, atol, max_step):
+def _integrate_branches(rhs, ic, t_lo, t_hi, stops, tol, max_step):
     """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, *ic)`` toward t_hi and
-    toward t_lo; return the merged node abscissae and state rows and the
-    :func:`_dopri54` status of each branch, ``(right, left)``."""
-    rt, ra, rb, right = _dopri54(rhs, *ic, t_hi, stops, rtol, atol, max_step)
-    lt, la, lb, left = _dopri54(rhs, *ic, t_lo, stops, rtol, atol, max_step)
+    toward t_lo at ``tol = (rtol, atol)``; return the merged node abscissae
+    and state rows and the :func:`_dopri54` status of each branch,
+    ``(right, left)``."""
+    rt, ra, rb, right = _dopri54(rhs, *ic, t_hi, stops, *tol, max_step)
+    lt, la, lb, left = _dopri54(rhs, *ic, t_lo, stops, *tol, max_step)
     t = np.array(lt[::-1] + rt[1:])
     y = np.array([la[::-1] + ra[1:], lb[::-1] + rb[1:]])
     return t, y, (right, left)
@@ -613,7 +614,7 @@ def _blowup_tail(params, g_stop: float) -> float:
     return _gauss(params.dt_dphi, 0.0, math.asin(min(1.0, g_stop / params.y0)))
 
 
-def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
+def _collapse_solution(params, eps_g, m_stop, horizon, max_step):
     """Shared driver for the two collapsing (minimal/conformal) profiles."""
     def rhs(t, g, gp):
         return gp, params.gpp(t, g, gp)
@@ -624,7 +625,7 @@ def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
             f"initial height y0 = {params.y0!r} must lie above the height stop eps_g = {eps_g!r}"
         )
     t, (g, gp), (right, left) = _integrate_branches(
-        rhs, (params.y0, 0.0), -horizon, horizon, stops, rtol, atol, max_step
+        rhs, (params.y0, 0.0), -horizon, horizon, stops, _COLLAPSE_TOL, max_step
     )
     right_blowup = t[-1] + _blowup_tail(params, g[-1]) if right == 1 else None
     left_blowup = t[0] - _blowup_tail(params, g[0]) if left == 1 else None
@@ -637,7 +638,6 @@ def _collapse_solution(params, eps_g, m_stop, rtol, atol, horizon, max_step):
         gp=gp,
         events=ProfileEvents(left_blowup, right_blowup, truncated),
         node_defect=defect,
-        conserved_max_defect=float(np.max(np.abs(defect))),
     )
 
 
@@ -646,8 +646,6 @@ def integrate_minimal_profile(
     *,
     eps_g: float = EPS_G_DEFAULT,
     m_stop: float = M_STOP_DEFAULT,
-    rtol: float = RTOL_DEFAULT,
-    atol: float = ATOL_DEFAULT,
 ) -> ProfileSolution:
     """Integrate the minimal profile two-sided from t=0 until collapse.
 
@@ -655,7 +653,7 @@ def integrate_minimal_profile(
     ``+-r`` with ``r`` matching :func:`minimal_halfwidth_quadrature`.
     """
     horizon = 2.0 * p.y0 * math.sqrt(p.c * p.c + 1.0) + 1.0
-    return _collapse_solution(p, eps_g, m_stop, rtol, atol, horizon, p.y0 / 20.0)
+    return _collapse_solution(p, eps_g, m_stop, horizon, p.y0 / 20.0)
 
 
 def integrate_conformal_profile(
@@ -663,12 +661,10 @@ def integrate_conformal_profile(
     *,
     eps_g: float = EPS_G_DEFAULT,
     m_stop: float = M_STOP_DEFAULT,
-    rtol: float = RTOL_DEFAULT,
-    atol: float = ATOL_DEFAULT,
 ) -> ProfileSolution:
     """Integrate the conformal profile two-sided from t=0 until collapse."""
     horizon = 2.0 * p.y0 * math.sqrt(p.a * p.a + 1.0) + 1.0
-    return _collapse_solution(p, eps_g, m_stop, rtol, atol, horizon, p.y0 / 20.0)
+    return _collapse_solution(p, eps_g, m_stop, horizon, p.y0 / 20.0)
 
 
 def integrate_grim_reaper(
@@ -676,8 +672,6 @@ def integrate_grim_reaper(
     span: tuple = REAPER_SPAN_DEFAULT,
     *,
     eps_g: float = EPS_G_DEFAULT,
-    rtol: float = 1e-12,
-    atol: float = 1e-13,
 ) -> ProfileSolution:
     """Integrate the translator profile over ``span`` (which must contain 0).
 
@@ -697,10 +691,11 @@ def integrate_grim_reaper(
     rejected): ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
     underflow to 0 far out).  ``max_step`` is ``min(0.25, span/40)``, so a
     span beyond about +-16000 runs into ``MAX_BRANCH_STEPS`` and comes back
-    truncated.  The tolerances are tighter than the collapsing
-    profiles': with fewer nodes, the Hermite interpolant's error in ``g`` at
-    lam = 10 on -40:40 is 1.8e-7 at ``rtol = 1e-10`` and 1.3e-8 at these
-    defaults, against a DOP853 reference at rtol 1e-13.
+    truncated.  The tolerances (``rtol = 1e-12``, ``atol = 1e-13``) are
+    tighter than the collapsing profiles': with fewer nodes, the Hermite
+    interpolant's error in ``g`` at lam = 10 on -40:40 is 1.8e-7 at
+    ``rtol = 1e-10`` and 1.3e-8 at these, against a DOP853 reference at
+    rtol 1e-13.
 
     ``lam = 0`` yields the constant solution ``g == 1`` node-for-node (``g'``
     is ``0*e^w`` at every stage, so the stepper preserves ``g`` exactly);
@@ -721,7 +716,7 @@ def integrate_grim_reaper(
         return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
 
     t, (g, w), (right, left) = _integrate_branches(
-        rhs, (1.0, 0.0), lo, hi, [_height_stop(eps_g)], rtol, atol, max_step
+        rhs, (1.0, 0.0), lo, hi, [_height_stop(eps_g)], _REAPER_TOL, max_step
     )
     truncated = right != 0 or left != 0
     return ProfileSolution(
@@ -731,7 +726,6 @@ def integrate_grim_reaper(
         gp=np.array([slope(x) for x in w.tolist()]),
         events=ProfileEvents(None, None, truncated),
         node_defect=np.zeros_like(t),
-        conserved_max_defect=0.0,
     )
 
 
@@ -762,21 +756,16 @@ def conformal_halfwidth_quadrature(a: float, y0: float) -> float:
 @dataclass(frozen=True, slots=True)
 class QualitativeVerdict:
     """Shape facts measured on an integrated profile (all fields are computed
-    for every family; which ones are meaningful depends on the family)."""
+    for every family; which ones are meaningful depends on the family).
+    What the solution already holds, its events and ``g`` range, is read
+    from it."""
 
     constancy_defect: float
     monotone_nondecreasing: bool
-    increasing_overall: bool
     concave: bool
     convex_then_concave: bool
     symmetry_defect: float
     max_at_zero: bool
-    bounded: bool
-    g_min: float
-    g_max: float
-    blowup_left: bool
-    blowup_right: bool
-    truncated: bool
 
 
 def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
@@ -797,7 +786,6 @@ def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
 
     slack = 1e-13 * np.maximum(1.0, np.abs(g[:-1]))
     monotone = bool(np.all(np.diff(g) >= -slack) and np.all(gp >= -1e-13))
-    increasing = monotone and g[-1] > g[0]
 
     gpp = sol.gpp_nodes()
     concave = bool(np.all(gpp < 0.0))
@@ -824,21 +812,12 @@ def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
                 defect = float(np.max(np.abs(g_left[ok] - g_right[ok])))
 
     max_at_zero = bool(g0 >= np.max(g) - 1e-12 * max(1.0, g0))
-    g_min, g_max = float(np.min(g)), float(np.max(g))
-    bounded = bool(math.isfinite(g_max) and g_min > 0.0)
 
     return QualitativeVerdict(
         constancy_defect=constancy,
         monotone_nondecreasing=monotone,
-        increasing_overall=increasing,
         concave=concave,
         convex_then_concave=convex_then_concave,
         symmetry_defect=defect,
         max_at_zero=max_at_zero,
-        bounded=bounded,
-        g_min=g_min,
-        g_max=g_max,
-        blowup_left=sol.events.left_blowup_t is not None,
-        blowup_right=sol.events.right_blowup_t is not None,
-        truncated=sol.events.truncated,
     )

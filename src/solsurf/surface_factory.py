@@ -144,9 +144,13 @@ class SurfaceFamily:
 
 
 def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
+    """``rng`` as floats ``lo < hi`` whose width ``hi - lo`` is finite too:
+    grid nodes are spaced by it, and an overflowed width makes them NaN."""
     lo, hi = float(rng[0]), float(rng[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ParameterError(f"{name} must be a finite increasing pair, got {rng!r}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ParameterError(
+            f"{name} must be a finite increasing pair with a finite width, got {rng!r}"
+        )
     return lo, hi
 
 
@@ -216,18 +220,19 @@ def make_vertical_plane(
     """The vertical plane y = c*x + d + b: X(s, t) = (s, c*s + d + b, t).
 
     ``d`` is the intercept of the generating line and ``b`` the transverse
-    offset of the construction; only their sum moves the plane, but they play
-    different roles in the reduced residual equations, so both are kept.
+    offset of the construction.  Only their sum moves the plane, and the
+    reduced residual equations read them only as ``f + b``, so only ``d + b``
+    matters; both are kept because verify's ``plane.residuals`` row builds
+    each plane once as given and once with ``b = -d``.
     """
     return _second_kind_family(
         FamilyTag.VERTICAL_PLANE, {"c": c, "d": d, "b": b}, _linear_jet(c, d), b, s_range, t_range
     )
 
 
-def _profile_g_jet(sol: ProfileSolution, shift: float = 0.0) -> Callable[[float], ScalarJet2]:
+def _profile_g_jet(sol: ProfileSolution) -> Callable[[float], ScalarJet2]:
     def fn(t):
-        v = shift + t
-        return ScalarJet2(sol.eval_g(v), sol.eval_gp(v), sol.eval_gpp(v))
+        return ScalarJet2(sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t))
 
     return fn
 
@@ -253,36 +258,27 @@ def make_minimal_cylinder(
     )
 
 
-def _unshifted_range(v_lo: float, v_hi: float, shift: float) -> Tuple[float, float]:
-    """The ``t`` interval whose image ``shift + t`` lies in [v_lo, v_hi].
-    ``v - shift`` alone can round so that ``shift + t`` lands one ulp
-    outside, where the profile cannot be evaluated."""
-    t_lo, t_hi = v_lo - shift, v_hi - shift
-    while shift + t_lo < v_lo:
-        t_lo = math.nextafter(t_lo, math.inf)
-    while shift + t_hi > v_hi:
-        t_hi = math.nextafter(t_hi, -math.inf)
-    return t_lo, t_hi
-
-
 def make_grim_reaper(
     lam: float = GrimReaperParams.lam,
     b_slope: float = 0.0,
-    a_shift: float = 0.0,
     span: Tuple[float, float] = REAPER_SPAN_DEFAULT,
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
-    """Translating surface: f(s) = b_slope*s + a_shift and g(t) the reaper
-    profile evaluated at v = a_shift + t, with k = 1/(b_slope^2 + 1)."""
+    """Translating surface: f(s) = b_slope*s and g(t) the reaper profile,
+    with k = 1/(b_slope^2 + 1).
+
+    A shift ``a`` of the profile, ``X(s, t; a) = (s, t + b*s + a, g(a + t))``,
+    is this surface with ``t`` relabelled, ``X(s, t; a) = X(s, t + a; 0)``,
+    so the family takes none."""
     k = 1.0 / (b_slope * b_slope + 1.0)
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=k), span=span)
     return SurfaceFamily(
         FamilyTag.GRIM_REAPER,
-        {"lam": lam, "b_slope": b_slope, "a_shift": a_shift, "k": k},
+        {"lam": lam, "b_slope": b_slope, "k": k},
         _check_range("s_range", s_range),
-        _unshifted_range(float(sol.t[0]), float(sol.t[-1]), a_shift),
-        _linear_jet(b_slope, a_shift),
-        _profile_g_jet(sol, shift=a_shift),
+        (float(sol.t[0]), float(sol.t[-1])),
+        _linear_jet(b_slope, 0.0),
+        _profile_g_jet(sol),
         profile=sol,
     )
 

@@ -1,5 +1,7 @@
-"""The benchmark's layer tracer binds package functions by name; a refactor
-that renames or removes one must fail here, not in a traced benchmark run."""
+"""The benchmark binds package functions by name: the layer tracer wraps
+them, and the output checker rebuilds each command's surface through the
+public constructors.  A refactor that renames or removes one, or changes a
+signature the benchmark calls, must fail here, not in a benchmark run."""
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +9,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs():
-    code = (
-        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-        "import tracer; tracer.install(tracer.Tracer())"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "bench"), str(ROOT / "src")],
+def _run_in_bench(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``bench/`` and ``src/`` first
+    on the path, as the benchmark's children run."""
+    prelude = "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code, str(ROOT / "bench"), str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_tracer_installs():
+    proc = _run_in_bench("import tracer; tracer.install(tracer.Tracer())")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_checker_rebuilds_every_surface():
+    """``checks.family_of`` rebuilds the surface of every residual and mesh
+    command of the sweep and mesh workloads."""
+    proc = _run_in_bench(
+        "import checks, workloads; "
+        "cmds = workloads.build('sweep', 0) + workloads.build('mesh', 0); "
+        "print(sorted({checks.family_of(c).name for c in cmds "
+        "if c['kind'] in ('residual', 'mesh')}))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "grim_reaper" in proc.stdout, proc.stdout

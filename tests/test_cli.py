@@ -166,6 +166,23 @@ def test_profile_determinism(tmp_path):
     assert (tmp_path / "a.events.txt").read_bytes() == (tmp_path / "b.events.txt").read_bytes()
 
 
+# argv (joined) -> what its refusal must say: the parameter and its value,
+# or for a flag the family does not take, the flags it does.
+REFUSALS = {
+    "residual --family grim-reaper --a 0.2 --mode translator":
+        "grim-reaper does not take --a; it takes --b, --lambda, --span, --s-range",
+    "residual --family horosphere --mode minimal --grid 3x3 --s-range=-1e308:1e308":
+        "s_range must be a finite increasing pair with a finite width, got (-1e+308, 1e+308)",
+    "residual --family horosphere --mode minimal --grid 3x3 --t-range=-1e308:1e308":
+        "t_range must be a finite increasing pair with a finite width, got (-1e+308, 1e+308)",
+    "profile --ode grim-reaper --lambda inf": "initial slope lam must be nonnegative "
+                                              "with a finite square, got inf",
+    "profile --ode grim-reaper --k inf": "k must be positive and finite, got inf",
+    "profile --ode grim-reaper --lambda 1e200": "initial slope lam must be nonnegative "
+                                                "with a finite square, got 1e+200",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -206,18 +223,32 @@ def test_profile_determinism(tmp_path):
         ["profile", "--ode", "minimal", "--y0", "1e-6"],
         # no height stop, and m = 1e-320 is subnormal
         ["profile", "--ode", "minimal", "--y0", "1e-80", "--eps-g", "0"],
+        # the grim-reaper surface takes no profile shift
+        ["residual", "--family", "grim-reaper", "--a", "0.2", "--mode", "translator"],
+        # finite ends whose width overflows
+        ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "3x3",
+         "--s-range=-1e308:1e308"],
+        ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "3x3",
+         "--t-range=-1e308:1e308"],
+        # reaper parameters the right-hand side cannot evaluate
+        ["profile", "--ode", "grim-reaper", "--lambda", "inf"],
+        ["profile", "--ode", "grim-reaper", "--k", "inf"],
+        ["profile", "--ode", "grim-reaper", "--lambda", "1e200"],
     ],
 )
-def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch):
+def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+    message = REFUSALS.get(" ".join(argv))
+    assert message is None or message in capsys.readouterr().err
 
 
 # For every flag of commands.ODES and commands.FAMILIES, a value that takes
-# effect: the profile files, or the mesh on a 3x3 grid, differ from those
-# written with no flags.  The value must clear whatever else would decide the
-# output: a conformal --eps-g of 1e-3 writes the default bytes, because the
-# speed stop ends each branch first, but 0.5 does not.
+# effect: the profile files, or the mesh on a 3x3 grid, differ in their
+# numbers from those written with no flags.  The value must clear whatever
+# else would decide the output: a conformal --eps-g of 1e-3 writes the
+# default bytes, because the speed stop ends each branch first, but 0.5 does
+# not.
 FLAG_VALUES = {
     ("profile", "minimal"): {"--c": "0.8", "--y0": "1.3", "--eps-g": "0.5", "--m-stop": "1e3"},
     ("profile", "grim-reaper"): {"--lambda": "1.5", "--k": "0.7", "--span": "-4:6",
@@ -228,7 +259,7 @@ FLAG_VALUES = {
                                  "--t-range": "1:2"},
     ("mesh", "minimal-cylinder"): {"--c": "0.5", "--d": "0.3", "--y0": "1.3",
                                    "--s-range": "-1:1"},
-    ("mesh", "grim-reaper"): {"--a": "0.2", "--b": "0.5", "--lambda": "1.5", "--span": "-4:6",
+    ("mesh", "grim-reaper"): {"--b": "0.5", "--lambda": "1.5", "--span": "-4:6",
                               "--s-range": "-1:1"},
     ("mesh", "conformal-cylinder"): {"--a": "0.3", "--y0": "0.9", "--s-range": "-1:1"},
 }
@@ -242,17 +273,33 @@ def _taken_flags():
                     yield cmd, name, flag
 
 
+def _moved(a: str, b: str) -> bool:
+    """Whether token ``b`` differs from ``a``: as numbers, by more than 1e-9
+    relative (absolute below 1); otherwise in any character."""
+    if a == b:
+        return False
+    try:
+        return not math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
+    except ValueError:
+        return True
+
+
 @pytest.mark.parametrize("cmd,name,flag", list(_taken_flags()))
 def test_every_flag_changes_the_output(tmp_path, cmd, name, flag):
-    """A flag a command accepts must change what it writes."""
+    """A flag a command accepts must change what it writes: the number of
+    rows, or some value by more than rounding.  Bytes alone are not enough:
+    a flag that only relabels the same numbers moves a last bit somewhere."""
     choice, extra = ("--ode", []) if cmd == "profile" else ("--family", ["--grid", "3x3"])
 
     def written(tag, *flags):
         out = str(tmp_path / tag)
         assert main([cmd, choice, name, *flags, *extra, "--out", out]) == 0
-        return [p.read_bytes() for p in sorted(tmp_path.glob(f"{tag}.*"))]
+        return [re.split(r"[\s,=]+", line) for p in sorted(tmp_path.glob(f"{tag}.*"))
+                for line in p.read_text().splitlines()]
 
-    assert written("given", flag, FLAG_VALUES[cmd, name][flag]) != written("default")
+    given, default = written("given", flag, FLAG_VALUES[cmd, name][flag]), written("default")
+    assert len(given) != len(default) or any(
+        len(g) != len(d) or any(map(_moved, g, d)) for g, d in zip(given, default))
 
 
 def test_refusal_names_flag_as_typed(capsys):

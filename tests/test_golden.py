@@ -23,7 +23,7 @@ FAMILY_ARGS = {
     "horosphere": ["--a", "0.7"],
     "vertical-plane": ["--d", "-0.5", "--b", "0.2"],
     "minimal-cylinder": [],
-    "grim-reaper": ["--lambda", "0.5", "--b", "0.5", "--a", "0.2"],
+    "grim-reaper": ["--lambda", "0.5", "--b", "0.5"],
     "conformal-cylinder": ["--a", "0.3"],
 }
 
@@ -66,16 +66,16 @@ RESIDUAL_SHA256 = {
         "da4a66ca8a6113d13db41f606c9dae9159d290d461f21f8f45036751daffa98d",
     ),
     ("grim-reaper", "minimal"): (
-        "d4738eabc8bc98126ec6c959980ee090c1a75a83c171ae94d4ae9c070ee53701",
-        "18e7d87830606b1f781f1f51d43bcc112a202310f646328f1b8154d65265f764",
+        "deff79995f94da0da0fd6ca7ef2ab3f78b158d52c85b83fe2994761372b60087",
+        "95b2fe209e13baa78caa50f0837764a3dd359b9b4a11564747ef0b112ce6b820",
     ),
     ("grim-reaper", "translator"): (
-        "66474ac887023a9803be601e428b14ae101ccf11ce9126d2100cbe697b069b24",
-        "d6259c36a504c37c48149a48db5ac8705706fed7c9a6eba2897c17ae49810cb6",
+        "8c7ff5ec5637879bada808f1a5d52b54d4ce42055f2f509a35d9c46ec808e4f8",
+        "2e628174d4d7e61d1dc4badb5007bb4f97983d523cb4250ae3b40817cfdd503e",
     ),
     ("grim-reaper", "conformal"): (
-        "b77e13b4000446c74cabd693a12c49b956022973ddcad99cbfa42f1fcf958ba5",
-        "ca27a94789602e1b39ad1bd50220f9b7aa8207a2852daa5481c9de5805dcb9fc",
+        "038cf8df043752018c30a1469fca77ac4b0b078be175313e12ae59c9390b2ef6",
+        "d6120233e99ee56e56a94fd1aeeb4c0856a51cde0ea3f397b87fb802aaa6e93a",
     ),
     ("conformal-cylinder", "minimal"): (
         "ea71b3efb3d5fc4bca198783f9f1e7f970dfc57b235437ab621870c3f07f9426",
@@ -95,7 +95,7 @@ RESIDUAL_SHA256 = {
 MESH_SHA256 = {
     "horosphere": "e95858e0a68d58c5b2e399f0b5b7b1e98bec8b79c1ec8f93d873dce385457900",
     "minimal-cylinder": "6a8e265903d890a7e54c5a489058be4d0b82bf6d8c5b7923f9ebc195cf447a3b",
-    "grim-reaper": "c3fe75a57d68cc858baccc78934daaa14e3077a9b457f52bf114f124fe50371d",
+    "grim-reaper": "8829ed797122e6fd419ea908ea41cf07335d7b21d44136d12e9d639dbeaae294",
 }
 
 
@@ -142,7 +142,7 @@ DEFAULTS_SHA256 = {
     "grim-reaper": (
         "translator",
         "d3ed06a65ba44ca736f82a3533c5100fa00a0d8b13d30db50d4ed92a6466a471",
-        "a970679c71141b1e9185850c2fdb9b7322bc2ffb06f43851ea54d3e9722d42a7",
+        "cf0581df31fdc32598480fdd120a9eb4622bf59bc3dd98c4c49f314b4e8a357c",
         "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (

@@ -32,6 +32,7 @@ from solsurf.cli import main
 from solsurf.profile_odes import (
     MAX_BRANCH_STEPS,
     SLOPE_CAP,
+    ProfileEvents,
     _EPS,
     _Hermite,
     _blowup_tail,
@@ -168,8 +169,10 @@ def test_minimal_initial_node_is_exact(minimal_sol):
 def test_minimal_verdict(minimal_sol):
     v = qualitative_verdict(minimal_sol)
     assert v.symmetry_defect <= 1e-8
-    assert v.concave and v.max_at_zero and v.bounded
-    assert v.blowup_left and v.blowup_right and not v.truncated
+    assert v.concave and v.max_at_zero
+    assert 0.0 < np.min(minimal_sol.g) and np.max(minimal_sol.g) < math.inf
+    ev = minimal_sol.events
+    assert ev.left_blowup_t is not None and ev.right_blowup_t is not None and not ev.truncated
     assert v.constancy_defect > 1e-12 and not v.monotone_nondecreasing
 
 
@@ -253,7 +256,8 @@ def test_conformal_blowup_and_monitor(conformal_sol):
 def test_conformal_verdict(conformal_sol):
     v = qualitative_verdict(conformal_sol)
     assert v.symmetry_defect <= 1e-8 and v.concave and v.max_at_zero
-    assert v.blowup_left and v.blowup_right
+    ev = conformal_sol.events
+    assert ev.left_blowup_t is not None and ev.right_blowup_t is not None
 
 
 def test_conformal_collapses_faster_than_minimal(minimal_sol, conformal_sol):
@@ -269,16 +273,16 @@ def test_reaper_constant_solution(reaper_const_sol):
     assert v.constancy_defect <= 1e-12
     assert np.all(reaper_const_sol.g == 1.0)
     assert np.all(reaper_const_sol.gp == 0.0)
-    assert not v.truncated
+    assert not reaper_const_sol.events.truncated
 
 
 def test_reaper_shape(reaper_sol):
     v = qualitative_verdict(reaper_sol)
-    assert v.monotone_nondecreasing and v.increasing_overall
+    assert v.monotone_nondecreasing and reaper_sol.g[-1] > reaper_sol.g[0]
     assert v.convex_then_concave
     assert not v.concave and v.constancy_defect > 1e-12 and not v.symmetry_defect <= 1e-8
-    assert v.bounded and not v.truncated
-    assert v.blowup_left is False and v.blowup_right is False
+    assert 0.0 < np.min(reaper_sol.g) and np.max(reaper_sol.g) < math.inf
+    assert reaper_sol.events == ProfileEvents(None, None, False)
 
 
 def test_reaper_inflection_exactly_at_zero(reaper_sol):
@@ -353,7 +357,7 @@ def test_reaper_matches_oracle(case):
 def test_reaper_shape_across_lambda(lam):
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=1.0), span=(-40.0, 40.0))
     v = qualitative_verdict(sol)
-    assert v.monotone_nondecreasing and v.convex_then_concave and not v.truncated
+    assert v.monotone_nondecreasing and v.convex_then_concave and not sol.events.truncated
     assert list(sol.gp[sol.t == 0.0]) == [lam] and np.all(sol.gp >= 0.0)
 
 
@@ -372,7 +376,7 @@ def test_reaper_steep_long_span_finishes():
 
     ref = _reaper_oracle(p, -100.0, "LSODA", jac=jac, rtol=1e-12, atol=1e-14)
     assert ref.status == 0
-    assert abs(qualitative_verdict(sol).g_min - ref.y[0][-1]) <= 1e-10
+    assert abs(np.min(sol.g) - ref.y[0][-1]) <= 1e-10
 
 
 def test_reaper_one_sided_span():
