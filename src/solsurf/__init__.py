@@ -39,7 +39,6 @@ from .soliton_residuals import (
     residual_report,
 )
 from .surface_factory import (
-    FamilyTag,
     GridSpec,
     SurfaceFamily,
     grid_axes,

@@ -25,6 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .errors import SamplingError
 from .surface_jets import (
     ScalarJet2,
     SurfaceJet2,
@@ -101,8 +102,9 @@ def reduced_residual_second_kind(
 @dataclass
 class ResidualReport:
     """Residuals sampled over a grid.  ``samples`` has columns (s, t, value),
-    sorted by (s, t); evaluation failures are kept separately.  ``params``
-    and the ranges are those of the family, which they identify."""
+    sorted by (s, t), and every value is finite; evaluation failures are
+    kept separately.  ``params`` and the ranges are those of the family,
+    which they identify."""
 
     mode: SolitonMode
     family: str
@@ -128,14 +130,33 @@ def residual_report(fam, mode: SolitonMode, grid) -> ResidualReport:
     """Sweep one residual over a family grid (margins per the family's
     blow-up flag) and collect the values.
 
-    Raises :class:`SamplingError` if no node can be evaluated at all.
+    A node whose residual is not finite (its fundamental forms overflow)
+    fails with that reason, beside the nodes :func:`sample_grid` fails;
+    ``failures`` stays row-major.  Raises :class:`SamplingError` if no node
+    gives a finite residual.
     """
-    from .surface_factory import sample_grid  # deferred: factory imports are heavy
+    # Looked up at call time, so that a tracer which rebinds
+    # ``surface_factory.sample_grid`` sees the sweeps made here.
+    from .surface_factory import sample_grid
 
     mode = SolitonMode(mode)
     (s, t, j), failures = sample_grid(fam, grid)
     S, T = np.meshgrid(s, t, indexing="ij")
-    arr = np.stack([S, T, residual(mode, j)], axis=-1).reshape(-1, 3)
+    r = residual(mode, j)
+    finite = np.isfinite(r)
+    if not finite.all():
+        failures = sorted(
+            failures + [(si, ti, f"residual is not finite: {v!r}")
+                        for si, ti, v in zip(S[~finite].tolist(), T[~finite].tolist(),
+                                             r[~finite].tolist())],
+            key=lambda f: (f[0], f[1]),
+        )
+        if not finite.any():
+            raise SamplingError(
+                f"no grid node of {fam.name!r} has a finite residual "
+                f"({len(failures)} failures), first (s, t, reason): {failures[0]}"
+            )
+    arr = np.stack([S, T, r], axis=-1)[finite]
     arr.setflags(write=False)
     return ResidualReport(
         mode=mode,

@@ -1,11 +1,11 @@
 """Constructors for the concrete surface families and grid sampling.
 
 Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
-parameters ``(s, t)``, the jets of its factor curves along each axis, and
-bookkeeping (parameter dict, the profile solution where one is involved, and
-whether the ``t`` extent is limited by profile collapse).  Grids evaluate
-each axis jet in one call on the whole axis (node by node only after that
-call raises a domain error) and build one jet for the whole grid.
+parameters ``(s, t)``, its two factor curves ``alpha(s)`` and ``beta(t)``,
+and bookkeeping (parameter dict and the profile solution where one is
+involved).  Grids evaluate each factor curve in one call on its whole axis
+(node by node only after that call raises a domain error) and build one jet
+for the whole grid.
 
 Families whose ``t`` extent ends at a collapse abscissa are flagged
 ``blowup_limited``; grids on those shrink the ``t`` interval by a relative
@@ -14,7 +14,6 @@ from the near-vertical ends where jets degrade.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
@@ -36,12 +35,10 @@ from .surface_jets import (
     CurveJet2,
     ScalarJet2,
     SurfaceJet2,
-    check_profile_value,
     product_surface_jet,
 )
 
 __all__ = [
-    "FamilyTag",
     "GridSpec",
     "SurfaceFamily",
     "make_horosphere",
@@ -55,16 +52,6 @@ __all__ = [
     "grid_axes",
     "sample_grid",
 ]
-
-
-class FamilyTag(enum.Enum):
-    HOROSPHERE = "horosphere"
-    VERTICAL_PLANE = "vertical_plane"
-    MINIMAL_CYLINDER = "minimal_cylinder"
-    GRIM_REAPER = "grim_reaper"
-    CONFORMAL_CYLINDER = "conformal_cylinder"
-    GENERIC_FIRST_KIND = "generic_first_kind"
-    GENERIC_SECOND_KIND = "generic_second_kind"
 
 
 # A 1001x1001 residual sweep takes ~2.6 s and ~400 MB peak on a 2-core x86
@@ -101,46 +88,37 @@ class GridSpec:
 @dataclass(eq=False)
 class SurfaceFamily:
     """A translation surface ``X(s, t) = alpha(s) * beta(t)``, the group
-    product of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
-    ``beta(t) = (0, eta*t, g(t))``.
+    product of its two factor curves.
 
-    ``_f_jet_fn(s)`` is the jet of ``f`` and ``_g_jet_fn(t)`` that of the
-    height ``g``; both take one abscissa or a 1-D array of them (one grid
-    axis).  ``eta`` is 1 for a first-kind family, ``X = (s, t + f(s), g(t))``
-    with a profile ``g``, and 0 for a second-kind one, ``X = (s, f(s) + b,
-    t)``, whose ``f`` has the offset ``b`` folded in and whose ``g(t) = t``.
-    ``jet(s, t)`` returns the full :class:`SurfaceJet2` at a point;
-    ``position`` is the bare embedding, convenient for finite-difference
-    cross-checks.
+    ``alpha(s)`` and ``beta(t)`` return the :class:`CurveJet2` of each factor
+    at one abscissa, or at every node of a grid axis (a 1-D array).  Every
+    family has a horospherical ``alpha(s) = (s, f(s), 1)``.  A first-kind
+    family has ``beta(t) = (0, t, g(t))`` with a profile ``g``, so ``X = (s,
+    t + f(s), g(t))``; a second-kind one has ``beta(t) = (0, 0, t)`` and the
+    offset ``b`` in ``f``, so ``X = (s, f(s) + b, t)``.  ``jet(s, t)``
+    returns the full :class:`SurfaceJet2` at a point; ``position`` is the
+    bare embedding, convenient for finite-difference cross-checks.
     """
 
-    tag: FamilyTag
+    name: str
     params: dict
     s_range: Tuple[float, float]
     t_range: Tuple[float, float]
-    _f_jet_fn: Callable[[float], ScalarJet2] = field(repr=False)
-    _g_jet_fn: Callable[[float], ScalarJet2] = field(repr=False)
-    eta: float = 1.0
-    blowup_limited: bool = False
+    alpha: Callable[[float], CurveJet2] = field(repr=False)
+    beta: Callable[[float], CurveJet2] = field(repr=False)
     profile: Optional[ProfileSolution] = None
 
     def jet(self, s: float, t: float) -> SurfaceJet2:
-        return self._product(s, self._f_jet_fn(s), t, self._g_jet_fn(t))
-
-    def _product(self, s, fj: ScalarJet2, t, gj: ScalarJet2) -> SurfaceJet2:
-        """``alpha(s) * beta(t)`` from the jets of ``f`` at ``s`` and of ``g``
-        at ``t``; the arguments broadcast as in :func:`first_kind_jet`."""
-        return product_surface_jet(
-            CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), fj),
-            CurveJet2.vertical(ScalarJet2(self.eta * t, self.eta, 0.0), gj),
-        )
+        return product_surface_jet(self.alpha(s), self.beta(t))
 
     def position(self, s: float, t: float) -> np.ndarray:
         return self.jet(s, t).X
 
     @property
-    def name(self) -> str:
-        return self.tag.value
+    def blowup_limited(self) -> bool:
+        """Whether the ``t`` extent ends where the profile collapses."""
+        ev = self.profile.events if self.profile is not None else None
+        return ev is not None and (ev.left_blowup_t, ev.right_blowup_t) != (None, None)
 
 
 def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
@@ -154,28 +132,42 @@ def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
     return lo, hi
 
 
-def _mapped(fn, op):
-    """Jet function ``x -> op(fn(x), x)``."""
-    return lambda x: op(fn(x), x)
+def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
+    """``alpha(s) = (s, f(s), 1)`` from the jet function of ``f``."""
+    return lambda s: CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), f(s))
+
+
+def _graph(g: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
+    """``beta(t) = (0, t, g(t))`` from the jet function of the height ``g``."""
+    return lambda t: CurveJet2.vertical(ScalarJet2(t, 1.0, 0.0), g(t))
+
+
+def _rising(t) -> CurveJet2:
+    """``beta(t) = (0, 0, t)``, the vertical line of a second-kind family."""
+    return CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0))
 
 
 def _second_kind_family(
-    tag: FamilyTag,
+    name: str,
     params: dict,
     f_jet_fn: Callable[[float], ScalarJet2],
     b: float,
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
 ) -> SurfaceFamily:
-    """A second-kind family: ``f + b`` against the height ``g(t) = t``.  Its
+    """A second-kind family: ``alpha`` from ``f + b``, ``beta`` rising.  Its
     t range must stay above the boundary plane, which keeps every sampled
     ``t`` positive."""
     t_lo, t_hi = _check_range("t_range", t_range)
     if not t_lo > 0.0:
         raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
-    offset = _mapped(f_jet_fn, lambda j, s: ScalarJet2(j.value + b, j.d1, j.d2))
-    return SurfaceFamily(tag, params, _check_range("s_range", s_range), (t_lo, t_hi), offset,
-                         _linear_jet(1.0, 0.0), eta=0.0)
+
+    def offset(s):
+        j = f_jet_fn(s)
+        return ScalarJet2(j.value + b, j.d1, j.d2)
+
+    return SurfaceFamily(name, params, _check_range("s_range", s_range), (t_lo, t_hi),
+                         _horospherical(offset), _rising)
 
 
 def _linear_jet(slope: float, intercept: float) -> Callable[[float], ScalarJet2]:
@@ -201,12 +193,12 @@ def make_horosphere(
     if not a > 0.0:
         raise ParameterError(f"height must be positive, got {a!r}")
     return SurfaceFamily(
-        FamilyTag.HOROSPHERE,
+        "horosphere",
         {"a": a},
         _check_range("s_range", s_range),
         _check_range("t_range", t_range),
-        _linear_jet(0.0, 0.0),
-        _constant_jet(a),
+        _horospherical(_linear_jet(0.0, 0.0)),
+        _graph(_constant_jet(a)),
     )
 
 
@@ -226,7 +218,7 @@ def make_vertical_plane(
     each plane once as given and once with ``b = -d``.
     """
     return _second_kind_family(
-        FamilyTag.VERTICAL_PLANE, {"c": c, "d": d, "b": b}, _linear_jet(c, d), b, s_range, t_range
+        "vertical_plane", {"c": c, "d": d, "b": b}, _linear_jet(c, d), b, s_range, t_range
     )
 
 
@@ -247,14 +239,13 @@ def make_minimal_cylinder(
     construction with f(s) = c*s + d and g the integrated minimal profile."""
     sol = integrate_minimal_profile(MinimalProfileParams(c=c, y0=y0))
     return SurfaceFamily(
-        FamilyTag.MINIMAL_CYLINDER,
+        "minimal_cylinder",
         {"c": c, "y0": y0, "d": d},
         _check_range("s_range", s_range),
         (float(sol.t[0]), float(sol.t[-1])),
-        _linear_jet(c, d),
-        _profile_g_jet(sol),
-        blowup_limited=True,
-        profile=sol,
+        _horospherical(_linear_jet(c, d)),
+        _graph(_profile_g_jet(sol)),
+        sol,
     )
 
 
@@ -273,13 +264,13 @@ def make_grim_reaper(
     k = 1.0 / (b_slope * b_slope + 1.0)
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=k), span=span)
     return SurfaceFamily(
-        FamilyTag.GRIM_REAPER,
+        "grim_reaper",
         {"lam": lam, "b_slope": b_slope, "k": k},
         _check_range("s_range", s_range),
         (float(sol.t[0]), float(sol.t[-1])),
-        _linear_jet(b_slope, 0.0),
-        _profile_g_jet(sol),
-        profile=sol,
+        _horospherical(_linear_jet(b_slope, 0.0)),
+        _graph(_profile_g_jet(sol)),
+        sol,
     )
 
 
@@ -293,14 +284,13 @@ def make_conformal_cylinder(
     params = ConformalProfileParams(a=a_slope, y0=y0)
     sol = integrate_conformal_profile(params)
     return SurfaceFamily(
-        FamilyTag.CONFORMAL_CYLINDER,
+        "conformal_cylinder",
         {"a_slope": a_slope, "y0": y0},
         _check_range("s_range", s_range),
         (float(sol.t[0]), float(sol.t[-1])),
-        _linear_jet(a_slope, 0.0),
-        _profile_g_jet(sol),
-        blowup_limited=True,
-        profile=sol,
+        _horospherical(_linear_jet(a_slope, 0.0)),
+        _graph(_profile_g_jet(sol)),
+        sol,
     )
 
 
@@ -337,12 +327,12 @@ def make_generic_first_kind(
     ``f_fn``/``g_fn`` return a ScalarJet2 or a (value, d1, d2) triple.
     """
     return SurfaceFamily(
-        FamilyTag.GENERIC_FIRST_KIND,
+        "generic_first_kind",
         dict(params or {}),
         _check_range("s_range", s_range),
         _check_range("t_range", t_range),
-        _coerced(f_fn),
-        _coerced(g_fn),
+        _horospherical(_coerced(f_fn)),
+        _graph(_coerced(g_fn)),
     )
 
 
@@ -355,31 +345,33 @@ def make_generic_second_kind(
 ) -> SurfaceFamily:
     """Second-kind surface from a user scalar jet: X = (s, f(s) + b, t)."""
     return _second_kind_family(
-        FamilyTag.GENERIC_SECOND_KIND, dict(params or {}, b=b), _coerced(f_fn), b, s_range, t_range
+        "generic_second_kind", dict(params or {}, b=b), _coerced(f_fn), b, s_range, t_range
     )
 
 
 def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
-    """Additively perturb the profile of a first-kind family by
+    """Additively perturb the height of a first-kind family's ``beta`` by
     ``amplitude * cos(t)``, with honestly perturbed derivatives.
 
     The result should *fail* residual checks: it is the falsification probe
-    that guards the evaluation pipeline against vacuous passes.
+    that guards the evaluation pipeline against vacuous passes.  A
+    second-kind family is refused: its ``beta`` is ``(0, 0, t)``, and
+    ``(0, 0, t + amplitude * cos(t))`` is the same vertical line
+    reparametrised, so the probe could not fail.
     """
-    if fam.eta == 0.0:  # the height of a second-kind family is t itself
+    if fam.beta is _rising:
         raise ParameterError(f"family {fam.name!r} does not expose a profile to perturb")
     if not math.isfinite(amplitude):
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
+    beta = fam.beta
 
-    def bump(j: ScalarJet2, t) -> ScalarJet2:
-        return ScalarJet2(
-            j.value + amplitude * np.cos(t),
-            j.d1 - amplitude * np.sin(t),
-            j.d2 - amplitude * np.cos(t),
-        )
+    def bumped(t) -> CurveJet2:
+        c = beta(t)
+        y, z = (ScalarJet2(c.value[..., k], c.d1[..., k], c.d2[..., k]) for k in (1, 2))
+        cos, sin = amplitude * np.cos(t), amplitude * np.sin(t)
+        return CurveJet2.vertical(y, ScalarJet2(z.value + cos, z.d1 - sin, z.d2 - cos))
 
-    return replace(fam, params=dict(fam.params, perturb_amplitude=amplitude),
-                   _g_jet_fn=_mapped(fam._g_jet_fn, bump))
+    return replace(fam, params=dict(fam.params, perturb_amplitude=amplitude), beta=bumped)
 
 
 def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -395,28 +387,26 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
     return np.linspace(s_lo, s_hi, grid.ns), np.linspace(t_lo, t_hi, grid.nt)
 
 
-def _axis_jet(fn, nodes: np.ndarray, label: str, check=None):
-    """Jets of ``fn`` on one grid axis, as rows ``(value, d1, d2)``, and per
-    node the reason it failed or None.
+def _axis_jet(fn, nodes: np.ndarray, label: str):
+    """Curve jets of ``fn`` on one grid axis, as rows of nine numbers (the
+    ``value``, ``d1`` and ``d2`` slots), and per node the reason it failed
+    or None.
 
-    ``fn`` is called once on the whole axis and ``check`` (if given) once on
-    the values.  If either raises a domain or degenerate-jet error, both are
-    rerun node by node, so only the nodes that raise fail, each with its own
-    message.  A node fails, for the first of these reasons, when ``fn``
-    raises at it, when ``check`` raises on its value, or when its jet is not
-    finite.
+    ``fn`` is called once on the whole axis.  If it raises a domain or
+    degenerate-jet error, it is rerun node by node, so only the nodes that
+    raise fail, each with its own message.  A node fails, for the first of
+    these reasons, when ``fn`` raises at it (a factor curve's height that is
+    not positive raises) or when its jet is not finite.
     """
 
     def row(x):
-        j = fn(x)
-        if check is not None:
-            check(j.value)
-        return j.value, j.d1, j.d2
+        c = fn(x)
+        return np.concatenate(np.broadcast_arrays(c.value, c.d1, c.d2), axis=-1)
 
-    rows = np.full((len(nodes), 3), np.nan)
+    rows = np.full((len(nodes), 9), np.nan)
     reasons: List[Optional[str]] = [None] * len(nodes)
     try:
-        rows[:, 0], rows[:, 1], rows[:, 2] = row(nodes)
+        rows[:] = row(nodes)
     except (DomainError, DegenerateJetError):
         for k, x in enumerate(nodes.tolist()):
             try:
@@ -430,23 +420,31 @@ def _axis_jet(fn, nodes: np.ndarray, label: str, check=None):
     return rows, reasons
 
 
+def _curve(rows: np.ndarray) -> CurveJet2:
+    """The curve jet whose ``value``, ``d1`` and ``d2`` slots are ``rows``."""
+    return CurveJet2(rows[..., 0:3], rows[..., 3:6], rows[..., 6:9])
+
+
 def sample_grid(
     fam: SurfaceFamily, grid: GridSpec
 ) -> Tuple[Tuple[np.ndarray, np.ndarray, SurfaceJet2], List[Tuple[float, float, str]]]:
     """Evaluate the family on the grid: ``((s, t, jet), failures)``.
 
-    Each axis jet is evaluated in one call on its axis, and node by node only
-    after that call raises (:func:`_axis_jet`), so a domain error fails just
-    the axis nodes that raise it.  A grid node fails when its ``s`` or ``t``
-    axis node fails (W >= 1 on both kinds, so no other node can); failures
-    are collected row-major (s varies slowest) as ``(s, t, reason)`` instead
-    of aborting the sweep.  ``s`` and ``t`` are the axis nodes that are left,
-    and ``jet`` is the jet on their product grid, with ``(len(s), len(t), 3)``
-    slots.  If *every* node fails, :class:`SamplingError` is raised.
+    Each factor curve is evaluated in one call on its axis, and node by node
+    only after that call raises (:func:`_axis_jet`), so a domain error fails
+    just the axis nodes that raise it.  A grid node fails here when its ``s``
+    or ``t`` axis node fails; failures are collected row-major (s varies
+    slowest) as ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and
+    ``t`` are the axis nodes that are left, and ``jet`` is the jet on their
+    product grid, with ``(len(s), len(t), 3)`` slots.  The jet of a node that
+    is left can still give a residual that is not finite (its fundamental
+    forms overflow); :func:`~solsurf.soliton_residuals.residual_report`
+    fails those nodes.  If *every* node fails, :class:`SamplingError` is
+    raised.
     """
     s_axis, t_axis = grid_axes(fam, grid)
-    f_rows, s_reasons = _axis_jet(fam._f_jet_fn, s_axis, "s")
-    g_rows, t_reasons = _axis_jet(fam._g_jet_fn, t_axis, "t", check_profile_value)
+    a_rows, s_reasons = _axis_jet(fam.alpha, s_axis, "s")
+    b_rows, t_reasons = _axis_jet(fam.beta, t_axis, "t")
     s_bad = np.array([r is not None for r in s_reasons])
     t_bad = np.array([r is not None for r in t_reasons])
     failures = [
@@ -458,6 +456,6 @@ def sample_grid(
             f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures), "
             f"first (s, t, reason): {failures[0]}"
         )
-    s, t = s_axis[~s_bad], t_axis[~t_bad]
-    fj = ScalarJet2(*f_rows[~s_bad].T[..., None])  # (ns, 1): broadcasts against t
-    return (s, t, fam._product(s[:, None], fj, t, ScalarJet2(*g_rows[~t_bad].T))), failures
+    alpha = _curve(a_rows[~s_bad, None, :])  # (ns, 1, 3) slots: broadcasts against beta
+    jet = product_surface_jet(alpha, _curve(b_rows[~t_bad]))
+    return (s_axis[~s_bad], t_axis[~t_bad], jet), failures

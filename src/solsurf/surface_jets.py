@@ -14,10 +14,12 @@ expressions.
 
 :func:`product_surface_jet` is the one builder.  Both canonical shapes are
 products of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
-``beta(t) = (0, eta(t), g(t))``:
+``beta(t)``:
 
-* first kind:  ``X(s, t) = (s, t + f(s), g(t))`` (``eta = t``, ``g > 0``);
-* second kind: ``X(s, t) = (s, f(s) + b, t)`` (``eta = 0``, ``g = t > 0``).
+* first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
+  with ``g > 0``;
+* second kind: ``X(s, t) = (s, f(s) + b, t)``, ``beta(t) = (0, 0, t)`` with
+  ``t > 0`` and ``b`` folded into ``alpha``.
 
 Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 ``n = <Xst, N>``, so
@@ -43,7 +45,6 @@ __all__ = [
     "CurveJet2",
     "SurfaceJet2",
     "FundamentalForms",
-    "check_profile_value",
     "first_kind_jet",
     "second_kind_jet",
     "product_surface_jet",
@@ -142,8 +143,9 @@ class CurveJet2:
 
     @classmethod
     def vertical(cls, y: ScalarJet2, z: ScalarJet2) -> "CurveJet2":
-        """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``."""
-        _require_positive(z.value, "curve height must be positive, got {!r}")
+        """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
+        its height ``z``, a surface's profile, must be positive."""
+        _require_positive(z.value, "profile value must be positive, got {!r}")
         return cls._from(ScalarJet2(0.0, 0.0, 0.0), y, z)
 
 
@@ -187,12 +189,6 @@ class FundamentalForms:
     m: float
     n: float
     W: float
-
-
-def check_profile_value(g) -> None:
-    """Raise :class:`DomainError` unless every first-kind profile value is
-    positive: the profile is the height of the surface."""
-    _require_positive(g, "profile value must be positive, got {!r}")
 
 
 def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:

@@ -39,6 +39,7 @@ from .lie_halfspace import (
 from .profile_odes import (
     ConformalProfileParams,
     MinimalProfileParams,
+    _blowup_tail,
     conformal_halfwidth_quadrature,
     integrate_conformal_profile,
     integrate_minimal_profile,
@@ -236,6 +237,22 @@ def _check_minimal_halfwidth() -> Measurement:
                              "closed-form half-width")
 
 
+def _abscissa_defect(sol, r: float) -> Measurement:
+    """Worst ``|t - sign(t)*(r - tail(g))|`` over every node of both branches:
+    the first integral puts the node of height ``g`` at ``+-(r - tail(g))``,
+    ``tail(g)`` the abscissa from ``g`` to the collapse by quadrature.  The
+    reference never touches the stepper, so it sees an error of either
+    branch."""
+    tails = np.array([_blowup_tail(sol.params, g) for g in sol.g.tolist()])
+    defect = np.max(np.abs(sol.t - np.sign(sol.t) * (r - tails)))
+    return float(defect), f"{len(sol.t)} nodes against the first integral, r = {r:.10f}"
+
+
+def _check_minimal_abscissa() -> Measurement:
+    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
+    return _abscissa_defect(sol, minimal_halfwidth_quadrature(0.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: grim reaper
 
@@ -292,6 +309,11 @@ def _check_conformal_halfwidth() -> Measurement:
     sol = integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0))
     return _halfwidth_defect(sol, conformal_halfwidth_quadrature(0.0, 1.0),
                              "quadrature half-width")
+
+
+def _check_conformal_abscissa() -> Measurement:
+    sol = integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0))
+    return _abscissa_defect(sol, conformal_halfwidth_quadrature(0.0, 1.0))
 
 
 def _check_conformal_not_minimal() -> Measurement:
@@ -456,12 +478,14 @@ _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
     ("minimal_cylinder.first_integral", 4, "<=", 1e-8, _check_minimal_first_integral),
     ("minimal_cylinder.symmetry", 4, "<=", 1e-8, _check_minimal_symmetry),
     ("minimal_cylinder.halfwidth", 4, "<=", 1e-6, _check_minimal_halfwidth),
+    ("minimal_cylinder.abscissa", 4, "<=", 1e-9, _check_minimal_abscissa),
     ("grim_reaper.constant", 5, "<=", 1e-12, _check_reaper_constant),
     ("grim_reaper.shape", 5, "<=", 0.5, _check_reaper_shape),
     ("grim_reaper.residual", 5, "<=", 1e-6, _check_reaper_residual),
     ("conformal.residual", 6, "<=", 1e-6, _check_conformal_residual),
     ("conformal.first_integral", 6, "<=", 1e-8, _check_conformal_first_integral),
     ("conformal.halfwidth", 6, "<=", 1e-6, _check_conformal_halfwidth),
+    ("conformal.abscissa", 6, "<=", 1e-9, _check_conformal_abscissa),
     ("conformal.not_minimal", 6, ">", 1e-3, _check_conformal_not_minimal),
     ("reduced.first_kind", 7, "<=", 1e-10, _check_reduced_first_kind),
     ("reduced.second_kind", 7, "<=", 1e-10, _check_reduced_second_kind),

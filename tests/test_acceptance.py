@@ -55,6 +55,7 @@ def test_c04_minimal_cylinder(summary):
             "minimal_cylinder.first_integral": ("<=", 1e-8),
             "minimal_cylinder.symmetry": ("<=", 1e-8),
             "minimal_cylinder.halfwidth": ("<=", 1e-6),
+            "minimal_cylinder.abscissa": ("<=", 1e-9),
         },
     )
 
@@ -79,6 +80,7 @@ def test_c06_conformal_cylinder(summary):
             "conformal.residual": ("<=", 1e-6),
             "conformal.first_integral": ("<=", 1e-8),
             "conformal.halfwidth": ("<=", 1e-6),
+            "conformal.abscissa": ("<=", 1e-9),
             "conformal.not_minimal": (">", 1e-3),
         },
     )

@@ -9,12 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_in_bench(code: str) -> subprocess.CompletedProcess:
+def _run_in_bench(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter with ``bench/`` and ``src/`` first
-    on the path, as the benchmark's children run."""
+    on the path, as the benchmark's children run; ``args`` follow them in
+    ``sys.argv``."""
     prelude = "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
     return subprocess.run(
-        [sys.executable, "-c", prelude + code, str(ROOT / "bench"), str(ROOT / "src")],
+        [sys.executable, "-c", prelude + code, str(ROOT / "bench"), str(ROOT / "src"), *args],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -35,3 +36,24 @@ def test_checker_rebuilds_every_surface():
     )
     assert proc.returncode == 0, proc.stderr
     assert "grim_reaper" in proc.stdout, proc.stdout
+
+
+def test_tracer_sees_every_sweep(tmp_path):
+    """The tracer rebinds ``sample_grid`` in ``surface_factory`` and
+    ``verify`` only.  ``residual_report`` and ``write_obj_mesh`` look it up
+    in ``surface_factory`` at call time, so the sweeps of one ``residual``
+    and one ``mesh`` run are two ``sample_grid`` spans; a module-level import
+    in either would hide its sweep from the trace."""
+    proc = _run_in_bench(
+        "import tracer; from solsurf.cli import main; "
+        "tr = tracer.Tracer(); tracer.install(tr); out = sys.argv[3]; "
+        "codes = [main(['residual', '--family', 'horosphere', '--mode', 'minimal', "
+        "'--grid', '5x4', '--out', out + '/r']), "
+        "main(['mesh', '--family', 'horosphere', '--grid', '5x4', '--out', out + '/m'])]; "
+        "names = [r['name'] for r in tr.span_records()]; "
+        "print(codes, names.count('surface_factory.sample_grid'), "
+        "names.count('soliton_residuals.report'))",
+        str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] 2 1", proc.stdout

@@ -180,6 +180,11 @@ REFUSALS = {
     "profile --ode grim-reaper --k inf": "k must be positive and finite, got inf",
     "profile --ode grim-reaper --lambda 1e200": "initial slope lam must be nonnegative "
                                                 "with a finite square, got 1e+200",
+    "residual --family vertical-plane --c 1e160 --mode minimal --grid 3x3":
+        "no grid node of 'vertical_plane' has a finite residual (9 failures), first (s, t, "
+        "reason): (-2.0, 0.5, 'residual is not finite: nan')",
+    "residual --family horosphere --a 1e300 --mode conformal":
+        "no grid node of 'horosphere' has a finite residual",
 }
 
 
@@ -234,6 +239,10 @@ REFUSALS = {
         ["profile", "--ode", "grim-reaper", "--lambda", "inf"],
         ["profile", "--ode", "grim-reaper", "--k", "inf"],
         ["profile", "--ode", "grim-reaper", "--lambda", "1e200"],
+        # fundamental forms that overflow at every node: no residual is finite
+        ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
+         "--grid", "3x3"],
+        ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):

@@ -176,8 +176,9 @@ def test_residual_report_fails_non_finite_axis_jets():
         (-1.0, 1.0),
     )
     rep = residual_report(fam, SolitonMode.TRANSLATOR, GridSpec(3, 5, margin=0.0))
-    s_reason = "axis jet at s=0.0 is not finite: (inf, 1.0, 0.0)"
-    t_reason = "axis jet at t=0.5 is not finite: (2.5, nan, 0.0)"
+    # the nine numbers are alpha's or beta's value, d1 and d2 slots
+    s_reason = "axis jet at s=0.0 is not finite: (0.0, inf, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)"
+    t_reason = "axis jet at t=0.5 is not finite: (0.0, 0.5, 2.5, 0.0, 1.0, nan, 0.0, 0.0, 0.0)"
     assert rep.failures == (
         [(-1.0, 0.5, t_reason)]
         + [(0.0, t, s_reason) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)]
@@ -185,6 +186,24 @@ def test_residual_report_fails_non_finite_axis_jets():
     )
     assert rep.samples.shape == (8, 3)
     assert np.all(np.isfinite(rep.samples))
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_residual_report_fails_non_finite_residuals(mode):
+    """A node whose jet is finite but whose fundamental forms overflow
+    (f' = 1e160, so E = 1 + f'^2 is inf) fails with the residual it gave,
+    in row-major order; the finite rows are kept."""
+    fam = make_generic_first_kind(
+        lambda s: (0.0, 1e160 if s > 0.0 else 0.5, 0.0),
+        lambda t: (2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)),
+        (-1.0, 1.0),
+        (-1.0, 1.0),
+    )
+    rep = residual_report(fam, mode, GridSpec(3, 3, margin=0.0))
+    assert rep.failures == [(1.0, t, "residual is not finite: nan") for t in (-1.0, 0.0, 1.0)]
+    assert rep.samples[:, 0].tolist() == [-1.0] * 3 + [0.0] * 3
+    assert np.all(np.isfinite(rep.samples))
+    assert math.isfinite(rep.max_abs)
 
 
 # f and g both vary, over unequal ranges, so a transposed grid shows

@@ -1,4 +1,5 @@
 """Family constructors, grids, and the residual cross-family matrix."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from solsurf import (
     DomainError,
-    FamilyTag,
     GridSpec,
     ParameterError,
     ProfileSolution,
@@ -14,6 +14,7 @@ from solsurf import (
     grid_axes,
     make_conformal_cylinder,
     make_generic_first_kind,
+    make_generic_second_kind,
     make_grim_reaper,
     make_horosphere,
     make_minimal_cylinder,
@@ -82,8 +83,8 @@ def test_rotation_preserves_all_residuals(minimal_cyl):
 
 
 def test_family_tags_and_params(minimal_cyl):
-    assert make_horosphere(2.0).tag is FamilyTag.HOROSPHERE
-    assert minimal_cyl.tag is FamilyTag.MINIMAL_CYLINDER
+    assert make_horosphere(2.0).name == "horosphere"
+    assert minimal_cyl.name == "minimal_cylinder"
     assert minimal_cyl.params == {"c": 0.0, "y0": 1.0, "d": 0.0}
     assert minimal_cyl.blowup_limited
     assert not make_horosphere(2.0).blowup_limited
@@ -215,8 +216,8 @@ def test_profile_range_errors_fail_their_own_nodes(minimal_cyl):
     outside it, each with the profile's range message in plain floats; the
     nodes kept carry the jets of ``fam.jet`` bit for bit."""
     lo, hi = minimal_cyl.t_range
-    fam = replace(minimal_cyl, t_range=(lo, hi + 0.5), blowup_limited=False)
-    grid = GridSpec(3, 6)
+    fam = replace(minimal_cyl, t_range=(lo, hi + 0.5))
+    grid = GridSpec(3, 6, margin=0.0)
     s_axis, t_axis = grid_axes(fam, grid)
     (s, t, j), failures = sample_grid(fam, grid)
     reason = f"query outside the integrated range [{lo!r}, {hi!r}]"
@@ -228,3 +229,45 @@ def test_profile_range_errors_fail_their_own_nodes(minimal_cyl):
             want = fam.jet(si, ti)
             for slot in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
                 assert np.array_equal(getattr(j, slot)[a, b], getattr(want, slot)), (si, ti, slot)
+
+
+def _generic_first_kind():
+    return make_generic_first_kind(
+        lambda s: (math.sin(s), math.cos(s), -math.sin(s)),
+        lambda t: (2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)),
+        (-2.0, 1.5),
+        (-1.0, 2.5),
+    )
+
+
+# Every constructor, with parameters that make both factor curves vary where
+# they can, and the falsification probe on three first-kind families.
+FAMILIES = {
+    "horosphere": lambda: make_horosphere(1.3, t_range=(-1.0, 3.0)),
+    "vertical_plane": lambda: make_vertical_plane(0.7, -0.4, b=0.3),
+    "minimal_cylinder": lambda: make_minimal_cylinder(0.5, 1.2, d=0.3),
+    "grim_reaper": lambda: make_grim_reaper(0.5, b_slope=0.4, span=(-3.0, 3.0)),
+    "conformal_cylinder": lambda: make_conformal_cylinder(0.3, 0.9),
+    "generic_first_kind": _generic_first_kind,
+    "generic_second_kind": lambda: make_generic_second_kind(
+        lambda s: (math.cos(2.0 * s), -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s)),
+        0.3, (-2.0, 2.0), (0.5, 4.0)),
+    "perturbed_minimal_cylinder": lambda: perturb_profile(make_minimal_cylinder(0.0, 1.0), 1e-2),
+    "perturbed_grim_reaper": lambda: perturb_profile(make_grim_reaper(0.5, span=(-5.0, 5.0)), 1e-2),
+    "perturbed_generic_first_kind": lambda: perturb_profile(_generic_first_kind(), 1e-2),
+}
+
+
+@pytest.mark.parametrize("build", FAMILIES.values(), ids=FAMILIES.keys())
+def test_grid_nodes_are_point_jets(build):
+    """Point and grid are one expression: every node of ``sample_grid``
+    carries the six slots of ``fam.jet`` at its (s, t), bit for bit."""
+    fam = build()
+    (s, t, j), failures = sample_grid(fam, GridSpec(7, 6))
+    assert not failures and j.X.shape == (7, 6, 3)
+    for a, si in enumerate(s.tolist()):
+        for b, ti in enumerate(t.tolist()):
+            want = fam.jet(si, ti)
+            for slot in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
+                got = getattr(j, slot)[a, b]
+                assert got.tobytes() == getattr(want, slot).tobytes(), (si, ti, slot)
