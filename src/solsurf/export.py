@@ -32,14 +32,24 @@ _NUM = "%.12e"
 
 
 def fmt(x: float) -> str:
-    """Fixed numeric format for all exports: 0.123456789012e+00 style."""
+    """Fixed numeric format for all exports: one leading digit and twelve
+    decimals, ``3.141592653590e+00`` style."""
     return _NUM % float(x)
 
 
 def _rows(template: str, table: np.ndarray) -> str:
     """Every row of a 2-D table formatted by one ``%`` template (numbers as
-    ``_NUM``, the format of :func:`fmt`), in one call."""
+    ``_NUM``, the format of :func:`fmt`), in one call.  Serves the profile
+    CSV and the OBJ writer; the residual CSV formats its grid axes once."""
     return (template * len(table)) % tuple(table.ravel().tolist())
+
+
+def _distinct(values: np.ndarray, piece: str):
+    """``piece % x`` for each distinct float ``x`` of ``values``, and per
+    value the index of its string.  Floats are told apart by their bits, so
+    equal bits share a string and ``0.0`` and ``-0.0`` keep their own."""
+    bits, index = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
+    return [piece % x for x in bits.view(np.float64).tolist()], index
 
 
 def _open_w(path):
@@ -47,11 +57,26 @@ def _open_w(path):
 
 
 def write_residual_csv(path, report: ResidualReport) -> int:
-    """One row per sampled node: ``s,t,residual``.  Returns the row count."""
+    """One row per sampled node: ``s,t,residual``, in the order of
+    ``report.samples`` (the (s, t) product grid minus its failed nodes,
+    sorted by (s, t)).  Returns the row count.
+
+    Each distinct ``s`` is formatted once as ``"<s>,"`` and each distinct
+    ``t`` once as the template ``"<t>,%.12e\\n"``; each run of rows that share
+    an ``s`` is then one ``%`` over its residuals alone.  The bytes are those
+    of formatting every number of every row with :func:`fmt`.
+    """
+    samples = report.samples
+    s_text, s_of = _distinct(samples[:, 0], f"{_NUM},")
+    t_text, t_of = _distinct(samples[:, 1], f"{_NUM},%{_NUM}\n")
+    edges = np.flatnonzero(np.diff(s_of, prepend=-1, append=-1)).tolist()
+    t_of, r = t_of.tolist(), samples[:, 2].tolist()
     with _open_w(path) as fh:
         fh.write("s,t,residual\n")
-        fh.write(_rows(f"{_NUM},{_NUM},{_NUM}\n", report.samples))
-    return len(report.samples)
+        for lo, hi in zip(edges, edges[1:]):
+            pre = s_text[s_of[lo]]
+            fh.write((pre + pre.join([t_text[k] for k in t_of[lo:hi]])) % tuple(r[lo:hi]))
+    return len(samples)
 
 
 def write_residual_summary(path, report: ResidualReport) -> None:

@@ -101,10 +101,12 @@ def reduced_residual_second_kind(
 
 @dataclass
 class ResidualReport:
-    """Residuals sampled over a grid.  ``samples`` has columns (s, t, value),
-    sorted by (s, t), and every value is finite; evaluation failures are
-    kept separately.  ``params`` and the ranges are those of the family,
-    which they identify."""
+    """Residuals sampled over a grid.  ``samples`` has columns (s, t, value)
+    and holds the (s, t) product grid minus its failed nodes, sorted by
+    (s, t); every value is finite.  Evaluation failures are kept
+    separately.  ``params`` and the ranges are those of the family, which
+    they identify.  :func:`~solsurf.export.write_residual_csv` writes the
+    rows in this order, formatting each axis node once."""
 
     mode: SolitonMode
     family: str
@@ -142,7 +144,8 @@ def residual_report(fam, mode: SolitonMode, grid) -> ResidualReport:
     mode = SolitonMode(mode)
     (s, t, j), failures = sample_grid(fam, grid)
     S, T = np.meshgrid(s, t, indexing="ij")
-    r = residual(mode, j)
+    with np.errstate(over="ignore", invalid="ignore"):  # such nodes fail below
+        r = residual(mode, j)
     finite = np.isfinite(r)
     if not finite.all():
         failures = sorted(

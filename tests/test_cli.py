@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 import math
 import re
+import warnings
 
 import pytest
 
@@ -250,6 +251,27 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
     assert main(argv) == 2
     message = REFUSALS.get(" ".join(argv))
     assert message is None or message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
+         "--grid", "3x3"],
+        ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
+    ],
+)
+def test_overflowing_sweep_fails_without_runtime_warnings(tmp_path, argv, monkeypatch, capsys):
+    """Each node whose fundamental forms overflow fails with its own reason,
+    so numpy's overflow warnings add nothing and are not printed."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "has a finite residual" in err and "no grid node of" in err
+    assert "RuntimeWarning" not in err
 
 
 # For every flag of commands.ODES and commands.FAMILIES, a value that takes

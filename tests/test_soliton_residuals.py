@@ -1,9 +1,13 @@
 """The three residual equations, their reduced forms, and grid reports."""
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from solsurf import (
     GridSpec,
@@ -20,7 +24,9 @@ from solsurf import (
     residual,
     residual_report,
     second_kind_jet,
+    soliton_residuals,
 )
+from solsurf.export import write_residual_csv
 
 MINIMAL, TRANSLATOR, CONFORMAL = SolitonMode
 
@@ -147,7 +153,17 @@ def test_residual_report_grid_structure():
     assert rep.failures == []
 
 
-def test_residual_report_collects_partial_failures():
+def _assert_csv_is_per_row_format(rep, path):
+    """The residual CSV is, byte for byte, every sample row put through one
+    ``%.12e`` per number, and the writer returns the row count."""
+    assert write_residual_csv(path, rep) == len(rep.samples)
+    expect = "s,t,residual\n" + "".join(
+        "%.12e,%.12e,%.12e\n" % tuple(row) for row in rep.samples.tolist()
+    )
+    assert Path(path).read_bytes() == expect.encode()
+
+
+def test_residual_report_collects_partial_failures(tmp_path):
     # g(t) = t is only a valid profile height for t > 0; nodes at t <= 0 fail
     fam = make_generic_first_kind(
         lambda s: (0.0, 0.0, 0.0),
@@ -163,9 +179,10 @@ def test_residual_report_collects_partial_failures():
         for s in (-1.0, 0.0, 1.0)
         for t in (-1.0, -0.5, 0.0)
     ]
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")  # whole t columns gone
 
 
-def test_residual_report_fails_non_finite_axis_jets():
+def test_residual_report_fails_non_finite_axis_jets(tmp_path):
     """A non-finite axis jet fails its whole row or column of nodes, with one
     reason, where it used to give DegenerateJetError at some nodes and
     infinite rows at others.  The s reason wins where both axes fail."""
@@ -186,10 +203,12 @@ def test_residual_report_fails_non_finite_axis_jets():
     )
     assert rep.samples.shape == (8, 3)
     assert np.all(np.isfinite(rep.samples))
+    # the s = 0 row is gone and the other rows lack their t = 0.5 node
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
-def test_residual_report_fails_non_finite_residuals(mode):
+def test_residual_report_fails_non_finite_residuals(mode, tmp_path):
     """A node whose jet is finite but whose fundamental forms overflow
     (f' = 1e160, so E = 1 + f'^2 is inf) fails with the residual it gave,
     in row-major order; the finite rows are kept."""
@@ -204,6 +223,54 @@ def test_residual_report_fails_non_finite_residuals(mode):
     assert rep.samples[:, 0].tolist() == [-1.0] * 3 + [0.0] * 3
     assert np.all(np.isfinite(rep.samples))
     assert math.isfinite(rep.max_abs)
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")  # the s = 1 row is gone
+
+
+# Nodes kept on a grid of at most 5x5, row-major; nodes past ns*nt are unused.
+_KEEP = st.lists(st.booleans(), min_size=25, max_size=25)
+_NONE = [False] * 25
+
+
+@given(st.integers(2, 5), st.integers(2, 5), _KEEP)
+@example(3, 4, _NONE[:5] + [True] + _NONE[6:])  # a single surviving node
+@example(3, 4, _NONE[:4] + [True] * 4 + _NONE[8:])  # a single surviving row
+@example(3, 4, [True] * 4 + [False, False, True, False] + [True] * 4 + _NONE[12:])  # a one-node row
+def test_masked_report_rows_are_sorted_and_written_per_row(ns, nt, keep):
+    """Whatever nodes fail, the samples are the product grid minus the failed
+    nodes, sorted by (s, t), and the CSV holds exactly those rows."""
+    keep = np.array(keep[: ns * nt]).reshape(ns, nt)
+    fam = make_generic_first_kind(_f1, _g1, (-1.5, 2.0), (-0.75, 1.25))
+    computed = soliton_residuals.residual
+
+    def masked(mode, j):
+        return np.where(keep, computed(mode, j), np.nan)
+
+    with mock.patch.object(soliton_residuals, "residual", masked):
+        if not keep.any():
+            with pytest.raises(SamplingError, match="has a finite residual"):
+                residual_report(fam, TRANSLATOR, GridSpec(ns, nt, margin=0.0))
+            return
+        rep = residual_report(fam, TRANSLATOR, GridSpec(ns, nt, margin=0.0))
+    s_axis, t_axis = np.linspace(-1.5, 2.0, ns), np.linspace(-0.75, 1.25, nt)
+    got = [(s, t) for s, t, _ in rep.samples.tolist()]
+    assert got == [(s, t) for i, s in enumerate(s_axis) for j, t in enumerate(t_axis)
+                   if keep[i, j]]
+    assert got == sorted(got)
+    assert len(rep.failures) == keep.size - len(got)
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_csv_is_per_row_format(rep, Path(tmp) / "residual.csv")
+
+
+def test_residual_csv_keeps_signed_zeros_in_any_row_order(tmp_path):
+    """The writer tells axis values apart by their bits, so 0.0 and -0.0 in
+    one column keep their signs, and rows out of (s, t) order still match."""
+    fam = make_generic_first_kind(_f1, _g1, (-1.0, 1.0), (-1.0, 1.0))
+    rep = residual_report(fam, TRANSLATOR, GridSpec(3, 3, margin=0.0))
+    samples = rep.samples.copy()
+    samples[::2, :2] *= -1.0  # s and t flip sign on alternate rows: 0.0 and -0.0 both occur
+    rep = dataclasses.replace(rep, samples=samples[[4, 0, 8, 1, 2, 7, 3, 6, 5]])
+    assert {math.copysign(1.0, s) for s in rep.samples[:, 0] if s == 0.0} == {-1.0, 1.0}
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 
 # f and g both vary, over unequal ranges, so a transposed grid shows
