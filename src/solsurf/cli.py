@@ -7,10 +7,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 I/O error.
+
+The parser is built once per process, on the first `main` call, and reused
+by every later call; it holds no run state, since each ``parse_args`` fills
+a fresh namespace.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional, Sequence
 
@@ -65,7 +70,9 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                         "blow-up-limited families")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call; every later call returns the same parser."""
     parser = argparse.ArgumentParser(
         prog="solsurf",
         description="Translation surfaces in the upper half-space: soliton "

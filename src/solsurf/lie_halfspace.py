@@ -33,18 +33,25 @@ __all__ = [
     "rotation_about_vertical",
 ]
 
+_INF = math.inf
+
 
 @dataclass(frozen=True, slots=True)
 class HalfSpacePoint:
-    """A point of the half-space model.  Immutable; equality is exact."""
+    """A point of the half-space model: finite ``x`` and ``y``, and
+    ``0 < z < inf``.  Immutable; equality is exact."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self) -> None:
-        if not self.z > 0.0:  # also rejects NaN
-            raise ParameterError(f"height must be positive, got z={self.z!r}")
+        # Plain comparisons, each false for NaN: cheaper than math.isfinite
+        # calls, and verify builds ~23k points.
+        if not (-_INF < self.x < _INF and -_INF < self.y < _INF):
+            raise ParameterError(f"coordinates must be finite, got x={self.x!r}, y={self.y!r}")
+        if not 0.0 < self.z < _INF:
+            raise ParameterError(f"height must be positive and finite, got z={self.z!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)

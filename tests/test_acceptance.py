@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from solsurf import soliton_residuals, verify
+from solsurf.lie_halfspace import HalfSpacePoint
 from solsurf.verify import run_checks
 
 
@@ -163,3 +164,49 @@ def test_failed_node_fails_greater_than_rows(monkeypatch):
     for name in ("conformal.not_minimal", "falsify.profiles"):
         (r,) = run_checks(name).results
         assert not r.passed and math.isnan(r.defect) and "stub" in r.detail
+
+
+def test_group_laws_defect_is_pinned():
+    """Same seed, same seven laws, same bits: judging the law pairs in any
+    grouping must reproduce the largest componentwise defect exactly."""
+    assert verify._check_group_laws()[0] == 1.7763568394002505e-13
+
+
+def test_group_laws_fail_a_product_off_by_1e_9(monkeypatch):
+    """A product whose ``x`` slot is off by a relative 1e-9 fails the row."""
+    def skewed(p, q):
+        return HalfSpacePoint((p.z * q.x + p.x) * (1.0 + 1e-9), p.z * q.y + p.y, p.z * q.z)
+
+    monkeypatch.setattr(verify, "lie_product", skewed)
+    (r,) = run_checks("lie.").results
+    assert r.name == "lie.group_laws" and not r.passed
+    assert 1e-12 < r.defect < 1e-6
+
+
+def _unchecked_point(x, y, z):
+    """A `HalfSpacePoint` built past its constructor's check, as a faulty
+    product might hand one on."""
+    p = object.__new__(HalfSpacePoint)
+    for name, value in zip("xyz", (x, y, z)):
+        object.__setattr__(p, name, value)
+    return p
+
+
+def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
+    """A product that returns a NaN ``x`` at one sample (the 500th right
+    identity law) makes the row's defect NaN, and the row fails."""
+    clean = verify.lie_product
+    seen = []
+
+    def one_nan(p, q):
+        out = clean(p, q)
+        if q is verify.IDENTITY:
+            seen.append(p)
+            if len(seen) == 500:
+                return _unchecked_point(math.nan, out.y, out.z)
+        return out
+
+    monkeypatch.setattr(verify, "lie_product", one_nan)
+    (r,) = run_checks("lie.").results
+    assert len(seen) == 1000
+    assert math.isnan(r.defect) and not r.passed

@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from solsurf import commands
 from solsurf.cli import main
 from solsurf.export import fmt, write_obj_mesh, write_residual_summary
 
+ROOT = Path(__file__).resolve().parent.parent
 SCI = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
 
@@ -354,6 +359,41 @@ def test_io_error_exits_3(tmp_path):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "residual" in capsys.readouterr().out
+
+
+def _first_call(cwd, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` as the first call of a
+    fresh process."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from solsurf.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), *argv],
+                          cwd=cwd, env={**os.environ, "COLUMNS": "80"},
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_calls_main_many_times(tmp_path, monkeypatch, capsys):
+    """Nothing of one call leaks into the next: a flag given once is back at
+    its default, and a usage error, ``--help`` and a valid run each answer
+    as the first call of a fresh process does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    argv = ["residual", "--family", "horosphere", "--grid", "3x3", "--mode", "minimal"]
+    assert main(argv[:3] + ["--a", "0.7"] + argv[3:] + ["--out", "a07"]) == 0
+    assert main(argv + ["--out", "a1"]) == 0
+    assert "param.a=7.000000000000e-01" in Path("a07.summary.txt").read_text().splitlines()
+    assert "param.a=1.000000000000e+00" in Path("a1.summary.txt").read_text().splitlines()
+    capsys.readouterr()
+    (tmp_path / "fresh").mkdir()
+    for case, code in ((["residual", "--family", "horosphere", "--grid", "3x3"], 2),  # no --mode
+                       (["--help"], 0),
+                       (argv + ["--out", "r"], 0)):
+        rc = main(case)
+        out, err = capsys.readouterr()
+        assert rc == code
+        assert (rc, out, err) == _first_call(tmp_path / "fresh", case)
+    for suffix in (".csv", ".summary.txt"):
+        assert Path("r" + suffix).read_bytes() == (tmp_path / "fresh" / ("r" + suffix)).read_bytes()
 
 
 def test_verify_only_filter(capsys):

@@ -117,10 +117,27 @@ def test_rotation_matrix_fixes_vertical():
     assert np.allclose(A @ A.T, np.eye(3), atol=1e-15)
 
 
-@pytest.mark.parametrize("z", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
 def test_rejects_bad_heights(z):
     with pytest.raises(ParameterError):
         HalfSpacePoint(0.0, 0.0, z)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                  (0.0, -math.inf)])
+def test_rejects_nonfinite_horizontal_coordinates(x, y):
+    with pytest.raises(ParameterError):
+        HalfSpacePoint(x, y, 1.0)
+
+
+def test_product_that_overflows_is_refused():
+    """``1e200 * 1e200`` overflows the height: the product raises rather
+    than hand on a point at infinite height."""
+    high = HalfSpacePoint(0.0, 0.0, 1e200)
+    with pytest.raises(ParameterError, match="height"):
+        lie_product(high, high)
+    with pytest.raises(ParameterError, match="coordinates"):
+        lie_product(high, HalfSpacePoint(1e200, 0.0, 1.0))
 
 
 def test_rejects_nonfinite_semidirect():
