@@ -53,9 +53,6 @@ class HalfSpacePoint:
         if not 0.0 < self.z < _INF:
             raise ParameterError(f"height must be positive and finite, got z={self.z!r}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True, slots=True)
 class SemidirectPoint:

@@ -17,25 +17,27 @@ The minimal and conformal profiles are even in ``t``, concave, and collapse
 runs outward from ``t = 0`` with the Dormand--Prince 5(4) pair, stepped the
 way scipy's RK45 steps it but on Python floats, where scipy's per-step
 array overhead on a 2-component state costs several times the arithmetic
-(:func:`_dopri54`).  A stop ends each branch once ``g`` drops below
-``eps_g`` or ``|g'|`` exceeds ``m_stop``, and the remaining sliver of
+(:func:`_dopri54`).  Only the right branch of a collapsing profile is
+stepped: the left one is its mirror, the same bits the stepper gives toward
+``-t`` (:func:`_collapse_solution`).  A stop ends a branch once ``g`` drops
+below ``eps_g`` or ``|g'|`` exceeds ``m_stop``, and the remaining sliver of
 abscissa is recovered by quadrature of ``dt = -dg / sqrt(first integral)``:
 in ``phi``, with ``g = y0*sin(phi)``, the integrand is smooth from the
 collapse up to ``g = y0``, so a fixed 40-node Gauss--Legendre rule
 (:func:`_gauss`) gives the reported blow-up abscissa quadrature accuracy
 (:func:`_blowup_tail`).
 
-The grim reaper runs through the same two-branch integration, on the state
-``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
+The grim reaper is not even, so both of its branches are stepped, on the
+state ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
 ``-(k + 3*g'^2)*2*v/g^2`` grows with ``|v|/g^2`` even where the solution is
 flat, so the step is held by stability rather than accuracy; in ``(g, w)``
 the Jacobian's trace and determinant carry a factor ``g'``, which vanishes
 in the flat tails, so the equation is not stiff there (see
 :func:`integrate_grim_reaper`).
 
-Every branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that runs out
-ends like one whose step fell below its floor, and the solution is marked
-truncated.
+Every stepped branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that
+runs out ends like one whose step fell below its floor, and the solution is
+marked truncated.
 
 Between nodes a solution is read through a piecewise cubic Hermite
 interpolant (:class:`_Hermite`), built from the nodal values and the exact
@@ -134,8 +136,9 @@ class MinimalProfileParams:
         """``y0^4/(c^2+1)``, the first-integral constant of the initial conditions."""
         return self.y0 ** 4 / (self.c * self.c + 1.0)
 
-    @property
+    @functools.cached_property
     def kinv(self) -> float:
+        """``1/(c^2+1)``, computed once: every stage of the stepper reads it."""
         return 1.0 / (self.c * self.c + 1.0)
 
     def gpp(self, t, g, gp):
@@ -197,8 +200,9 @@ class ConformalProfileParams:
         initial conditions."""
         return self.y0 ** 4 * math.exp(-4.0 / self.y0) / (self.a * self.a + 1.0)
 
-    @property
+    @functools.cached_property
     def kinv(self) -> float:
+        """``1/(a^2+1)``, computed once: every stage of the stepper reads it."""
         return 1.0 / (self.a * self.a + 1.0)
 
     def gpp(self, t, g, gp):
@@ -593,18 +597,6 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
             return ts, as_, bs, 0
 
 
-def _integrate_branches(rhs, ic, t_lo, t_hi, stops, tol, max_step):
-    """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, *ic)`` toward t_hi and
-    toward t_lo at ``tol = (rtol, atol)``; return the merged node abscissae
-    and state rows and the :func:`_dopri54` status of each branch,
-    ``(right, left)``."""
-    rt, ra, rb, right = _dopri54(rhs, *ic, t_hi, stops, *tol, max_step)
-    lt, la, lb, left = _dopri54(rhs, *ic, t_lo, stops, *tol, max_step)
-    t = np.array(lt[::-1] + rt[1:])
-    y = np.array([la[::-1] + ra[1:], lb[::-1] + rb[1:]])
-    return t, y, (right, left)
-
-
 def _blowup_tail(params, g_stop: float) -> float:
     """Remaining abscissa from the stopped state at height ``g_stop`` to the
     collapse: ``integral_0^{g_stop} dg/|g'|`` over the first integral, by
@@ -615,28 +607,40 @@ def _blowup_tail(params, g_stop: float) -> float:
 
 
 def _collapse_solution(params, eps_g, m_stop, horizon, max_step):
-    """Shared driver for the two collapsing (minimal/conformal) profiles."""
+    """Shared driver for the two collapsing (minimal/conformal) profiles.
+
+    One branch is stepped, toward ``+horizon``; the left half is its mirror,
+    ``t`` and ``g'`` negated and ``g`` kept.  The ODEs see ``g'`` only
+    through ``g'^2`` and :func:`_dopri54`, :func:`_first_step` and
+    :func:`_brentq` commute with negating ``t`` and ``g'`` under
+    round-to-nearest, so stepping toward ``-horizon`` gives these nodes bit
+    for bit.  The centre node is the stepped branch's, ``t = 0.0`` and
+    ``g' = 0.0`` (no ``-0.0``); the status, and so the truncation, is shared,
+    and ``left_blowup_t = -right_blowup_t``."""
+    gpp = params.gpp
+
     def rhs(t, g, gp):
-        return gp, params.gpp(t, g, gp)
+        return gp, gpp(t, g, gp)
 
     stops = [_height_stop(eps_g), _speed_stop(m_stop)]
     if not params.y0 > eps_g:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop eps_g = {eps_g!r}"
         )
-    t, (g, gp), (right, left) = _integrate_branches(
-        rhs, (params.y0, 0.0), -horizon, horizon, stops, _COLLAPSE_TOL, max_step
-    )
-    right_blowup = t[-1] + _blowup_tail(params, g[-1]) if right == 1 else None
-    left_blowup = t[0] - _blowup_tail(params, g[0]) if left == 1 else None
-    truncated = right != 1 or left != 1
+    rt, rg, rgp, status = _dopri54(rhs, params.y0, 0.0, horizon, stops, *_COLLAPSE_TOL, max_step)
+    t, g, gp = np.array(rt), np.array(rg), np.array(rgp)
+    t = np.concatenate((-t[:0:-1], t))
+    g = np.concatenate((g[:0:-1], g))
+    gp = np.concatenate((-gp[:0:-1], gp))
+    right_blowup = t[-1] + _blowup_tail(params, g[-1]) if status == 1 else None
+    left_blowup = None if right_blowup is None else -right_blowup
     defect = first_integral_defect(params, g, gp) / np.maximum(1.0, gp * gp)
     return ProfileSolution(
         params=params,
         t=t,
         g=g,
         gp=gp,
-        events=ProfileEvents(left_blowup, right_blowup, truncated),
+        events=ProfileEvents(left_blowup, right_blowup, status != 1),
         node_defect=defect,
     )
 
@@ -715,15 +719,18 @@ def integrate_grim_reaper(
         gp = slope(w)
         return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
 
-    t, (g, w), (right, left) = _integrate_branches(
-        rhs, (1.0, 0.0), lo, hi, [_height_stop(eps_g)], _REAPER_TOL, max_step
-    )
+    stops = [_height_stop(eps_g)]
+    rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, stops, *_REAPER_TOL, max_step)
+    lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, stops, *_REAPER_TOL, max_step)
+    t = np.array(lt[::-1] + rt[1:])
+    g = np.array(lg[::-1] + rg[1:])
+    w = lw[::-1] + rw[1:]
     truncated = right != 0 or left != 0
     return ProfileSolution(
         params=p,
         t=t,
         g=g,
-        gp=np.array([slope(x) for x in w.tolist()]),
+        gp=np.array([slope(x) for x in w]),
         events=ProfileEvents(None, None, truncated),
         node_defect=np.zeros_like(t),
     )
@@ -772,9 +779,14 @@ def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
     """Measure shape properties of a profile solution.
 
     Monotonicity tolerates node-difference wobble at the rounding floor
-    (1e-13 relative).  The symmetry defect compares the two branches at
-    mirrored abscissae through the interpolants, restricted to states with
-    ``|g'| <= SLOPE_CAP`` where the comparison is well-conditioned.
+    (1e-13 relative).  The symmetry defect compares the two branches through
+    the interpolants at ``+-q``, for ``q`` the midpoints of the node
+    intervals of ``[0, min(-t[0], t[-1])]``, where neither branch's nodes
+    sit: the worst of ``|g(-q) - g(q)|`` and
+    ``|g'(-q) + g'(q)|/max(1, |g'(q)|)``, so an even profile whose left half
+    has the wrong sign of ``g'`` reads ~2.  Probes are restricted to states
+    with ``|g'| <= SLOPE_CAP`` on both sides, where the comparison is
+    well-conditioned; with none left the defect is NaN.
     """
     if len(sol.t) < 3:
         raise ParameterError("verdict needs at least three nodes")
@@ -800,16 +812,18 @@ def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
         and np.all(gpp[t == 0.0] == 0.0)
     )
 
-    tmax = min(-t[0], t[-1])
+    right = t[(t >= 0.0) & (t <= min(-t[0], t[-1]))]
+    q = 0.5 * (right[:-1] + right[1:])
     defect = math.nan
-    if tmax > 0.0:
-        probes = t[(t > 0.0) & (t <= tmax) & (np.abs(gp) <= SLOPE_CAP)]
-        if len(probes):
-            g_right = sol.eval_g(probes)
-            g_left = sol.eval_g(-probes)
-            ok = np.abs(sol.eval_gp(-probes)) <= SLOPE_CAP
-            if np.any(ok):
-                defect = float(np.max(np.abs(g_left[ok] - g_right[ok])))
+    if len(q):
+        gp_right, gp_left = sol.eval_gp(q), sol.eval_gp(-q)
+        ok = (np.abs(gp_right) <= SLOPE_CAP) & (np.abs(gp_left) <= SLOPE_CAP)
+        if np.any(ok):
+            q, gp_right, gp_left = q[ok], gp_right[ok], gp_left[ok]
+            defect = float(max(
+                np.max(np.abs(sol.eval_g(-q) - sol.eval_g(q))),
+                np.max(np.abs(gp_left + gp_right) / np.maximum(1.0, np.abs(gp_right))),
+            ))
 
     max_at_zero = bool(g0 >= np.max(g) - 1e-12 * max(1.0, g0))
 

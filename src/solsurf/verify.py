@@ -228,7 +228,7 @@ def _check_minimal_symmetry() -> Measurement:
     v = qualitative_verdict(integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0)))
     if not (v.concave and v.max_at_zero):
         return math.inf, f"concave={v.concave}, max_at_zero={v.max_at_zero}"
-    return v.symmetry_defect, "even profile, concave, maximal at t=0"
+    return v.symmetry_defect, "g and -g' mirrored between nodes, concave, maximal at t=0"
 
 
 def _halfwidth_defect(sol, r: float, detail: str) -> Measurement:

@@ -210,3 +210,19 @@ def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
     (r,) = run_checks("lie.").results
     assert len(seen) == 1000
     assert math.isnan(r.defect) and not r.passed
+
+
+def test_symmetry_fails_a_left_half_with_the_wrong_slope_sign(monkeypatch):
+    """A minimal profile whose left half keeps the right half's sign of
+    ``g'`` has the even ``g`` at every node and the same ``g''`` (the ODE
+    sees ``g'^2``), so the row must read it between the nodes: there the
+    interpolants disagree, by ~1e-4 in ``g`` and by ~2 in ``g'``."""
+    clean = verify.integrate_minimal_profile
+
+    def wrong_sign(p):
+        sol = clean(p)
+        return dataclasses.replace(sol, gp=np.where(sol.t < 0.0, -sol.gp, sol.gp))
+
+    monkeypatch.setattr(verify, "integrate_minimal_profile", wrong_sign)
+    (r,) = run_checks("minimal_cylinder.symmetry").results
+    assert not r.passed and 1.0 < r.defect < 3.0

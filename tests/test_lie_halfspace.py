@@ -31,6 +31,11 @@ def points(draw_x, draw_y, draw_z):
 pts = points(coords, coords, heights)
 
 
+def xyz(p):
+    """The coordinates of a point, as a list."""
+    return [p.x, p.y, p.z]
+
+
 def close(a, b, tol=1e-12):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -40,19 +45,19 @@ def close(a, b, tol=1e-12):
 def test_product_hand_example():
     # (1,2,2)*(3,4,1/2) = (2*3+1, 2*4+2, 2*1/2) = (7, 10, 1)
     p = lie_product(HalfSpacePoint(1.0, 2.0, 2.0), HalfSpacePoint(3.0, 4.0, 0.5))
-    assert p.as_array().tolist() == [7.0, 10.0, 1.0]
+    assert xyz(p) == [7.0, 10.0, 1.0]
 
 
 def test_inverse_hand_example():
     # (1,2,2)^{-1} = (-1/2, -2/2, 1/2)
     q = lie_inverse(HalfSpacePoint(1.0, 2.0, 2.0))
-    assert q.as_array().tolist() == [-0.5, -1.0, 0.5]
+    assert xyz(q) == [-0.5, -1.0, 0.5]
 
 
 def test_identity_element():
     p = HalfSpacePoint(0.7, -1.3, 2.4)
-    assert lie_product(p, IDENTITY).as_array().tolist() == [0.7, -1.3, 2.4]
-    assert lie_product(IDENTITY, p).as_array().tolist() == [0.7, -1.3, 2.4]
+    assert xyz(lie_product(p, IDENTITY)) == [0.7, -1.3, 2.4]
+    assert xyz(lie_product(IDENTITY, p)) == [0.7, -1.3, 2.4]
 
 
 def test_semidirect_isomorphism_hand_example():
@@ -63,38 +68,36 @@ def test_semidirect_isomorphism_hand_example():
     w = semidirect_product(u, v)
     assert math.isclose(w.x, 1.0) and math.isclose(w.y, 2.0)
     assert math.isclose(w.w, math.log(6.0))
-    assert close(semidirect_to_halfspace(w).as_array(), [1.0, 2.0, 6.0])
+    assert close(xyz(semidirect_to_halfspace(w)), [1.0, 2.0, 6.0])
 
 
 @given(pts, pts, pts)
 def test_associativity(p, q, r):
-    lhs = lie_product(lie_product(p, q), r).as_array()
-    rhs = lie_product(p, lie_product(q, r)).as_array()
+    lhs = xyz(lie_product(lie_product(p, q), r))
+    rhs = xyz(lie_product(p, lie_product(q, r)))
     assert close(lhs, rhs)
 
 
 @given(pts)
 def test_inverse_both_sides(p):
-    e = IDENTITY.as_array()
-    assert close(lie_product(p, lie_inverse(p)).as_array(), e)
-    assert close(lie_product(lie_inverse(p), p).as_array(), e)
+    e = xyz(IDENTITY)
+    assert close(xyz(lie_product(p, lie_inverse(p))), e)
+    assert close(xyz(lie_product(lie_inverse(p), p)), e)
 
 
 @given(pts, pts)
 def test_isomorphism_is_homomorphism(p, q):
     u = SemidirectPoint(p.x, p.y, math.log(p.z))
     v = SemidirectPoint(q.x, q.y, math.log(q.z))
-    lhs = semidirect_to_halfspace(semidirect_product(u, v)).as_array()
-    rhs = lie_product(p, q).as_array()
+    lhs = xyz(semidirect_to_halfspace(semidirect_product(u, v)))
+    rhs = xyz(lie_product(p, q))
     assert close(lhs, rhs)
 
 
 @given(pts, pts, st.floats(-math.pi, math.pi))
 def test_rotation_is_automorphism(p, q, theta):
-    lhs = rotation_about_vertical(theta, lie_product(p, q)).as_array()
-    rhs = lie_product(
-        rotation_about_vertical(theta, p), rotation_about_vertical(theta, q)
-    ).as_array()
+    lhs = xyz(rotation_about_vertical(theta, lie_product(p, q)))
+    rhs = xyz(lie_product(rotation_about_vertical(theta, p), rotation_about_vertical(theta, q)))
     assert close(lhs, rhs)
 
 

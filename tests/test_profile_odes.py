@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
@@ -28,6 +29,7 @@ from solsurf import (
     minimal_halfwidth_quadrature,
     qualitative_verdict,
 )
+from solsurf import profile_odes
 from solsurf.cli import main
 from solsurf.profile_odes import (
     MAX_BRANCH_STEPS,
@@ -480,6 +482,71 @@ def test_stepper_matches_rk45(case):
             q = np.clip(ref.t, sol.t[0], sol.t[-1])
             keep = np.abs(sol.eval_gp(q)) <= SLOPE_CAP
             assert np.max(np.abs(sol.eval_g(q[keep]) - ref.y[0][keep])) <= 1e-9
+
+
+def _assert_mirrors_the_stepper(sol, rhs, ic, ends, stops, tol):
+    """Each half of the collapsing profile ``sol`` holds, bit for bit, the
+    nodes :func:`_dopri54` steps from ``t = 0`` toward its end: the right
+    half as stored, the left half read from the centre outward.  The centre
+    node is shared, so a ``-0.0`` there fails too.  Each blow-up abscissa is
+    its own stepped branch's, and the node defect is even."""
+    halves = [_dopri54(rhs, *ic, end, stops, *tol) for end in ends]
+    n = len(halves[0][0])
+    assert len(sol.t) == 2 * n - 1 and len(halves[1][0]) == n
+    events = sol.events
+    for (t, g, gp, status), half, blowup, side in zip(
+            halves, (slice(n - 1, None), slice(n - 1, None, -1)),
+            (events.right_blowup_t, events.left_blowup_t), (1.0, -1.0)):
+        for stepped, stored in ((t, sol.t), (g, sol.g), (gp, sol.gp)):
+            assert np.array(stepped).tobytes() == stored[half].tobytes()
+        assert events.truncated == (status != 1)
+        want = None if status != 1 else (t[-1] + side * _blowup_tail(sol.params, g[-1])).hex()
+        assert (None if blowup is None else blowup.hex()) == want
+    assert sol.node_defect[n - 1::-1].tobytes() == sol.node_defect[n - 1:].tobytes()
+
+
+@pytest.mark.parametrize("case", [c for c, (_, _, public) in STEPPER_CASES.items()
+                                  if public is not None and not c.startswith("reaper")])
+def test_left_half_is_the_stepped_left_branch(case):
+    """The collapsing profiles step only their right branch and mirror it;
+    the mirror must be what stepping toward ``-horizon`` gives, including
+    a branch that ends truncated at its step floor."""
+    stepper, _, public = STEPPER_CASES[case]
+    _assert_mirrors_the_stepper(public(), *stepper)
+
+
+_STOPS = [{}, {"m_stop": 1e3}, {"eps_g": 1e-3, "m_stop": math.inf}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.builds(_MIN, st.floats(0.0, 3.0), st.floats(0.25, 2.0)),
+                 st.builds(_CONF, st.floats(0.0, 2.0), st.floats(0.25, 2.0))),
+       st.sampled_from(_STOPS))
+def test_mirror_matches_the_stepper_across_parameters(p, stop):
+    """The same over the benchmark's parameter ranges, with each stop set
+    the stepper cases use: ends by speed, by height, and at the floor."""
+    integrate = integrate_minimal_profile if isinstance(p, _MIN) else integrate_conformal_profile
+    _assert_mirrors_the_stepper(integrate(p, **stop), *_collapse_case(p, **stop))
+
+
+def test_collapsing_profiles_step_one_branch(monkeypatch):
+    """A collapsing profile is stepped once, toward ``+horizon``; the
+    grim reaper, which is not even, twice."""
+    ends = []
+
+    def counting(rhs, ya, yb, t_bound, *rest):
+        ends.append(t_bound)
+        return _dopri54(rhs, ya, yb, t_bound, *rest)
+
+    monkeypatch.setattr(profile_odes, "_dopri54", counting)
+    for integrate, p in ((integrate_minimal_profile, _MIN(1.0, 2.0)),
+                         (integrate_conformal_profile, _CONF(2.0, 0.3))):
+        ends.clear()
+        integrate(p)
+        assert len(ends) == 1 and ends[0] > 0.0
+    ends.clear()
+    integrate_grim_reaper(GrimReaperParams(lam=0.5), (-40.0, 30.0))
+    assert sorted(ends) == [-40.0, 30.0]
 
 
 def _brackets(rng, n):

@@ -64,7 +64,8 @@ def _beta(t):
 
 
 def _swept(s, t):
-    return lie_product(HalfSpacePoint(*_alpha(s).value), HalfSpacePoint(*_beta(t).value)).as_array()
+    p = lie_product(HalfSpacePoint(*_alpha(s).value), HalfSpacePoint(*_beta(t).value))
+    return np.array([p.x, p.y, p.z])
 
 
 def test_product_jet_is_the_group_law():
