@@ -62,20 +62,29 @@ def write_residual_csv(path, report: ResidualReport) -> int:
     sorted by (s, t)).  Returns the row count.
 
     Each distinct ``s`` is formatted once as ``"<s>,"`` and each distinct
-    ``t`` once as the template ``"<t>,%.12e\\n"``; each run of rows that share
-    an ``s`` is then one ``%`` over its residuals alone.  The bytes are those
-    of formatting every number of every row with :func:`fmt`.
+    ``t`` once as the template ``"<t>,%.12e\\n"``.  A run of rows that share
+    an ``s`` is one ``%`` over its residuals alone, split into its
+    ``"<t>,<residual>\\n"`` lines; the next run reuses those lines, prefixed
+    by its own ``s``, when its ``(t, residual)`` columns have the same bits.
+    Families whose ``s`` step is a horizontal translation repeat every row,
+    so their CSV costs one number conversion per ``t`` node, not per node.
+    Only the previous row is kept.  The bytes are those of formatting every
+    number of every row with :func:`fmt`.
     """
     samples = report.samples
     s_text, s_of = _distinct(samples[:, 0], f"{_NUM},")
     t_text, t_of = _distinct(samples[:, 1], f"{_NUM},%{_NUM}\n")
     edges = np.flatnonzero(np.diff(s_of, prepend=-1, append=-1)).tolist()
-    t_of, r = t_of.tolist(), samples[:, 2].tolist()
+    last = lines = None
     with _open_w(path) as fh:
         fh.write("s,t,residual\n")
         for lo, hi in zip(edges, edges[1:]):
+            row = samples[lo:hi, 1:].tobytes()
+            if row != last:
+                text = "".join([t_text[k] for k in t_of[lo:hi].tolist()])
+                last, lines = row, (text % tuple(samples[lo:hi, 2].tolist())).splitlines(True)
             pre = s_text[s_of[lo]]
-            fh.write((pre + pre.join([t_text[k] for k in t_of[lo:hi]])) % tuple(r[lo:hi]))
+            fh.write(pre + pre.join(lines))
     return len(samples)
 
 

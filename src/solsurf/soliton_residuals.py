@@ -106,7 +106,8 @@ class ResidualReport:
     (s, t); every value is finite.  Evaluation failures are kept
     separately.  ``params`` and the ranges are those of the family, which
     they identify.  :func:`~solsurf.export.write_residual_csv` writes the
-    rows in this order, formatting each axis node once."""
+    rows in this order, formatting each axis node once and each run of
+    ``(t, residual)`` rows that repeats the run before it not at all."""
 
     mode: SolitonMode
     family: str

@@ -103,13 +103,20 @@ class ScalarJet2:
 
 
 def _freeze(obj, names, shape: Optional[tuple] = None) -> None:
-    """Store each named field of a frozen jet as a read-only float copy.
-    Every field must be ``(..., 3)``, and of ``shape`` where one is given."""
+    """Store each named field of a frozen jet as a read-only float array.
+    A float64 ndarray that owns its data and is already read-only, as
+    :func:`product_surface_jet` builds its slots, is kept as it is (its
+    owner must not make it writeable again); any other field is copied, so
+    a caller's writeable array can change without changing the jet.  Every
+    field must be ``(..., 3)``, and of ``shape`` where one is given."""
     for name in names:
-        a = np.array(getattr(obj, name), dtype=float)
+        a = getattr(obj, name)
+        if not (type(a) is np.ndarray and a.dtype == np.float64
+                and a.flags.owndata and not a.flags.writeable):
+            a = np.array(a, dtype=float)
+            a.setflags(write=False)
         if a.shape[-1:] != (3,) or shape not in (None, a.shape):
             raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
-        a.setflags(write=False)
         object.__setattr__(obj, name, a)
 
 
@@ -231,12 +238,13 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
 
     The curve slots broadcast against each other, so ``(n, 3)`` curve jets
     give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the grid.  Both
-    curve heights must be positive.
+    curve heights must be positive.  The slots are fresh arrays, marked
+    read-only here, so the jet stores them without a copy.
     """
     a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
     _require_positive(bj.value[..., 2], "beta height must be positive, got {!r}")
-    return SurfaceJet2(
+    slots = dict(
         X=a3 * bj.value + aj.value * _HORIZONTAL,
         Xs=a3_1 * bj.value + aj.d1 * _HORIZONTAL,
         Xt=a3 * bj.d1,
@@ -244,6 +252,9 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
         Xst=a3_1 * bj.d1,
         Xtt=a3 * bj.d2,
     )
+    for a in slots.values():
+        a.setflags(write=False)
+    return SurfaceJet2(**slots)
 
 
 def unit_normal(j: SurfaceJet2) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from solsurf import (
     GridSpec,
+    ResidualReport,
     SamplingError,
     ScalarJet2,
     SolitonMode,
@@ -26,6 +27,7 @@ from solsurf import (
     second_kind_jet,
     soliton_residuals,
 )
+from solsurf.commands import FAMILIES
 from solsurf.export import write_residual_csv
 
 MINIMAL, TRANSLATOR, CONFORMAL = SolitonMode
@@ -270,6 +272,73 @@ def test_residual_csv_keeps_signed_zeros_in_any_row_order(tmp_path):
     samples[::2, :2] *= -1.0  # s and t flip sign on alternate rows: 0.0 and -0.0 both occur
     rep = dataclasses.replace(rep, samples=samples[[4, 0, 8, 1, 2, 7, 3, 6, 5]])
     assert {math.copysign(1.0, s) for s in rep.samples[:, 0] if s == 0.0} == {-1.0, 1.0}
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+
+
+def _repeated_rows(rep):
+    """How many s rows of a full grid have the (t, residual) bits of the row
+    before them."""
+    rows = rep.samples[:, 1:].reshape(rep.ns, rep.nt, 2)
+    return sum(rows[i].tobytes() == rows[i - 1].tobytes() for i in range(1, rep.ns))
+
+
+# The family/mode pairs of the benchmark's residual sweep, with parameters
+# inside its ranges.  Their s step is a horizontal translation, so every s
+# row repeats the one before it.
+_SWEEP_SHAPES = [
+    ("horosphere", "translator", {"a": 1.25}),
+    ("vertical-plane", "minimal", {"c": 1.5, "d": -0.25}),
+    ("minimal-cylinder", "minimal", {"c": 1.5, "y0": 1.25}),
+    ("grim-reaper", "translator", {"lam": 0.5, "span": (-50.0, 50.0)}),
+    ("conformal-cylinder", "conformal", {"a_slope": 1.0, "y0": 1.25}),
+]
+# A pair whose rows differ from each other only by rounding.
+_ROUNDED_ROWS = ("minimal-cylinder", "translator", {"c": 1.5, "y0": 1.25})
+_GRID_CASES = _SWEEP_SHAPES + [_ROUNDED_ROWS]
+
+
+@pytest.mark.parametrize("name,mode,kw", _GRID_CASES,
+                         ids=[f"{name}-{mode}" for name, mode, _ in _GRID_CASES])
+def test_residual_csv_bytes_at_the_sweep_grid(name, mode, kw, tmp_path):
+    """At 201x201 the CSV is the per-row format, whether the writer reuses
+    the previous row's lines (every sweep shape) or formats each row."""
+    rep = residual_report(FAMILIES[name][0](**kw), SolitonMode(mode), GridSpec(201, 201))
+    assert rep.samples.shape == (201 * 201, 3)
+    if (name, mode, kw) in _SWEEP_SHAPES:
+        assert _repeated_rows(rep) == 200
+    else:
+        assert _repeated_rows(rep) < 200
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+
+
+def test_residual_csv_bytes_when_every_row_is_distinct(tmp_path):
+    """A curved f makes every s row its own: nothing is reused."""
+    fam = make_generic_first_kind(_f1, _g1, (-1.0, 1.0), (-1.0, 1.0))
+    rep = residual_report(fam, MINIMAL, GridSpec(201, 201))
+    assert _repeated_rows(rep) == 0
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+
+
+# One s row as (t, residual) pairs, and rows that differ from it, or from
+# each other, in one way only.
+_ROW = [(0.0, 0.0), (0.5, 0.25), (1.0, 0.25)]
+_NEG_ZERO = [(0.0, -0.0), (0.5, 0.25), (1.0, 0.25)]  # equal to _ROW under ==
+_NO_MID = [(0.0, 0.0), (1.0, 0.25)]  # t = 0.5 failed
+_NO_END = [(0.0, 0.0), (0.5, 0.25)]  # t = 1.0 failed: the residuals of _NO_MID
+_LAST = [(0.0, 0.0), (0.5, 0.25), (1.0, 0.375)]
+
+
+@pytest.mark.parametrize("rows", [
+    [_ROW, _ROW, _NEG_ZERO, _NEG_ZERO, _ROW],
+    [_ROW, _ROW, _NO_MID, _NO_END, _NO_END, _ROW],
+    [_ROW, _ROW, _LAST, _LAST, _ROW],
+], ids=["signed-zero", "missing-t", "last-residual"])
+def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
+    """A row is written from the previous row's lines only when its t and
+    residual columns have the same bits, so each file is the per-row format."""
+    samples = np.array([(float(i), t, r) for i, row in enumerate(rows) for t, r in row])
+    rep = ResidualReport(TRANSLATOR, "hand_built", {}, (0.0, 1.0), (0.0, 1.0),
+                         len(rows), len(_ROW), 0.0, samples, [])
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 

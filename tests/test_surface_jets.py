@@ -192,6 +192,26 @@ def test_jet_arrays_are_read_only():
         j.X[0] = 99.0
 
 
+_SLOTS = ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")
+
+
+def test_jet_copies_writeable_caller_arrays():
+    """Slots a caller passes in are copied (product_surface_jet's own fresh
+    slots are kept), so changing the caller's arrays leaves the jet alone."""
+    arrays = {name: getattr(first_kind_jet(FJ, GJ, 0.3, -0.4), name).copy() for name in _SLOTS}
+    assert all(a.flags.writeable and a.flags.owndata for a in arrays.values())
+    j = SurfaceJet2(**arrays)
+    before = {name: getattr(j, name).tolist() for name in _SLOTS}
+    for a in arrays.values():
+        a[...] = 99.0
+    assert {name: getattr(j, name).tolist() for name in _SLOTS} == before
+    for jet in (j, first_kind_jet(FJ, GJ, 0.3, -0.4)):
+        for name in _SLOTS:
+            assert not getattr(jet, name).flags.writeable
+            with pytest.raises(ValueError):
+                getattr(jet, name)[0] = 99.0
+
+
 # --- finite differences --------------------------------------------------
 
 
