@@ -66,10 +66,11 @@ def write_residual_csv(path, report: ResidualReport) -> int:
     an ``s`` is one ``%`` over its residuals alone, split into its
     ``"<t>,<residual>\\n"`` lines; the next run reuses those lines, prefixed
     by its own ``s``, when its ``(t, residual)`` columns have the same bits.
-    Families whose ``s`` step is a horizontal translation repeat every row,
-    so their CSV costs one number conversion per ``t`` node, not per node.
-    Only the previous row is kept.  The bytes are those of formatting every
-    number of every row with :func:`fmt`.
+    Where the ``s`` step leaves every residual's bits alone, as the
+    horizontal translation of most families and modes does, every row
+    repeats and the CSV costs one number conversion per ``t`` node, not per
+    node.  Only the previous row is kept.  The bytes are those of formatting
+    every number of every row with :func:`fmt`.
     """
     samples = report.samples
     s_text, s_of = _distinct(samples[:, 0], f"{_NUM},")
