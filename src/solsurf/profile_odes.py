@@ -725,6 +725,11 @@ def integrate_grim_reaper(
     t = np.array(lt[::-1] + rt[1:])
     g = np.array(lg[::-1] + rg[1:])
     w = lw[::-1] + rw[1:]
+    if len(t) < 2:
+        raise ParameterError(
+            f"no step from t = 0 was accepted at lambda = {p.lam!r}: every trial step "
+            "was rejected"
+        )
     truncated = right != 0 or left != 0
     return ProfileSolution(
         params=p,

@@ -32,7 +32,7 @@ which is ``residual("minimal", j)`` in :mod:`solsurf.soliton_residuals`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -102,21 +102,12 @@ class ScalarJet2:
     d2: float
 
 
-def _freeze(obj, names, shape: Optional[tuple] = None) -> None:
-    """Store each named field of a frozen jet as a read-only float array.
-    A float64 ndarray that owns its data and is already read-only, as
-    :func:`product_surface_jet` builds its slots, is kept as it is (its
-    owner must not make it writeable again); any other field is copied, so
-    a caller's writeable array can change without changing the jet.  Every
-    field must be ``(..., 3)``, and of ``shape`` where one is given."""
+def _freeze(obj, names) -> None:
+    """Store each named field of a frozen jet as a read-only float copy, so
+    a caller's array can change without changing the jet."""
     for name in names:
-        a = getattr(obj, name)
-        if not (type(a) is np.ndarray and a.dtype == np.float64
-                and a.flags.owndata and not a.flags.writeable):
-            a = np.array(a, dtype=float)
-            a.setflags(write=False)
-        if a.shape[-1:] != (3,) or shape not in (None, a.shape):
-            raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
+        a = np.array(getattr(obj, name), dtype=float)
+        a.setflags(write=False)
         object.__setattr__(obj, name, a)
 
 
@@ -174,7 +165,28 @@ class SurfaceJet2:
     Xtt: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, _SLOTS, np.shape(self.X))
+        _freeze(self, _SLOTS)
+        self._check()
+
+    @classmethod
+    def _adopt(cls, slots: dict) -> "SurfaceJet2":
+        """The jet of ``slots``, fresh float arrays that no caller holds,
+        stored without a copy once marked read-only: the path by which
+        :func:`product_surface_jet` hands over the slots it computed."""
+        j = object.__new__(cls)
+        for name in _SLOTS:
+            a = slots[name]
+            a.setflags(write=False)
+            object.__setattr__(j, name, a)
+        j._check()
+        return j
+
+    def _check(self) -> None:
+        shape = self.X.shape
+        for name in _SLOTS:
+            a = getattr(self, name)
+            if a.shape[-1:] != (3,) or a.shape != shape:
+                raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
         _require_positive(self.X[..., 2], "surface point has non-positive height {!r}")
         c = _cross(_xyz(self.Xs), _xyz(self.Xt))
         if not (np.sqrt(_dot(c, c)) > DEGENERACY_THRESHOLD).all():
@@ -238,8 +250,8 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
 
     The curve slots broadcast against each other, so ``(n, 3)`` curve jets
     give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the grid.  Both
-    curve heights must be positive.  The slots are fresh arrays, marked
-    read-only here, so the jet stores them without a copy.
+    curve heights must be positive.  The slots are fresh arrays that only
+    the jet holds, so it stores them without a copy.
     """
     a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
@@ -252,9 +264,7 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
         Xst=a3_1 * bj.d1,
         Xtt=a3 * bj.d2,
     )
-    for a in slots.values():
-        a.setflags(write=False)
-    return SurfaceJet2(**slots)
+    return SurfaceJet2._adopt(slots)
 
 
 def unit_normal(j: SurfaceJet2) -> np.ndarray:
@@ -286,34 +296,55 @@ def mean_curvature(j: SurfaceJet2):
     return (f.l * f.G - 2.0 * f.n * f.F + f.E * f.m) / (2.0 * (f.E * f.G - f.F * f.F))
 
 
+def _stencil_points(ss, tt) -> str:
+    """The probed point, or the extent of a batch of them, for a message."""
+    if np.ndim(ss) == 0:
+        return f"stencil point (s={float(ss)!r}, t={float(tt)!r})"
+    return (f"a stencil point in s [{float(np.min(ss))!r}, {float(np.max(ss))!r}], "
+            f"t [{float(np.min(tt))!r}, {float(np.max(tt))!r}]")
+
+
 def finite_difference_jet(
     evaluator: Callable[[float, float], np.ndarray],
-    s: float,
-    t: float,
-    h: float,
+    s,
+    t,
+    h,
 ) -> SurfaceJet2:
     """Second-order central-difference jet of a position-only surface map.
 
-    ``evaluator(s, t)`` must return the position as a 3-vector.  The stencil
-    uses the four axis neighbours at distance ``h`` plus the four corners
-    (for ``Xst``); all nine probed points must stay in the domain, otherwise
-    a ``DomainError`` is raised.  Truncation error is O(h^2) per slot.
+    ``s``, ``t`` and the step ``h`` broadcast like numpy arrays, and the jet
+    has their broadcast shape times 3: scalars give one point's jet, and an
+    ``(n, 1)`` ``s`` and ``t`` with ``(m,)`` steps give ``n`` points at ``m``
+    steps each.  ``evaluator(s, t)`` returns the position: a 3-vector when
+    every argument is a scalar, otherwise ``(k, 3)`` positions for two 1-D
+    arrays of ``k`` points (the broadcast points, flattened), as
+    ``SurfaceFamily.position`` does, so a batch costs nine evaluator calls.
+    The stencil uses the four axis neighbours at distance ``h`` plus the
+    four corners (for ``Xst``); all probed points must stay in the domain,
+    otherwise a ``DomainError`` is raised.  Truncation error is O(h^2) per
+    slot, and each point's jet has the bits of its own scalar call.
     """
-    if not h > 0.0:
-        raise ParameterError(f"step must be positive, got {h!r}")
+    if not np.all(np.greater(h, 0.0)):
+        raise ParameterError(f"step must be positive, got {float(np.min(h))!r}")
+    shape = np.broadcast_shapes(np.shape(s), np.shape(t), np.shape(h))
+    if shape:
+        s, t, h = (np.broadcast_to(v, shape).ravel() for v in (s, t, h))
 
-    def ev(ss: float, tt: float) -> np.ndarray:
+    def ev(ss, tt) -> np.ndarray:
         try:
             p = np.asarray(evaluator(ss, tt), dtype=float)
         except (DomainError, ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{_stencil_points(ss, tt)} left the surface domain") from exc
+        if p.shape != np.shape(ss) + (3,):
+            raise ParameterError(
+                f"evaluator must return {np.shape(ss) + (3,)} positions, got shape {p.shape}"
+            )
+        up = p[..., 2] > 0.0
+        if not up.all():
+            k = int(np.argmin(up))
             raise DomainError(
-                f"stencil point (s={ss!r}, t={tt!r}) left the surface domain"
-            ) from exc
-        if p.shape != (3,):
-            raise ParameterError(f"evaluator must return a 3-vector, got shape {p.shape}")
-        if not p[2] > 0.0:
-            raise DomainError(
-                f"stencil point (s={ss!r}, t={tt!r}) has non-positive height {p[2]!r}"
+                f"{_stencil_points(np.ravel(ss)[k], np.ravel(tt)[k])} has non-positive "
+                f"height {float(np.ravel(p[..., 2])[k])!r}"
             )
         return p
 
@@ -322,7 +353,8 @@ def finite_difference_jet(
     Xn, Xo = ev(s, t + h), ev(s, t - h)
     Xen, Xeo = ev(s + h, t + h), ev(s + h, t - h)
     Xwn, Xwo = ev(s - h, t + h), ev(s - h, t - h)
-    return SurfaceJet2(
+    h = np.reshape(h, np.shape(h) + (1,))  # a column against (k, 3) positions
+    slots = dict(
         X=X,
         Xs=(Xe - Xw) / (2.0 * h),
         Xt=(Xn - Xo) / (2.0 * h),
@@ -330,6 +362,7 @@ def finite_difference_jet(
         Xst=(Xen - Xeo - Xwn + Xwo) / (4.0 * h * h),
         Xtt=(Xn - 2.0 * X + Xo) / (h * h),
     )
+    return SurfaceJet2(**{name: a.reshape(shape + (3,)) for name, a in slots.items()})
 
 
 def rotate_jet(theta: float, j: SurfaceJet2) -> SurfaceJet2:

@@ -21,7 +21,6 @@ import math
 import os
 import tempfile
 import time
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
@@ -136,39 +135,43 @@ class VerifySummary:
 # criterion 1: group laws
 
 
-def _random_points(rng: np.random.Generator, n: int) -> List[HalfSpacePoint]:
+def _random_points(rng: np.random.Generator, n: int) -> HalfSpacePoint:
+    """``n`` random points, as one point of ``(n,)`` coordinates."""
     xs = rng.uniform(-3.0, 3.0, size=(n, 2))
     zs = np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=n))
-    return [HalfSpacePoint(float(x), float(y), float(z)) for (x, y), z in zip(xs, zs)]
+    return HalfSpacePoint(xs[:, 0], xs[:, 1], zs)
+
+
+def _stacked(points) -> np.ndarray:
+    """The ``x``, ``y`` and ``z`` rows of every point, a scalar point's
+    broadcast to the length of the others."""
+    return np.stack(np.broadcast_arrays(*(c for pt in points for c in (pt.x, pt.y, pt.z))))
 
 
 def _check_group_laws() -> Measurement:
     rng = np.random.default_rng(_SEED)
     n = 1000
-    ps = _random_points(rng, n)
-    qs = _random_points(rng, n)
-    rs = _random_points(rng, n)
-    thetas = rng.uniform(-math.pi, math.pi, size=n)
-    lhs, rhs = array("d"), array("d")  # (x, y, z) of every law pair, flat
-    for p, q, r, th in zip(ps, qs, rs, thetas):
-        u = SemidirectPoint(p.x, p.y, math.log(p.z))
-        v = SemidirectPoint(q.x, q.y, math.log(q.z))
-        laws = (  # (lhs, rhs) of each law
-            (lie_product(lie_product(p, q), r), lie_product(p, lie_product(q, r))),
-            (lie_product(p, IDENTITY), p),
-            (lie_product(IDENTITY, p), p),
-            (lie_product(p, lie_inverse(p)), IDENTITY),
-            (lie_product(lie_inverse(p), p), IDENTITY),
-            (semidirect_to_halfspace(semidirect_product(u, v)),
-             lie_product(semidirect_to_halfspace(u), semidirect_to_halfspace(v))),
-            (rotation_about_vertical(th, lie_product(p, q)),
-             lie_product(rotation_about_vertical(th, p), rotation_about_vertical(th, q))),
-        )
-        for a, b in laws:
-            lhs.extend((a.x, a.y, a.z))
-            rhs.extend((b.x, b.y, b.z))
+    p = _random_points(rng, n)
+    q = _random_points(rng, n)
+    r = _random_points(rng, n)
+    th = rng.uniform(-math.pi, math.pi, size=n)
+    u = SemidirectPoint(p.x, p.y, np.log(p.z))
+    v = SemidirectPoint(q.x, q.y, np.log(q.z))
+    laws = (  # (lhs, rhs) of each law, on all n samples at once
+        (lie_product(lie_product(p, q), r), lie_product(p, lie_product(q, r))),
+        (lie_product(p, IDENTITY), p),
+        (lie_product(IDENTITY, p), p),
+        (lie_product(p, lie_inverse(p)), IDENTITY),
+        (lie_product(lie_inverse(p), p), IDENTITY),
+        (semidirect_to_halfspace(semidirect_product(u, v)),
+         lie_product(semidirect_to_halfspace(u), semidirect_to_halfspace(v))),
+        (rotation_about_vertical(th, lie_product(p, q)),
+         lie_product(rotation_about_vertical(th, p), rotation_about_vertical(th, q))),
+    )
     # rel_defect is componentwise, so judging the whole stack once gives the
     # largest defect of any pair, bit for bit, NaN included.
+    lhs = _stacked(a for a, _ in laws)
+    rhs = _stacked(b for _, b in laws)
     return rel_defect(lhs, rhs), f"{n} samples, {len(laws)} laws each"
 
 
@@ -400,15 +403,14 @@ def _fd_surfaces():
 
 def _check_fd_convergence() -> Measurement:
     """Distance of the observed convergence orders from 2."""
-    hs = (1e-2, 5e-3, 2.5e-3)
+    hs = np.array([1e-2, 5e-3, 2.5e-3])
     orders = []
     for fam, pts in _fd_surfaces():
-        errs = []
-        for h in hs:
-            errs.append(float(np.max([
-                abs(mean_curvature(finite_difference_jet(fam.position, s, t, h))
-                    - mean_curvature(fam.jet(s, t)))
-                for s, t in pts])))
+        s, t = np.array(pts).T
+        # One batch per surface: points down, steps across.
+        fd = finite_difference_jet(fam.position, s[:, None], t[:, None], hs)
+        exact = mean_curvature(fam.jet(s, t))[:, None]
+        errs = np.max(np.abs(mean_curvature(fd) - exact), axis=0).tolist()
         for e0, e1 in zip(errs, errs[1:]):
             if e1 <= 0.0:
                 continue  # exact agreement; cannot ratio, but nothing to complain about

@@ -193,8 +193,9 @@ def _unchecked_point(x, y, z):
 
 
 def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
-    """A product that returns a NaN ``x`` at one sample (the 500th right
-    identity law) makes the row's defect NaN, and the row fails."""
+    """A product that returns a NaN ``x`` at one sample (the 500th of the
+    right identity law, which the batch computes in one call) makes the
+    row's defect NaN, and the row fails."""
     clean = verify.lie_product
     seen = []
 
@@ -202,13 +203,14 @@ def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
         out = clean(p, q)
         if q is verify.IDENTITY:
             seen.append(p)
-            if len(seen) == 500:
-                return _unchecked_point(math.nan, out.y, out.z)
+            x = out.x.copy()
+            x[499] = math.nan
+            return _unchecked_point(x, out.y, out.z)
         return out
 
     monkeypatch.setattr(verify, "lie_product", one_nan)
     (r,) = run_checks("lie.").results
-    assert len(seen) == 1000
+    assert len(seen) == 1 and seen[0].x.shape == (1000,)
     assert math.isnan(r.defect) and not r.passed
 
 

@@ -338,6 +338,18 @@ def test_every_flag_changes_the_output(tmp_path, cmd, name, flag):
         len(g) != len(d) or any(map(_moved, g, d)) for g, d in zip(given, default))
 
 
+@pytest.mark.parametrize("cmd", [["profile", "--ode", "grim-reaper"],
+                                 ["residual", "--family", "grim-reaper", "--mode", "translator"]])
+def test_reaper_with_no_accepted_step_names_the_cause(tmp_path, cmd, monkeypatch, capsys):
+    """At lambda = 1e154 the slope squares to a finite 1e308 but no step from
+    t = 0 is accepted; the refusal says so, not that the solution is short."""
+    monkeypatch.chdir(tmp_path)
+    assert main(cmd + ["--lambda", "1e154"]) == 2
+    err = capsys.readouterr().err
+    assert "no step from t = 0 was accepted at lambda = 1e+154" in err
+    assert "at least two nodes" not in err
+
+
 def test_refusal_names_flag_as_typed(capsys):
     argv = ["residual", "--family", "horosphere", "--lambda", "7", "--mode", "minimal"]
     assert main(argv) == 2

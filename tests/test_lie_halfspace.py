@@ -1,5 +1,6 @@
 """Group structure of the upper half-space."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from solsurf import (
     semidirect_product,
     semidirect_to_halfspace,
 )
+from solsurf import verify
 from solsurf.lie_halfspace import rotation_matrix
 
 # coordinate strategies: heights bounded away from 0 and infinity so products
@@ -151,3 +153,88 @@ def test_rejects_nonfinite_semidirect():
 def test_exponential_chart_overflow_is_loud():
     with pytest.raises(OverflowError):
         semidirect_to_halfspace(SemidirectPoint(0.0, 0.0, 1e4))
+
+
+# --- array points ----------------------------------------------------------
+
+
+def _verify_samples():
+    """The 1000 seeded samples of verify's group-law row: three points and
+    an angle per sample, as array points and an angle array."""
+    rng = np.random.default_rng(verify._SEED)
+    p, q, r = (verify._random_points(rng, 1000) for _ in range(3))
+    return p, q, r, rng.uniform(-math.pi, math.pi, size=1000)
+
+
+def _at(pt, i):
+    """Sample ``i`` of an array point, as a scalar point."""
+    return type(pt)(*(float(getattr(pt, k)[i]) for k in pt.__slots__))
+
+
+def _same_bits(batch, i, one):
+    return all(np.float64(getattr(batch, k)[i]).tobytes() == np.float64(getattr(one, k)).tobytes()
+               for k in batch.__slots__)
+
+
+def test_array_operations_are_the_scalar_calls_bit_for_bit():
+    p, q, _, th = _verify_samples()
+    u = SemidirectPoint(p.x, p.y, np.log(p.z))
+    v = SemidirectPoint(q.x, q.y, np.log(q.z))
+    batches = [
+        (lie_product(p, q), lambda i: lie_product(_at(p, i), _at(q, i))),
+        (lie_inverse(p), lambda i: lie_inverse(_at(p, i))),
+        (semidirect_product(u, v), lambda i: semidirect_product(_at(u, i), _at(v, i))),
+        (semidirect_to_halfspace(u), lambda i: semidirect_to_halfspace(_at(u, i))),
+        (rotation_about_vertical(th, p),
+         lambda i: rotation_about_vertical(float(th[i]), _at(p, i))),
+    ]
+    for batch, scalar in batches:
+        assert batch.x.shape == (1000,)
+        assert all(_same_bits(batch, i, scalar(i)) for i in range(1000))
+
+
+def test_array_point_mixes_with_scalar_points():
+    p, *_ = _verify_samples()
+    for out in (lie_product(p, IDENTITY), lie_product(IDENTITY, p)):
+        assert all(getattr(out, k).tobytes() == getattr(p, k).tobytes() for k in "xyz")
+    ys = HalfSpacePoint(np.array([1.0, 2.0]), 0.0, 3.0)
+    assert ys.y.tolist() == [0.0, 0.0] and ys.z.tolist() == [3.0, 3.0]
+
+
+@pytest.mark.parametrize("slot, value", [("x", math.nan), ("y", math.inf), ("z", math.nan),
+                                         ("z", 0.0), ("z", -2.0), ("z", math.inf)])
+def test_array_point_with_one_bad_entry_is_refused(slot, value):
+    coords = {k: np.ones(1000) for k in "xyz"}
+    coords[slot][617] = value
+    with pytest.raises(ParameterError, match=r"at index \(617,\)"):
+        HalfSpacePoint(**coords)
+
+
+def test_array_semidirect_point_with_one_bad_entry_is_refused():
+    w = np.zeros(5)
+    w[3] = math.nan
+    with pytest.raises(ParameterError):
+        SemidirectPoint(np.zeros(5), np.zeros(5), w)
+
+
+def test_array_exponential_chart_overflow_is_loud_without_warnings():
+    """One overflowing ``w`` raises, as ``math.exp`` would, and numpy's
+    overflow warning is not printed on the way."""
+    w = np.zeros(4)
+    w[2] = 1e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (SemidirectPoint(0.0, 0.0, 1e4), SemidirectPoint(np.zeros(4), np.zeros(4), w)):
+            with pytest.raises(OverflowError):
+                semidirect_to_halfspace(p)
+            with pytest.raises(OverflowError):
+                semidirect_product(p, p)
+
+
+def test_array_point_keeps_its_own_copy():
+    xs, ys, zs = np.zeros(3), np.ones(3), np.full(3, 2.0)
+    p = HalfSpacePoint(xs, ys, zs)
+    xs[0], ys[1], zs[2] = math.nan, math.inf, -1.0
+    assert p.x.tolist() == [0.0] * 3 and p.y.tolist() == [1.0] * 3 and p.z.tolist() == [2.0] * 3
+    with pytest.raises(ValueError):
+        p.z[0] = -1.0

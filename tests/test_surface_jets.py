@@ -23,6 +23,7 @@ from solsurf import (
     second_kind_jet,
     unit_normal,
 )
+from solsurf.verify import _fd_surfaces
 
 FJ = ScalarJet2(0.25, -0.5, 1.5)   # f, f', f''  at some s
 GJ = ScalarJet2(1.25, 0.75, -2.0)  # g, g', g''  at some t
@@ -196,8 +197,9 @@ _SLOTS = ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")
 
 
 def test_jet_copies_writeable_caller_arrays():
-    """Slots a caller passes in are copied (product_surface_jet's own fresh
-    slots are kept), so changing the caller's arrays leaves the jet alone."""
+    """Slots a caller passes in are copied (product_surface_jet hands its
+    own fresh slots over uncopied), so changing the caller's arrays leaves
+    the jet alone."""
     arrays = {name: getattr(first_kind_jet(FJ, GJ, 0.3, -0.4), name).copy() for name in _SLOTS}
     assert all(a.flags.writeable and a.flags.owndata for a in arrays.values())
     j = SurfaceJet2(**arrays)
@@ -210,6 +212,20 @@ def test_jet_copies_writeable_caller_arrays():
             assert not getattr(jet, name).flags.writeable
             with pytest.raises(ValueError):
                 getattr(jet, name)[0] = 99.0
+
+
+def test_jet_copies_read_only_caller_arrays():
+    """A caller's read-only array is copied too: its owner can make it
+    writeable again, and a write must not move the jet below the boundary."""
+    slots = {name: getattr(first_kind_jet(FJ, GJ, 0.3, -0.4), name).copy() for name in _SLOTS}
+    for a in slots.values():
+        a.setflags(write=False)
+    j = SurfaceJet2(**slots)
+    before = j.X.tolist()
+    slots["X"].setflags(write=True)
+    slots["X"][2] = -1.0
+    assert j.X.tolist() == before and j.X[2] > 0.0
+    assert not any(np.shares_memory(getattr(j, name), slots[name]) for name in _SLOTS)
 
 
 # --- finite differences --------------------------------------------------
@@ -260,3 +276,66 @@ def test_finite_difference_stencil_leaves_domain():
 def test_finite_difference_rejects_bad_step():
     with pytest.raises(ParameterError):
         finite_difference_jet(_wavy_position, 0.0, 0.0, 0.0)
+
+
+def _fd_cases():
+    hs = np.array([1e-2, 5e-3, 2.5e-3])
+    for fam, pts in _fd_surfaces():
+        s, t = np.array(pts).T
+        yield fam, s, t, hs
+
+
+def test_batched_finite_difference_is_the_scalar_calls():
+    """Points down and steps across, each jet of the batch has the bits of
+    its own scalar call, slot by slot."""
+    for fam, s, t, hs in _fd_cases():
+        batch = finite_difference_jet(fam.position, s[:, None], t[:, None], hs)
+        assert batch.X.shape == (len(s), len(hs), 3)
+        for i in range(len(s)):
+            for k in range(len(hs)):
+                one = finite_difference_jet(fam.position, float(s[i]), float(t[i]),
+                                            float(hs[k]))
+                for name in _SLOTS:
+                    assert getattr(batch, name)[i, k].tobytes() == getattr(one, name).tobytes()
+
+
+def test_batched_finite_difference_nine_evaluator_calls():
+    """A batch calls the evaluator once per stencil offset, with 1-D arrays."""
+    fam, s, t, hs = next(_fd_cases())
+    shapes = []
+
+    def position(ss, tt):
+        shapes.append((np.shape(ss), np.shape(tt)))
+        return fam.position(ss, tt)
+
+    finite_difference_jet(position, s[:, None], t[:, None], hs)
+    assert shapes == [((9,), (9,))] * 9
+
+
+def test_batched_finite_difference_one_point_leaves_domain():
+    """One stencil point of a batch below the boundary refuses the batch."""
+    def pos(s, t):
+        if np.any(np.asarray(t) <= 0.0):
+            raise DomainError("below the boundary")
+        return np.stack(np.broadcast_arrays(s, s + t, t), axis=-1)
+
+    ts = np.array([0.5, 0.005, 0.7])
+    finite_difference_jet(pos, 0.0, ts[[0, 2]], 1e-2)
+    with pytest.raises(DomainError, match="a stencil point in s"):
+        finite_difference_jet(pos, 0.0, ts, 1e-2)
+
+
+def test_batched_finite_difference_names_a_point_below_the_boundary():
+    """An evaluator that returns one point at non-positive height is refused,
+    and the message names that point."""
+    def pos(s, t):
+        return np.stack(np.broadcast_arrays(s, t, t), axis=-1)
+
+    with pytest.raises(DomainError, match=r"stencil point \(s=0.0, t=-0.005\)"):
+        finite_difference_jet(pos, 0.0, np.array([0.5, 0.005]), 1e-2)
+
+
+def test_batched_finite_difference_rejects_one_bad_step():
+    for h in (0.0, -1e-3, math.nan):
+        with pytest.raises(ParameterError):
+            finite_difference_jet(_wavy_position, 0.0, 0.0, np.array([1e-2, h, 1e-3]))
