@@ -54,15 +54,12 @@ from .surface_factory import (
 )
 from .surface_jets import (
     CurveJet2,
-    FundamentalForms,
     ScalarJet2,
     SurfaceJet2,
     finite_difference_jet,
     first_kind_jet,
-    fundamental_forms,
     mean_curvature,
     product_surface_jet,
-    rotate_jet,
     second_kind_jet,
     unit_normal,
 )

@@ -94,14 +94,15 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     (``param.<name>``, sorted) and ranges, then the sweep.  The last line is
     always ``MAX_ABS=<value>`` so shell pipelines can grab it.  A parameter
     that does not format raises before the file is opened."""
-    lines = [f"family={report.family}"]
-    lines += [f"param.{key}={fmt(report.params[key])}" for key in sorted(report.params)]
+    fam, grid = report.family, report.grid
+    lines = [f"family={fam.name}"]
+    lines += [f"param.{key}={fmt(fam.params[key])}" for key in sorted(fam.params)]
     lines += [f"{name}={fmt(lo)}:{fmt(hi)}"
-              for name, (lo, hi) in (("s_range", report.s_range), ("t_range", report.t_range))]
+              for name, (lo, hi) in (("s_range", fam.s_range), ("t_range", fam.t_range))]
     lines += [
         f"mode={report.mode.value}",
-        f"grid={report.ns}x{report.nt}",
-        f"margin={fmt(report.margin)}",
+        f"grid={grid.ns}x{grid.nt}",
+        f"margin={fmt(grid.margin)}",
         f"nodes={len(report.samples)}",
         f"failures={len(report.failures)}",
         f"mean_abs={fmt(report.mean_abs)}",

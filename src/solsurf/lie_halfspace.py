@@ -33,7 +33,6 @@ __all__ = [
     "lie_inverse",
     "semidirect_product",
     "semidirect_to_halfspace",
-    "rotation_matrix",
     "rotation_about_vertical",
 ]
 
@@ -153,12 +152,6 @@ def semidirect_to_halfspace(p: SemidirectPoint) -> HalfSpacePoint:
         If ``e^w`` overflows the float range.
     """
     return HalfSpacePoint(p.x, p.y, _exp(p.w))
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    """3x3 matrix of the rotation by ``theta`` about the vertical axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rotation_about_vertical(theta: float, p: HalfSpacePoint) -> HalfSpacePoint:

@@ -333,9 +333,9 @@ class ProfileSolution:
 
     def _eval(self, t, f):
         """``f`` at the abscissae ``t``, a float for a scalar ``t``; raises
-        :class:`DomainError` if any lies outside the nodes."""
+        :class:`DomainError` if any lies outside the nodes (NaN does)."""
         q = np.asarray(t, dtype=float)
-        if np.any(q < self.t[0]) or np.any(q > self.t[-1]):
+        if not ((q >= self.t[0]) & (q <= self.t[-1])).all():
             raise DomainError(
                 f"query outside the integrated range "
                 f"[{float(self.t[0])!r}, {float(self.t[-1])!r}]"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .surface_jets import (
     mean_curvature,
     unit_normal,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .surface_factory import GridSpec, SurfaceFamily
 
 __all__ = [
     "SolitonMode",
@@ -104,21 +107,25 @@ class ResidualReport:
     """Residuals sampled over a grid.  ``samples`` has columns (s, t, value)
     and holds the (s, t) product grid minus its failed nodes, sorted by
     (s, t); every value is finite.  Evaluation failures are kept
-    separately.  ``params`` and the ranges are those of the family, which
-    they identify.  :func:`~solsurf.export.write_residual_csv` writes the
-    rows in this order, formatting each axis node once and each run of
-    ``(t, residual)`` rows that repeats the run before it not at all."""
+    separately.  ``family`` and ``grid`` are the swept family and grid,
+    which :func:`~solsurf.export.write_residual_summary` reads.
+    :func:`~solsurf.export.write_residual_csv` writes the rows in this
+    order, formatting each axis node once and each run of ``(t, residual)``
+    rows that repeats the run before it not at all."""
 
     mode: SolitonMode
-    family: str
-    params: dict
-    s_range: Tuple[float, float]
-    t_range: Tuple[float, float]
-    ns: int
-    nt: int
-    margin: float
+    family: "SurfaceFamily"
+    grid: "GridSpec"
     samples: np.ndarray
     failures: List[Tuple[float, float, str]]
+
+    @property
+    def ns(self) -> int:
+        return self.grid.ns
+
+    @property
+    def nt(self) -> int:
+        return self.grid.nt
 
     @property
     def max_abs(self) -> float:
@@ -129,7 +136,7 @@ class ResidualReport:
         return float(np.mean(np.abs(self.samples[:, 2])))
 
 
-def residual_report(fam, mode: SolitonMode, grid) -> ResidualReport:
+def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -> ResidualReport:
     """Sweep one residual over a family grid (margins per the family's
     blow-up flag) and collect the values.
 
@@ -162,15 +169,4 @@ def residual_report(fam, mode: SolitonMode, grid) -> ResidualReport:
             )
     arr = np.stack([S, T, r], axis=-1)[finite]
     arr.setflags(write=False)
-    return ResidualReport(
-        mode=mode,
-        family=fam.name,
-        params=fam.params,
-        s_range=fam.s_range,
-        t_range=fam.t_range,
-        ns=grid.ns,
-        nt=grid.nt,
-        margin=grid.margin,
-        samples=arr,
-        failures=failures,
-    )
+    return ResidualReport(mode=mode, family=fam, grid=grid, samples=arr, failures=failures)

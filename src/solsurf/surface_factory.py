@@ -86,6 +86,17 @@ class GridSpec:
             raise ParameterError(f"margin must be in [0, 0.5), got {self.margin!r}")
 
 
+def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
+    """``rng`` as floats ``lo < hi`` whose width ``hi - lo`` is finite too:
+    grid nodes are spaced by it, and an overflowed width makes them NaN."""
+    lo, hi = float(rng[0]), float(rng[1])
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ParameterError(
+            f"{name} must be a finite increasing pair with a finite width, got {rng!r}"
+        )
+    return lo, hi
+
+
 @dataclass(eq=False)
 class SurfaceFamily:
     """A translation surface ``X(s, t) = alpha(s) * beta(t)``, the group
@@ -99,6 +110,10 @@ class SurfaceFamily:
     offset ``b`` in ``f``, so ``X = (s, f(s) + b, t)``.  ``jet(s, t)``
     returns the full :class:`SurfaceJet2` at a point; ``position`` is the
     bare embedding, convenient for finite-difference cross-checks.
+
+    Construction, :func:`dataclasses.replace` included, stores both ranges
+    as float pairs and refuses one that is not a finite increasing pair
+    with a finite width.
     """
 
     name: str
@@ -108,6 +123,10 @@ class SurfaceFamily:
     alpha: Callable[[float], CurveJet2] = field(repr=False)
     beta: Callable[[float], CurveJet2] = field(repr=False)
     profile: Optional[ProfileSolution] = None
+
+    def __post_init__(self) -> None:
+        self.s_range = _check_range("s_range", self.s_range)
+        self.t_range = _check_range("t_range", self.t_range)
 
     def jet(self, s: float, t: float) -> SurfaceJet2:
         return product_surface_jet(self.alpha(s), self.beta(t))
@@ -120,17 +139,6 @@ class SurfaceFamily:
         """Whether the ``t`` extent ends where the profile collapses."""
         ev = self.profile.events if self.profile is not None else None
         return ev is not None and (ev.left_blowup_t, ev.right_blowup_t) != (None, None)
-
-
-def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
-    """``rng`` as floats ``lo < hi`` whose width ``hi - lo`` is finite too:
-    grid nodes are spaced by it, and an overflowed width makes them NaN."""
-    lo, hi = float(rng[0]), float(rng[1])
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise ParameterError(
-            f"{name} must be a finite increasing pair with a finite width, got {rng!r}"
-        )
-    return lo, hi
 
 
 def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
@@ -159,28 +167,20 @@ def _second_kind_family(
     """A second-kind family: ``alpha`` from ``f + b``, ``beta`` rising.  Its
     t range must stay above the boundary plane, which keeps every sampled
     ``t`` positive."""
-    t_lo, t_hi = _check_range("t_range", t_range)
-    if not t_lo > 0.0:
-        raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
 
     def offset(s):
         j = f_jet_fn(s)
         return ScalarJet2(j.value + b, j.d1, j.d2)
 
-    return SurfaceFamily(name, params, _check_range("s_range", s_range), (t_lo, t_hi),
-                         _horospherical(offset), _rising)
+    fam = SurfaceFamily(name, params, s_range, t_range, _horospherical(offset), _rising)
+    if not fam.t_range[0] > 0.0:
+        raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
+    return fam
 
 
 def _linear_jet(slope: float, intercept: float) -> Callable[[float], ScalarJet2]:
     def fn(s: float) -> ScalarJet2:
         return ScalarJet2(slope * s + intercept, slope, 0.0)
-
-    return fn
-
-
-def _constant_jet(value: float) -> Callable[[float], ScalarJet2]:
-    def fn(t: float) -> ScalarJet2:
-        return ScalarJet2(value, 0.0, 0.0)
 
     return fn
 
@@ -193,14 +193,8 @@ def make_horosphere(
     """The flat slice at height ``a > 0``: X(s, t) = (s, t, a)."""
     if not a > 0.0:
         raise ParameterError(f"height must be positive, got {a!r}")
-    return SurfaceFamily(
-        "horosphere",
-        {"a": a},
-        _check_range("s_range", s_range),
-        _check_range("t_range", t_range),
-        _horospherical(_linear_jet(0.0, 0.0)),
-        _graph(_constant_jet(a)),
-    )
+    return SurfaceFamily("horosphere", {"a": a}, s_range, t_range,
+                         _horospherical(_linear_jet(0.0, 0.0)), _graph(_linear_jet(0.0, a)))
 
 
 def make_vertical_plane(
@@ -223,11 +217,21 @@ def make_vertical_plane(
     )
 
 
-def _profile_g_jet(sol: ProfileSolution) -> Callable[[float], ScalarJet2]:
-    def fn(t):
+def _profile_family(
+    name: str,
+    params: dict,
+    s_range: Tuple[float, float],
+    f: Callable[[float], ScalarJet2],
+    sol: ProfileSolution,
+) -> SurfaceFamily:
+    """A first-kind family whose height ``g`` is the profile ``sol``, on the
+    profile's whole node span in ``t``."""
+
+    def g(t):
         return ScalarJet2(sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t))
 
-    return fn
+    return SurfaceFamily(name, params, s_range, (float(sol.t[0]), float(sol.t[-1])),
+                         _horospherical(f), _graph(g), sol)
 
 
 def make_minimal_cylinder(
@@ -239,15 +243,8 @@ def make_minimal_cylinder(
     """Minimal surface generated by the collapsing even profile: first-kind
     construction with f(s) = c*s + d and g the integrated minimal profile."""
     sol = integrate_minimal_profile(MinimalProfileParams(c=c, y0=y0))
-    return SurfaceFamily(
-        "minimal_cylinder",
-        {"c": c, "y0": y0, "d": d},
-        _check_range("s_range", s_range),
-        (float(sol.t[0]), float(sol.t[-1])),
-        _horospherical(_linear_jet(c, d)),
-        _graph(_profile_g_jet(sol)),
-        sol,
-    )
+    return _profile_family("minimal_cylinder", {"c": c, "y0": y0, "d": d}, s_range,
+                           _linear_jet(c, d), sol)
 
 
 def make_grim_reaper(
@@ -257,22 +254,18 @@ def make_grim_reaper(
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
     """Translating surface: f(s) = b_slope*s and g(t) the reaper profile,
-    with k = 1/(b_slope^2 + 1).
+    with k = 1/(b_slope^2 + 1); a ``b_slope`` whose square overflows leaves
+    no positive ``k`` and is refused.
 
     A shift ``a`` of the profile, ``X(s, t; a) = (s, t + b*s + a, g(a + t))``,
     is this surface with ``t`` relabelled, ``X(s, t; a) = X(s, t + a; 0)``,
     so the family takes none."""
     k = 1.0 / (b_slope * b_slope + 1.0)
+    if not k > 0.0:
+        raise ParameterError(f"b_slope must have a finite square, got {b_slope!r}")
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=k), span=span)
-    return SurfaceFamily(
-        "grim_reaper",
-        {"lam": lam, "b_slope": b_slope, "k": k},
-        _check_range("s_range", s_range),
-        (float(sol.t[0]), float(sol.t[-1])),
-        _horospherical(_linear_jet(b_slope, 0.0)),
-        _graph(_profile_g_jet(sol)),
-        sol,
-    )
+    return _profile_family("grim_reaper", {"lam": lam, "b_slope": b_slope, "k": k}, s_range,
+                           _linear_jet(b_slope, 0.0), sol)
 
 
 def make_conformal_cylinder(
@@ -282,17 +275,9 @@ def make_conformal_cylinder(
 ) -> SurfaceFamily:
     """Conformal-soliton surface generated by the collapsing conformal
     profile: first-kind construction with f(s) = a_slope*s."""
-    params = ConformalProfileParams(a=a_slope, y0=y0)
-    sol = integrate_conformal_profile(params)
-    return SurfaceFamily(
-        "conformal_cylinder",
-        {"a_slope": a_slope, "y0": y0},
-        _check_range("s_range", s_range),
-        (float(sol.t[0]), float(sol.t[-1])),
-        _horospherical(_linear_jet(a_slope, 0.0)),
-        _graph(_profile_g_jet(sol)),
-        sol,
-    )
+    sol = integrate_conformal_profile(ConformalProfileParams(a=a_slope, y0=y0))
+    return _profile_family("conformal_cylinder", {"a_slope": a_slope, "y0": y0}, s_range,
+                           _linear_jet(a_slope, 0.0), sol)
 
 
 def _coerced(fn: Callable[[float], object]) -> Callable[[float], ScalarJet2]:
@@ -327,14 +312,8 @@ def make_generic_first_kind(
 
     ``f_fn``/``g_fn`` return a ScalarJet2 or a (value, d1, d2) triple.
     """
-    return SurfaceFamily(
-        "generic_first_kind",
-        dict(params or {}),
-        _check_range("s_range", s_range),
-        _check_range("t_range", t_range),
-        _horospherical(_coerced(f_fn)),
-        _graph(_coerced(g_fn)),
-    )
+    return SurfaceFamily("generic_first_kind", dict(params or {}), s_range, t_range,
+                         _horospherical(_coerced(f_fn)), _graph(_coerced(g_fn)))
 
 
 def make_generic_second_kind(

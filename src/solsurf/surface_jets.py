@@ -37,22 +37,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateJetError, DomainError, ParameterError
-from .lie_halfspace import rotation_matrix
 
 __all__ = [
     "DEGENERACY_THRESHOLD",
     "ScalarJet2",
     "CurveJet2",
     "SurfaceJet2",
-    "FundamentalForms",
     "first_kind_jet",
     "second_kind_jet",
     "product_surface_jet",
     "unit_normal",
-    "fundamental_forms",
     "mean_curvature",
     "finite_difference_jet",
-    "rotate_jet",
 ]
 
 # |Xs x Xt| at or below this is treated as a collapsed (non-immersed) jet.
@@ -85,11 +81,10 @@ def _cross(a, b):
 
 
 def _normal(j: "SurfaceJet2"):
-    """Components of the unit normal ``Xs x Xt / W`` and the area density
-    ``W = |Xs x Xt|``."""
+    """Components of the unit normal ``Xs x Xt / |Xs x Xt|``."""
     c = _cross(_xyz(j.Xs), _xyz(j.Xt))
     w = np.sqrt(_dot(c, c))
-    return tuple(ck / w for ck in c), w
+    return tuple(ck / w for ck in c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,23 +188,6 @@ class SurfaceJet2:
             raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
 
 
-@dataclass(frozen=True, slots=True)
-class FundamentalForms:
-    """First/second fundamental form coefficients and the area density W,
-    as floats for a single point or arrays of the jet's grid shape.
-
-    ``W = |Xs x Xt|`` satisfies ``W^2 = E*G - F^2`` up to rounding.
-    """
-
-    E: float
-    F: float
-    G: float
-    l: float
-    m: float
-    n: float
-    W: float
-
-
 def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:
     """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``.
 
@@ -269,31 +247,18 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
 
 def unit_normal(j: SurfaceJet2) -> np.ndarray:
     """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape."""
-    return _stack(*_normal(j)[0])
-
-
-def fundamental_forms(j: SurfaceJet2) -> FundamentalForms:
-    """First and second fundamental forms of the jet.
-
-    ``l, m, n`` pair with ``Xss, Xtt, Xst`` respectively.
-    """
-    N, w = _normal(j)
-    xs, xt = _xyz(j.Xs), _xyz(j.Xt)
-    return FundamentalForms(
-        E=_dot(xs, xs),
-        F=_dot(xs, xt),
-        G=_dot(xt, xt),
-        l=_dot(_xyz(j.Xss), N),
-        m=_dot(_xyz(j.Xtt), N),
-        n=_dot(_xyz(j.Xst), N),
-        W=w,
-    )
+    return _stack(*_normal(j))
 
 
 def mean_curvature(j: SurfaceJet2):
-    """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``."""
-    f = fundamental_forms(j)
-    return (f.l * f.G - 2.0 * f.n * f.F + f.E * f.m) / (2.0 * (f.E * f.G - f.F * f.F))
+    """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``,
+    with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``."""
+    N = _normal(j)
+    xs, xt = _xyz(j.Xs), _xyz(j.Xt)
+    E, F, G = _dot(xs, xs), _dot(xs, xt), _dot(xt, xt)
+    l, m, n = _dot(_xyz(j.Xss), N), _dot(_xyz(j.Xtt), N), _dot(_xyz(j.Xst), N)
+    del N  # frees three grid-sized arrays before the quotient allocates its own
+    return (l * G - 2.0 * n * F + E * m) / (2.0 * (E * G - F * F))
 
 
 def _stencil_points(ss, tt) -> str:
@@ -364,12 +329,3 @@ def finite_difference_jet(
     )
     return SurfaceJet2(**{name: a.reshape(shape + (3,)) for name, a in slots.items()})
 
-
-def rotate_jet(theta: float, j: SurfaceJet2) -> SurfaceJet2:
-    """Apply the vertical-axis rotation to every slot of the jet.
-
-    Rotation acts linearly on positions and derivatives alike, so the
-    rotated jet is the jet of the rotated surface.
-    """
-    At = rotation_matrix(theta).T
-    return SurfaceJet2(**{name: getattr(j, name) @ At for name in _SLOTS})

@@ -1,9 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 
 from solsurf import (
     ConformalProfileParams,
     GrimReaperParams,
     MinimalProfileParams,
+    SurfaceJet2,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
@@ -33,3 +37,18 @@ def reaper_sol():
 @pytest.fixture(scope="session")
 def reaper_const_sol():
     return integrate_grim_reaper(GrimReaperParams(lam=0.0, k=1.0), span=(-10.0, 10.0))
+
+
+@pytest.fixture(scope="session")
+def rotated():
+    """``rotated(theta, j)``: the jet of the surface turned by ``theta``
+    about the vertical axis.  The rotation is linear, so it acts on every
+    slot alike."""
+
+    def rotate(theta, j):
+        c, s = math.cos(theta), math.sin(theta)
+        At = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+        return SurfaceJet2(**{name: getattr(j, name) @ At
+                              for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")})
+
+    return rotate

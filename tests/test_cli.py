@@ -191,6 +191,13 @@ REFUSALS = {
         "reason): (-2.0, 0.5, 'residual is not finite: nan')",
     "residual --family horosphere --a 1e300 --mode conformal":
         "no grid node of 'horosphere' has a finite residual",
+    # the family derives k = 1/(b^2 + 1) and takes no --k, so it names --b's keyword
+    "residual --family grim-reaper --b inf --mode translator":
+        "b_slope must have a finite square, got inf",
+    "residual --family grim-reaper --b 1e200 --mode translator":
+        "b_slope must have a finite square, got 1e+200",
+    "residual --family grim-reaper --b nan --mode translator":
+        "b_slope must have a finite square, got nan",
 }
 
 
@@ -249,6 +256,10 @@ REFUSALS = {
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
+        # a reaper slope whose square overflows leaves no positive k
+        ["residual", "--family", "grim-reaper", "--b", "inf", "--mode", "translator"],
+        ["residual", "--family", "grim-reaper", "--b", "1e200", "--mode", "translator"],
+        ["residual", "--family", "grim-reaper", "--b", "nan", "--mode", "translator"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """The runtime needs numpy alone: scipy is a test dependency, the oracle the
-in-house interpolant, root finder and quadrature are checked against."""
+in-house interpolant, root finder and quadrature are checked against.
+Every name a module exports resolves."""
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -22,3 +25,18 @@ def test_cli_import_loads_no_scipy():
 def test_source_imports_no_scipy():
     statement = re.compile(r"^\s*(from|import) scipy", re.MULTILINE)
     assert [str(p) for p in (ROOT / "src").rglob("*.py") if statement.search(p.read_text())] == []
+
+
+def test_every_exported_name_resolves():
+    """A name left in a module's ``__all__`` after its definition goes breaks
+    ``from solsurf.<module> import *``; every module must star-import."""
+    import solsurf
+
+    names = ["solsurf"] + [f"solsurf.{m.name}" for m in pkgutil.iter_modules(solsurf.__path__)]
+    missing = []
+    for name in names:
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+    for name in names:
+        exec(f"from {name} import *", {})

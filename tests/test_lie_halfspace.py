@@ -18,7 +18,6 @@ from solsurf import (
     semidirect_to_halfspace,
 )
 from solsurf import verify
-from solsurf.lie_halfspace import rotation_matrix
 
 # coordinate strategies: heights bounded away from 0 and infinity so products
 # of three points stay in a well-conditioned range
@@ -109,17 +108,13 @@ def test_rotation_preserves_height_and_inner_product():
         p = HalfSpacePoint(*rng.uniform(-2, 2, 2), float(rng.uniform(0.3, 4.0)))
         u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         th = float(rng.uniform(-3, 3))
-        A = rotation_matrix(th)
+        A = np.array([[math.cos(th), -math.sin(th), 0.0],
+                      [math.sin(th), math.cos(th), 0.0],
+                      [0.0, 0.0, 1.0]])
         q = rotation_about_vertical(th, p)
         # the metric is <u, v>/z^2: with the height fixed, A must keep u.v
         assert q.z == p.z
         assert abs((A @ u) @ (A @ v) - u @ v) <= 1e-13
-
-
-def test_rotation_matrix_fixes_vertical():
-    A = rotation_matrix(1.234)
-    assert np.allclose(A @ np.array([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0])
-    assert np.allclose(A @ A.T, np.eye(3), atol=1e-15)
 
 
 @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])

@@ -223,6 +223,15 @@ def test_eval_outside_range_raises(minimal_sol):
         minimal_sol.eval_gp(minimal_sol.t[0] - 0.1)
 
 
+@pytest.mark.parametrize("name", ["eval_g", "eval_gp", "eval_gpp"])
+@pytest.mark.parametrize("query", [math.nan, [0.1, math.nan]], ids=["scalar", "array"])
+def test_eval_refuses_nan(minimal_sol, name, query):
+    """NaN lies outside every node range, so a query holding one raises
+    instead of returning NaN."""
+    with pytest.raises(DomainError, match="outside the integrated range"):
+        getattr(minimal_sol, name)(np.array(query) if isinstance(query, list) else query)
+
+
 def test_raw_defect_responds_to_perturbation():
     # the monitor must not be identically zero by construction
     p = MinimalProfileParams(c=0.0, y0=1.0)

@@ -144,7 +144,9 @@ def test_second_kind_translator_closed_form():
 
 def test_residual_report_grid_structure():
     fam = make_horosphere(1.0, s_range=(0.0, 1.0), t_range=(0.0, 2.0))
-    rep = residual_report(fam, SolitonMode.TRANSLATOR, GridSpec(3, 4, margin=0.0))
+    grid = GridSpec(3, 4, margin=0.0)
+    rep = residual_report(fam, SolitonMode.TRANSLATOR, grid)
+    assert rep.family is fam and rep.grid is grid
     assert rep.samples.shape == (12, 3)
     assert rep.ns == 3 and rep.nt == 4
     # sorted by (s, t): first four rows share s = 0
@@ -337,8 +339,9 @@ def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
     """A row is written from the previous row's lines only when its t and
     residual columns have the same bits, so each file is the per-row format."""
     samples = np.array([(float(i), t, r) for i, row in enumerate(rows) for t, r in row])
-    rep = ResidualReport(TRANSLATOR, "hand_built", {}, (0.0, 1.0), (0.0, 1.0),
-                         len(rows), len(_ROW), 0.0, samples, [])
+    fam = make_horosphere(1.0, s_range=(0.0, len(rows) - 1.0), t_range=(0.0, 1.0))
+    grid = GridSpec(len(rows), len(_ROW), margin=0.0)
+    rep = ResidualReport(TRANSLATOR, fam, grid, samples, [])
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 

@@ -11,6 +11,7 @@ from solsurf import (
     ParameterError,
     ProfileSolution,
     SolitonMode,
+    SurfaceFamily,
     grid_axes,
     make_conformal_cylinder,
     make_generic_first_kind,
@@ -21,7 +22,6 @@ from solsurf import (
     make_vertical_plane,
     perturb_profile,
     residual_report,
-    rotate_jet,
     residual,
     sample_grid,
 )
@@ -73,11 +73,11 @@ def test_off_mode_residuals_do_not_vanish(minimal_cyl, reaper, conformal_cyl):
         assert rep.max_abs > floor, (fam.name, mode, rep.max_abs)
 
 
-def test_rotation_preserves_all_residuals(minimal_cyl):
+def test_rotation_preserves_all_residuals(minimal_cyl, rotated):
     for fam in (make_horosphere(0.8), minimal_cyl):
         j = fam.jet(0.4, 0.1)
         for theta in (0.7, 2.4):
-            jr = rotate_jet(theta, j)
+            jr = rotated(theta, j)
             for mode in SolitonMode:
                 assert abs(residual(mode, jr) - residual(mode, j)) <= 1e-10
 
@@ -161,6 +161,19 @@ def test_constructor_validation():
         GridSpec(1, 5)
     with pytest.raises(ParameterError):
         GridSpec(5, 5, margin=0.5)
+
+
+def test_family_refuses_a_reversed_range_however_built():
+    """SurfaceFamily checks its ranges itself, so a family built directly or
+    by ``dataclasses.replace`` is held to what the makers are."""
+    fam = make_horosphere(1.0)
+    with pytest.raises(ParameterError, match="s_range must be a finite increasing pair"):
+        SurfaceFamily("direct", {}, (1.0, 0.0), (0.0, 1.0), fam.alpha, fam.beta)
+    with pytest.raises(ParameterError, match="t_range must be a finite increasing pair"):
+        SurfaceFamily("direct", {}, (0.0, 1.0), (0.0, math.inf), fam.alpha, fam.beta)
+    with pytest.raises(ParameterError, match="s_range must be a finite increasing pair"):
+        replace(fam, s_range=(1.0, 0.0))
+    assert replace(fam, t_range=(0, 3)).t_range == (0.0, 3.0)
 
 
 def test_grid_node_cap():
