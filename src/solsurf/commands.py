@@ -144,15 +144,22 @@ def build(table: dict, name: str, args):
     return builder(**kwargs)
 
 
-def build_grid(args) -> GridSpec:
-    margin = {} if args.margin is None else {"margin": args.margin}
-    return GridSpec(*parse_grid(args.grid), **margin)
+def build_grid(args, fam) -> GridSpec:
+    """The ``--grid`` of ``args`` on ``fam``.  ``--margin`` clips only a ``t``
+    extent that ends at a profile collapse, so on any other family it is
+    refused, naming the flag, rather than ignored and still summarised."""
+    if args.margin is None:
+        return GridSpec(*parse_grid(args.grid))
+    if not fam.blowup_limited:
+        raise ParameterError(f"{args.family} does not take --margin; its t extent "
+                             f"does not end at a profile collapse")
+    return GridSpec(*parse_grid(args.grid), margin=args.margin)
 
 
 def cmd_residual(args) -> int:
     fam = build(FAMILIES, args.family, args)
     mode = SolitonMode(args.mode)
-    rep = residual_report(fam, mode, build_grid(args))
+    rep = residual_report(fam, mode, build_grid(args, fam))
     out = args.out if args.out is not None else f"residual_{fam.name}_{mode.value}"
     n = write_residual_csv(out + ".csv", rep)
     write_residual_summary(out + ".summary.txt", rep)
@@ -175,7 +182,7 @@ def cmd_profile(args) -> int:
 def cmd_mesh(args) -> int:
     fam = build(FAMILIES, args.family, args)
     out = args.out if args.out is not None else f"mesh_{fam.name}"
-    nv, nf = write_obj_mesh(out + ".obj", fam, build_grid(args))
+    nv, nf = write_obj_mesh(out + ".obj", fam, build_grid(args, fam))
     print(f"wrote {out}.obj ({nv} vertices, {nf} triangles)")
     return 0
 

@@ -40,16 +40,9 @@ def fmt(x: float) -> str:
 def _rows(template: str, table: np.ndarray) -> str:
     """Every row of a 2-D table formatted by one ``%`` template (numbers as
     ``_NUM``, the format of :func:`fmt`), in one call.  Serves the profile
-    CSV and the OBJ writer; the residual CSV formats its grid axes once."""
+    CSV and the OBJ writer; the residual CSV formats one template per ``t``
+    column."""
     return (template * len(table)) % tuple(table.ravel().tolist())
-
-
-def _distinct(values: np.ndarray, piece: str):
-    """``piece % x`` for each distinct float ``x`` of ``values``, and per
-    value the index of its string.  Floats are told apart by their bits, so
-    equal bits share a string and ``0.0`` and ``-0.0`` keep their own."""
-    bits, index = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
-    return [piece % x for x in bits.view(np.float64).tolist()], index
 
 
 def _open_w(path):
@@ -61,30 +54,36 @@ def write_residual_csv(path, report: ResidualReport) -> int:
     ``report.samples`` (the (s, t) product grid minus its failed nodes,
     sorted by (s, t)).  Returns the row count.
 
-    Each distinct ``s`` is formatted once as ``"<s>,"`` and each distinct
-    ``t`` once as the template ``"<t>,%.12e\\n"``.  A run of rows that share
-    an ``s`` is one ``%`` over its residuals alone, split into its
-    ``"<t>,<residual>\\n"`` lines; the next run reuses those lines, prefixed
-    by its own ``s``, when its ``(t, residual)`` columns have the same bits.
-    Where the ``s`` step leaves every residual's bits alone, as the
-    horizontal translation of most families and modes does, every row
-    repeats and the CSV costs one number conversion per ``t`` node, not per
-    node.  Only the previous row is kept.  The bytes are those of formatting
-    every number of every row with :func:`fmt`.
+    A run of rows that share the bits of ``s`` is one ``%`` over its
+    residuals alone: the template ``"<t>,%.12e\n"`` per row, joined, is
+    rebuilt only when the run's ``t`` column differs in bits from the
+    previous run's, and ``"<s>,"`` is formatted once per run.  The next run
+    reuses the lines, prefixed by its own ``s``, when its ``(t, residual)``
+    columns have the same bits.  Where the ``s`` step leaves every
+    residual's bits alone, as the horizontal translation of most families
+    and modes does, every run repeats and the CSV costs one number
+    conversion per ``t`` node and one per ``s`` node.  Only the previous run
+    is kept, and nothing is sorted.  The bytes are those of formatting every
+    number of every row with :func:`fmt`.
     """
     samples = report.samples
-    s_text, s_of = _distinct(samples[:, 0], f"{_NUM},")
-    t_text, t_of = _distinct(samples[:, 1], f"{_NUM},%{_NUM}\n")
-    edges = np.flatnonzero(np.diff(s_of, prepend=-1, append=-1)).tolist()
-    last = lines = None
+    s_bits = samples[:, 0].view(np.int64)
+    bounds = np.ones(len(samples) + 1, dtype=bool)  # where a run of equal s bits starts or ends
+    bounds[1:-1] = s_bits[1:] != s_bits[:-1]
+    edges = np.flatnonzero(bounds).tolist()
+    piece = f"{_NUM},%{_NUM}\n"
+    last_t = template = last = lines = None
     with _open_w(path) as fh:
         fh.write("s,t,residual\n")
         for lo, hi in zip(edges, edges[1:]):
             row = samples[lo:hi, 1:].tobytes()
             if row != last:
-                text = "".join([t_text[k] for k in t_of[lo:hi].tolist()])
-                last, lines = row, (text % tuple(samples[lo:hi, 2].tolist())).splitlines(True)
-            pre = s_text[s_of[lo]]
+                t_bits = samples[lo:hi, 1].tobytes()
+                if t_bits != last_t:
+                    last_t = t_bits
+                    template = "".join([piece % t for t in samples[lo:hi, 1].tolist()])
+                last, lines = row, (template % tuple(samples[lo:hi, 2].tolist())).splitlines(True)
+            pre = fmt(samples[lo, 0]) + ","
             fh.write(pre + pre.join(lines))
     return len(samples)
 

@@ -26,12 +26,7 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from .errors import SamplingError
-from .surface_jets import (
-    ScalarJet2,
-    SurfaceJet2,
-    mean_curvature,
-    unit_normal,
-)
+from .surface_jets import ScalarJet2, SurfaceJet2, _curvature
 
 if TYPE_CHECKING:  # pragma: no cover
     from .surface_factory import GridSpec, SurfaceFamily
@@ -56,14 +51,13 @@ def residual(mode: SolitonMode, j: SurfaceJet2):
     """Evaluate one soliton residual at every point of a jet: a float for a
     single point, an array of the grid shape for a grid jet."""
     mode = SolitonMode(mode)
-    N = unit_normal(j)
-    H = mean_curvature(j)
+    H, (N1, N2, N3) = _curvature(j)
     X1, X2, X3 = j.X[..., 0], j.X[..., 1], j.X[..., 2]
     if mode is SolitonMode.MINIMAL:
-        return X3 * H + N[..., 2]
+        return X3 * H + N3
     if mode is SolitonMode.TRANSLATOR:
-        return (X3 * X3) * H - (X1 * N[..., 0] + X2 * N[..., 1])
-    return (X3 * X3) * H + (X3 + 1.0) * N[..., 2]
+        return (X3 * X3) * H - (X1 * N1 + X2 * N2)
+    return (X3 * X3) * H + (X3 + 1.0) * N3
 
 
 def reduced_residual_first_kind(
@@ -110,8 +104,11 @@ class ResidualReport:
     separately.  ``family`` and ``grid`` are the swept family and grid,
     which :func:`~solsurf.export.write_residual_summary` reads.
     :func:`~solsurf.export.write_residual_csv` writes the rows in this
-    order, formatting each axis node once and each run of ``(t, residual)``
-    rows that repeats the run before it not at all."""
+    order, taking each ``s`` row from where the bits of ``s`` change: it
+    formats each row's ``s`` once, its ``t`` template only when the ``t``
+    column changes, and a row whose ``(t, residual)`` columns repeat the row
+    before it not at all.  When every node is finite, ``samples`` is the
+    grid-shaped table itself, reshaped, not a masked copy."""
 
     mode: SolitonMode
     family: "SurfaceFamily"
@@ -151,15 +148,19 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
 
     mode = SolitonMode(mode)
     (s, t, j), failures = sample_grid(fam, grid)
-    S, T = np.meshgrid(s, t, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):  # such nodes fail below
         r = residual(mode, j)
+    arr = np.empty(r.shape + (3,))
+    arr[..., 0], arr[..., 1], arr[..., 2] = s[:, None], t, r
     finite = np.isfinite(r)
-    if not finite.all():
+    if finite.all():
+        arr = arr.reshape(-1, 3)
+    else:
+        bad = ~finite
+        i, k = np.nonzero(bad)
         failures = sorted(
             failures + [(si, ti, f"residual is not finite: {v!r}")
-                        for si, ti, v in zip(S[~finite].tolist(), T[~finite].tolist(),
-                                             r[~finite].tolist())],
+                        for si, ti, v in zip(s[i].tolist(), t[k].tolist(), r[bad].tolist())],
             key=lambda f: (f[0], f[1]),
         )
         if not finite.any():
@@ -167,6 +168,6 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
                 f"no grid node of {fam.name!r} has a finite residual "
                 f"({len(failures)} failures), first (s, t, reason): {failures[0]}"
             )
-    arr = np.stack([S, T, r], axis=-1)[finite]
+        arr = arr[finite]
     arr.setflags(write=False)
     return ResidualReport(mode=mode, family=fam, grid=grid, samples=arr, failures=failures)

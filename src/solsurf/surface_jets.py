@@ -228,21 +228,40 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
 
     The curve slots broadcast against each other, so ``(n, 3)`` curve jets
     give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the grid.  Both
-    curve heights must be positive.  The slots are fresh arrays that only
-    the jet holds, so it stores them without a copy.
+    curve heights must be positive.  ``X``, ``Xs`` and ``Xss`` are formed as
+    ``a3*beta`` with ``P(alpha)`` then added in place one component at a
+    time (:func:`_lifted`), with the bits of the broadcast sum.  The slots
+    are fresh arrays that only the jet holds, so it stores them without a
+    copy.
     """
     a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
     _require_positive(bj.value[..., 2], "beta height must be positive, got {!r}")
     slots = dict(
-        X=a3 * bj.value + aj.value * _HORIZONTAL,
-        Xs=a3_1 * bj.value + aj.d1 * _HORIZONTAL,
+        X=_lifted(a3, bj.value, aj.value),
+        Xs=_lifted(a3_1, bj.value, aj.d1),
         Xt=a3 * bj.d1,
-        Xss=a3_2 * bj.value + aj.d2 * _HORIZONTAL,
+        Xss=_lifted(a3_2, bj.value, aj.d2),
         Xst=a3_1 * bj.d1,
         Xtt=a3 * bj.d2,
     )
     return SurfaceJet2._adopt(slots)
+
+
+def _lifted(height, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``height*b + P(a)``, with the bits of that broadcast sum.
+
+    The product is one array of the jet's shape; ``P(a)``, the size of
+    ``alpha``, is added to it in place one component at a time, so on a
+    grid each add runs along ``t`` instead of over the three components of
+    one node.  The height component adds ``a3*0.0`` as the sum does, which
+    turns an infinite ``a3`` into NaN.
+    """
+    out = height * b
+    h = a * _HORIZONTAL
+    for k in range(3):
+        out[..., k] += h[..., k]
+    return out
 
 
 def unit_normal(j: SurfaceJet2) -> np.ndarray:
@@ -253,12 +272,33 @@ def unit_normal(j: SurfaceJet2) -> np.ndarray:
 def mean_curvature(j: SurfaceJet2):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``,
     with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``."""
+    return _curvature(j)[0]
+
+
+def _curvature(j: SurfaceJet2):
+    """Mean curvature and the components of the unit normal it was formed
+    with: one cross product serves :func:`mean_curvature` and the soliton
+    residuals, which read both.
+
+    The quotient is formed one operation at a time in the arrays of ``E``,
+    ``F``, ``G``, ``l``, ``m`` and ``n``, with the bits of the expression,
+    so the normal outlives it at no cost to the peak memory."""
     N = _normal(j)
     xs, xt = _xyz(j.Xs), _xyz(j.Xt)
     E, F, G = _dot(xs, xs), _dot(xs, xt), _dot(xt, xt)
     l, m, n = _dot(_xyz(j.Xss), N), _dot(_xyz(j.Xtt), N), _dot(_xyz(j.Xst), N)
-    del N  # frees three grid-sized arrays before the quotient allocates its own
-    return (l * G - 2.0 * n * F + E * m) / (2.0 * (E * G - F * F))
+    l *= G  # numerator l*G - (2*n)*F + E*m, left to right
+    n *= 2.0
+    n *= F
+    l -= n
+    m *= E
+    l += m
+    E *= G  # denominator 2*(E*G - F*F)
+    F *= F
+    E -= F
+    E *= 2.0
+    l /= E
+    return l, N
 
 
 def _stencil_points(ss, tt) -> str:

@@ -198,6 +198,13 @@ REFUSALS = {
         "b_slope must have a finite square, got 1e+200",
     "residual --family grim-reaper --b nan --mode translator":
         "b_slope must have a finite square, got nan",
+    # --margin clips only a t extent that ends at a profile collapse
+    "residual --family horosphere --mode minimal --grid 3x3 --margin 0.3":
+        "horosphere does not take --margin; its t extent does not end at a profile collapse",
+    "mesh --family vertical-plane --grid 3x3 --margin 0":
+        "vertical-plane does not take --margin; its t extent does not end at a profile collapse",
+    "residual --family grim-reaper --mode translator --grid 3x3 --margin 1e-3":
+        "grim-reaper does not take --margin; its t extent does not end at a profile collapse",
 }
 
 
@@ -260,6 +267,12 @@ REFUSALS = {
         ["residual", "--family", "grim-reaper", "--b", "inf", "--mode", "translator"],
         ["residual", "--family", "grim-reaper", "--b", "1e200", "--mode", "translator"],
         ["residual", "--family", "grim-reaper", "--b", "nan", "--mode", "translator"],
+        # a margin on a family whose t extent does not end at a collapse
+        ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "3x3",
+         "--margin", "0.3"],
+        ["mesh", "--family", "vertical-plane", "--grid", "3x3", "--margin", "0"],
+        ["residual", "--family", "grim-reaper", "--mode", "translator", "--grid", "3x3",
+         "--margin", "1e-3"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
@@ -267,6 +280,21 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
     assert main(argv) == 2
     message = REFUSALS.get(" ".join(argv))
     assert message is None or message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["minimal-cylinder", "conformal-cylinder"])
+def test_margin_clips_a_collapsing_family(tmp_path, family):
+    """Where the t extent ends at a profile collapse, --margin is taken: the
+    summary states it, and the first t node moves in by that fraction."""
+    first_t = []
+    for tag, extra in (("given", ["--margin", "0.1"]), ("default", [])):
+        out = str(tmp_path / tag)
+        assert main(["residual", "--family", family, "--mode", "minimal", "--grid", "3x3",
+                     *extra, "--out", out]) == 0
+        summary = (tmp_path / f"{tag}.summary.txt").read_text().splitlines()
+        assert f"margin={fmt(0.1 if extra else 1e-3)}" in summary
+        first_t.append(float((tmp_path / f"{tag}.csv").read_text().splitlines()[1].split(",")[1]))
+    assert first_t[0] > first_t[1]
 
 
 @pytest.mark.parametrize(

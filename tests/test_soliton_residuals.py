@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,14 +20,18 @@ from solsurf import (
     make_generic_first_kind,
     make_generic_second_kind,
     make_horosphere,
+    make_minimal_cylinder,
     make_vertical_plane,
+    mean_curvature,
     reduced_residual_first_kind,
     reduced_residual_second_kind,
     residual,
     residual_report,
     second_kind_jet,
     soliton_residuals,
+    unit_normal,
 )
+from solsurf.surface_factory import sample_grid
 from solsurf.commands import FAMILIES
 from solsurf.export import write_residual_csv
 
@@ -385,6 +390,47 @@ def test_grid_report_matches_reduced_forms(mode):
         for k in (0, 8, 50, 13 * 7 - 1):
             s, t, v = rep.samples[k]
             assert v == residual(mode, fam.jet(float(s), float(t)))
+
+
+def _from_public_parts(mode, j):
+    """The residual written out from the public ``unit_normal`` and
+    ``mean_curvature``."""
+    N, H = unit_normal(j), mean_curvature(j)
+    X1, X2, X3 = j.X[..., 0], j.X[..., 1], j.X[..., 2]
+    if mode is MINIMAL:
+        return X3 * H + N[..., 2]
+    if mode is TRANSLATOR:
+        return (X3 * X3) * H - (X1 * N[..., 0] + X2 * N[..., 1])
+    return (X3 * X3) * H + (X3 + 1.0) * N[..., 2]
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_residual_has_the_bits_of_its_public_parts(mode):
+    """One normal serves both terms of the residual, with the bits of the
+    public normal and mean curvature, on a curved-f grid and at a point."""
+    fam = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
+    (_, _, grid_jet), failures = sample_grid(fam, GridSpec(41, 37, margin=0.0))
+    assert failures == []
+    for j in (grid_jet, fam.jet(0.3, 1.7)):
+        got, want = residual(mode, j), _from_public_parts(mode, j)
+        assert np.shape(got) == np.shape(want) == j.X.shape[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert len(set(np.asarray(residual(mode, grid_jet))[:, 0].tolist())) > 1  # rows differ
+
+
+def test_residual_report_peak_memory():
+    """A 201x201 report holds at most 32 grid-sized float arrays at once,
+    the jet's six slots of three among them."""
+    fam = make_minimal_cylinder(1.2, 1.1)
+    grid = GridSpec(201, 201)
+    residual_report(fam, MINIMAL, grid)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        residual_report(fam, MINIMAL, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * (201 * 201 * 8), peak / (201 * 201 * 8)
 
 
 def test_residual_report_raises_when_everything_fails():

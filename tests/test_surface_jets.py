@@ -98,6 +98,72 @@ def test_product_grid_is_the_pointwise_jets():
                 assert getattr(grid, name)[i, k].tolist() == getattr(point, name).tolist()
 
 
+def _descending(s):
+    """alpha(s) = (sin s, s^2, e^{-0.3 s}) as arrays of any shape: the height
+    falls, so a3' < 0 and the height component of Xs adds -0.0."""
+    s = np.asarray(s, dtype=float)[..., None]
+    e = np.exp(-0.3 * s)
+    return CurveJet2(np.concatenate([np.sin(s), s * s, e], axis=-1),
+                     np.concatenate([np.cos(s), 2.0 * s, -0.3 * e], axis=-1),
+                     np.concatenate([-np.sin(s), np.full_like(s, 2.0), 0.09 * e], axis=-1))
+
+
+def _rising_wave(t):
+    """beta(t) = (t, cos t, 2 + sin t) as arrays of any shape."""
+    t = np.asarray(t, dtype=float)[..., None]
+    return CurveJet2(np.concatenate([t, np.cos(t), 2.0 + np.sin(t)], axis=-1),
+                     np.concatenate([np.ones_like(t), -np.sin(t), np.cos(t)], axis=-1),
+                     np.concatenate([np.zeros_like(t), -np.cos(t), -np.sin(t)], axis=-1))
+
+
+def _assert_slots_are_the_broadcast_sums(aj, bj):
+    """Every slot of the product jet has the bits of the broadcast formula,
+    ``a3*beta + alpha*(1, 1, 0)`` for X, Xs and Xss."""
+    j = product_surface_jet(aj, bj)
+    horizontal = np.array([1.0, 1.0, 0.0])
+    a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
+    expect = dict(
+        X=a3 * bj.value + aj.value * horizontal,
+        Xs=a3_1 * bj.value + aj.d1 * horizontal,
+        Xt=a3 * bj.d1,
+        Xss=a3_2 * bj.value + aj.d2 * horizontal,
+        Xst=a3_1 * bj.d1,
+        Xtt=a3 * bj.d2,
+    )
+    for name, want in expect.items():
+        got = getattr(j, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    return j
+
+
+def test_product_slots_are_the_broadcast_sums_on_a_grid():
+    s, t = np.linspace(-1.0, 2.0, 201), np.linspace(-1.5, 1.5, 201)
+    aj = _descending(s[:, None])
+    assert (aj.d1[..., 2] < 0.0).all()
+    j = _assert_slots_are_the_broadcast_sums(aj, _rising_wave(t))
+    assert j.X.shape == (201, 201, 3)
+
+
+def test_product_slots_are_the_broadcast_sums_on_a_batch():
+    """An (n, 3) batch, with one node whose a3'' is infinite: the sum adds
+    ``a3''*0.0``, NaN there, to the height of Xss.  Adding -0.0 leaves every
+    finite height alone, so this node is the one that shows a height
+    component the in-place add skipped."""
+    aj = _descending(np.linspace(-1.0, 2.0, 7))
+    d2 = aj.d2.copy()
+    d2[3, 2] = np.inf
+    aj = CurveJet2(aj.value, aj.d1, d2)
+    with np.errstate(invalid="ignore"):  # inf*0.0 is NaN, as intended
+        j = _assert_slots_are_the_broadcast_sums(aj, _rising_wave(np.linspace(-1.5, 1.5, 7)))
+    assert np.isnan(j.Xss[3, 2]) and np.isfinite(np.delete(j.Xss, 3, axis=0)).all()
+
+
+def test_product_slots_are_the_broadcast_sums_at_a_point():
+    j = _assert_slots_are_the_broadcast_sums(_descending(0.4), _rising_wave(-0.6))
+    assert j.X.shape == (3,)
+
+
 def test_unit_normal_first_kind_closed_form():
     # Xs x Xt = (f'g', -g', 1), so N = (f'g', -g', 1)/W with
     # W^2 = g'^2 (f'^2 + 1) + 1
