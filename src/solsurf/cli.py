@@ -65,9 +65,6 @@ def _add_table_flags(p: argparse.ArgumentParser, choice: str, table: dict) -> No
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     _add_table_flags(p, "--family", commands.FAMILIES)
     p.add_argument("--grid", default="51x51", help="sampling grid NSxNT (default %(default)s)")
-    p.add_argument("--margin", type=float, default=None,
-                   help="fraction of the t extent clipped per side on "
-                        "blow-up-limited families; any other family refuses it")
 
 
 @functools.cache

@@ -22,6 +22,7 @@ from .profile_odes import (
     ConformalProfileParams,
     GrimReaperParams,
     MinimalProfileParams,
+    REAPER_SPAN_DEFAULT,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
@@ -46,8 +47,6 @@ _SLOPE = {"--c": ("c", "drift slope")}
 _DRIFT = {**_SLOPE, "--d": ("d", "drift intercept")}
 _S_RANGE = {"--s-range": ("s_range", "s interval LO:HI")}
 _T_RANGE = {"--t-range": ("t_range", "t interval LO:HI")}
-_EPS_G = {"--eps-g": ("eps_g", "stop once g drops below this")}
-_M_STOP = {"--m-stop": ("m_stop", "stop once |g'| exceeds this")}
 
 FAMILIES = {
     "horosphere": (lambda **kw: make_horosphere(**kw),
@@ -67,22 +66,15 @@ FAMILIES = {
 }
 
 ODES = {
-    "minimal": (lambda **kw: integrate_minimal_profile(
-        MinimalProfileParams(**_take(kw, "c", "y0")), **kw),
-        {**_SLOPE, "--y0": ("y0", "initial height"), **_EPS_G, **_M_STOP}),
-    "grim-reaper": (lambda **kw: integrate_grim_reaper(
-        GrimReaperParams(**_take(kw, "lam", "k")), **kw), {
+    "minimal": (lambda **kw: integrate_minimal_profile(MinimalProfileParams(**kw)),
+                {**_SLOPE, "--y0": ("y0", "initial height")}),
+    "grim-reaper": (lambda span=REAPER_SPAN_DEFAULT, **kw: integrate_grim_reaper(
+        GrimReaperParams(**kw), span), {
         "--lambda": ("lam", "initial slope"), "--k": ("k", "drift constant"),
-        "--span": ("span", "integration span LO:HI"), **_EPS_G}),
-    "conformal": (lambda **kw: integrate_conformal_profile(
-        ConformalProfileParams(**_take(kw, "a", "y0")), **kw),
-        {"--a": ("a", "drift slope"), "--y0": ("y0", "initial height"), **_EPS_G, **_M_STOP}),
+        "--span": ("span", "integration span LO:HI")}),
+    "conformal": (lambda **kw: integrate_conformal_profile(ConformalProfileParams(**kw)),
+                  {"--a": ("a", "drift slope"), "--y0": ("y0", "initial height")}),
 }
-
-
-def _take(kw: dict, *names: str) -> dict:
-    """Pop the profile parameters out of ``kw``, leaving the integrator's keywords."""
-    return {n: kw.pop(n) for n in names if n in kw}
 
 
 def canonical(name: str) -> str:
@@ -90,7 +82,7 @@ def canonical(name: str) -> str:
 
 
 def dest(flag: str) -> str:
-    """Namespace attribute of a flag: ``--eps-g`` -> ``eps_g``, ``--lambda`` -> ``lam``."""
+    """Namespace attribute of a flag: ``--s-range`` -> ``s_range``, ``--lambda`` -> ``lam``."""
     name = flag[2:].replace("-", "_")
     return "lam" if name == "lambda" else name
 
@@ -104,14 +96,14 @@ def table_flags(table: dict) -> dict:
     }
 
 
-def parse_grid(txt: str) -> Tuple[int, int]:
-    """``'NSxNT'`` → (ns, nt)."""
+def parse_grid(txt: str) -> GridSpec:
+    """``'NSxNT'`` → ``GridSpec(ns, nt)``."""
     parts = txt.lower().split("x")
     try:
         ns, nt = (int(p) for p in parts)
     except (TypeError, ValueError):
         raise ParameterError(f"grid must look like 51x51, got {txt!r}") from None
-    return ns, nt
+    return GridSpec(ns, nt)
 
 
 def parse_pair(txt: str, flag: str) -> Tuple[float, float]:
@@ -144,22 +136,10 @@ def build(table: dict, name: str, args):
     return builder(**kwargs)
 
 
-def build_grid(args, fam) -> GridSpec:
-    """The ``--grid`` of ``args`` on ``fam``.  ``--margin`` clips only a ``t``
-    extent that ends at a profile collapse, so on any other family it is
-    refused, naming the flag, rather than ignored and still summarised."""
-    if args.margin is None:
-        return GridSpec(*parse_grid(args.grid))
-    if not fam.blowup_limited:
-        raise ParameterError(f"{args.family} does not take --margin; its t extent "
-                             f"does not end at a profile collapse")
-    return GridSpec(*parse_grid(args.grid), margin=args.margin)
-
-
 def cmd_residual(args) -> int:
     fam = build(FAMILIES, args.family, args)
     mode = SolitonMode(args.mode)
-    rep = residual_report(fam, mode, build_grid(args, fam))
+    rep = residual_report(fam, mode, parse_grid(args.grid))
     out = args.out if args.out is not None else f"residual_{fam.name}_{mode.value}"
     n = write_residual_csv(out + ".csv", rep)
     write_residual_summary(out + ".summary.txt", rep)
@@ -182,7 +162,7 @@ def cmd_profile(args) -> int:
 def cmd_mesh(args) -> int:
     fam = build(FAMILIES, args.family, args)
     out = args.out if args.out is not None else f"mesh_{fam.name}"
-    nv, nf = write_obj_mesh(out + ".obj", fam, build_grid(args, fam))
+    nv, nf = write_obj_mesh(out + ".obj", fam, parse_grid(args.grid))
     print(f"wrote {out}.obj ({nv} vertices, {nf} triangles)")
     return 0
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .soliton_residuals import ResidualReport
+from .surface_factory import MARGIN
 
 if TYPE_CHECKING:  # pragma: no cover
     from .profile_odes import ProfileSolution
@@ -101,7 +102,7 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     lines += [
         f"mode={report.mode.value}",
         f"grid={grid.ns}x{grid.nt}",
-        f"margin={fmt(grid.margin)}",
+        f"margin={fmt(MARGIN)}",
         f"nodes={len(report.samples)}",
         f"failures={len(report.failures)}",
         f"mean_abs={fmt(report.mean_abs)}",

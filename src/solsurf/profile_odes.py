@@ -20,12 +20,13 @@ array overhead on a 2-component state costs several times the arithmetic
 (:func:`_dopri54`).  Only the right branch of a collapsing profile is
 stepped: the left one is its mirror, the same bits the stepper gives toward
 ``-t`` (:func:`_collapse_solution`).  A stop ends a branch once ``g`` drops
-below ``eps_g`` or ``|g'|`` exceeds ``m_stop``, and the remaining sliver of
-abscissa is recovered by quadrature of ``dt = -dg / sqrt(first integral)``:
-in ``phi``, with ``g = y0*sin(phi)``, the integrand is smooth from the
-collapse up to ``g = y0``, so a fixed 40-node Gauss--Legendre rule
-(:func:`_gauss`) gives the reported blow-up abscissa quadrature accuracy
-(:func:`_blowup_tail`).
+below ``EPS_G = 1e-6`` or ``|g'|`` exceeds ``M_STOP = 1e6`` (the reaper has
+the height stop alone); both are fixed numerical policy, not parameters of
+a profile.  The remaining sliver of abscissa is recovered by quadrature of
+``dt = -dg / sqrt(first integral)``: in ``phi``, with ``g = y0*sin(phi)``,
+the integrand is smooth from the collapse up to ``g = y0``, so a fixed
+40-node Gauss--Legendre rule (:func:`_gauss`) gives the reported blow-up
+abscissa quadrature accuracy (:func:`_blowup_tail`).
 
 The grim reaper is not even, so both of its branches are stepped, on the
 state ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
@@ -64,8 +65,8 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "EPS_G_DEFAULT",
-    "M_STOP_DEFAULT",
+    "EPS_G",
+    "M_STOP",
     "SLOPE_CAP",
     "REAPER_SPAN_DEFAULT",
     "MAX_BRANCH_STEPS",
@@ -84,8 +85,8 @@ __all__ = [
     "qualitative_verdict",
 ]
 
-EPS_G_DEFAULT = 1e-6     # stop a branch once g drops below this
-M_STOP_DEFAULT = 1e6     # ... or |g'| exceeds this
+EPS_G = 1e-6             # stop a branch once g drops below this
+M_STOP = 1e6             # ... or a collapsing one once |g'| exceeds this
 SLOPE_CAP = 1e3          # symmetry comparisons restricted to |g'| <= this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # Steps attempted per branch before it ends truncated, like a step that fell
@@ -271,12 +272,17 @@ class _Hermite:
 
 @dataclass(frozen=True, slots=True)
 class ProfileEvents:
-    """Blow-up abscissae detected for each branch (None where no blow-up was
-    found) and whether any branch was truncated before its natural end."""
+    """The blow-up abscissa of the right branch (None where no blow-up was
+    found) and whether any branch was truncated before its natural end.
+    Only the even, collapsing profiles blow up, so the left branch's
+    abscissa is its mirror."""
 
-    left_blowup_t: Optional[float]
     right_blowup_t: Optional[float]
     truncated: bool
+
+    @property
+    def left_blowup_t(self) -> Optional[float]:
+        return None if self.right_blowup_t is None else -self.right_blowup_t
 
 
 @dataclass(eq=False)
@@ -354,24 +360,12 @@ class ProfileSolution:
         return self._eval(t, lambda q: self.params.gpp(q, g(q), gp(q)))
 
 
-def _height_stop(eps_g: float):
-    if not eps_g >= 0.0:
-        raise ParameterError(f"eps_g must be nonnegative, got {eps_g!r}")
-
-    def height(g, gp):
-        return g - eps_g
-
-    return height
+def _height_stop(g, gp):
+    return g - EPS_G
 
 
-def _speed_stop(m_stop: float):
-    if not m_stop > 0.0:
-        raise ParameterError(f"m_stop must be positive, got {m_stop!r}")
-
-    def speed(g, gp):
-        return m_stop * m_stop - gp * gp
-
-    return speed
+def _speed_stop(g, gp):
+    return M_STOP * M_STOP - gp * gp
 
 
 # Shampine's quartic dense output for the Dormand & Prince (1980) 5(4) pair,
@@ -606,77 +600,63 @@ def _blowup_tail(params, g_stop: float) -> float:
     return _gauss(params.dt_dphi, 0.0, math.asin(min(1.0, g_stop / params.y0)))
 
 
-def _collapse_solution(params, eps_g, m_stop, horizon, max_step):
-    """Shared driver for the two collapsing (minimal/conformal) profiles.
+def _collapse_solution(params, slope: float) -> ProfileSolution:
+    """Shared driver for the two collapsing (minimal/conformal) profiles,
+    whose drift slope (``c`` or ``a``) is ``slope``.
 
-    One branch is stepped, toward ``+horizon``; the left half is its mirror,
+    One branch is stepped, with steps of at most ``y0/20``, toward
+    ``+horizon = 2*y0*sqrt(slope^2 + 1) + 1``; the left half is its mirror,
     ``t`` and ``g'`` negated and ``g`` kept.  The ODEs see ``g'`` only
     through ``g'^2`` and :func:`_dopri54`, :func:`_first_step` and
     :func:`_brentq` commute with negating ``t`` and ``g'`` under
     round-to-nearest, so stepping toward ``-horizon`` gives these nodes bit
     for bit.  The centre node is the stepped branch's, ``t = 0.0`` and
     ``g' = 0.0`` (no ``-0.0``); the status, and so the truncation, is shared,
-    and ``left_blowup_t = -right_blowup_t``."""
+    and so is the blow-up abscissa."""
     gpp = params.gpp
 
     def rhs(t, g, gp):
         return gp, gpp(t, g, gp)
 
-    stops = [_height_stop(eps_g), _speed_stop(m_stop)]
-    if not params.y0 > eps_g:
+    if not params.y0 > EPS_G:
         raise ParameterError(
-            f"initial height y0 = {params.y0!r} must lie above the height stop eps_g = {eps_g!r}"
+            f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
         )
-    rt, rg, rgp, status = _dopri54(rhs, params.y0, 0.0, horizon, stops, *_COLLAPSE_TOL, max_step)
+    horizon = 2.0 * params.y0 * math.sqrt(slope * slope + 1.0) + 1.0
+    rt, rg, rgp, status = _dopri54(rhs, params.y0, 0.0, horizon, [_height_stop, _speed_stop],
+                                   *_COLLAPSE_TOL, params.y0 / 20.0)
     t, g, gp = np.array(rt), np.array(rg), np.array(rgp)
     t = np.concatenate((-t[:0:-1], t))
     g = np.concatenate((g[:0:-1], g))
     gp = np.concatenate((-gp[:0:-1], gp))
     right_blowup = t[-1] + _blowup_tail(params, g[-1]) if status == 1 else None
-    left_blowup = None if right_blowup is None else -right_blowup
     defect = first_integral_defect(params, g, gp) / np.maximum(1.0, gp * gp)
     return ProfileSolution(
         params=params,
         t=t,
         g=g,
         gp=gp,
-        events=ProfileEvents(left_blowup, right_blowup, status != 1),
+        events=ProfileEvents(right_blowup, status != 1),
         node_defect=defect,
     )
 
 
-def integrate_minimal_profile(
-    p: MinimalProfileParams,
-    *,
-    eps_g: float = EPS_G_DEFAULT,
-    m_stop: float = M_STOP_DEFAULT,
-) -> ProfileSolution:
+def integrate_minimal_profile(p: MinimalProfileParams) -> ProfileSolution:
     """Integrate the minimal profile two-sided from t=0 until collapse.
 
     The solution is even in t, concave, maximal at t=0, and collapses at
     ``+-r`` with ``r`` matching :func:`minimal_halfwidth_quadrature`.
     """
-    horizon = 2.0 * p.y0 * math.sqrt(p.c * p.c + 1.0) + 1.0
-    return _collapse_solution(p, eps_g, m_stop, horizon, p.y0 / 20.0)
+    return _collapse_solution(p, p.c)
 
 
-def integrate_conformal_profile(
-    p: ConformalProfileParams,
-    *,
-    eps_g: float = EPS_G_DEFAULT,
-    m_stop: float = M_STOP_DEFAULT,
-) -> ProfileSolution:
+def integrate_conformal_profile(p: ConformalProfileParams) -> ProfileSolution:
     """Integrate the conformal profile two-sided from t=0 until collapse."""
-    horizon = 2.0 * p.y0 * math.sqrt(p.a * p.a + 1.0) + 1.0
-    return _collapse_solution(p, eps_g, m_stop, horizon, p.y0 / 20.0)
+    return _collapse_solution(p, p.a)
 
 
-def integrate_grim_reaper(
-    p: GrimReaperParams,
-    span: tuple = REAPER_SPAN_DEFAULT,
-    *,
-    eps_g: float = EPS_G_DEFAULT,
-) -> ProfileSolution:
+def integrate_grim_reaper(p: GrimReaperParams,
+                          span: tuple = REAPER_SPAN_DEFAULT) -> ProfileSolution:
     """Integrate the translator profile over ``span`` (which must contain 0).
 
     The Dormand--Prince stepper runs on ``(g, w)`` with ``g' = lam*e^w``,
@@ -719,9 +699,8 @@ def integrate_grim_reaper(
         gp = slope(w)
         return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
 
-    stops = [_height_stop(eps_g)]
-    rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, stops, *_REAPER_TOL, max_step)
-    lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, stops, *_REAPER_TOL, max_step)
+    rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, [_height_stop], *_REAPER_TOL, max_step)
+    lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, [_height_stop], *_REAPER_TOL, max_step)
     t = np.array(lt[::-1] + rt[1:])
     g = np.array(lg[::-1] + rg[1:])
     w = lw[::-1] + rw[1:]
@@ -736,7 +715,7 @@ def integrate_grim_reaper(
         t=t,
         g=g,
         gp=np.array([slope(x) for x in w]),
-        events=ProfileEvents(None, None, truncated),
+        events=ProfileEvents(None, truncated),
         node_defect=np.zeros_like(t),
     )
 

@@ -8,9 +8,9 @@ involved).  Grids evaluate each factor curve in one call on its whole axis
 for the whole grid.
 
 Families whose ``t`` extent ends at a collapse abscissa are flagged
-``blowup_limited``; grids on those shrink the ``t`` interval by a relative
-margin (default 1e-3 of the extent per side) so that sampled nodes stay away
-from the near-vertical ends where jets degrade.
+``blowup_limited``; grids on those shrink the ``t`` interval by ``MARGIN``,
+a fixed 1e-3 of the extent per side, so that sampled nodes stay away from
+the near-vertical ends where jets degrade.
 """
 from __future__ import annotations
 
@@ -59,20 +59,17 @@ __all__ = [
 # (1024x1024) keeps every grid near that, instead of letting a typo allocate
 # until the process is killed.
 MAX_GRID_NODES = 1 << 20
+# Fraction of the t extent clipped from each end of a blow-up-limited family.
+MARGIN = 1e-3
 
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
-    """A sampling grid: ``ns`` nodes across ``s``, ``nt`` across ``t``.
-
-    ``margin`` is the fraction of the ``t`` extent clipped from each end
-    before sampling, applied only to blow-up-limited families.  At most
-    ``MAX_GRID_NODES`` nodes are allowed.
-    """
+    """A sampling grid: ``ns`` nodes across ``s``, ``nt`` across ``t``.  At
+    most ``MAX_GRID_NODES`` nodes are allowed."""
 
     ns: int
     nt: int
-    margin: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.ns < 2 or self.nt < 2:
@@ -82,8 +79,6 @@ class GridSpec:
                 f"grid {self.ns}x{self.nt} has {self.ns * self.nt} nodes, "
                 f"more than the cap of {MAX_GRID_NODES}"
             )
-        if not 0.0 <= self.margin < 0.5:
-            raise ParameterError(f"margin must be in [0, 0.5), got {self.margin!r}")
 
 
 def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
@@ -137,8 +132,7 @@ class SurfaceFamily:
     @property
     def blowup_limited(self) -> bool:
         """Whether the ``t`` extent ends where the profile collapses."""
-        ev = self.profile.events if self.profile is not None else None
-        return ev is not None and (ev.left_blowup_t, ev.right_blowup_t) != (None, None)
+        return self.profile is not None and self.profile.events.right_blowup_t is not None
 
 
 def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
@@ -356,12 +350,12 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
 
 def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Node coordinates for a grid on the family's rectangle.  Blow-up
-    limited families get their ``t`` interval clipped by ``grid.margin``
-    (a fraction of the extent, per side)."""
+    limited families get their ``t`` interval clipped by ``MARGIN`` (a
+    fraction of the extent, per side)."""
     s_lo, s_hi = fam.s_range
     t_lo, t_hi = fam.t_range
-    if fam.blowup_limited and grid.margin > 0.0:
-        pad = grid.margin * (t_hi - t_lo)
+    if fam.blowup_limited:
+        pad = MARGIN * (t_hi - t_lo)
         t_lo += pad
         t_hi -= pad
     return np.linspace(s_lo, s_hi, grid.ns), np.linspace(t_lo, t_hi, grid.nt)

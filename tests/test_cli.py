@@ -19,6 +19,7 @@ from solsurf import (
 from solsurf import commands
 from solsurf.cli import main
 from solsurf.export import fmt, write_obj_mesh, write_residual_summary
+from solsurf.surface_factory import MARGIN
 
 ROOT = Path(__file__).resolve().parent.parent
 SCI = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
@@ -132,7 +133,7 @@ def test_mesh_refuses_failed_nodes(tmp_path):
         lambda s: (0.0, 0.0, 0.0), lambda t: (t, 1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0)
     )
     with pytest.raises(DomainError, match="9 mesh node"):
-        write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, 5, margin=0.0))
+        write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, 5))
     assert not (tmp_path / "m.obj").exists()
 
 
@@ -198,13 +199,20 @@ REFUSALS = {
         "b_slope must have a finite square, got 1e+200",
     "residual --family grim-reaper --b nan --mode translator":
         "b_slope must have a finite square, got nan",
-    # --margin clips only a t extent that ends at a profile collapse
+    # the margin and the stops are fixed, so argparse refuses their flags
     "residual --family horosphere --mode minimal --grid 3x3 --margin 0.3":
-        "horosphere does not take --margin; its t extent does not end at a profile collapse",
-    "mesh --family vertical-plane --grid 3x3 --margin 0":
-        "vertical-plane does not take --margin; its t extent does not end at a profile collapse",
+        "unrecognized arguments: --margin 0.3",
+    "mesh --family vertical-plane --grid 3x3 --margin 0": "unrecognized arguments: --margin 0",
     "residual --family grim-reaper --mode translator --grid 3x3 --margin 1e-3":
-        "grim-reaper does not take --margin; its t extent does not end at a profile collapse",
+        "unrecognized arguments: --margin 1e-3",
+    "profile --ode minimal --m-stop -1": "unrecognized arguments: --m-stop -1",
+    "profile --ode conformal --m-stop nan": "unrecognized arguments: --m-stop nan",
+    "profile --ode minimal --eps-g -1": "unrecognized arguments: --eps-g -1",
+    "profile --ode grim-reaper --eps-g nan": "unrecognized arguments: --eps-g nan",
+    "profile --ode minimal --y0 1e-6":
+        "initial height y0 = 1e-06 must lie above the height stop EPS_G = 1e-06",
+    "profile --ode minimal --y0 2e-6 --c 1e150": "first-integral constant m = 1.5e-323 is "
+                                                 "not a finite, normal, positive float",
 }
 
 
@@ -225,7 +233,7 @@ REFUSALS = {
         ["residual", "--family", "horosphere", "--lambda", "7", "--mode", "minimal"],
         ["residual", "--family", "vertical-plane", "--span", "-1:1", "--mode", "minimal"],
         ["mesh", "--family", "minimal-cylinder", "--b", "3"],
-        ["profile", "--ode", "grim-reaper", "--m-stop", "5"],
+        ["profile", "--ode", "grim-reaper", "--m-stop", "5"],  # no CLI takes it now
         ["profile", "--ode", "conformal", "--c", "9"],
         ["profile", "--ode", "minimal", "--span", "-3:3"],
         # above the grid-node cap; refused before anything is allocated
@@ -238,16 +246,16 @@ REFUSALS = {
         ["profile", "--ode", "conformal", "--y0", "1e-300"],
         ["profile", "--ode", "minimal", "--y0", "inf"],
         ["profile", "--ode", "minimal", "--y0", "1e-300"],
-        # stops that cannot stop a branch: m_stop <= 0 or NaN, eps_g < 0 or NaN
+        # the stops are fixed: --m-stop and --eps-g are unrecognized, whatever their value
         ["profile", "--ode", "minimal", "--m-stop", "-1"],
         ["profile", "--ode", "conformal", "--m-stop", "nan"],
         ["profile", "--ode", "minimal", "--eps-g", "-1"],
         ["profile", "--ode", "grim-reaper", "--eps-g", "nan"],
-        # y0 at or below the height stop eps_g = 1e-6
+        # y0 at or below the height stop EPS_G = 1e-6 (1e-80 already has a subnormal m)
         ["profile", "--ode", "minimal", "--y0", "1e-80"],
         ["profile", "--ode", "minimal", "--y0", "1e-6"],
-        # no height stop, and m = 1e-320 is subnormal
-        ["profile", "--ode", "minimal", "--y0", "1e-80", "--eps-g", "0"],
+        # y0 above the height stop, but m = 1.5e-323 is subnormal
+        ["profile", "--ode", "minimal", "--y0", "2e-6", "--c", "1e150"],
         # the grim-reaper surface takes no profile shift
         ["residual", "--family", "grim-reaper", "--a", "0.2", "--mode", "translator"],
         # finite ends whose width overflows
@@ -267,7 +275,7 @@ REFUSALS = {
         ["residual", "--family", "grim-reaper", "--b", "inf", "--mode", "translator"],
         ["residual", "--family", "grim-reaper", "--b", "1e200", "--mode", "translator"],
         ["residual", "--family", "grim-reaper", "--b", "nan", "--mode", "translator"],
-        # a margin on a family whose t extent does not end at a collapse
+        # the margin is fixed: --margin is unrecognized on every family
         ["residual", "--family", "horosphere", "--mode", "minimal", "--grid", "3x3",
          "--margin", "0.3"],
         ["mesh", "--family", "vertical-plane", "--grid", "3x3", "--margin", "0"],
@@ -284,17 +292,18 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("family", ["minimal-cylinder", "conformal-cylinder"])
 def test_margin_clips_a_collapsing_family(tmp_path, family):
-    """Where the t extent ends at a profile collapse, --margin is taken: the
-    summary states it, and the first t node moves in by that fraction."""
-    first_t = []
-    for tag, extra in (("given", ["--margin", "0.1"]), ("default", [])):
-        out = str(tmp_path / tag)
-        assert main(["residual", "--family", family, "--mode", "minimal", "--grid", "3x3",
-                     *extra, "--out", out]) == 0
-        summary = (tmp_path / f"{tag}.summary.txt").read_text().splitlines()
-        assert f"margin={fmt(0.1 if extra else 1e-3)}" in summary
-        first_t.append(float((tmp_path / f"{tag}.csv").read_text().splitlines()[1].split(",")[1]))
-    assert first_t[0] > first_t[1]
+    """Where the t extent ends at a profile collapse, the fixed margin is
+    applied: the summary states it, and the first t node lies that fraction
+    of the extent inside the profile's first node."""
+    out = str(tmp_path / "r")
+    assert main(["residual", "--family", family, "--mode", "minimal", "--grid", "3x3",
+                 "--out", out]) == 0
+    summary = (tmp_path / "r.summary.txt").read_text().splitlines()
+    assert f"margin={fmt(MARGIN)}" in summary
+    lo, hi = (float(x) for x in next(
+        line for line in summary if line.startswith("t_range=")).split("=")[1].split(":"))
+    first_t = float((tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1])
+    assert first_t == pytest.approx(lo + MARGIN * (hi - lo), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -320,15 +329,11 @@ def test_overflowing_sweep_fails_without_runtime_warnings(tmp_path, argv, monkey
 
 # For every flag of commands.ODES and commands.FAMILIES, a value that takes
 # effect: the profile files, or the mesh on a 3x3 grid, differ in their
-# numbers from those written with no flags.  The value must clear whatever
-# else would decide the output: a conformal --eps-g of 1e-3 writes the
-# default bytes, because the speed stop ends each branch first, but 0.5 does
-# not.
+# numbers from those written with no flags.
 FLAG_VALUES = {
-    ("profile", "minimal"): {"--c": "0.8", "--y0": "1.3", "--eps-g": "0.5", "--m-stop": "1e3"},
-    ("profile", "grim-reaper"): {"--lambda": "1.5", "--k": "0.7", "--span": "-4:6",
-                                 "--eps-g": "0.9"},
-    ("profile", "conformal"): {"--a": "0.6", "--y0": "0.9", "--eps-g": "0.5", "--m-stop": "1e3"},
+    ("profile", "minimal"): {"--c": "0.8", "--y0": "1.3"},
+    ("profile", "grim-reaper"): {"--lambda": "1.5", "--k": "0.7", "--span": "-4:6"},
+    ("profile", "conformal"): {"--a": "0.6", "--y0": "0.9"},
     ("mesh", "horosphere"): {"--a": "0.7", "--s-range": "-1:1", "--t-range": "-1:1"},
     ("mesh", "vertical-plane"): {"--b": "0.2", "--c": "0.5", "--d": "-0.5", "--s-range": "-1:1",
                                  "--t-range": "1:2"},

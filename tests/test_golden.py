@@ -167,24 +167,24 @@ def test_default_parameter_bytes(tmp_path, family):
 
 # Every parameter flag each ODE takes, away from its default.
 PROFILE_ARGS = {
-    "minimal": ["--c", "0.8", "--y0", "1.3", "--eps-g", "1e-5", "--m-stop", "1e5"],
-    "grim-reaper": ["--lambda", "1.5", "--k", "0.7", "--span", "-4:6", "--eps-g", "1e-5"],
-    "conformal": ["--a", "0.6", "--y0", "0.9", "--eps-g", "1e-5", "--m-stop", "1e5"],
+    "minimal": ["--c", "0.8", "--y0", "1.3"],
+    "grim-reaper": ["--lambda", "1.5", "--k", "0.7", "--span", "-4:6"],
+    "conformal": ["--a", "0.6", "--y0", "0.9"],
 }
 
 # (ode, with flags) -> (sha256 of <out>.csv, sha256 of <out>.events.txt)
 PROFILE_SHA256 = {
     ("minimal", True): (
-        "245fb1cef263ac3e2fda93b5710de36eafa5c4cb7984e08cbe24d0328d7d29e9",
-        "0a4a1b6e4a3bfd2deba429bf2b85ec8dbcabd35c5edfb805f086ed7b8f58d29e",
+        "ce6906a4b18ec79dbd3bb99e7699894833804fc8c4eb8eaf21344ded43800bbf",
+        "4273e4066600e70973c342ba6936709ad7ec85cbffaf23bc3759fbc46638eb11",
     ),
     ("grim-reaper", True): (
         "c9e040993d898464f8387e82f61ef290893a31748a4a0fdf69b17908a1c8a1a8",
         "26f0ec783b17743edca6f56acf9bc9f90f9af3db4bd81f7b4b1188c2145675a0",
     ),
     ("conformal", True): (
-        "93e9b6df384619d40bdd75132328f9c5e24c790936c3953c5fe897c3141412c6",
-        "8e2584f64f12ce211921920993b4e12e9a970c8d7ebc66774c47b9731f43fe47",
+        "7c2d6d6b6dd805cbbb0f4abd15e9a64bc5b291a41861490e7efa6cc0d56894ec",
+        "5477ed51e61f7f1465f4acd50f9bf2220fdad504712c7e06af65e0ec124d3e3d",
     ),
     ("minimal", False): (
         "37d6d116a975de5c9281edf17d7a200ed91d6168f38c0416c161f93eb91606f9",

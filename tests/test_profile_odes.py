@@ -6,6 +6,7 @@ a hardcoded constant), the conformal profile carries a conserved quantity
 that is monitored along the trajectory, and the translator profile has
 hand-provable shape facts.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -125,13 +126,14 @@ def test_minimal_tail_from_the_top_is_the_closed_form():
 
 
 @pytest.mark.parametrize("eps_g", [0.5, 0.9, 0.99, 0.999999])
-def test_height_stop_near_y0_keeps_the_halfwidth(eps_g):
+def test_height_stop_near_y0_keeps_the_halfwidth(eps_g, monkeypatch):
     """A height stop just below ``y0`` leaves a tail whose integrand in ``g``
     is singular at its upper end; the blow-up must still land on the
     half-width (measured within 2e-11)."""
-    for sol, r in ((integrate_minimal_profile(MinimalProfileParams(0.0, 1.0), eps_g=eps_g),
+    monkeypatch.setattr(profile_odes, "EPS_G", eps_g)
+    for sol, r in ((integrate_minimal_profile(MinimalProfileParams(0.0, 1.0)),
                     minimal_halfwidth_quadrature(0.0, 1.0)),
-                   (integrate_conformal_profile(ConformalProfileParams(0.0, 1.0), eps_g=eps_g),
+                   (integrate_conformal_profile(ConformalProfileParams(0.0, 1.0)),
                     conformal_halfwidth_quadrature(0.0, 1.0))):
         assert abs(sol.events.right_blowup_t - r) <= 1e-10
         assert abs(sol.events.left_blowup_t + r) <= 1e-10
@@ -242,8 +244,9 @@ def test_raw_defect_responds_to_perturbation():
     assert abs(first_integral_defect(pc, 1.0, 0.1)) > 1e-3
 
 
-def test_stop_threshold_override():
-    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0), m_stop=1e3)
+def test_stop_threshold_override(monkeypatch):
+    monkeypatch.setattr(profile_odes, "M_STOP", 1e3)
+    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
     r = minimal_halfwidth_quadrature(0.0, 1.0)
     assert abs(sol.events.right_blowup_t - r) <= 1e-6
     assert np.max(np.abs(sol.gp)) <= 1.01e3
@@ -287,13 +290,21 @@ def test_reaper_constant_solution(reaper_const_sol):
     assert not reaper_const_sol.events.truncated
 
 
+def test_events_state_the_blowup_once():
+    """The left blow-up abscissa is read from the right one, never stored."""
+    assert [f.name for f in dataclasses.fields(ProfileEvents)] == ["right_blowup_t", "truncated"]
+    assert ProfileEvents(0.5, False).left_blowup_t == -0.5
+    assert ProfileEvents(None, True).left_blowup_t is None
+    assert ProfileEvents.left_blowup_t.fset is None
+
+
 def test_reaper_shape(reaper_sol):
     v = qualitative_verdict(reaper_sol)
     assert v.monotone_nondecreasing and reaper_sol.g[-1] > reaper_sol.g[0]
     assert v.convex_then_concave
     assert not v.concave and v.constancy_defect > 1e-12 and not v.symmetry_defect <= 1e-8
     assert 0.0 < np.min(reaper_sol.g) and np.max(reaper_sol.g) < math.inf
-    assert reaper_sol.events == ProfileEvents(None, None, False)
+    assert reaper_sol.events == ProfileEvents(None, False)
 
 
 def test_reaper_inflection_exactly_at_zero(reaper_sol):
@@ -398,13 +409,14 @@ def test_reaper_one_sided_span():
 # --- the stepper against scipy's RK45 --------------------------------------
 
 
-def _collapse_case(p, eps_g=1e-6, m_stop=1e6, end=None):
+def _collapse_case(p, end=None):
     """Right-hand side, initial state, branch ends, stops and step settings
-    of integrate_minimal_profile / integrate_conformal_profile."""
+    of integrate_minimal_profile / integrate_conformal_profile.  The stops
+    read ``EPS_G`` and ``M_STOP`` when called, as the integrators' do."""
     slope = getattr(p, "c", getattr(p, "a", None))
     end = 2.0 * p.y0 * math.sqrt(slope * slope + 1.0) + 1.0 if end is None else end
     return (lambda t, g, gp: (gp, p.gpp(t, g, gp)), (p.y0, 0.0), (end, -end),
-            [_height_stop(eps_g), _speed_stop(m_stop)], (1e-10, 1e-12, p.y0 / 20.0))
+            [_height_stop, _speed_stop], (1e-10, 1e-12, p.y0 / 20.0))
 
 
 def _reaper_case(p, span=(-40.0, 40.0)):
@@ -414,7 +426,7 @@ def _reaper_case(p, span=(-40.0, 40.0)):
         gp = p.lam * math.exp(w)
         return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
 
-    return (rhs, (1.0, 0.0), (span[1], span[0]), [_height_stop(1e-6)],
+    return (rhs, (1.0, 0.0), (span[1], span[0]), [_height_stop],
             (1e-12, 1e-13, min(0.25, (span[1] - span[0]) / 40.0)))
 
 
@@ -433,24 +445,25 @@ def _rk45(rhs, ic, end, stops, rtol, atol, max_step):
 # case -> (stepper inputs, what ends the branches, the public integration
 # whose eval_g is compared at the oracle's nodes).  Parameters span the
 # benchmark's profile ranges (c in [0, 3], a in [0, 2], y0 in [0.25, 2],
-# reaper lambda in [2, 10] on -40:40) and lambda 0 and 0.5.
+# reaper lambda in [2, 10] on -40:40) and lambda 0 and 0.5.  A case named in
+# CASE_STOPS runs with those module stops set.
 _MIN, _CONF = MinimalProfileParams, ConformalProfileParams
+_HEIGHT_ONLY = {"EPS_G": 1e-3, "M_STOP": math.inf}
+CASE_STOPS = {"minimal-height": _HEIGHT_ONLY, "conformal-floor": _HEIGHT_ONLY}
 STEPPER_CASES = {
     "minimal-speed": (_collapse_case(_MIN(0.0, 1.0)), "speed",
                       lambda: integrate_minimal_profile(_MIN(0.0, 1.0))),
     "minimal-corner": (_collapse_case(_MIN(3.0, 0.25)), "speed",
                        lambda: integrate_minimal_profile(_MIN(3.0, 0.25))),
-    "minimal-height": (_collapse_case(_MIN(1.0, 2.0), eps_g=1e-3, m_stop=math.inf), "height",
-                       lambda: integrate_minimal_profile(_MIN(1.0, 2.0), eps_g=1e-3,
-                                                         m_stop=math.inf)),
+    "minimal-height": (_collapse_case(_MIN(1.0, 2.0)), "height",
+                       lambda: integrate_minimal_profile(_MIN(1.0, 2.0))),
     "minimal-horizon": (_collapse_case(_MIN(1.5, 1.2), end=1.0), "horizon", None),
     "conformal-speed": (_collapse_case(_CONF(2.0, 0.3)), "speed",
                         lambda: integrate_conformal_profile(_CONF(2.0, 0.3))),
     "conformal-horizon": (_collapse_case(_CONF(0.0, 1.0), end=0.25), "horizon", None),
     # |g'| blows up before g reaches 1e-3: the step floor ends both branches
-    "conformal-floor": (_collapse_case(_CONF(0.0, 1.0), eps_g=1e-3, m_stop=math.inf), "floor",
-                        lambda: integrate_conformal_profile(_CONF(0.0, 1.0), eps_g=1e-3,
-                                                            m_stop=math.inf)),
+    "conformal-floor": (_collapse_case(_CONF(0.0, 1.0)), "floor",
+                        lambda: integrate_conformal_profile(_CONF(0.0, 1.0))),
     "reaper-lam0": (_reaper_case(GrimReaperParams(lam=0.0)), "horizon",
                     lambda: integrate_grim_reaper(GrimReaperParams(lam=0.0), (-40.0, 40.0))),
     "reaper-lam0.5": (_reaper_case(GrimReaperParams(lam=0.5)), "horizon",
@@ -460,8 +473,13 @@ STEPPER_CASES = {
 }
 
 
+def _set_stops(monkeypatch, stops):
+    for name, value in stops.items():
+        monkeypatch.setattr(profile_odes, name, value)
+
+
 @pytest.mark.parametrize("case", list(STEPPER_CASES))
-def test_stepper_matches_rk45(case):
+def test_stepper_matches_rk45(case, monkeypatch):
     """The in-house Dormand--Prince loop takes scipy's RK45 steps: the same
     node count and status per branch, the same stop abscissa, and nodes that
     differ only by rounding.  numpy's BLAS sums the stages and the error norm
@@ -469,6 +487,7 @@ def test_stepper_matches_rk45(case):
     differ in the last bits and the nodes drift (up to 4.5e-6 measured, on
     the reaper's lambda = 10 left branch); scipy's own nodes there move by
     2.3e-6 when g(0) moves by one ulp."""
+    _set_stops(monkeypatch, CASE_STOPS.get(case, {}))
     (rhs, ic, ends, stops, (rtol, atol, max_step)), ends_by, public = STEPPER_CASES[case]
     refs = [_rk45(rhs, ic, end, stops, rtol, atol, max_step) for end in ends]
     for end, ref in zip(ends, refs):
@@ -516,15 +535,16 @@ def _assert_mirrors_the_stepper(sol, rhs, ic, ends, stops, tol):
 
 @pytest.mark.parametrize("case", [c for c, (_, _, public) in STEPPER_CASES.items()
                                   if public is not None and not c.startswith("reaper")])
-def test_left_half_is_the_stepped_left_branch(case):
+def test_left_half_is_the_stepped_left_branch(case, monkeypatch):
     """The collapsing profiles step only their right branch and mirror it;
     the mirror must be what stepping toward ``-horizon`` gives, including
     a branch that ends truncated at its step floor."""
+    _set_stops(monkeypatch, CASE_STOPS.get(case, {}))
     stepper, _, public = STEPPER_CASES[case]
     _assert_mirrors_the_stepper(public(), *stepper)
 
 
-_STOPS = [{}, {"m_stop": 1e3}, {"eps_g": 1e-3, "m_stop": math.inf}]
+_STOPS = [{}, {"M_STOP": 1e3}, _HEIGHT_ONLY]
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,7 +555,9 @@ def test_mirror_matches_the_stepper_across_parameters(p, stop):
     """The same over the benchmark's parameter ranges, with each stop set
     the stepper cases use: ends by speed, by height, and at the floor."""
     integrate = integrate_minimal_profile if isinstance(p, _MIN) else integrate_conformal_profile
-    _assert_mirrors_the_stepper(integrate(p, **stop), *_collapse_case(p, **stop))
+    with pytest.MonkeyPatch.context() as mp:
+        _set_stops(mp, stop)
+        _assert_mirrors_the_stepper(integrate(p), *_collapse_case(p))
 
 
 def test_collapsing_profiles_step_one_branch(monkeypatch):
@@ -647,7 +669,7 @@ def test_branch_step_budget(tmp_path, argv):
 # --- parameter validation ---------------------------------------------------
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
     with pytest.raises(ParameterError):
         MinimalProfileParams(c=0.0, y0=0.0)
     with pytest.raises(ParameterError):
@@ -661,7 +683,8 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         integrate_grim_reaper(GrimReaperParams(lam=0.0, k=1.0), span=(1.0, 5.0))
     # a collapsing profile must start above its height stop
-    with pytest.raises(ParameterError, match=r"y0 = 1e-06 .* eps_g = 1e-06"):
+    with pytest.raises(ParameterError, match=r"y0 = 1e-06 .* EPS_G = 1e-06"):
         integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1e-6))
-    with pytest.raises(ParameterError, match=r"y0 = 0.5 .* eps_g = 0.5"):
-        integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=0.5), eps_g=0.5)
+    monkeypatch.setattr(profile_odes, "EPS_G", 0.5)
+    with pytest.raises(ParameterError, match=r"y0 = 0.5 .* EPS_G = 0.5"):
+        integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=0.5))

@@ -149,7 +149,7 @@ def test_second_kind_translator_closed_form():
 
 def test_residual_report_grid_structure():
     fam = make_horosphere(1.0, s_range=(0.0, 1.0), t_range=(0.0, 2.0))
-    grid = GridSpec(3, 4, margin=0.0)
+    grid = GridSpec(3, 4)
     rep = residual_report(fam, SolitonMode.TRANSLATOR, grid)
     assert rep.family is fam and rep.grid is grid
     assert rep.samples.shape == (12, 3)
@@ -180,7 +180,7 @@ def test_residual_report_collects_partial_failures(tmp_path):
         (-1.0, 1.0),
         (-1.0, 1.0),
     )
-    rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 5, margin=0.0))
+    rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 5))
     assert len(rep.failures) == 3 * 3  # t in {-1, -0.5, 0} for each of 3 s nodes
     assert rep.samples.shape == (6, 3)
     assert rep.failures == [
@@ -201,7 +201,7 @@ def test_residual_report_fails_non_finite_axis_jets(tmp_path):
         (-1.0, 1.0),
         (-1.0, 1.0),
     )
-    rep = residual_report(fam, SolitonMode.TRANSLATOR, GridSpec(3, 5, margin=0.0))
+    rep = residual_report(fam, SolitonMode.TRANSLATOR, GridSpec(3, 5))
     # the nine numbers are alpha's or beta's value, d1 and d2 slots
     s_reason = "axis jet at s=0.0 is not finite: (0.0, inf, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)"
     t_reason = "axis jet at t=0.5 is not finite: (0.0, 0.5, 2.5, 0.0, 1.0, nan, 0.0, 0.0, 0.0)"
@@ -227,7 +227,7 @@ def test_residual_report_fails_non_finite_residuals(mode, tmp_path):
         (-1.0, 1.0),
         (-1.0, 1.0),
     )
-    rep = residual_report(fam, mode, GridSpec(3, 3, margin=0.0))
+    rep = residual_report(fam, mode, GridSpec(3, 3))
     assert rep.failures == [(1.0, t, "residual is not finite: nan") for t in (-1.0, 0.0, 1.0)]
     assert rep.samples[:, 0].tolist() == [-1.0] * 3 + [0.0] * 3
     assert np.all(np.isfinite(rep.samples))
@@ -257,9 +257,9 @@ def test_masked_report_rows_are_sorted_and_written_per_row(ns, nt, keep):
     with mock.patch.object(soliton_residuals, "residual", masked):
         if not keep.any():
             with pytest.raises(SamplingError, match="has a finite residual"):
-                residual_report(fam, TRANSLATOR, GridSpec(ns, nt, margin=0.0))
+                residual_report(fam, TRANSLATOR, GridSpec(ns, nt))
             return
-        rep = residual_report(fam, TRANSLATOR, GridSpec(ns, nt, margin=0.0))
+        rep = residual_report(fam, TRANSLATOR, GridSpec(ns, nt))
     s_axis, t_axis = np.linspace(-1.5, 2.0, ns), np.linspace(-0.75, 1.25, nt)
     got = [(s, t) for s, t, _ in rep.samples.tolist()]
     assert got == [(s, t) for i, s in enumerate(s_axis) for j, t in enumerate(t_axis)
@@ -274,7 +274,7 @@ def test_residual_csv_keeps_signed_zeros_in_any_row_order(tmp_path):
     """The writer tells axis values apart by their bits, so 0.0 and -0.0 in
     one column keep their signs, and rows out of (s, t) order still match."""
     fam = make_generic_first_kind(_f1, _g1, (-1.0, 1.0), (-1.0, 1.0))
-    rep = residual_report(fam, TRANSLATOR, GridSpec(3, 3, margin=0.0))
+    rep = residual_report(fam, TRANSLATOR, GridSpec(3, 3))
     samples = rep.samples.copy()
     samples[::2, :2] *= -1.0  # s and t flip sign on alternate rows: 0.0 and -0.0 both occur
     rep = dataclasses.replace(rep, samples=samples[[4, 0, 8, 1, 2, 7, 3, 6, 5]])
@@ -345,7 +345,7 @@ def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
     residual columns have the same bits, so each file is the per-row format."""
     samples = np.array([(float(i), t, r) for i, row in enumerate(rows) for t, r in row])
     fam = make_horosphere(1.0, s_range=(0.0, len(rows) - 1.0), t_range=(0.0, 1.0))
-    grid = GridSpec(len(rows), len(_ROW), margin=0.0)
+    grid = GridSpec(len(rows), len(_ROW))
     rep = ResidualReport(TRANSLATOR, fam, grid, samples, [])
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
@@ -367,7 +367,7 @@ def _f2(s):
 def test_grid_report_matches_reduced_forms(mode):
     """Every grid residual equals the independent reduced form over 2*W^3,
     at the node's own (s, t), on non-square grids of both kinds."""
-    grid = GridSpec(13, 7, margin=0.0)
+    grid = GridSpec(13, 7)
     b = 0.3
 
     def first_kind(s, t):
@@ -409,7 +409,7 @@ def test_residual_has_the_bits_of_its_public_parts(mode):
     """One normal serves both terms of the residual, with the bits of the
     public normal and mean curvature, on a curved-f grid and at a point."""
     fam = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
-    (_, _, grid_jet), failures = sample_grid(fam, GridSpec(41, 37, margin=0.0))
+    (_, _, grid_jet), failures = sample_grid(fam, GridSpec(41, 37))
     assert failures == []
     for j in (grid_jet, fam.jet(0.3, 1.7)):
         got, want = residual(mode, j), _from_public_parts(mode, j)

@@ -25,8 +25,9 @@ from solsurf import (
     residual,
     sample_grid,
 )
+from solsurf.surface_factory import MARGIN
 
-GRID = GridSpec(21, 21, margin=1e-3)
+GRID = GridSpec(21, 21)
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +99,11 @@ def test_cylinder_t_range_covers_blowup_interval(minimal_cyl):
 
 
 def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl):
-    g = GridSpec(5, 5, margin=0.1)
+    g = GridSpec(5, 5)
     s_axis, t_axis = grid_axes(minimal_cyl, g)
     lo, hi = minimal_cyl.t_range
-    pad = 0.1 * (hi - lo)
-    assert t_axis[0] == pytest.approx(lo + pad)
-    assert t_axis[-1] == pytest.approx(hi - pad)
+    pad = MARGIN * (hi - lo)
+    assert t_axis[0] == lo + pad and t_axis[-1] == hi - pad
     hs, ht = grid_axes(make_horosphere(1.0), g)
     assert ht[0] == -2.0 and ht[-1] == 2.0
     assert hs[0] == -2.0 and hs[-1] == 2.0
@@ -111,7 +111,7 @@ def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl):
 
 def test_sample_grid_row_major_order():
     fam = make_horosphere(1.0, s_range=(0.0, 1.0), t_range=(0.0, 3.0))
-    (s, t, j), failures = sample_grid(fam, GridSpec(2, 4, margin=0.0))
+    (s, t, j), failures = sample_grid(fam, GridSpec(2, 4))
     assert not failures
     assert s.tolist() == [0.0, 1.0] and t.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert j.X.shape == (2, 4, 3)
@@ -159,8 +159,6 @@ def test_constructor_validation():
         make_vertical_plane(1.0, 0.0, t_range=(-1.0, 1.0))
     with pytest.raises(ParameterError):
         GridSpec(1, 5)
-    with pytest.raises(ParameterError):
-        GridSpec(5, 5, margin=0.5)
 
 
 def test_family_refuses_a_reversed_range_however_built():
@@ -216,7 +214,7 @@ def test_user_jet_errors_fail_their_own_nodes():
 
     fam = make_generic_first_kind(lambda s: (0.0, 0.0, 0.0), g, (-1.0, 1.0), (-1.0, 1.0))
     for probe in (fam, perturb_profile(fam, 1e-2)):
-        (s, t, j), failures = sample_grid(probe, GridSpec(3, 5, margin=0.0))
+        (s, t, j), failures = sample_grid(probe, GridSpec(3, 5))
         assert failures == [(si, ti, f"no profile at {ti!r}")
                             for si in (-1.0, 0.0, 1.0) for ti in (-1.0, -0.5)]
         assert t.tolist() == [0.0, 0.5, 1.0]
@@ -230,7 +228,7 @@ def test_profile_range_errors_fail_their_own_nodes(minimal_cyl):
     nodes kept carry the jets of ``fam.jet`` bit for bit."""
     lo, hi = minimal_cyl.t_range
     fam = replace(minimal_cyl, t_range=(lo, hi + 0.5))
-    grid = GridSpec(3, 6, margin=0.0)
+    grid = GridSpec(3, 6)
     s_axis, t_axis = grid_axes(fam, grid)
     (s, t, j), failures = sample_grid(fam, grid)
     reason = f"query outside the integrated range [{lo!r}, {hi!r}]"
