@@ -40,9 +40,9 @@ from .surface_factory import (
 # The CLI families and profile ODEs: name -> (builder, {flag: (keyword, role)}).
 # The builder gets the keyword of each flag given and nothing else, so every
 # default lives in the builder's signature.  A given flag that the entry does
-# not list, or lists with keyword None, is refused.  Builders look their
-# function up when called, so a wrapper bound over the module name sees each
-# call.  Keywords named ``span`` or ``*_range`` take an interval LO:HI.
+# not list is refused.  Builders look their function up when called, so a
+# wrapper bound over the module name sees each call.  Keywords named ``span``
+# or ``*_range`` take an interval LO:HI.
 _SLOPE = {"--c": ("c", "drift slope")}
 _DRIFT = {**_SLOPE, "--d": ("d", "drift intercept")}
 _S_RANGE = {"--s-range": ("s_range", "s interval LO:HI")}
@@ -58,7 +58,6 @@ FAMILIES = {
     "grim-reaper": (lambda **kw: make_grim_reaper(**kw), {
         "--b": ("b_slope", "drift slope"),
         "--lambda": ("lam", "initial profile slope"),
-        "--k": (None, "not taken: k = 1/(b^2+1) comes from --b"),
         "--span": ("span", "profile span LO:HI"), **_S_RANGE}),
     "conformal-cylinder": (lambda **kw: make_conformal_cylinder(**kw), {
         "--a": ("a_slope", "drift slope"), "--y0": ("y0", "initial profile height"),
@@ -90,7 +89,7 @@ def dest(flag: str) -> str:
 def table_flags(table: dict) -> dict:
     """Every flag of a table, in order of first appearance -> whether it takes LO:HI."""
     return {
-        flag: kw is not None and (kw == "span" or kw.endswith("_range"))
+        flag: kw == "span" or kw.endswith("_range")
         for _, flags in table.values()
         for flag, (kw, _) in flags.items()
     }
@@ -128,11 +127,9 @@ def build(table: dict, name: str, args):
         value = getattr(args, dest(flag))
         if value is None:
             continue
-        keyword = flags.get(flag, (None,))[0]
-        if keyword is None:
-            taken = ", ".join(f for f, (kw, _) in flags.items() if kw is not None)
-            raise ParameterError(f"{name} does not take {flag}; it takes {taken}")
-        kwargs[keyword] = parse_pair(value, flag) if interval else value
+        if flag not in flags:
+            raise ParameterError(f"{name} does not take {flag}; it takes {', '.join(flags)}")
+        kwargs[flags[flag][0]] = parse_pair(value, flag) if interval else value
     return builder(**kwargs)
 
 

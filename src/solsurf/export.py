@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DomainError
 from .soliton_residuals import ResidualReport
-from .surface_factory import MARGIN
 
 if TYPE_CHECKING:  # pragma: no cover
     from .profile_odes import ProfileSolution
@@ -91,9 +90,10 @@ def write_residual_csv(path, report: ResidualReport) -> int:
 
 def write_residual_summary(path, report: ResidualReport) -> None:
     """Key=value summary of a residual sweep: the family, its parameters
-    (``param.<name>``, sorted) and ranges, then the sweep.  The last line is
-    always ``MAX_ABS=<value>`` so shell pipelines can grab it.  A parameter
-    that does not format raises before the file is opened."""
+    (``param.<name>``, sorted) and the ranges its grid samples, then the
+    sweep.  The last line is always ``MAX_ABS=<value>`` so shell pipelines
+    can grab it.  A parameter that does not format raises before the file
+    is opened."""
     fam, grid = report.family, report.grid
     lines = [f"family={fam.name}"]
     lines += [f"param.{key}={fmt(fam.params[key])}" for key in sorted(fam.params)]
@@ -102,7 +102,6 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     lines += [
         f"mode={report.mode.value}",
         f"grid={grid.ns}x{grid.nt}",
-        f"margin={fmt(MARGIN)}",
         f"nodes={len(report.samples)}",
         f"failures={len(report.failures)}",
         f"mean_abs={fmt(report.mean_abs)}",
@@ -130,12 +129,11 @@ def write_profile_events(path, sol: "ProfileSolution") -> None:
     def opt(v) -> str:
         return "none" if v is None else fmt(v)
 
-    ev = sol.events
     with _open_w(path) as fh:
         fh.write(f"family={sol.family}\n")
-        fh.write(f"left_blowup_t={opt(ev.left_blowup_t)}\n")
-        fh.write(f"right_blowup_t={opt(ev.right_blowup_t)}\n")
-        fh.write(f"truncated={'true' if ev.truncated else 'false'}\n")
+        fh.write(f"left_blowup_t={opt(sol.left_blowup_t)}\n")
+        fh.write(f"right_blowup_t={opt(sol.right_blowup_t)}\n")
+        fh.write(f"truncated={'true' if sol.truncated else 'false'}\n")
         fh.write(f"nodes={len(sol.t)}\n")
         fh.write(f"conserved_max_defect={fmt(sol.conserved_max_defect)}\n")
 

@@ -25,8 +25,9 @@ the height stop alone); both are fixed numerical policy, not parameters of
 a profile.  The remaining sliver of abscissa is recovered by quadrature of
 ``dt = -dg / sqrt(first integral)``: in ``phi``, with ``g = y0*sin(phi)``,
 the integrand is smooth from the collapse up to ``g = y0``, so a fixed
-40-node Gauss--Legendre rule (:func:`_gauss`) gives the reported blow-up
-abscissa quadrature accuracy (:func:`_blowup_tail`).
+40-node Gauss--Legendre rule (:func:`_gauss`) gives the blow-up abscissa
+quadrature accuracy (:func:`_blowup_tail`).  The solution holds it as
+``right_blowup_t``; the left one is its mirror, read as ``left_blowup_t``.
 
 The grim reaper is not even, so both of its branches are stepped, on the
 state ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
@@ -37,8 +38,8 @@ in the flat tails, so the equation is not stiff there (see
 :func:`integrate_grim_reaper`).
 
 Every stepped branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that
-runs out ends like one whose step fell below its floor, and the solution is
-marked truncated.
+runs out ends like one whose step fell below its floor, and the solution's
+``truncated`` is set.
 
 Between nodes a solution is read through a piecewise cubic Hermite
 interpolant (:class:`_Hermite`), built from the nodal values and the exact
@@ -73,7 +74,6 @@ __all__ = [
     "MinimalProfileParams",
     "GrimReaperParams",
     "ConformalProfileParams",
-    "ProfileEvents",
     "ProfileSolution",
     "QualitativeVerdict",
     "first_integral_defect",
@@ -270,26 +270,14 @@ class _Hermite:
         return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
-@dataclass(frozen=True, slots=True)
-class ProfileEvents:
-    """The blow-up abscissa of the right branch (None where no blow-up was
-    found) and whether any branch was truncated before its natural end.
-    Only the even, collapsing profiles blow up, so the left branch's
-    abscissa is its mirror."""
-
-    right_blowup_t: Optional[float]
-    truncated: bool
-
-    @property
-    def left_blowup_t(self) -> Optional[float]:
-        return None if self.right_blowup_t is None else -self.right_blowup_t
-
-
 @dataclass(eq=False)
 class ProfileSolution:
-    """An integrated profile: node arrays, events, and the per-node
-    conservation monitor.  Nodes are strictly increasing in ``t`` with
-    ``g > 0`` everywhere, and the arrays are read-only.
+    """An integrated profile: node arrays, the per-node conservation
+    monitor, the blow-up abscissa of the right branch (None where no blow-up
+    was found) and whether any branch was truncated before its natural end.
+    Only the even, collapsing profiles blow up, so the left branch's
+    abscissa is its mirror.  Nodes are strictly increasing in ``t`` with
+    ``g > 0`` everywhere, and the arrays are read-only copies of those given.
 
     Between nodes, ``g`` and ``g'`` come from cubic Hermite interpolation
     (the stored derivatives are the exact nodal slopes) and ``g''`` is
@@ -301,12 +289,13 @@ class ProfileSolution:
     t: np.ndarray
     g: np.ndarray
     gp: np.ndarray
-    events: ProfileEvents
     node_defect: np.ndarray
+    right_blowup_t: Optional[float]
+    truncated: bool
 
     def __post_init__(self) -> None:
         for name in ("t", "g", "gp", "node_defect"):
-            a = np.asarray(getattr(self, name), dtype=float)
+            a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             setattr(self, name, a)
         if len(self.t) < 2:
@@ -315,6 +304,10 @@ class ProfileSolution:
             raise ParameterError("profile nodes must be strictly increasing in t")
         if not np.all(self.g > 0.0):
             raise ParameterError("profile nodes must have positive g")
+
+    @property
+    def left_blowup_t(self) -> Optional[float]:
+        return None if self.right_blowup_t is None else -self.right_blowup_t
 
     @property
     def family(self) -> str:
@@ -636,8 +629,9 @@ def _collapse_solution(params, slope: float) -> ProfileSolution:
         t=t,
         g=g,
         gp=gp,
-        events=ProfileEvents(right_blowup, status != 1),
         node_defect=defect,
+        right_blowup_t=right_blowup,
+        truncated=status != 1,
     )
 
 
@@ -709,14 +703,14 @@ def integrate_grim_reaper(p: GrimReaperParams,
             f"no step from t = 0 was accepted at lambda = {p.lam!r}: every trial step "
             "was rejected"
         )
-    truncated = right != 0 or left != 0
     return ProfileSolution(
         params=p,
         t=t,
         g=g,
         gp=np.array([slope(x) for x in w]),
-        events=ProfileEvents(None, truncated),
         node_defect=np.zeros_like(t),
+        right_blowup_t=None,
+        truncated=right != 0 or left != 0,
     )
 
 
@@ -748,8 +742,8 @@ def conformal_halfwidth_quadrature(a: float, y0: float) -> float:
 class QualitativeVerdict:
     """Shape facts measured on an integrated profile (all fields are computed
     for every family; which ones are meaningful depends on the family).
-    What the solution already holds, its events and ``g`` range, is read
-    from it."""
+    What the solution already holds, its blow-up, truncation and ``g``
+    range, is read from it."""
 
     constancy_defect: float
     monotone_nondecreasing: bool

@@ -102,13 +102,9 @@ class ResidualReport:
     and holds the (s, t) product grid minus its failed nodes, sorted by
     (s, t); every value is finite.  Evaluation failures are kept
     separately.  ``family`` and ``grid`` are the swept family and grid,
-    which :func:`~solsurf.export.write_residual_summary` reads.
-    :func:`~solsurf.export.write_residual_csv` writes the rows in this
-    order, taking each ``s`` row from where the bits of ``s`` change: it
-    formats each row's ``s`` once, its ``t`` template only when the ``t``
-    column changes, and a row whose ``(t, residual)`` columns repeat the row
-    before it not at all.  When every node is finite, ``samples`` is the
-    grid-shaped table itself, reshaped, not a masked copy."""
+    which :func:`~solsurf.export.write_residual_summary` reads.  When every
+    node is finite, ``samples`` is the grid-shaped table itself, reshaped,
+    not a masked copy."""
 
     mode: SolitonMode
     family: "SurfaceFamily"
@@ -134,8 +130,8 @@ class ResidualReport:
 
 
 def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -> ResidualReport:
-    """Sweep one residual over a family grid (margins per the family's
-    blow-up flag) and collect the values.
+    """Sweep one residual over a family grid, on the family's ``s_range``
+    and ``t_range``, and collect the values.
 
     A node whose residual is not finite (its fundamental forms overflow)
     fails with that reason, beside the nodes :func:`sample_grid` fails;

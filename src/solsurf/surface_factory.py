@@ -7,10 +7,10 @@ involved).  Grids evaluate each factor curve in one call on its whole axis
 (node by node only after that call raises a domain error) and build one jet
 for the whole grid.
 
-Families whose ``t`` extent ends at a collapse abscissa are flagged
-``blowup_limited``; grids on those shrink the ``t`` interval by ``MARGIN``,
-a fixed 1e-3 of the extent per side, so that sampled nodes stay away from
-the near-vertical ends where jets degrade.
+A family whose profile collapses takes the profile's node span in ``t``
+less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
+that sampled nodes stay away from the near-vertical ends where jets
+degrade.  Every family's ``t_range`` is the extent its grids sample.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ __all__ = [
 # (1024x1024) keeps every grid near that, instead of letting a typo allocate
 # until the process is killed.
 MAX_GRID_NODES = 1 << 20
-# Fraction of the t extent clipped from each end of a blow-up-limited family.
+# Fraction of the profile's t span clipped from each end where it collapses.
 MARGIN = 1e-3
 
 
@@ -128,11 +128,6 @@ class SurfaceFamily:
 
     def position(self, s: float, t: float) -> np.ndarray:
         return self.jet(s, t).X
-
-    @property
-    def blowup_limited(self) -> bool:
-        """Whether the ``t`` extent ends where the profile collapses."""
-        return self.profile is not None and self.profile.events.right_blowup_t is not None
 
 
 def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
@@ -219,13 +214,17 @@ def _profile_family(
     sol: ProfileSolution,
 ) -> SurfaceFamily:
     """A first-kind family whose height ``g`` is the profile ``sol``, on the
-    profile's whole node span in ``t``."""
+    profile's node span in ``t``, less ``MARGIN`` of it per side where the
+    profile collapses."""
 
     def g(t):
         return ScalarJet2(sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t))
 
-    return SurfaceFamily(name, params, s_range, (float(sol.t[0]), float(sol.t[-1])),
-                         _horospherical(f), _graph(g), sol)
+    lo, hi = float(sol.t[0]), float(sol.t[-1])
+    if sol.right_blowup_t is not None:
+        pad = MARGIN * (hi - lo)
+        lo, hi = lo + pad, hi - pad
+    return SurfaceFamily(name, params, s_range, (lo, hi), _horospherical(f), _graph(g), sol)
 
 
 def make_minimal_cylinder(
@@ -300,13 +299,12 @@ def make_generic_first_kind(
     g_fn: Callable[[float], object],
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
-    params: Optional[dict] = None,
 ) -> SurfaceFamily:
     """First-kind surface from user scalar jets: X = (s, t + f(s), g(t)).
 
     ``f_fn``/``g_fn`` return a ScalarJet2 or a (value, d1, d2) triple.
     """
-    return SurfaceFamily("generic_first_kind", dict(params or {}), s_range, t_range,
+    return SurfaceFamily("generic_first_kind", {}, s_range, t_range,
                          _horospherical(_coerced(f_fn)), _graph(_coerced(g_fn)))
 
 
@@ -315,11 +313,10 @@ def make_generic_second_kind(
     b: float,
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
-    params: Optional[dict] = None,
 ) -> SurfaceFamily:
     """Second-kind surface from a user scalar jet: X = (s, f(s) + b, t)."""
     return _second_kind_family(
-        "generic_second_kind", dict(params or {}, b=b), _coerced(f_fn), b, s_range, t_range
+        "generic_second_kind", {"b": b}, _coerced(f_fn), b, s_range, t_range
     )
 
 
@@ -349,16 +346,8 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
 
 
 def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Node coordinates for a grid on the family's rectangle.  Blow-up
-    limited families get their ``t`` interval clipped by ``MARGIN`` (a
-    fraction of the extent, per side)."""
-    s_lo, s_hi = fam.s_range
-    t_lo, t_hi = fam.t_range
-    if fam.blowup_limited:
-        pad = MARGIN * (t_hi - t_lo)
-        t_lo += pad
-        t_hi -= pad
-    return np.linspace(s_lo, s_hi, grid.ns), np.linspace(t_lo, t_hi, grid.nt)
+    """Node coordinates for a grid on the family's rectangle, ends included."""
+    return np.linspace(*fam.s_range, grid.ns), np.linspace(*fam.t_range, grid.nt)
 
 
 def _axis_jet(fn, nodes: np.ndarray, label: str):
@@ -374,7 +363,8 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
     """
 
     def row(x):
-        c = fn(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite jet fails below
+            c = fn(x)
         return np.concatenate(np.broadcast_arrays(c.value, c.d1, c.d2), axis=-1)
 
     rows = np.full((len(nodes), 9), np.nan)

@@ -237,7 +237,7 @@ def _check_minimal_symmetry() -> Measurement:
 def _halfwidth_defect(sol, r: float, detail: str) -> Measurement:
     """Distance of the blow-up abscissa of ``sol`` from ``r``; the left
     branch's is its mirror, at the same distance from ``-r``."""
-    right = sol.events.right_blowup_t
+    right = sol.right_blowup_t
     if right is None:
         return math.inf, "a branch did not reach collapse"
     return float(abs(right - r)), f"{detail} r = {r:.10f}"
@@ -271,7 +271,7 @@ def _check_minimal_abscissa() -> Measurement:
 
 def _check_reaper_constant() -> Measurement:
     sol = make_grim_reaper(0.0, span=(-50.0, 50.0)).profile
-    if sol.events.truncated:
+    if sol.truncated:
         return math.inf, "the integration was truncated"
     return qualitative_verdict(sol).constancy_defect, "lambda = 0 rides the constant solution"
 
@@ -287,7 +287,7 @@ def _check_reaper_shape() -> Measurement:
         "sign_flip_at_0": v.convex_then_concave,
         "bounded_below": np.min(sol.g) >= 0.9 * g_lo > 0.0,
         "bounded_above": np.max(sol.g) <= 1.1 * g_hi and math.isfinite(g_hi),
-        "not_truncated": not sol.events.truncated,
+        "not_truncated": not sol.truncated,
     }
     bad = [k for k, okk in conditions.items() if not okk]
     return float(len(bad)), "failed: " + ",".join(bad) if bad else "all shape facts hold"

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
+import dataclasses
 import math
 import os
 import re
@@ -13,7 +14,9 @@ from solsurf import (
     DomainError,
     GridSpec,
     SolitonMode,
+    make_conformal_cylinder,
     make_generic_first_kind,
+    make_minimal_cylinder,
     residual_report,
 )
 from solsurf import commands
@@ -139,10 +142,9 @@ def test_mesh_refuses_failed_nodes(tmp_path):
 
 def test_summary_formats_before_it_opens(tmp_path):
     """A parameter that does not format raises and leaves no summary file."""
-    fam = make_generic_first_kind(
+    fam = dataclasses.replace(make_generic_first_kind(
         lambda s: (0.0, 0.0, 0.0), lambda t: (2.0 + t, 1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0),
-        params={"note": "flat"},
-    )
+    ), params={"note": "flat"})
     rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 3))
     with pytest.raises(ValueError, match="flat"):
         write_residual_summary(tmp_path / "r.summary.txt", rep)
@@ -281,6 +283,12 @@ REFUSALS = {
         ["mesh", "--family", "vertical-plane", "--grid", "3x3", "--margin", "0"],
         ["residual", "--family", "grim-reaper", "--mode", "translator", "--grid", "3x3",
          "--margin", "1e-3"],
+        # an axis jet that is not finite fails its nodes, with no numpy warning
+        ["residual", "--family", "vertical-plane", "--c", "inf", "--mode", "minimal"],
+        ["mesh", "--family", "vertical-plane", "--c", "inf"],
+        ["residual", "--family", "grim-reaper", "--span", "-1e-300:1e-300", "--mode",
+         "translator"],
+        ["residual", "--family", "grim-reaper", "--span", "0:1e-300", "--mode", "translator"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
@@ -292,18 +300,21 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("family", ["minimal-cylinder", "conformal-cylinder"])
 def test_margin_clips_a_collapsing_family(tmp_path, family):
-    """Where the t extent ends at a profile collapse, the fixed margin is
-    applied: the summary states it, and the first t node lies that fraction
-    of the extent inside the profile's first node."""
+    """Where the profile collapses, the summary's t_range is the profile's
+    node span less MARGIN of it per side, and it is the extent the CSV
+    samples: its first and last t."""
     out = str(tmp_path / "r")
     assert main(["residual", "--family", family, "--mode", "minimal", "--grid", "3x3",
                  "--out", out]) == 0
     summary = (tmp_path / "r.summary.txt").read_text().splitlines()
-    assert f"margin={fmt(MARGIN)}" in summary
-    lo, hi = (float(x) for x in next(
-        line for line in summary if line.startswith("t_range=")).split("=")[1].split(":"))
-    first_t = float((tmp_path / "r.csv").read_text().splitlines()[1].split(",")[1])
-    assert first_t == pytest.approx(lo + MARGIN * (hi - lo), rel=1e-9)
+    assert not [line for line in summary if line.startswith("margin=")]
+    t = (make_minimal_cylinder() if family == "minimal-cylinder"
+         else make_conformal_cylinder()).profile.t
+    lo, hi = float(t[0]), float(t[-1])
+    pad = MARGIN * (hi - lo)
+    assert f"t_range={fmt(lo + pad)}:{fmt(hi - pad)}" in summary
+    rows = (tmp_path / "r.csv").read_text().splitlines()
+    assert (rows[1].split(",")[1], rows[-1].split(",")[1]) == (fmt(lo + pad), fmt(hi - pad))
 
 
 @pytest.mark.parametrize(
@@ -348,9 +359,8 @@ FLAG_VALUES = {
 def _taken_flags():
     for cmd, table in (("profile", commands.ODES), ("mesh", commands.FAMILIES)):
         for name, (_, flags) in table.items():
-            for flag, (keyword, _) in flags.items():
-                if keyword is not None:
-                    yield cmd, name, flag
+            for flag in flags:
+                yield cmd, name, flag
 
 
 def _moved(a: str, b: str) -> bool:
@@ -459,3 +469,49 @@ def test_verify_only_filter(capsys):
     assert "lie.group_laws" in out
     assert "ALL CHECKS PASSED" in out
     assert "horosphere" not in out
+
+
+SWEEP_VALUES = ("inf", "-inf", "nan", "0", "-1", "1e300", "-1e300")
+
+
+def _swept_argv(cmd):
+    """Every flag of the command's table with every value of SWEEP_VALUES; an
+    interval flag takes the value as one end, the other end at 0.  A
+    ``--span`` end at +-inf or +-1e300 steps the reaper until it has tried
+    MAX_BRANCH_STEPS steps (~0.5 s a run), as test_branch_step_budget does
+    at 1e6; only ``profile`` runs such spans, and only at +-inf."""
+    choice, table, extra = {
+        "residual": ("--family", commands.FAMILIES, ["--grid", "5x5"]),
+        "mesh": ("--family", commands.FAMILIES, ["--grid", "5x5"]),
+        "profile": ("--ode", commands.ODES, []),
+    }[cmd]
+    intervals = commands.table_flags(table)
+    long_spans = {"1e300", "-1e300"} | ({"inf", "-inf"} if cmd != "profile" else set())
+    modes = [m.value for m in SolitonMode]
+    k = 0
+    for name, (_, flags) in table.items():
+        for flag in flags:
+            for v in SWEEP_VALUES:
+                if flag == "--span" and v in long_spans:
+                    continue
+                value = (f"{v}:0" if v.startswith("-") else f"0:{v}") if intervals[flag] else v
+                mode = ["--mode", modes[k % len(modes)]] if cmd == "residual" else []
+                k += 1
+                yield [cmd, choice, name, f"{flag}={value}", *mode, *extra, "--out", "o"]
+
+
+@pytest.mark.parametrize("cmd", ["residual", "mesh", "profile"])
+def test_input_sweep_exits_0_or_2_without_warnings(tmp_path, cmd, monkeypatch, capsys):
+    """Each flag at a non-finite, zero, negative or huge value either runs
+    or is refused with exit 2, and numpy prints no RuntimeWarning."""
+    monkeypatch.chdir(tmp_path)
+    bad = []
+    for argv in _swept_argv(cmd):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        if rc not in (0, 2) or warned:
+            bad.append((" ".join(argv), rc, warned))
+    capsys.readouterr()
+    assert not bad

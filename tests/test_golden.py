@@ -31,63 +31,63 @@ FAMILY_ARGS = {
 RESIDUAL_SHA256 = {
     ("horosphere", "minimal"): (
         "781b441c6267800114feb782559bda705758408908eb43f714310eaea19cfa2b",
-        "771808507e320968ed74684f39d912c91797732c71463d4d0bdc77fcc385dd4b",
+        "7191f13f297a1022062c1b5ce1b62b69dcd443f7c57cf6b976e5a159b43e6e5d",
     ),
     ("horosphere", "translator"): (
         "6e77faebf3719cdadcf0dcb9199bc5abdfd4ba66375a87a8541df06d480d93b0",
-        "9a10d27a439793bceb791e2ceede4a283bbd2875240c1ebea7a3dd023844812b",
+        "0df663e4479eca0d68fbd1930d7c1d4673825a240cbcfaca8766c0588d66c0b4",
     ),
     ("horosphere", "conformal"): (
         "ee0d6869aa3409486bcac326fe9a377c3948ecca7c391a78442a00445e76307d",
-        "dec40956cd35557f26d80a1a1f67bc8e76788ab12f69d7baf46e7dc6afaa3682",
+        "e06918e6da0b3fc167f5e42c2ab24b41e5f988c41a35f472acc8e78183021e78",
     ),
     ("vertical-plane", "minimal"): (
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "7c176df3f98553c1053c956dd1cd120c9a83c5d35ffb8001a6107933b3b4dd3b",
+        "f52f2ce25b9cd00b9b1550a20d1829170fea4aa23bb556dc2c72607b041cb8eb",
     ),
     ("vertical-plane", "translator"): (
         "b1c0dcfccad5950539d79926b2057a946f9df7a612f54d7e856a4e5d05e73696",
-        "0289f44d4691d92e8c159563b9b7b07338658e7e6cda47d03bd3c3004ab49031",
+        "46d148e58773fe0bd2603c5bd963b5295af09263bdd3cb06cdbe67fb773038bf",
     ),
     ("vertical-plane", "conformal"): (
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "75599c95a6c6af4840870b1aba42583c2a18c645b9c03f7ae72b57cf58cac878",
+        "d471fec2d933e895c9898ba0942852bcecaaf2df0c7bf45d327ea0e845ecae12",
     ),
     ("minimal-cylinder", "minimal"): (
         "a8d74248a2166e7b7b05f0a309c44525981ae7f515bed2408c381ae76f267fdc",
-        "7041082377c7badd6ca90b03399d3421374c5ddf231c037fae570fb70faa3bfa",
+        "d8b239140a4897d02ea67ee1867dca5a9f6f76ea465d34508449c893d2b1141f",
     ),
     ("minimal-cylinder", "translator"): (
         "3219fc72d65e4c8857ea3a96821a98e5c8778654646c367a113120f833d17519",
-        "5ce2bcec2adb7673f88b42dbe41d931992b1f1778f574e876406e970de99ddf0",
+        "ae3cf2f7fd0f4c5e0c4f2b1dfdd90247f33890147b5c641c6d1cd449fc39a79f",
     ),
     ("minimal-cylinder", "conformal"): (
         "b4c8120f145db180a1f916e71d705be4c86ff67b2183acd42d0c43fd73c56c95",
-        "da4a66ca8a6113d13db41f606c9dae9159d290d461f21f8f45036751daffa98d",
+        "1695ce38bed334139151ddabaf2d5ec112d174a0469fbd0c41d5e32b463b0295",
     ),
     ("grim-reaper", "minimal"): (
         "deff79995f94da0da0fd6ca7ef2ab3f78b158d52c85b83fe2994761372b60087",
-        "95b2fe209e13baa78caa50f0837764a3dd359b9b4a11564747ef0b112ce6b820",
+        "0ce952504b05bd923f5b717306610636c8cab0cf1009098a13aebf139233d323",
     ),
     ("grim-reaper", "translator"): (
         "8c7ff5ec5637879bada808f1a5d52b54d4ce42055f2f509a35d9c46ec808e4f8",
-        "2e628174d4d7e61d1dc4badb5007bb4f97983d523cb4250ae3b40817cfdd503e",
+        "c802f47808822237ede49d248d859ab27ef10163f29878e73ada6d4c5b5fc7a3",
     ),
     ("grim-reaper", "conformal"): (
         "038cf8df043752018c30a1469fca77ac4b0b078be175313e12ae59c9390b2ef6",
-        "d6120233e99ee56e56a94fd1aeeb4c0856a51cde0ea3f397b87fb802aaa6e93a",
+        "85f633980896ec2c4e68912b3768859008504fff0994ab818af0dd45cfeca627",
     ),
     ("conformal-cylinder", "minimal"): (
         "ea71b3efb3d5fc4bca198783f9f1e7f970dfc57b235437ab621870c3f07f9426",
-        "c3b474cf472b23c4663685d14999bf6cec56bc0d6aae3d25aeb99b2291d0cff2",
+        "26f035a1b65893924666bd897ee7f859b2f7fde8ba08d67c6f38ac2e262e2658",
     ),
     ("conformal-cylinder", "translator"): (
         "04ec10c60f0a3e7071188444765436293028c5d9ce96e2445386188aebbbd814",
-        "7d6f95c2bdd48290f2709a5c1b1470cdb18394db4bd0e49f2cbe1e8cbcc6281c",
+        "77046191d66f2435f9f3450ab75055ac5b65e1a4c9ae7fb0b04ace4ee698418b",
     ),
     ("conformal-cylinder", "conformal"): (
         "1494f6e3add3fea375a3b0c66ed6776ebe8fa30a2c6461d57adbcb07ee9a7cdd",
-        "5db4548b0f92aa3269a0baab30dd65c76cddbaf50eb816fe0461c045e02ad962",
+        "1e53e329f3a0a4b31a29577165ebf1a8d18da7960e7c519517e58194ced19d79",
     ),
 }
 
@@ -130,25 +130,25 @@ DEFAULTS_SHA256 = {
     "horosphere": (
         "conformal",
         "6ddcdc7b0d18110917efe66daf935aa859ad3b59769534bb88399af82335cf18",
-        "b34d07c2fa102bec57fc22a20cff55b90b5c85a6d638f4d6bb47fedb26b2d272",
+        "f6efee96cb21534c3cd58de0dfaa5576a0429c585f71ec00075a248c2ed8364b",
         "180add82ab25622a198649c5d7c377043c4214f6d9ecf735fb5c2201522cecba",
     ),
     "vertical-plane": (
         "translator",
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "30a05c1f8d7760a5a3ccdf8b633379b55b8c944a79d04ea353f59507d7fdedfc",
+        "53d13f52f2c142d84806c7278cce04ca25e3055c1d2e926f617e51c81c580fe6",
         "e3d7e360e73f2a97e6f34b272a84b1c48c443b11add45d87db034c37a1085420",
     ),
     "grim-reaper": (
         "translator",
         "d3ed06a65ba44ca736f82a3533c5100fa00a0d8b13d30db50d4ed92a6466a471",
-        "cf0581df31fdc32598480fdd120a9eb4622bf59bc3dd98c4c49f314b4e8a357c",
+        "d658004ed284f5af0533bcabe97f4fbb4eee218799a83d02f74207283b97bc5f",
         "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (
         "conformal",
         "d9cebfc8338a9e8301d2f03f22cae4cba448d0268c82f4346e9081e84bb46c11",
-        "852bcffb36488ca152d65ead365d686e31a3bda752b7bb46e3e2f20e51b9c07e",
+        "8c54914e8940d695400392935e08b8a3d7e99cb177eccbb89598966f0386f8fc",
         "211f494d3232e28b6f3951dd91db43695e42431ee5a1b4778d06191595968cdf",
     ),
 }

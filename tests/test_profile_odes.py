@@ -23,6 +23,7 @@ from solsurf import (
     GrimReaperParams,
     MinimalProfileParams,
     ParameterError,
+    ProfileSolution,
     conformal_halfwidth_quadrature,
     integrate_conformal_profile,
     integrate_grim_reaper,
@@ -35,7 +36,6 @@ from solsurf.cli import main
 from solsurf.profile_odes import (
     MAX_BRANCH_STEPS,
     SLOPE_CAP,
-    ProfileEvents,
     _EPS,
     _Hermite,
     _blowup_tail,
@@ -135,8 +135,8 @@ def test_height_stop_near_y0_keeps_the_halfwidth(eps_g, monkeypatch):
                     minimal_halfwidth_quadrature(0.0, 1.0)),
                    (integrate_conformal_profile(ConformalProfileParams(0.0, 1.0)),
                     conformal_halfwidth_quadrature(0.0, 1.0))):
-        assert abs(sol.events.right_blowup_t - r) <= 1e-10
-        assert abs(sol.events.left_blowup_t + r) <= 1e-10
+        assert abs(sol.right_blowup_t - r) <= 1e-10
+        assert abs(sol.left_blowup_t + r) <= 1e-10
 
 
 # --- minimal profile -------------------------------------------------------
@@ -144,17 +144,15 @@ def test_height_stop_near_y0_keeps_the_halfwidth(eps_g, monkeypatch):
 
 def test_minimal_blowup_matches_quadrature(minimal_sol):
     r = minimal_halfwidth_quadrature(0.0, 1.0)
-    ev = minimal_sol.events
-    assert ev.truncated is False
-    assert abs(ev.right_blowup_t - r) <= 1e-6
-    assert abs(ev.left_blowup_t + r) <= 1e-6
+    assert minimal_sol.truncated is False
+    assert abs(minimal_sol.right_blowup_t - r) <= 1e-6
+    assert abs(minimal_sol.left_blowup_t + r) <= 1e-6
 
 
 def test_minimal_blowup_matches_quadrature_offset_params(minimal_sol_c1):
     r = minimal_halfwidth_quadrature(1.0, 2.0)
-    ev = minimal_sol_c1.events
-    assert abs(ev.right_blowup_t - r) <= 1e-6
-    assert abs(ev.left_blowup_t + r) <= 1e-6
+    assert abs(minimal_sol_c1.right_blowup_t - r) <= 1e-6
+    assert abs(minimal_sol_c1.left_blowup_t + r) <= 1e-6
 
 
 def test_minimal_first_integral_monitor(minimal_sol, minimal_sol_c1):
@@ -175,8 +173,8 @@ def test_minimal_verdict(minimal_sol):
     assert v.symmetry_defect <= 1e-8
     assert v.concave and v.max_at_zero
     assert 0.0 < np.min(minimal_sol.g) and np.max(minimal_sol.g) < math.inf
-    ev = minimal_sol.events
-    assert ev.left_blowup_t is not None and ev.right_blowup_t is not None and not ev.truncated
+    assert minimal_sol.left_blowup_t is not None and minimal_sol.right_blowup_t is not None
+    assert not minimal_sol.truncated
     assert v.constancy_defect > 1e-12 and not v.monotone_nondecreasing
 
 
@@ -248,7 +246,7 @@ def test_stop_threshold_override(monkeypatch):
     monkeypatch.setattr(profile_odes, "M_STOP", 1e3)
     sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
     r = minimal_halfwidth_quadrature(0.0, 1.0)
-    assert abs(sol.events.right_blowup_t - r) <= 1e-6
+    assert abs(sol.right_blowup_t - r) <= 1e-6
     assert np.max(np.abs(sol.gp)) <= 1.01e3
 
 
@@ -262,21 +260,20 @@ def test_conformal_constant_reconstructed_exactly():
 
 def test_conformal_blowup_and_monitor(conformal_sol):
     r = conformal_halfwidth_quadrature(0.0, 1.0)
-    assert abs(conformal_sol.events.right_blowup_t - r) <= 1e-6
-    assert abs(conformal_sol.events.left_blowup_t + r) <= 1e-6
+    assert abs(conformal_sol.right_blowup_t - r) <= 1e-6
+    assert abs(conformal_sol.left_blowup_t + r) <= 1e-6
     assert conformal_sol.conserved_max_defect <= 1e-8
 
 
 def test_conformal_verdict(conformal_sol):
     v = qualitative_verdict(conformal_sol)
     assert v.symmetry_defect <= 1e-8 and v.concave and v.max_at_zero
-    ev = conformal_sol.events
-    assert ev.left_blowup_t is not None and ev.right_blowup_t is not None
+    assert conformal_sol.left_blowup_t is not None and conformal_sol.right_blowup_t is not None
 
 
 def test_conformal_collapses_faster_than_minimal(minimal_sol, conformal_sol):
     # the conformal drift strengthens the pull toward the boundary
-    assert conformal_sol.events.right_blowup_t < minimal_sol.events.right_blowup_t
+    assert conformal_sol.right_blowup_t < minimal_sol.right_blowup_t
 
 
 # --- translator profile ----------------------------------------------------
@@ -287,15 +284,34 @@ def test_reaper_constant_solution(reaper_const_sol):
     assert v.constancy_defect <= 1e-12
     assert np.all(reaper_const_sol.g == 1.0)
     assert np.all(reaper_const_sol.gp == 0.0)
-    assert not reaper_const_sol.events.truncated
+    assert not reaper_const_sol.truncated
+
+
+def _two_node_solution(right_blowup_t=None, truncated=False):
+    return ProfileSolution(GrimReaperParams(), np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                           np.zeros(2), np.zeros(2), right_blowup_t, truncated)
 
 
 def test_events_state_the_blowup_once():
-    """The left blow-up abscissa is read from the right one, never stored."""
-    assert [f.name for f in dataclasses.fields(ProfileEvents)] == ["right_blowup_t", "truncated"]
-    assert ProfileEvents(0.5, False).left_blowup_t == -0.5
-    assert ProfileEvents(None, True).left_blowup_t is None
-    assert ProfileEvents.left_blowup_t.fset is None
+    """The solution holds the right blow-up abscissa and the truncation flag;
+    the left abscissa is read from the right one, never stored."""
+    fields = [f.name for f in dataclasses.fields(ProfileSolution)]
+    assert fields == ["params", "t", "g", "gp", "node_defect", "right_blowup_t", "truncated"]
+    assert _two_node_solution(0.5).left_blowup_t == -0.5
+    assert _two_node_solution(None, True).left_blowup_t is None
+    assert ProfileSolution.left_blowup_t.fset is None
+
+
+def test_solution_copies_the_arrays_it_is_given():
+    """The stored arrays are read-only copies: the caller's stay writable,
+    and writing to them leaves the solution as it was."""
+    t, g, gp, defect = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2), np.zeros(2)
+    sol = ProfileSolution(GrimReaperParams(), t, g, gp, defect, None, False)
+    for mine, stored in ((t, sol.t), (g, sol.g), (gp, sol.gp), (defect, sol.node_defect)):
+        assert mine.flags.writeable and not stored.flags.writeable and stored is not mine
+        mine += 5.0
+    assert sol.t.tolist() == [0.0, 1.0] and sol.g.tolist() == [1.0, 2.0]
+    assert sol.gp.tolist() == sol.node_defect.tolist() == [0.0, 0.0]
 
 
 def test_reaper_shape(reaper_sol):
@@ -304,7 +320,7 @@ def test_reaper_shape(reaper_sol):
     assert v.convex_then_concave
     assert not v.concave and v.constancy_defect > 1e-12 and not v.symmetry_defect <= 1e-8
     assert 0.0 < np.min(reaper_sol.g) and np.max(reaper_sol.g) < math.inf
-    assert reaper_sol.events == ProfileEvents(None, False)
+    assert (reaper_sol.right_blowup_t, reaper_sol.truncated) == (None, False)
 
 
 def test_reaper_inflection_exactly_at_zero(reaper_sol):
@@ -379,7 +395,7 @@ def test_reaper_matches_oracle(case):
 def test_reaper_shape_across_lambda(lam):
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=1.0), span=(-40.0, 40.0))
     v = qualitative_verdict(sol)
-    assert v.monotone_nondecreasing and v.convex_then_concave and not sol.events.truncated
+    assert v.monotone_nondecreasing and v.convex_then_concave and not sol.truncated
     assert list(sol.gp[sol.t == 0.0]) == [lam] and np.all(sol.gp >= 0.0)
 
 
@@ -389,7 +405,7 @@ def test_reaper_steep_long_span_finishes():
     with the analytic Jacobian resolves in a few hundred steps."""
     p = GrimReaperParams(lam=50.0, k=1.0)
     sol = integrate_grim_reaper(p, span=(-100.0, 100.0))
-    assert len(sol.t) < 4000 and not sol.events.truncated
+    assert len(sol.t) < 4000 and not sol.truncated
 
     def jac(v, y):
         g, gp = y
@@ -521,13 +537,12 @@ def _assert_mirrors_the_stepper(sol, rhs, ic, ends, stops, tol):
     halves = [_dopri54(rhs, *ic, end, stops, *tol) for end in ends]
     n = len(halves[0][0])
     assert len(sol.t) == 2 * n - 1 and len(halves[1][0]) == n
-    events = sol.events
     for (t, g, gp, status), half, blowup, side in zip(
             halves, (slice(n - 1, None), slice(n - 1, None, -1)),
-            (events.right_blowup_t, events.left_blowup_t), (1.0, -1.0)):
+            (sol.right_blowup_t, sol.left_blowup_t), (1.0, -1.0)):
         for stepped, stored in ((t, sol.t), (g, sol.g), (gp, sol.gp)):
             assert np.array(stepped).tobytes() == stored[half].tobytes()
-        assert events.truncated == (status != 1)
+        assert sol.truncated == (status != 1)
         want = None if status != 1 else (t[-1] + side * _blowup_tail(sol.params, g[-1])).hex()
         assert (None if blowup is None else blowup.hex()) == want
     assert sol.node_defect[n - 1::-1].tobytes() == sol.node_defect[n - 1:].tobytes()
@@ -625,9 +640,9 @@ def test_stop_at_last_node_ends_the_branch(c, y0):
     # blow-up within 2.4e-11 relative of the closed form, measured
     sol = integrate_minimal_profile(MinimalProfileParams(c, y0))
     r = minimal_halfwidth_quadrature(c, y0)
-    assert not sol.events.truncated
-    assert abs(sol.events.right_blowup_t - r) <= 1e-9 * r
-    assert abs(sol.events.left_blowup_t + r) <= 1e-9 * r
+    assert not sol.truncated
+    assert abs(sol.right_blowup_t - r) <= 1e-9 * r
+    assert abs(sol.left_blowup_t + r) <= 1e-9 * r
 
 
 def test_stage_arithmetic_failures_reject_steps():

@@ -87,26 +87,35 @@ def test_family_tags_and_params(minimal_cyl):
     assert make_horosphere(2.0).name == "horosphere"
     assert minimal_cyl.name == "minimal_cylinder"
     assert minimal_cyl.params == {"c": 0.0, "y0": 1.0, "d": 0.0}
-    assert minimal_cyl.blowup_limited
-    assert not make_horosphere(2.0).blowup_limited
 
 
 def test_cylinder_t_range_covers_blowup_interval(minimal_cyl):
+    """The profile's nodes end within 1e-3 of the collapse, and the t range
+    lies inside them."""
     lo, hi = minimal_cyl.t_range
-    r = minimal_cyl.profile.events.right_blowup_t
-    assert lo < 0.0 < hi
-    assert hi <= r and hi >= r - 1e-3
+    t, r = minimal_cyl.profile.t, minimal_cyl.profile.right_blowup_t
+    assert t[0] < lo < 0.0 < hi < t[-1] <= r <= t[-1] + 1e-3
 
 
-def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl):
-    g = GridSpec(5, 5)
-    s_axis, t_axis = grid_axes(minimal_cyl, g)
-    lo, hi = minimal_cyl.t_range
-    pad = MARGIN * (hi - lo)
-    assert t_axis[0] == lo + pad and t_axis[-1] == hi - pad
-    hs, ht = grid_axes(make_horosphere(1.0), g)
-    assert ht[0] == -2.0 and ht[-1] == 2.0
-    assert hs[0] == -2.0 and hs[-1] == 2.0
+def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl, reaper):
+    """Only a collapsing profile's node span loses MARGIN of it per side;
+    every family's grid samples its ranges, ends included."""
+    t = minimal_cyl.profile.t
+    pad = MARGIN * (float(t[-1]) - float(t[0]))
+    assert minimal_cyl.t_range == (float(t[0]) + pad, float(t[-1]) - pad)
+    assert reaper.t_range == (float(reaper.profile.t[0]), float(reaper.profile.t[-1]))
+    for fam in (minimal_cyl, reaper, make_horosphere(1.0)):
+        s_axis, t_axis = grid_axes(fam, GridSpec(5, 5))
+        assert (s_axis[0], s_axis[-1]) == fam.s_range and (t_axis[0], t_axis[-1]) == fam.t_range
+    assert make_horosphere(1.0).t_range == (-2.0, 2.0)
+
+
+def test_replaced_t_range_is_sampled_as_given(minimal_cyl):
+    """A collapsing family's margin is taken once, when it is built: a t
+    range given through ``replace`` is sampled as it stands."""
+    fam = replace(minimal_cyl, t_range=(-0.5, 0.25))
+    (_, t, _), failures = sample_grid(fam, GridSpec(3, 5))
+    assert not failures and t.tolist() == [-0.5, -0.3125, -0.125, 0.0625, 0.25]
 
 
 def test_sample_grid_row_major_order():
@@ -226,7 +235,7 @@ def test_profile_range_errors_fail_their_own_nodes(minimal_cyl):
     """A t range that runs 0.5 past the profile fails just the t nodes
     outside it, each with the profile's range message in plain floats; the
     nodes kept carry the jets of ``fam.jet`` bit for bit."""
-    lo, hi = minimal_cyl.t_range
+    lo, hi = float(minimal_cyl.profile.t[0]), float(minimal_cyl.profile.t[-1])
     fam = replace(minimal_cyl, t_range=(lo, hi + 0.5))
     grid = GridSpec(3, 6)
     s_axis, t_axis = grid_axes(fam, grid)
