@@ -7,6 +7,7 @@ that is monitored along the trajectory, and the translator profile has
 hand-provable shape facts.
 """
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -665,6 +666,119 @@ def test_stage_arithmetic_failures_reject_steps():
         assert edge - 1e-12 <= t[-1] <= edge
         assert np.max(np.abs(np.array(a) - t)) <= 1e-12
         assert np.max(np.abs(np.array(b) - t)) <= 1e-12
+
+
+def _stepped(monkeypatch, integrate, *args):
+    """The ``_dopri54`` returns of one public integration, in call order."""
+    runs = []
+
+    def recording(*a):
+        runs.append(_dopri54(*a))
+        return runs[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(profile_odes, "_dopri54", recording)
+        integrate(*args)
+    return runs
+
+
+def _fails_past(make):
+    """A straight-line right-hand side that raises ``make()`` at every t > 1."""
+
+    def rhs(t, a, b):
+        return 1.0, (make() if t > 1.0 else 1.0)
+
+    return rhs
+
+
+def _zero():
+    return 1.0 / 0.0
+
+
+def _overflow():
+    return math.exp(1e3)
+
+
+def _horizon_paths(mp):
+    return [_dopri54(rhs, *ic, end, stops, *tol)
+            for rhs, ic, ends, stops, tol in (_collapse_case(_MIN(1.5, 1.2), end=1.0),
+                                              _collapse_case(_CONF(0.0, 1.0), end=0.25))
+            for end in ends]
+
+
+def _speed_paths(mp):
+    return (_stepped(mp, integrate_minimal_profile, _MIN(0.0, 1.0))
+            + _stepped(mp, integrate_conformal_profile, _CONF(2.0, 0.3)))
+
+
+def _height_paths(mp):
+    _set_stops(mp, _HEIGHT_ONLY)
+    return _stepped(mp, integrate_minimal_profile, _MIN(1.0, 2.0))
+
+
+def _last_node_paths(mp):
+    return [run for c, y0 in STOP_AT_LAST_NODE
+            for run in _stepped(mp, integrate_minimal_profile, _MIN(c, y0))]
+
+
+def _floor_paths(mp):
+    _set_stops(mp, _HEIGHT_ONLY)
+    return _stepped(mp, integrate_conformal_profile, _CONF(0.0, 1.0))
+
+
+def _budget_paths(mp):
+    mp.setattr(profile_odes, "MAX_BRANCH_STEPS", 40)
+    return (_stepped(mp, integrate_minimal_profile, _MIN(1.0, 2.0))
+            + _stepped(mp, integrate_grim_reaper, GrimReaperParams(lam=0.5), (-40.0, 40.0)))
+
+
+def _stage_raise_paths(mp):
+    return [_dopri54(_fails_past(make), 0.0, 0.0, 5.0, [], 1e-10, 1e-12, 0.25)
+            for make in (_zero, _overflow)]
+
+
+def _reaper_paths(mp):
+    """Both directions, lambda = 0 and a one-sided span."""
+    cases = ((0.5, (-40.0, 40.0)), (10.0, (-40.0, 40.0)), (0.0, (-10.0, 10.0)), (1.5, (0.0, 3.0)))
+    return [run for lam, span in cases
+            for run in _stepped(mp, integrate_grim_reaper, GrimReaperParams(lam=lam), span)]
+
+
+# path -> (how its branches are stepped, the statuses they return, sha256 of
+# every node's float.hex and each status, in order)
+STEPPER_PATHS = {
+    "horizon": (_horizon_paths, {0},
+        "7abde2b70392db253731caef4f27af671d8e6a5d9052943df86a7f231519decd"),
+    "speed-stop": (_speed_paths, {1},
+        "f209b1f13887f43169203e8ac7c57eed46a5901187593f785a857f1b62bbd21a"),
+    "height-stop": (_height_paths, {1},
+        "f44530e3217545c314618f353d81dbeefd547fb0de440fb3843d16629482079a"),
+    "root-at-last-node": (_last_node_paths, {1},
+        "56c372c8385f6409d6368bdda47de17c8722876909cd588a2074d9b5d334de22"),
+    "step-floor": (_floor_paths, {-1},
+        "c6f66a33128b97d392578e493f853832b706e2935fc933e953cffc3bb825d4a6"),
+    "step-budget": (_budget_paths, {-1},
+        "5a5d1f512e82d7bd0c5840bdc5b11146aa1850484ce0a0e8a3f2bd0bd54a4870"),
+    "stage-raises": (_stage_raise_paths, {-1},
+        "9944798803e81d1f40e3b5da5429973a2cc034aaeb1317cd2c58d1d2fe0703f3"),
+    "reaper": (_reaper_paths, {0},
+        "a5d999249a3eb5edef48581483347220e227829aaaf1ac2c01e54ea5f398e5d1"),
+}
+
+
+@pytest.mark.parametrize("path", list(STEPPER_PATHS))
+def test_stepper_bits_are_pinned(path, monkeypatch):
+    """Every node ``_dopri54`` returns, and its status, on each way a
+    branch can end, hashed bit for bit: a change to the stepper or to a
+    right-hand side that moves one bit of one node fails here."""
+    paths, statuses, digest = STEPPER_PATHS[path]
+    runs = paths(monkeypatch)
+    h = hashlib.sha256()
+    for ts, as_, bs, status in runs:
+        h.update(" ".join(float.hex(x) for x in (*ts, *as_, *bs)).encode())
+        h.update(f";{status};".encode())
+    assert {run[3] for run in runs} == statuses
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
