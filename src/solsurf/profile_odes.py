@@ -139,12 +139,23 @@ class MinimalProfileParams:
 
     @functools.cached_property
     def kinv(self) -> float:
-        """``1/(c^2+1)``, computed once: every stage of the stepper reads it."""
+        """``1/(c^2+1)``, computed once."""
         return 1.0 / (self.c * self.c + 1.0)
+
+    def system(self):
+        """The ODE as a first-order system: ``rhs(t, g, g') = (g', g'')``,
+        for scalars or arrays, with ``kinv`` bound once, since the stepper
+        calls it six times a step."""
+        kinv = self.kinv
+
+        def rhs(t, g, gp):
+            return gp, -2.0 * (gp * gp + kinv) / g
+
+        return rhs
 
     def gpp(self, t, g, gp):
         """Second derivative from the ODE; valid for scalars or arrays."""
-        return -2.0 * (gp * gp + self.kinv) / g
+        return self.system()(t, g, gp)[1]
 
     def first_integral_rhs(self, g):
         """``m/g^4 - 1/(c^2+1)``, the value ``g'^2`` must equal."""
@@ -203,11 +214,21 @@ class ConformalProfileParams:
 
     @functools.cached_property
     def kinv(self) -> float:
-        """``1/(a^2+1)``, computed once: every stage of the stepper reads it."""
+        """``1/(a^2+1)``, computed once."""
         return 1.0 / (self.a * self.a + 1.0)
 
+    def system(self):
+        """The ODE as a first-order system: ``rhs(t, g, g') = (g', g'')``,
+        for scalars or arrays, with ``kinv`` bound once."""
+        kinv = self.kinv
+
+        def rhs(t, g, gp):
+            return gp, -2.0 * (g + 1.0) / (g * g) * (gp * gp + kinv)
+
+        return rhs
+
     def gpp(self, t, g, gp):
-        return -2.0 * (g + 1.0) / (g * g) * (gp * gp + self.kinv)
+        return self.system()(t, g, gp)[1]
 
     def first_integral_rhs(self, g):
         """``C*e^{4/g}/g^4 - 1/(1+a^2)``; overflows saturate to +inf."""
@@ -482,6 +503,13 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     step: :func:`_brentq` locates the crossing on the quartic dense output and the
     first one in the direction of integration is kept.
 
+    A stepped node costs about 2.4 us of interpreter time (2-core x86), so
+    the loop does only what the stages need: the error norm is written
+    out, the clips are comparisons (each keeps ``min``/``max``'s choice,
+    NaN included), the math functions and the appends are bound once, and
+    a step whose stop values all stay above 0 builds no crossing list.  The
+    stage expressions are scipy's, operand for operand.
+
     Returns the node abscissae and the two state components as lists from
     ``t = 0`` outward, and a status: 0 when ``t_bound`` was reached (at once
     if it is 0), 1 when a stop ended the branch at its last node (an
@@ -495,16 +523,22 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
         return ts, as_, bs, 0
     rtol = max(rtol, 100.0 * _EPS)  # scipy's floor
     d = math.copysign(1.0, t_bound)
+    toward = d * math.inf
+    sqrt, nextafter, sqrt2, budget = math.sqrt, math.nextafter, _SQRT2, MAX_BRANCH_STEPS
+    t_append, a_append, b_append = ts.append, as_.append, bs.append
     fa, fb = rhs(t, ya, yb)
     h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step)
     old = [stop(ya, yb) for stop in stops]
     tries = 0
     while True:
-        min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
-        h_abs = min(max(h_abs, min_step), max_step)
+        min_step = 10.0 * abs(nextafter(t, toward) - t)
+        if min_step > h_abs:  # h_abs = min(max(h_abs, min_step), max_step)
+            h_abs = min_step
+        if max_step < h_abs:
+            h_abs = max_step
         rejected = False
         while True:
-            if h_abs < min_step or tries == MAX_BRANCH_STEPS:
+            if h_abs < min_step or tries == budget:
                 return ts, as_, bs, -1
             tries += 1
             t_new = t + h_abs * d
@@ -535,24 +569,37 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
                 nb = yb + h * (35 / 384 * fb + 500 / 1113 * k3b + 125 / 192 * k4b
                                - 2187 / 6784 * k5b + 11 / 84 * k6b)
                 k7a, k7b = rhs(t + h, na, nb)
-                err = _rms(
-                    (-71 / 57600 * fa + 71 / 16695 * k3a - 71 / 1920 * k4a
-                     + 17253 / 339200 * k5a - 22 / 525 * k6a + 1 / 40 * k7a)
-                    * h / (atol + max(abs(ya), abs(na)) * rtol),
-                    (-71 / 57600 * fb + 71 / 16695 * k3b - 71 / 1920 * k4b
-                     + 17253 / 339200 * k5b - 22 / 525 * k6b + 1 / 40 * k7b)
-                    * h / (atol + max(abs(yb), abs(nb)) * rtol),
-                )
+                m0, m1 = abs(ya), abs(na)
+                ea = ((-71 / 57600 * fa + 71 / 16695 * k3a - 71 / 1920 * k4a
+                       + 17253 / 339200 * k5a - 22 / 525 * k6a + 1 / 40 * k7a)
+                      * h / (atol + (m1 if m1 > m0 else m0) * rtol))
+                m0, m1 = abs(yb), abs(nb)
+                eb = ((-71 / 57600 * fb + 71 / 16695 * k3b - 71 / 1920 * k4b
+                       + 17253 / 339200 * k5b - 22 / 525 * k6b + 1 / 40 * k7b)
+                      * h / (atol + (m1 if m1 > m0 else m0) * rtol))
+                err = sqrt(ea * ea + eb * eb) / sqrt2
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
             if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
+                if err == 0.0:
+                    factor = 10.0
+                else:
+                    factor = 0.9 * err ** -0.2
+                    if not factor < 10.0:
+                        factor = 10.0
+                if rejected and not factor < 1.0:
+                    factor = 1.0
+                h_abs *= factor
                 break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            factor = 0.9 * err ** -0.2
+            h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
         new = [stop(na, nb) for stop in stops]
-        crossed = [s for s, g0, g1 in zip(stops, old, new) if g0 >= 0.0 and g1 <= 0.0]
+        crossed = None
+        for value in new:
+            if value <= 0.0:  # a stop reached 0: which ones crossed it downward?
+                crossed = [s for s, g0, g1 in zip(stops, old, new) if g0 >= 0.0 and g1 <= 0.0]
+                break
         if crossed:
             ks = ((fa, fb), (k3a, k3b), (k4a, k4b), (k5a, k5b), (k6a, k6b), (k7a, k7b))
             qa, qb = ([sum(k[i] * row[j] for k, row in zip(ks, _P)) for j in range(4)]
@@ -572,14 +619,14 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
             if root == t:  # the step is below Brent's xtol: the last node is the stop
                 return ts, as_, bs, 1
             a, b = dense(root)
-            ts.append(root)
-            as_.append(a)
-            bs.append(b)
+            t_append(root)
+            a_append(a)
+            b_append(b)
             return ts, as_, bs, 1
         t, ya, yb, fa, fb, old = t_new, na, nb, k7a, k7b, new
-        ts.append(t)
-        as_.append(ya)
-        bs.append(yb)
+        t_append(t)
+        a_append(ya)
+        b_append(yb)
         if d * (t - t_bound) >= 0.0:
             return ts, as_, bs, 0
 
@@ -606,18 +653,13 @@ def _collapse_solution(params, slope: float) -> ProfileSolution:
     for bit.  The centre node is the stepped branch's, ``t = 0.0`` and
     ``g' = 0.0`` (no ``-0.0``); the status, and so the truncation, is shared,
     and so is the blow-up abscissa."""
-    gpp = params.gpp
-
-    def rhs(t, g, gp):
-        return gp, gpp(t, g, gp)
-
     if not params.y0 > EPS_G:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
         )
     horizon = 2.0 * params.y0 * math.sqrt(slope * slope + 1.0) + 1.0
-    rt, rg, rgp, status = _dopri54(rhs, params.y0, 0.0, horizon, [_height_stop, _speed_stop],
-                                   *_COLLAPSE_TOL, params.y0 / 20.0)
+    rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, horizon,
+                                   [_height_stop, _speed_stop], *_COLLAPSE_TOL, params.y0 / 20.0)
     t, g, gp = np.array(rt), np.array(rg), np.array(rgp)
     t = np.concatenate((-t[:0:-1], t))
     g = np.concatenate((g[:0:-1], g))
@@ -649,9 +691,29 @@ def integrate_conformal_profile(p: ConformalProfileParams) -> ProfileSolution:
     return _collapse_solution(p, p.a)
 
 
+def _reaper_min_branch(lam: float) -> float:
+    """Shortest branch, from 0 to a span end, that :func:`integrate_grim_reaper`
+    steps for a finite interpolant: ``2^53*sqrt(8*lam/DBL_MAX)``, and at
+    least the smallest normal float.
+
+    The cubic coefficient of :class:`_Hermite` on a node gap ``dx`` is
+    ``(g'_0 + g'_1 - 2*dg/dx)/dx^2``.  The reaper's ``|g'|`` is at most
+    ``lam`` (its peak, at 0), and a step moves ``g`` by 0 or by at most
+    twice its true change, so ``|dg/dx| <= 2*lam`` and the numerator is at
+    most ``8*lam``.  The shortest gap on a branch of length ``L`` is its last
+    one, which the clip to the span end can make one ulp of ``L``: at least
+    ``L*2^-53`` for a normal ``L``.  So every coefficient is finite once
+    ``8*lam*(2^53/L)^2 <= DBL_MAX``.  Measured at lam = 0.5, branches up to
+    1.6e-139 give an infinite coefficient (and NaN profile values) and the
+    bound is 1.3e-138."""
+    return max(sys.float_info.min, 2.0 ** 53 * math.sqrt(8.0 * lam / sys.float_info.max))
+
+
 def integrate_grim_reaper(p: GrimReaperParams,
                           span: tuple = REAPER_SPAN_DEFAULT) -> ProfileSolution:
-    """Integrate the translator profile over ``span`` (which must contain 0).
+    """Integrate the translator profile over ``span``, which must be finite
+    and contain 0, with each end other than 0 at least
+    :func:`_reaper_min_branch` from it.
 
     The Dormand--Prince stepper runs on ``(g, w)`` with ``g' = lam*e^w``,
     ``w(0) = 0``:
@@ -664,9 +726,9 @@ def integrate_grim_reaper(p: GrimReaperParams,
     the Jacobian is ``[[0, g'], [4*v*(k + g'^2)/g^3, -4*v*g'^2/g^2]]``: its
     trace and determinant both carry a factor ``g'``, which decays in the
     tails where ``|v|`` is large, so the step follows the solution.  The
-    stored slopes are ``g' = lam*e^w`` from the routine the right-hand side
-    uses (``math.exp``; where it overflows, the stage fails and its step is
-    rejected): ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
+    stored slopes are the right-hand side's first component, ``g' =
+    lam*e^w`` (``math.exp``; where it overflows, the stage fails and its
+    step is rejected): ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
     underflow to 0 far out).  ``max_step`` is ``min(0.25, span/40)``, so a
     span beyond about +-16000 runs into ``MAX_BRANCH_STEPS`` and comes back
     truncated.  The tolerances (``rtol = 1e-12``, ``atol = 1e-13``) are
@@ -684,14 +746,21 @@ def integrate_grim_reaper(p: GrimReaperParams,
     lo, hi = float(span[0]), float(span[1])
     if not (lo < hi and lo <= 0.0 <= hi):
         raise ParameterError(f"span must contain 0, got {span!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"span must be finite, got {span!r}")
+    shortest = _reaper_min_branch(p.lam)
+    if 0.0 < -lo < shortest or 0.0 < hi < shortest:
+        raise ParameterError(
+            f"span {span!r} is too short: at lambda = {p.lam!r} each end other than 0 must "
+            f"lie at least {shortest!r} from 0, or the profile interpolant overflows"
+        )
     max_step = min(0.25, (hi - lo) / 40.0)
 
-    def slope(w):
-        return p.lam * math.exp(w)
+    lam, k, exp = p.lam, p.k, math.exp
 
     def rhs(v, g, w):
-        gp = slope(w)
-        return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
+        gp = lam * exp(w)
+        return gp, -(k + gp * gp) * 2.0 * v / (g * g)
 
     rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, [_height_stop], *_REAPER_TOL, max_step)
     lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, [_height_stop], *_REAPER_TOL, max_step)
@@ -707,7 +776,7 @@ def integrate_grim_reaper(p: GrimReaperParams,
         params=p,
         t=t,
         g=g,
-        gp=np.array([slope(x) for x in w]),
+        gp=np.array([rhs(0.0, 1.0, x)[0] for x in w]),  # the stepper's g' = lam*e^w
         node_defect=np.zeros_like(t),
         right_blowup_t=None,
         truncated=right != 0 or left != 0,

@@ -57,3 +57,22 @@ def test_tracer_sees_every_sweep(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] 2 1", proc.stdout
+
+
+def test_tracer_sees_the_profile_layers(tmp_path):
+    """One traced ``profile`` run records its integration and its two
+    writes as spans, and counts as many integration nodes as its CSV has
+    rows, so a refactor that moves the integrators or the writer out of the
+    tracer's view fails here."""
+    proc = _run_in_bench(
+        "import tracer; from solsurf.cli import main; "
+        "tr = tracer.Tracer(); tracer.install(tr); out = sys.argv[3] + '/p'; "
+        "code = main(['profile', '--ode', 'minimal', '--c', '0.5', '--out', out]); "
+        "names = [r['name'] for r in tr.span_records()]; "
+        "rows = len(open(out + '.csv').read().splitlines()) - 1; "
+        "print(code, names.count('profile_odes.integrate'), names.count('export.write'), "
+        "tr.counts['integrate_nodes'] == rows == tr.counts['write_rows'], rows > 100)",
+        str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1 2 True True", proc.stdout

@@ -215,6 +215,13 @@ REFUSALS = {
         "initial height y0 = 1e-06 must lie above the height stop EPS_G = 1e-06",
     "profile --ode minimal --y0 2e-6 --c 1e150": "first-integral constant m = 1.5e-323 is "
                                                  "not a finite, normal, positive float",
+    "profile --ode grim-reaper --span=0:inf": "span must be finite, got (0.0, inf)",
+    "mesh --family grim-reaper --span=-inf:0": "span must be finite, got (-inf, 0.0)",
+    "residual --family grim-reaper --span 0:1e-300 --mode translator":
+        "span (0.0, 1e-300) is too short: at lambda = 0.5 each end other than 0 must lie at "
+        "least 1.3435752215134178e-138 from 0",
+    "residual --family grim-reaper --span -1e-300:1e-300 --mode translator":
+        "span (-1e-300, 1e-300) is too short",
 }
 
 
@@ -289,6 +296,9 @@ REFUSALS = {
         ["residual", "--family", "grim-reaper", "--span", "-1e-300:1e-300", "--mode",
          "translator"],
         ["residual", "--family", "grim-reaper", "--span", "0:1e-300", "--mode", "translator"],
+        # a reaper span with an infinite end would step until its budget ran out
+        ["profile", "--ode", "grim-reaper", "--span=0:inf"],
+        ["mesh", "--family", "grim-reaper", "--span=-inf:0"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
@@ -477,16 +487,16 @@ SWEEP_VALUES = ("inf", "-inf", "nan", "0", "-1", "1e300", "-1e300")
 def _swept_argv(cmd):
     """Every flag of the command's table with every value of SWEEP_VALUES; an
     interval flag takes the value as one end, the other end at 0.  A
-    ``--span`` end at +-inf or +-1e300 steps the reaper until it has tried
+    ``--span`` end at +-1e300 steps the reaper until it has tried
     MAX_BRANCH_STEPS steps (~0.5 s a run), as test_branch_step_budget does
-    at 1e6; only ``profile`` runs such spans, and only at +-inf."""
+    at 1e6, so it is left out; an end at +-inf is refused."""
     choice, table, extra = {
         "residual": ("--family", commands.FAMILIES, ["--grid", "5x5"]),
         "mesh": ("--family", commands.FAMILIES, ["--grid", "5x5"]),
         "profile": ("--ode", commands.ODES, []),
     }[cmd]
     intervals = commands.table_flags(table)
-    long_spans = {"1e300", "-1e300"} | ({"inf", "-inf"} if cmd != "profile" else set())
+    long_spans = {"1e300", "-1e300"}
     modes = [m.value for m in SolitonMode]
     k = 0
     for name, (_, flags) in table.items():

@@ -9,13 +9,20 @@ with no parameter flags, which pins the defaults its builder supplies; the
 profile files are also pinned with every parameter flag of the ODE set.
 
 A hash here may change only together with a CHANGES.md line that explains
-why the bytes changed.
+why the bytes changed.  The profile CSV writer derives an even profile's
+left half from its right half's text; the byte tests at the end compare it
+with formatting every value, on random tables.
 """
 import hashlib
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from solsurf import GrimReaperParams, export, integrate_grim_reaper
 from solsurf.cli import main
+from solsurf.export import fmt
 
 GRID = "23x17"
 
@@ -208,3 +215,78 @@ def test_profile_bytes(tmp_path, ode, flags):
     assert main(argv) == 0
     got = (_sha256(tmp_path / "p.csv"), _sha256(tmp_path / "p.events.txt"))
     assert got == PROFILE_SHA256[ode, flags]
+
+
+# --- the mirrored profile CSV -----------------------------------------------
+
+# Floats of every kind but NaN, with the signed zeros, subnormals, 3-digit
+# exponents and infinities drawn often.
+_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -7.25e123, 1e300, math.inf, -math.inf]),
+)
+_ROWS = st.lists(st.tuples(_VALUES, _VALUES, _VALUES, _VALUES), min_size=1, max_size=40)
+_EXTREME = [(0.0, 1.0, 0.0, -0.0), (1e-310, 1e300, -1e-200, -0.0), (2.5, 5e-324, -math.inf, 1e-5)]
+
+
+def _mirrored(right):
+    """The table whose centre is ``right[0]`` and whose right half is
+    ``right``, with the left half its mirror: t and g' negated."""
+    right = np.array(right, dtype=float)
+    return np.concatenate([right[:0:-1] * [-1.0, 1.0, -1.0, 1.0], right])
+
+
+def _every_value(table):
+    """The oracle: every value of every row formatted by ``fmt``."""
+    return "".join(",".join(fmt(x) for x in row) + "\n" for row in table.tolist())
+
+
+def _profile_text(table):
+    """The writer's rows for ``table`` and the row count of each ``_rows``
+    call it made."""
+    calls, rows = [], export._rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(export, "_rows", lambda template, t: calls.append(len(t)) or rows(template, t))
+        return export._profile_rows(table), calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROWS)
+@example(_EXTREME)
+def test_mirrored_profile_bytes(right):
+    """A mirrored table is written from its right half, with no ``_rows``
+    call, in the bytes of formatting every value."""
+    table = _mirrored(right)
+    text, calls = _profile_text(table)
+    assert calls == []
+    assert text == _every_value(table)
+
+
+def _assert_falls_back(table):
+    text, calls = _profile_text(table)
+    assert calls == [len(table)]
+    assert text == _every_value(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROWS.filter(lambda rows: len(rows) > 1), st.data())
+@example(_EXTREME, None)
+def test_tables_that_are_not_mirrors_take_rows(right, data):
+    """An even-length table, one that is mirrored but for one bit, and one
+    that holds a NaN where it is otherwise mirrored are each one ``_rows``
+    call, in the same bytes."""
+    table = _mirrored(right)
+    _assert_falls_back(table[1:])
+    i = 0 if data is None else data.draw(st.integers(0, table.size - 1).filter(
+        lambda k: k // 4 != len(table) // 2), label="flipped")
+    flipped = table.copy()
+    flipped.reshape(-1)[i:i + 1].view(np.int64)[0] ^= 1
+    _assert_falls_back(flipped)
+    table[0, 1] = table[-1, 1] = math.nan
+    _assert_falls_back(table)
+
+
+def test_reaper_profile_takes_rows(tmp_path):
+    """The reaper is not even: its CSV is one ``_rows`` call over every node."""
+    sol = integrate_grim_reaper(GrimReaperParams(lam=0.5), (-5.0, 5.0))
+    _assert_falls_back(np.column_stack([sol.t, sol.g, sol.gp, sol.node_defect]))

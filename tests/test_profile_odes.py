@@ -43,6 +43,7 @@ from solsurf.profile_odes import (
     _brentq,
     _dopri54,
     _height_stop,
+    _reaper_min_branch,
     _speed_stop,
     first_integral_defect,
 )
@@ -421,6 +422,32 @@ def test_reaper_steep_long_span_finishes():
 def test_reaper_one_sided_span():
     sol = integrate_grim_reaper(GrimReaperParams(lam=0.5, k=1.0), span=(0.0, 3.0))
     assert sol.t[0] == 0.0 and sol.t[-1] == 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), st.floats(0.1, 10.0),
+       st.floats(1.0, 1e3), st.sampled_from(["right", "left", "both", "lopsided"]))
+def test_reaper_span_at_its_shortest_has_a_finite_interpolant(lam, k, scale, shape):
+    """A span whose ends lie at least ``_reaper_min_branch`` from 0 gives
+    finite Hermite coefficients and finite profile values; an end just
+    inside it is refused, naming the span.  Shorter branches can overflow
+    a coefficient: at lambda = 0.5, branches up to 1.6e-139 long did."""
+    p = GrimReaperParams(lam=lam, k=k)
+    r = scale * _reaper_min_branch(lam)
+    span = {"right": (0.0, r), "left": (-r, 0.0), "both": (-r, r), "lopsided": (-r, 1e3 * r)}[shape]
+    sol = integrate_grim_reaper(p, span)
+    assert all(np.isfinite(c).all() for spline in sol._splines for c in spline.c)
+    q = np.linspace(*span, 9)
+    assert np.isfinite(sol.eval_g(q)).all() and np.isfinite(sol.eval_gp(q)).all()
+    inside = math.nextafter(_reaper_min_branch(lam), 0.0)
+    with pytest.raises(ParameterError, match="span .* is too short"):
+        integrate_grim_reaper(p, (-inside, r) if shape == "left" else (0.0, inside))
+
+
+@pytest.mark.parametrize("span", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+def test_reaper_refuses_an_infinite_span(span):
+    with pytest.raises(ParameterError, match="span must be finite"):
+        integrate_grim_reaper(GrimReaperParams(), span)
 
 
 # --- the stepper against scipy's RK45 --------------------------------------
