@@ -137,9 +137,9 @@ class MinimalProfileParams:
         """``y0^4/(c^2+1)``, the first-integral constant of the initial conditions."""
         return self.y0 ** 4 / (self.c * self.c + 1.0)
 
-    @functools.cached_property
+    @property
     def kinv(self) -> float:
-        """``1/(c^2+1)``, computed once."""
+        """``1/(c^2+1)``."""
         return 1.0 / (self.c * self.c + 1.0)
 
     def system(self):
@@ -212,9 +212,9 @@ class ConformalProfileParams:
         initial conditions."""
         return self.y0 ** 4 * math.exp(-4.0 / self.y0) / (self.a * self.a + 1.0)
 
-    @functools.cached_property
+    @property
     def kinv(self) -> float:
-        """``1/(a^2+1)``, computed once."""
+        """``1/(a^2+1)``."""
         return 1.0 / (self.a * self.a + 1.0)
 
     def system(self):
