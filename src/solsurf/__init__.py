@@ -22,13 +22,11 @@ from .profile_odes import (
     GrimReaperParams,
     MinimalProfileParams,
     ProfileSolution,
-    QualitativeVerdict,
     conformal_halfwidth_quadrature,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
     minimal_halfwidth_quadrature,
-    qualitative_verdict,
 )
 from .soliton_residuals import (
     ResidualReport,

@@ -52,7 +52,7 @@ FAMILIES = {
     "horosphere": (lambda **kw: make_horosphere(**kw),
                    {"--a": ("a", "height"), **_S_RANGE, **_T_RANGE}),
     "vertical-plane": (lambda **kw: make_vertical_plane(**kw),
-                       {"--b": ("b", "transverse offset"), **_DRIFT, **_S_RANGE, **_T_RANGE}),
+                       {**_DRIFT, **_S_RANGE, **_T_RANGE}),
     "minimal-cylinder": (lambda **kw: make_minimal_cylinder(**kw),
                          {**_DRIFT, "--y0": ("y0", "initial profile height"), **_S_RANGE}),
     "grim-reaper": (lambda **kw: make_grim_reaper(**kw), {

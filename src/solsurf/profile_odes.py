@@ -68,26 +68,22 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "EPS_G",
     "M_STOP",
-    "SLOPE_CAP",
     "REAPER_SPAN_DEFAULT",
     "MAX_BRANCH_STEPS",
     "MinimalProfileParams",
     "GrimReaperParams",
     "ConformalProfileParams",
     "ProfileSolution",
-    "QualitativeVerdict",
     "first_integral_defect",
     "minimal_halfwidth_quadrature",
     "conformal_halfwidth_quadrature",
     "integrate_minimal_profile",
     "integrate_grim_reaper",
     "integrate_conformal_profile",
-    "qualitative_verdict",
 ]
 
 EPS_G = 1e-6             # stop a branch once g drops below this
 M_STOP = 1e6             # ... or a collapsing one once |g'| exceeds this
-SLOPE_CAP = 1e3          # symmetry comparisons restricted to |g'| <= this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # Steps attempted per branch before it ends truncated, like a step that fell
 # below its floor.  The largest branch of the tests, the benchmark and verify
@@ -126,6 +122,7 @@ class MinimalProfileParams:
     initial height ``y0``.  The first-integral constant ``m`` is derived from
     them."""
 
+    family = "minimal"
     c: float = 0.0
     y0: float = 1.0
 
@@ -179,6 +176,7 @@ class GrimReaperParams:
     the drift constant ``k``.  ``lam^2`` must be finite: the right-hand side
     squares the slope, and with an infinite square no step succeeds."""
 
+    family = "grim_reaper"
     lam: float = 0.5
     k: float = 1.0
 
@@ -200,6 +198,7 @@ class ConformalProfileParams:
     initial height ``y0``.  The first-integral constant ``C`` is derived from
     them."""
 
+    family = "conformal"
     a: float = 0.0
     y0: float = 1.0
 
@@ -332,11 +331,7 @@ class ProfileSolution:
 
     @property
     def family(self) -> str:
-        if isinstance(self.params, MinimalProfileParams):
-            return "minimal"
-        if isinstance(self.params, GrimReaperParams):
-            return "grim_reaper"
-        return "conformal"
+        return self.params.family
 
     @property
     def conserved_max_defect(self) -> float:
@@ -805,80 +800,3 @@ def conformal_halfwidth_quadrature(a: float, y0: float) -> float:
     removes the endpoint singularity at ``g = y0``
     (:meth:`ConformalProfileParams.dt_dphi`)."""
     return _blowup_tail(ConformalProfileParams(a=a, y0=y0), y0)
-
-
-@dataclass(frozen=True, slots=True)
-class QualitativeVerdict:
-    """Shape facts measured on an integrated profile (all fields are computed
-    for every family; which ones are meaningful depends on the family).
-    What the solution already holds, its blow-up, truncation and ``g``
-    range, is read from it."""
-
-    constancy_defect: float
-    monotone_nondecreasing: bool
-    concave: bool
-    convex_then_concave: bool
-    symmetry_defect: float
-    max_at_zero: bool
-
-
-def qualitative_verdict(sol: ProfileSolution) -> QualitativeVerdict:
-    """Measure shape properties of a profile solution.
-
-    Monotonicity tolerates node-difference wobble at the rounding floor
-    (1e-13 relative).  The symmetry defect compares the two branches through
-    the interpolants at ``+-q``, for ``q`` the midpoints of the node
-    intervals of ``[0, min(-t[0], t[-1])]``, where neither branch's nodes
-    sit: the worst of ``|g(-q) - g(q)|`` and
-    ``|g'(-q) + g'(q)|/max(1, |g'(q)|)``, so an even profile whose left half
-    has the wrong sign of ``g'`` reads ~2.  Probes are restricted to states
-    with ``|g'| <= SLOPE_CAP`` on both sides, where the comparison is
-    well-conditioned; with none left the defect is NaN.
-    """
-    if len(sol.t) < 3:
-        raise ParameterError("verdict needs at least three nodes")
-    t, g, gp = sol.t, sol.g, sol.gp
-    i0 = int(np.argmin(np.abs(t)))
-    g0 = g[i0]
-
-    constancy = float(max(np.max(np.abs(g - g0)), np.max(np.abs(gp))))
-
-    slack = 1e-13 * np.maximum(1.0, np.abs(g[:-1]))
-    monotone = bool(np.all(np.diff(g) >= -slack) and np.all(gp >= -1e-13))
-
-    gpp = sol.gpp_nodes()
-    concave = bool(np.all(gpp < 0.0))
-    neg, pos = t < 0.0, t > 0.0
-    convex_then_concave = bool(
-        np.any(neg)
-        and np.any(pos)
-        and np.all(gpp[neg] >= 0.0)
-        and np.all(gpp[pos] <= 0.0)
-        and np.any(gpp[neg] > 0.0)
-        and np.any(gpp[pos] < 0.0)
-        and np.all(gpp[t == 0.0] == 0.0)
-    )
-
-    right = t[(t >= 0.0) & (t <= min(-t[0], t[-1]))]
-    q = 0.5 * (right[:-1] + right[1:])
-    defect = math.nan
-    if len(q):
-        gp_right, gp_left = sol.eval_gp(q), sol.eval_gp(-q)
-        ok = (np.abs(gp_right) <= SLOPE_CAP) & (np.abs(gp_left) <= SLOPE_CAP)
-        if np.any(ok):
-            q, gp_right, gp_left = q[ok], gp_right[ok], gp_left[ok]
-            defect = float(max(
-                np.max(np.abs(sol.eval_g(-q) - sol.eval_g(q))),
-                np.max(np.abs(gp_left + gp_right) / np.maximum(1.0, np.abs(gp_right))),
-            ))
-
-    max_at_zero = bool(g0 >= np.max(g) - 1e-12 * max(1.0, g0))
-
-    return QualitativeVerdict(
-        constancy_defect=constancy,
-        monotone_nondecreasing=monotone,
-        concave=concave,
-        convex_then_concave=convex_then_concave,
-        symmetry_defect=defect,
-        max_at_zero=max_at_zero,
-    )

@@ -83,16 +83,16 @@ def reduced_residual_first_kind(
 
 
 def reduced_residual_second_kind(
-    mode: SolitonMode, fj: ScalarJet2, b: float, s: float, t: float
+    mode: SolitonMode, fj: ScalarJet2, s: float, t: float
 ) -> float:
-    """Residual of X = (s, f(s) + b, t) with the 2*W^3 factor cleared,
+    """Residual of X = (s, f(s), t) with the 2*W^3 factor cleared,
     ``W^2 = f'^2 + 1``."""
     mode = SolitonMode(mode)
     fp, fpp = fj.d1, fj.d2
     if mode is SolitonMode.MINIMAL:
         return -t * fpp
     if mode is SolitonMode.TRANSLATOR:
-        return -t * t * fpp - 2.0 * (fp * fp + 1.0) * (s * fp - fj.value - b)
+        return -t * t * fpp - 2.0 * (fp * fp + 1.0) * (s * fp - fj.value)
     return -t * t * fpp
 
 

@@ -3,9 +3,13 @@
 Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, its two factor curves ``alpha(s)`` and ``beta(t)``,
 and bookkeeping (parameter dict and the profile solution where one is
-involved).  Grids evaluate each factor curve in one call on its whole axis
-(node by node only after that call raises a domain error) and build one jet
-for the whole grid.
+involved).  Every ``alpha`` is horospherical, ``(s, f(s), 1)``.  A
+first-kind ``beta`` is the graph ``(0, t, g(t))`` of a profile, so
+``X = (s, t + f(s), g(t))``; a second-kind one is the line ``(0, 0, t)``,
+so ``X = (s, f(s), t)``, and a shift of it in ``y`` is a constant in
+``f``.  Grids evaluate each factor curve in one call on its whole axis
+(node by node only after that call raises a domain error) and build one
+jet for the whole grid.
 
 A family whose profile collapses takes the profile's node span in ``t``
 less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
@@ -54,10 +58,12 @@ __all__ = [
 ]
 
 
-# A 1001x1001 residual sweep takes ~0.7 s (~1.3 s when no s row of residuals
-# repeats the one before it) and ~290 MB peak on a 2-core x86 host; the cap
-# (1024x1024) keeps every grid near that, instead of letting a typo allocate
-# until the process is killed.
+# In process on a 2-core x86 host (Intel Xeon), a 1001x1001 residual sweep
+# with its CSV and summary takes 0.18-0.26 s for the minimal cylinder and
+# 0.49 s for a generic first-kind family with curved f, where no s row of
+# residuals repeats the one before it, at a peak RSS of 245 MB either way.
+# The cap (1024x1024) keeps every grid near that, instead of letting a typo
+# allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
 # Fraction of the profile's t span clipped from each end where it collapses.
 MARGIN = 1e-3
@@ -101,8 +107,8 @@ class SurfaceFamily:
     at one abscissa, or at every node of a grid axis (a 1-D array).  Every
     family has a horospherical ``alpha(s) = (s, f(s), 1)``.  A first-kind
     family has ``beta(t) = (0, t, g(t))`` with a profile ``g``, so ``X = (s,
-    t + f(s), g(t))``; a second-kind one has ``beta(t) = (0, 0, t)`` and the
-    offset ``b`` in ``f``, so ``X = (s, f(s) + b, t)``.  ``jet(s, t)``
+    t + f(s), g(t))``; a second-kind one has ``beta(t) = (0, 0, t)``, so
+    ``X = (s, f(s), t)``.  ``jet(s, t)``
     returns the full :class:`SurfaceJet2` at a point; ``position`` is the
     bare embedding, convenient for finite-difference cross-checks.
 
@@ -149,19 +155,13 @@ def _second_kind_family(
     name: str,
     params: dict,
     f_jet_fn: Callable[[float], ScalarJet2],
-    b: float,
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
 ) -> SurfaceFamily:
-    """A second-kind family: ``alpha`` from ``f + b``, ``beta`` rising.  Its
-    t range must stay above the boundary plane, which keeps every sampled
+    """A second-kind family: ``alpha`` from ``f``, ``beta`` rising.  Its t
+    range must stay above the boundary plane, which keeps every sampled
     ``t`` positive."""
-
-    def offset(s):
-        j = f_jet_fn(s)
-        return ScalarJet2(j.value + b, j.d1, j.d2)
-
-    fam = SurfaceFamily(name, params, s_range, t_range, _horospherical(offset), _rising)
+    fam = SurfaceFamily(name, params, s_range, t_range, _horospherical(f_jet_fn), _rising)
     if not fam.t_range[0] > 0.0:
         raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
     return fam
@@ -189,20 +189,12 @@ def make_horosphere(
 def make_vertical_plane(
     c: float = 1.0,
     d: float = 0.0,
-    b: float = 0.0,
     s_range: Tuple[float, float] = (-2.0, 2.0),
     t_range: Tuple[float, float] = (0.5, 4.5),
 ) -> SurfaceFamily:
-    """The vertical plane y = c*x + d + b: X(s, t) = (s, c*s + d + b, t).
-
-    ``d`` is the intercept of the generating line and ``b`` the transverse
-    offset of the construction.  Only their sum moves the plane, and the
-    reduced residual equations read them only as ``f + b``, so only ``d + b``
-    matters; both are kept because verify's ``plane.residuals`` row builds
-    each plane once as given and once with ``b = -d``.
-    """
+    """The vertical plane y = c*x + d: X(s, t) = (s, c*s + d, t)."""
     return _second_kind_family(
-        "vertical_plane", {"c": c, "d": d, "b": b}, _linear_jet(c, d), b, s_range, t_range
+        "vertical_plane", {"c": c, "d": d}, _linear_jet(c, d), s_range, t_range
     )
 
 
@@ -310,14 +302,11 @@ def make_generic_first_kind(
 
 def make_generic_second_kind(
     f_fn: Callable[[float], object],
-    b: float,
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
 ) -> SurfaceFamily:
-    """Second-kind surface from a user scalar jet: X = (s, f(s) + b, t)."""
-    return _second_kind_family(
-        "generic_second_kind", {"b": b}, _coerced(f_fn), b, s_range, t_range
-    )
+    """Second-kind surface from a user scalar jet: X = (s, f(s), t)."""
+    return _second_kind_family("generic_second_kind", {}, _coerced(f_fn), s_range, t_range)
 
 
 def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:

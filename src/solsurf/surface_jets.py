@@ -18,8 +18,8 @@ products of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
   with ``g > 0``;
-* second kind: ``X(s, t) = (s, f(s) + b, t)``, ``beta(t) = (0, 0, t)`` with
-  ``t > 0`` and ``b`` folded into ``alpha``.
+* second kind: ``X(s, t) = (s, f(s), t)``, ``beta(t) = (0, 0, t)`` with
+  ``t > 0``.
 
 Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 ``n = <Xst, N>``, so
@@ -202,12 +202,12 @@ def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:
     )
 
 
-def second_kind_jet(fj: ScalarJet2, b: float, s, t) -> SurfaceJet2:
-    """Jet of ``X(s, t) = (s, f(s) + b, t)`` on the half ``t > 0``: the
-    product of ``alpha = (s, f(s) + b, 1)`` and ``beta = (0, 0, t)``.
-    Arguments broadcast as in :func:`first_kind_jet`."""
+def second_kind_jet(fj: ScalarJet2, s, t) -> SurfaceJet2:
+    """Jet of ``X(s, t) = (s, f(s), t)`` on the half ``t > 0``: the product
+    of ``alpha = (s, f(s), 1)`` and ``beta = (0, 0, t)``.  Arguments
+    broadcast as in :func:`first_kind_jet`."""
     return product_surface_jet(
-        CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), ScalarJet2(fj.value + b, fj.d1, fj.d2)),
+        CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), fj),
         CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0)),
     )
 

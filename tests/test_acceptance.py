@@ -228,3 +228,58 @@ def test_symmetry_fails_a_left_half_with_the_wrong_slope_sign(monkeypatch):
     monkeypatch.setattr(verify, "integrate_minimal_profile", wrong_sign)
     (r,) = run_checks("minimal_cylinder.symmetry").results
     assert not r.passed and 1.0 < r.defect < 3.0
+
+
+def _swap_reaper_profile(monkeypatch, swap):
+    """Make every reaper family verify builds carry ``swap(profile)``."""
+    clean = verify.make_grim_reaper
+
+    def swapped(*args, **kwargs):
+        fam = clean(*args, **kwargs)
+        return dataclasses.replace(fam, profile=swap(fam.profile))
+
+    monkeypatch.setattr(verify, "make_grim_reaper", swapped)
+
+
+def test_reaper_constant_fails_one_node_off_by_1e_11(monkeypatch):
+    def moved(sol):
+        g = sol.g.copy()
+        g[len(g) // 3] += 1e-11
+        return dataclasses.replace(sol, g=g)
+
+    _swap_reaper_profile(monkeypatch, moved)
+    (r,) = run_checks("grim_reaper.constant").results
+    assert not r.passed and 1e-12 < r.defect < 1.1e-11
+
+
+def test_reaper_shape_fails_one_node_below_its_predecessor(monkeypatch):
+    def dipped(sol):
+        g = sol.g.copy()
+        i = len(g) // 3
+        g[i] = g[i - 1] - 1e-9
+        return dataclasses.replace(sol, g=g)
+
+    _swap_reaper_profile(monkeypatch, dipped)
+    (r,) = run_checks("grim_reaper.shape").results
+    assert not r.passed and r.detail == "failed: monotone"
+
+
+def test_reaper_shape_fails_the_mirrored_profile(monkeypatch):
+    """The mirror ``g(-t)`` decreases, and the ODE's ``g''`` at its nodes is
+    concave left of 0."""
+    def mirrored(sol):
+        return dataclasses.replace(sol, t=-sol.t[::-1], g=sol.g[::-1], gp=-sol.gp[::-1],
+                                   node_defect=sol.node_defect[::-1])
+
+    _swap_reaper_profile(monkeypatch, mirrored)
+    (r,) = run_checks("grim_reaper.shape").results
+    failed = r.detail.removeprefix("failed: ").split(",")
+    assert not r.passed and {"monotone", "sign_flip_at_0"} <= set(failed)
+
+
+def test_reaper_shape_fails_a_slope_above_lambda(monkeypatch):
+    """``g'`` scaled by 1.01 keeps every other shape fact, but exceeds
+    ``lambda`` near 0, which the log-slope form rules out."""
+    _swap_reaper_profile(monkeypatch, lambda sol: dataclasses.replace(sol, gp=sol.gp * 1.01))
+    (r,) = run_checks("grim_reaper.shape").results
+    assert not r.passed and r.detail == "failed: slope_within_0_lam"

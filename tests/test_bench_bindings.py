@@ -20,6 +20,30 @@ def _run_in_bench(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_every_verify_operation_selects_its_own_row():
+    """The verify workload runs ``verify --only <name>`` for each of its
+    checks, and the checker counts a failed operation unless that selects
+    exactly the named row.  A renamed or removed row, or a new row whose
+    name contains an existing one, fails here."""
+    proc = _run_in_bench(
+        "import workloads\n"
+        "from solsurf.errors import ParameterError\n"
+        "from solsurf.verify import run_checks\n"
+        "names = [name for cmd in workloads.build('verify', 0) for name in cmd['checks']]\n"
+        "wrong = []\n"
+        "for name in names:\n"
+        "    try:\n"
+        "        got = [r.name for r in run_checks(name).results]\n"
+        "    except ParameterError as exc:\n"
+        "        got = str(exc)\n"
+        "    if got != [name]:\n"
+        "        wrong.append((name, got))\n"
+        "print(len(names) == len(workloads.VERIFY_CHECKS) > 0, wrong)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True []", proc.stdout
+
+
 def test_tracer_installs():
     proc = _run_in_bench("import tracer; tracer.install(tracer.Tracer())")
     assert proc.returncode == 0, proc.stderr

@@ -59,8 +59,8 @@ def test_residual_csv_and_summary(tmp_path):
 
 @pytest.mark.parametrize("family,mode,flags", [
     ("horosphere", "translator", ["--a", "0.7"]),
-    ("vertical-plane", "minimal", ["--d", "-0.5", "--b", "0.2"]),
-    ("vertical-plane", "conformal", ["--d", "-0.5", "--b", "0.2"]),
+    ("vertical-plane", "minimal", ["--d", "-0.3"]),
+    ("vertical-plane", "conformal", ["--d", "-0.3"]),
 ])
 def test_summary_identifies_the_surface(tmp_path, family, mode, flags):
     """These sweeps have equal residual CSVs with and without the flags, but
@@ -180,6 +180,8 @@ def test_profile_determinism(tmp_path):
 REFUSALS = {
     "residual --family grim-reaper --a 0.2 --mode translator":
         "grim-reaper does not take --a; it takes --b, --lambda, --span, --s-range",
+    "residual --family vertical-plane --b 0.2 --mode minimal":
+        "vertical-plane does not take --b; it takes --c, --d, --s-range, --t-range",
     "residual --family horosphere --mode minimal --grid 3x3 --s-range=-1e308:1e308":
         "s_range must be a finite increasing pair with a finite width, got (-1e+308, 1e+308)",
     "residual --family horosphere --mode minimal --grid 3x3 --t-range=-1e308:1e308":
@@ -241,6 +243,7 @@ REFUSALS = {
         # a flag the family or ODE does not take
         ["residual", "--family", "horosphere", "--lambda", "7", "--mode", "minimal"],
         ["residual", "--family", "vertical-plane", "--span", "-1:1", "--mode", "minimal"],
+        ["residual", "--family", "vertical-plane", "--b", "0.2", "--mode", "minimal"],
         ["mesh", "--family", "minimal-cylinder", "--b", "3"],
         ["profile", "--ode", "grim-reaper", "--m-stop", "5"],  # no CLI takes it now
         ["profile", "--ode", "conformal", "--c", "9"],
@@ -356,7 +359,7 @@ FLAG_VALUES = {
     ("profile", "grim-reaper"): {"--lambda": "1.5", "--k": "0.7", "--span": "-4:6"},
     ("profile", "conformal"): {"--a": "0.6", "--y0": "0.9"},
     ("mesh", "horosphere"): {"--a": "0.7", "--s-range": "-1:1", "--t-range": "-1:1"},
-    ("mesh", "vertical-plane"): {"--b": "0.2", "--c": "0.5", "--d": "-0.5", "--s-range": "-1:1",
+    ("mesh", "vertical-plane"): {"--c": "0.5", "--d": "-0.5", "--s-range": "-1:1",
                                  "--t-range": "1:2"},
     ("mesh", "minimal-cylinder"): {"--c": "0.5", "--d": "0.3", "--y0": "1.3",
                                    "--s-range": "-1:1"},

@@ -28,7 +28,7 @@ GRID = "23x17"
 
 FAMILY_ARGS = {
     "horosphere": ["--a", "0.7"],
-    "vertical-plane": ["--d", "-0.5", "--b", "0.2"],
+    "vertical-plane": ["--d", "-0.3"],
     "minimal-cylinder": [],
     "grim-reaper": ["--lambda", "0.5", "--b", "0.5"],
     "conformal-cylinder": ["--a", "0.3"],
@@ -50,15 +50,15 @@ RESIDUAL_SHA256 = {
     ),
     ("vertical-plane", "minimal"): (
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "f52f2ce25b9cd00b9b1550a20d1829170fea4aa23bb556dc2c72607b041cb8eb",
+        "23c4f60b97a87bcab05c75abfc8a77c4867572cca2d2dba57aebd36efa010047",
     ),
     ("vertical-plane", "translator"): (
         "b1c0dcfccad5950539d79926b2057a946f9df7a612f54d7e856a4e5d05e73696",
-        "46d148e58773fe0bd2603c5bd963b5295af09263bdd3cb06cdbe67fb773038bf",
+        "9e398d86ff4854d034004a09d000dea9f28d0e842f5c9c52ca2b17c68ae3632e",
     ),
     ("vertical-plane", "conformal"): (
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "d471fec2d933e895c9898ba0942852bcecaaf2df0c7bf45d327ea0e845ecae12",
+        "f97b506e2291d6113ff06b6a29bc590d8fc84dd026f2b7e61d401cb8e744bd7b",
     ),
     ("minimal-cylinder", "minimal"): (
         "a8d74248a2166e7b7b05f0a309c44525981ae7f515bed2408c381ae76f267fdc",
@@ -143,7 +143,7 @@ DEFAULTS_SHA256 = {
     "vertical-plane": (
         "translator",
         "16983150975819f3fe7f15f464805ea79129e0b00d6aa04f0acded529aa0867d",
-        "53d13f52f2c142d84806c7278cce04ca25e3055c1d2e926f617e51c81c580fe6",
+        "960f9a424aa4ccdec06b3893ed209e051fa40965248c0dc33dde79283bcc3430",
         "e3d7e360e73f2a97e6f34b272a84b1c48c443b11add45d87db034c37a1085420",
     ),
     "grim-reaper": (

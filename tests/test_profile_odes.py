@@ -30,13 +30,11 @@ from solsurf import (
     integrate_grim_reaper,
     integrate_minimal_profile,
     minimal_halfwidth_quadrature,
-    qualitative_verdict,
 )
 from solsurf import profile_odes
 from solsurf.cli import main
 from solsurf.profile_odes import (
     MAX_BRANCH_STEPS,
-    SLOPE_CAP,
     _EPS,
     _Hermite,
     _blowup_tail,
@@ -47,6 +45,7 @@ from solsurf.profile_odes import (
     _speed_stop,
     first_integral_defect,
 )
+from solsurf.verify import _SLOPE_CAP, _symmetry_defect
 
 
 # --- oracles --------------------------------------------------------------
@@ -170,14 +169,44 @@ def test_minimal_initial_node_is_exact(minimal_sol):
     assert minimal_sol.gp[i0] == 0.0
 
 
+# Shape facts of a profile, as verify's shape rows state them.
+
+
+def _concave(sol) -> bool:
+    return bool(np.all(sol.gpp_nodes() < 0.0))
+
+
+def _max_at_zero(sol) -> bool:
+    g0 = sol.g[np.argmin(np.abs(sol.t))]
+    return bool(g0 >= np.max(sol.g) - 1e-12 * max(1.0, g0))
+
+
+def _constancy_defect(sol) -> float:
+    return float(max(np.max(np.abs(sol.g - 1.0)), np.max(np.abs(sol.gp))))
+
+
+def _monotone(sol) -> bool:
+    """Nondecreasing, up to node-difference wobble of 1e-13 relative."""
+    slack = 1e-13 * np.maximum(1.0, np.abs(sol.g[:-1]))
+    return bool(np.all(np.diff(sol.g) >= -slack) and np.all(sol.gp >= -1e-13))
+
+
+def _convex_then_concave(sol) -> bool:
+    t, gpp = sol.t, sol.gpp_nodes()
+    neg, pos = t < 0.0, t > 0.0
+    return bool(np.any(neg) and np.any(pos)
+                and np.all(gpp[neg] >= 0.0) and np.all(gpp[pos] <= 0.0)
+                and np.any(gpp[neg] > 0.0) and np.any(gpp[pos] < 0.0)
+                and np.all(gpp[t == 0.0] == 0.0))
+
+
 def test_minimal_verdict(minimal_sol):
-    v = qualitative_verdict(minimal_sol)
-    assert v.symmetry_defect <= 1e-8
-    assert v.concave and v.max_at_zero
+    assert _symmetry_defect(minimal_sol) <= 1e-8
+    assert _concave(minimal_sol) and _max_at_zero(minimal_sol)
     assert 0.0 < np.min(minimal_sol.g) and np.max(minimal_sol.g) < math.inf
     assert minimal_sol.left_blowup_t is not None and minimal_sol.right_blowup_t is not None
     assert not minimal_sol.truncated
-    assert v.constancy_defect > 1e-12 and not v.monotone_nondecreasing
+    assert _constancy_defect(minimal_sol) > 1e-12 and not _monotone(minimal_sol)
 
 
 def test_interpolation_is_exact_at_nodes(minimal_sol):
@@ -268,8 +297,8 @@ def test_conformal_blowup_and_monitor(conformal_sol):
 
 
 def test_conformal_verdict(conformal_sol):
-    v = qualitative_verdict(conformal_sol)
-    assert v.symmetry_defect <= 1e-8 and v.concave and v.max_at_zero
+    assert _symmetry_defect(conformal_sol) <= 1e-8
+    assert _concave(conformal_sol) and _max_at_zero(conformal_sol)
     assert conformal_sol.left_blowup_t is not None and conformal_sol.right_blowup_t is not None
 
 
@@ -282,8 +311,7 @@ def test_conformal_collapses_faster_than_minimal(minimal_sol, conformal_sol):
 
 
 def test_reaper_constant_solution(reaper_const_sol):
-    v = qualitative_verdict(reaper_const_sol)
-    assert v.constancy_defect <= 1e-12
+    assert _constancy_defect(reaper_const_sol) <= 1e-12
     assert np.all(reaper_const_sol.g == 1.0)
     assert np.all(reaper_const_sol.gp == 0.0)
     assert not reaper_const_sol.truncated
@@ -317,10 +345,10 @@ def test_solution_copies_the_arrays_it_is_given():
 
 
 def test_reaper_shape(reaper_sol):
-    v = qualitative_verdict(reaper_sol)
-    assert v.monotone_nondecreasing and reaper_sol.g[-1] > reaper_sol.g[0]
-    assert v.convex_then_concave
-    assert not v.concave and v.constancy_defect > 1e-12 and not v.symmetry_defect <= 1e-8
+    assert _monotone(reaper_sol) and reaper_sol.g[-1] > reaper_sol.g[0]
+    assert _convex_then_concave(reaper_sol)
+    assert not _concave(reaper_sol) and _constancy_defect(reaper_sol) > 1e-12
+    assert not _symmetry_defect(reaper_sol) <= 1e-8
     assert 0.0 < np.min(reaper_sol.g) and np.max(reaper_sol.g) < math.inf
     assert (reaper_sol.right_blowup_t, reaper_sol.truncated) == (None, False)
 
@@ -396,9 +424,8 @@ def test_reaper_matches_oracle(case):
 @pytest.mark.parametrize("lam", [0.01, 0.5, 2.0, 6.0, 10.0])
 def test_reaper_shape_across_lambda(lam):
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=1.0), span=(-40.0, 40.0))
-    v = qualitative_verdict(sol)
-    assert v.monotone_nondecreasing and v.convex_then_concave and not sol.truncated
-    assert list(sol.gp[sol.t == 0.0]) == [lam] and np.all(sol.gp >= 0.0)
+    assert _monotone(sol) and _convex_then_concave(sol) and not sol.truncated
+    assert list(sol.gp[sol.t == 0.0]) == [lam] and np.all((sol.gp >= 0.0) & (sol.gp <= lam))
 
 
 def test_reaper_steep_long_span_finishes():
@@ -550,9 +577,9 @@ def test_stepper_matches_rk45(case, monkeypatch):
         for ref in refs:
             # The oracle's stop abscissa may sit an ulp past the solution's.
             # Where |g'| ~ 1e6 an ulp of t is worth ~1e-9 in g, so g is
-            # compared where |g'| <= SLOPE_CAP, as the symmetry check does.
+            # compared where |g'| <= _SLOPE_CAP, as the symmetry check does.
             q = np.clip(ref.t, sol.t[0], sol.t[-1])
-            keep = np.abs(sol.eval_gp(q)) <= SLOPE_CAP
+            keep = np.abs(sol.eval_gp(q)) <= _SLOPE_CAP
             assert np.max(np.abs(sol.eval_g(q[keep]) - ref.y[0][keep])) <= 1e-9
 
 

@@ -51,13 +51,13 @@ def test_horosphere_residual_values(a):
 @pytest.mark.parametrize("c,d", [(0.0, 0.0), (1.0, -1.0), (3.0, 2.0)])
 def test_vertical_plane_residual_values(c, d):
     # minimal and conformal vanish for every plane; the translator residual
-    # is (d+b)/sqrt(c^2+1) and vanishes exactly when b = -d
+    # is d/sqrt(c^2+1) and vanishes exactly on the plane through the origin
     j = make_vertical_plane(c, d).jet(0.4, 1.2)
     assert abs(residual(MINIMAL, j)) <= 1e-15
     assert abs(residual(CONFORMAL, j)) <= 1e-15
     expected = d / math.sqrt(c * c + 1.0)
     assert abs(residual(TRANSLATOR, j) - expected) <= 1e-14
-    j0 = make_vertical_plane(c, d, b=-d).jet(0.4, 1.2)
+    j0 = make_vertical_plane(c, 0.0).jet(0.4, 1.2)
     assert abs(residual(TRANSLATOR, j0)) <= 1e-15
 
 
@@ -104,21 +104,21 @@ def test_reduced_second_kind_matches_general_seeded():
     rng = np.random.default_rng(43)
     samples, rows = [], []
     for _ in range(300):
-        fj = ScalarJet2(*rng.uniform(-2, 2, 3))
-        b = float(rng.uniform(-2, 2))
+        f0, f1, f2 = rng.uniform(-2, 2, 3)
+        fj = ScalarJet2(f0 + float(rng.uniform(-2, 2)), f1, f2)
         s = float(rng.uniform(-2, 2))
         t = float(rng.uniform(0.1, 3.0))
-        j = second_kind_jet(fj, b, s, t)
-        samples.append((fj.value, fj.d1, fj.d2, b, s, t))
+        j = second_kind_jet(fj, s, t)
+        samples.append((fj.value, fj.d1, fj.d2, s, t))
         rows.append(j)
         clear = 2.0 * (fj.d1 ** 2 + 1.0) ** 1.5
         for mode in SolitonMode:
             assert _rel(
-                reduced_residual_second_kind(mode, fj, b, s, t),
+                reduced_residual_second_kind(mode, fj, s, t),
                 residual(mode, j) * clear,
             ) <= 1e-10
-    *f, b, s, t = np.array(samples).T
-    _assert_batch_is_pointwise(second_kind_jet(ScalarJet2(*f), b, s, t), rows)
+    *f, s, t = np.array(samples).T
+    _assert_batch_is_pointwise(second_kind_jet(ScalarJet2(*f), s, t), rows)
 
 
 jet_floats = st.floats(-2.0, 2.0)
@@ -140,11 +140,11 @@ def test_reduced_first_kind_property(fj, gj, s, t, mode):
 
 
 def test_second_kind_translator_closed_form():
-    # reduced translator for a line f = c s + d: -2 (c^2+1)(-d - b)
-    c, d, b = 1.5, -0.7, 0.4
+    # reduced translator for a line f = c s + d: -2 (c^2+1)(-d)
+    c, d = 1.5, -0.3
     fj = ScalarJet2(c * 0.9 + d, c, 0.0)
-    r = reduced_residual_second_kind(SolitonMode.TRANSLATOR, fj, b, 0.9, 2.0)
-    assert abs(r - 2.0 * (c * c + 1.0) * (d + b)) <= 1e-14
+    r = reduced_residual_second_kind(SolitonMode.TRANSLATOR, fj, 0.9, 2.0)
+    assert abs(r - 2.0 * (c * c + 1.0) * d) <= 1e-14
 
 
 def test_residual_report_grid_structure():
@@ -360,7 +360,7 @@ def _g1(t):
 
 
 def _f2(s):
-    return ScalarJet2(math.cos(2.0 * s), -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s))
+    return ScalarJet2(math.cos(2.0 * s) + 0.3, -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s))
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
@@ -368,7 +368,6 @@ def test_grid_report_matches_reduced_forms(mode):
     """Every grid residual equals the independent reduced form over 2*W^3,
     at the node's own (s, t), on non-square grids of both kinds."""
     grid = GridSpec(13, 7)
-    b = 0.3
 
     def first_kind(s, t):
         fj, gj = _f1(s), _g1(t)
@@ -377,11 +376,11 @@ def test_grid_report_matches_reduced_forms(mode):
 
     def second_kind(s, t):
         fj = _f2(s)
-        return reduced_residual_second_kind(mode, fj, b, s, t) / (2.0 * (fj.d1 ** 2 + 1.0) ** 1.5)
+        return reduced_residual_second_kind(mode, fj, s, t) / (2.0 * (fj.d1 ** 2 + 1.0) ** 1.5)
 
     for fam, expect in (
         (make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5)), first_kind),
-        (make_generic_second_kind(_f2, b, (-2.0, 2.0), (0.5, 4.0)), second_kind),
+        (make_generic_second_kind(_f2, (-2.0, 2.0), (0.5, 4.0)), second_kind),
     ):
         rep = residual_report(fam, mode, grid)
         assert rep.samples.shape == (13 * 7, 3) and not rep.failures

@@ -48,7 +48,7 @@ def conformal_cyl():
 def test_own_mode_residuals_vanish(minimal_cyl, reaper, conformal_cyl):
     cases = [
         (make_horosphere(1.0), SolitonMode.TRANSLATOR),
-        (make_vertical_plane(1.0, -1.0, b=1.0), SolitonMode.TRANSLATOR),
+        (make_vertical_plane(1.0, 0.0), SolitonMode.TRANSLATOR),
         (make_vertical_plane(1.0, -1.0), SolitonMode.MINIMAL),
         (minimal_cyl, SolitonMode.MINIMAL),
         (reaper, SolitonMode.TRANSLATOR),
@@ -264,14 +264,14 @@ def _generic_first_kind():
 # they can, and the falsification probe on three first-kind families.
 FAMILIES = {
     "horosphere": lambda: make_horosphere(1.3, t_range=(-1.0, 3.0)),
-    "vertical_plane": lambda: make_vertical_plane(0.7, -0.4, b=0.3),
+    "vertical_plane": lambda: make_vertical_plane(0.7, -0.1),
     "minimal_cylinder": lambda: make_minimal_cylinder(0.5, 1.2, d=0.3),
     "grim_reaper": lambda: make_grim_reaper(0.5, b_slope=0.4, span=(-3.0, 3.0)),
     "conformal_cylinder": lambda: make_conformal_cylinder(0.3, 0.9),
     "generic_first_kind": _generic_first_kind,
     "generic_second_kind": lambda: make_generic_second_kind(
-        lambda s: (math.cos(2.0 * s), -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s)),
-        0.3, (-2.0, 2.0), (0.5, 4.0)),
+        lambda s: (math.cos(2.0 * s) + 0.3, -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s)),
+        (-2.0, 2.0), (0.5, 4.0)),
     "perturbed_minimal_cylinder": lambda: perturb_profile(make_minimal_cylinder(0.0, 1.0), 1e-2),
     "perturbed_grim_reaper": lambda: perturb_profile(make_grim_reaper(0.5, span=(-5.0, 5.0)), 1e-2),
     "perturbed_generic_first_kind": lambda: perturb_profile(_generic_first_kind(), 1e-2),

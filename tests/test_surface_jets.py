@@ -37,8 +37,8 @@ def test_first_kind_slots():
 
 
 def test_second_kind_slots():
-    j = second_kind_jet(FJ, 2.0, 0.3, 0.9)
-    assert j.X.tolist() == [0.3, 2.25, 0.9]
+    j = second_kind_jet(FJ, 0.3, 0.9)
+    assert j.X.tolist() == [0.3, 0.25, 0.9]
     assert j.Xs.tolist() == [1.0, -0.5, 0.0]
     assert j.Xt.tolist() == [0.0, 0.0, 1.0]
     assert j.Xss.tolist() == [0.0, 1.5, 0.0]
@@ -182,11 +182,11 @@ def test_unit_normal_is_unit_and_orthogonal():
 
 
 def test_mean_curvature_extruded_graph():
-    # X = (s, f(s)+b, t) extrudes the plane curve y = f(x); its mean
+    # X = (s, f(s), t) extrudes the plane curve y = f(x); its mean
     # curvature is half the signed curvature: H = -f'' / (2 (1+f'^2)^{3/2}).
     s = 0.3
     fj = ScalarJet2(math.cos(s), -math.sin(s), -math.cos(s))
-    H = mean_curvature(second_kind_jet(fj, 0.0, s, 1.7))
+    H = mean_curvature(second_kind_jet(fj, s, 1.7))
     expected = math.cos(s) / (2.0 * (1.0 + math.sin(s) ** 2) ** 1.5)
     assert abs(H - expected) <= 1e-14
 
@@ -218,7 +218,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         first_kind_jet(FJ, ScalarJet2(-1.0, 0.0, 0.0), 0.0, 0.0)  # g < 0
     with pytest.raises(DomainError):
-        second_kind_jet(FJ, 0.0, 0.0, -0.1)  # t < 0
+        second_kind_jet(FJ, 0.0, -0.1)  # t < 0
     with pytest.raises(DomainError):
         CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(0.0, 1.0, 0.0))
     with pytest.raises(ParameterError):
