@@ -3,13 +3,11 @@
 Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, its two factor curves ``alpha(s)`` and ``beta(t)``,
 and bookkeeping (parameter dict and the profile solution where one is
-involved).  Every ``alpha`` is horospherical, ``(s, f(s), 1)``.  A
-first-kind ``beta`` is the graph ``(0, t, g(t))`` of a profile, so
-``X = (s, t + f(s), g(t))``; a second-kind one is the line ``(0, 0, t)``,
-so ``X = (s, f(s), t)``, and a shift of it in ``y`` is a constant in
-``f``.  Grids evaluate each factor curve in one call on its whole axis
-(node by node only after that call raises a domain error) and build one
-jet for the whole grid.
+involved).  A second-kind family is ``X = (s, f(s), t)``: a shift of it
+in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
+evaluate each factor curve in one call on its whole axis (node by node
+only after that call raises a domain error) and build one jet for the
+whole grid.
 
 A family whose profile collapses takes the profile's node span in ``t``
 less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
@@ -108,9 +106,9 @@ class SurfaceFamily:
     family has a horospherical ``alpha(s) = (s, f(s), 1)``.  A first-kind
     family has ``beta(t) = (0, t, g(t))`` with a profile ``g``, so ``X = (s,
     t + f(s), g(t))``; a second-kind one has ``beta(t) = (0, 0, t)``, so
-    ``X = (s, f(s), t)``.  ``jet(s, t)``
-    returns the full :class:`SurfaceJet2` at a point; ``position`` is the
-    bare embedding, convenient for finite-difference cross-checks.
+    ``X = (s, f(s), t)``.  ``jet(s, t)`` returns the full
+    :class:`SurfaceJet2` at a point; ``position`` is the bare embedding,
+    convenient for finite-difference cross-checks.
 
     Construction, :func:`dataclasses.replace` included, stores both ranges
     as float pairs and refuses one that is not a finite increasing pair
