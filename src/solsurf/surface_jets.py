@@ -39,7 +39,6 @@ import numpy as np
 from .errors import DegenerateJetError, DomainError, ParameterError
 
 __all__ = [
-    "DEGENERACY_THRESHOLD",
     "ScalarJet2",
     "CurveJet2",
     "SurfaceJet2",
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 # |Xs x Xt| at or below this is treated as a collapsed (non-immersed) jet.
-DEGENERACY_THRESHOLD = 1e-300
+_DEGENERACY_THRESHOLD = 1e-300
 
 _SLOTS = ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")
 
@@ -148,8 +147,8 @@ class SurfaceJet2:
     slots) or at every point of a grid (``(..., 3)`` slots of one shape).
 
     Construction rejects points at or below the boundary (``X[..., 2] <= 0``)
-    and collapsed jets (``|Xs x Xt| <= DEGENERACY_THRESHOLD``) anywhere in the
-    jet.  Arrays are read-only once stored.
+    and collapsed jets (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``) anywhere in
+    the jet.  Arrays are read-only once stored.
     """
 
     X: np.ndarray
@@ -184,7 +183,7 @@ class SurfaceJet2:
                 raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
         _require_positive(self.X[..., 2], "surface point has non-positive height {!r}")
         c = _cross(_xyz(self.Xs), _xyz(self.Xt))
-        if not (np.sqrt(_dot(c, c)) > DEGENERACY_THRESHOLD).all():
+        if not (np.sqrt(_dot(c, c)) > _DEGENERACY_THRESHOLD).all():
             raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
 
 

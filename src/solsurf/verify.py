@@ -5,13 +5,13 @@ against the tolerance and sense (``<=`` or ``>``) of its ``_REGISTRY`` row,
 so a NaN defect fails either way; checks combine their values with
 ``np.max``/``np.min``, which carry a NaN through.  A check whose side
 condition fails (a failed grid node, a run that did not finish) names the
-reason in its detail and returns a defect that fails its row: inf on a
-``<=`` row, NaN on a ``>`` row.  The checks are grouped by the acceptance
-criterion they implement (the ``criterion`` number, 1..10) and are
-deliberately self-contained: every one rebuilds what it measures from
-scratch so a pass can't lean on shared state.  The determinism rows call
-``cli.main``, whose argparse parser is built once per process and shared;
-it holds no run state, so it is not state the checks measure.
+reason in its detail and returns NaN, which fails its row whatever its
+sense.  The checks are grouped by the acceptance criterion they implement
+(the ``criterion`` number, 1..10) and are deliberately self-contained:
+every one rebuilds what it measures from scratch so a pass can't lean on
+shared state.  The determinism rows call ``cli.main``, whose argparse
+parser is built once per process and shared; it holds no run state, so it
+is not state the checks measure.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -52,7 +53,6 @@ from .soliton_residuals import (
     reduced_residual_first_kind,
     reduced_residual_second_kind,
     residual,
-    residual_report,
 )
 from .surface_factory import (
     GridSpec,
@@ -74,7 +74,7 @@ from .surface_jets import (
     second_kind_jet,
 )
 
-__all__ = ["CheckResult", "VerifySummary", "run_checks", "rel_defect"]
+__all__ = ["CheckResult", "VerifySummary", "run_checks"]
 
 _SEED = 20260816
 
@@ -82,7 +82,7 @@ _SEED = 20260816
 Measurement = Tuple[float, str]
 
 
-def rel_defect(a, b, floor: float = 0.01) -> float:
+def _rel_defect(a, b, floor: float = 0.01) -> float:
     """Componentwise relative disagreement with an absolute floor, so that
     near-zero components are judged absolutely.  ``a`` and ``b`` are arrays
     (or buffers, or sequences) of any one matching shape; the result is
@@ -167,32 +167,38 @@ def _check_group_laws() -> Measurement:
         (rotation_about_vertical(th, lie_product(p, q)),
          lie_product(rotation_about_vertical(th, p), rotation_about_vertical(th, q))),
     )
-    # rel_defect is componentwise, so judging the whole stack once gives the
+    # _rel_defect is componentwise, so judging the whole stack once gives the
     # largest defect of any pair, bit for bit, NaN included.
     lhs = _stacked(a for a, _ in laws)
     rhs = _stacked(b for _, b in laws)
-    return rel_defect(lhs, rhs), f"{n} samples, {len(laws)} laws each"
+    return _rel_defect(lhs, rhs), f"{n} samples, {len(laws)} laws each"
 
 
 # ---------------------------------------------------------------------------
 # criteria 2-3: exactly solvable families
 
 
-def _failure_detail(fam, failures) -> str:
-    return f"{fam.name} {fam.params}: {len(failures)} failures, first (s, t, reason): {failures[0]}"
-
-
 def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     """Worst ``|residual(mode, j) - offset|`` over ``(family, ((mode, offset),
     ...))`` cases, ``j`` the family's jet on ``grid``.  A failed node voids
-    the sweep: the defect is inf and the detail names the first failure."""
+    the sweep: the defect is NaN and the detail names the first failure.  An
+    infinite residual fails the same way, since inf would pass a ``>`` row."""
     defects = []
     for fam, terms in cases:
         (_, _, j), failures = sample_grid(fam, grid)
         if failures:
-            return math.inf, _failure_detail(fam, failures)
+            return math.nan, (f"{fam.name} {fam.params}: {len(failures)} failures, "
+                              f"first (s, t, reason): {failures[0]}")
         defects += [np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]
+        if math.inf in defects:
+            return math.nan, f"{fam.name} {fam.params}: a residual is infinite"
     return float(np.max(defects)), detail
+
+
+def _profile_residual(fam, mode: SolitonMode,
+                      detail: str = "51x51, margin 1e-3, 0 failures") -> Measurement:
+    """The residual of ``mode`` on a profile family's 51x51 grid."""
+    return _residual_defect([(fam, ((mode, 0.0),))], GridSpec(51, 51), detail)
 
 
 def _check_horosphere() -> Measurement:
@@ -214,16 +220,24 @@ def _check_planes() -> Measurement:
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: minimal cylinder
+# criteria 4 and 6: the collapsing minimal and conformal cylinders
 
 
-def _check_minimal_residual() -> Measurement:
-    return _residual_defect([(make_minimal_cylinder(0.0, 1.0), ((SolitonMode.MINIMAL, 0.0),))],
-                            GridSpec(51, 51), "51x51, margin 1e-3, 0 failures")
+def _collapsing(kind: str):
+    """The ``"minimal"`` or ``"conformal"`` profile at slope 0 and ``y0 = 1``,
+    and its half-width by an independent quadrature."""
+    if kind == "minimal":
+        return (integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0)),
+                minimal_halfwidth_quadrature(0.0, 1.0))
+    return (integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0)),
+            conformal_halfwidth_quadrature(0.0, 1.0))
 
 
-def _check_minimal_first_integral() -> Measurement:
-    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
+def _first_integral(kind: str) -> Measurement:
+    """The worst conservation defect over the nodes.  At the initial node
+    ``g = 1`` and ``g' = 0``, so the conformal defect reads ``|C*e^4 - 1|``:
+    it pins ``C = e^-4`` as well."""
+    sol, _ = _collapsing(kind)
     return sol.conserved_max_defect, f"{len(sol.t)} nodes, normalized by max(1, g'^2)"
 
 
@@ -255,45 +269,36 @@ def _symmetry_defect(sol) -> float:
 
 
 def _check_minimal_symmetry() -> Measurement:
-    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
+    sol, _ = _collapsing("minimal")
     g = sol.g
     g0 = g[np.argmin(np.abs(sol.t))]
     concave = bool(np.all(sol.gpp_nodes() < 0.0))
     max_at_zero = bool(g0 >= np.max(g) - 1e-12 * max(1.0, g0))
     if not (concave and max_at_zero):
-        return math.inf, f"concave={concave}, max_at_zero={max_at_zero}"
+        return math.nan, f"concave={concave}, max_at_zero={max_at_zero}"
     return _symmetry_defect(sol), "g and -g' mirrored between nodes, concave, maximal at t=0"
 
 
-def _halfwidth_defect(sol, r: float, detail: str) -> Measurement:
-    """Distance of the blow-up abscissa of ``sol`` from ``r``; the left
-    branch's is its mirror, at the same distance from ``-r``."""
-    right = sol.right_blowup_t
-    if right is None:
-        return math.inf, "a branch did not reach collapse"
-    return float(abs(right - r)), f"{detail} r = {r:.10f}"
+def _halfwidth(kind: str) -> Measurement:
+    """Distance of the right blow-up abscissa from the reference half-width
+    ``r``; the left branch's is its mirror, at the same distance from ``-r``."""
+    sol, r = _collapsing(kind)
+    if sol.right_blowup_t is None:
+        return math.nan, "a branch did not reach collapse"
+    source = "closed-form" if kind == "minimal" else "quadrature"
+    return float(abs(sol.right_blowup_t - r)), f"{source} half-width r = {r:.10f}"
 
 
-def _check_minimal_halfwidth() -> Measurement:
-    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
-    return _halfwidth_defect(sol, minimal_halfwidth_quadrature(0.0, 1.0),
-                             "closed-form half-width")
-
-
-def _abscissa_defect(sol, r: float) -> Measurement:
+def _abscissa(kind: str) -> Measurement:
     """Worst ``|t - sign(t)*(r - tail(g))|`` over every node of both branches:
     the first integral puts the node of height ``g`` at ``+-(r - tail(g))``,
     ``tail(g)`` the abscissa from ``g`` to the collapse by quadrature.  The
     reference never touches the stepper, so it sees an error of either
     branch."""
+    sol, r = _collapsing(kind)
     tails = np.array([_blowup_tail(sol.params, g) for g in sol.g.tolist()])
     defect = np.max(np.abs(sol.t - np.sign(sol.t) * (r - tails)))
     return float(defect), f"{len(sol.t)} nodes against the first integral, r = {r:.10f}"
-
-
-def _check_minimal_abscissa() -> Measurement:
-    sol = integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0))
-    return _abscissa_defect(sol, minimal_halfwidth_quadrature(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +308,7 @@ def _check_minimal_abscissa() -> Measurement:
 def _check_reaper_constant() -> Measurement:
     sol = make_grim_reaper(0.0, span=(-50.0, 50.0)).profile
     if sol.truncated:
-        return math.inf, "the integration was truncated"
+        return math.nan, "the integration was truncated"
     defect = max(np.max(np.abs(sol.g - 1.0)), np.max(np.abs(sol.gp)))
     return float(defect), "lambda = 0 rides the constant solution"
 
@@ -332,49 +337,6 @@ def _check_reaper_shape() -> Measurement:
     return float(len(bad)), "failed: " + ",".join(bad) if bad else "all shape facts hold"
 
 
-def _check_reaper_residual() -> Measurement:
-    fam = make_grim_reaper(0.5, span=(-50.0, 50.0))
-    return _residual_defect([(fam, ((SolitonMode.TRANSLATOR, 0.0),))],
-                            GridSpec(51, 51), "lambda=0.5, k=1, 51x51, 0 failures")
-
-
-# ---------------------------------------------------------------------------
-# criterion 6: conformal cylinder
-
-
-def _check_conformal_residual() -> Measurement:
-    fam = make_conformal_cylinder(0.0, 1.0)
-    return _residual_defect([(fam, ((SolitonMode.CONFORMAL, 0.0),))],
-                            GridSpec(51, 51), "51x51, margin 1e-3, 0 failures")
-
-
-def _check_conformal_first_integral() -> Measurement:
-    p = ConformalProfileParams(a=0.0, y0=1.0)
-    if p.C != math.exp(-4.0):
-        return math.inf, "reconstructed constant is not e^-4"
-    sol = integrate_conformal_profile(p)
-    return sol.conserved_max_defect, "C = e^-4 reconstructed from the initial state"
-
-
-def _check_conformal_halfwidth() -> Measurement:
-    sol = integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0))
-    return _halfwidth_defect(sol, conformal_halfwidth_quadrature(0.0, 1.0),
-                             "quadrature half-width")
-
-
-def _check_conformal_abscissa() -> Measurement:
-    sol = integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0))
-    return _abscissa_defect(sol, conformal_halfwidth_quadrature(0.0, 1.0))
-
-
-def _check_conformal_not_minimal() -> Measurement:
-    fam = make_conformal_cylinder(0.0, 1.0)
-    rep = residual_report(fam, SolitonMode.MINIMAL, GridSpec(51, 51))
-    if rep.failures:
-        return math.nan, _failure_detail(fam, rep.failures)
-    return rep.max_abs, "minimal residual must NOT vanish here"
-
-
 # ---------------------------------------------------------------------------
 # criterion 7: reduced equations agree with the jet pipeline
 
@@ -389,7 +351,7 @@ def _uniform_columns(seed: int, bounds) -> List[np.ndarray]:
 def _reduced_defect(reduced: Callable, j, clear) -> float:
     """Worst relative disagreement, over every sample and mode, between a
     reduced residual and ``2W^3`` times the general residual of the jet."""
-    return float(np.max([rel_defect(reduced(mode), residual(mode, j) * clear, floor=1.0)
+    return float(np.max([_rel_defect(reduced(mode), residual(mode, j) * clear, floor=1.0)
                          for mode in SolitonMode]))
 
 
@@ -418,6 +380,8 @@ def _check_reduced_second_kind() -> Measurement:
 
 
 def _fd_surfaces():
+    """Three unrelated analytic surfaces, and the points ``(s, t)`` at which
+    each is probed."""
     s1 = make_generic_first_kind(
         lambda s: (math.sin(s), math.cos(s), -math.sin(s)),
         lambda t: (2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)),
@@ -435,16 +399,16 @@ def _fd_surfaces():
         (-2.0, 2.0),
         (-2.0, 2.0),
     )
-    pts = [(0.4, 0.7), (-0.9, 1.3), (1.1, 2.1)]
-    return [(s1, pts), (s2, pts), (s3, pts)]
+    s, t = np.array([(0.4, 0.7), (-0.9, 1.3), (1.1, 2.1)]).T
+    return (s1, s2, s3), s, t
 
 
 def _check_fd_convergence() -> Measurement:
     """Distance of the observed convergence orders from 2."""
     hs = np.array([1e-2, 5e-3, 2.5e-3])
     orders = []
-    for fam, pts in _fd_surfaces():
-        s, t = np.array(pts).T
+    surfaces, s, t = _fd_surfaces()
+    for fam in surfaces:
         # One batch per surface: points down, steps across.
         fd = finite_difference_jet(fam.position, s[:, None], t[:, None], hs)
         exact = mean_curvature(fam.jet(s, t))[:, None]
@@ -469,16 +433,10 @@ def _check_falsification() -> Measurement:
         (make_grim_reaper(0.5, span=(-5.0, 5.0)), SolitonMode.TRANSLATOR),
         (make_conformal_cylinder(0.0, 1.0), SolitonMode.CONFORMAL),
     ]
-    grid = GridSpec(51, 51)
-    floors = []
-    parts = []
-    for fam, mode in probes:
-        rep = residual_report(perturb_profile(fam, 1e-2), mode, grid)
-        if rep.failures:
-            return math.nan, _failure_detail(fam, rep.failures)
-        floors.append(rep.max_abs)
-        parts.append(f"{fam.name}:{rep.max_abs:.2e}")
-    return float(np.min(floors)), "; ".join(parts)
+    measured = [_profile_residual(perturb_profile(fam, 1e-2), mode, fam.name)
+                for fam, mode in probes]
+    return (float(np.min([floor for floor, _ in measured])),
+            "; ".join(f"{detail}:{floor:.2e}" for floor, detail in measured))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +446,7 @@ def _check_falsification() -> Measurement:
 def _same_bytes(argv: List[str], suffixes: Tuple[str, ...]) -> Measurement:
     """Run a CLI command twice, stdout swallowed, into fresh prefixes: 0 if
     the files it wrote (the prefix plus each suffix) are the same bytes, 1
-    if not, inf if a run did not exit 0."""
+    if not, NaN if a run did not exit 0."""
     from .cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as td:
@@ -498,7 +456,7 @@ def _same_bytes(argv: List[str], suffixes: Tuple[str, ...]) -> Measurement:
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = cli_main(argv + ["--out", prefix])
             if rc != 0:
-                return math.inf, f"{argv[0]} run exited {rc}"
+                return math.nan, f"{argv[0]} run exited {rc}"
             outs.append(b"".join(Path(prefix + suffix).read_bytes() for suffix in suffixes))
     return float(outs[0] != outs[1]), f"{len(outs[0])} bytes compared"
 
@@ -516,26 +474,32 @@ def _check_determinism_profile() -> Measurement:
 # ---------------------------------------------------------------------------
 
 # (name, criterion, sense, tolerance, measure): the one statement of each
-# check's tolerance, and the only one `run_checks` judges by.  A failed side
-# condition is reported as inf on a "<=" row and as NaN on a ">" row, since
-# inf would pass a ">" row.
+# check's tolerance, and the only one `run_checks` judges by.  A measurement
+# looks the module's functions up when it runs (in a body or a lambda, never
+# bound into a `partial`), so that it sees a name rebound on this module.
 _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
     ("lie.group_laws", 1, "<=", 1e-12, _check_group_laws),
     ("horosphere.soliton", 2, "<=", 1e-10, _check_horosphere),
     ("plane.residuals", 3, "<=", 1e-10, _check_planes),
-    ("minimal_cylinder.residual", 4, "<=", 1e-6, _check_minimal_residual),
-    ("minimal_cylinder.first_integral", 4, "<=", 1e-8, _check_minimal_first_integral),
+    ("minimal_cylinder.residual", 4, "<=", 1e-6,
+     lambda: _profile_residual(make_minimal_cylinder(0.0, 1.0), SolitonMode.MINIMAL)),
+    ("minimal_cylinder.first_integral", 4, "<=", 1e-8, partial(_first_integral, "minimal")),
     ("minimal_cylinder.symmetry", 4, "<=", 1e-8, _check_minimal_symmetry),
-    ("minimal_cylinder.halfwidth", 4, "<=", 1e-6, _check_minimal_halfwidth),
-    ("minimal_cylinder.abscissa", 4, "<=", 1e-9, _check_minimal_abscissa),
+    ("minimal_cylinder.halfwidth", 4, "<=", 1e-6, partial(_halfwidth, "minimal")),
+    ("minimal_cylinder.abscissa", 4, "<=", 1e-9, partial(_abscissa, "minimal")),
     ("grim_reaper.constant", 5, "<=", 1e-12, _check_reaper_constant),
     ("grim_reaper.shape", 5, "<=", 0.5, _check_reaper_shape),
-    ("grim_reaper.residual", 5, "<=", 1e-6, _check_reaper_residual),
-    ("conformal.residual", 6, "<=", 1e-6, _check_conformal_residual),
-    ("conformal.first_integral", 6, "<=", 1e-8, _check_conformal_first_integral),
-    ("conformal.halfwidth", 6, "<=", 1e-6, _check_conformal_halfwidth),
-    ("conformal.abscissa", 6, "<=", 1e-9, _check_conformal_abscissa),
-    ("conformal.not_minimal", 6, ">", 1e-3, _check_conformal_not_minimal),
+    ("grim_reaper.residual", 5, "<=", 1e-6,
+     lambda: _profile_residual(make_grim_reaper(0.5, span=(-50.0, 50.0)), SolitonMode.TRANSLATOR,
+                               "lambda=0.5, k=1, 51x51, 0 failures")),
+    ("conformal.residual", 6, "<=", 1e-6,
+     lambda: _profile_residual(make_conformal_cylinder(0.0, 1.0), SolitonMode.CONFORMAL)),
+    ("conformal.first_integral", 6, "<=", 1e-8, partial(_first_integral, "conformal")),
+    ("conformal.halfwidth", 6, "<=", 1e-6, partial(_halfwidth, "conformal")),
+    ("conformal.abscissa", 6, "<=", 1e-9, partial(_abscissa, "conformal")),
+    ("conformal.not_minimal", 6, ">", 1e-3,
+     lambda: _profile_residual(make_conformal_cylinder(0.0, 1.0), SolitonMode.MINIMAL,
+                               "minimal residual must NOT vanish here")),
     ("reduced.first_kind", 7, "<=", 1e-10, _check_reduced_first_kind),
     ("reduced.second_kind", 7, "<=", 1e-10, _check_reduced_second_kind),
     ("fd.convergence", 8, "<=", 0.3, _check_fd_convergence),

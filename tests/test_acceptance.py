@@ -153,17 +153,110 @@ def test_nan_residual_at_one_node_fails_its_rows(monkeypatch):
     assert all(math.isnan(r.defect) for r in results if r.name in failed)
 
 
-def test_failed_node_fails_greater_than_rows(monkeypatch):
-    """On a ">" row a failed grid node reads as NaN, not as a large defect."""
-    clean = verify.residual_report
+GRID_ROWS = ("horosphere.soliton", "plane.residuals", "minimal_cylinder.residual",
+             "grim_reaper.residual", "conformal.residual", "conformal.not_minimal",
+             "falsify.profiles")
 
-    def one_failure(fam, mode, grid):
-        return dataclasses.replace(clean(fam, mode, grid), failures=[(0.0, 0.0, "stub")])
 
-    monkeypatch.setattr(verify, "residual_report", one_failure)
-    for name in ("conformal.not_minimal", "falsify.profiles"):
-        (r,) = run_checks(name).results
-        assert not r.passed and math.isnan(r.defect) and "stub" in r.detail
+def _grid_results():
+    return [r for name in GRID_ROWS for r in run_checks(name).results]
+
+
+def test_failed_node_fails_every_grid_row(monkeypatch):
+    """A failed grid node reads as NaN on every grid-residual row, so it fails
+    a ">" row as surely as a "<=" one, and the detail names the failure."""
+    clean = verify.sample_grid
+
+    def one_failure(fam, grid):
+        sampled, failures = clean(fam, grid)
+        return sampled, failures + [(0.0, 0.0, "stub")]
+
+    monkeypatch.setattr(verify, "sample_grid", one_failure)
+    results = _grid_results()
+    assert [r.name for r in results] == list(GRID_ROWS)
+    for r in results:
+        assert not r.passed and math.isnan(r.defect) and "stub" in r.detail, r
+
+
+def test_infinite_residual_fails_every_grid_row(monkeypatch):
+    """A residual that overflows to inf at one node fails every grid row as
+    NaN: inf would pass the ">" rows."""
+    clean = verify.residual
+
+    def one_inf(mode, j):
+        out = np.array(clean(mode, j), dtype=float)
+        out.flat[out.size // 2] = math.inf
+        return out
+
+    monkeypatch.setattr(verify, "residual", one_inf)
+    for r in _grid_results():
+        assert not r.passed and math.isnan(r.defect) and "residual is infinite" in r.detail, r
+
+
+ROW_PREFIX = {"minimal": "minimal_cylinder", "conformal": "conformal"}
+
+
+def _swap_collapsing_profile(monkeypatch, kind, swap):
+    """Make verify's ``kind`` profile integrate to ``swap(profile)``."""
+    name = f"integrate_{kind}_profile"
+    clean = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda p: swap(clean(p)))
+
+
+def _only_row(kind, fact):
+    (r,) = run_checks(f"{ROW_PREFIX[kind]}.{fact}").results
+    return r
+
+
+@pytest.mark.parametrize("kind", ["minimal", "conformal"])
+def test_first_integral_fails_one_node_off_by_1e_7(monkeypatch, kind):
+    def moved(sol):
+        defect = sol.node_defect.copy()
+        defect[len(defect) // 3] = 1e-7
+        return dataclasses.replace(sol, node_defect=defect)
+
+    _swap_collapsing_profile(monkeypatch, kind, moved)
+    r = _only_row(kind, "first_integral")
+    assert not r.passed and r.defect == 1e-7
+
+
+@pytest.mark.parametrize("kind", ["minimal", "conformal"])
+def test_halfwidth_fails_a_branch_that_did_not_collapse(monkeypatch, kind):
+    _swap_collapsing_profile(monkeypatch, kind,
+                             lambda sol: dataclasses.replace(sol, right_blowup_t=None))
+    r = _only_row(kind, "halfwidth")
+    assert not r.passed and math.isnan(r.defect) and "did not reach collapse" in r.detail
+
+
+@pytest.mark.parametrize("kind", ["minimal", "conformal"])
+def test_halfwidth_fails_a_collapse_1e_5_late(monkeypatch, kind):
+    _swap_collapsing_profile(
+        monkeypatch, kind,
+        lambda sol: dataclasses.replace(sol, right_blowup_t=sol.right_blowup_t + 1e-5))
+    r = _only_row(kind, "halfwidth")
+    assert not r.passed and 1e-6 < r.defect < 1.1e-5
+
+
+@pytest.mark.parametrize("kind", ["minimal", "conformal"])
+def test_abscissa_fails_one_node_moved_by_1e_8(monkeypatch, kind):
+    def moved(sol):
+        t = sol.t.copy()
+        t[len(t) // 2 + 1] += 1e-8  # just right of t = 0, where nodes are far apart
+        return dataclasses.replace(sol, t=t)
+
+    _swap_collapsing_profile(monkeypatch, kind, moved)
+    r = _only_row(kind, "abscissa")
+    assert not r.passed and 0.9e-8 < r.defect < 1.1e-8
+
+
+def test_conformal_first_integral_pins_the_constant(monkeypatch):
+    """The conservation defect reads ``|C*e^4 - 1|`` at the initial node, so
+    a constant off by a relative 1e-6 fails the row without a separate gate."""
+    clean = verify.ConformalProfileParams.C
+    monkeypatch.setattr(verify.ConformalProfileParams, "C",
+                        property(lambda p: clean.fget(p) * (1.0 + 1e-6)))
+    r = _only_row("conformal", "first_integral")
+    assert not r.passed and 1e-6 < r.defect < 1e-5
 
 
 def test_group_laws_defect_is_pinned():

@@ -67,7 +67,10 @@ def test_tracer_sees_every_sweep(tmp_path):
     ``verify`` only.  ``residual_report`` and ``write_obj_mesh`` look it up
     in ``surface_factory`` at call time, so the sweeps of one ``residual``
     and one ``mesh`` run are two ``sample_grid`` spans; a module-level import
-    in either would hide its sweep from the trace."""
+    in either would hide its sweep from the trace.  verify's grid rows look
+    it up on ``verify`` when they run: ``plane.residuals`` sweeps six planes,
+    ``conformal.not_minimal`` one cylinder and ``falsify.profiles`` three
+    perturbed profiles, ten spans in all."""
     proc = _run_in_bench(
         "import tracer; from solsurf.cli import main; "
         "tr = tracer.Tracer(); tracer.install(tr); out = sys.argv[3]; "
@@ -75,12 +78,16 @@ def test_tracer_sees_every_sweep(tmp_path):
         "'--grid', '5x4', '--out', out + '/r']), "
         "main(['mesh', '--family', 'horosphere', '--grid', '5x4', '--out', out + '/m'])]; "
         "names = [r['name'] for r in tr.span_records()]; "
-        "print(codes, names.count('surface_factory.sample_grid'), "
-        "names.count('soliton_residuals.report'))",
+        "grids = names.count('surface_factory.sample_grid'); "
+        "codes += [main(['verify', '--only', name]) for name in "
+        "('plane.residuals', 'conformal.not_minimal', 'falsify.profiles')]; "
+        "verify_grids = [r['name'] for r in tr.span_records()].count("
+        "'surface_factory.sample_grid') - grids; "
+        "print(codes, grids, names.count('soliton_residuals.report'), verify_grids)",
         str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] 2 1", proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] 2 1 10", proc.stdout
 
 
 def test_tracer_sees_the_profile_layers(tmp_path):

@@ -322,8 +322,8 @@ def test_finite_difference_rejects_bad_step():
 
 def _fd_cases():
     hs = np.array([1e-2, 5e-3, 2.5e-3])
-    for fam, pts in _fd_surfaces():
-        s, t = np.array(pts).T
+    surfaces, s, t = _fd_surfaces()
+    for fam in surfaces:
         yield fam, s, t, hs
 
 
