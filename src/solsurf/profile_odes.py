@@ -19,11 +19,13 @@ way scipy's RK45 steps it but on Python floats, where scipy's per-step
 array overhead on a 2-component state costs several times the arithmetic
 (:func:`_dopri54`).  Only the right branch of a collapsing profile is
 stepped: the left one is its mirror, the same bits the stepper gives toward
-``-t`` (:func:`_collapse_solution`).  A stop ends a branch once ``g`` drops
-below ``EPS_G = 1e-6`` or ``|g'|`` exceeds ``M_STOP = 1e6`` (the reaper has
-the height stop alone); both are fixed numerical policy, not parameters of
-a profile.  The remaining sliver of abscissa is recovered by quadrature of
-``dt = -dg / sqrt(first integral)``: in ``phi``, with ``g = y0*sin(phi)``,
+``-t`` (:func:`_collapse_solution`).  A branch ends at its last node before
+a stop: the step that would take ``g`` down to ``EPS_G = 1e-6`` or ``|g'|``
+up to ``M_STOP = 1e6`` is discarded (the reaper has the height stop alone);
+both are fixed numerical policy, not parameters of a profile.  The rest of
+the abscissa, from that last node to the collapse, is recovered by
+quadrature of ``dt = -dg / sqrt(first integral)``, so it does not depend
+on where the branch ended: in ``phi``, with ``g = y0*sin(phi)``,
 the integrand is smooth from the collapse up to ``g = y0``, so a fixed
 40-node Gauss--Legendre rule (:func:`_gauss`) gives the blow-up abscissa
 quadrature accuracy (:func:`_blowup_tail`).  The solution holds it as
@@ -43,9 +45,8 @@ runs out ends like one whose step fell below its floor, and the solution's
 
 Between nodes a solution is read through a piecewise cubic Hermite
 interpolant (:class:`_Hermite`), built from the nodal values and the exact
-nodal slopes.  The interpolant, the stop-root finder (:func:`_brentq`) and
-the quadrature are small numpy and float routines, so importing this module
-costs numpy alone.
+nodal slopes.  The interpolant and the quadrature are small numpy and
+float routines, so importing this module costs numpy alone.
 
 Conservation monitor: the first-integral defect ``g'^2 - (rhs)`` is exact in
 the O(1) region but near blow-up ``g'^2 ~ 1e12`` exceeds what float64 can
@@ -82,8 +83,8 @@ __all__ = [
     "integrate_conformal_profile",
 ]
 
-EPS_G = 1e-6             # stop a branch once g drops below this
-M_STOP = 1e6             # ... or a collapsing one once |g'| exceeds this
+EPS_G = 1e-6             # end a branch before a step takes g down to this
+M_STOP = 1e6             # ... or a collapsing one's |g'| up to this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # Steps attempted per branch before it ends truncated, like a step that fell
 # below its floor.  The largest branch of the tests, the benchmark and verify
@@ -377,19 +378,6 @@ def _speed_stop(g, gp):
     return M_STOP * M_STOP - gp * gp
 
 
-# Shampine's quartic dense output for the Dormand & Prince (1980) 5(4) pair,
-# as in scipy's RK45: one row per stage that enters it (the second stage's row
-# is 0; the last stage is the derivative at the new state), one column per
-# power x, x^2, x^3, x^4 of the step fraction x.
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = math.sqrt(2.0)
 
@@ -416,62 +404,6 @@ def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
     return min(100.0 * h0, h1, span, max_step)
 
 
-def _brentq(f, xa, xb, xtol, rtol):
-    """Root of ``f`` in ``[xa, xb]`` by Brent's method, as scipy's C
-    ``brentq`` runs it, on Python floats: the same endpoint-zero and sign
-    rules, the same choice between inverse interpolation, extrapolation and
-    bisection, and at most 100 iterations.  Raises ``ValueError`` when the
-    endpoint values share a sign or ``f`` returns NaN, and ``RuntimeError``
-    when the iterations run out."""
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x!r} is NaN")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C's inf or NaN step, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError("brentq failed to converge after 100 iterations")
-
-
 # Nodes and weights of the 40-point Gauss--Legendre rule on [-1, 1].
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
 
@@ -493,24 +425,21 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     clipped to [0.2, 10], no growth right after a rejection, steps at most
     ``max_step`` and at least 10 ulp of ``t``.  A stage that raises
     ``ZeroDivisionError`` or ``OverflowError`` counts as an infinite error,
-    so its step is rejected and shrinks, as a non-finite stage's is.  Each
-    ``stop(a, b)`` ends the branch where it crosses zero downward within a
-    step: :func:`_brentq` locates the crossing on the quartic dense output and the
-    first one in the direction of integration is kept.
+    so its step is rejected and shrinks, as a non-finite stage's is.  An
+    accepted step whose new state has any ``stop(a, b) <= 0`` is discarded
+    and ends the branch at its last node: scipy's nodes for a terminal
+    event, without the event point it appends.
 
     A stepped node costs about 2.4 us of interpreter time (2-core x86), so
     the loop does only what the stages need: the error norm is written
     out, the clips are comparisons (each keeps ``min``/``max``'s choice,
-    NaN included), the math functions and the appends are bound once, and
-    a step whose stop values all stay above 0 builds no crossing list.  The
-    stage expressions are scipy's, operand for operand.
+    NaN included), and the math functions and the appends are bound once.
+    The stage expressions are scipy's, operand for operand.
 
     Returns the node abscissae and the two state components as lists from
     ``t = 0`` outward, and a status: 0 when ``t_bound`` was reached (at once
-    if it is 0), 1 when a stop ended the branch at its last node (an
-    accepted node when Brent returns the step's left end, the crossing then
-    lying within its ``xtol``), -1 when the step fell below its floor or
-    ``MAX_BRANCH_STEPS`` steps were attempted.
+    if it is 0), 1 when the next step reached a stop, -1 when the step fell
+    below its floor or ``MAX_BRANCH_STEPS`` steps were attempted.
     """
     t = 0.0
     ts, as_, bs = [t], [ya], [yb]
@@ -523,7 +452,6 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     t_append, a_append, b_append = ts.append, as_.append, bs.append
     fa, fb = rhs(t, ya, yb)
     h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step)
-    old = [stop(ya, yb) for stop in stops]
     tries = 0
     while True:
         min_step = 10.0 * abs(nextafter(t, toward) - t)
@@ -589,36 +517,10 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
             factor = 0.9 * err ** -0.2
             h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
-        new = [stop(na, nb) for stop in stops]
-        crossed = None
-        for value in new:
-            if value <= 0.0:  # a stop reached 0: which ones crossed it downward?
-                crossed = [s for s, g0, g1 in zip(stops, old, new) if g0 >= 0.0 and g1 <= 0.0]
-                break
-        if crossed:
-            ks = ((fa, fb), (k3a, k3b), (k4a, k4b), (k5a, k5b), (k6a, k6b), (k7a, k7b))
-            qa, qb = ([sum(k[i] * row[j] for k, row in zip(ks, _P)) for j in range(4)]
-                      for i in (0, 1))
-
-            def dense(s):
-                x = (s - t) / h
-                x2 = x * x
-                x3 = x2 * x
-                p = (x, x2, x3, x3 * x)
-                return (ya + h * sum(q * v for q, v in zip(qa, p)),
-                        yb + h * sum(q * v for q, v in zip(qb, p)))
-
-            roots = [_brentq(lambda s: stop(*dense(s)), t, t_new, 4 * _EPS, 4 * _EPS)
-                     for stop in crossed]
-            root = min(roots) if d > 0.0 else max(roots)
-            if root == t:  # the step is below Brent's xtol: the last node is the stop
+        for stop in stops:
+            if stop(na, nb) <= 0.0:  # the step reached a stop: end at its left node
                 return ts, as_, bs, 1
-            a, b = dense(root)
-            t_append(root)
-            a_append(a)
-            b_append(b)
-            return ts, as_, bs, 1
-        t, ya, yb, fa, fb, old = t_new, na, nb, k7a, k7b, new
+        t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
         t_append(t)
         a_append(ya)
         b_append(yb)
@@ -642,12 +544,14 @@ def _collapse_solution(params, slope: float) -> ProfileSolution:
     One branch is stepped, with steps of at most ``y0/20``, toward
     ``+horizon = 2*y0*sqrt(slope^2 + 1) + 1``; the left half is its mirror,
     ``t`` and ``g'`` negated and ``g`` kept.  The ODEs see ``g'`` only
-    through ``g'^2`` and :func:`_dopri54`, :func:`_first_step` and
-    :func:`_brentq` commute with negating ``t`` and ``g'`` under
-    round-to-nearest, so stepping toward ``-horizon`` gives these nodes bit
-    for bit.  The centre node is the stepped branch's, ``t = 0.0`` and
-    ``g' = 0.0`` (no ``-0.0``); the status, and so the truncation, is shared,
-    and so is the blow-up abscissa."""
+    through ``g'^2`` and :func:`_dopri54` and :func:`_first_step` commute
+    with negating ``t`` and ``g'`` under round-to-nearest, so stepping
+    toward ``-horizon`` gives these nodes bit for bit.  The centre node is
+    the stepped branch's, ``t = 0.0`` and ``g' = 0.0`` (no ``-0.0``); the
+    status, and so the truncation, is shared, and so is the blow-up
+    abscissa, ``t_last + tail(g_last)`` (:func:`_blowup_tail`).  A branch
+    whose first step already reaches a stop has only its ``t = 0`` node and
+    is refused."""
     if not params.y0 > EPS_G:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
@@ -655,6 +559,12 @@ def _collapse_solution(params, slope: float) -> ProfileSolution:
     horizon = 2.0 * params.y0 * math.sqrt(slope * slope + 1.0) + 1.0
     rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, horizon,
                                    [_height_stop, _speed_stop], *_COLLAPSE_TOL, params.y0 / 20.0)
+    if status == 1 and len(rt) == 1:
+        raise ParameterError(
+            f"at initial height y0 = {params.y0!r} the first step from t = 0 already "
+            f"reaches a stop (g <= EPS_G = {EPS_G!r} or |g'| >= M_STOP = {M_STOP!r}), "
+            "leaving no node past t = 0"
+        )
     t, g, gp = np.array(rt), np.array(rg), np.array(rgp)
     t = np.concatenate((-t[:0:-1], t))
     g = np.concatenate((g[:0:-1], g))

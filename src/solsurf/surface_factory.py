@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, DegenerateJetError, ParameterError, SamplingError
+from .errors import DomainError, ParameterError, SamplingError
 from .profile_odes import (
     ConformalProfileParams,
     GrimReaperParams,
@@ -342,11 +342,11 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
     ``value``, ``d1`` and ``d2`` slots), and per node the reason it failed
     or None.
 
-    ``fn`` is called once on the whole axis.  If it raises a domain or
-    degenerate-jet error, it is rerun node by node, so only the nodes that
-    raise fail, each with its own message.  A node fails, for the first of
-    these reasons, when ``fn`` raises at it (a factor curve's height that is
-    not positive raises) or when its jet is not finite.
+    ``fn`` is called once on the whole axis.  If it raises a domain error,
+    it is rerun node by node, so only the nodes that raise fail, each with
+    its own message.  A node fails, for the first of these reasons, when
+    ``fn`` raises at it (a factor curve's height that is not positive
+    raises) or when its jet is not finite.
     """
 
     def row(x):
@@ -358,11 +358,11 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
     reasons: List[Optional[str]] = [None] * len(nodes)
     try:
         rows[:] = row(nodes)
-    except (DomainError, DegenerateJetError):
+    except DomainError:
         for k, x in enumerate(nodes.tolist()):
             try:
                 rows[k] = row(x)
-            except (DomainError, DegenerateJetError) as exc:
+            except DomainError as exc:
                 reasons[k] = str(exc)
     for k in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
         if reasons[k] is None:

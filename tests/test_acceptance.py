@@ -376,3 +376,25 @@ def test_reaper_shape_fails_a_slope_above_lambda(monkeypatch):
     _swap_reaper_profile(monkeypatch, lambda sol: dataclasses.replace(sol, gp=sol.gp * 1.01))
     (r,) = run_checks("grim_reaper.shape").results
     assert not r.passed and r.detail == "failed: slope_within_0_lam"
+
+
+def test_fd_convergence_fails_vanished_errors(monkeypatch):
+    """A mean curvature that reads 0 for every jet makes every error 0, from
+    which no order can be measured: the row fails with NaN, not a pass."""
+    monkeypatch.setattr(verify, "mean_curvature", lambda jet: np.zeros(np.shape(jet.X)[:-1]))
+    (r,) = run_checks("fd.convergence").results
+    assert not r.passed and math.isnan(r.defect) and "not all positive" in r.detail
+
+
+def test_fd_convergence_fails_a_first_order_stencil(monkeypatch):
+    """An ``Xss`` off by ``h`` makes the stencil first order, so the orders
+    read ~1 and the row fails (defect ~1)."""
+    clean = verify.finite_difference_jet
+
+    def first_order(evaluator, s, t, h):
+        jet = clean(evaluator, s, t, h)
+        return dataclasses.replace(jet, Xss=jet.Xss + np.asarray(h)[..., None])
+
+    monkeypatch.setattr(verify, "finite_difference_jet", first_order)
+    (r,) = run_checks("fd.convergence").results
+    assert not r.passed and 0.9 < r.defect < 1.1

@@ -81,7 +81,8 @@ def test_profile_minimal_run(tmp_path):
     lines = (tmp_path / "p.csv").read_text().splitlines()
     assert lines[0] == "t,g,gp,first_integral_defect"
     t, g, gp, defect = (float(x) for x in lines[-1].split(","))
-    assert g <= 1.001e-3 and abs(gp) >= 1e3
+    # the branch ends at its last node before |g'| reaches M_STOP = 1e6
+    assert 1e-3 < g and 1e5 <= abs(gp) < 1e6
     assert abs(defect) <= 1e-8
     events = dict(
         line.split("=", 1) for line in (tmp_path / "p.events.txt").read_text().splitlines()
@@ -215,6 +216,9 @@ REFUSALS = {
     "profile --ode grim-reaper --eps-g nan": "unrecognized arguments: --eps-g nan",
     "profile --ode minimal --y0 1e-6":
         "initial height y0 = 1e-06 must lie above the height stop EPS_G = 1e-06",
+    "profile --ode minimal --y0 1.0000000000000002e-6":
+        "at initial height y0 = 1.0000000000000002e-06 the first step from t = 0 already "
+        "reaches a stop (g <= EPS_G = 1e-06 or |g'| >= M_STOP = 1000000.0)",
     "profile --ode minimal --y0 2e-6 --c 1e150": "first-integral constant m = 1.5e-323 is "
                                                  "not a finite, normal, positive float",
     "profile --ode grim-reaper --span=0:inf": "span must be finite, got (0.0, inf)",
@@ -266,6 +270,8 @@ REFUSALS = {
         # y0 at or below the height stop EPS_G = 1e-6 (1e-80 already has a subnormal m)
         ["profile", "--ode", "minimal", "--y0", "1e-80"],
         ["profile", "--ode", "minimal", "--y0", "1e-6"],
+        # the float above EPS_G: the first step reaches a stop, leaving no node past t = 0
+        ["profile", "--ode", "minimal", "--y0", "1.0000000000000002e-6"],
         # y0 above the height stop, but m = 1.5e-323 is subnormal
         ["profile", "--ode", "minimal", "--y0", "2e-6", "--c", "1e150"],
         # the grim-reaper surface takes no profile shift

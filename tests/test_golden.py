@@ -61,16 +61,16 @@ RESIDUAL_SHA256 = {
         "f97b506e2291d6113ff06b6a29bc590d8fc84dd026f2b7e61d401cb8e744bd7b",
     ),
     ("minimal-cylinder", "minimal"): (
-        "a8d74248a2166e7b7b05f0a309c44525981ae7f515bed2408c381ae76f267fdc",
-        "d8b239140a4897d02ea67ee1867dca5a9f6f76ea465d34508449c893d2b1141f",
+        "1b049a7db734e4a3994c6944e20bd0f815c70db48aadbcae628c2ead576e83bd",
+        "22282c5c7b7021c667262d21e30ee28edfbc88caafbc7d88cc26b172e8f0a40a",
     ),
     ("minimal-cylinder", "translator"): (
-        "3219fc72d65e4c8857ea3a96821a98e5c8778654646c367a113120f833d17519",
-        "ae3cf2f7fd0f4c5e0c4f2b1dfdd90247f33890147b5c641c6d1cd449fc39a79f",
+        "cdf7b67d8ddfc689af1e05a38096f6d17335b30c7595b4c34110ef51dc2da2aa",
+        "985dbfe3c514151ebce3e8cf196bc4892b4e1f04b1a569c217d40021e3bebae5",
     ),
     ("minimal-cylinder", "conformal"): (
-        "b4c8120f145db180a1f916e71d705be4c86ff67b2183acd42d0c43fd73c56c95",
-        "1695ce38bed334139151ddabaf2d5ec112d174a0469fbd0c41d5e32b463b0295",
+        "5225ef4ae4977944f4f206d19555ad3b30c903aa0837729399165b318369bcf2",
+        "070ee744fab17e3b36c1e0a3db514ff57916fa4cfebf676daee1c288e79af6f5",
     ),
     ("grim-reaper", "minimal"): (
         "deff79995f94da0da0fd6ca7ef2ab3f78b158d52c85b83fe2994761372b60087",
@@ -85,23 +85,23 @@ RESIDUAL_SHA256 = {
         "85f633980896ec2c4e68912b3768859008504fff0994ab818af0dd45cfeca627",
     ),
     ("conformal-cylinder", "minimal"): (
-        "ea71b3efb3d5fc4bca198783f9f1e7f970dfc57b235437ab621870c3f07f9426",
-        "26f035a1b65893924666bd897ee7f859b2f7fde8ba08d67c6f38ac2e262e2658",
+        "617b22af43d2d164b722d407de4e64df932ee0c4ff3d0ee250d77c45b5d3dad9",
+        "a97d7dc3be19670de827f030bd9d2fafc0526e83f5e498495c1cbc3ae80a71e7",
     ),
     ("conformal-cylinder", "translator"): (
-        "04ec10c60f0a3e7071188444765436293028c5d9ce96e2445386188aebbbd814",
-        "77046191d66f2435f9f3450ab75055ac5b65e1a4c9ae7fb0b04ace4ee698418b",
+        "f13e8ce7bfd9e2ee54ee0ba5623cea40b49ccac5aaa280e71df0fd1d0903aa3b",
+        "f012c1f21b84455d7b0e031598659db7253c25e579053413321684ac67597095",
     ),
     ("conformal-cylinder", "conformal"): (
-        "1494f6e3add3fea375a3b0c66ed6776ebe8fa30a2c6461d57adbcb07ee9a7cdd",
-        "1e53e329f3a0a4b31a29577165ebf1a8d18da7960e7c519517e58194ced19d79",
+        "286471e4d5e99b9112bae2181d70024553a147014d2b4fbc03c3c541ff62fb4c",
+        "6e74d4d747d25f2820bc8656c641d85adaaa1d2974feb157e1daaddec5c346d9",
     ),
 }
 
 # family -> sha256 of <out>.obj
 MESH_SHA256 = {
     "horosphere": "e95858e0a68d58c5b2e399f0b5b7b1e98bec8b79c1ec8f93d873dce385457900",
-    "minimal-cylinder": "6a8e265903d890a7e54c5a489058be4d0b82bf6d8c5b7923f9ebc195cf447a3b",
+    "minimal-cylinder": "506f8ebb467551e913ce9a6a0d03b921c506350120f9a8e77d2985af6f370772",
     "grim-reaper": "8829ed797122e6fd419ea908ea41cf07335d7b21d44136d12e9d639dbeaae294",
 }
 
@@ -154,9 +154,9 @@ DEFAULTS_SHA256 = {
     ),
     "conformal-cylinder": (
         "conformal",
-        "d9cebfc8338a9e8301d2f03f22cae4cba448d0268c82f4346e9081e84bb46c11",
-        "8c54914e8940d695400392935e08b8a3d7e99cb177eccbb89598966f0386f8fc",
-        "211f494d3232e28b6f3951dd91db43695e42431ee5a1b4778d06191595968cdf",
+        "133be1acf2d5f813ac28574079e1c09dd7ebfb69930fb241b26461c00d3d1eaa",
+        "fe71359b59e87c8b9a37a0b0efba958ec5a89b59d1081dfffc078b0068667807",
+        "33a1e148cd11aa1f0d6eca7c580ad65286c1fbc44bc5425bfd86ea903722b10b",
     ),
 }
 
@@ -182,28 +182,28 @@ PROFILE_ARGS = {
 # (ode, with flags) -> (sha256 of <out>.csv, sha256 of <out>.events.txt)
 PROFILE_SHA256 = {
     ("minimal", True): (
-        "ce6906a4b18ec79dbd3bb99e7699894833804fc8c4eb8eaf21344ded43800bbf",
-        "4273e4066600e70973c342ba6936709ad7ec85cbffaf23bc3759fbc46638eb11",
+        "7c273b8c537a6622ca85ad045fc482f9fd127127d77404d96a6d5a935d2096b9",
+        "46c380fb31c412058d5c8d363a9d779d31060f27db7bdf7536270245e34352ac",
     ),
     ("grim-reaper", True): (
         "c9e040993d898464f8387e82f61ef290893a31748a4a0fdf69b17908a1c8a1a8",
         "26f0ec783b17743edca6f56acf9bc9f90f9af3db4bd81f7b4b1188c2145675a0",
     ),
     ("conformal", True): (
-        "7c2d6d6b6dd805cbbb0f4abd15e9a64bc5b291a41861490e7efa6cc0d56894ec",
-        "5477ed51e61f7f1465f4acd50f9bf2220fdad504712c7e06af65e0ec124d3e3d",
+        "3fe5f5a08d07a4e0e4edd10936cf596b84c76881ec7cd23a348f96af5d9efbc8",
+        "e4dc08bfbbb6a620655756d8e6c648f6294ef187602a971bb17db2814cf376ba",
     ),
     ("minimal", False): (
-        "37d6d116a975de5c9281edf17d7a200ed91d6168f38c0416c161f93eb91606f9",
-        "702daac31390caa84bc24f368f101f46108dd16e2df7d7818d90c1468741ca3a",
+        "2269b852199c6cc309402a8c4fe948e6249b239fa3f61f73c0cb0c462dddc6d0",
+        "10ed2bfa9543e56cf9629e6696f2e6e7efbc598f663f963b121c20d6880fdb44",
     ),
     ("grim-reaper", False): (
         "750c397e52d3d901b1c8c2acd58b50ca9d0b28ba7cc926c2bfd0d5aad420c88e",
         "ee20044d2aaf15bbcd51b3f56c9b8750177cf60b9e683d1f8874ba70eb45e9e6",
     ),
     ("conformal", False): (
-        "d7bb3de0f3548de942b6c5e29a8d57683d2ac7487e7b21247469ec20c5d0a1ca",
-        "e24b15bcdb0bc318e76ad348978f104d747590258338a0db103402ac11fa2b99",
+        "36876b5b4dac8d05084564f54928b35593bc8e3bf9374fb2fe50cc8a53c07894",
+        "5a4f8d82bdc9ac3da849818f413c73d821c46e65cecaaf0f5ef625db0384bbcb",
     ),
 }
 

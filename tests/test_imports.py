@@ -1,5 +1,5 @@
 """The runtime needs numpy alone: scipy is a test dependency, the oracle the
-in-house interpolant, root finder and quadrature are checked against.
+in-house stepper, interpolant and quadrature are checked against.
 Every name a module exports resolves."""
 import importlib
 import pkgutil
