@@ -123,16 +123,25 @@ def test_minimal_tail_from_the_top_is_the_closed_form():
         assert abs(_blowup_tail(MinimalProfileParams(c, y0), y0) - want) <= 1e-14 * want
 
 
-@pytest.mark.parametrize("eps_g", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("eps_g", [0.5, 0.9, 0.99, 0.999999])
 def test_height_stop_near_y0_keeps_the_halfwidth(eps_g, monkeypatch):
     """A height stop just below ``y0`` leaves a tail whose integrand in ``g``
     is singular at its upper end; the blow-up must still land on the
-    half-width (measured within 2e-11)."""
+    half-width (measured within 2e-11). At ``EPS_G = 0.999999`` the first
+    step already reaches the stop, so the branch is refused; the tail from
+    its only node, ``g = y0`` at ``t = 0``, is still the half-width."""
     monkeypatch.setattr(profile_odes, "EPS_G", eps_g)
-    for sol, r in ((integrate_minimal_profile(MinimalProfileParams(0.0, 1.0)),
-                    minimal_halfwidth_quadrature(0.0, 1.0)),
-                   (integrate_conformal_profile(ConformalProfileParams(0.0, 1.0)),
-                    conformal_halfwidth_quadrature(0.0, 1.0))):
+    stops = r"y0 = 1.0 .* EPS_G = 0.999999 or \|g'\| >= M_STOP = 1000000.0"
+    for integrate, p, r in ((integrate_minimal_profile, MinimalProfileParams(0.0, 1.0),
+                             minimal_halfwidth_quadrature(0.0, 1.0)),
+                            (integrate_conformal_profile, ConformalProfileParams(0.0, 1.0),
+                             conformal_halfwidth_quadrature(0.0, 1.0))):
+        if eps_g == 0.999999:
+            with pytest.raises(ParameterError, match=stops):
+                integrate(p)
+            assert abs(_blowup_tail(p, p.y0) - r) <= 1e-10
+            continue
+        sol = integrate(p)
         assert abs(sol.right_blowup_t - r) <= 1e-10
         assert abs(sol.left_blowup_t + r) <= 1e-10
 
@@ -866,11 +875,6 @@ def test_parameter_validation(monkeypatch):
     stops = r"y0 = {!r} .* EPS_G = {!r} or \|g'\| >= M_STOP = 1000000.0"
     with pytest.raises(ParameterError, match=stops.format(1.0000000000000002e-6, 1e-6)):
         integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0000000000000002e-6))
-    monkeypatch.setattr(profile_odes, "EPS_G", 0.999999)
-    for integrate, p in ((integrate_minimal_profile, MinimalProfileParams(0.0, 1.0)),
-                         (integrate_conformal_profile, ConformalProfileParams(0.0, 1.0))):
-        with pytest.raises(ParameterError, match=stops.format(1.0, 0.999999)):
-            integrate(p)
     monkeypatch.setattr(profile_odes, "EPS_G", 0.5)
     with pytest.raises(ParameterError, match=r"y0 = 0.5 .* EPS_G = 0.5"):
         integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=0.5))
