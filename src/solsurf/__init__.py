@@ -9,8 +9,6 @@ from .errors import (
 )
 from .lie_halfspace import (
     IDENTITY,
-    HalfSpacePoint,
-    SemidirectPoint,
     lie_inverse,
     lie_product,
     rotation_about_vertical,

@@ -12,22 +12,22 @@ product of the horizontal plane with a real line acting by the exponential
 dilation ``(x, y, w) -> (x, y, e^w)``, and rotation about the vertical axis
 through the identity is simultaneously a group automorphism and an isometry.
 
-Points broadcast like the other layers: a point whose coordinates are
-arrays holds one point per element, and every operation acts elementwise,
-so a batch of samples takes one call per operation.
+A point is a ``(..., 3)`` array of coordinate slots, as a jet slot is:
+``(3,)`` for one point, ``(n, 3)`` for ``n`` of them.  Every operation
+checks the points it receives and returns, acts elementwise with numpy's
+broadcasting, and returns a fresh read-only array.  :func:`_mul` states
+the product once; :func:`lie_product` is it between point checks, and
+:func:`solsurf.surface_jets.product_surface_jet` builds every jet with it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
 
 __all__ = [
-    "HalfSpacePoint",
-    "SemidirectPoint",
     "IDENTITY",
     "lie_product",
     "lie_inverse",
@@ -38,19 +38,22 @@ __all__ = [
 
 _INF = math.inf
 
+# The horizontal projection P(v) = (v1, v2, 0), as a factor.
+_HORIZONTAL = np.array([1.0, 1.0, 0.0])
 
-def _coordinates(point, names) -> None:
-    """Store the named fields of a frozen point: as they are when every one
-    is a scalar, otherwise as read-only float copies broadcast to one shape,
-    so a caller's array can change without moving the point."""
-    values = [getattr(point, name) for name in names]
-    if not any(np.ndim(v) for v in values):
-        return
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    for name, v in zip(names, values):
-        a = np.array(np.broadcast_to(v, shape), dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(point, name, a)
+
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The product ``p * q = p3*q + P(p)``, unchecked; it is linear in ``p``.
+
+    ``P(p)`` is added to ``p3*q`` in place one component at a time (on a
+    grid each add runs along ``t``), with the bits of the broadcast sum: the
+    height adds ``p3*0.0``, which turns an infinite ``p3`` into NaN.
+    """
+    out = p[..., 2:] * q
+    h = p * _HORIZONTAL
+    for k in range(3):
+        out[..., k] += h[..., k]
+    return out
 
 
 def _require(ok, message: str, **values) -> None:
@@ -64,44 +67,47 @@ def _require(ok, message: str, **values) -> None:
     raise ParameterError(f"{message}, got {got}" + (f" at index {at}" if at else ""))
 
 
-@dataclass(frozen=True, slots=True)
-class HalfSpacePoint:
-    """A point of the half-space model: finite ``x`` and ``y``, and
-    ``0 < z < inf``; or, when any coordinate is an array, one such point
-    per element (the coordinates are then read-only float arrays of one
-    shape).  Immutable; equality is exact for scalar points, while ``==``
-    on array points raises numpy's ``ValueError`` (compare the coordinate
-    arrays instead)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        _coordinates(self, ("x", "y", "z"))
-        x, y, z = self.x, self.y, self.z
-        # abs(v) < inf is false for NaN too.
-        _require((np.abs(x) < _INF) & (np.abs(y) < _INF), "coordinates must be finite", x=x, y=y)
-        _require((z > 0.0) & (z < _INF), "height must be positive and finite", z=z)
+def _slots(p) -> np.ndarray:
+    """``p`` as a float array of ``(..., 3)`` coordinate slots."""
+    a = np.asarray(p, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise ParameterError(f"a point must be a (..., 3) array, got shape {a.shape}")
+    return a
 
 
-@dataclass(frozen=True, slots=True)
-class SemidirectPoint:
-    """A point of the semidirect-product presentation ``(x, y, w)``, finite
-    in every slot; coordinates broadcast as in :class:`HalfSpacePoint`."""
-
-    x: float
-    y: float
-    w: float
-
-    def __post_init__(self) -> None:
-        _coordinates(self, ("x", "y", "w"))
-        x, y, w = self.x, self.y, self.w
-        _require((np.abs(x) < _INF) & (np.abs(y) < _INF) & (np.abs(w) < _INF),
-                 "semidirect coordinates must be finite", x=x, y=y, w=w)
+def _point(p) -> np.ndarray:
+    """``p`` checked as half-space points: finite ``x`` and ``y``, and
+    ``0 < z < inf``, at every element."""
+    a = _slots(p)
+    x, y, z = a[..., 0], a[..., 1], a[..., 2]
+    # abs(v) < inf is false for NaN too.
+    _require((np.abs(x) < _INF) & (np.abs(y) < _INF), "coordinates must be finite", x=x, y=y)
+    _require((z > 0.0) & (z < _INF), "height must be positive and finite", z=z)
+    return a
 
 
-IDENTITY = HalfSpacePoint(0.0, 0.0, 1.0)
+def _semidirect(p) -> np.ndarray:
+    """``p`` checked as points ``(x, y, w)`` of the semidirect presentation,
+    finite in every slot."""
+    a = _slots(p)
+    _require((np.abs(a) < _INF).all(axis=-1), "semidirect coordinates must be finite",
+             x=a[..., 0], y=a[..., 1], w=a[..., 2])
+    return a
+
+
+def _stack(*comps) -> np.ndarray:
+    """``(..., 3)`` slots from three components that broadcast together."""
+    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+
+
+def _result(check, a: np.ndarray) -> np.ndarray:
+    """A fresh array of points, checked by ``check`` and made read-only."""
+    a = check(a)
+    a.setflags(write=False)
+    return a
+
+
+IDENTITY = _result(_point, np.array([0.0, 0.0, 1.0]))
 
 
 def _exp(w):
@@ -115,22 +121,27 @@ def _exp(w):
     return e
 
 
-# Every operation is numpy arithmetic on the coordinates, so points whose
-# coordinates are arrays give the points of the elementwise operation, bit
-# for bit those of the scalar calls.
+# An operation's arithmetic runs under errstate: a result that overflows is
+# refused by the check on it, not reported by a numpy warning.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-def lie_product(p: HalfSpacePoint, q: HalfSpacePoint) -> HalfSpacePoint:
+@_quiet
+def lie_product(p, q) -> np.ndarray:
     """Group product ``p * q``; the height slot multiplies, so closure holds."""
-    return HalfSpacePoint(p.z * q.x + p.x, p.z * q.y + p.y, p.z * q.z)
+    return _result(_point, _mul(_point(p), _point(q)))
 
 
-def lie_inverse(p: HalfSpacePoint) -> HalfSpacePoint:
+@_quiet
+def lie_inverse(p) -> np.ndarray:
     """Group inverse ``(-x/z, -y/z, 1/z)``."""
-    return HalfSpacePoint(-p.x / p.z, -p.y / p.z, 1.0 / p.z)
+    p = _point(p)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return _result(_point, _stack(-x / z, -y / z, 1.0 / z))
 
 
-def semidirect_product(p: SemidirectPoint, q: SemidirectPoint) -> SemidirectPoint:
+@_quiet
+def semidirect_product(p, q) -> np.ndarray:
     """Product of the semidirect presentation:
     ``(x1 + e^{w1} x2, y1 + e^{w1} y2, w1 + w2)``.
 
@@ -139,11 +150,13 @@ def semidirect_product(p: SemidirectPoint, q: SemidirectPoint) -> SemidirectPoin
     OverflowError
         If ``e^{w1}`` overflows the float range.
     """
-    s = _exp(p.w)
-    return SemidirectPoint(p.x + s * q.x, p.y + s * q.y, p.w + q.w)
+    p, q = _semidirect(p), _semidirect(q)
+    s = _exp(p[..., 2])
+    return _result(_semidirect, _stack(p[..., 0] + s * q[..., 0], p[..., 1] + s * q[..., 1],
+                                       p[..., 2] + q[..., 2]))
 
 
-def semidirect_to_halfspace(p: SemidirectPoint) -> HalfSpacePoint:
+def semidirect_to_halfspace(p) -> np.ndarray:
     """The group isomorphism ``(x, y, w) -> (x, y, e^w)``.
 
     Raises
@@ -151,14 +164,18 @@ def semidirect_to_halfspace(p: SemidirectPoint) -> HalfSpacePoint:
     OverflowError
         If ``e^w`` overflows the float range.
     """
-    return HalfSpacePoint(p.x, p.y, _exp(p.w))
+    p = _semidirect(p)
+    return _result(_point, _stack(p[..., 0], p[..., 1], _exp(p[..., 2])))
 
 
-def rotation_about_vertical(theta: float, p: HalfSpacePoint) -> HalfSpacePoint:
+@_quiet
+def rotation_about_vertical(theta, p) -> np.ndarray:
     """Rotate ``p`` about the vertical axis through the identity.
 
     This map is both a group automorphism and an isometry of the rescaled
     metric: it is linear on the horizontal slots and fixes the height.
     """
+    p = _point(p)
+    x, y = p[..., 0], p[..., 1]
     c, s = np.cos(theta), np.sin(theta)
-    return HalfSpacePoint(c * p.x - s * p.y, s * p.x + c * p.y, p.z)
+    return _result(_point, _stack(c * x - s * y, s * x + c * y, p[..., 2]))

@@ -2,9 +2,8 @@
 
 Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, its two factor curves ``alpha(s)`` and ``beta(t)``,
-and bookkeeping (parameter dict and the profile solution where one is
-involved).  A second-kind family is ``X = (s, f(s), t)``: a shift of it
-in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
+and its parameter dict.  A second-kind family is ``X = (s, f(s), t)``: a
+shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis (node by node
 only after that call raises a domain error) and build one jet for the
 whole grid.
@@ -108,7 +107,9 @@ class SurfaceFamily:
     t + f(s), g(t))``; a second-kind one has ``beta(t) = (0, 0, t)``, so
     ``X = (s, f(s), t)``.  ``jet(s, t)`` returns the full
     :class:`SurfaceJet2` at a point; ``position`` is the bare embedding,
-    convenient for finite-difference cross-checks.
+    convenient for finite-difference cross-checks.  A profile lives only in
+    ``beta``, so the family :func:`perturb_profile` returns holds no
+    profile but its own.
 
     Construction, :func:`dataclasses.replace` included, stores both ranges
     as float pairs and refuses one that is not a finite increasing pair
@@ -121,7 +122,6 @@ class SurfaceFamily:
     t_range: Tuple[float, float]
     alpha: Callable[[float], CurveJet2] = field(repr=False)
     beta: Callable[[float], CurveJet2] = field(repr=False)
-    profile: Optional[ProfileSolution] = None
 
     def __post_init__(self) -> None:
         self.s_range = _check_range("s_range", self.s_range)
@@ -214,7 +214,7 @@ def _profile_family(
     if sol.right_blowup_t is not None:
         pad = MARGIN * (hi - lo)
         lo, hi = lo + pad, hi - pad
-    return SurfaceFamily(name, params, s_range, (lo, hi), _horospherical(f), _graph(g), sol)
+    return SurfaceFamily(name, params, s_range, (lo, hi), _horospherical(f), _graph(g))
 
 
 def make_minimal_cylinder(

@@ -1,7 +1,8 @@
 """Second-order jets of translation surfaces and their curvature data.
 
 A translation surface is swept as the group product ``X(s, t) = alpha(s) * beta(t)``
-of two curves in the upper half-space.  Everything downstream (fundamental
+of two curves in the upper half-space, by the law of :mod:`solsurf.lie_halfspace`,
+whose points are jet slots.  Everything downstream (fundamental
 forms, mean curvature, soliton residuals) consumes the second-order jet of
 ``X`` at a point: the position together with ``Xs, Xt, Xss, Xst, Xtt``.
 
@@ -37,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateJetError, DomainError, ParameterError
+from .lie_halfspace import _mul, _stack
 
 __all__ = [
     "ScalarJet2",
@@ -103,11 +105,6 @@ def _freeze(obj, names) -> None:
         a = np.array(getattr(obj, name), dtype=float)
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
-
-
-def _stack(*comps) -> np.ndarray:
-    """``(..., 3)`` slot from three components that broadcast together."""
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,10 +208,6 @@ def second_kind_jet(fj: ScalarJet2, s, t) -> SurfaceJet2:
     )
 
 
-# The horizontal projection P(v) = (v1, v2, 0), as a factor.
-_HORIZONTAL = np.array([1.0, 1.0, 0.0])
-
-
 def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
     """Jet of the swept surface ``X(s, t) = alpha(s) * beta(t)``.
 
@@ -225,42 +218,26 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
         Xt  = a3*beta'                  Xss = a3''*beta + P(alpha'')
         Xst = a3'*beta'                 Xtt = a3*beta''
 
-    The curve slots broadcast against each other, so ``(n, 3)`` curve jets
-    give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the grid.  Both
-    curve heights must be positive.  ``X``, ``Xs`` and ``Xss`` are formed as
-    ``a3*beta`` with ``P(alpha)`` then added in place one component at a
-    time (:func:`_lifted`), with the bits of the broadcast sum.  The slots
-    are fresh arrays that only the jet holds, so it stores them without a
-    copy.
+    The group law ``p * q = p3*q + P(p)`` is linear in ``p``, so ``X``,
+    ``Xs`` and ``Xss`` are that law, :func:`solsurf.lie_halfspace._mul`,
+    with ``alpha``, ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as
+    ``q``.  The curve slots broadcast against each other, so ``(n, 3)``
+    curve jets give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the
+    grid.  Both curve heights must be positive.  The slots are fresh arrays
+    that only the jet holds, so it stores them without a copy.
     """
-    a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
+    a3, a3_1 = aj.value[..., 2:], aj.d1[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
     _require_positive(bj.value[..., 2], "beta height must be positive, got {!r}")
     slots = dict(
-        X=_lifted(a3, bj.value, aj.value),
-        Xs=_lifted(a3_1, bj.value, aj.d1),
+        X=_mul(aj.value, bj.value),
+        Xs=_mul(aj.d1, bj.value),
         Xt=a3 * bj.d1,
-        Xss=_lifted(a3_2, bj.value, aj.d2),
+        Xss=_mul(aj.d2, bj.value),
         Xst=a3_1 * bj.d1,
         Xtt=a3 * bj.d2,
     )
     return SurfaceJet2._adopt(slots)
-
-
-def _lifted(height, b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``height*b + P(a)``, with the bits of that broadcast sum.
-
-    The product is one array of the jet's shape; ``P(a)``, the size of
-    ``alpha``, is added to it in place one component at a time, so on a
-    grid each add runs along ``t`` instead of over the three components of
-    one node.  The height component adds ``a3*0.0`` as the sum does, which
-    turns an infinite ``a3`` into NaN.
-    """
-    out = height * b
-    h = a * _HORIZONTAL
-    for k in range(3):
-        out[..., k] += h[..., k]
-    return out
 
 
 def unit_normal(j: SurfaceJet2) -> np.ndarray:

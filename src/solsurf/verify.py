@@ -30,9 +30,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .lie_halfspace import (
-    HalfSpacePoint,
     IDENTITY,
-    SemidirectPoint,
     lie_inverse,
     lie_product,
     rotation_about_vertical,
@@ -41,10 +39,12 @@ from .lie_halfspace import (
 )
 from .profile_odes import (
     ConformalProfileParams,
+    GrimReaperParams,
     MinimalProfileParams,
     _blowup_tail,
     conformal_halfwidth_quadrature,
     integrate_conformal_profile,
+    integrate_grim_reaper,
     integrate_minimal_profile,
     minimal_halfwidth_quadrature,
 )
@@ -134,17 +134,11 @@ class VerifySummary:
 # criterion 1: group laws
 
 
-def _random_points(rng: np.random.Generator, n: int) -> HalfSpacePoint:
-    """``n`` random points, as one point of ``(n,)`` coordinates."""
+def _random_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` random points, as an ``(n, 3)`` array."""
     xs = rng.uniform(-3.0, 3.0, size=(n, 2))
     zs = np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=n))
-    return HalfSpacePoint(xs[:, 0], xs[:, 1], zs)
-
-
-def _stacked(points) -> np.ndarray:
-    """The ``x``, ``y`` and ``z`` rows of every point, a scalar point's
-    broadcast to the length of the others."""
-    return np.stack(np.broadcast_arrays(*(c for pt in points for c in (pt.x, pt.y, pt.z))))
+    return np.column_stack((xs, zs))
 
 
 def _check_group_laws() -> Measurement:
@@ -154,8 +148,7 @@ def _check_group_laws() -> Measurement:
     q = _random_points(rng, n)
     r = _random_points(rng, n)
     th = rng.uniform(-math.pi, math.pi, size=n)
-    u = SemidirectPoint(p.x, p.y, np.log(p.z))
-    v = SemidirectPoint(q.x, q.y, np.log(q.z))
+    u, v = (np.column_stack((a[:, :2], np.log(a[:, 2]))) for a in (p, q))
     laws = (  # (lhs, rhs) of each law, on all n samples at once
         (lie_product(lie_product(p, q), r), lie_product(p, lie_product(q, r))),
         (lie_product(p, IDENTITY), p),
@@ -168,9 +161,9 @@ def _check_group_laws() -> Measurement:
          lie_product(rotation_about_vertical(th, p), rotation_about_vertical(th, q))),
     )
     # _rel_defect is componentwise, so judging the whole stack once gives the
-    # largest defect of any pair, bit for bit, NaN included.
-    lhs = _stacked(a for a, _ in laws)
-    rhs = _stacked(b for _, b in laws)
+    # largest defect of any pair, bit for bit, NaN included; IDENTITY is
+    # broadcast to the samples.
+    lhs, rhs = (np.stack(np.broadcast_arrays(*side)) for side in zip(*laws))
     return _rel_defect(lhs, rhs), f"{n} samples, {len(laws)} laws each"
 
 
@@ -306,7 +299,7 @@ def _abscissa(kind: str) -> Measurement:
 
 
 def _check_reaper_constant() -> Measurement:
-    sol = make_grim_reaper(0.0, span=(-50.0, 50.0)).profile
+    sol = integrate_grim_reaper(GrimReaperParams(lam=0.0), (-50.0, 50.0))
     if sol.truncated:
         return math.nan, "the integration was truncated"
     defect = max(np.max(np.abs(sol.g - 1.0)), np.max(np.abs(sol.gp)))
@@ -318,7 +311,7 @@ def _check_reaper_shape() -> Measurement:
     bound of the log-slope form: ``g' = lam*e^w`` and ``w' = -(k + g'^2)*2*v/g^2``
     has the sign of ``-v``, so ``w <= w(0) = 0`` and ``0 <= g' <= lam`` at
     every node.  Node differences may wobble by 1e-13 relative."""
-    sol = make_grim_reaper(0.5, span=(-50.0, 50.0)).profile
+    sol = integrate_grim_reaper(GrimReaperParams(lam=0.5), (-50.0, 50.0))
     t, g, gp = sol.t, sol.g, sol.gp
     gpp = sol.gpp_nodes()
     neg, pos = t < 0.0, t > 0.0

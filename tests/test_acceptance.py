@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from solsurf import soliton_residuals, verify
-from solsurf.lie_halfspace import HalfSpacePoint
 from solsurf.verify import run_checks
 
 
@@ -267,22 +266,17 @@ def test_group_laws_defect_is_pinned():
 
 def test_group_laws_fail_a_product_off_by_1e_9(monkeypatch):
     """A product whose ``x`` slot is off by a relative 1e-9 fails the row."""
+    clean = verify.lie_product
+
     def skewed(p, q):
-        return HalfSpacePoint((p.z * q.x + p.x) * (1.0 + 1e-9), p.z * q.y + p.y, p.z * q.z)
+        out = clean(p, q).copy()
+        out[..., 0] *= 1.0 + 1e-9
+        return out
 
     monkeypatch.setattr(verify, "lie_product", skewed)
     (r,) = run_checks("lie.").results
     assert r.name == "lie.group_laws" and not r.passed
     assert 1e-12 < r.defect < 1e-6
-
-
-def _unchecked_point(x, y, z):
-    """A `HalfSpacePoint` built past its constructor's check, as a faulty
-    product might hand one on."""
-    p = object.__new__(HalfSpacePoint)
-    for name, value in zip("xyz", (x, y, z)):
-        object.__setattr__(p, name, value)
-    return p
 
 
 def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
@@ -296,14 +290,13 @@ def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
         out = clean(p, q)
         if q is verify.IDENTITY:
             seen.append(p)
-            x = out.x.copy()
-            x[499] = math.nan
-            return _unchecked_point(x, out.y, out.z)
+            out = out.copy()
+            out[499, 0] = math.nan
         return out
 
     monkeypatch.setattr(verify, "lie_product", one_nan)
     (r,) = run_checks("lie.").results
-    assert len(seen) == 1 and seen[0].x.shape == (1000,)
+    assert len(seen) == 1 and seen[0].shape == (1000, 3)
     assert math.isnan(r.defect) and not r.passed
 
 
@@ -324,14 +317,11 @@ def test_symmetry_fails_a_left_half_with_the_wrong_slope_sign(monkeypatch):
 
 
 def _swap_reaper_profile(monkeypatch, swap):
-    """Make every reaper family verify builds carry ``swap(profile)``."""
-    clean = verify.make_grim_reaper
-
-    def swapped(*args, **kwargs):
-        fam = clean(*args, **kwargs)
-        return dataclasses.replace(fam, profile=swap(fam.profile))
-
-    monkeypatch.setattr(verify, "make_grim_reaper", swapped)
+    """Make every reaper profile verify integrates come out as
+    ``swap(profile)``."""
+    clean = verify.integrate_grim_reaper
+    monkeypatch.setattr(verify, "integrate_grim_reaper",
+                        lambda *args, **kwargs: swap(clean(*args, **kwargs)))
 
 
 def test_reaper_constant_fails_one_node_off_by_1e_11(monkeypatch):

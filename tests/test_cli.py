@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 from solsurf import (
+    ConformalProfileParams,
     DomainError,
     GridSpec,
+    MinimalProfileParams,
     SolitonMode,
-    make_conformal_cylinder,
+    integrate_conformal_profile,
+    integrate_minimal_profile,
     make_generic_first_kind,
-    make_minimal_cylinder,
     residual_report,
 )
 from solsurf import commands
@@ -327,8 +329,8 @@ def test_margin_clips_a_collapsing_family(tmp_path, family):
                  "--out", out]) == 0
     summary = (tmp_path / "r.summary.txt").read_text().splitlines()
     assert not [line for line in summary if line.startswith("margin=")]
-    t = (make_minimal_cylinder() if family == "minimal-cylinder"
-         else make_conformal_cylinder()).profile.t
+    t = (integrate_minimal_profile(MinimalProfileParams()) if family == "minimal-cylinder"
+         else integrate_conformal_profile(ConformalProfileParams())).t
     lo, hi = float(t[0]), float(t[-1])
     pad = MARGIN * (hi - lo)
     assert f"t_range={fmt(lo + pad)}:{fmt(hi - pad)}" in summary

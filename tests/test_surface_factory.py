@@ -8,11 +8,13 @@ import pytest
 from solsurf import (
     DomainError,
     GridSpec,
+    GrimReaperParams,
     ParameterError,
     ProfileSolution,
     SolitonMode,
     SurfaceFamily,
     grid_axes,
+    integrate_grim_reaper,
     make_conformal_cylinder,
     make_generic_first_kind,
     make_generic_second_kind,
@@ -89,21 +91,22 @@ def test_family_tags_and_params(minimal_cyl):
     assert minimal_cyl.params == {"c": 0.0, "y0": 1.0, "d": 0.0}
 
 
-def test_cylinder_t_range_covers_blowup_interval(minimal_cyl):
+def test_cylinder_t_range_covers_blowup_interval(minimal_cyl, minimal_sol):
     """The profile's nodes end within 1e-3 of the collapse, and the t range
     lies inside them."""
     lo, hi = minimal_cyl.t_range
-    t, r = minimal_cyl.profile.t, minimal_cyl.profile.right_blowup_t
+    t, r = minimal_sol.t, minimal_sol.right_blowup_t
     assert t[0] < lo < 0.0 < hi < t[-1] <= r <= t[-1] + 1e-3
 
 
-def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl, reaper):
+def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl, minimal_sol, reaper):
     """Only a collapsing profile's node span loses MARGIN of it per side;
     every family's grid samples its ranges, ends included."""
-    t = minimal_cyl.profile.t
+    t = minimal_sol.t
     pad = MARGIN * (float(t[-1]) - float(t[0]))
     assert minimal_cyl.t_range == (float(t[0]) + pad, float(t[-1]) - pad)
-    assert reaper.t_range == (float(reaper.profile.t[0]), float(reaper.profile.t[-1]))
+    t = integrate_grim_reaper(GrimReaperParams(lam=0.5), span=(-5.0, 5.0)).t
+    assert reaper.t_range == (float(t[0]), float(t[-1]))
     for fam in (minimal_cyl, reaper, make_horosphere(1.0)):
         s_axis, t_axis = grid_axes(fam, GridSpec(5, 5))
         assert (s_axis[0], s_axis[-1]) == fam.s_range and (t_axis[0], t_axis[-1]) == fam.t_range
@@ -231,11 +234,11 @@ def test_user_jet_errors_fail_their_own_nodes():
         assert np.array_equal(j.X[1, 1], want)
 
 
-def test_profile_range_errors_fail_their_own_nodes(minimal_cyl):
+def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol):
     """A t range that runs 0.5 past the profile fails just the t nodes
     outside it, each with the profile's range message in plain floats; the
     nodes kept carry the jets of ``fam.jet`` bit for bit."""
-    lo, hi = float(minimal_cyl.profile.t[0]), float(minimal_cyl.profile.t[-1])
+    lo, hi = float(minimal_sol.t[0]), float(minimal_sol.t[-1])
     fam = replace(minimal_cyl, t_range=(lo, hi + 0.5))
     grid = GridSpec(3, 6)
     s_axis, t_axis = grid_axes(fam, grid)
