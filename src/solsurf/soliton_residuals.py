@@ -144,7 +144,7 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
 
     mode = SolitonMode(mode)
     (s, t, j), failures = sample_grid(fam, grid)
-    with np.errstate(over="ignore", invalid="ignore"):  # such nodes fail below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # such nodes fail below
         r = residual(mode, j)
     arr = np.empty(r.shape + (3,))
     arr[..., 0], arr[..., 1], arr[..., 2] = s[:, None], t, r

@@ -4,9 +4,9 @@ Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, its two factor curves ``alpha(s)`` and ``beta(t)``,
 and its parameter dict.  A second-kind family is ``X = (s, f(s), t)``: a
 shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
-evaluate each factor curve in one call on its whole axis (node by node
-only after that call raises a domain error) and build one jet for the
-whole grid.
+evaluate each factor curve in one call on its whole axis, as one
+``(3, n, 3)`` curve jet (node by node only after that call raises a domain
+error), and build one jet for the whole grid.
 
 A family whose profile collapses takes the profile's node span in ``t``
 less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
@@ -33,9 +33,10 @@ from .profile_odes import (
     integrate_minimal_profile,
 )
 from .surface_jets import (
-    CurveJet2,
     ScalarJet2,
     SurfaceJet2,
+    _horospherical as _horospherical_curve,
+    _vertical,
     product_surface_jet,
 )
 
@@ -100,13 +101,14 @@ class SurfaceFamily:
     """A translation surface ``X(s, t) = alpha(s) * beta(t)``, the group
     product of its two factor curves.
 
-    ``alpha(s)`` and ``beta(t)`` return the :class:`CurveJet2` of each factor
-    at one abscissa, or at every node of a grid axis (a 1-D array).  Every
-    family has a horospherical ``alpha(s) = (s, f(s), 1)``.  A first-kind
-    family has ``beta(t) = (0, t, g(t))`` with a profile ``g``, so ``X = (s,
-    t + f(s), g(t))``; a second-kind one has ``beta(t) = (0, 0, t)``, so
-    ``X = (s, f(s), t)``.  ``jet(s, t)`` returns the full
-    :class:`SurfaceJet2` at a point; ``position`` is the bare embedding,
+    ``alpha(s)`` and ``beta(t)`` return the curve jet of each factor, a
+    ``(3, ..., 3)`` array of its value, d1 and d2 slots: ``(3, 3)`` at one
+    abscissa, ``(3, n, 3)`` on the ``n`` nodes of a grid axis (a 1-D
+    array).  Every family has a horospherical ``alpha(s) = (s, f(s), 1)``.
+    A first-kind family has ``beta(t) = (0, t, g(t))`` with a profile ``g``,
+    so ``X = (s, t + f(s), g(t))``; a second-kind one has
+    ``beta(t) = (0, 0, t)``, so ``X = (s, f(s), t)``.  ``jet(s, t)``
+    returns the full :class:`SurfaceJet2` at a point; ``position`` is the bare embedding,
     convenient for finite-difference cross-checks.  A profile lives only in
     ``beta``, so the family :func:`perturb_profile` returns holds no
     profile but its own.
@@ -120,8 +122,8 @@ class SurfaceFamily:
     params: dict
     s_range: Tuple[float, float]
     t_range: Tuple[float, float]
-    alpha: Callable[[float], CurveJet2] = field(repr=False)
-    beta: Callable[[float], CurveJet2] = field(repr=False)
+    alpha: Callable[[float], np.ndarray] = field(repr=False)
+    beta: Callable[[float], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
         self.s_range = _check_range("s_range", self.s_range)
@@ -134,19 +136,19 @@ class SurfaceFamily:
         return self.jet(s, t).X
 
 
-def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
+def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], np.ndarray]:
     """``alpha(s) = (s, f(s), 1)`` from the jet function of ``f``."""
-    return lambda s: CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), f(s))
+    return lambda s: _horospherical_curve(ScalarJet2(s, 1.0, 0.0), f(s))
 
 
-def _graph(g: Callable[[float], ScalarJet2]) -> Callable[[float], CurveJet2]:
+def _graph(g: Callable[[float], ScalarJet2]) -> Callable[[float], np.ndarray]:
     """``beta(t) = (0, t, g(t))`` from the jet function of the height ``g``."""
-    return lambda t: CurveJet2.vertical(ScalarJet2(t, 1.0, 0.0), g(t))
+    return lambda t: _vertical(ScalarJet2(t, 1.0, 0.0), g(t))
 
 
-def _rising(t) -> CurveJet2:
+def _rising(t) -> np.ndarray:
     """``beta(t) = (0, 0, t)``, the vertical line of a second-kind family."""
-    return CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0))
+    return _vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0))
 
 
 def _second_kind_family(
@@ -323,11 +325,11 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
         raise ParameterError(f"amplitude must be finite, got {amplitude!r}")
     beta = fam.beta
 
-    def bumped(t) -> CurveJet2:
+    def bumped(t) -> np.ndarray:
         c = beta(t)
-        y, z = (ScalarJet2(c.value[..., k], c.d1[..., k], c.d2[..., k]) for k in (1, 2))
+        y, z = (ScalarJet2(*c[..., k]) for k in (1, 2))
         cos, sin = amplitude * np.cos(t), amplitude * np.sin(t)
-        return CurveJet2.vertical(y, ScalarJet2(z.value + cos, z.d1 - sin, z.d2 - cos))
+        return _vertical(y, ScalarJet2(z.value + cos, z.d1 - sin, z.d2 - cos))
 
     return replace(fam, params=dict(fam.params, perturb_amplitude=amplitude), beta=bumped)
 
@@ -338,9 +340,8 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
 
 
 def _axis_jet(fn, nodes: np.ndarray, label: str):
-    """Curve jets of ``fn`` on one grid axis, as rows of nine numbers (the
-    ``value``, ``d1`` and ``d2`` slots), and per node the reason it failed
-    or None.
+    """Curve jets of ``fn`` on one grid axis, as one ``(3, n, 3)`` array
+    (NaN at a node that raises), and per node the reason it failed or None.
 
     ``fn`` is called once on the whole axis.  If it raises a domain error,
     it is rerun node by node, so only the nodes that raise fail, each with
@@ -348,32 +349,22 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
     ``fn`` raises at it (a factor curve's height that is not positive
     raises) or when its jet is not finite.
     """
-
-    def row(x):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite jet fails below
-            c = fn(x)
-        return np.concatenate(np.broadcast_arrays(c.value, c.d1, c.d2), axis=-1)
-
-    rows = np.full((len(nodes), 9), np.nan)
+    rows = np.full((3, len(nodes), 3), np.nan)
     reasons: List[Optional[str]] = [None] * len(nodes)
-    try:
-        rows[:] = row(nodes)
-    except DomainError:
-        for k, x in enumerate(nodes.tolist()):
-            try:
-                rows[k] = row(x)
-            except DomainError as exc:
-                reasons[k] = str(exc)
-    for k in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite jet fails below
+        try:
+            rows[:] = fn(nodes)
+        except DomainError:
+            for k, x in enumerate(nodes.tolist()):
+                try:
+                    rows[:, k] = fn(x)
+                except DomainError as exc:
+                    reasons[k] = str(exc)
+    for k in np.flatnonzero(~np.isfinite(rows).all(axis=(0, 2))).tolist():
         if reasons[k] is None:
-            jet = tuple(rows[k].tolist())
+            jet = tuple(rows[:, k].ravel().tolist())
             reasons[k] = f"axis jet at {label}={float(nodes[k])!r} is not finite: {jet}"
     return rows, reasons
-
-
-def _curve(rows: np.ndarray) -> CurveJet2:
-    """The curve jet whose ``value``, ``d1`` and ``d2`` slots are ``rows``."""
-    return CurveJet2(rows[..., 0:3], rows[..., 3:6], rows[..., 6:9])
 
 
 def sample_grid(
@@ -407,9 +398,12 @@ def sample_grid(
             f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures), "
             f"first (s, t, reason): {failures[0]}"
         )
-    alpha = _curve(a_rows[~s_bad, None, :])  # (ns, 1, 3) slots: broadcasts against beta
+    # compress keeps each curve jet C-contiguous; alpha's (ns, 1, 3) slots
+    # broadcast against beta's (nt, 3)
+    alpha = np.compress(~s_bad, a_rows, axis=1)[:, :, None]
+    beta = np.compress(~t_bad, b_rows, axis=1)
     # |Xs x Xt| may overflow to inf, which passes the immersion check; a node
     # whose residual is then not finite fails in residual_report
     with np.errstate(over="ignore"):
-        jet = product_surface_jet(alpha, _curve(b_rows[~t_bad]))
+        jet = product_surface_jet(alpha, beta)
     return (s_axis[~s_bad], t_axis[~t_bad], jet), failures

@@ -6,11 +6,13 @@ whose points are jet slots.  Everything downstream (fundamental
 forms, mean curvature, soliton residuals) consumes the second-order jet of
 ``X`` at a point: the position together with ``Xs, Xt, Xss, Xst, Xtt``.
 
-Jet slots are ``(..., 3)`` arrays.  A single point has ``(3,)`` slots;
-curve jets broadcast like numpy arrays, so ``(n, 3)`` curve jets give ``n``
-surface points and an ``(ns, 1, 3)`` alpha with an ``(nt, 3)`` beta gives
-the jet on the whole ``(ns, nt)`` grid.  Every function that reads a jet
-works component-wise, so a grid and a single point go through the same
+Jet slots are ``(..., 3)`` arrays.  A single point has ``(3,)`` slots.  A
+curve jet is one ``(3, ..., 3)`` array of its value, d1 and d2 slots, order
+first, so ``a, a1, a2 = alpha`` are whole slots.  Curve jets broadcast like
+numpy arrays: ``(3, n, 3)`` curve jets give ``n`` surface points, and a
+``(3, ns, 1, 3)`` alpha with a ``(3, nt, 3)`` beta gives the jet on the
+whole ``(ns, nt)`` grid.  Every function that reads a jet works
+component-wise, so a grid and a single point go through the same
 expressions.
 
 :func:`product_surface_jet` is the one builder.  Both canonical shapes are
@@ -42,7 +44,6 @@ from .lie_halfspace import _mul, _stack
 
 __all__ = [
     "ScalarJet2",
-    "CurveJet2",
     "SurfaceJet2",
     "first_kind_jet",
     "second_kind_jet",
@@ -98,44 +99,25 @@ class ScalarJet2:
     d2: float
 
 
-def _freeze(obj, names) -> None:
-    """Store each named field of a frozen jet as a read-only float copy, so
-    a caller's array can change without changing the jet."""
-    for name in names:
-        a = np.array(getattr(obj, name), dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
+def _curve(x: ScalarJet2, y: ScalarJet2, z: ScalarJet2) -> np.ndarray:
+    """The curve jet ``(x, y, z)`` from the scalar jets of its components: a
+    fresh ``(3, ..., 3)`` float array whose value, d1 and d2 slots are
+    ``c[0]``, ``c[1]`` and ``c[2]``."""
+    return np.array(np.broadcast_arrays(_stack(x.value, y.value, z.value),
+                                        _stack(x.d1, y.d1, z.d1),
+                                        _stack(x.d2, y.d2, z.d2)), dtype=float)
 
 
-@dataclass(frozen=True)
-class CurveJet2:
-    """Second-order jet of a curve in the half-space: value, d1, d2.  The
-    slots are ``(..., 3)`` arrays that broadcast against each other."""
+def _horospherical(x: ScalarJet2, y: ScalarJet2) -> np.ndarray:
+    """Curve constrained to the unit-height slice: ``(x(s), y(s), 1)``."""
+    return _curve(x, y, ScalarJet2(1.0, 0.0, 0.0))
 
-    value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
-    def __post_init__(self) -> None:
-        _freeze(self, ("value", "d1", "d2"))
-
-    @classmethod
-    def _from(cls, x: ScalarJet2, y: ScalarJet2, z: ScalarJet2) -> "CurveJet2":
-        """Curve ``(x, y, z)`` from the scalar jets of its components."""
-        return cls(_stack(x.value, y.value, z.value), _stack(x.d1, y.d1, z.d1),
-                   _stack(x.d2, y.d2, z.d2))
-
-    @classmethod
-    def horospherical(cls, x: ScalarJet2, y: ScalarJet2) -> "CurveJet2":
-        """Curve constrained to the unit-height slice: ``(x(s), y(s), 1)``."""
-        return cls._from(x, y, ScalarJet2(1.0, 0.0, 0.0))
-
-    @classmethod
-    def vertical(cls, y: ScalarJet2, z: ScalarJet2) -> "CurveJet2":
-        """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
-        its height ``z``, a surface's profile, must be positive."""
-        _require_positive(z.value, "profile value must be positive, got {!r}")
-        return cls._from(ScalarJet2(0.0, 0.0, 0.0), y, z)
+def _vertical(y: ScalarJet2, z: ScalarJet2) -> np.ndarray:
+    """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
+    its height ``z``, a surface's profile, must be positive."""
+    _require_positive(z.value, "profile value must be positive, got {!r}")
+    return _curve(ScalarJet2(0.0, 0.0, 0.0), y, z)
 
 
 @dataclass(frozen=True)
@@ -156,7 +138,12 @@ class SurfaceJet2:
     Xtt: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, _SLOTS)
+        # each slot is stored as a read-only float copy, so a caller's array
+        # can change without changing the jet
+        for name in _SLOTS:
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         self._check()
 
     @classmethod
@@ -193,8 +180,8 @@ def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:
     t side the ``(ns, nt, 3)`` grid.
     """
     return product_surface_jet(
-        CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), fj),
-        CurveJet2.vertical(ScalarJet2(t, 1.0, 0.0), gj),
+        _horospherical(ScalarJet2(s, 1.0, 0.0), fj),
+        _vertical(ScalarJet2(t, 1.0, 0.0), gj),
     )
 
 
@@ -203,16 +190,18 @@ def second_kind_jet(fj: ScalarJet2, s, t) -> SurfaceJet2:
     of ``alpha = (s, f(s), 1)`` and ``beta = (0, 0, t)``.  Arguments
     broadcast as in :func:`first_kind_jet`."""
     return product_surface_jet(
-        CurveJet2.horospherical(ScalarJet2(s, 1.0, 0.0), fj),
-        CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0)),
+        _horospherical(ScalarJet2(s, 1.0, 0.0), fj),
+        _vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0)),
     )
 
 
-def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
+def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> SurfaceJet2:
     """Jet of the swept surface ``X(s, t) = alpha(s) * beta(t)``.
 
-    With ``P`` the horizontal projection ``(v1, v2, 0)`` and ``a3`` the height
-    slot of ``alpha``:
+    ``aj`` and ``bj`` are curve jets: ``(3, ..., 3)`` arrays whose value,
+    d1 and d2 slots ``alpha, alpha', alpha''`` (and ``beta, beta',
+    beta''``) come first.  With ``P`` the horizontal projection
+    ``(v1, v2, 0)`` and ``a3`` the height slot of ``alpha``:
 
         X   = a3*beta   + P(alpha)      Xs  = a3'*beta  + P(alpha')
         Xt  = a3*beta'                  Xss = a3''*beta + P(alpha'')
@@ -221,21 +210,23 @@ def product_surface_jet(aj: CurveJet2, bj: CurveJet2) -> SurfaceJet2:
     The group law ``p * q = p3*q + P(p)`` is linear in ``p``, so ``X``,
     ``Xs`` and ``Xss`` are that law, :func:`solsurf.lie_halfspace._mul`,
     with ``alpha``, ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as
-    ``q``.  The curve slots broadcast against each other, so ``(n, 3)``
-    curve jets give ``n`` points and ``(ns, 1, 3)`` times ``(nt, 3)`` the
-    grid.  Both curve heights must be positive.  The slots are fresh arrays
-    that only the jet holds, so it stores them without a copy.
+    ``q``.  The curve slots broadcast against each other, so ``(3, n, 3)``
+    curve jets give ``n`` points and ``(3, ns, 1, 3)`` times ``(3, nt, 3)``
+    the grid.  Both curve heights must be positive.  The slots are fresh
+    arrays that only the jet holds, so it stores them without a copy.
     """
-    a3, a3_1 = aj.value[..., 2:], aj.d1[..., 2:]
+    a, a1, a2 = aj
+    b, b1, b2 = bj
+    a3, a3_1 = a[..., 2:], a1[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
-    _require_positive(bj.value[..., 2], "beta height must be positive, got {!r}")
+    _require_positive(b[..., 2], "beta height must be positive, got {!r}")
     slots = dict(
-        X=_mul(aj.value, bj.value),
-        Xs=_mul(aj.d1, bj.value),
-        Xt=a3 * bj.d1,
-        Xss=_mul(aj.d2, bj.value),
-        Xst=a3_1 * bj.d1,
-        Xtt=a3 * bj.d2,
+        X=_mul(a, b),
+        Xs=_mul(a1, b),
+        Xt=a3 * b1,
+        Xss=_mul(a2, b),
+        Xst=a3_1 * b1,
+        Xtt=a3 * b2,
     )
     return SurfaceJet2._adopt(slots)
 

@@ -291,6 +291,10 @@ REFUSALS = {
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
+        # E*G - F^2 cancels to 0 at every node, so l / E is -inf: no numpy warning
+        ["residual", "--family", "minimal-cylinder", "--c", "1e100", "--mode", "minimal",
+         "--grid", "3x3"],
+        ["residual", "--family", "conformal-cylinder", "--a", "1e100", "--mode", "conformal"],
         # a reaper slope whose square overflows leaves no positive k
         ["residual", "--family", "grim-reaper", "--b", "inf", "--mode", "translator"],
         ["residual", "--family", "grim-reaper", "--b", "1e200", "--mode", "translator"],

@@ -27,6 +27,7 @@ from solsurf import (
     residual,
     sample_grid,
 )
+from solsurf import surface_factory
 from solsurf.surface_factory import MARGIN
 
 GRID = GridSpec(21, 21)
@@ -232,6 +233,29 @@ def test_user_jet_errors_fail_their_own_nodes():
         assert t.tolist() == [0.0, 0.5, 1.0]
         want = probe.jet(0.0, 0.5).X
         assert np.array_equal(j.X[1, 1], want)
+
+
+def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
+    """With a failed t node, the kept nodes of each axis reach
+    ``product_surface_jet`` as C-contiguous ``(3, ..., 3)`` curve jets:
+    masking the middle axis of a ``(3, n, 3)`` array with ``rows[:, ~bad]``
+    would give strided slots that slow every slot formula."""
+    seen = []
+    build = surface_factory.product_surface_jet
+
+    def recorded(aj, bj):
+        seen.append((aj, bj))
+        return build(aj, bj)
+
+    monkeypatch.setattr(surface_factory, "product_surface_jet", recorded)
+    fam = make_generic_first_kind(lambda s: (0.1 * s, 0.1, 0.0),
+                                  lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
+    (s, t, _), failures = sample_grid(fam, GridSpec(3, 5))
+    assert [ti for _, ti, _ in failures] == [0.0] * 3 and t.tolist() == [0.25, 0.5, 0.75, 1.0]
+    [(aj, bj)] = seen
+    assert aj.shape == (3, 3, 1, 3) and bj.shape == (3, 4, 3)
+    assert aj.dtype == bj.dtype == np.float64
+    assert aj.flags.c_contiguous and bj.flags.c_contiguous
 
 
 def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from solsurf import (
-    CurveJet2,
     DegenerateJetError,
     DomainError,
     ParameterError,
@@ -19,6 +18,7 @@ from solsurf import (
     second_kind_jet,
     unit_normal,
 )
+from solsurf.surface_jets import _horospherical, _vertical
 from solsurf.verify import _fd_surfaces
 
 FJ = ScalarJet2(0.25, -0.5, 1.5)   # f, f', f''  at some s
@@ -46,22 +46,23 @@ def test_second_kind_slots():
 
 
 def _alpha(s):
-    """alpha(s) = (sin s, s^2, e^{0.3 s}): every slot varies, the height too."""
+    """alpha(s) = (sin s, s^2, e^{0.3 s}): every slot varies, the height too.
+    A curve jet: rows value, d1, d2."""
     e = math.exp(0.3 * s)
-    return CurveJet2(np.array([math.sin(s), s * s, e]),
-                     np.array([math.cos(s), 2.0 * s, 0.3 * e]),
-                     np.array([-math.sin(s), 2.0, 0.09 * e]))
+    return np.array([[math.sin(s), s * s, e],
+                     [math.cos(s), 2.0 * s, 0.3 * e],
+                     [-math.sin(s), 2.0, 0.09 * e]])
 
 
 def _beta(t):
     """beta(t) = (t, cos t, 2 + sin t)."""
-    return CurveJet2(np.array([t, math.cos(t), 2.0 + math.sin(t)]),
-                     np.array([1.0, -math.sin(t), math.cos(t)]),
-                     np.array([0.0, -math.cos(t), -math.sin(t)]))
+    return np.array([[t, math.cos(t), 2.0 + math.sin(t)],
+                     [1.0, -math.sin(t), math.cos(t)],
+                     [0.0, -math.cos(t), -math.sin(t)]])
 
 
 def _swept(s, t):
-    return lie_product(_alpha(s).value, _beta(t).value)
+    return lie_product(_alpha(s)[0], _beta(t)[0])
 
 
 def test_product_jet_is_the_group_law():
@@ -80,12 +81,12 @@ def test_product_jet_is_the_group_law():
 
 
 def test_product_grid_is_the_pointwise_jets():
-    """An (ns, 1, 3) alpha times a (1, nt, 3) beta is the grid of point jets."""
+    """A (3, ns, 1, 3) alpha times a (3, 1, nt, 3) beta is the grid of point
+    jets."""
     ss, ts = [-1.3, 0.2, 0.7], [-0.4, 0.5, 1.1, 2.9]
 
     def stacked(curves, axis):
-        return CurveJet2(*(np.expand_dims([getattr(c, k) for c in curves], axis)
-                           for k in ("value", "d1", "d2")))
+        return np.expand_dims(np.stack(curves, axis=1), axis + 1)
 
     grid = product_surface_jet(stacked([_alpha(s) for s in ss], 1),
                                stacked([_beta(t) for t in ts], 0))
@@ -101,17 +102,17 @@ def _descending(s):
     falls, so a3' < 0 and the height component of Xs adds -0.0."""
     s = np.asarray(s, dtype=float)[..., None]
     e = np.exp(-0.3 * s)
-    return CurveJet2(np.concatenate([np.sin(s), s * s, e], axis=-1),
+    return np.stack([np.concatenate([np.sin(s), s * s, e], axis=-1),
                      np.concatenate([np.cos(s), 2.0 * s, -0.3 * e], axis=-1),
-                     np.concatenate([-np.sin(s), np.full_like(s, 2.0), 0.09 * e], axis=-1))
+                     np.concatenate([-np.sin(s), np.full_like(s, 2.0), 0.09 * e], axis=-1)])
 
 
 def _rising_wave(t):
     """beta(t) = (t, cos t, 2 + sin t) as arrays of any shape."""
     t = np.asarray(t, dtype=float)[..., None]
-    return CurveJet2(np.concatenate([t, np.cos(t), 2.0 + np.sin(t)], axis=-1),
+    return np.stack([np.concatenate([t, np.cos(t), 2.0 + np.sin(t)], axis=-1),
                      np.concatenate([np.ones_like(t), -np.sin(t), np.cos(t)], axis=-1),
-                     np.concatenate([np.zeros_like(t), -np.cos(t), -np.sin(t)], axis=-1))
+                     np.concatenate([np.zeros_like(t), -np.cos(t), -np.sin(t)], axis=-1)])
 
 
 def _assert_slots_are_the_broadcast_sums(aj, bj):
@@ -119,14 +120,15 @@ def _assert_slots_are_the_broadcast_sums(aj, bj):
     ``a3*beta + alpha*(1, 1, 0)`` for X, Xs and Xss."""
     j = product_surface_jet(aj, bj)
     horizontal = np.array([1.0, 1.0, 0.0])
-    a3, a3_1, a3_2 = aj.value[..., 2:], aj.d1[..., 2:], aj.d2[..., 2:]
+    (a, a1, a2), (b, b1, b2) = aj, bj
+    a3, a3_1, a3_2 = a[..., 2:], a1[..., 2:], a2[..., 2:]
     expect = dict(
-        X=a3 * bj.value + aj.value * horizontal,
-        Xs=a3_1 * bj.value + aj.d1 * horizontal,
-        Xt=a3 * bj.d1,
-        Xss=a3_2 * bj.value + aj.d2 * horizontal,
-        Xst=a3_1 * bj.d1,
-        Xtt=a3 * bj.d2,
+        X=a3 * b + a * horizontal,
+        Xs=a3_1 * b + a1 * horizontal,
+        Xt=a3 * b1,
+        Xss=a3_2 * b + a2 * horizontal,
+        Xst=a3_1 * b1,
+        Xtt=a3 * b2,
     )
     for name, want in expect.items():
         got = getattr(j, name)
@@ -138,7 +140,7 @@ def _assert_slots_are_the_broadcast_sums(aj, bj):
 def test_product_slots_are_the_broadcast_sums_on_a_grid():
     s, t = np.linspace(-1.0, 2.0, 201), np.linspace(-1.5, 1.5, 201)
     aj = _descending(s[:, None])
-    assert (aj.d1[..., 2] < 0.0).all()
+    assert aj.shape == (3, 201, 1, 3) and (aj[1, ..., 2] < 0.0).all()
     j = _assert_slots_are_the_broadcast_sums(aj, _rising_wave(t))
     assert j.X.shape == (201, 201, 3)
 
@@ -149,9 +151,7 @@ def test_product_slots_are_the_broadcast_sums_on_a_batch():
     finite height alone, so this node is the one that shows a height
     component the in-place add skipped."""
     aj = _descending(np.linspace(-1.0, 2.0, 7))
-    d2 = aj.d2.copy()
-    d2[3, 2] = np.inf
-    aj = CurveJet2(aj.value, aj.d1, d2)
+    aj[2, 3, 2] = np.inf
     with np.errstate(invalid="ignore"):  # inf*0.0 is NaN, as intended
         j = _assert_slots_are_the_broadcast_sums(aj, _rising_wave(np.linspace(-1.5, 1.5, 7)))
     assert np.isnan(j.Xss[3, 2]) and np.isfinite(np.delete(j.Xss, 3, axis=0)).all()
@@ -206,8 +206,8 @@ def test_rotation_preserves_mean_curvature(rotated):
 
 def test_degenerate_jet_rejected():
     # a constant beta curve collapses Xt
-    alpha = CurveJet2.horospherical(ScalarJet2(0.0, 1.0, 0.0), FJ)
-    beta = CurveJet2(np.array([0.0, 1.0, 1.0]), np.zeros(3), np.zeros(3))
+    alpha = _horospherical(ScalarJet2(0.0, 1.0, 0.0), FJ)
+    beta = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(DegenerateJetError):
         product_surface_jet(alpha, beta)
 
@@ -218,7 +218,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         second_kind_jet(FJ, 0.0, -0.1)  # t < 0
     with pytest.raises(DomainError):
-        CurveJet2.vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(0.0, 1.0, 0.0))
+        _vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(0.0, 1.0, 0.0))
     with pytest.raises(ParameterError):
         SurfaceJet2(
             X=np.array([0.0, 0.0, 1.0, 2.0]),  # wrong shape
