@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from .errors import SamplingError
-from .surface_jets import ScalarJet2, SurfaceJet2, _curvature
+from .surface_jets import SurfaceJet2, _curvature
 
 if TYPE_CHECKING:  # pragma: no cover
     from .surface_factory import GridSpec, SurfaceFamily
@@ -60,39 +60,38 @@ def residual(mode: SolitonMode, j: SurfaceJet2):
     return (X3 * X3) * H + (X3 + 1.0) * N3
 
 
-def reduced_residual_first_kind(
-    mode: SolitonMode, fj: ScalarJet2, gj: ScalarJet2, s: float, t: float
-) -> float:
-    """Residual of X = (s, t + f(s), g(t)) with the 2*W^3 factor cleared.
+def reduced_residual_first_kind(mode: SolitonMode, fj, gj, s: float, t: float) -> float:
+    """Residual of X = (s, t + f(s), g(t)) with the 2*W^3 factor cleared;
+    ``fj`` and ``gj`` are the ``(value, d1, d2)`` jets of ``f`` at ``s`` and
+    of ``g`` at ``t``.
 
     Equals ``2*W^3`` times the general residual at the same jet, with
     ``W^2 = g'^2*(f'^2 + 1) + 1``.
     """
     mode = SolitonMode(mode)
-    fp, fpp = fj.d1, fj.d2
-    g, gp, gpp = gj.value, gj.d1, gj.d2
+    f, fp, fpp = fj
+    g, gp, gpp = gj
     w2 = gp * gp * (fp * fp + 1.0) + 1.0
     bend = -fpp * gp * (1.0 + gp * gp)  # curvature of the drift curve, weighted
     stretch = gpp * (1.0 + fp * fp)
     if mode is SolitonMode.MINIMAL:
         return g * bend + g * stretch + 2.0 * w2
     if mode is SolitonMode.TRANSLATOR:
-        drift = (s * fp - fj.value) - t
+        drift = (s * fp - f) - t
         return g * g * bend + g * g * stretch - 2.0 * gp * w2 * drift
     return g * g * bend + g * g * stretch + 2.0 * (g + 1.0) * w2
 
 
-def reduced_residual_second_kind(
-    mode: SolitonMode, fj: ScalarJet2, s: float, t: float
-) -> float:
+def reduced_residual_second_kind(mode: SolitonMode, fj, s: float, t: float) -> float:
     """Residual of X = (s, f(s), t) with the 2*W^3 factor cleared,
-    ``W^2 = f'^2 + 1``."""
+    ``W^2 = f'^2 + 1``; ``fj`` is the ``(value, d1, d2)`` jet of ``f`` at
+    ``s``."""
     mode = SolitonMode(mode)
-    fp, fpp = fj.d1, fj.d2
+    f, fp, fpp = fj
     if mode is SolitonMode.MINIMAL:
         return -t * fpp
     if mode is SolitonMode.TRANSLATOR:
-        return -t * t * fpp - 2.0 * (fp * fp + 1.0) * (s * fp - fj.value)
+        return -t * t * fpp - 2.0 * (fp * fp + 1.0) * (s * fp - f)
     return -t * t * fpp
 
 

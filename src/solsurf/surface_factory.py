@@ -11,7 +11,10 @@ error), and build one jet for the whole grid.
 A family whose profile collapses takes the profile's node span in ``t``
 less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
 that sampled nodes stay away from the near-vertical ends where jets
-degrade.  Every family's ``t_range`` is the extent its grids sample.
+degrade.  Every family's ``t_range`` is the extent its grids sample.  A
+profile family refuses a profile whose integration was truncated.  A jet
+function returns the ``(value, d1, d2)`` scalar jet of its function: a
+triple at one abscissa, a ``(3, n)`` array on an axis.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, SamplingError
 from .profile_odes import (
+    MAX_BRANCH_STEPS,
     ConformalProfileParams,
     GrimReaperParams,
     MinimalProfileParams,
@@ -33,7 +37,6 @@ from .profile_odes import (
     integrate_minimal_profile,
 )
 from .surface_jets import (
-    ScalarJet2,
     SurfaceJet2,
     _horospherical as _horospherical_curve,
     _vertical,
@@ -136,25 +139,25 @@ class SurfaceFamily:
         return self.jet(s, t).X
 
 
-def _horospherical(f: Callable[[float], ScalarJet2]) -> Callable[[float], np.ndarray]:
+def _horospherical(f: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
     """``alpha(s) = (s, f(s), 1)`` from the jet function of ``f``."""
-    return lambda s: _horospherical_curve(ScalarJet2(s, 1.0, 0.0), f(s))
+    return lambda s: _horospherical_curve((s, 1.0, 0.0), f(s))
 
 
-def _graph(g: Callable[[float], ScalarJet2]) -> Callable[[float], np.ndarray]:
+def _graph(g: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
     """``beta(t) = (0, t, g(t))`` from the jet function of the height ``g``."""
-    return lambda t: _vertical(ScalarJet2(t, 1.0, 0.0), g(t))
+    return lambda t: _vertical((t, 1.0, 0.0), g(t))
 
 
 def _rising(t) -> np.ndarray:
     """``beta(t) = (0, 0, t)``, the vertical line of a second-kind family."""
-    return _vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0))
+    return _vertical((0.0, 0.0, 0.0), (t, 1.0, 0.0))
 
 
 def _second_kind_family(
     name: str,
     params: dict,
-    f_jet_fn: Callable[[float], ScalarJet2],
+    f_jet_fn: Callable[[float], tuple],
     s_range: Tuple[float, float],
     t_range: Tuple[float, float],
 ) -> SurfaceFamily:
@@ -167,9 +170,9 @@ def _second_kind_family(
     return fam
 
 
-def _linear_jet(slope: float, intercept: float) -> Callable[[float], ScalarJet2]:
-    def fn(s: float) -> ScalarJet2:
-        return ScalarJet2(slope * s + intercept, slope, 0.0)
+def _linear_jet(slope: float, intercept: float) -> Callable[[float], tuple]:
+    def fn(s: float) -> tuple:
+        return slope * s + intercept, slope, 0.0
 
     return fn
 
@@ -202,17 +205,24 @@ def _profile_family(
     name: str,
     params: dict,
     s_range: Tuple[float, float],
-    f: Callable[[float], ScalarJet2],
+    f: Callable[[float], tuple],
     sol: ProfileSolution,
 ) -> SurfaceFamily:
     """A first-kind family whose height ``g`` is the profile ``sol``, on the
     profile's node span in ``t``, less ``MARGIN`` of it per side where the
-    profile collapses."""
+    profile collapses.  A truncated profile, whose integration ended before
+    its natural end, is refused: its node span is not the family's."""
+    lo, hi = float(sol.t[0]), float(sol.t[-1])
+    if sol.truncated:
+        raise ParameterError(
+            f"the {name} profile is truncated: its nodes reach only t in [{lo!r}, {hi!r}], "
+            "short of its natural end (a branch met a stop, its step floor or its "
+            f"MAX_BRANCH_STEPS = {MAX_BRANCH_STEPS} step budget)"
+        )
 
     def g(t):
-        return ScalarJet2(sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t))
+        return sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t)
 
-    lo, hi = float(sol.t[0]), float(sol.t[-1])
     if sol.right_blowup_t is not None:
         pad = MARGIN * (hi - lo)
         lo, hi = lo + pad, hi - pad
@@ -265,23 +275,17 @@ def make_conformal_cylinder(
                            _linear_jet(a_slope, 0.0), sol)
 
 
-def _coerced(fn: Callable[[float], object]) -> Callable[[float], ScalarJet2]:
-    """Jet function from a user function of one float returning a ScalarJet2
-    or a (value, d1, d2) triple.  On an axis it calls ``fn`` once per node and
-    stacks the jets; an error at any node propagates (:func:`_axis_jet` then
-    retries node by node)."""
-
-    def one(x: float) -> ScalarJet2:
-        v = fn(x)
-        if isinstance(v, ScalarJet2):
-            return v
-        return ScalarJet2(float(v[0]), float(v[1]), float(v[2]))
+def _coerced(fn: Callable[[float], object]) -> Callable[[float], tuple]:
+    """Jet function from a user function of one float returning a
+    ``(value, d1, d2)`` triple.  On an axis it calls ``fn`` once per node and
+    stacks the jets into a ``(3, n)`` array; an error at any node propagates
+    (:func:`_axis_jet` then retries node by node).  A jet of another length
+    is refused where the curve is built."""
 
     def jet_fn(x):
         if np.ndim(x) == 0:
-            return one(x)
-        rows = np.array([(j.value, j.d1, j.d2) for j in map(one, x.tolist())], dtype=float)
-        return ScalarJet2(*rows.T)
+            return fn(x)
+        return np.array(list(map(fn, x.tolist())), dtype=float).T
 
     return jet_fn
 
@@ -294,7 +298,7 @@ def make_generic_first_kind(
 ) -> SurfaceFamily:
     """First-kind surface from user scalar jets: X = (s, t + f(s), g(t)).
 
-    ``f_fn``/``g_fn`` return a ScalarJet2 or a (value, d1, d2) triple.
+    ``f_fn``/``g_fn`` return a ``(value, d1, d2)`` triple.
     """
     return SurfaceFamily("generic_first_kind", {}, s_range, t_range,
                          _horospherical(_coerced(f_fn)), _graph(_coerced(g_fn)))
@@ -327,9 +331,9 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
 
     def bumped(t) -> np.ndarray:
         c = beta(t)
-        y, z = (ScalarJet2(*c[..., k]) for k in (1, 2))
+        z = c[..., 2]
         cos, sin = amplitude * np.cos(t), amplitude * np.sin(t)
-        return _vertical(y, ScalarJet2(z.value + cos, z.d1 - sin, z.d2 - cos))
+        return _vertical(c[..., 1], (z[0] + cos, z[1] - sin, z[2] - cos))
 
     return replace(fam, params=dict(fam.params, perturb_amplitude=amplitude), beta=bumped)
 

@@ -11,8 +11,11 @@ curve jet is one ``(3, ..., 3)`` array of its value, d1 and d2 slots, order
 first, so ``a, a1, a2 = alpha`` are whole slots.  Curve jets broadcast like
 numpy arrays: ``(3, n, 3)`` curve jets give ``n`` surface points, and a
 ``(3, ns, 1, 3)`` alpha with a ``(3, nt, 3)`` beta gives the jet on the
-whole ``(ns, nt)`` grid.  Every function that reads a jet works
-component-wise, so a grid and a single point go through the same
+whole ``(ns, nt)`` grid.  A scalar jet, the value, d1 and d2 of one
+component such as a profile, is any ``(value, d1, d2)`` triple whose
+entries broadcast: a tuple at a point, a ``(3, n)`` array on a grid axis;
+three of them, stacked, are a curve jet.  Every function that reads a jet
+works component-wise, so a grid and a single point go through the same
 expressions.
 
 :func:`product_surface_jet` is the one builder.  Both canonical shapes are
@@ -43,7 +46,6 @@ from .errors import DegenerateJetError, DomainError, ParameterError
 from .lie_halfspace import _mul, _stack
 
 __all__ = [
-    "ScalarJet2",
     "SurfaceJet2",
     "first_kind_jet",
     "second_kind_jet",
@@ -89,35 +91,27 @@ def _normal(j: "SurfaceJet2"):
     return tuple(ck / w for ck in c)
 
 
-@dataclass(frozen=True, slots=True)
-class ScalarJet2:
-    """Value and first two derivatives of a scalar function at a point, or
-    at every node of one grid axis when the fields are 1-D arrays."""
-
-    value: float
-    d1: float
-    d2: float
-
-
-def _curve(x: ScalarJet2, y: ScalarJet2, z: ScalarJet2) -> np.ndarray:
-    """The curve jet ``(x, y, z)`` from the scalar jets of its components: a
-    fresh ``(3, ..., 3)`` float array whose value, d1 and d2 slots are
-    ``c[0]``, ``c[1]`` and ``c[2]``."""
-    return np.array(np.broadcast_arrays(_stack(x.value, y.value, z.value),
-                                        _stack(x.d1, y.d1, z.d1),
-                                        _stack(x.d2, y.d2, z.d2)), dtype=float)
+def _curve(x, y, z) -> np.ndarray:
+    """The curve jet ``(x, y, z)`` from the scalar jets of its components,
+    each a ``(value, d1, d2)`` triple whose entries broadcast: a fresh
+    ``(3, ..., 3)`` float array whose value, d1 and d2 slots are ``c[0]``,
+    ``c[1]`` and ``c[2]``.  A scalar jet of any other length is refused."""
+    for jet in (x, y, z):
+        if len(jet) != 3:
+            raise ParameterError(f"a scalar jet is (value, d1, d2), got {len(jet)} entries")
+    return np.array(np.broadcast_arrays(*map(_stack, x, y, z)), dtype=float)
 
 
-def _horospherical(x: ScalarJet2, y: ScalarJet2) -> np.ndarray:
+def _horospherical(x, y) -> np.ndarray:
     """Curve constrained to the unit-height slice: ``(x(s), y(s), 1)``."""
-    return _curve(x, y, ScalarJet2(1.0, 0.0, 0.0))
+    return _curve(x, y, (1.0, 0.0, 0.0))
 
 
-def _vertical(y: ScalarJet2, z: ScalarJet2) -> np.ndarray:
+def _vertical(y, z) -> np.ndarray:
     """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
     its height ``z``, a surface's profile, must be positive."""
-    _require_positive(z.value, "profile value must be positive, got {!r}")
-    return _curve(ScalarJet2(0.0, 0.0, 0.0), y, z)
+    _require_positive(z[0], "profile value must be positive, got {!r}")
+    return _curve((0.0, 0.0, 0.0), y, z)
 
 
 @dataclass(frozen=True)
@@ -171,27 +165,28 @@ class SurfaceJet2:
             raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
 
 
-def first_kind_jet(fj: ScalarJet2, gj: ScalarJet2, s, t) -> SurfaceJet2:
+def first_kind_jet(fj, gj, s, t) -> SurfaceJet2:
     """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``.
 
-    The product of ``alpha = (s, f(s), 1)`` and ``beta = (0, t, g(t))``.
-    Arguments broadcast like numpy arrays: scalars give ``(3,)`` slots,
-    ``n``-vectors ``(n, 3)``, and an ``(ns, 1)`` s side with an ``(nt,)``
-    t side the ``(ns, nt, 3)`` grid.
+    The product of ``alpha = (s, f(s), 1)`` and ``beta = (0, t, g(t))``;
+    ``fj`` and ``gj`` are the ``(value, d1, d2)`` jets of ``f`` at ``s`` and
+    of ``g`` at ``t``.  Arguments broadcast like numpy arrays: scalars give
+    ``(3,)`` slots, ``n``-vectors ``(n, 3)``, and an ``(ns, 1)`` s side with
+    an ``(nt,)`` t side the ``(ns, nt, 3)`` grid.
     """
     return product_surface_jet(
-        _horospherical(ScalarJet2(s, 1.0, 0.0), fj),
-        _vertical(ScalarJet2(t, 1.0, 0.0), gj),
+        _horospherical((s, 1.0, 0.0), fj),
+        _vertical((t, 1.0, 0.0), gj),
     )
 
 
-def second_kind_jet(fj: ScalarJet2, s, t) -> SurfaceJet2:
+def second_kind_jet(fj, s, t) -> SurfaceJet2:
     """Jet of ``X(s, t) = (s, f(s), t)`` on the half ``t > 0``: the product
     of ``alpha = (s, f(s), 1)`` and ``beta = (0, 0, t)``.  Arguments
     broadcast as in :func:`first_kind_jet`."""
     return product_surface_jet(
-        _horospherical(ScalarJet2(s, 1.0, 0.0), fj),
-        _vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(t, 1.0, 0.0)),
+        _horospherical((s, 1.0, 0.0), fj),
+        _vertical((0.0, 0.0, 0.0), (t, 1.0, 0.0)),
     )
 
 

@@ -67,7 +67,6 @@ from .surface_factory import (
     sample_grid,
 )
 from .surface_jets import (
-    ScalarJet2,
     finite_difference_jet,
     first_kind_jet,
     mean_curvature,
@@ -350,9 +349,9 @@ def _reduced_defect(reduced: Callable, j, clear) -> float:
 
 def _check_reduced_first_kind() -> Measurement:
     u, p = (-2.0, 2.0), (0.2, 3.0)
-    *f, gv, gp, gpp, s, t = _uniform_columns(_SEED + 1, [u, u, u, p, u, u, u, u])
-    fj, gj = ScalarJet2(*f), ScalarJet2(gv, gp, gpp)
-    clear = 2.0 * (gp * gp * (fj.d1 * fj.d1 + 1.0) + 1.0) ** 1.5
+    f, fp, fpp, g, gp, gpp, s, t = _uniform_columns(_SEED + 1, [u, u, u, p, u, u, u, u])
+    fj, gj = (f, fp, fpp), (g, gp, gpp)
+    clear = 2.0 * (gp * gp * (fp * fp + 1.0) + 1.0) ** 1.5
     worst = _reduced_defect(lambda mode: reduced_residual_first_kind(mode, fj, gj, s, t),
                             first_kind_jet(fj, gj, s, t), clear)
     return worst, "1000 random jets x 3 modes"
@@ -361,8 +360,8 @@ def _check_reduced_first_kind() -> Measurement:
 def _check_reduced_second_kind() -> Measurement:
     u = (-2.0, 2.0)
     f0, f1, f2, b, s, t = _uniform_columns(_SEED + 2, [u, u, u, u, u, (0.1, 3.0)])
-    fj = ScalarJet2(f0 + b, f1, f2)
-    clear = 2.0 * (fj.d1 * fj.d1 + 1.0) ** 1.5
+    fj = (f0 + b, f1, f2)
+    clear = 2.0 * (f1 * f1 + 1.0) ** 1.5
     worst = _reduced_defect(lambda mode: reduced_residual_second_kind(mode, fj, s, t),
                             second_kind_jet(fj, s, t), clear)
     return worst, "1000 random jets x 3 modes"

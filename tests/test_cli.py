@@ -230,6 +230,23 @@ REFUSALS = {
         "least 1.3435752215134178e-138 from 0",
     "residual --family grim-reaper --span -1e-300:1e-300 --mode translator":
         "span (-1e-300, 1e-300) is too short",
+    # a truncated profile would clip the family's t_range without a word
+    "residual --family minimal-cylinder --c 1e4 --mode minimal --grid 3x3":
+        "the minimal_cylinder profile is truncated: its nodes reach only t in "
+        "[-3276.800000003155, 3276.800000003155], short of its natural end (a branch met "
+        "a stop, its step floor or its MAX_BRANCH_STEPS = 65536 step budget)",
+    "residual --family grim-reaper --lambda 1e30 --mode translator --grid 5x5":
+        "the grim_reaper profile is truncated: its nodes reach only t in "
+        "[-3.2894581336928356e-25, 5.0]",
+    "residual --family grim-reaper --lambda 1e100 --mode translator --grid 5x5":
+        "the grim_reaper profile is truncated: its nodes reach only t in "
+        "[-3.289458083752093e-95, 5.0]",
+    "residual --family grim-reaper --span=-20000:20000 --mode translator --grid 3x3":
+        "the grim_reaper profile is truncated: its nodes reach only t in "
+        "[-16336.036623140433, 16345.590882111945]",
+    "residual --family grim-reaper --b 1e100 --lambda 1e-30 --mode translator --grid 3x3":
+        "no grid node of 'grim_reaper' has a finite residual (9 failures), first (s, t, "
+        "reason): (-2.0, -5.0, 'residual is not finite: inf')",
 }
 
 
@@ -291,7 +308,8 @@ REFUSALS = {
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
-        # E*G - F^2 cancels to 0 at every node, so l / E is -inf: no numpy warning
+        # a profile drift slope this steep runs the stepped branch out of its step
+        # budget, so the truncated profile is refused before any residual is formed
         ["residual", "--family", "minimal-cylinder", "--c", "1e100", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "conformal-cylinder", "--a", "1e100", "--mode", "conformal"],
@@ -314,6 +332,19 @@ REFUSALS = {
         # a reaper span with an infinite end would step until its budget ran out
         ["profile", "--ode", "grim-reaper", "--span=0:inf"],
         ["mesh", "--family", "grim-reaper", "--span=-inf:0"],
+        # E*G - F^2 cancels to 0 at every node, so l / E divides by zero: the residual
+        # is inf under residual_report's errstate, with no numpy warning
+        ["residual", "--family", "grim-reaper", "--b", "1e100", "--lambda", "1e-30", "--mode",
+         "translator", "--grid", "3x3"],
+        # truncated profiles: the step budget (c = 1e4, the span), the height stop (lambda)
+        ["residual", "--family", "minimal-cylinder", "--c", "1e4", "--mode", "minimal",
+         "--grid", "3x3"],
+        ["residual", "--family", "grim-reaper", "--lambda", "1e30", "--mode", "translator",
+         "--grid", "5x5"],
+        ["residual", "--family", "grim-reaper", "--lambda", "1e100", "--mode", "translator",
+         "--grid", "5x5"],
+        ["residual", "--family", "grim-reaper", "--span=-20000:20000", "--mode", "translator",
+         "--grid", "3x3"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):

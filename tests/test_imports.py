@@ -40,3 +40,20 @@ def test_every_exported_name_resolves():
     assert missing == []
     for name in names:
         exec(f"from {name} import *", {})
+
+
+def test_readme_library_tour_runs():
+    """The README's python block runs as written, and the values its comments
+    state are the ones it computes."""
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    ns: dict = {}
+    exec(block, ns)
+    sol = ns["sol"]
+    claims = {
+        "rep.max_abs": repr(ns["rep"].max_abs),
+        "sol.right_blowup_t": f"≈ {float(sol.right_blowup_t)!r:.7}…",
+        "sol.conserved_max_defect": f"≈ {sol.conserved_max_defect:.1e}",
+        'residual("translator", jg).shape': repr(ns["residual"]("translator", ns["jg"]).shape),
+    }
+    for expr, value in claims.items():
+        assert re.search(rf"^{re.escape(expr)} +# {re.escape(value)}", block, re.M), (expr, value)

@@ -14,7 +14,6 @@ from solsurf import (
     GridSpec,
     ResidualReport,
     SamplingError,
-    ScalarJet2,
     SolitonMode,
     first_kind_jet,
     make_generic_first_kind,
@@ -84,20 +83,20 @@ def test_reduced_first_kind_matches_general_seeded():
     rng = np.random.default_rng(42)
     samples, rows = [], []
     for _ in range(300):
-        fj = ScalarJet2(*rng.uniform(-2, 2, 3))
-        gj = ScalarJet2(float(rng.uniform(0.2, 3.0)), *rng.uniform(-2, 2, 2))
+        fj = tuple(rng.uniform(-2, 2, 3))
+        gj = (float(rng.uniform(0.2, 3.0)), *rng.uniform(-2, 2, 2))
         s, t = rng.uniform(-2, 2, 2)
         j = first_kind_jet(fj, gj, float(s), float(t))
-        samples.append((fj.value, fj.d1, fj.d2, gj.value, gj.d1, gj.d2, s, t))
+        samples.append((*fj, *gj, s, t))
         rows.append(j)
-        w2 = gj.d1 ** 2 * (fj.d1 ** 2 + 1.0) + 1.0
+        w2 = gj[1] ** 2 * (fj[1] ** 2 + 1.0) + 1.0
         clear = 2.0 * w2 ** 1.5
         for mode in SolitonMode:
             a = reduced_residual_first_kind(mode, fj, gj, float(s), float(t))
             b = residual(mode, j) * clear
             assert _rel(a, b) <= 1e-10
     *f, gv, gp, gpp, s, t = np.array(samples).T
-    _assert_batch_is_pointwise(first_kind_jet(ScalarJet2(*f), ScalarJet2(gv, gp, gpp), s, t), rows)
+    _assert_batch_is_pointwise(first_kind_jet(tuple(f), (gv, gp, gpp), s, t), rows)
 
 
 def test_reduced_second_kind_matches_general_seeded():
@@ -105,35 +104,35 @@ def test_reduced_second_kind_matches_general_seeded():
     samples, rows = [], []
     for _ in range(300):
         f0, f1, f2 = rng.uniform(-2, 2, 3)
-        fj = ScalarJet2(f0 + float(rng.uniform(-2, 2)), f1, f2)
+        fj = (f0 + float(rng.uniform(-2, 2)), f1, f2)
         s = float(rng.uniform(-2, 2))
         t = float(rng.uniform(0.1, 3.0))
         j = second_kind_jet(fj, s, t)
-        samples.append((fj.value, fj.d1, fj.d2, s, t))
+        samples.append((*fj, s, t))
         rows.append(j)
-        clear = 2.0 * (fj.d1 ** 2 + 1.0) ** 1.5
+        clear = 2.0 * (fj[1] ** 2 + 1.0) ** 1.5
         for mode in SolitonMode:
             assert _rel(
                 reduced_residual_second_kind(mode, fj, s, t),
                 residual(mode, j) * clear,
             ) <= 1e-10
     *f, s, t = np.array(samples).T
-    _assert_batch_is_pointwise(second_kind_jet(ScalarJet2(*f), s, t), rows)
+    _assert_batch_is_pointwise(second_kind_jet(tuple(f), s, t), rows)
 
 
 jet_floats = st.floats(-2.0, 2.0)
 
 
 @given(
-    st.builds(ScalarJet2, jet_floats, jet_floats, jet_floats),
-    st.builds(ScalarJet2, st.floats(0.2, 3.0), jet_floats, jet_floats),
+    st.tuples(jet_floats, jet_floats, jet_floats),
+    st.tuples(st.floats(0.2, 3.0), jet_floats, jet_floats),
     jet_floats,
     jet_floats,
     st.sampled_from(list(SolitonMode)),
 )
 def test_reduced_first_kind_property(fj, gj, s, t, mode):
     j = first_kind_jet(fj, gj, s, t)
-    w2 = gj.d1 * gj.d1 * (fj.d1 * fj.d1 + 1.0) + 1.0
+    w2 = gj[1] * gj[1] * (fj[1] * fj[1] + 1.0) + 1.0
     a = reduced_residual_first_kind(mode, fj, gj, s, t)
     b = residual(mode, j) * 2.0 * w2 ** 1.5
     assert _rel(a, b) <= 1e-10
@@ -142,7 +141,7 @@ def test_reduced_first_kind_property(fj, gj, s, t, mode):
 def test_second_kind_translator_closed_form():
     # reduced translator for a line f = c s + d: -2 (c^2+1)(-d)
     c, d = 1.5, -0.3
-    fj = ScalarJet2(c * 0.9 + d, c, 0.0)
+    fj = (c * 0.9 + d, c, 0.0)
     r = reduced_residual_second_kind(SolitonMode.TRANSLATOR, fj, 0.9, 2.0)
     assert abs(r - 2.0 * (c * c + 1.0) * d) <= 1e-14
 
@@ -352,15 +351,15 @@ def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
 
 # f and g both vary, over unequal ranges, so a transposed grid shows
 def _f1(s):
-    return ScalarJet2(math.sin(s), math.cos(s), -math.sin(s))
+    return math.sin(s), math.cos(s), -math.sin(s)
 
 
 def _g1(t):
-    return ScalarJet2(2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t))
+    return 2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)
 
 
 def _f2(s):
-    return ScalarJet2(math.cos(2.0 * s) + 0.3, -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s))
+    return math.cos(2.0 * s) + 0.3, -2.0 * math.sin(2.0 * s), -4.0 * math.cos(2.0 * s)
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
@@ -371,12 +370,12 @@ def test_grid_report_matches_reduced_forms(mode):
 
     def first_kind(s, t):
         fj, gj = _f1(s), _g1(t)
-        w2 = gj.d1 ** 2 * (fj.d1 ** 2 + 1.0) + 1.0
+        w2 = gj[1] ** 2 * (fj[1] ** 2 + 1.0) + 1.0
         return reduced_residual_first_kind(mode, fj, gj, s, t) / (2.0 * w2 ** 1.5)
 
     def second_kind(s, t):
         fj = _f2(s)
-        return reduced_residual_second_kind(mode, fj, s, t) / (2.0 * (fj.d1 ** 2 + 1.0) ** 1.5)
+        return reduced_residual_second_kind(mode, fj, s, t) / (2.0 * (fj[1] ** 2 + 1.0) ** 1.5)
 
     for fam, expect in (
         (make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5)), first_kind),

@@ -7,22 +7,24 @@ import pytest
 from solsurf import (
     DegenerateJetError,
     DomainError,
+    GridSpec,
     ParameterError,
-    ScalarJet2,
     SurfaceJet2,
     finite_difference_jet,
     first_kind_jet,
     lie_product,
+    make_generic_first_kind,
     mean_curvature,
     product_surface_jet,
+    sample_grid,
     second_kind_jet,
     unit_normal,
 )
 from solsurf.surface_jets import _horospherical, _vertical
 from solsurf.verify import _fd_surfaces
 
-FJ = ScalarJet2(0.25, -0.5, 1.5)   # f, f', f''  at some s
-GJ = ScalarJet2(1.25, 0.75, -2.0)  # g, g', g''  at some t
+FJ = (0.25, -0.5, 1.5)   # f, f', f''  at some s
+GJ = (1.25, 0.75, -2.0)  # g, g', g''  at some t
 
 
 def test_first_kind_slots():
@@ -166,7 +168,7 @@ def test_unit_normal_first_kind_closed_form():
     # Xs x Xt = (f'g', -g', 1), so N = (f'g', -g', 1)/W with
     # W^2 = g'^2 (f'^2 + 1) + 1
     j = first_kind_jet(FJ, GJ, 0.0, 0.0)
-    fp, gp = FJ.d1, GJ.d1
+    fp, gp = FJ[1], GJ[1]
     W = math.sqrt(gp * gp * (fp * fp + 1.0) + 1.0)
     assert np.allclose(unit_normal(j), [fp * gp / W, -gp / W, 1.0 / W], atol=1e-15)
 
@@ -183,7 +185,7 @@ def test_mean_curvature_extruded_graph():
     # X = (s, f(s), t) extrudes the plane curve y = f(x); its mean
     # curvature is half the signed curvature: H = -f'' / (2 (1+f'^2)^{3/2}).
     s = 0.3
-    fj = ScalarJet2(math.cos(s), -math.sin(s), -math.cos(s))
+    fj = (math.cos(s), -math.sin(s), -math.cos(s))
     H = mean_curvature(second_kind_jet(fj, s, 1.7))
     expected = math.cos(s) / (2.0 * (1.0 + math.sin(s) ** 2) ** 1.5)
     assert abs(H - expected) <= 1e-14
@@ -193,8 +195,8 @@ def test_mean_curvature_profile_cylinder():
     # X = (s, t, g(t)) with g = cosh: H = g''/(2 W^3) with W = cosh t,
     # so H = 1/(2 cosh^2 t).
     t = 0.4
-    gj = ScalarJet2(math.cosh(t), math.sinh(t), math.cosh(t))
-    H = mean_curvature(first_kind_jet(ScalarJet2(0.0, 0.0, 0.0), gj, 0.0, t))
+    gj = (math.cosh(t), math.sinh(t), math.cosh(t))
+    H = mean_curvature(first_kind_jet((0.0, 0.0, 0.0), gj, 0.0, t))
     assert abs(H - 1.0 / (2.0 * math.cosh(t) ** 2)) <= 1e-14
 
 
@@ -206,7 +208,7 @@ def test_rotation_preserves_mean_curvature(rotated):
 
 def test_degenerate_jet_rejected():
     # a constant beta curve collapses Xt
-    alpha = _horospherical(ScalarJet2(0.0, 1.0, 0.0), FJ)
+    alpha = _horospherical((0.0, 1.0, 0.0), FJ)
     beta = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(DegenerateJetError):
         product_surface_jet(alpha, beta)
@@ -214,17 +216,34 @@ def test_degenerate_jet_rejected():
 
 def test_domain_guards():
     with pytest.raises(DomainError):
-        first_kind_jet(FJ, ScalarJet2(-1.0, 0.0, 0.0), 0.0, 0.0)  # g < 0
+        first_kind_jet(FJ, (-1.0, 0.0, 0.0), 0.0, 0.0)  # g < 0
     with pytest.raises(DomainError):
         second_kind_jet(FJ, 0.0, -0.1)  # t < 0
     with pytest.raises(DomainError):
-        _vertical(ScalarJet2(0.0, 0.0, 0.0), ScalarJet2(0.0, 1.0, 0.0))
+        _vertical((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     with pytest.raises(ParameterError):
         SurfaceJet2(
             X=np.array([0.0, 0.0, 1.0, 2.0]),  # wrong shape
             Xs=np.zeros(3), Xt=np.zeros(3),
             Xss=np.zeros(3), Xst=np.zeros(3), Xtt=np.zeros(3),
         )
+
+
+def test_wrong_length_scalar_jets_are_refused():
+    """A scalar jet is exactly (value, d1, d2): a short one or a long one is
+    refused, not truncated, from a caller and from a generic family's
+    function alike, at a point and on a grid axis."""
+    for bad in ((0.25, -0.5), (0.25, -0.5, 1.5, 99.0)):
+        with pytest.raises(ParameterError, match=f"got {len(bad)} entries"):
+            first_kind_jet(bad, GJ, 0.0, 0.0)
+        with pytest.raises(ParameterError, match=f"got {len(bad)} entries"):
+            second_kind_jet(bad, 0.0, 1.0)
+    fam = make_generic_first_kind(lambda s: (s, 1.0, 0.0, 99.0), lambda t: (2.0, 0.0, 0.0),
+                                  (-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(ParameterError, match="got 4 entries"):
+        fam.jet(0.5, 0.5)
+    with pytest.raises(ParameterError, match="got 4 entries"):
+        sample_grid(fam, GridSpec(3, 3))
 
 
 def test_jet_arrays_are_read_only():
@@ -277,8 +296,8 @@ def _wavy_position(s, t):
 
 def _wavy_jet(s, t):
     return first_kind_jet(
-        ScalarJet2(math.sin(s), math.cos(s), -math.sin(s)),
-        ScalarJet2(2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)),
+        (math.sin(s), math.cos(s), -math.sin(s)),
+        (2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)),
         s,
         t,
     )
