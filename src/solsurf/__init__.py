@@ -49,7 +49,6 @@ from .surface_factory import (
     sample_grid,
 )
 from .surface_jets import (
-    SurfaceJet2,
     finite_difference_jet,
     first_kind_jet,
     mean_curvature,

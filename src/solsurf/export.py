@@ -198,6 +198,6 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
     faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
     with _open_w(path) as fh:
-        fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", j.X.reshape(-1, 3)))
+        fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", j[0].reshape(-1, 3)))
         fh.write(_rows("f %d %d %d\n", faces))
     return ns * nt, len(faces)

@@ -42,14 +42,15 @@ _INF = math.inf
 _HORIZONTAL = np.array([1.0, 1.0, 0.0])
 
 
-def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _mul(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The product ``p * q = p3*q + P(p)``, unchecked; it is linear in ``p``.
 
     ``P(p)`` is added to ``p3*q`` in place one component at a time (on a
     grid each add runs along ``t``), with the bits of the broadcast sum: the
-    height adds ``p3*0.0``, which turns an infinite ``p3`` into NaN.
+    height adds ``p3*0.0``, which turns an infinite ``p3`` into NaN.  ``out``
+    is numpy's: the product is written there if it is given.
     """
-    out = p[..., 2:] * q
+    out = np.multiply(p[..., 2:], q, out=out)
     h = p * _HORIZONTAL
     for k in range(3):
         out[..., k] += h[..., k]

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from .errors import SamplingError
-from .surface_jets import SurfaceJet2, _curvature
+from .surface_jets import _curvature
 
 if TYPE_CHECKING:  # pragma: no cover
     from .surface_factory import GridSpec, SurfaceFamily
@@ -47,12 +47,13 @@ class SolitonMode(enum.Enum):
     CONFORMAL = "conformal"
 
 
-def residual(mode: SolitonMode, j: SurfaceJet2):
-    """Evaluate one soliton residual at every point of a jet: a float for a
-    single point, an array of the grid shape for a grid jet."""
+def residual(mode: SolitonMode, j: np.ndarray):
+    """Evaluate one soliton residual at every point of a surface jet, a
+    ``(6, ..., 3)`` slot array: a float for a single point's ``(6, 3)`` jet,
+    an array of the grid shape for a grid jet."""
     mode = SolitonMode(mode)
     H, (N1, N2, N3) = _curvature(j)
-    X1, X2, X3 = j.X[..., 0], j.X[..., 1], j.X[..., 2]
+    X1, X2, X3 = j[0, ..., 0], j[0, ..., 1], j[0, ..., 2]
     if mode is SolitonMode.MINIMAL:
         return X3 * H + N3
     if mode is SolitonMode.TRANSLATOR:

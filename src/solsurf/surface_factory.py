@@ -37,8 +37,8 @@ from .profile_odes import (
     integrate_minimal_profile,
 )
 from .surface_jets import (
-    SurfaceJet2,
     _horospherical as _horospherical_curve,
+    _require_triples,
     _vertical,
     product_surface_jet,
 )
@@ -111,10 +111,10 @@ class SurfaceFamily:
     A first-kind family has ``beta(t) = (0, t, g(t))`` with a profile ``g``,
     so ``X = (s, t + f(s), g(t))``; a second-kind one has
     ``beta(t) = (0, 0, t)``, so ``X = (s, f(s), t)``.  ``jet(s, t)``
-    returns the full :class:`SurfaceJet2` at a point; ``position`` is the bare embedding,
-    convenient for finite-difference cross-checks.  A profile lives only in
-    ``beta``, so the family :func:`perturb_profile` returns holds no
-    profile but its own.
+    returns the read-only ``(6, ..., 3)`` surface jet ``X, Xs, Xt, Xss, Xst,
+    Xtt``; ``position`` is its slot ``X``, the bare embedding, convenient for
+    finite-difference cross-checks.  A profile lives only in ``beta``, so
+    the family :func:`perturb_profile` returns holds no profile but its own.
 
     Construction, :func:`dataclasses.replace` included, stores both ranges
     as float pairs and refuses one that is not a finite increasing pair
@@ -132,11 +132,11 @@ class SurfaceFamily:
         self.s_range = _check_range("s_range", self.s_range)
         self.t_range = _check_range("t_range", self.t_range)
 
-    def jet(self, s: float, t: float) -> SurfaceJet2:
+    def jet(self, s: float, t: float) -> np.ndarray:
         return product_surface_jet(self.alpha(s), self.beta(t))
 
     def position(self, s: float, t: float) -> np.ndarray:
-        return self.jet(s, t).X
+        return self.jet(s, t)[0]
 
 
 def _horospherical(f: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
@@ -280,12 +280,14 @@ def _coerced(fn: Callable[[float], object]) -> Callable[[float], tuple]:
     ``(value, d1, d2)`` triple.  On an axis it calls ``fn`` once per node and
     stacks the jets into a ``(3, n)`` array; an error at any node propagates
     (:func:`_axis_jet` then retries node by node).  A jet of another length
-    is refused where the curve is built."""
+    is refused at any node."""
 
     def jet_fn(x):
         if np.ndim(x) == 0:
             return fn(x)
-        return np.array(list(map(fn, x.tolist())), dtype=float).T
+        jets = list(map(fn, x.tolist()))
+        _require_triples(jets)
+        return np.array(jets, dtype=float).T
 
     return jet_fn
 
@@ -373,7 +375,7 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
 
 def sample_grid(
     fam: SurfaceFamily, grid: GridSpec
-) -> Tuple[Tuple[np.ndarray, np.ndarray, SurfaceJet2], List[Tuple[float, float, str]]]:
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[Tuple[float, float, str]]]:
     """Evaluate the family on the grid: ``((s, t, jet), failures)``.
 
     Each factor curve is evaluated in one call on its axis, and node by node
@@ -381,12 +383,12 @@ def sample_grid(
     just the axis nodes that raise it.  A grid node fails here when its ``s``
     or ``t`` axis node fails; failures are collected row-major (s varies
     slowest) as ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and
-    ``t`` are the axis nodes that are left, and ``jet`` is the jet on their
-    product grid, with ``(len(s), len(t), 3)`` slots.  The jet of a node that
-    is left can still give a residual that is not finite (its fundamental
-    forms overflow); :func:`~solsurf.soliton_residuals.residual_report`
-    fails those nodes.  If *every* node fails, :class:`SamplingError` is
-    raised.
+    ``t`` are the axis nodes that are left, and ``jet`` is the read-only
+    ``(6, len(s), len(t), 3)`` surface jet on their product grid.  The jet
+    of a node that is left can still give a residual that is not finite
+    (its fundamental forms overflow);
+    :func:`~solsurf.soliton_residuals.residual_report` fails those nodes.
+    If *every* node fails, :class:`SamplingError` is raised.
     """
     s_axis, t_axis = grid_axes(fam, grid)
     a_rows, s_reasons = _axis_jet(fam.alpha, s_axis, "s")

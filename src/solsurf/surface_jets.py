@@ -6,17 +6,18 @@ whose points are jet slots.  Everything downstream (fundamental
 forms, mean curvature, soliton residuals) consumes the second-order jet of
 ``X`` at a point: the position together with ``Xs, Xt, Xss, Xst, Xtt``.
 
-Jet slots are ``(..., 3)`` arrays.  A single point has ``(3,)`` slots.  A
-curve jet is one ``(3, ..., 3)`` array of its value, d1 and d2 slots, order
-first, so ``a, a1, a2 = alpha`` are whole slots.  Curve jets broadcast like
-numpy arrays: ``(3, n, 3)`` curve jets give ``n`` surface points, and a
-``(3, ns, 1, 3)`` alpha with a ``(3, nt, 3)`` beta gives the jet on the
-whole ``(ns, nt)`` grid.  A scalar jet, the value, d1 and d2 of one
-component such as a profile, is any ``(value, d1, d2)`` triple whose
-entries broadcast: a tuple at a point, a ``(3, n)`` array on a grid axis;
-three of them, stacked, are a curve jet.  Every function that reads a jet
-works component-wise, so a grid and a single point go through the same
-expressions.
+Jet slots are ``(..., 3)`` arrays, and a jet is one array of its slots,
+order first: a curve jet ``a, a1, a2 = alpha`` (value, d1, d2) is
+``(3, ..., 3)``, and a surface jet ``X, Xs, Xt, Xss, Xst, Xtt = j`` is a
+read-only ``(6, ..., 3)``, ``(6, 3)`` at one point.  Curve jets broadcast
+like numpy arrays: ``(3, n, 3)`` curve jets give ``n`` surface points, and
+a ``(3, ns, 1, 3)`` alpha with a ``(3, nt, 3)`` beta gives the
+``(6, ns, nt, 3)`` jet of the whole grid.  A scalar jet, the value, d1 and
+d2 of one component such as a profile, is any ``(value, d1, d2)`` triple
+whose entries broadcast: a tuple at a point, a ``(3, n)`` array on a grid
+axis; three of them, stacked, are a curve jet.  Every function that reads
+a jet works component-wise, so a grid and a single point go through the
+same expressions.
 
 :func:`product_surface_jet` is the one builder.  Both canonical shapes are
 products of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
@@ -37,7 +38,6 @@ which is ``residual("minimal", j)`` in :mod:`solsurf.soliton_residuals`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,6 @@ from .errors import DegenerateJetError, DomainError, ParameterError
 from .lie_halfspace import _mul, _stack
 
 __all__ = [
-    "SurfaceJet2",
     "first_kind_jet",
     "second_kind_jet",
     "product_surface_jet",
@@ -57,8 +56,6 @@ __all__ = [
 
 # |Xs x Xt| at or below this is treated as a collapsed (non-immersed) jet.
 _DEGENERACY_THRESHOLD = 1e-300
-
-_SLOTS = ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")
 
 
 def _require_positive(v, message: str) -> None:
@@ -84,11 +81,18 @@ def _cross(a, b):
     return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
-def _normal(j: "SurfaceJet2"):
+def _normal(j: np.ndarray):
     """Components of the unit normal ``Xs x Xt / |Xs x Xt|``."""
-    c = _cross(_xyz(j.Xs), _xyz(j.Xt))
+    c = _cross(_xyz(j[1]), _xyz(j[2]))
     w = np.sqrt(_dot(c, c))
     return tuple(ck / w for ck in c)
+
+
+def _require_triples(jets) -> None:
+    """Refuse any scalar jet in ``jets`` that is not a ``(value, d1, d2)`` triple."""
+    for jet in jets:
+        if len(jet) != 3:
+            raise ParameterError(f"a scalar jet is (value, d1, d2), got {len(jet)} entries")
 
 
 def _curve(x, y, z) -> np.ndarray:
@@ -96,9 +100,7 @@ def _curve(x, y, z) -> np.ndarray:
     each a ``(value, d1, d2)`` triple whose entries broadcast: a fresh
     ``(3, ..., 3)`` float array whose value, d1 and d2 slots are ``c[0]``,
     ``c[1]`` and ``c[2]``.  A scalar jet of any other length is refused."""
-    for jet in (x, y, z):
-        if len(jet) != 3:
-            raise ParameterError(f"a scalar jet is (value, d1, d2), got {len(jet)} entries")
+    _require_triples((x, y, z))
     return np.array(np.broadcast_arrays(*map(_stack, x, y, z)), dtype=float)
 
 
@@ -114,65 +116,25 @@ def _vertical(y, z) -> np.ndarray:
     return _curve((0.0, 0.0, 0.0), y, z)
 
 
-@dataclass(frozen=True)
-class SurfaceJet2:
-    """Second-order jet of a parametrized surface at one point (``(3,)``
-    slots) or at every point of a grid (``(..., 3)`` slots of one shape).
-
-    Construction rejects points at or below the boundary (``X[..., 2] <= 0``)
-    and collapsed jets (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``) anywhere in
-    the jet.  Arrays are read-only once stored.
-    """
-
-    X: np.ndarray
-    Xs: np.ndarray
-    Xt: np.ndarray
-    Xss: np.ndarray
-    Xst: np.ndarray
-    Xtt: np.ndarray
-
-    def __post_init__(self) -> None:
-        # each slot is stored as a read-only float copy, so a caller's array
-        # can change without changing the jet
-        for name in _SLOTS:
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        self._check()
-
-    @classmethod
-    def _adopt(cls, slots: dict) -> "SurfaceJet2":
-        """The jet of ``slots``, fresh float arrays that no caller holds,
-        stored without a copy once marked read-only: the path by which
-        :func:`product_surface_jet` hands over the slots it computed."""
-        j = object.__new__(cls)
-        for name in _SLOTS:
-            a = slots[name]
-            a.setflags(write=False)
-            object.__setattr__(j, name, a)
-        j._check()
-        return j
-
-    def _check(self) -> None:
-        shape = self.X.shape
-        for name in _SLOTS:
-            a = getattr(self, name)
-            if a.shape[-1:] != (3,) or a.shape != shape:
-                raise ParameterError(f"{name} must be (..., 3) like every slot, got {a.shape}")
-        _require_positive(self.X[..., 2], "surface point has non-positive height {!r}")
-        c = _cross(_xyz(self.Xs), _xyz(self.Xt))
-        if not (np.sqrt(_dot(c, c)) > _DEGENERACY_THRESHOLD).all():
-            raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
+def _checked(j: np.ndarray) -> np.ndarray:
+    """``j``, a fresh surface jet, made read-only once every point is above
+    the boundary and none is collapsed (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
+    _require_positive(j[0, ..., 2], "surface point has non-positive height {!r}")
+    c = _cross(_xyz(j[1]), _xyz(j[2]))
+    if not (np.sqrt(_dot(c, c)) > _DEGENERACY_THRESHOLD).all():
+        raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
+    j.setflags(write=False)
+    return j
 
 
-def first_kind_jet(fj, gj, s, t) -> SurfaceJet2:
+def first_kind_jet(fj, gj, s, t) -> np.ndarray:
     """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``.
 
     The product of ``alpha = (s, f(s), 1)`` and ``beta = (0, t, g(t))``;
     ``fj`` and ``gj`` are the ``(value, d1, d2)`` jets of ``f`` at ``s`` and
     of ``g`` at ``t``.  Arguments broadcast like numpy arrays: scalars give
-    ``(3,)`` slots, ``n``-vectors ``(n, 3)``, and an ``(ns, 1)`` s side with
-    an ``(nt,)`` t side the ``(ns, nt, 3)`` grid.
+    a ``(6, 3)`` jet, ``n``-vectors ``(6, n, 3)``, and an ``(ns, 1)`` s side
+    with an ``(nt,)`` t side the ``(6, ns, nt, 3)`` grid.
     """
     return product_surface_jet(
         _horospherical((s, 1.0, 0.0), fj),
@@ -180,7 +142,7 @@ def first_kind_jet(fj, gj, s, t) -> SurfaceJet2:
     )
 
 
-def second_kind_jet(fj, s, t) -> SurfaceJet2:
+def second_kind_jet(fj, s, t) -> np.ndarray:
     """Jet of ``X(s, t) = (s, f(s), t)`` on the half ``t > 0``: the product
     of ``alpha = (s, f(s), 1)`` and ``beta = (0, 0, t)``.  Arguments
     broadcast as in :func:`first_kind_jet`."""
@@ -190,7 +152,7 @@ def second_kind_jet(fj, s, t) -> SurfaceJet2:
     )
 
 
-def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> SurfaceJet2:
+def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     """Jet of the swept surface ``X(s, t) = alpha(s) * beta(t)``.
 
     ``aj`` and ``bj`` are curve jets: ``(3, ..., 3)`` arrays whose value,
@@ -207,37 +169,36 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> SurfaceJet2:
     with ``alpha``, ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as
     ``q``.  The curve slots broadcast against each other, so ``(3, n, 3)``
     curve jets give ``n`` points and ``(3, ns, 1, 3)`` times ``(3, nt, 3)``
-    the grid.  Both curve heights must be positive.  The slots are fresh
-    arrays that only the jet holds, so it stores them without a copy.
+    the grid.  Both curve heights must be positive.  Each slot is written
+    in place into one fresh ``(6, ..., 3)`` array, the jet.
     """
     a, a1, a2 = aj
     b, b1, b2 = bj
     a3, a3_1 = a[..., 2:], a1[..., 2:]
     _require_positive(a3, "alpha height must be positive, got {!r}")
     _require_positive(b[..., 2], "beta height must be positive, got {!r}")
-    slots = dict(
-        X=_mul(a, b),
-        Xs=_mul(a1, b),
-        Xt=a3 * b1,
-        Xss=_mul(a2, b),
-        Xst=a3_1 * b1,
-        Xtt=a3 * b2,
-    )
-    return SurfaceJet2._adopt(slots)
+    j = np.empty((6,) + np.broadcast_shapes(a.shape, b.shape))
+    _mul(a, b, out=j[0])
+    _mul(a1, b, out=j[1])
+    np.multiply(a3, b1, out=j[2])
+    _mul(a2, b, out=j[3])
+    np.multiply(a3_1, b1, out=j[4])
+    np.multiply(a3, b2, out=j[5])
+    return _checked(j)
 
 
-def unit_normal(j: SurfaceJet2) -> np.ndarray:
+def unit_normal(j: np.ndarray) -> np.ndarray:
     """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape."""
     return _stack(*_normal(j))
 
 
-def mean_curvature(j: SurfaceJet2):
+def mean_curvature(j: np.ndarray):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``,
     with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``."""
     return _curvature(j)[0]
 
 
-def _curvature(j: SurfaceJet2):
+def _curvature(j: np.ndarray):
     """Mean curvature and the components of the unit normal it was formed
     with: one cross product serves :func:`mean_curvature` and the soliton
     residuals, which read both.
@@ -246,9 +207,9 @@ def _curvature(j: SurfaceJet2):
     ``F``, ``G``, ``l``, ``m`` and ``n``, with the bits of the expression,
     so the normal outlives it at no cost to the peak memory."""
     N = _normal(j)
-    xs, xt = _xyz(j.Xs), _xyz(j.Xt)
+    xs, xt, xss, xst, xtt = map(_xyz, j[1:])
     E, F, G = _dot(xs, xs), _dot(xs, xt), _dot(xt, xt)
-    l, m, n = _dot(_xyz(j.Xss), N), _dot(_xyz(j.Xtt), N), _dot(_xyz(j.Xst), N)
+    l, m, n = _dot(xss, N), _dot(xtt, N), _dot(xst, N)
     l *= G  # numerator l*G - (2*n)*F + E*m, left to right
     n *= 2.0
     n *= F
@@ -276,16 +237,17 @@ def finite_difference_jet(
     s,
     t,
     h,
-) -> SurfaceJet2:
+) -> np.ndarray:
     """Second-order central-difference jet of a position-only surface map.
 
-    ``s``, ``t`` and the step ``h`` broadcast like numpy arrays, and the jet
-    has their broadcast shape times 3: scalars give one point's jet, and an
-    ``(n, 1)`` ``s`` and ``t`` with ``(m,)`` steps give ``n`` points at ``m``
-    steps each.  ``evaluator(s, t)`` returns the position: a 3-vector when
-    every argument is a scalar, otherwise ``(k, 3)`` positions for two 1-D
-    arrays of ``k`` points (the broadcast points, flattened), as
-    ``SurfaceFamily.position`` does, so a batch costs nine evaluator calls.
+    ``s``, ``t`` and the step ``h`` broadcast like numpy arrays to a
+    ``shape``, and the jet is ``(6, *shape, 3)``: scalars give one point's
+    jet, and an ``(n, 1)`` ``s`` and ``t`` with ``(m,)`` steps give ``n``
+    points at ``m`` steps each.  ``evaluator(s, t)`` returns the position:
+    a 3-vector when every argument is a scalar, otherwise ``(k, 3)``
+    positions for two 1-D arrays of ``k`` points (the broadcast points,
+    flattened), as ``SurfaceFamily.position`` does, so a batch costs nine
+    evaluator calls.
     The stencil uses the four axis neighbours at distance ``h`` plus the
     four corners (for ``Xst``); all probed points must stay in the domain,
     otherwise a ``DomainError`` is raised.  Truncation error is O(h^2) per
@@ -321,13 +283,13 @@ def finite_difference_jet(
     Xen, Xeo = ev(s + h, t + h), ev(s + h, t - h)
     Xwn, Xwo = ev(s - h, t + h), ev(s - h, t - h)
     h = np.reshape(h, np.shape(h) + (1,))  # a column against (k, 3) positions
-    slots = dict(
-        X=X,
-        Xs=(Xe - Xw) / (2.0 * h),
-        Xt=(Xn - Xo) / (2.0 * h),
-        Xss=(Xe - 2.0 * X + Xw) / (h * h),
-        Xst=(Xen - Xeo - Xwn + Xwo) / (4.0 * h * h),
-        Xtt=(Xn - 2.0 * X + Xo) / (h * h),
-    )
-    return SurfaceJet2(**{name: a.reshape(shape + (3,)) for name, a in slots.items()})
+    j = np.stack([
+        X,
+        (Xe - Xw) / (2.0 * h),
+        (Xn - Xo) / (2.0 * h),
+        (Xe - 2.0 * X + Xw) / (h * h),
+        (Xen - Xeo - Xwn + Xwo) / (4.0 * h * h),
+        (Xn - 2.0 * X + Xo) / (h * h),
+    ])
+    return _checked(j.reshape((6,) + shape + (3,)))
 

@@ -7,7 +7,6 @@ from solsurf import (
     ConformalProfileParams,
     GrimReaperParams,
     MinimalProfileParams,
-    SurfaceJet2,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
@@ -43,12 +42,11 @@ def reaper_const_sol():
 def rotated():
     """``rotated(theta, j)``: the jet of the surface turned by ``theta``
     about the vertical axis.  The rotation is linear, so it acts on every
-    slot alike."""
+    slot of the ``(6, ..., 3)`` jet alike."""
 
     def rotate(theta, j):
         c, s = math.cos(theta), math.sin(theta)
         At = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
-        return SurfaceJet2(**{name: getattr(j, name) @ At
-                              for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")})
+        return j @ At
 
     return rotate

@@ -127,17 +127,17 @@ def test_sample_grid_row_major_order():
     (s, t, j), failures = sample_grid(fam, GridSpec(2, 4))
     assert not failures
     assert s.tolist() == [0.0, 1.0] and t.tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert j.X.shape == (2, 4, 3)
+    assert j.shape == (6, 2, 4, 3)
     # row-major: the flattened nodes have s varying slowest
-    assert j.X[..., 0].ravel().tolist() == [0.0] * 4 + [1.0] * 4
-    assert j.X[..., 1].ravel().tolist() == [0.0, 1.0, 2.0, 3.0] * 2
+    assert j[0, ..., 0].ravel().tolist() == [0.0] * 4 + [1.0] * 4
+    assert j[0, ..., 1].ravel().tolist() == [0.0, 1.0, 2.0, 3.0] * 2
 
 
 def test_sampling_is_deterministic(minimal_cyl):
     (s1, t1, j1), _ = sample_grid(minimal_cyl, GRID)
     (s2, t2, j2), _ = sample_grid(minimal_cyl, GRID)
     assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
-    assert np.array_equal(j1.X, j2.X)
+    assert np.array_equal(j1[0], j2[0])
 
 
 def test_reaper_drift_slope_sets_k():
@@ -195,7 +195,7 @@ def test_grid_node_cap():
 
 def test_position_matches_jet(minimal_cyl):
     j = minimal_cyl.jet(0.3, 0.2)
-    assert np.array_equal(minimal_cyl.position(0.3, 0.2), j.X)
+    assert np.array_equal(minimal_cyl.position(0.3, 0.2), j[0])
 
 
 def test_profile_axis_is_one_call(minimal_cyl, reaper, monkeypatch):
@@ -231,8 +231,8 @@ def test_user_jet_errors_fail_their_own_nodes():
         assert failures == [(si, ti, f"no profile at {ti!r}")
                             for si in (-1.0, 0.0, 1.0) for ti in (-1.0, -0.5)]
         assert t.tolist() == [0.0, 0.5, 1.0]
-        want = probe.jet(0.0, 0.5).X
-        assert np.array_equal(j.X[1, 1], want)
+        want = probe.jet(0.0, 0.5)[0]
+        assert np.array_equal(j[0, 1, 1], want)
 
 
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
@@ -274,8 +274,8 @@ def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol):
     for a, si in enumerate(s.tolist()):
         for b, ti in enumerate(t.tolist()):
             want = fam.jet(si, ti)
-            for slot in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-                assert np.array_equal(getattr(j, slot)[a, b], getattr(want, slot)), (si, ti, slot)
+            for k in range(6):
+                assert np.array_equal(j[k][a, b], want[k]), (si, ti, k)
 
 
 def _generic_first_kind():
@@ -311,10 +311,9 @@ def test_grid_nodes_are_point_jets(build):
     carries the six slots of ``fam.jet`` at its (s, t), bit for bit."""
     fam = build()
     (s, t, j), failures = sample_grid(fam, GridSpec(7, 6))
-    assert not failures and j.X.shape == (7, 6, 3)
+    assert not failures and j.shape == (6, 7, 6, 3)
     for a, si in enumerate(s.tolist()):
         for b, ti in enumerate(t.tolist()):
             want = fam.jet(si, ti)
-            for slot in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-                got = getattr(j, slot)[a, b]
-                assert got.tobytes() == getattr(want, slot).tobytes(), (si, ti, slot)
+            for k in range(6):
+                assert j[k][a, b].tobytes() == want[k].tobytes(), (si, ti, k)

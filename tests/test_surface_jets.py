@@ -9,7 +9,6 @@ from solsurf import (
     DomainError,
     GridSpec,
     ParameterError,
-    SurfaceJet2,
     finite_difference_jet,
     first_kind_jet,
     lie_product,
@@ -29,22 +28,24 @@ GJ = (1.25, 0.75, -2.0)  # g, g', g''  at some t
 
 def test_first_kind_slots():
     j = first_kind_jet(FJ, GJ, 0.3, -0.4)
-    assert j.X.tolist() == [0.3, -0.4 + 0.25, 1.25]
-    assert j.Xs.tolist() == [1.0, -0.5, 0.0]
-    assert j.Xt.tolist() == [0.0, 1.0, 0.75]
-    assert j.Xss.tolist() == [0.0, 1.5, 0.0]
-    assert j.Xst.tolist() == [0.0, 0.0, 0.0]
-    assert j.Xtt.tolist() == [0.0, 0.0, -2.0]
+    assert j.shape == (6, 3)
+    assert j[0].tolist() == [0.3, -0.4 + 0.25, 1.25]
+    assert j[1].tolist() == [1.0, -0.5, 0.0]
+    assert j[2].tolist() == [0.0, 1.0, 0.75]
+    assert j[3].tolist() == [0.0, 1.5, 0.0]
+    assert j[4].tolist() == [0.0, 0.0, 0.0]
+    assert j[5].tolist() == [0.0, 0.0, -2.0]
 
 
 def test_second_kind_slots():
     j = second_kind_jet(FJ, 0.3, 0.9)
-    assert j.X.tolist() == [0.3, 0.25, 0.9]
-    assert j.Xs.tolist() == [1.0, -0.5, 0.0]
-    assert j.Xt.tolist() == [0.0, 0.0, 1.0]
-    assert j.Xss.tolist() == [0.0, 1.5, 0.0]
-    assert j.Xst.tolist() == [0.0, 0.0, 0.0]
-    assert j.Xtt.tolist() == [0.0, 0.0, 0.0]
+    assert j.shape == (6, 3)
+    assert j[0].tolist() == [0.3, 0.25, 0.9]
+    assert j[1].tolist() == [1.0, -0.5, 0.0]
+    assert j[2].tolist() == [0.0, 0.0, 1.0]
+    assert j[3].tolist() == [0.0, 1.5, 0.0]
+    assert j[4].tolist() == [0.0, 0.0, 0.0]
+    assert j[5].tolist() == [0.0, 0.0, 0.0]
 
 
 def _alpha(s):
@@ -76,8 +77,7 @@ def test_product_jet_is_the_group_law():
     errs = []
     for h in (2e-2, 1e-2):
         fd = finite_difference_jet(_swept, s, t, h)
-        errs.append([float(np.max(np.abs(getattr(fd, n) - getattr(j, n))))
-                     for n in ("Xs", "Xt", "Xss", "Xst", "Xtt")])
+        errs.append([float(np.max(np.abs(fd[k] - j[k]))) for k in range(1, 6)])
     for coarse, fine in zip(*errs):
         assert coarse <= 2e-3 and 3.0 <= coarse / fine <= 5.0, errs
 
@@ -95,8 +95,7 @@ def test_product_grid_is_the_pointwise_jets():
     for i, s in enumerate(ss):
         for k, t in enumerate(ts):
             point = product_surface_jet(_alpha(s), _beta(t))
-            for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-                assert getattr(grid, name)[i, k].tolist() == getattr(point, name).tolist()
+            assert grid[:, i, k].tolist() == point.tolist()
 
 
 def _descending(s):
@@ -124,18 +123,18 @@ def _assert_slots_are_the_broadcast_sums(aj, bj):
     horizontal = np.array([1.0, 1.0, 0.0])
     (a, a1, a2), (b, b1, b2) = aj, bj
     a3, a3_1, a3_2 = a[..., 2:], a1[..., 2:], a2[..., 2:]
-    expect = dict(
-        X=a3 * b + a * horizontal,
-        Xs=a3_1 * b + a1 * horizontal,
-        Xt=a3 * b1,
-        Xss=a3_2 * b + a2 * horizontal,
-        Xst=a3_1 * b1,
-        Xtt=a3 * b2,
-    )
-    for name, want in expect.items():
-        got = getattr(j, name)
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    expect = [
+        a3 * b + a * horizontal,
+        a3_1 * b + a1 * horizontal,
+        a3 * b1,
+        a3_2 * b + a2 * horizontal,
+        a3_1 * b1,
+        a3 * b2,
+    ]
+    assert len(j) == len(expect)
+    for k, (got, want) in enumerate(zip(j, expect)):
+        assert got.shape == want.shape, k
+        assert got.tobytes() == want.tobytes(), k
     return j
 
 
@@ -144,7 +143,7 @@ def test_product_slots_are_the_broadcast_sums_on_a_grid():
     aj = _descending(s[:, None])
     assert aj.shape == (3, 201, 1, 3) and (aj[1, ..., 2] < 0.0).all()
     j = _assert_slots_are_the_broadcast_sums(aj, _rising_wave(t))
-    assert j.X.shape == (201, 201, 3)
+    assert j.shape == (6, 201, 201, 3)
 
 
 def test_product_slots_are_the_broadcast_sums_on_a_batch():
@@ -156,12 +155,12 @@ def test_product_slots_are_the_broadcast_sums_on_a_batch():
     aj[2, 3, 2] = np.inf
     with np.errstate(invalid="ignore"):  # inf*0.0 is NaN, as intended
         j = _assert_slots_are_the_broadcast_sums(aj, _rising_wave(np.linspace(-1.5, 1.5, 7)))
-    assert np.isnan(j.Xss[3, 2]) and np.isfinite(np.delete(j.Xss, 3, axis=0)).all()
+    assert np.isnan(j[3][3, 2]) and np.isfinite(np.delete(j[3], 3, axis=0)).all()
 
 
 def test_product_slots_are_the_broadcast_sums_at_a_point():
     j = _assert_slots_are_the_broadcast_sums(_descending(0.4), _rising_wave(-0.6))
-    assert j.X.shape == (3,)
+    assert j.shape == (6, 3)
 
 
 def test_unit_normal_first_kind_closed_form():
@@ -177,8 +176,8 @@ def test_unit_normal_is_unit_and_orthogonal():
     j = first_kind_jet(FJ, GJ, 0.2, 0.4)
     N = unit_normal(j)
     assert abs(N @ N - 1.0) <= 1e-14
-    assert abs(N @ j.Xs) <= 1e-14
-    assert abs(N @ j.Xt) <= 1e-14
+    assert abs(N @ j[1]) <= 1e-14
+    assert abs(N @ j[2]) <= 1e-14
 
 
 def test_mean_curvature_extruded_graph():
@@ -221,18 +220,13 @@ def test_domain_guards():
         second_kind_jet(FJ, 0.0, -0.1)  # t < 0
     with pytest.raises(DomainError):
         _vertical((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    with pytest.raises(ParameterError):
-        SurfaceJet2(
-            X=np.array([0.0, 0.0, 1.0, 2.0]),  # wrong shape
-            Xs=np.zeros(3), Xt=np.zeros(3),
-            Xss=np.zeros(3), Xst=np.zeros(3), Xtt=np.zeros(3),
-        )
 
 
 def test_wrong_length_scalar_jets_are_refused():
     """A scalar jet is exactly (value, d1, d2): a short one or a long one is
     refused, not truncated, from a caller and from a generic family's
-    function alike, at a point and on a grid axis."""
+    function alike, at a point and on a grid axis, also where only some
+    nodes of the axis give a wrong length."""
     for bad in ((0.25, -0.5), (0.25, -0.5, 1.5, 99.0)):
         with pytest.raises(ParameterError, match=f"got {len(bad)} entries"):
             first_kind_jet(bad, GJ, 0.0, 0.0)
@@ -244,47 +238,73 @@ def test_wrong_length_scalar_jets_are_refused():
         fam.jet(0.5, 0.5)
     with pytest.raises(ParameterError, match="got 4 entries"):
         sample_grid(fam, GridSpec(3, 3))
+    mixed = make_generic_first_kind(
+        lambda s: (s, 1.0, 0.0) if s < 0 else (s, 1.0, 0.0, 9.0), lambda t: (2.0, 0.0, 0.0),
+        (-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(ParameterError, match="got 4 entries"):
+        sample_grid(mixed, GridSpec(3, 3))
 
 
 def test_jet_arrays_are_read_only():
-    j = first_kind_jet(FJ, GJ, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        j.X[0] = 99.0
-
-
-_SLOTS = ("X", "Xs", "Xt", "Xss", "Xst", "Xtt")
-
-
-def test_jet_copies_writeable_caller_arrays():
-    """Slots a caller passes in are copied (product_surface_jet hands its
-    own fresh slots over uncopied), so changing the caller's arrays leaves
-    the jet alone."""
-    arrays = {name: getattr(first_kind_jet(FJ, GJ, 0.3, -0.4), name).copy() for name in _SLOTS}
-    assert all(a.flags.writeable and a.flags.owndata for a in arrays.values())
-    j = SurfaceJet2(**arrays)
-    before = {name: getattr(j, name).tolist() for name in _SLOTS}
-    for a in arrays.values():
-        a[...] = 99.0
-    assert {name: getattr(j, name).tolist() for name in _SLOTS} == before
-    for jet in (j, first_kind_jet(FJ, GJ, 0.3, -0.4)):
-        for name in _SLOTS:
-            assert not getattr(jet, name).flags.writeable
+    fd = finite_difference_jet(_wavy_position, 0.4, 0.7, 1e-2)
+    for j in (first_kind_jet(FJ, GJ, 0.0, 0.0), fd):
+        assert not j.flags.writeable
+        for k in range(6):
             with pytest.raises(ValueError):
-                getattr(jet, name)[0] = 99.0
+                j[k][0] = 99.0
 
 
-def test_jet_copies_read_only_caller_arrays():
-    """A caller's read-only array is copied too: its owner can make it
-    writeable again, and a write must not move the jet below the boundary."""
-    slots = {name: getattr(first_kind_jet(FJ, GJ, 0.3, -0.4), name).copy() for name in _SLOTS}
-    for a in slots.values():
-        a.setflags(write=False)
-    j = SurfaceJet2(**slots)
-    before = j.X.tolist()
-    slots["X"].setflags(write=True)
-    slots["X"][2] = -1.0
-    assert j.X.tolist() == before and j.X[2] > 0.0
-    assert not any(np.shares_memory(getattr(j, name), slots[name]) for name in _SLOTS)
+def test_jets_share_no_memory_with_their_inputs():
+    """A built jet is a fresh read-only array: neither builder keeps a view
+    of the caller's curve jets or of the positions its evaluator returned,
+    so a caller who writes to those cannot move the jet below the boundary."""
+    aj, bj = _alpha(0.7), _beta(-1.1)
+    j = product_surface_jet(aj, bj)
+    positions = []
+
+    def position(s, t):
+        positions.append(_swept(s, t).copy())  # writeable, as a caller's may be
+        return positions[-1]
+
+    fd = finite_difference_jet(position, 0.7, -1.1, 1e-2)
+    assert len(positions) == 9
+    for jet, inputs in ((j, (aj, bj)), (fd, positions)):
+        assert not jet.flags.writeable
+        assert not any(np.shares_memory(jet, a) for a in inputs)
+    before = j.tolist(), fd.tolist()
+    aj[...], bj[...] = -1.0, -1.0
+    for p in positions:
+        p[...] = -1.0
+    assert (j.tolist(), fd.tolist()) == before
+
+
+def _left_translate(p, c):
+    """``L_p`` on an order-first slot array, a curve jet or a surface jet:
+    ``p3`` times every slot, with ``P(p) = (p1, p2, 0)`` added to slot 0."""
+    out = p[..., 2:] * c
+    out[0] += p * np.array([1.0, 1.0, 0.0])
+    return out
+
+
+def test_left_translation_commutes_with_the_jet_builder():
+    """Left translation is a group action, so translating ``alpha`` moves the
+    swept surface ``alpha * beta`` and all its derivatives by the same
+    ``L_p``.  1000 random curve jets and points; the worst relative defect
+    reads 7.7e-16 at this seed and at most 1.8e-15 at seeds 0-19, so 1e-13
+    leaves a margin of ~55."""
+    rng = np.random.default_rng(7)
+    n = 1000
+
+    def curve():
+        c = rng.standard_normal((3, n, 3))
+        c[0, :, 2] = np.exp(rng.uniform(-1.0, 1.0, n))
+        return c
+
+    aj, bj, p = curve(), curve(), curve()[0]
+    lhs = product_surface_jet(_left_translate(p, aj), bj)
+    rhs = _left_translate(p, product_surface_jet(aj, bj))
+    assert lhs.shape == rhs.shape == (6, n, 3)
+    assert np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))) <= 1e-13
 
 
 # --- finite differences --------------------------------------------------
@@ -318,8 +338,8 @@ def test_finite_difference_slots_agree():
     s, t = -0.9, 1.3
     jd = finite_difference_jet(_wavy_position, s, t, 1e-4)
     je = _wavy_jet(s, t)
-    for name in ("X", "Xs", "Xt", "Xss", "Xst", "Xtt"):
-        assert np.allclose(getattr(jd, name), getattr(je, name), atol=5e-7)
+    for k in range(6):
+        assert np.allclose(jd[k], je[k], atol=5e-7)
 
 
 def test_finite_difference_stencil_leaves_domain():
@@ -349,13 +369,12 @@ def test_batched_finite_difference_is_the_scalar_calls():
     its own scalar call, slot by slot."""
     for fam, s, t, hs in _fd_cases():
         batch = finite_difference_jet(fam.position, s[:, None], t[:, None], hs)
-        assert batch.X.shape == (len(s), len(hs), 3)
+        assert batch.shape == (6, len(s), len(hs), 3)
         for i in range(len(s)):
             for k in range(len(hs)):
                 one = finite_difference_jet(fam.position, float(s[i]), float(t[i]),
                                             float(hs[k]))
-                for name in _SLOTS:
-                    assert getattr(batch, name)[i, k].tobytes() == getattr(one, name).tobytes()
+                assert batch[:, i, k].tobytes() == one.tobytes()
 
 
 def test_batched_finite_difference_nine_evaluator_calls():
