@@ -254,28 +254,57 @@ def test_jet_arrays_are_read_only():
                 j[k][0] = 99.0
 
 
-def test_jets_share_no_memory_with_their_inputs():
+def _jets_from(aj, bj, positions):
+    """Both builders' jets at (0.7, -1.1): the product jet of ``aj``, ``bj``
+    and the finite-difference jet of an evaluator that returns the arrays in
+    ``positions``, one per call, so the test holds every array a builder saw."""
+    calls = iter(positions)
+    fd = finite_difference_jet(lambda s, t: next(calls), 0.7, -1.1, 1e-2)
+    return product_surface_jet(aj, bj), fd
+
+
+def _stencil_positions():
+    """The nine positions finite_difference_jet asks for at (0.7, -1.1)
+    with h = 1e-2, in the order it asks for them, as writeable copies the
+    caller owns."""
+    asked = []
+    finite_difference_jet(lambda s, t: asked.append((s, t)) or _swept(s, t),
+                          0.7, -1.1, 1e-2)
+    assert len(asked) == 9
+    return [_swept(s, t).copy() for s, t in asked]
+
+
+def test_jet_copies_writeable_caller_arrays():
     """A built jet is a fresh read-only array: neither builder keeps a view
-    of the caller's curve jets or of the positions its evaluator returned,
-    so a caller who writes to those cannot move the jet below the boundary."""
-    aj, bj = _alpha(0.7), _beta(-1.1)
-    j = product_surface_jet(aj, bj)
-    positions = []
-
-    def position(s, t):
-        positions.append(_swept(s, t).copy())  # writeable, as a caller's may be
-        return positions[-1]
-
-    fd = finite_difference_jet(position, 0.7, -1.1, 1e-2)
-    assert len(positions) == 9
+    of the caller's writeable curve jets or of the writeable positions its
+    evaluator returned, so writing to those leaves the jet alone."""
+    aj, bj, positions = _alpha(0.7), _beta(-1.1), _stencil_positions()
+    assert all(a.flags.writeable for a in (aj, bj, *positions))
+    j, fd = _jets_from(aj, bj, positions)
     for jet, inputs in ((j, (aj, bj)), (fd, positions)):
         assert not jet.flags.writeable
         assert not any(np.shares_memory(jet, a) for a in inputs)
     before = j.tolist(), fd.tolist()
-    aj[...], bj[...] = -1.0, -1.0
-    for p in positions:
-        p[...] = -1.0
+    for a in (aj, bj, *positions):
+        a[...] = -1.0
     assert (j.tolist(), fd.tolist()) == before
+
+
+def test_jet_copies_read_only_caller_arrays():
+    """A caller's read-only arrays are copied too: their owner can make them
+    writeable again, and a write must not move the jet below the boundary."""
+    aj, bj, positions = _alpha(0.7), _beta(-1.1), _stencil_positions()
+    for a in (aj, bj, *positions):
+        a.setflags(write=False)
+    j, fd = _jets_from(aj, bj, positions)
+    for jet, inputs in ((j, (aj, bj)), (fd, positions)):
+        assert not any(np.shares_memory(jet, a) for a in inputs)
+    before = j.tolist(), fd.tolist()
+    for a in (aj, bj, *positions):
+        a.setflags(write=True)
+        a[..., 2] = -1.0
+    assert (j.tolist(), fd.tolist()) == before
+    assert j[0][2] > 0.0 and fd[0][2] > 0.0
 
 
 def _left_translate(p, c):
