@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParameterError", "DomainError", "SamplingError"]
+
 
 class ParameterError(ValueError):
     """A constructor or command received an out-of-range parameter."""
@@ -8,10 +10,6 @@ class ParameterError(ValueError):
 class DomainError(ValueError):
     """An evaluation point (or a finite-difference stencil around it) left
     the domain where the object is defined."""
-
-
-class DegenerateJetError(ValueError):
-    """A surface jet failed the immersion requirement |Xs x Xt| > 0."""
 
 
 class SamplingError(RuntimeError):

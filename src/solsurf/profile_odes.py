@@ -67,15 +67,10 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "EPS_G",
-    "M_STOP",
-    "REAPER_SPAN_DEFAULT",
-    "MAX_BRANCH_STEPS",
     "MinimalProfileParams",
     "GrimReaperParams",
     "ConformalProfileParams",
     "ProfileSolution",
-    "first_integral_defect",
     "minimal_halfwidth_quadrature",
     "conformal_halfwidth_quadrature",
     "integrate_minimal_profile",
@@ -96,49 +91,59 @@ _COLLAPSE_TOL = (1e-10, 1e-12)
 _REAPER_TOL = (1e-12, 1e-13)
 
 
-def _check_collapse_params(p, slope: float, constant: str) -> None:
-    """Refuse a collapsing profile unless its slope is finite, its ``y0``
-    finite and positive, and its first-integral constant (``m`` or ``C``) a
-    finite normal float > 0: a ``y0`` far from 1 makes that constant
-    overflow or underflow, and with a subnormal one ``g^4`` underflows to 0
-    near the collapse, where the monitor divides by it."""
-    if not math.isfinite(slope):
-        raise ParameterError(f"slope must be finite, got {slope!r}")
-    if not 0.0 < p.y0 < math.inf:
-        raise ParameterError(f"initial height must be positive and finite, got {p.y0!r}")
-    try:
-        value = getattr(p, constant)
-    except OverflowError:
-        value = math.inf
-    if not sys.float_info.min <= value < math.inf:
-        raise ParameterError(
-            f"first-integral constant {constant} = {value!r} is not a finite, normal, "
-            f"positive float for y0 = {p.y0!r}"
-        )
+class _CollapseParams:
+    """A collapsing profile's drift slope, the field named by ``_slope``, and
+    initial height ``y0``.  Construction refuses them unless the slope is
+    finite, ``y0`` finite and positive, and the first-integral constant (the
+    property named by ``_constant``) a finite normal float > 0: a ``y0`` far
+    from 1 makes it overflow or underflow, and with a subnormal one ``g^4``
+    underflows to 0 near the collapse, where the monitor divides by it."""
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.slope):
+            raise ParameterError(f"slope must be finite, got {self.slope!r}")
+        if not 0.0 < self.y0 < math.inf:
+            raise ParameterError(f"initial height must be positive and finite, got {self.y0!r}")
+        try:
+            value = getattr(self, self._constant)
+        except OverflowError:
+            value = math.inf
+        if not sys.float_info.min <= value < math.inf:
+            raise ParameterError(
+                f"first-integral constant {self._constant} = {value!r} is not a finite, "
+                f"normal, positive float for y0 = {self.y0!r}"
+            )
+
+    @property
+    def slope(self) -> float:
+        """The drift slope, ``c`` or ``a``."""
+        return getattr(self, self._slope)
+
+    @property
+    def kinv(self) -> float:
+        """``1/(slope^2+1)``."""
+        return 1.0 / (self.slope * self.slope + 1.0)
+
+    def gpp(self, t, g, gp):
+        """Second derivative from the ODE; valid for scalars or arrays."""
+        return self.system()(t, g, gp)[1]
 
 
 @dataclass(frozen=True)
-class MinimalProfileParams:
+class MinimalProfileParams(_CollapseParams):
     """Parameters of the minimal profile: the drift slope ``c`` and the
     initial height ``y0``.  The first-integral constant ``m`` is derived from
     them."""
 
     family = "minimal"
+    _slope, _constant = "c", "m"
     c: float = 0.0
     y0: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_collapse_params(self, self.c, "m")
 
     @property
     def m(self) -> float:
         """``y0^4/(c^2+1)``, the first-integral constant of the initial conditions."""
         return self.y0 ** 4 / (self.c * self.c + 1.0)
-
-    @property
-    def kinv(self) -> float:
-        """``1/(c^2+1)``."""
-        return 1.0 / (self.c * self.c + 1.0)
 
     def system(self):
         """The ODE as a first-order system: ``rhs(t, g, g') = (g', g'')``,
@@ -150,10 +155,6 @@ class MinimalProfileParams:
             return gp, -2.0 * (gp * gp + kinv) / g
 
         return rhs
-
-    def gpp(self, t, g, gp):
-        """Second derivative from the ODE; valid for scalars or arrays."""
-        return self.system()(t, g, gp)[1]
 
     def first_integral_rhs(self, g):
         """``m/g^4 - 1/(c^2+1)``, the value ``g'^2`` must equal."""
@@ -194,28 +195,21 @@ class GrimReaperParams:
 
 
 @dataclass(frozen=True)
-class ConformalProfileParams:
+class ConformalProfileParams(_CollapseParams):
     """Parameters of the conformal profile: the drift slope ``a`` and the
     initial height ``y0``.  The first-integral constant ``C`` is derived from
     them."""
 
     family = "conformal"
+    _slope, _constant = "a", "C"
     a: float = 0.0
     y0: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_collapse_params(self, self.a, "C")
 
     @property
     def C(self) -> float:
         """``y0^4*e^{-4/y0}/(1+a^2)``, the first-integral constant of the
         initial conditions."""
         return self.y0 ** 4 * math.exp(-4.0 / self.y0) / (self.a * self.a + 1.0)
-
-    @property
-    def kinv(self) -> float:
-        """``1/(a^2+1)``."""
-        return 1.0 / (self.a * self.a + 1.0)
 
     def system(self):
         """The ODE as a first-order system: ``rhs(t, g, g') = (g', g'')``,
@@ -226,9 +220,6 @@ class ConformalProfileParams:
             return gp, -2.0 * (g + 1.0) / (g * g) * (gp * gp + kinv)
 
         return rhs
-
-    def gpp(self, t, g, gp):
-        return self.system()(t, g, gp)[1]
 
     def first_integral_rhs(self, g):
         """``C*e^{4/g}/g^4 - 1/(1+a^2)``; overflows saturate to +inf."""
@@ -260,7 +251,7 @@ class ConformalProfileParams:
 ProfileParams = Union[MinimalProfileParams, GrimReaperParams, ConformalProfileParams]
 
 
-def first_integral_defect(p: Union[MinimalProfileParams, ConformalProfileParams], g, gp):
+def first_integral_defect(p: _CollapseParams, g, gp):
     """Raw conservation defect ``g'^2 - p.first_integral_rhs(g)`` of a
     collapsing profile, at one state or at arrays of states: minimal
     ``m/g^4 - 1/(c^2+1)``, conformal ``C*e^{4/g}/g^4 - 1/(1+a^2)``."""
@@ -537,9 +528,8 @@ def _blowup_tail(params, g_stop: float) -> float:
     return _gauss(params.dt_dphi, 0.0, math.asin(min(1.0, g_stop / params.y0)))
 
 
-def _collapse_solution(params, slope: float) -> ProfileSolution:
-    """Shared driver for the two collapsing (minimal/conformal) profiles,
-    whose drift slope (``c`` or ``a``) is ``slope``.
+def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
+    """Shared driver for the two collapsing (minimal/conformal) profiles.
 
     One branch is stepped, with steps of at most ``y0/20``, toward
     ``+horizon = 2*y0*sqrt(slope^2 + 1) + 1``; the left half is its mirror,
@@ -556,7 +546,7 @@ def _collapse_solution(params, slope: float) -> ProfileSolution:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
         )
-    horizon = 2.0 * params.y0 * math.sqrt(slope * slope + 1.0) + 1.0
+    horizon = 2.0 * params.y0 * math.sqrt(params.slope * params.slope + 1.0) + 1.0
     rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, horizon,
                                    [_height_stop, _speed_stop], *_COLLAPSE_TOL, params.y0 / 20.0)
     if status == 1 and len(rt) == 1:
@@ -588,12 +578,12 @@ def integrate_minimal_profile(p: MinimalProfileParams) -> ProfileSolution:
     The solution is even in t, concave, maximal at t=0, and collapses at
     ``+-r`` with ``r`` matching :func:`minimal_halfwidth_quadrature`.
     """
-    return _collapse_solution(p, p.c)
+    return _collapse_solution(p)
 
 
 def integrate_conformal_profile(p: ConformalProfileParams) -> ProfileSolution:
     """Integrate the conformal profile two-sided from t=0 until collapse."""
-    return _collapse_solution(p, p.a)
+    return _collapse_solution(p)
 
 
 def _reaper_min_branch(lam: float) -> float:

@@ -133,10 +133,11 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     """Sweep one residual over a family grid, on the family's ``s_range``
     and ``t_range``, and collect the values.
 
-    A node whose residual is not finite (its fundamental forms overflow)
-    fails with that reason, beside the nodes :func:`sample_grid` fails;
-    ``failures`` stays row-major.  Raises :class:`SamplingError` if no node
-    gives a finite residual.
+    A node whose residual is not finite (its fundamental forms overflow, or
+    its jet is collapsed, so its normal is NaN) fails with that reason,
+    beside the nodes :func:`sample_grid` fails; ``failures`` stays
+    row-major.  Raises :class:`SamplingError` if no node gives a finite
+    residual.
     """
     # Looked up at call time, so that a tracer which rebinds
     # ``surface_factory.sample_grid`` sees the sweeps made here.

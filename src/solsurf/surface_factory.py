@@ -386,9 +386,9 @@ def sample_grid(
     ``t`` are the axis nodes that are left, and ``jet`` is the read-only
     ``(6, len(s), len(t), 3)`` surface jet on their product grid.  The jet
     of a node that is left can still give a residual that is not finite
-    (its fundamental forms overflow);
-    :func:`~solsurf.soliton_residuals.residual_report` fails those nodes.
-    If *every* node fails, :class:`SamplingError` is raised.
+    (its fundamental forms overflow, or it is collapsed, so its normal is
+    NaN); :func:`~solsurf.soliton_residuals.residual_report` fails those
+    nodes.  If *every* node fails, :class:`SamplingError` is raised.
     """
     s_axis, t_axis = grid_axes(fam, grid)
     a_rows, s_reasons = _axis_jet(fam.alpha, s_axis, "s")
@@ -408,8 +408,8 @@ def sample_grid(
     # broadcast against beta's (nt, 3)
     alpha = np.compress(~s_bad, a_rows, axis=1)[:, :, None]
     beta = np.compress(~t_bad, b_rows, axis=1)
-    # |Xs x Xt| may overflow to inf, which passes the immersion check; a node
-    # whose residual is then not finite fails in residual_report
+    # a slot product may overflow to inf; a node whose residual is then not
+    # finite fails in residual_report, as a collapsed one does
     with np.errstate(over="ignore"):
         jet = product_surface_jet(alpha, beta)
     return (s_axis[~s_bad], t_axis[~t_bad], jet), failures

@@ -35,6 +35,9 @@ Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 
 The mean curvature of the rescaled (hyperbolic) metric is ``X3*H + N3``,
 which is ``residual("minimal", j)`` in :mod:`solsurf.soliton_residuals`.
+The immersion test lives in the normal, which forms ``Xs x Xt`` once: at a
+collapsed point, ``|Xs x Xt| <= 1e-300``, the normal, ``H`` and every
+residual are NaN, so a sweep fails that node like any other non-finite one.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateJetError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .lie_halfspace import _mul, _stack
 
 __all__ = [
@@ -54,7 +57,7 @@ __all__ = [
     "finite_difference_jet",
 ]
 
-# |Xs x Xt| at or below this is treated as a collapsed (non-immersed) jet.
+# |Xs x Xt| at or below this is a collapsed (non-immersed) jet, whose normal is NaN.
 _DEGENERACY_THRESHOLD = 1e-300
 
 
@@ -82,9 +85,11 @@ def _cross(a, b):
 
 
 def _normal(j: np.ndarray):
-    """Components of the unit normal ``Xs x Xt / |Xs x Xt|``."""
+    """Components of the unit normal ``Xs x Xt / |Xs x Xt|``, NaN at a
+    collapsed point (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
     c = _cross(_xyz(j[1]), _xyz(j[2]))
     w = np.sqrt(_dot(c, c))
+    w = np.where(w > _DEGENERACY_THRESHOLD, w, np.nan)
     return tuple(ck / w for ck in c)
 
 
@@ -118,11 +123,8 @@ def _vertical(y, z) -> np.ndarray:
 
 def _checked(j: np.ndarray) -> np.ndarray:
     """``j``, a fresh surface jet, made read-only once every point is above
-    the boundary and none is collapsed (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
+    the boundary; a collapsed one passes, and its normal is NaN."""
     _require_positive(j[0, ..., 2], "surface point has non-positive height {!r}")
-    c = _cross(_xyz(j[1]), _xyz(j[2]))
-    if not (np.sqrt(_dot(c, c)) > _DEGENERACY_THRESHOLD).all():
-        raise DegenerateJetError("jet is not an immersion: |Xs x Xt| ~ 0")
     j.setflags(write=False)
     return j
 
@@ -188,13 +190,15 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
 
 
 def unit_normal(j: np.ndarray) -> np.ndarray:
-    """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape."""
+    """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape;
+    NaN at a collapsed point."""
     return _stack(*_normal(j))
 
 
 def mean_curvature(j: np.ndarray):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``,
-    with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``."""
+    with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``; NaN
+    at a collapsed point."""
     return _curvature(j)[0]
 
 

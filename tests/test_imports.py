@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +58,25 @@ def test_readme_library_tour_runs():
     }
     for expr, value in claims.items():
         assert re.search(rf"^{re.escape(expr)} +# {re.escape(value)}", block, re.M), (expr, value)
+
+
+def test_top_level_names():
+    """The package's public names, each module's ``__all__``: an API change
+    shows here as a diff."""
+    import solsurf
+
+    names = sorted(n for n, v in vars(solsurf).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == [
+        "ConformalProfileParams", "DomainError", "GridSpec", "GrimReaperParams", "IDENTITY",
+        "MinimalProfileParams", "ParameterError", "ProfileSolution", "ResidualReport",
+        "SamplingError", "SolitonMode", "SurfaceFamily", "conformal_halfwidth_quadrature",
+        "finite_difference_jet", "first_kind_jet", "grid_axes", "integrate_conformal_profile",
+        "integrate_grim_reaper", "integrate_minimal_profile", "lie_inverse", "lie_product",
+        "make_conformal_cylinder", "make_generic_first_kind", "make_generic_second_kind",
+        "make_grim_reaper", "make_horosphere", "make_minimal_cylinder", "make_vertical_plane",
+        "mean_curvature", "minimal_halfwidth_quadrature", "perturb_profile",
+        "product_surface_jet", "reduced_residual_first_kind", "reduced_residual_second_kind",
+        "residual", "residual_report", "rotation_about_vertical", "sample_grid",
+        "second_kind_jet", "semidirect_product", "semidirect_to_halfspace", "unit_normal",
+    ]

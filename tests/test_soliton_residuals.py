@@ -15,6 +15,7 @@ from solsurf import (
     ResidualReport,
     SamplingError,
     SolitonMode,
+    SurfaceFamily,
     first_kind_jet,
     make_generic_first_kind,
     make_generic_second_kind,
@@ -28,11 +29,14 @@ from solsurf import (
     residual_report,
     second_kind_jet,
     soliton_residuals,
+    surface_factory,
+    surface_jets,
     unit_normal,
 )
 from solsurf.surface_factory import sample_grid
+from solsurf.surface_jets import _vertical
 from solsurf.commands import FAMILIES
-from solsurf.export import write_residual_csv
+from solsurf.export import write_obj_mesh, write_residual_csv
 
 MINIMAL, TRANSLATOR, CONFORMAL = SolitonMode
 
@@ -234,6 +238,50 @@ def test_residual_report_fails_non_finite_residuals(mode, tmp_path):
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")  # the s = 1 row is gone
 
 
+def _cusp():
+    """A product family that is not immersed on its ``t = 0`` column:
+    ``beta(t) = (0, t^3, 1)`` has ``beta'(0) = 0``, so ``Xt = 0`` there."""
+    alpha = surface_factory._horospherical(surface_factory._linear_jet(0.5, 0.0))
+
+    def beta(t):
+        return _vertical((t ** 3, 3.0 * t * t, 6.0 * t), (1.0, 0.0, 0.0))
+
+    return SurfaceFamily("cusp", {}, (-1.0, 1.0), (-1.0, 1.0), alpha, beta)
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_collapsed_nodes_fail_their_own_nodes(mode, tmp_path):
+    """A collapsed node, ``|Xs x Xt| = 0``, fails with the residual it gave
+    instead of aborting the sweep, and the mesh, which needs no normal,
+    writes every vertex."""
+    fam = _cusp()
+    rep = residual_report(fam, mode, GridSpec(3, 5))
+    assert rep.failures == [(s, 0.0, "residual is not finite: nan") for s in (-1.0, 0.0, 1.0)]
+    assert rep.samples.shape == (12, 3)
+    assert 0.0 not in rep.samples[:, 1].tolist()
+    assert np.all(np.isfinite(rep.samples))
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")  # the t = 0 column is gone
+    path = tmp_path / "cusp.obj"
+    assert write_obj_mesh(path, fam, GridSpec(3, 5)) == (15, 16)
+    vertices = [line.split()[1:] for line in path.read_text().splitlines() if line[0] == "v"]
+    assert len(vertices) == 15 and np.all(np.isfinite(np.array(vertices, dtype=float)))
+
+
+def test_residual_report_forms_the_cross_product_once(monkeypatch):
+    """``Xs x Xt`` is formed once per report, in the normal: the builder
+    does not form it again to test the immersion."""
+    calls = []
+    cross = surface_jets._cross
+
+    def counted(a, b):
+        calls.append(1)
+        return cross(a, b)
+
+    monkeypatch.setattr(surface_jets, "_cross", counted)
+    residual_report(make_minimal_cylinder(1.2, 1.1), MINIMAL, GridSpec(5, 7))
+    assert len(calls) == 1
+
+
 # Nodes kept on a grid of at most 5x5, row-major; nodes past ns*nt are unused.
 _KEEP = st.lists(st.booleans(), min_size=25, max_size=25)
 _NONE = [False] * 25
@@ -429,6 +477,21 @@ def test_residual_report_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * (201 * 201 * 8), peak / (201 * 201 * 8)
+
+
+def test_sample_grid_peak_memory():
+    """A 201x201 grid jet is 18 grid-sized float arrays; sampling it holds
+    at most 20 at once."""
+    fam = make_minimal_cylinder(1.2, 1.1)
+    grid = GridSpec(201, 201)
+    sample_grid(fam, grid)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        sample_grid(fam, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * (201 * 201 * 8), peak / (201 * 201 * 8)
 
 
 def test_residual_report_raises_when_everything_fails():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from solsurf import (
-    DegenerateJetError,
     DomainError,
     GridSpec,
     ParameterError,
@@ -15,6 +14,7 @@ from solsurf import (
     make_generic_first_kind,
     mean_curvature,
     product_surface_jet,
+    residual,
     sample_grid,
     second_kind_jet,
     unit_normal,
@@ -205,12 +205,22 @@ def test_rotation_preserves_mean_curvature(rotated):
         assert abs(mean_curvature(rotated(theta, j)) - mean_curvature(j)) <= 1e-12
 
 
-def test_degenerate_jet_rejected():
+def test_collapsed_jet_reads_nan():
+    """A collapsed jet, ``|Xs x Xt| ~ 0``, is built like any other, and its
+    normal, mean curvature and residuals are NaN, without a warning; the
+    finite-difference jet of a constant map too."""
     # a constant beta curve collapses Xt
     alpha = _horospherical((0.0, 1.0, 0.0), FJ)
     beta = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateJetError):
-        product_surface_jet(alpha, beta)
+    fd = finite_difference_jet(lambda s, t: np.array([0.0, 0.0, 1.0]), 0.0, 0.0, 0.1)
+    for j in (product_surface_jet(alpha, beta), fd):
+        assert not j.flags.writeable
+        assert j[2].tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(unit_normal(j)).all()
+        assert math.isnan(mean_curvature(j))
+        for mode in ("minimal", "translator", "conformal"):
+            assert math.isnan(residual(mode, j))
+    assert product_surface_jet(alpha, beta)[0].tolist() == [0.0, 1.25, 1.0]
 
 
 def test_domain_guards():
