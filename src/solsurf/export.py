@@ -7,6 +7,7 @@ detail, so identical inputs produce byte-identical files.
 """
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -184,20 +185,35 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     Vertices are row-major over (s, t) — the node (i, j) is OBJ index
     ``i*nt + j + 1`` — and each grid cell is split into the two triangles
     ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.
-    Raises :class:`DomainError`, before the file is opened, if any node
-    fails.  Returns (vertex_count, face_count).
+    The surface jet is built one block of ``s`` rows at a time, as a
+    residual sweep builds it, and the vertex text of each block is written
+    before the next is built; the faces follow, in the same blocks of cell
+    rows.  Raises :class:`DomainError`, before the file is opened, if any
+    node fails; a block that raises once the file is open removes it.
+    Returns (vertex_count, face_count).
     """
-    from .surface_factory import sample_grid
+    from .surface_factory import _row_blocks, sample_grid
 
-    (_, _, j), failures = sample_grid(fam, grid)
+    (_, _, alpha, beta), failures = sample_grid(fam, grid)
     if failures:
         n = len(failures)
         raise DomainError(f"{n} mesh node(s) failed, first (s, t, reason): {failures[0]}")
     ns, nt = grid.ns, grid.nt
-    idx = np.arange(1, ns * nt + 1).reshape(ns, nt)
-    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
-    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
-    with _open_w(path) as fh:
-        fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", j[0].reshape(-1, 3)))
-        fh.write(_rows("f %d %d %d\n", faces))
-    return ns * nt, len(faces)
+    a = np.arange(1, nt)  # the OBJ index (0, j) of each cell's first corner
+    # the two triangles of each cell in the first row of cells; a cell in
+    # row i adds i*nt to every index
+    cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
+    try:
+        with _open_w(path) as fh:
+            blocks = []
+            for rows, j in _row_blocks(alpha, beta):
+                fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", j[0].reshape(-1, 3)))
+                blocks.append(rows)
+                del j  # before the next block's jet is built
+            for rows in blocks:
+                i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
+                fh.write(_rows("f %d %d %d\n", (cells + nt * i).reshape(-1, 3)))
+    except DomainError:
+        os.remove(path)
+        raise
+    return ns * nt, 2 * (ns - 1) * (nt - 1)

@@ -133,22 +133,28 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     """Sweep one residual over a family grid, on the family's ``s_range``
     and ``t_range``, and collect the values.
 
-    A node whose residual is not finite (its fundamental forms overflow, or
-    its jet is collapsed, so its normal is NaN) fails with that reason,
-    beside the nodes :func:`sample_grid` fails; ``failures`` stays
-    row-major.  Raises :class:`SamplingError` if no node gives a finite
-    residual.
+    The factor curves are evaluated once per axis by :func:`sample_grid`;
+    the surface jet and its residual are then formed one block of ``s``
+    rows at a time, each block's residuals written into the whole
+    ``samples`` table, so no jet of the whole grid is ever held.  A node
+    whose residual is not finite (its fundamental forms overflow, or its
+    jet is collapsed, so its normal is NaN) fails with that reason, beside
+    the nodes :func:`sample_grid` fails; ``failures`` stays row-major.
+    Raises :class:`SamplingError` if no node gives a finite residual.
     """
     # Looked up at call time, so that a tracer which rebinds
     # ``surface_factory.sample_grid`` sees the sweeps made here.
-    from .surface_factory import sample_grid
+    from .surface_factory import _row_blocks, sample_grid
 
     mode = SolitonMode(mode)
-    (s, t, j), failures = sample_grid(fam, grid)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # such nodes fail below
-        r = residual(mode, j)
-    arr = np.empty(r.shape + (3,))
-    arr[..., 0], arr[..., 1], arr[..., 2] = s[:, None], t, r
+    (s, t, alpha, beta), failures = sample_grid(fam, grid)
+    arr = np.empty((len(s), len(t), 3))
+    arr[..., 0], arr[..., 1] = s[:, None], t
+    r = arr[..., 2]
+    for rows, j in _row_blocks(alpha, beta):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # they fail below
+            r[rows] = residual(mode, j)
+        del j  # before the next block's jet is built
     finite = np.isfinite(r)
     if finite.all():
         arr = arr.reshape(-1, 3)

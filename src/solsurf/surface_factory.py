@@ -6,7 +6,8 @@ and its parameter dict.  A second-kind family is ``X = (s, f(s), t)``: a
 shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
-error), and build one jet for the whole grid.
+error).  A sweep then builds the surface jet one block of ``s`` rows at a
+time, about ``BLOCK_NODES`` nodes each, never for the whole grid at once.
 
 A family whose profile collapses takes the profile's node span in ``t``
 less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
@@ -60,12 +61,18 @@ __all__ = [
 
 
 # In process on a 2-core x86 host (Intel Xeon), a 1001x1001 residual sweep
-# with its CSV and summary takes 0.18-0.26 s for the minimal cylinder and
-# 0.49 s for a generic first-kind family with curved f, where no s row of
-# residuals repeats the one before it, at a peak RSS of 245 MB either way.
-# The cap (1024x1024) keeps every grid near that, instead of letting a typo
-# allocate until the process is killed.
+# with its CSV and summary takes 0.17-0.25 s for the minimal cylinder and
+# 0.73-0.75 s for a generic first-kind family with curved f, where no s row
+# of residuals repeats the one before it, at a peak RSS of 64 MB either way,
+# 24 MB of it the samples table; a 1001x1001 minimal-cylinder mesh takes
+# 2.1-3.2 s at 34 MB.  The cap (1024x1024) keeps every grid near that,
+# instead of letting a typo allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
+# Nodes of the surface jet a sweep builds at once: a block of whole s rows,
+# at least one, 40 rows at nt = 201.  A block's jet and residual temporaries
+# stay in the CPU caches: at 1001x1001, residuals over blocks of 8 rows took
+# 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
+BLOCK_NODES = 8192
 # Fraction of the profile's t span clipped from each end where it collapses.
 MARGIN = 1e-3
 
@@ -375,20 +382,24 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
 
 def sample_grid(
     fam: SurfaceFamily, grid: GridSpec
-) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[Tuple[float, float, str]]]:
-    """Evaluate the family on the grid: ``((s, t, jet), failures)``.
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], List[Tuple[float, float, str]]]:
+    """Evaluate the family's two factor curves on the grid's axes:
+    ``((s, t, alpha, beta), failures)``.
 
     Each factor curve is evaluated in one call on its axis, and node by node
     only after that call raises (:func:`_axis_jet`), so a domain error fails
     just the axis nodes that raise it.  A grid node fails here when its ``s``
     or ``t`` axis node fails; failures are collected row-major (s varies
     slowest) as ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and
-    ``t`` are the axis nodes that are left, and ``jet`` is the read-only
-    ``(6, len(s), len(t), 3)`` surface jet on their product grid.  The jet
-    of a node that is left can still give a residual that is not finite
-    (its fundamental forms overflow, or it is collapsed, so its normal is
-    NaN); :func:`~solsurf.soliton_residuals.residual_report` fails those
-    nodes.  If *every* node fails, :class:`SamplingError` is raised.
+    ``t`` are the axis nodes that are left, ``alpha`` the ``(3, len(s), 1,
+    3)`` and ``beta`` the ``(3, len(t), 3)`` curve jets on them.  No surface
+    jet is built here: the product of ``alpha`` and ``beta`` is the ``(6,
+    len(s), len(t), 3)`` jet of the whole grid, and a sweep builds it a
+    block of rows at a time instead (:func:`_row_blocks`).  The jet of a
+    node that is left can still give a residual that is not finite (its
+    fundamental forms overflow, or it is collapsed, so its normal is NaN);
+    :func:`~solsurf.soliton_residuals.residual_report` fails those nodes.
+    If *every* node fails, :class:`SamplingError` is raised.
     """
     s_axis, t_axis = grid_axes(fam, grid)
     a_rows, s_reasons = _axis_jet(fam.alpha, s_axis, "s")
@@ -408,8 +419,24 @@ def sample_grid(
     # broadcast against beta's (nt, 3)
     alpha = np.compress(~s_bad, a_rows, axis=1)[:, :, None]
     beta = np.compress(~t_bad, b_rows, axis=1)
-    # a slot product may overflow to inf; a node whose residual is then not
-    # finite fails in residual_report, as a collapsed one does
-    with np.errstate(over="ignore"):
-        jet = product_surface_jet(alpha, beta)
-    return (s_axis[~s_bad], t_axis[~t_bad], jet), failures
+    return (s_axis[~s_bad], t_axis[~t_bad], alpha, beta), failures
+
+
+def _row_blocks(alpha: np.ndarray, beta: np.ndarray):
+    """The surface jet of :func:`sample_grid`'s axis jets, one block of ``s``
+    rows at a time: yields ``(rows, jet)``, ``rows`` a slice of the ``s``
+    nodes in order and ``jet`` the ``(6, len(rows), nt, 3)`` jet
+    ``product_surface_jet(alpha[:, rows], beta)``.  A block holds
+    ``BLOCK_NODES // nt`` rows, at least one.  Every slot is formed node by
+    node, so each block has the bits of the same rows of a whole-grid jet.
+    A caller drops its own reference to a block's jet before it asks for
+    the next, or two blocks are held at once."""
+    ns, step = alpha.shape[1], max(1, BLOCK_NODES // beta.shape[1])
+    for lo in range(0, ns, step):
+        rows = slice(lo, min(lo + step, ns))
+        # a slot product may overflow to inf; a node whose residual is then
+        # not finite fails in residual_report, as a collapsed one does
+        with np.errstate(over="ignore"):
+            jet = product_surface_jet(alpha[:, rows], beta)
+        yield rows, jet
+        del jet  # so the next block is built without this one alive

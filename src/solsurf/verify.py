@@ -56,6 +56,7 @@ from .soliton_residuals import (
 )
 from .surface_factory import (
     GridSpec,
+    _row_blocks,
     make_conformal_cylinder,
     make_generic_first_kind,
     make_generic_second_kind,
@@ -172,16 +173,19 @@ def _check_group_laws() -> Measurement:
 
 def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     """Worst ``|residual(mode, j) - offset|`` over ``(family, ((mode, offset),
-    ...))`` cases, ``j`` the family's jet on ``grid``.  A failed node voids
-    the sweep: the defect is NaN and the detail names the first failure.  An
-    infinite residual fails the same way, since inf would pass a ``>`` row."""
+    ...))`` cases, ``j`` the family's jet on ``grid``, taken over the row
+    blocks a sweep builds (the max of the blocks' maxima is the grid's, bit
+    for bit, NaN included).  A failed node voids the sweep: the defect is
+    NaN and the detail names the first failure.  An infinite residual fails
+    the same way, since inf would pass a ``>`` row."""
     defects = []
     for fam, terms in cases:
-        (_, _, j), failures = sample_grid(fam, grid)
+        (_, _, alpha, beta), failures = sample_grid(fam, grid)
         if failures:
             return math.nan, (f"{fam.name} {fam.params}: {len(failures)} failures, "
                               f"first (s, t, reason): {failures[0]}")
-        defects += [np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]
+        for _, j in _row_blocks(alpha, beta):
+            defects += [np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]
         if math.inf in defects:
             return math.nan, f"{fam.name} {fam.params}: a residual is infinite"
     return float(np.max(defects)), detail

@@ -5,12 +5,15 @@ import pytest
 
 from solsurf import (
     ConformalProfileParams,
+    GridSpec,
     GrimReaperParams,
     MinimalProfileParams,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
+    sample_grid,
 )
+from solsurf.surface_factory import _row_blocks
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,18 @@ def rotated():
         return j @ At
 
     return rotate
+
+
+@pytest.fixture(scope="session")
+def grid_jet():
+    """``grid_jet(fam, grid)``: ``((s, t, jet), failures)``, where ``s``,
+    ``t`` and ``failures`` are :func:`sample_grid`'s and ``jet`` is the
+    ``(6, len(s), len(t), 3)`` surface jet of the grid it keeps, joined
+    along ``s`` from the row blocks a sweep builds."""
+
+    def sampled(fam, grid: GridSpec):
+        (s, t, alpha, beta), failures = sample_grid(fam, grid)
+        j = np.concatenate([jet for _, jet in _row_blocks(alpha, beta)], axis=1)
+        return (s, t, j), failures
+
+    return sampled

@@ -33,10 +33,11 @@ from solsurf import (
     surface_jets,
     unit_normal,
 )
+from solsurf.errors import DomainError
 from solsurf.surface_factory import sample_grid
-from solsurf.surface_jets import _vertical
+from solsurf.surface_jets import _curve, _vertical, product_surface_jet
 from solsurf.commands import FAMILIES
-from solsurf.export import write_obj_mesh, write_residual_csv
+from solsurf.export import write_obj_mesh, write_residual_csv, write_residual_summary
 
 MINIMAL, TRANSLATOR, CONFORMAL = SolitonMode
 
@@ -451,47 +452,176 @@ def _from_public_parts(mode, j):
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
-def test_residual_has_the_bits_of_its_public_parts(mode):
+def test_residual_has_the_bits_of_its_public_parts(mode, grid_jet):
     """One normal serves both terms of the residual, with the bits of the
     public normal and mean curvature, on a curved-f grid and at a point."""
     fam = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
-    (_, _, grid_jet), failures = sample_grid(fam, GridSpec(41, 37))
+    (_, _, jg), failures = grid_jet(fam, GridSpec(41, 37))
     assert failures == []
-    for j in (grid_jet, fam.jet(0.3, 1.7)):
+    for j in (jg, fam.jet(0.3, 1.7)):
         got, want = residual(mode, j), _from_public_parts(mode, j)
         assert np.shape(got) == np.shape(want) == j.shape[1:-1]
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    assert len(set(np.asarray(residual(mode, grid_jet))[:, 0].tolist())) > 1  # rows differ
+    assert len(set(np.asarray(residual(mode, jg))[:, 0].tolist())) > 1  # rows differ
+
+
+# A sweep holds one block of BLOCK_NODES // nt s rows at a time; both grids
+# have blocks of 40 rows, so a bound of the form k*(grid arrays) + c*(block
+# arrays) must hold while the grid grows fivefold in s, and a whole-grid jet
+# (18 grid-sized arrays) breaks it at both.
+_MEMORY_GRIDS = (GridSpec(201, 201), GridSpec(1001, 201))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, after one untraced call for
+    lazy set-up."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_bytes(grid):
+    """Bytes of one grid-sized and of one block-sized float array."""
+    rows = min(grid.ns, max(1, surface_factory.BLOCK_NODES // grid.nt))
+    return grid.ns * grid.nt * 8, rows * grid.nt * 8
 
 
 def test_residual_report_peak_memory():
-    """A 201x201 report holds at most 32 grid-sized float arrays at once,
-    the jet's six slots of three among them."""
+    """A report holds its whole output, the samples table (3 grid-sized
+    float arrays) and its finite mask, and one block at a time: the block's
+    jet (18 block-sized arrays) and the residual's temporaries.  At both
+    grids it peaks below 3.5 grid arrays plus 32 block arrays."""
     fam = make_minimal_cylinder(1.2, 1.1)
-    grid = GridSpec(201, 201)
-    residual_report(fam, MINIMAL, grid)  # lazy set-up outside the measurement
-    tracemalloc.start()
-    try:
-        residual_report(fam, MINIMAL, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * (201 * 201 * 8), peak / (201 * 201 * 8)
+    for grid in _MEMORY_GRIDS:
+        whole, block = _array_bytes(grid)
+        peak = _traced_peak(lambda: residual_report(fam, MINIMAL, grid))
+        assert peak <= 3.5 * whole + 32 * block, (grid, peak / whole, peak / block)
 
 
 def test_sample_grid_peak_memory():
-    """A 201x201 grid jet is 18 grid-sized float arrays; sampling it holds
-    at most 20 at once."""
+    """Sampling evaluates the two factor curves on their axes and builds no
+    surface jet: at both grids it holds less than one grid-sized array."""
     fam = make_minimal_cylinder(1.2, 1.1)
-    grid = GridSpec(201, 201)
-    sample_grid(fam, grid)  # lazy set-up outside the measurement
-    tracemalloc.start()
-    try:
-        sample_grid(fam, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 * (201 * 201 * 8), peak / (201 * 201 * 8)
+    for grid in _MEMORY_GRIDS:
+        whole, _ = _array_bytes(grid)
+        peak = _traced_peak(lambda: sample_grid(fam, grid))
+        assert peak <= whole, (grid, peak / whole)
+
+
+def test_write_obj_mesh_peak_memory(tmp_path):
+    """The mesh writer keeps nothing of the grid: it holds one block's jet
+    and the text of its vertices, or of a block of cell rows' faces, at
+    most 56 block-sized arrays at both grids."""
+    fam = make_minimal_cylinder(1.2, 1.1)
+    for grid in _MEMORY_GRIDS:
+        whole, block = _array_bytes(grid)
+        peak = _traced_peak(lambda: write_obj_mesh(tmp_path / "m.obj", fam, grid))
+        assert peak <= 56 * block, (grid, peak / whole, peak / block)
+
+
+# The seam family: f is curved, so no two s rows of residuals repeat, on a
+# grid whose blocks are 40 s rows.  In the failing variant f raises at one s
+# node, g at one t node, and f' = 1e160 overflows the fundamental forms on
+# one s row of the third block, whose residuals are then NaN.
+_SEAM_GRID = GridSpec(123, 201)
+_SEAM_S, _SEAM_T = (-2.0, 1.5), (-1.0, 2.5)
+
+
+def _seam_family(failing: bool):
+    s_axis = np.linspace(*_SEAM_S, _SEAM_GRID.ns)
+    s_bad, s_huge = float(s_axis[45]), float(s_axis[97])
+    t_bad = float(np.linspace(*_SEAM_T, _SEAM_GRID.nt)[7])
+
+    def f(s):
+        if failing and s == s_bad:
+            raise DomainError(f"no f at {s!r}")
+        return math.sin(s), 1e160 if failing and s == s_huge else math.cos(s), -math.sin(s)
+
+    def g(t):
+        if failing and t == t_bad:
+            raise DomainError(f"no g at {t!r}")
+        return _g1(t)
+
+    return make_generic_first_kind(f, g, _SEAM_S, _SEAM_T)
+
+
+def _whole_grid_report(fam, mode, grid):
+    """The report of one whole-grid jet, node by node: the reference the
+    blocked sweep must match."""
+    (s, t, alpha, beta), failures = sample_grid(fam, grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = residual(mode, product_surface_jet(alpha, beta))
+    rows, bad = [], []
+    for a, si in enumerate(s.tolist()):
+        for b, ti in enumerate(t.tolist()):
+            v = float(r[a, b])
+            if math.isfinite(v):
+                rows.append((si, ti, v))
+            else:
+                bad.append((si, ti, f"residual is not finite: {v!r}"))
+    failures = sorted(failures + bad, key=lambda f: (f[0], f[1]))
+    return ResidualReport(mode, fam, grid, np.array(rows), failures)
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_block_seams_keep_the_bits(mode, tmp_path):
+    """A sweep in blocks of 40, 40, 40 and 2 s rows gives the samples,
+    failures, CSV and summary of one whole-grid jet, with a failed s node,
+    a failed t node and a row of NaN residuals in the third block."""
+    fam = _seam_family(failing=True)
+    (s, _, alpha, beta), failures = sample_grid(fam, _SEAM_GRID)
+    blocks = [rows for rows, _ in surface_factory._row_blocks(alpha, beta)]
+    assert [(rows.start, rows.stop) for rows in blocks] == [(0, 40), (40, 80), (80, 120),
+                                                            (120, 122)]
+    assert {reason.split(" at ")[0] for _, _, reason in failures} == {"no f", "no g"}
+    rep, ref = residual_report(fam, mode, _SEAM_GRID), _whole_grid_report(fam, mode, _SEAM_GRID)
+    assert rep.failures == ref.failures
+    huge = [si for si, _, reason in rep.failures if reason.startswith("residual is not finite")]
+    assert len(huge) == 200 and set(huge) == {float(s[96])}  # row 96: the third block
+    assert rep.samples.tobytes() == ref.samples.tobytes()
+    assert len(set(rep.samples[:, 2].tolist())) > len(rep.samples) // 2  # rows differ
+    _assert_csv_is_per_row_format(rep, tmp_path / "blocked.csv")  # so the reference's rows too
+    write_residual_summary(tmp_path / "blocked.txt", rep)
+    write_residual_summary(tmp_path / "whole.txt", ref)
+    assert (tmp_path / "blocked.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+
+
+def test_mesh_block_seams_keep_the_bits(tmp_path):
+    """The OBJ written in blocks of 40, 40, 40 and 3 s rows is, byte for
+    byte, every vertex of one whole-grid jet and every cell's two faces,
+    each formatted on its own."""
+    fam, grid = _seam_family(failing=False), _SEAM_GRID
+    ns, nt = grid.ns, grid.nt
+    assert write_obj_mesh(tmp_path / "m.obj", fam, grid) == (ns * nt, 2 * (ns - 1) * (nt - 1))
+    (_, _, alpha, beta), failures = sample_grid(fam, grid)
+    assert failures == []
+    X = product_surface_jet(alpha, beta)[0]
+    expect = [f"v {x:.12e} {y:.12e} {z:.12e}\n" for x, y, z in X.reshape(-1, 3).tolist()]
+    for i in range(ns - 1):
+        for k in range(nt - 1):
+            a, b, c, d = i * nt + k + 1, (i + 1) * nt + k + 1, (i + 1) * nt + k + 2, i * nt + k + 2
+            expect += [f"f {a} {b} {c}\n", f"f {a} {c} {d}\n"]
+    assert (tmp_path / "m.obj").read_bytes() == "".join(expect).encode()
+
+
+def test_mesh_block_error_removes_the_file(tmp_path):
+    """A block whose points underflow to the boundary raises once the file
+    is open (blocks of one row at nt = 8192; alpha and beta heights of
+    1e-200 multiply to 0 on the last row), and the partial file goes."""
+    def alpha(s):
+        return _curve((s, 1.0, 0.0), (0.0, 0.0, 0.0), (np.where(s > 0.5, 1e-200, 1.0), 0.0, 0.0))
+
+    def beta(t):
+        return _vertical((t, 1.0, 0.0), (np.full_like(t, 1e-200), 0.0, 0.0))
+
+    fam = SurfaceFamily("underflow", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
+    with pytest.raises(DomainError, match="non-positive height 0.0"):
+        write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, surface_factory.BLOCK_NODES))
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_residual_report_raises_when_everything_fails():

@@ -118,13 +118,13 @@ def test_replaced_t_range_is_sampled_as_given(minimal_cyl):
     """A collapsing family's margin is taken once, when it is built: a t
     range given through ``replace`` is sampled as it stands."""
     fam = replace(minimal_cyl, t_range=(-0.5, 0.25))
-    (_, t, _), failures = sample_grid(fam, GridSpec(3, 5))
+    (_, t, _, _), failures = sample_grid(fam, GridSpec(3, 5))
     assert not failures and t.tolist() == [-0.5, -0.3125, -0.125, 0.0625, 0.25]
 
 
-def test_sample_grid_row_major_order():
+def test_sample_grid_row_major_order(grid_jet):
     fam = make_horosphere(1.0, s_range=(0.0, 1.0), t_range=(0.0, 3.0))
-    (s, t, j), failures = sample_grid(fam, GridSpec(2, 4))
+    (s, t, j), failures = grid_jet(fam, GridSpec(2, 4))
     assert not failures
     assert s.tolist() == [0.0, 1.0] and t.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert j.shape == (6, 2, 4, 3)
@@ -133,9 +133,9 @@ def test_sample_grid_row_major_order():
     assert j[0, ..., 1].ravel().tolist() == [0.0, 1.0, 2.0, 3.0] * 2
 
 
-def test_sampling_is_deterministic(minimal_cyl):
-    (s1, t1, j1), _ = sample_grid(minimal_cyl, GRID)
-    (s2, t2, j2), _ = sample_grid(minimal_cyl, GRID)
+def test_sampling_is_deterministic(minimal_cyl, grid_jet):
+    (s1, t1, j1), _ = grid_jet(minimal_cyl, GRID)
+    (s2, t2, j2), _ = grid_jet(minimal_cyl, GRID)
     assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
     assert np.array_equal(j1[0], j2[0])
 
@@ -216,7 +216,7 @@ def test_profile_axis_is_one_call(minimal_cyl, reaper, monkeypatch):
         assert sorted(calls) == [("eval_g", 21), ("eval_gp", 21), ("eval_gpp", 21)]
 
 
-def test_user_jet_errors_fail_their_own_nodes():
+def test_user_jet_errors_fail_their_own_nodes(grid_jet):
     """A user profile that raises a domain error at some nodes fails just
     those nodes, each with its own message, also when it is perturbed."""
 
@@ -227,7 +227,7 @@ def test_user_jet_errors_fail_their_own_nodes():
 
     fam = make_generic_first_kind(lambda s: (0.0, 0.0, 0.0), g, (-1.0, 1.0), (-1.0, 1.0))
     for probe in (fam, perturb_profile(fam, 1e-2)):
-        (s, t, j), failures = sample_grid(probe, GridSpec(3, 5))
+        (s, t, j), failures = grid_jet(probe, GridSpec(3, 5))
         assert failures == [(si, ti, f"no profile at {ti!r}")
                             for si in (-1.0, 0.0, 1.0) for ti in (-1.0, -0.5)]
         assert t.tolist() == [0.0, 0.5, 1.0]
@@ -236,8 +236,9 @@ def test_user_jet_errors_fail_their_own_nodes():
 
 
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
-    """With a failed t node, the kept nodes of each axis reach
-    ``product_surface_jet`` as C-contiguous ``(3, ..., 3)`` curve jets:
+    """With a failed t node, the kept nodes of each axis come out of
+    ``sample_grid`` as C-contiguous ``(3, ..., 3)`` curve jets, and each
+    row block reaches ``product_surface_jet`` with C-contiguous slots:
     masking the middle axis of a ``(3, n, 3)`` array with ``rows[:, ~bad]``
     would give strided slots that slow every slot formula."""
     seen = []
@@ -250,15 +251,19 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     monkeypatch.setattr(surface_factory, "product_surface_jet", recorded)
     fam = make_generic_first_kind(lambda s: (0.1 * s, 0.1, 0.0),
                                   lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
-    (s, t, _), failures = sample_grid(fam, GridSpec(3, 5))
+    (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 5))
     assert [ti for _, ti, _ in failures] == [0.0] * 3 and t.tolist() == [0.25, 0.5, 0.75, 1.0]
-    [(aj, bj)] = seen
+    assert seen == []  # sampling builds no surface jet
+    assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 4, 3)
+    assert alpha.dtype == beta.dtype == np.float64
+    assert alpha.flags.c_contiguous and beta.flags.c_contiguous
+    list(surface_factory._row_blocks(alpha, beta))
+    (aj, bj), = seen
     assert aj.shape == (3, 3, 1, 3) and bj.shape == (3, 4, 3)
-    assert aj.dtype == bj.dtype == np.float64
-    assert aj.flags.c_contiguous and bj.flags.c_contiguous
+    assert all(slot.flags.c_contiguous for slot in (*aj, *bj))
 
 
-def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol):
+def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol, grid_jet):
     """A t range that runs 0.5 past the profile fails just the t nodes
     outside it, each with the profile's range message in plain floats; the
     nodes kept carry the jets of ``fam.jet`` bit for bit."""
@@ -266,7 +271,7 @@ def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol):
     fam = replace(minimal_cyl, t_range=(lo, hi + 0.5))
     grid = GridSpec(3, 6)
     s_axis, t_axis = grid_axes(fam, grid)
-    (s, t, j), failures = sample_grid(fam, grid)
+    (s, t, j), failures = grid_jet(fam, grid)
     reason = f"query outside the integrated range [{lo!r}, {hi!r}]"
     assert failures == [(si, ti, reason) for si in s_axis.tolist() for ti in t_axis[4:].tolist()]
     assert t_axis[3] < hi < t_axis[4]
@@ -306,11 +311,11 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("build", FAMILIES.values(), ids=FAMILIES.keys())
-def test_grid_nodes_are_point_jets(build):
-    """Point and grid are one expression: every node of ``sample_grid``
-    carries the six slots of ``fam.jet`` at its (s, t), bit for bit."""
+def test_grid_nodes_are_point_jets(build, grid_jet):
+    """Point and grid are one expression: every node of a sweep's row
+    blocks carries the six slots of ``fam.jet`` at its (s, t), bit for bit."""
     fam = build()
-    (s, t, j), failures = sample_grid(fam, GridSpec(7, 6))
+    (s, t, j), failures = grid_jet(fam, GridSpec(7, 6))
     assert not failures and j.shape == (6, 7, 6, 3)
     for a, si in enumerate(s.tolist()):
         for b, ti in enumerate(t.tolist()):
