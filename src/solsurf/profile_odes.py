@@ -399,11 +399,19 @@ def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
 
 
-def _gauss(f, a: float, b: float) -> float:
+def _gauss(f, a: float, b):
     """``integral_a^b f`` by the 40-node Gauss--Legendre rule; ``f`` maps an
-    array of abscissae to an array of values."""
-    half = 0.5 * (b - a)
-    return half * float(_GL_W @ f(a + half * (_GL_X + 1.0)))
+    array of abscissae to an array of values.  ``b`` is one upper limit or
+    an array of them: ``f`` is evaluated once, on the ``(..., 40)``
+    abscissae of every limit, and each limit's row is reduced by the same
+    ``_GL_W @ row`` product as a lone limit's, so each integral has the bits
+    of its scalar call (a matrix product would sum in another order).  A
+    float for a scalar ``b``, else an array of ``b``'s shape."""
+    half = 0.5 * (np.asarray(b, dtype=float) - a)
+    values = f(a + half[..., None] * (_GL_X + 1.0))
+    sums = np.array([_GL_W @ row for row in values.reshape(-1, _GL_X.size)])
+    out = half * sums.reshape(half.shape)
+    return out if out.shape else float(out)
 
 
 def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
@@ -519,13 +527,19 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
             return ts, as_, bs, 0
 
 
-def _blowup_tail(params, g_stop: float) -> float:
+def _blowup_tail(params, g_stop):
     """Remaining abscissa from the stopped state at height ``g_stop`` to the
     collapse: ``integral_0^{g_stop} dg/|g'|`` over the first integral, by
     quadrature in ``phi`` with ``g = y0*sin(phi)``.  In ``phi`` the integrand
     (``params.dt_dphi``) is smooth up to ``g = y0``, where ``|g'|`` vanishes,
-    so the rule holds its accuracy however close to ``y0`` the stop lies."""
-    return _gauss(params.dt_dphi, 0.0, math.asin(min(1.0, g_stop / params.y0)))
+    so the rule holds its accuracy however close to ``y0`` the stop lies; a
+    stop at or above ``y0`` is clamped to it.  ``g_stop`` is one height (a
+    float comes back) or an array of them, integrated in one batch with the
+    bits of the scalar calls (:func:`_gauss`); each upper limit is taken by
+    ``math.asin``, since ``np.arcsin`` can differ from it in the last bit."""
+    g_stop = np.asarray(g_stop, dtype=float)
+    ends = [math.asin(min(1.0, g / params.y0)) for g in g_stop.ravel().tolist()]
+    return _gauss(params.dt_dphi, 0.0, np.reshape(ends, g_stop.shape))
 
 
 def _collapse_solution(params: _CollapseParams) -> ProfileSolution:

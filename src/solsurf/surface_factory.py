@@ -406,9 +406,14 @@ def sample_grid(
     b_rows, t_reasons = _axis_jet(fam.beta, t_axis, "t")
     s_bad = np.array([r is not None for r in s_reasons])
     t_bad = np.array([r is not None for r in t_reasons])
+    # Listed from the failed axis indices, never a grid-sized mask: a failed
+    # s row fails every node (its reason wins), any other row its failed t
+    # nodes; with no t failure only the failed s rows are visited.
+    t_failed = np.flatnonzero(t_bad).tolist()
     failures = [
         (float(s_axis[i]), float(t_axis[j]), s_reasons[i] if s_bad[i] else t_reasons[j])
-        for i, j in zip(*np.nonzero(s_bad[:, None] | t_bad[None, :]))
+        for i in (range(len(s_axis)) if t_failed else np.flatnonzero(s_bad).tolist())
+        for j in (range(len(t_axis)) if s_bad[i] else t_failed)
     ]
     if s_bad.all() or t_bad.all():
         raise SamplingError(

@@ -19,6 +19,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import tempfile
 import time
 from dataclasses import dataclass
@@ -93,6 +94,20 @@ def _rel_defect(a, b, floor: float = 0.01) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
+def _uniform_columns(seed: int, bounds) -> List[np.ndarray]:
+    """1000 rows of draws, column ``k`` uniform on ``bounds[k]``, made in
+    row order from the standard library's ``random.Random(seed)``.  Each
+    draw is the top 53 bits of a little-endian 64-bit word of one
+    ``randbytes`` call, times ``2**-53``, as numpy's ``Generator.random``
+    makes its doubles, then scaled as ``Generator.uniform`` scales them.
+    All the draws come from one vectorised step, and numpy's generator
+    module, which loads ``hashlib`` and OpenSSL, is never imported."""
+    lo, hi = np.array(bounds, dtype=float).T
+    words = np.frombuffer(random.Random(seed).randbytes(8000 * len(lo)), "<u8")
+    draws = ((words >> 11) * 2.0 ** -53).reshape(1000, len(lo))
+    return list((lo + (hi - lo) * draws).T)
+
+
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
@@ -134,20 +149,20 @@ class VerifySummary:
 # criterion 1: group laws
 
 
-def _random_points(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` random points, as an ``(n, 3)`` array."""
-    xs = rng.uniform(-3.0, 3.0, size=(n, 2))
-    zs = np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=n))
-    return np.column_stack((xs, zs))
+def _group_samples() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The group-law row's 1000 samples: three ``(1000, 3)`` point arrays,
+    ``x`` and ``y`` uniform on [-3, 3) and ``z`` log-uniform on [0.2, 5),
+    and an angle array uniform on [-pi, pi); one row of draws per sample."""
+    xy, log_z = (-3.0, 3.0), (math.log(0.2), math.log(5.0))
+    *coords, th = _uniform_columns(_SEED, [xy, xy, log_z] * 3 + [(-math.pi, math.pi)])
+    p, q, r = (np.column_stack((x, y, np.exp(w)))
+               for x, y, w in zip(coords[0::3], coords[1::3], coords[2::3]))
+    return p, q, r, th
 
 
 def _check_group_laws() -> Measurement:
-    rng = np.random.default_rng(_SEED)
-    n = 1000
-    p = _random_points(rng, n)
-    q = _random_points(rng, n)
-    r = _random_points(rng, n)
-    th = rng.uniform(-math.pi, math.pi, size=n)
+    p, q, r, th = _group_samples()
+    n = len(th)
     u, v = (np.column_stack((a[:, :2], np.log(a[:, 2]))) for a in (p, q))
     laws = (  # (lhs, rhs) of each law, on all n samples at once
         (lie_product(lie_product(p, q), r), lie_product(p, lie_product(q, r))),
@@ -292,8 +307,7 @@ def _abscissa(kind: str) -> Measurement:
     reference never touches the stepper, so it sees an error of either
     branch."""
     sol, r = _collapsing(kind)
-    tails = np.array([_blowup_tail(sol.params, g) for g in sol.g.tolist()])
-    defect = np.max(np.abs(sol.t - np.sign(sol.t) * (r - tails)))
+    defect = np.max(np.abs(sol.t - np.sign(sol.t) * (r - _blowup_tail(sol.params, sol.g))))
     return float(defect), f"{len(sol.t)} nodes against the first integral, r = {r:.10f}"
 
 
@@ -335,13 +349,6 @@ def _check_reaper_shape() -> Measurement:
 
 # ---------------------------------------------------------------------------
 # criterion 7: reduced equations agree with the jet pipeline
-
-
-def _uniform_columns(seed: int, bounds) -> List[np.ndarray]:
-    """1000 rows of draws, column ``k`` uniform on ``bounds[k]``: the values
-    ``Generator.uniform`` gives for the same draws, made in row order."""
-    lo, hi = np.array(bounds, dtype=float).T
-    return list((lo + (hi - lo) * np.random.default_rng(seed).random((1000, len(lo)))).T)
 
 
 def _reduced_defect(reduced: Callable, j, clear) -> float:

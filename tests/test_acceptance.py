@@ -300,6 +300,23 @@ def test_group_laws_carry_a_nan_product_to_the_judge(monkeypatch):
     assert math.isnan(r.defect) and not r.passed
 
 
+def test_reduced_first_kind_fails_a_dropped_w2_term(monkeypatch):
+    """A reduced minimal form that drops its ``2*W^2`` term is off by at
+    least 2 at every sample, against the floor of 1, so the row fails on
+    the battery's own samples."""
+    clean = verify.reduced_residual_first_kind
+
+    def dropped(mode, fj, gj, s, t):
+        out = clean(mode, fj, gj, s, t)
+        if mode is soliton_residuals.SolitonMode.MINIMAL:
+            out = out - 2.0 * (gj[1] * gj[1] * (fj[1] * fj[1] + 1.0) + 1.0)
+        return out
+
+    monkeypatch.setattr(verify, "reduced_residual_first_kind", dropped)
+    (r,) = run_checks("reduced.first_kind").results
+    assert not r.passed and r.defect > 0.1
+
+
 def test_symmetry_fails_a_left_half_with_the_wrong_slope_sign(monkeypatch):
     """A minimal profile whose left half keeps the right half's sign of
     ``g'`` has the even ``g`` at every node and the same ``g''`` (the ODE

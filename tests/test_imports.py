@@ -1,6 +1,6 @@
 """The runtime needs numpy alone: scipy is a test dependency, the oracle the
-in-house stepper, interpolant and quadrature are checked against.
-Every name a module exports resolves."""
+in-house stepper, interpolant and quadrature are checked against, and
+``numpy.random`` is never loaded.  Every name a module exports resolves."""
 import importlib
 import pkgutil
 import re
@@ -26,6 +26,26 @@ def test_cli_import_loads_no_scipy():
 def test_source_imports_no_scipy():
     statement = re.compile(r"^\s*(from|import) scipy", re.MULTILINE)
     assert [str(p) for p in (ROOT / "src").rglob("*.py") if statement.search(p.read_text())] == []
+
+
+def test_source_names_no_numpy_random():
+    """verify draws its samples from the standard library's ``random``:
+    ``numpy.random`` is loaded lazily, and it brings ``hashlib`` and
+    OpenSSL into the process with it."""
+    name = re.compile(r"\b(numpy|np)\.random\b")
+    assert [str(p) for p in (ROOT / "src").rglob("*.py") if name.search(p.read_text())] == []
+
+
+def test_verify_battery_loads_no_numpy_random():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import solsurf.cli, solsurf.verify; "
+        "assert solsurf.verify.run_checks().all_passed; "
+        "print(sorted(m for m in ('numpy.random', 'hashlib') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_exported_name_resolves():

@@ -179,11 +179,9 @@ def test_jets_and_products_share_one_law():
 
 
 def _verify_samples():
-    """The 1000 seeded samples of verify's group-law row: three ``(1000, 3)``
-    point arrays and an angle array."""
-    rng = np.random.default_rng(verify._SEED)
-    p, q, r = (verify._random_points(rng, 1000) for _ in range(3))
-    return p, q, r, rng.uniform(-math.pi, math.pi, size=1000)
+    """The 1000 seeded samples of verify's group-law row, drawn by verify
+    itself: three ``(1000, 3)`` point arrays and an angle array."""
+    return verify._group_samples()
 
 
 def _semidirect_chart(p):

@@ -34,6 +34,8 @@ from solsurf import profile_odes
 from solsurf.cli import main
 from solsurf.profile_odes import (
     MAX_BRANCH_STEPS,
+    _GL_W,
+    _GL_X,
     _Hermite,
     _blowup_tail,
     _dopri54,
@@ -113,6 +115,27 @@ def test_blowup_tail_matches_quad(p):
     for g_stop in (1e-6, 1e-3, 0.05):
         want = _quad_tail(p, g_stop)
         assert abs(_blowup_tail(p, g_stop) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("integrate, p", [(integrate_minimal_profile, MinimalProfileParams(0.0, 1.0)),
+                                          (integrate_conformal_profile, ConformalProfileParams(2.0, 0.3))],
+                         ids=["minimal", "conformal"])
+def test_blowup_tail_of_an_array_is_the_scalar_calls_bit_for_bit(integrate, p):
+    """Tails of every node height of a branch, plus heights at and above
+    ``y0`` (clamped to it), come out of one array call with the bits of
+    one scalar call each; a scalar height still gives a plain float, with
+    the bits of the rule written out: ``math.asin`` for the upper limit
+    (``np.arcsin`` differs in the last bit at some of these heights) and
+    one 40-term dot product."""
+    heights = np.concatenate((integrate(p).g, [p.y0, 1.5 * p.y0]))
+    tails = _blowup_tail(p, heights)
+    scalars = [_blowup_tail(p, g) for g in heights.tolist()]
+    assert all(type(x) is float for x in scalars)
+    for g, tail in zip(heights.tolist(), scalars):
+        half = 0.5 * math.asin(min(1.0, g / p.y0))
+        assert tail == half * float(_GL_W @ p.dt_dphi(half * (_GL_X + 1.0))), g
+    assert tails.shape == heights.shape and tails.tobytes() == np.array(scalars).tobytes()
+    assert tails[-1] == tails[-2] == _blowup_tail(p, p.y0)
 
 
 def test_minimal_tail_from_the_top_is_the_closed_form():

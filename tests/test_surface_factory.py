@@ -235,6 +235,31 @@ def test_user_jet_errors_fail_their_own_nodes(grid_jet):
         assert np.array_equal(j[0, 1, 1], want)
 
 
+def test_failed_s_and_t_nodes_are_listed_row_major():
+    """With an ``s`` node and a ``t`` node failing, the failures are every
+    node of the failed row plus the failed column of every other row, in
+    row-major order, and at the node where both fail the ``s`` reason wins,
+    as a grid-sized mask of the two axes would list them."""
+
+    def f(s):
+        if s == 0.0:
+            raise DomainError("no drift at 0.0")
+        return (s, 1.0, 0.0)
+
+    def g(t):
+        if t == 0.5:
+            raise DomainError("no profile at 0.5")
+        return (2.0 + t, 1.0, 0.0)
+
+    fam = make_generic_first_kind(f, g, (-1.0, 1.0), (-1.0, 1.0))
+    (s, t, _, _), failures = sample_grid(fam, GridSpec(3, 5))
+    want = [(si, ti, "no drift at 0.0" if si == 0.0 else "no profile at 0.5")
+            for si in (-1.0, 0.0, 1.0) for ti in (-1.0, -0.5, 0.0, 0.5, 1.0)
+            if si == 0.0 or ti == 0.5]
+    assert failures == want and len(failures) == 7
+    assert s.tolist() == [-1.0, 1.0] and t.tolist() == [-1.0, -0.5, 0.0, 1.0]
+
+
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, the kept nodes of each axis come out of
     ``sample_grid`` as C-contiguous ``(3, ..., 3)`` curve jets, and each
