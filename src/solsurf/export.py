@@ -205,11 +205,8 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
     try:
         with _open_w(path) as fh:
-            blocks = []
-            for rows, j in _row_blocks(alpha, beta):
-                fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", j[0].reshape(-1, 3)))
-                blocks.append(rows)
-                del j  # before the next block's jet is built
+            blocks = [rows for rows, _ in _row_blocks(alpha, beta, lambda j: fh.write(
+                _rows(f"v {_NUM} {_NUM} {_NUM}\n", j[0].reshape(-1, 3))))]
             for rows in blocks:
                 i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
                 fh.write(_rows("f %d %d %d\n", (cells + nt * i).reshape(-1, 3)))

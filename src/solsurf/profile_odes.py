@@ -43,10 +43,12 @@ Every stepped branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that
 runs out ends like one whose step fell below its floor, and the solution's
 ``truncated`` is set.
 
-Between nodes a solution is read through a piecewise cubic Hermite
-interpolant (:class:`_Hermite`), built from the nodal values and the exact
-nodal slopes.  The interpolant and the quadrature are small numpy and
-float routines, so importing this module costs numpy alone.
+Between nodes a solution is read through one piecewise cubic Hermite
+interpolant of ``g`` and ``g'`` (:class:`_Hermite`), built from the nodal
+values and the exact nodal slopes and summed in each interval's unit
+variable, so it stays finite on node gaps however short.  The interpolant
+and the quadrature are small numpy and float routines, so importing this
+module costs numpy alone.
 
 Conservation monitor: the first-integral defect ``g'^2 - (rhs)`` is exact in
 the O(1) region but near blow-up ``g'^2 ~ 1e12`` exceeds what float64 can
@@ -259,27 +261,33 @@ def first_integral_defect(p: _CollapseParams, g, gp):
 
 
 class _Hermite:
-    """Piecewise cubic Hermite interpolant through ``(x, y)`` with slopes
-    ``dydx``, on strictly increasing ``x``.
+    """Piecewise cubic Hermite interpolant of several series at once on the
+    strictly increasing knots ``x``: ``y`` and the slopes ``dydx`` hold one
+    series per row, ``(k, len(x))``, and a call returns ``(k,) + q.shape``.
 
-    The coefficients and the evaluation are scipy's ``CubicHermiteSpline``
-    (a ``PPoly``) operation for operation, so the values are the same bits:
-    a query ``q`` falls in the interval ``x[i] <= q < x[i+1]`` (the last one
-    also holds ``x[-1]``), and the cubic in ``s = q - x[i]`` is summed from
-    the constant term up."""
+    A query ``q`` falls in the interval ``x[i] <= q < x[i+1]`` (the last one
+    also holds ``x[-1]``), of length ``h``, and each cubic is summed in the
+    unit variable ``u = (q - x[i])/h``: with ``d = dydx`` and
+    ``dy = y[i+1] - y[i]``,
+
+        y = y[i] + u*(h*d[i] + u*((3*dy - 2*h*d[i] - h*d[i+1])
+                                   + u*(h*d[i] + h*d[i+1] - 2*dy))).
+
+    No coefficient divides by ``h``, so each is bounded by the data however
+    short the interval, and a query at any knot but the last (``u = 0``)
+    reads its value exactly."""
 
     def __init__(self, x, y, dydx) -> None:
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+        self.x, self.h = x, np.diff(x)
+        dy = np.diff(y)
+        hd0, hd1 = self.h * dydx[..., :-1], self.h * dydx[..., 1:]
+        self.c = (y[..., :-1], hd0, 3.0 * dy - 2.0 * hd0 - hd1, hd0 + hd1 - 2.0 * dy)
 
     def __call__(self, q):
         i = np.clip(np.searchsorted(self.x, q, side="right") - 1, 0, len(self.x) - 2)
-        s = q - self.x[i]
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        u = (q - self.x[i]) / self.h[i]
+        c0, c1, c2, c3 = (c[..., i] for c in self.c)
+        return c0 + u * (c1 + u * (c2 + u * c3))
 
 
 @dataclass(eq=False)
@@ -291,10 +299,11 @@ class ProfileSolution:
     abscissa is its mirror.  Nodes are strictly increasing in ``t`` with
     ``g > 0`` everywhere, and the arrays are read-only copies of those given.
 
-    Between nodes, ``g`` and ``g'`` come from cubic Hermite interpolation
-    (the stored derivatives are the exact nodal slopes) and ``g''`` is
-    recomputed from the ODE right-hand side at the interpolated state.
-    Queries outside the node range raise ``DomainError``.
+    Between nodes, ``g`` and ``g'`` come from one cubic Hermite interpolant
+    of the two series, with the exact nodal slopes ``g'`` and ``g''``, and
+    ``g''`` is recomputed from the ODE right-hand side at the interpolated
+    state; each query array makes one interval search.  Queries outside the
+    node range raise ``DomainError``.
     """
 
     params: ProfileParams
@@ -334,31 +343,32 @@ class ProfileSolution:
         return self.params.gpp(self.t, self.g, self.gp)
 
     @functools.cached_property
-    def _splines(self):
-        """The interpolants of ``g`` and of ``g'``, built on first use."""
-        return _Hermite(self.t, self.g, self.gp), _Hermite(self.t, self.gp, self.gpp_nodes())
+    def _hermite(self) -> _Hermite:
+        """The interpolant of the series ``(g, g')``, with slopes ``(g', g'')``,
+        built on first use."""
+        return _Hermite(self.t, np.stack((self.g, self.gp)), np.stack((self.gp, self.gpp_nodes())))
 
     def _eval(self, t, f):
-        """``f`` at the abscissae ``t``, a float for a scalar ``t``; raises
-        :class:`DomainError` if any lies outside the nodes (NaN does)."""
+        """``f(q, g, g')`` at the abscissae ``q = t``, a float for a scalar
+        ``t``; raises :class:`DomainError` if any lies outside the nodes (NaN
+        does)."""
         q = np.asarray(t, dtype=float)
         if not ((q >= self.t[0]) & (q <= self.t[-1])).all():
             raise DomainError(
                 f"query outside the integrated range "
                 f"[{float(self.t[0])!r}, {float(self.t[-1])!r}]"
             )
-        out = f(q)
+        out = f(q, *self._hermite(q))
         return out if out.shape else float(out)
 
     def eval_g(self, t):
-        return self._eval(t, self._splines[0])
+        return self._eval(t, lambda q, g, gp: g)
 
     def eval_gp(self, t):
-        return self._eval(t, self._splines[1])
+        return self._eval(t, lambda q, g, gp: gp)
 
     def eval_gpp(self, t):
-        g, gp = self._splines
-        return self._eval(t, lambda q: self.params.gpp(q, g(q), gp(q)))
+        return self._eval(t, self.params.gpp)
 
 
 def _height_stop(g, gp):
@@ -600,29 +610,10 @@ def integrate_conformal_profile(p: ConformalProfileParams) -> ProfileSolution:
     return _collapse_solution(p)
 
 
-def _reaper_min_branch(lam: float) -> float:
-    """Shortest branch, from 0 to a span end, that :func:`integrate_grim_reaper`
-    steps for a finite interpolant: ``2^53*sqrt(8*lam/DBL_MAX)``, and at
-    least the smallest normal float.
-
-    The cubic coefficient of :class:`_Hermite` on a node gap ``dx`` is
-    ``(g'_0 + g'_1 - 2*dg/dx)/dx^2``.  The reaper's ``|g'|`` is at most
-    ``lam`` (its peak, at 0), and a step moves ``g`` by 0 or by at most
-    twice its true change, so ``|dg/dx| <= 2*lam`` and the numerator is at
-    most ``8*lam``.  The shortest gap on a branch of length ``L`` is its last
-    one, which the clip to the span end can make one ulp of ``L``: at least
-    ``L*2^-53`` for a normal ``L``.  So every coefficient is finite once
-    ``8*lam*(2^53/L)^2 <= DBL_MAX``.  Measured at lam = 0.5, branches up to
-    1.6e-139 give an infinite coefficient (and NaN profile values) and the
-    bound is 1.3e-138."""
-    return max(sys.float_info.min, 2.0 ** 53 * math.sqrt(8.0 * lam / sys.float_info.max))
-
-
 def integrate_grim_reaper(p: GrimReaperParams,
                           span: tuple = REAPER_SPAN_DEFAULT) -> ProfileSolution:
     """Integrate the translator profile over ``span``, which must be finite
-    and contain 0, with each end other than 0 at least
-    :func:`_reaper_min_branch` from it.
+    and contain 0.
 
     The Dormand--Prince stepper runs on ``(g, w)`` with ``g' = lam*e^w``,
     ``w(0) = 0``:
@@ -657,12 +648,6 @@ def integrate_grim_reaper(p: GrimReaperParams,
         raise ParameterError(f"span must contain 0, got {span!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"span must be finite, got {span!r}")
-    shortest = _reaper_min_branch(p.lam)
-    if 0.0 < -lo < shortest or 0.0 < hi < shortest:
-        raise ParameterError(
-            f"span {span!r} is too short: at lambda = {p.lam!r} each end other than 0 must "
-            f"lie at least {shortest!r} from 0, or the profile interpolant overflows"
-        )
     max_step = min(0.25, (hi - lo) / 40.0)
 
     lam, k, exp = p.lam, p.k, math.exp

@@ -151,10 +151,9 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     arr = np.empty((len(s), len(t), 3))
     arr[..., 0], arr[..., 1] = s[:, None], t
     r = arr[..., 2]
-    for rows, j in _row_blocks(alpha, beta):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # they fail below
-            r[rows] = residual(mode, j)
-        del j  # before the next block's jet is built
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # they fail below
+        for rows, values in _row_blocks(alpha, beta, lambda j: residual(mode, j)):
+            r[rows] = values
     finite = np.isfinite(r)
     if finite.all():
         arr = arr.reshape(-1, 3)

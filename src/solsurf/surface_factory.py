@@ -427,15 +427,15 @@ def sample_grid(
     return (s_axis[~s_bad], t_axis[~t_bad], alpha, beta), failures
 
 
-def _row_blocks(alpha: np.ndarray, beta: np.ndarray):
-    """The surface jet of :func:`sample_grid`'s axis jets, one block of ``s``
-    rows at a time: yields ``(rows, jet)``, ``rows`` a slice of the ``s``
-    nodes in order and ``jet`` the ``(6, len(rows), nt, 3)`` jet
+def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[[np.ndarray], object]):
+    """``f`` of the surface jet of :func:`sample_grid`'s axis jets, one block
+    of ``s`` rows at a time: yields ``(rows, f(jet))``, ``rows`` a slice of
+    the ``s`` nodes in order and ``jet`` the ``(6, len(rows), nt, 3)`` jet
     ``product_surface_jet(alpha[:, rows], beta)``.  A block holds
     ``BLOCK_NODES // nt`` rows, at least one.  Every slot is formed node by
     node, so each block has the bits of the same rows of a whole-grid jet.
-    A caller drops its own reference to a block's jet before it asks for
-    the next, or two blocks are held at once."""
+    Each block's jet is dropped before the next is built, so only one is
+    ever held."""
     ns, step = alpha.shape[1], max(1, BLOCK_NODES // beta.shape[1])
     for lo in range(0, ns, step):
         rows = slice(lo, min(lo + step, ns))
@@ -443,5 +443,6 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray):
         # not finite fails in residual_report, as a collapsed one does
         with np.errstate(over="ignore"):
             jet = product_surface_jet(alpha[:, rows], beta)
-        yield rows, jet
-        del jet  # so the next block is built without this one alive
+        out = f(jet)
+        del jet
+        yield rows, out

@@ -199,8 +199,9 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
         if failures:
             return math.nan, (f"{fam.name} {fam.params}: {len(failures)} failures, "
                               f"first (s, t, reason): {failures[0]}")
-        for _, j in _row_blocks(alpha, beta):
-            defects += [np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]
+        for _, maxima in _row_blocks(alpha, beta, lambda j: [
+                np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]):
+            defects += maxima
         if math.inf in defects:
             return math.nan, f"{fam.name} {fam.params}: a residual is infinite"
     return float(np.max(defects)), detail

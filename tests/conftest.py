@@ -64,7 +64,7 @@ def grid_jet():
 
     def sampled(fam, grid: GridSpec):
         (s, t, alpha, beta), failures = sample_grid(fam, grid)
-        j = np.concatenate([jet for _, jet in _row_blocks(alpha, beta)], axis=1)
+        j = np.concatenate([jet for _, jet in _row_blocks(alpha, beta, lambda j: j)], axis=1)
         return (s, t, j), failures
 
     return sampled

@@ -225,11 +225,8 @@ REFUSALS = {
                                                  "not a finite, normal, positive float",
     "profile --ode grim-reaper --span=0:inf": "span must be finite, got (0.0, inf)",
     "mesh --family grim-reaper --span=-inf:0": "span must be finite, got (-inf, 0.0)",
-    "residual --family grim-reaper --span 0:1e-300 --mode translator":
-        "span (0.0, 1e-300) is too short: at lambda = 0.5 each end other than 0 must lie at "
-        "least 1.3435752215134178e-138 from 0",
-    "residual --family grim-reaper --span -1e-300:1e-300 --mode translator":
-        "span (-1e-300, 1e-300) is too short",
+    "residual --family grim-reaper --span 0:5e-324 --mode translator":
+        "no step from t = 0 was accepted at lambda = 0.5: every trial step was rejected",
     # a truncated profile would clip the family's t_range without a word
     "residual --family minimal-cylinder --c 1e4 --mode minimal --grid 3x3":
         "the minimal_cylinder profile is truncated: its nodes reach only t in "
@@ -326,9 +323,8 @@ REFUSALS = {
         # an axis jet that is not finite fails its nodes, with no numpy warning
         ["residual", "--family", "vertical-plane", "--c", "inf", "--mode", "minimal"],
         ["mesh", "--family", "vertical-plane", "--c", "inf"],
-        ["residual", "--family", "grim-reaper", "--span", "-1e-300:1e-300", "--mode",
-         "translator"],
-        ["residual", "--family", "grim-reaper", "--span", "0:1e-300", "--mode", "translator"],
+        # a span of one subnormal: the step cap, span/40, is 0, so no step is accepted
+        ["residual", "--family", "grim-reaper", "--span", "0:5e-324", "--mode", "translator"],
         # a reaper span with an infinite end would step until its budget ran out
         ["profile", "--ode", "grim-reaper", "--span=0:inf"],
         ["mesh", "--family", "grim-reaper", "--span=-inf:0"],
@@ -352,6 +348,20 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
     assert main(argv) == 2
     message = REFUSALS.get(" ".join(argv))
     assert message is None or message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", ["0:1e-300", "-1e-300:1e-300"])
+def test_reaper_on_a_tiny_span_sweeps_every_node(tmp_path, span, monkeypatch):
+    """A reaper span however short, down to node gaps of one ulp, gives a
+    finite profile interpolant, so every node of the sweep is kept."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["residual", "--family", "grim-reaper", "--span", span,
+                 "--mode", "translator"]) == 0
+    summary = dict(line.split("=", 1) for line in
+                   (tmp_path / "residual_grim_reaper_translator.summary.txt").read_text().split())
+    ns, nt = map(int, summary["grid"].split("x"))
+    assert summary["failures"] == "0" and int(summary["nodes"]) == ns * nt
+    assert math.isfinite(float(summary["MAX_ABS"]))
 
 
 @pytest.mark.parametrize("family", ["minimal-cylinder", "conformal-cylinder"])

@@ -61,8 +61,8 @@ RESIDUAL_SHA256 = {
         "f97b506e2291d6113ff06b6a29bc590d8fc84dd026f2b7e61d401cb8e744bd7b",
     ),
     ("minimal-cylinder", "minimal"): (
-        "1b049a7db734e4a3994c6944e20bd0f815c70db48aadbcae628c2ead576e83bd",
-        "22282c5c7b7021c667262d21e30ee28edfbc88caafbc7d88cc26b172e8f0a40a",
+        "e430fca4c0339c302e6a62af79baff3607bb4ae01ecb0f986455be58091bc21c",
+        "02c51695e6237248edea7f76107d6e075ce5f6a74d27de1544bf58897d4833bd",
     ),
     ("minimal-cylinder", "translator"): (
         "cdf7b67d8ddfc689af1e05a38096f6d17335b30c7595b4c34110ef51dc2da2aa",
@@ -77,8 +77,8 @@ RESIDUAL_SHA256 = {
         "0ce952504b05bd923f5b717306610636c8cab0cf1009098a13aebf139233d323",
     ),
     ("grim-reaper", "translator"): (
-        "8c7ff5ec5637879bada808f1a5d52b54d4ce42055f2f509a35d9c46ec808e4f8",
-        "c802f47808822237ede49d248d859ab27ef10163f29878e73ada6d4c5b5fc7a3",
+        "591633f70eceac8f29d4f75b6c3de42c3acb84f354feb1312ca00bd64707577d",
+        "802204fc2f211561c533b728b289ef0d459878f3a04a1b4859670200368ff34c",
     ),
     ("grim-reaper", "conformal"): (
         "038cf8df043752018c30a1469fca77ac4b0b078be175313e12ae59c9390b2ef6",
@@ -93,8 +93,8 @@ RESIDUAL_SHA256 = {
         "f012c1f21b84455d7b0e031598659db7253c25e579053413321684ac67597095",
     ),
     ("conformal-cylinder", "conformal"): (
-        "286471e4d5e99b9112bae2181d70024553a147014d2b4fbc03c3c541ff62fb4c",
-        "6e74d4d747d25f2820bc8656c641d85adaaa1d2974feb157e1daaddec5c346d9",
+        "1390932e22638ca3c947d00c1d13639298a7971ff6d97d9b3d5b88fe39240f93",
+        "51ca970af21d22272e90d9c05391f8ab2c6326155e4eeac3541d661d3e92d3fb",
     ),
 }
 
@@ -148,14 +148,14 @@ DEFAULTS_SHA256 = {
     ),
     "grim-reaper": (
         "translator",
-        "d3ed06a65ba44ca736f82a3533c5100fa00a0d8b13d30db50d4ed92a6466a471",
-        "d658004ed284f5af0533bcabe97f4fbb4eee218799a83d02f74207283b97bc5f",
+        "98e93bccce707979d656bd7fefcc031db69663161f287ad6419ab457162d7ab9",
+        "4ce93b4f681f696192fe1c0b01dab0a9108c428cf5521c5cec301367eb897dfa",
         "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (
         "conformal",
-        "133be1acf2d5f813ac28574079e1c09dd7ebfb69930fb241b26461c00d3d1eaa",
-        "fe71359b59e87c8b9a37a0b0efba958ec5a89b59d1081dfffc078b0068667807",
+        "e140f822cb47fbf35208e75a981a65a65754ed36e3d655017fac29080dd7e9e9",
+        "5df1a7fbf68bbf77e49a709b90e9b46e90c7b4b9ef04c73b6f8cd9a97c15cb6b",
         "33a1e148cd11aa1f0d6eca7c580ad65286c1fbc44bc5425bfd86ea903722b10b",
     ),
 }

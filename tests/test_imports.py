@@ -1,6 +1,7 @@
 """The runtime needs numpy alone: scipy is a test dependency, the oracle the
 in-house stepper, interpolant and quadrature are checked against, and
-``numpy.random`` is never loaded.  Every name a module exports resolves."""
+``numpy.random`` is never loaded.  Every name a module exports, and every
+module name the README gives, resolves."""
 import importlib
 import pkgutil
 import re
@@ -78,6 +79,26 @@ def test_readme_library_tour_runs():
     }
     for expr, value in claims.items():
         assert re.search(rf"^{re.escape(expr)} +# {re.escape(value)}", block, re.M), (expr, value)
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` in README.md whose module is a
+    solsurf module is an attribute of it, and every backticked
+    ``group.row`` whose group is a verify group is a row of
+    ``verify._REGISTRY``: a name the code drops cannot linger in the docs."""
+    import solsurf
+    from solsurf import verify
+
+    modules = {m.name: importlib.import_module(f"solsurf.{m.name}")
+               for m in pkgutil.iter_modules(solsurf.__path__)}
+    rows = {entry[0] for entry in verify._REGISTRY}
+    groups = {row.split(".")[0] for row in rows}
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    names = {m.groups() for span in re.findall(r"`([^`]+)`", text)
+             for m in re.finditer(r"(?<![\w.])(\w+)\.(\w+)", span)}
+    assert sorted(f"{a}.{b}" for a, b in names if a in modules and not hasattr(modules[a], b)) == []
+    assert sorted(f"{a}.{b}" for a, b in names if a in groups and f"{a}.{b}" not in rows) == []
+    assert any(a in modules for a, _ in names) and any(a in groups for a, _ in names)
 
 
 def test_top_level_names():

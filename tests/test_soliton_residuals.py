@@ -32,6 +32,7 @@ from solsurf import (
     surface_factory,
     surface_jets,
     unit_normal,
+    verify,
 )
 from solsurf.errors import DomainError
 from solsurf.surface_factory import sample_grid
@@ -523,6 +524,18 @@ def test_write_obj_mesh_peak_memory(tmp_path):
         assert peak <= 56 * block, (grid, peak / whole, peak / block)
 
 
+def test_verify_residual_defect_peak_memory():
+    """verify's grid rows keep only each block's residual maxima, so one
+    block's jet is alive at a time: on a 1001x201 horosphere with two modes
+    they peak at most at 33 block-sized arrays (a jet is 18; a loop that
+    keeps the jet it was handed holds two while the next is built)."""
+    grid = GridSpec(1001, 201)
+    terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
+    _, block = _array_bytes(grid)
+    peak = _traced_peak(lambda: verify._residual_defect([(make_horosphere(1.0), terms)], grid, ""))
+    assert peak <= 33 * block, peak / block
+
+
 # The seam family: f is curved, so no two s rows of residuals repeat, on a
 # grid whose blocks are 40 s rows.  In the failing variant f raises at one s
 # node, g at one t node, and f' = 1e160 overflows the fundamental forms on
@@ -574,7 +587,7 @@ def test_block_seams_keep_the_bits(mode, tmp_path):
     a failed t node and a row of NaN residuals in the third block."""
     fam = _seam_family(failing=True)
     (s, _, alpha, beta), failures = sample_grid(fam, _SEAM_GRID)
-    blocks = [rows for rows, _ in surface_factory._row_blocks(alpha, beta)]
+    blocks = [rows for rows, _ in surface_factory._row_blocks(alpha, beta, lambda j: j)]
     assert [(rows.start, rows.stop) for rows in blocks] == [(0, 40), (40, 80), (80, 120),
                                                             (120, 122)]
     assert {reason.split(" at ")[0] for _, _, reason in failures} == {"no f", "no g"}

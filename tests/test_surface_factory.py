@@ -282,7 +282,7 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 4, 3)
     assert alpha.dtype == beta.dtype == np.float64
     assert alpha.flags.c_contiguous and beta.flags.c_contiguous
-    list(surface_factory._row_blocks(alpha, beta))
+    list(surface_factory._row_blocks(alpha, beta, lambda j: j))
     (aj, bj), = seen
     assert aj.shape == (3, 3, 1, 3) and bj.shape == (3, 4, 3)
     assert all(slot.flags.c_contiguous for slot in (*aj, *bj))
