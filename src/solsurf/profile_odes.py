@@ -84,8 +84,9 @@ EPS_G = 1e-6             # end a branch before a step takes g down to this
 M_STOP = 1e6             # ... or a collapsing one's |g'| up to this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # Steps attempted per branch before it ends truncated, like a step that fell
-# below its floor.  The largest branch of the tests, the benchmark and verify
-# (the reaper at lam = 0.5 on -1000:1000) takes ~4.2k.
+# below its floor.  The largest branch of an untruncated profile in the
+# tests, the benchmark and verify takes ~1.2k; the reaper's at lam = 0.5 on
+# -1e6:1e6, ~200.
 MAX_BRANCH_STEPS = 1 << 16
 # (rtol, atol) of the stepper: the collapsing profiles', and the reaper's,
 # which are tighter (see integrate_grim_reaper).
@@ -371,14 +372,6 @@ class ProfileSolution:
         return self._eval(t, self.params.gpp)
 
 
-def _height_stop(g, gp):
-    return g - EPS_G
-
-
-def _speed_stop(g, gp):
-    return M_STOP * M_STOP - gp * gp
-
-
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = math.sqrt(2.0)
 
@@ -405,8 +398,28 @@ def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
     return min(100.0 * h0, h1, span, max_step)
 
 
-# Nodes and weights of the 40-point Gauss--Legendre rule on [-1, 1].
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
+# The 40-point Gauss--Legendre rule on [-1, 1], numpy's ``leggauss(40)`` bit
+# for bit: the rule is symmetric, so its 20 positive nodes and their weights,
+# in increasing order of node, give the rest.  Held as literals, since
+# computing them loads ``numpy.polynomial``.
+_GL_X20 = np.array([float.fromhex(h) for h in (
+    "0x1.3d9fa7259c6f8p-5", "0x1.db7af8723039bp-4", "0x1.8aa507790bb18p-3",
+    "0x1.12967c83d4110p-2", "0x1.5e33b2ee16696p-2", "0x1.a7b5bc5a29ed2p-2",
+    "0x1.eeab6c46ecaa8p-2", "0x1.1953c149057cap-1", "0x1.39a0a9d652b8fp-1",
+    "0x1.580ab4e17e33ap-1", "0x1.74630eefa6276p-1", "0x1.8e7e140e56770p-1",
+    "0x1.a63393069f110p-1", "0x1.bb5f0b43ea03fp-1", "0x1.cddfe5136244ep-1",
+    "0x1.dd99a3f1b1943p-1", "0x1.ea7412c59f876p-1", "0x1.f45b6a89bde77p-1",
+    "0x1.fb40783501aafp-1", "0x1.ff190359ae7c7p-1")])
+_GL_W20 = np.array([float.fromhex(h) for h in (
+    "0x1.3d76e07d0145bp-4", "0x1.3b8e1ab8156c6p-4", "0x1.37bf7fb3ffa4cp-4",
+    "0x1.3210ebf5b81f0p-4", "0x1.2a8b1efb50a2dp-4", "0x1.2139adc432370p-4",
+    "0x1.162af0fc7e7e7p-4", "0x1.096feee7215bdp-4", "0x1.f6388251875f2p-5",
+    "0x1.d68bed38b193ep-5", "0x1.b40ae2c10a3e3p-5", "0x1.8eea82a7d68eap-5",
+    "0x1.6763f67ce7b64p-5", "0x1.3db419e3c969ep-5", "0x1.121b1d8e9a257p-5",
+    "0x1.c9b84cd4f2e1fp-6", "0x1.6c79dab0af34cp-6", "0x1.0d0ae92dd2e30p-6",
+    "0x1.5801fe5cda2e1p-7", "0x1.284e71463cf0fp-8")])
+_GL_X = np.concatenate((-_GL_X20[::-1], _GL_X20))
+_GL_W = np.concatenate((_GL_W20[::-1], _GL_W20))
 
 
 def _gauss(f, a: float, b):
@@ -424,7 +437,7 @@ def _gauss(f, a: float, b):
     return out if out.shape else float(out)
 
 
-def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
+def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
     """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, ya, yb)`` toward
     ``t_bound`` by scipy's RK45 algorithm, on Python floats.
 
@@ -435,15 +448,19 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     ``max_step`` and at least 10 ulp of ``t``.  A stage that raises
     ``ZeroDivisionError`` or ``OverflowError`` counts as an infinite error,
     so its step is rejected and shrinks, as a non-finite stage's is.  An
-    accepted step whose new state has any ``stop(a, b) <= 0`` is discarded
-    and ends the branch at its last node: scipy's nodes for a terminal
-    event, without the event point it appends.
+    accepted step is discarded, and the branch ends at its last node, if
+    its new state reaches a stop: the height stop ``a - EPS_G <= 0``
+    always, and with ``speed_stop`` (where ``b`` is the slope ``g'``) also
+    ``M_STOP*M_STOP - b*b <= 0``.  These are scipy's nodes for a terminal
+    event, without the event point it appends.  The stops are read from
+    the module when the branch starts.
 
-    A stepped node costs about 2.4 us of interpreter time (2-core x86), so
+    A stepped node costs about 2.5 us of interpreter time (2-core x86), so
     the loop does only what the stages need: the error norm is written
     out, the clips are comparisons (each keeps ``min``/``max``'s choice,
-    NaN included), and the math functions and the appends are bound once.
-    The stage expressions are scipy's, operand for operand.
+    NaN included), the stops are tested inline, and the math functions
+    and the appends are bound once.  The stage expressions are scipy's,
+    operand for operand.
 
     Returns the node abscissae and the two state components as lists from
     ``t = 0`` outward, and a status: 0 when ``t_bound`` was reached (at once
@@ -458,6 +475,7 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
     d = math.copysign(1.0, t_bound)
     toward = d * math.inf
     sqrt, nextafter, sqrt2, budget = math.sqrt, math.nextafter, _SQRT2, MAX_BRANCH_STEPS
+    eps_g, m_stop2 = EPS_G, M_STOP * M_STOP
     t_append, a_append, b_append = ts.append, as_.append, bs.append
     fa, fb = rhs(t, ya, yb)
     h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step)
@@ -526,9 +544,8 @@ def _dopri54(rhs, ya, yb, t_bound, stops, rtol, atol, max_step):
             factor = 0.9 * err ** -0.2
             h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
-        for stop in stops:
-            if stop(na, nb) <= 0.0:  # the step reached a stop: end at its left node
-                return ts, as_, bs, 1
+        if na - eps_g <= 0.0 or (speed_stop and m_stop2 - nb * nb <= 0.0):
+            return ts, as_, bs, 1  # the step reached a stop: end at its left node
         t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
         t_append(t)
         a_append(ya)
@@ -571,8 +588,8 @@ def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
         )
     horizon = 2.0 * params.y0 * math.sqrt(params.slope * params.slope + 1.0) + 1.0
-    rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, horizon,
-                                   [_height_stop, _speed_stop], *_COLLAPSE_TOL, params.y0 / 20.0)
+    rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, horizon, True,
+                                   *_COLLAPSE_TOL, params.y0 / 20.0)
     if status == 1 and len(rt) == 1:
         raise ParameterError(
             f"at initial height y0 = {params.y0!r} the first step from t = 0 already "
@@ -629,13 +646,14 @@ def integrate_grim_reaper(p: GrimReaperParams,
     stored slopes are the right-hand side's first component, ``g' =
     lam*e^w`` (``math.exp``; where it overflows, the stage fails and its
     step is rejected): ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
-    underflow to 0 far out).  ``max_step`` is ``min(0.25, span/40)``, so a
-    span beyond about +-16000 runs into ``MAX_BRANCH_STEPS`` and comes back
-    truncated.  The tolerances (``rtol = 1e-12``, ``atol = 1e-13``) are
-    tighter than the collapsing profiles': with fewer nodes, the Hermite
-    interpolant's error in ``g`` at lam = 10 on -40:40 is 1.8e-7 at
-    ``rtol = 1e-10`` and 1.3e-8 at these, against a DOP853 reference at
-    rtol 1e-13.
+    underflow to 0 far out).  No step cap is set, so the error controller
+    alone sizes every step and the node count follows the solution, not the
+    span: lam = 0.5 takes 396 nodes on -50:50, 399 on -1000:1000 and 405 on
+    -1e6:1e6, and lam = 0 takes 15 on -50:50.  The tolerances (``rtol =
+    1e-12``, ``atol = 1e-13``) are tighter than the collapsing profiles':
+    with fewer nodes, the Hermite interpolant's error in ``g`` at lam = 10
+    on -40:40 is 4.6e-7 at ``rtol = 1e-10`` (325 nodes) and 1.3e-8 at these
+    (746 nodes), against a DOP853 reference at rtol 1e-13.
 
     ``lam = 0`` yields the constant solution ``g == 1`` node-for-node (``g'``
     is ``0*e^w`` at every stage, so the stepper preserves ``g`` exactly);
@@ -648,16 +666,14 @@ def integrate_grim_reaper(p: GrimReaperParams,
         raise ParameterError(f"span must contain 0, got {span!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"span must be finite, got {span!r}")
-    max_step = min(0.25, (hi - lo) / 40.0)
-
     lam, k, exp = p.lam, p.k, math.exp
 
     def rhs(v, g, w):
         gp = lam * exp(w)
         return gp, -(k + gp * gp) * 2.0 * v / (g * g)
 
-    rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, [_height_stop], *_REAPER_TOL, max_step)
-    lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, [_height_stop], *_REAPER_TOL, max_step)
+    rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, False, *_REAPER_TOL, math.inf)
+    lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, False, *_REAPER_TOL, math.inf)
     t = np.array(lt[::-1] + rt[1:])
     g = np.array(lg[::-1] + rg[1:])
     w = lw[::-1] + rw[1:]

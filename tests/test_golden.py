@@ -73,15 +73,15 @@ RESIDUAL_SHA256 = {
         "070ee744fab17e3b36c1e0a3db514ff57916fa4cfebf676daee1c288e79af6f5",
     ),
     ("grim-reaper", "minimal"): (
-        "deff79995f94da0da0fd6ca7ef2ab3f78b158d52c85b83fe2994761372b60087",
-        "0ce952504b05bd923f5b717306610636c8cab0cf1009098a13aebf139233d323",
+        "d0012a64596a20ad79b0018502169cef9c94dacc4cfde603e6751324917123c5",
+        "180ed8f24343461a92c89c21163fd4f5a63b45b93ed77604ea38617edeeae351",
     ),
     ("grim-reaper", "translator"): (
-        "591633f70eceac8f29d4f75b6c3de42c3acb84f354feb1312ca00bd64707577d",
-        "802204fc2f211561c533b728b289ef0d459878f3a04a1b4859670200368ff34c",
+        "67378ca71352340799a8e83e195b930900219011c3baa5576edaaa65e5f60883",
+        "75d7cadc385a0ab6194575abd89c4b167227e3c1edd03fbff4512025a1a0daea",
     ),
     ("grim-reaper", "conformal"): (
-        "038cf8df043752018c30a1469fca77ac4b0b078be175313e12ae59c9390b2ef6",
+        "9ed32365c6e26314d77bbe29550270eea460063b264fd2a69c11f42a0e000d4f",
         "85f633980896ec2c4e68912b3768859008504fff0994ab818af0dd45cfeca627",
     ),
     ("conformal-cylinder", "minimal"): (
@@ -186,8 +186,8 @@ PROFILE_SHA256 = {
         "46c380fb31c412058d5c8d363a9d779d31060f27db7bdf7536270245e34352ac",
     ),
     ("grim-reaper", True): (
-        "c9e040993d898464f8387e82f61ef290893a31748a4a0fdf69b17908a1c8a1a8",
-        "26f0ec783b17743edca6f56acf9bc9f90f9af3db4bd81f7b4b1188c2145675a0",
+        "abc5e6deabd7406bf4228bf0a5a6b7c9f591eae56c492ce12a42034e2aed7d5c",
+        "a7660b86ea3eb93c183f0ff54b76397c41c0f7ac608a6ddd1768213c3315e79a",
     ),
     ("conformal", True): (
         "3fe5f5a08d07a4e0e4edd10936cf596b84c76881ec7cd23a348f96af5d9efbc8",
@@ -198,8 +198,8 @@ PROFILE_SHA256 = {
         "10ed2bfa9543e56cf9629e6696f2e6e7efbc598f663f963b121c20d6880fdb44",
     ),
     ("grim-reaper", False): (
-        "750c397e52d3d901b1c8c2acd58b50ca9d0b28ba7cc926c2bfd0d5aad420c88e",
-        "ee20044d2aaf15bbcd51b3f56c9b8750177cf60b9e683d1f8874ba70eb45e9e6",
+        "8ced2cc0035501ee6b82c02165c764f53f17082cfdc2011b7bca5d5ffdff901a",
+        "6ec8be11c97ac5ae9e25179c16c2bf5f1784371420b52c2992f042e56043b6f6",
     ),
     ("conformal", False): (
         "36876b5b4dac8d05084564f54928b35593bc8e3bf9374fb2fe50cc8a53c07894",

@@ -1,7 +1,7 @@
 """The runtime needs numpy alone: scipy is a test dependency, the oracle the
 in-house stepper, interpolant and quadrature are checked against, and
-``numpy.random`` is never loaded.  Every name a module exports, and every
-module name the README gives, resolves."""
+neither ``numpy.random`` nor ``numpy.polynomial`` is loaded.  Every name a
+module exports, and every module name the README gives, resolves."""
 import importlib
 import pkgutil
 import re
@@ -22,6 +22,19 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    """``import numpy`` leaves ``numpy.polynomial`` unloaded, and the
+    package holds its quadrature rule as literals, so it stays unloaded."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import solsurf.cli; "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_source_imports_no_scipy():

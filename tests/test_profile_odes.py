@@ -40,8 +40,6 @@ from solsurf.profile_odes import (
     _Hermite,
     _blowup_tail,
     _dopri54,
-    _height_stop,
-    _speed_stop,
     first_integral_defect,
 )
 from solsurf.verify import _SLOPE_CAP, _symmetry_defect
@@ -136,6 +134,14 @@ def test_blowup_tail_of_an_array_is_the_scalar_calls_bit_for_bit(integrate, p):
         assert tail == half * float(_GL_W @ p.dt_dphi(half * (_GL_X + 1.0))), g
     assert tails.shape == heights.shape and tails.tobytes() == np.array(scalars).tobytes()
     assert tails[-1] == tails[-2] == _blowup_tail(p, p.y0)
+
+
+def test_gauss_legendre_rule_is_numpys():
+    """The 40-point rule the module holds as literals is numpy's
+    ``leggauss(40)``, every node and weight bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    assert _GL_X.tobytes() == x.tobytes()
+    assert _GL_W.tobytes() == w.tobytes()
 
 
 def test_minimal_tail_from_the_top_is_the_closed_form():
@@ -571,34 +577,44 @@ def test_reaper_refuses_an_infinite_span(span):
 
 
 def _collapse_case(p, end=None):
-    """Right-hand side, initial state, branch ends, stops and step settings
-    of integrate_minimal_profile / integrate_conformal_profile.  The stops
-    read ``EPS_G`` and ``M_STOP`` when called, as the integrators' do."""
+    """Right-hand side, initial state, branch ends, whether the speed stop
+    applies, and step settings of integrate_minimal_profile /
+    integrate_conformal_profile."""
     slope = getattr(p, "c", getattr(p, "a", None))
     end = 2.0 * p.y0 * math.sqrt(slope * slope + 1.0) + 1.0 if end is None else end
     return (lambda t, g, gp: (gp, p.gpp(t, g, gp)), (p.y0, 0.0), (end, -end),
-            [_height_stop, _speed_stop], (1e-10, 1e-12, p.y0 / 20.0))
+            True, (1e-10, 1e-12, p.y0 / 20.0))
 
 
 def _reaper_case(p, span=(-40.0, 40.0)):
-    """The same for integrate_grim_reaper on ``(g, w)``, ``g' = lam*e^w``."""
+    """The same for integrate_grim_reaper on ``(g, w)``, ``g' = lam*e^w``:
+    the height stop alone, and no step cap."""
 
     def rhs(v, g, w):
         gp = p.lam * math.exp(w)
         return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
 
-    return (rhs, (1.0, 0.0), (span[1], span[0]), [_height_stop],
-            (1e-12, 1e-13, min(0.25, (span[1] - span[0]) / 40.0)))
+    return rhs, (1.0, 0.0), (span[1], span[0]), False, (1e-12, 1e-13, math.inf)
 
 
-def _rk45(rhs, ic, end, stops, rtol, atol, max_step):
-    events = []
-    for stop in stops:
-        def event(t, y, stop=stop):
-            return stop(y[0], y[1])
+def _height_event(t, y):
+    return y[0] - profile_odes.EPS_G
 
-        event.terminal, event.direction = True, -1
-        events.append(event)
+
+def _speed_event(t, y):
+    return profile_odes.M_STOP * profile_odes.M_STOP - y[1] * y[1]
+
+
+for _event in (_height_event, _speed_event):
+    _event.terminal, _event.direction = True, -1
+
+
+def _rk45(rhs, ic, end, speed_stop, rtol, atol, max_step):
+    """scipy's RK45 on the same problem, with the stepper's stops as
+    terminal events: ``t_events[0]`` is the height stop's, ``[1]`` the
+    speed stop's.  The events read ``EPS_G`` and ``M_STOP`` when called, as
+    the stepper reads them when a branch starts."""
+    events = [_height_event, _speed_event] if speed_stop else [_height_event]
     return solve_ivp(lambda t, y: rhs(t, y[0], y[1]), (0.0, end), ic, method="RK45",
                      rtol=rtol, atol=atol, max_step=max_step, events=events)
 
@@ -647,18 +663,31 @@ def test_stepper_matches_rk45(case, monkeypatch):
     its last node lies before that event (at most 1.1e-10 before it,
     measured).  numpy's BLAS sums the stages and the error norm with fused
     multiply-adds, which Python floats cannot, so step sizes differ in the
-    last bits and the nodes drift (up to 4.5e-6 measured, on the reaper's
-    lambda = 10 left branch); scipy's own nodes there move by 2.3e-6 when
-    g(0) moves by one ulp."""
+    last bits and the nodes drift (up to 2.7e-6 measured, on the reaper's
+    lambda = 0.5 right branch); scipy's own nodes there move by 5.3e-6 when
+    g(0) moves by one ulp.
+
+    The reaper's slope ``g' = lam*e^w`` decays outward, and past the node
+    where ``|g'|*|end - t| < eps*g`` the rest of the branch cannot move
+    ``g`` by a rounding unit.  In that flat tail ``w`` is a quadratic in
+    ``v``, which the 5th-order pair steps exactly, so each step's error
+    estimate is rounding noise and so is its size: scipy's own tail nodes
+    move by up to 0.6 when g(0) moves by one ulp (0.42 apart from ours,
+    measured, on the lambda = 0.5 right branch).  Tail nodes, every node of
+    lambda = 0 included, are compared by count and status alone."""
     _set_stops(monkeypatch, CASE_STOPS.get(case, {}))
-    (rhs, ic, ends, stops, (rtol, atol, max_step)), ends_by, public = STEPPER_CASES[case]
-    refs = [_rk45(rhs, ic, end, stops, rtol, atol, max_step) for end in ends]
+    (rhs, ic, ends, speed_stop, (rtol, atol, max_step)), ends_by, public = STEPPER_CASES[case]
+    refs = [_rk45(rhs, ic, end, speed_stop, rtol, atol, max_step) for end in ends]
     stopped = ends_by in ("speed", "height")
     nodes = [(ref.t[:-1], ref.y[:, :-1]) if stopped else (ref.t, ref.y) for ref in refs]
-    for end, ref, (ref_t, _) in zip(ends, refs, nodes):
-        t, _, _, status = _dopri54(rhs, *ic, end, stops, rtol, atol, max_step)
+    for end, ref, (ref_t, ref_y) in zip(ends, refs, nodes):
+        t, _, _, status = _dopri54(rhs, *ic, end, speed_stop, rtol, atol, max_step)
         assert (len(t), status) == (len(ref_t), ref.status)
-        assert np.max(np.abs(np.array(t) - ref_t)) <= 1e-5
+        drift = np.abs(np.array(t) - ref_t)
+        if case.startswith("reaper"):
+            slope = np.array([rhs(0.0, g, w)[0] for g, w in ref_y.T])
+            drift = drift[slope * np.abs(end - ref_t) >= np.finfo(float).eps * ref_y[0]]
+        assert np.max(drift, initial=0.0) <= 1e-5
         if ends_by == "horizon":
             assert status == 0 and t[-1] == end
         elif ends_by == "floor":
@@ -678,13 +707,13 @@ def test_stepper_matches_rk45(case, monkeypatch):
             assert np.max(np.abs(sol.eval_g(q[keep]) - ref_y[0][keep])) <= 1e-9
 
 
-def _assert_mirrors_the_stepper(sol, rhs, ic, ends, stops, tol):
+def _assert_mirrors_the_stepper(sol, rhs, ic, ends, speed_stop, tol):
     """Each half of the collapsing profile ``sol`` holds, bit for bit, the
     nodes :func:`_dopri54` steps from ``t = 0`` toward its end: the right
     half as stored, the left half read from the centre outward.  The centre
     node is shared, so a ``-0.0`` there fails too.  Each blow-up abscissa is
     its own stepped branch's, and the node defect is even."""
-    halves = [_dopri54(rhs, *ic, end, stops, *tol) for end in ends]
+    halves = [_dopri54(rhs, *ic, end, speed_stop, *tol) for end in ends]
     n = len(halves[0][0])
     assert len(sol.t) == 2 * n - 1 and len(halves[1][0]) == n
     for (t, g, gp, status), half, blowup, side in zip(
@@ -800,7 +829,7 @@ def test_stage_arithmetic_failures_reject_steps():
         return lambda t, a, b: (1.0, math.exp(1e3) if t > edge else 1.0)
 
     for make, edge in ((divides, 1.0), (overflows, 1.0), (divides, 0.0), (overflows, 0.0)):
-        t, a, b, status = _dopri54(make(edge), 0.0, 0.0, 5.0, [], 1e-10, 1e-12, 0.25)
+        t, a, b, status = _dopri54(make(edge), 0.0, 0.0, 5.0, False, 1e-10, 1e-12, 0.25)
         assert status == -1
         assert edge - 1e-12 <= t[-1] <= edge
         assert np.max(np.abs(np.array(a) - t)) <= 1e-12
@@ -839,8 +868,8 @@ def _overflow():
 
 
 def _horizon_paths(mp):
-    return [_dopri54(rhs, *ic, end, stops, *tol)
-            for rhs, ic, ends, stops, tol in (_collapse_case(_MIN(1.5, 1.2), end=1.0),
+    return [_dopri54(rhs, *ic, end, speed_stop, *tol)
+            for rhs, ic, ends, speed_stop, tol in (_collapse_case(_MIN(1.5, 1.2), end=1.0),
                                               _collapse_case(_CONF(0.0, 1.0), end=0.25))
             for end in ends]
 
@@ -874,7 +903,7 @@ def _budget_paths(mp):
 
 
 def _stage_raise_paths(mp):
-    return [_dopri54(_fails_past(make), 0.0, 0.0, 5.0, [], 1e-10, 1e-12, 0.25)
+    return [_dopri54(_fails_past(make), 0.0, 0.0, 5.0, False, 1e-10, 1e-12, 0.25)
             for make in (_zero, _overflow)]
 
 
@@ -903,7 +932,7 @@ STEPPER_PATHS = {
     "stage-raises": (_stage_raise_paths, {-1},
         "9944798803e81d1f40e3b5da5429973a2cc034aaeb1317cd2c58d1d2fe0703f3"),
     "reaper": (_reaper_paths, {0},
-        "a5d999249a3eb5edef48581483347220e227829aaaf1ac2c01e54ea5f398e5d1"),
+        "45087ae59ed00a93da080550c229820f17c5036bd9d326b29ad61d50df8462b9"),
 }
 
 
@@ -922,18 +951,37 @@ def test_stepper_bits_are_pinned(path, monkeypatch):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv", [
-    ["--ode", "minimal", "--c", "1e8"],
-    ["--ode", "grim-reaper", "--span", "-1e6:1e6"],
+@pytest.mark.parametrize("argv,budget", [
+    (["--ode", "minimal", "--c", "1e8"], MAX_BRANCH_STEPS),
+    (["--ode", "grim-reaper", "--span", "-1e6:1e6"], 100),
 ], ids=["minimal-c1e8", "reaper-span1e6"])
-def test_branch_step_budget(tmp_path, argv):
-    """Both inputs ask for ~1e9 and ~8e6 steps per branch.  Each branch stops
-    after MAX_BRANCH_STEPS attempts and the profile is reported truncated."""
+def test_branch_step_budget(tmp_path, argv, budget, monkeypatch):
+    """Each input asks for more steps per branch than its budget: the
+    minimal profile at c = 1e8 for ~1e9 against MAX_BRANCH_STEPS, the
+    reaper on -1e6:1e6 for ~200 (405 nodes in all) against a budget of 100.
+    Each branch stops after ``budget`` attempts and the profile is reported
+    truncated."""
+    monkeypatch.setattr(profile_odes, "MAX_BRANCH_STEPS", budget)
     out = tmp_path / "p"
     assert main(["profile", *argv, "--out", str(out)]) == 0
     events = dict(line.split("=", 1) for line in (out.parent / "p.events.txt").read_text().split())
     assert events["truncated"] == "true"
-    assert int(events["nodes"]) <= 2 * MAX_BRANCH_STEPS + 1
+    assert int(events["nodes"]) <= 2 * budget + 1
+
+
+def test_reaper_node_count_follows_the_solution():
+    """The reaper's steps are sized by the error controller alone, so its
+    node count follows the solution, not the span: a span 20 times longer
+    takes less than twice the nodes, and the constant solution (lambda = 0)
+    takes a few nodes whatever the span.  A step cap of span/40 would give
+    747 and 8,347 nodes, and 409 at lambda = 0."""
+    def nodes(lam, span):
+        sol = integrate_grim_reaper(GrimReaperParams(lam=lam), span)
+        assert not sol.truncated
+        return len(sol.t)
+
+    assert nodes(0.5, (-1000.0, 1000.0)) < 2 * nodes(0.5, (-50.0, 50.0))
+    assert nodes(0.0, (-50.0, 50.0)) < 41
 
 
 # --- parameter validation ---------------------------------------------------
