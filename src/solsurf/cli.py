@@ -58,7 +58,7 @@ def _add_table_flags(p: argparse.ArgumentParser, choice: str, table: dict) -> No
         for name, (_, flags) in table.items():
             if flag in flags:
                 roles.setdefault(flags[flag][1], []).append(name)
-        p.add_argument(flag, dest=commands.dest(flag), type=None if interval else float,
+        p.add_argument(flag, type=None if interval else float,
                        help="; ".join(f"{r} ({', '.join(n)})" for r, n in roles.items()))
 
 

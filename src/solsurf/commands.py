@@ -80,12 +80,6 @@ def canonical(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
-def dest(flag: str) -> str:
-    """Namespace attribute of a flag: ``--s-range`` -> ``s_range``, ``--lambda`` -> ``lam``."""
-    name = flag[2:].replace("-", "_")
-    return "lam" if name == "lambda" else name
-
-
 def table_flags(table: dict) -> dict:
     """Every flag of a table, in order of first appearance -> whether it takes LO:HI."""
     return {
@@ -124,7 +118,7 @@ def build(table: dict, name: str, args):
     builder, flags = table[name]
     kwargs = {}
     for flag, interval in table_flags(table).items():
-        value = getattr(args, dest(flag))
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
         if flag not in flags:

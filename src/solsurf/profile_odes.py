@@ -28,8 +28,8 @@ quadrature of ``dt = -dg / sqrt(first integral)``, so it does not depend
 on where the branch ended: in ``phi``, with ``g = y0*sin(phi)``,
 the integrand is smooth from the collapse up to ``g = y0``, so a fixed
 40-node Gauss--Legendre rule (:func:`_gauss`) gives the blow-up abscissa
-quadrature accuracy (:func:`_blowup_tail`).  The solution holds it as
-``right_blowup_t``; the left one is its mirror, read as ``left_blowup_t``.
+quadrature accuracy (:func:`_blowup_tail`).  A solution derives it as
+``right_blowup_t``; ``left_blowup_t`` is its mirror.
 
 The grim reaper is not even, so both of its branches are stepped, on the
 state ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
@@ -39,9 +39,10 @@ the Jacobian's trace and determinant carry a factor ``g'``, which vanishes
 in the flat tails, so the equation is not stiff there (see
 :func:`integrate_grim_reaper`).
 
+The stepper returns each node's ``t``, ``g`` and ``g'``, and a status.
 Every stepped branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that
 runs out ends like one whose step fell below its floor, and the solution's
-``truncated`` is set.
+``truncated`` is set.  A solution stores its nodes and ``truncated`` alone.
 
 Between nodes a solution is read through one piecewise cubic Hermite
 interpolant of ``g`` and ``g'`` (:class:`_Hermite`), built from the nodal
@@ -49,12 +50,6 @@ values and the exact nodal slopes and summed in each interval's unit
 variable, so it stays finite on node gaps however short.  The interpolant
 and the quadrature are small numpy and float routines, so importing this
 module costs numpy alone.
-
-Conservation monitor: the first-integral defect ``g'^2 - (rhs)`` is exact in
-the O(1) region but near blow-up ``g'^2 ~ 1e12`` exceeds what float64 can
-resolve absolutely (one ULP of 1e12 is ~2.4e-4), so the per-node monitor
-stored on solutions is the raw defect divided by ``max(1, g'^2)``.  The raw
-pointwise defect, :func:`first_integral_defect`, is also exposed.
 """
 from __future__ import annotations
 
@@ -291,14 +286,12 @@ class _Hermite:
         return c0 + u * (c1 + u * (c2 + u * c3))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProfileSolution:
-    """An integrated profile: node arrays, the per-node conservation
-    monitor, the blow-up abscissa of the right branch (None where no blow-up
-    was found) and whether any branch was truncated before its natural end.
-    Only the even, collapsing profiles blow up, so the left branch's
-    abscissa is its mirror.  Nodes are strictly increasing in ``t`` with
-    ``g > 0`` everywhere, and the arrays are read-only copies of those given.
+    """An integrated profile: its nodes, strictly increasing in ``t`` with
+    ``g > 0`` everywhere and held as read-only copies of the arrays given,
+    and whether any branch was truncated before its natural end.  It is
+    frozen, so what it derives from them on first read never goes stale.
 
     Between nodes, ``g`` and ``g'`` come from one cubic Hermite interpolant
     of the two series, with the exact nodal slopes ``g'`` and ``g''``, and
@@ -311,21 +304,44 @@ class ProfileSolution:
     t: np.ndarray
     g: np.ndarray
     gp: np.ndarray
-    node_defect: np.ndarray
-    right_blowup_t: Optional[float]
     truncated: bool
 
     def __post_init__(self) -> None:
-        for name in ("t", "g", "gp", "node_defect"):
+        for name in ("t", "g", "gp"):
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
-            setattr(self, name, a)
+            object.__setattr__(self, name, a)
         if len(self.t) < 2:
             raise ParameterError("a profile solution needs at least two nodes")
         if not np.all(np.diff(self.t) > 0.0):
             raise ParameterError("profile nodes must be strictly increasing in t")
         if not np.all(self.g > 0.0):
             raise ParameterError("profile nodes must have positive g")
+
+    @functools.cached_property
+    def node_defect(self) -> np.ndarray:
+        """The read-only conservation monitor at each node: the raw
+        :func:`first_integral_defect` over ``max(1, g'^2)``, since near
+        blow-up ``g'^2 ~ 1e12`` exceeds what float64 resolves absolutely
+        (one ULP of 1e12 is ~2.4e-4); zeros for the reaper, which has no
+        conserved quantity."""
+        p, gp = self.params, self.gp
+        if isinstance(p, _CollapseParams):
+            out = first_integral_defect(p, self.g, gp) / np.maximum(1.0, gp * gp)
+        else:
+            out = np.zeros_like(gp)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def right_blowup_t(self) -> Optional[float]:
+        """``t_last + tail(g_last)`` (:func:`_blowup_tail`) of a collapsing
+        profile whose branch reached a stop; None when it was truncated, and
+        for the reaper, which does not collapse.  Collapsing profiles are
+        even, so the left abscissa is its mirror."""
+        if self.truncated or not isinstance(self.params, _CollapseParams):
+            return None
+        return self.t[-1] + _blowup_tail(self.params, self.g[-1])
 
     @property
     def left_blowup_t(self) -> Optional[float]:
@@ -372,7 +388,6 @@ class ProfileSolution:
         return self._eval(t, self.params.gpp)
 
 
-_EPS = float(np.finfo(float).eps)
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -439,7 +454,7 @@ def _gauss(f, a: float, b):
 
 def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
     """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, ya, yb)`` toward
-    ``t_bound`` by scipy's RK45 algorithm, on Python floats.
+    ``t_bound`` (may be infinite) by scipy's RK45 algorithm, on Python floats.
 
     The Dormand--Prince 5(4) tableau, first step and step control are
     scipy's: the embedded 4th-order error in the RMS norm scaled by
@@ -462,22 +477,23 @@ def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
     and the appends are bound once.  The stage expressions are scipy's,
     operand for operand.
 
-    Returns the node abscissae and the two state components as lists from
-    ``t = 0`` outward, and a status: 0 when ``t_bound`` was reached (at once
-    if it is 0), 1 when the next step reached a stop, -1 when the step fell
-    below its floor or ``MAX_BRANCH_STEPS`` steps were attempted.
+    Returns ``t``, ``a`` and ``g'`` at each node, as lists from ``t = 0``
+    outward, where ``g'`` is the right-hand side's first component (``b``
+    itself on the collapsing profiles, the reaper's ``lam*e^w``), and a
+    status: 0 when ``t_bound`` was reached (at once if it is 0), 1 when the
+    next step reached a stop, -1 when the step fell below its floor or
+    ``MAX_BRANCH_STEPS`` steps were attempted.
     """
     t = 0.0
-    ts, as_, bs = [t], [ya], [yb]
+    fa, fb = rhs(t, ya, yb)
+    ts, gs, gps = [t], [ya], [fa]
     if t_bound == 0.0:
-        return ts, as_, bs, 0
-    rtol = max(rtol, 100.0 * _EPS)  # scipy's floor
+        return ts, gs, gps, 0
     d = math.copysign(1.0, t_bound)
     toward = d * math.inf
     sqrt, nextafter, sqrt2, budget = math.sqrt, math.nextafter, _SQRT2, MAX_BRANCH_STEPS
     eps_g, m_stop2 = EPS_G, M_STOP * M_STOP
-    t_append, a_append, b_append = ts.append, as_.append, bs.append
-    fa, fb = rhs(t, ya, yb)
+    t_append, g_append, gp_append = ts.append, gs.append, gps.append
     h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step)
     tries = 0
     while True:
@@ -489,7 +505,7 @@ def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
         rejected = False
         while True:
             if h_abs < min_step or tries == budget:
-                return ts, as_, bs, -1
+                return ts, gs, gps, -1
             tries += 1
             t_new = t + h_abs * d
             if d * (t_new - t_bound) > 0.0:
@@ -545,13 +561,13 @@ def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
             h_abs *= factor if factor > 0.2 else 0.2
             rejected = True
         if na - eps_g <= 0.0 or (speed_stop and m_stop2 - nb * nb <= 0.0):
-            return ts, as_, bs, 1  # the step reached a stop: end at its left node
+            return ts, gs, gps, 1  # the step reached a stop: end at its left node
         t, ya, yb, fa, fb = t_new, na, nb, k7a, k7b
         t_append(t)
-        a_append(ya)
-        b_append(yb)
+        g_append(ya)
+        gp_append(fa)
         if d * (t - t_bound) >= 0.0:
-            return ts, as_, bs, 0
+            return ts, gs, gps, 0
 
 
 def _blowup_tail(params, g_stop):
@@ -572,23 +588,29 @@ def _blowup_tail(params, g_stop):
 def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
     """Shared driver for the two collapsing (minimal/conformal) profiles.
 
-    One branch is stepped, with steps of at most ``y0/20``, toward
-    ``+horizon = 2*y0*sqrt(slope^2 + 1) + 1``; the left half is its mirror,
-    ``t`` and ``g'`` negated and ``g`` kept.  The ODEs see ``g'`` only
-    through ``g'^2`` and :func:`_dopri54` and :func:`_first_step` commute
-    with negating ``t`` and ``g'`` under round-to-nearest, so stepping
-    toward ``-horizon`` gives these nodes bit for bit.  The centre node is
-    the stepped branch's, ``t = 0.0`` and ``g' = 0.0`` (no ``-0.0``); the
-    status, and so the truncation, is shared, and so is the blow-up
-    abscissa, ``t_last + tail(g_last)`` (:func:`_blowup_tail`).  A branch
-    whose first step already reaches a stop has only its ``t = 0`` node and
-    is refused."""
+    One branch is stepped toward ``+inf``, with steps of at most ``y0/20``,
+    until a stop, its step floor or its budget ends it; the left half is its
+    mirror, ``t`` and ``g'`` negated and ``g`` kept.  The ODEs see ``g'``
+    only through ``g'^2`` and :func:`_dopri54` and :func:`_first_step`
+    commute with negating ``t`` and ``g'`` under round-to-nearest, so
+    stepping toward ``-inf`` gives these nodes bit for bit.  The centre node
+    is the stepped branch's, ``t = 0.0`` and ``g' = 0.0`` (no ``-0.0``), and
+    the status, so the truncation, is shared.  A branch whose first step
+    already reaches a stop has only its ``t = 0`` node and is refused.
+
+    The step cap buys accuracy at steep slopes, where the error controller
+    alone steps longer: the interpolant's error in ``g`` at the node
+    midpoints with ``|g'| <= 1e3``, against DOP853 at rtol 1e-13 and y0 = 1,
+    is 2.3e-8 capped and 2.0e-7 uncapped at minimal c = 30, 2.6e-8 and
+    8.6e-7 at c = 100, 3.4e-8 and 9.7e-7 at conformal a = 100.  On the
+    benchmark's ranges (c <= 3, a <= 2) it never binds.  Its cost: at
+    c = 1e4 the branch spends ``MAX_BRANCH_STEPS`` (131,073 nodes, ~0.33 s)
+    and the family refuses the truncated profile."""
     if not params.y0 > EPS_G:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
         )
-    horizon = 2.0 * params.y0 * math.sqrt(params.slope * params.slope + 1.0) + 1.0
-    rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, horizon, True,
+    rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, math.inf, True,
                                    *_COLLAPSE_TOL, params.y0 / 20.0)
     if status == 1 and len(rt) == 1:
         raise ParameterError(
@@ -596,21 +618,8 @@ def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
             f"reaches a stop (g <= EPS_G = {EPS_G!r} or |g'| >= M_STOP = {M_STOP!r}), "
             "leaving no node past t = 0"
         )
-    t, g, gp = np.array(rt), np.array(rg), np.array(rgp)
-    t = np.concatenate((-t[:0:-1], t))
-    g = np.concatenate((g[:0:-1], g))
-    gp = np.concatenate((-gp[:0:-1], gp))
-    right_blowup = t[-1] + _blowup_tail(params, g[-1]) if status == 1 else None
-    defect = first_integral_defect(params, g, gp) / np.maximum(1.0, gp * gp)
-    return ProfileSolution(
-        params=params,
-        t=t,
-        g=g,
-        gp=gp,
-        node_defect=defect,
-        right_blowup_t=right_blowup,
-        truncated=status != 1,
-    )
+    return ProfileSolution(params, t=[-x for x in rt[:0:-1]] + rt, g=rg[:0:-1] + rg,
+                           gp=[-x for x in rgp[:0:-1]] + rgp, truncated=status != 1)
 
 
 def integrate_minimal_profile(p: MinimalProfileParams) -> ProfileSolution:
@@ -643,14 +652,15 @@ def integrate_grim_reaper(p: GrimReaperParams,
     the Jacobian is ``[[0, g'], [4*v*(k + g'^2)/g^3, -4*v*g'^2/g^2]]``: its
     trace and determinant both carry a factor ``g'``, which decays in the
     tails where ``|v|`` is large, so the step follows the solution.  The
-    stored slopes are the right-hand side's first component, ``g' =
-    lam*e^w`` (``math.exp``; where it overflows, the stage fails and its
-    step is rejected): ``g'(0) = lam`` exactly and ``g' >= 0`` at every node (it may
-    underflow to 0 far out).  No step cap is set, so the error controller
-    alone sizes every step and the node count follows the solution, not the
-    span: lam = 0.5 takes 396 nodes on -50:50, 399 on -1000:1000 and 405 on
-    -1e6:1e6, and lam = 0 takes 15 on -50:50.  The tolerances (``rtol =
-    1e-12``, ``atol = 1e-13``) are tighter than the collapsing profiles':
+    slopes are the right-hand side's first component, as the stepper returns
+    it: ``g' = lam*e^w`` (``math.exp``; where it overflows, the stage fails
+    and its step is rejected), so ``g'(0) = lam`` exactly and ``g' >= 0`` at
+    every node (it may underflow to 0 far out).  No step cap is set, so the
+    error controller alone sizes every step and the node count follows the
+    solution, not the span: lam = 0.5 takes 396 nodes on -50:50, 399 on
+    -1000:1000 and 405 on -1e6:1e6, and lam = 0 takes 15 on -50:50.  The
+    tolerances (``rtol = 1e-12``, ``atol = 1e-13``) are tighter than the
+    collapsing profiles':
     with fewer nodes, the Hermite interpolant's error in ``g`` at lam = 10
     on -40:40 is 4.6e-7 at ``rtol = 1e-10`` (325 nodes) and 1.3e-8 at these
     (746 nodes), against a DOP853 reference at rtol 1e-13.
@@ -672,25 +682,16 @@ def integrate_grim_reaper(p: GrimReaperParams,
         gp = lam * exp(w)
         return gp, -(k + gp * gp) * 2.0 * v / (g * g)
 
-    rt, rg, rw, right = _dopri54(rhs, 1.0, 0.0, hi, False, *_REAPER_TOL, math.inf)
-    lt, lg, lw, left = _dopri54(rhs, 1.0, 0.0, lo, False, *_REAPER_TOL, math.inf)
-    t = np.array(lt[::-1] + rt[1:])
-    g = np.array(lg[::-1] + rg[1:])
-    w = lw[::-1] + rw[1:]
+    rt, rg, rgp, right = _dopri54(rhs, 1.0, 0.0, hi, False, *_REAPER_TOL, math.inf)
+    lt, lg, lgp, left = _dopri54(rhs, 1.0, 0.0, lo, False, *_REAPER_TOL, math.inf)
+    t = lt[::-1] + rt[1:]
     if len(t) < 2:
         raise ParameterError(
             f"no step from t = 0 was accepted at lambda = {p.lam!r}: every trial step "
             "was rejected"
         )
-    return ProfileSolution(
-        params=p,
-        t=t,
-        g=g,
-        gp=np.array([rhs(0.0, 1.0, x)[0] for x in w]),  # the stepper's g' = lam*e^w
-        node_defect=np.zeros_like(t),
-        right_blowup_t=None,
-        truncated=right != 0 or left != 0,
-    )
+    return ProfileSolution(p, t=t, g=lg[::-1] + rg[1:], gp=lgp[::-1] + rgp[1:],
+                           truncated=right != 0 or left != 0)
 
 
 def minimal_halfwidth_quadrature(c: float, y0: float) -> float:

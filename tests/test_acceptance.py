@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from solsurf import soliton_residuals, verify
+from solsurf import profile_odes, soliton_residuals, verify
 from solsurf.verify import run_checks
 
 
@@ -209,29 +209,39 @@ def _only_row(kind, fact):
 
 @pytest.mark.parametrize("kind", ["minimal", "conformal"])
 def test_first_integral_fails_one_node_off_by_1e_7(monkeypatch, kind):
+    """At the centre node ``g = y0`` and ``g' = 0``, where the first
+    integral reads ``g'^2 = 0``: a slope of ``sqrt(1e-7)`` there makes the
+    solution's monitor read 1e-7 at that node alone."""
     def moved(sol):
-        defect = sol.node_defect.copy()
-        defect[len(defect) // 3] = 1e-7
-        return dataclasses.replace(sol, node_defect=defect)
+        gp = sol.gp.copy()
+        gp[len(gp) // 2] = 1e-7 ** 0.5
+        return dataclasses.replace(sol, gp=gp)
 
     _swap_collapsing_profile(monkeypatch, kind, moved)
     r = _only_row(kind, "first_integral")
-    assert not r.passed and r.defect == 1e-7
+    assert not r.passed and abs(r.defect - 1e-7) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", ["minimal", "conformal"])
 def test_halfwidth_fails_a_branch_that_did_not_collapse(monkeypatch, kind):
     _swap_collapsing_profile(monkeypatch, kind,
-                             lambda sol: dataclasses.replace(sol, right_blowup_t=None))
+                             lambda sol: dataclasses.replace(sol, truncated=True))
     r = _only_row(kind, "halfwidth")
     assert not r.passed and math.isnan(r.defect) and "did not reach collapse" in r.detail
 
 
 @pytest.mark.parametrize("kind", ["minimal", "conformal"])
 def test_halfwidth_fails_a_collapse_1e_5_late(monkeypatch, kind):
-    _swap_collapsing_profile(
-        monkeypatch, kind,
-        lambda sol: dataclasses.replace(sol, right_blowup_t=sol.right_blowup_t + 1e-5))
+    """The solution derives its blow-up abscissa through the module's
+    ``_blowup_tail``, here 1e-5 too long.  verify's abscissa row keeps its
+    own binding, and the reference half-width is taken before the tail
+    moves (the conformal one is a tail too), so only the solution's
+    abscissa moves."""
+    name = f"{kind}_halfwidth_quadrature"
+    r = getattr(verify, name)(0.0, 1.0)
+    monkeypatch.setattr(verify, name, lambda *_: r)
+    tail = profile_odes._blowup_tail
+    monkeypatch.setattr(profile_odes, "_blowup_tail", lambda p, g: tail(p, g) + 1e-5)
     r = _only_row(kind, "halfwidth")
     assert not r.passed and 1e-6 < r.defect < 1.1e-5
 
@@ -368,8 +378,7 @@ def test_reaper_shape_fails_the_mirrored_profile(monkeypatch):
     """The mirror ``g(-t)`` decreases, and the ODE's ``g''`` at its nodes is
     concave left of 0."""
     def mirrored(sol):
-        return dataclasses.replace(sol, t=-sol.t[::-1], g=sol.g[::-1], gp=-sol.gp[::-1],
-                                   node_defect=sol.node_defect[::-1])
+        return dataclasses.replace(sol, t=-sol.t[::-1], g=sol.g[::-1], gp=-sol.gp[::-1])
 
     _swap_reaper_profile(monkeypatch, mirrored)
     (r,) = run_checks("grim_reaper.shape").results

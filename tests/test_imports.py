@@ -134,3 +134,38 @@ def test_top_level_names():
         "residual", "residual_report", "rotation_about_vertical", "sample_grid",
         "second_kind_jet", "semidirect_product", "semidirect_to_halfspace", "unit_normal",
     ]
+
+
+def test_public_dataclass_shapes():
+    """Every dataclass the package defines, with its field names and whether
+    it is frozen: a field added, dropped or left settable shows here as a
+    diff.  The four profile dataclasses have 11 fields between them; the
+    monitor and the blow-up abscissa of a ``ProfileSolution`` are derived,
+    not stored."""
+    import dataclasses
+
+    import solsurf
+
+    shapes = {}
+    for m in pkgutil.iter_modules(solsurf.__path__):
+        module = importlib.import_module(f"solsurf.{m.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                shapes[name] = ([f.name for f in dataclasses.fields(obj)],
+                                obj.__dataclass_params__.frozen)
+    assert shapes == {
+        "MinimalProfileParams": (["c", "y0"], True),
+        "GrimReaperParams": (["lam", "k"], True),
+        "ConformalProfileParams": (["a", "y0"], True),
+        "ProfileSolution": (["params", "t", "g", "gp", "truncated"], True),
+        "SurfaceFamily": (["name", "params", "s_range", "t_range", "alpha", "beta"], False),
+        "GridSpec": (["ns", "nt"], True),
+        "ResidualReport": (["mode", "family", "grid", "samples", "failures"], False),
+        "CheckResult": (["name", "criterion", "passed", "defect", "tolerance", "sense",
+                         "seconds", "detail"], True),
+        "VerifySummary": (["results"], False),
+    }
+    profile = ("MinimalProfileParams", "GrimReaperParams", "ConformalProfileParams",
+               "ProfileSolution")
+    assert sum(len(shapes[name][0]) for name in profile) == 11

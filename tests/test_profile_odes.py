@@ -412,31 +412,45 @@ def test_reaper_constant_solution(reaper_const_sol):
     assert not reaper_const_sol.truncated
 
 
-def _two_node_solution(right_blowup_t=None, truncated=False):
-    return ProfileSolution(GrimReaperParams(), np.array([0.0, 1.0]), np.array([1.0, 2.0]),
-                           np.zeros(2), np.zeros(2), right_blowup_t, truncated)
+def _two_node_solution(params, truncated=False):
+    return ProfileSolution(params, np.array([0.0, 1.0]), np.array([1.0, 0.5]), np.zeros(2),
+                           truncated)
 
 
 def test_events_state_the_blowup_once():
-    """The solution holds the right blow-up abscissa and the truncation flag;
-    the left abscissa is read from the right one, never stored."""
-    fields = [f.name for f in dataclasses.fields(ProfileSolution)]
-    assert fields == ["params", "t", "g", "gp", "node_defect", "right_blowup_t", "truncated"]
-    assert _two_node_solution(0.5).left_blowup_t == -0.5
-    assert _two_node_solution(None, True).left_blowup_t is None
+    """The right blow-up abscissa is derived from the last node, and the
+    left one is its mirror; neither has a setter, and no field of the
+    frozen solution can be assigned."""
+    sol = _two_node_solution(MinimalProfileParams())
+    assert sol.right_blowup_t == 1.0 + _blowup_tail(sol.params, 0.5)
+    assert sol.left_blowup_t == -sol.right_blowup_t
+    assert _two_node_solution(MinimalProfileParams(), truncated=True).left_blowup_t is None
+    assert _two_node_solution(GrimReaperParams()).left_blowup_t is None
     assert ProfileSolution.left_blowup_t.fset is None
+    for name in ("params", "t", "truncated", "node_defect", "right_blowup_t"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sol, name, None)
 
 
 def test_solution_copies_the_arrays_it_is_given():
     """The stored arrays are read-only copies: the caller's stay writable,
-    and writing to them leaves the solution as it was."""
-    t, g, gp, defect = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2), np.zeros(2)
-    sol = ProfileSolution(GrimReaperParams(), t, g, gp, defect, None, False)
-    for mine, stored in ((t, sol.t), (g, sol.g), (gp, sol.gp), (defect, sol.node_defect)):
+    and writing to them leaves the solution as it was.  The derived monitor
+    is read-only too."""
+    t, g, gp = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2)
+    sol = ProfileSolution(GrimReaperParams(), t, g, gp, False)
+    for mine, stored in ((t, sol.t), (g, sol.g), (gp, sol.gp)):
         assert mine.flags.writeable and not stored.flags.writeable and stored is not mine
         mine += 5.0
     assert sol.t.tolist() == [0.0, 1.0] and sol.g.tolist() == [1.0, 2.0]
     assert sol.gp.tolist() == sol.node_defect.tolist() == [0.0, 0.0]
+    assert not sol.node_defect.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["node_defect", "right_blowup_t"])
+def test_derived_values_are_not_constructor_arguments(name):
+    with pytest.raises(TypeError):
+        ProfileSolution(GrimReaperParams(), [0.0, 1.0], [1.0, 1.0], [0.0, 0.0], False,
+                        **{name: None})
 
 
 def test_reaper_shape(reaper_sol):
@@ -579,9 +593,8 @@ def test_reaper_refuses_an_infinite_span(span):
 def _collapse_case(p, end=None):
     """Right-hand side, initial state, branch ends, whether the speed stop
     applies, and step settings of integrate_minimal_profile /
-    integrate_conformal_profile."""
-    slope = getattr(p, "c", getattr(p, "a", None))
-    end = 2.0 * p.y0 * math.sqrt(slope * slope + 1.0) + 1.0 if end is None else end
+    integrate_conformal_profile, whose branch steps toward ``+inf``."""
+    end = math.inf if end is None else end
     return (lambda t, g, gp: (gp, p.gpp(t, g, gp)), (p.y0, 0.0), (end, -end),
             True, (1e-10, 1e-12, p.y0 / 20.0))
 
@@ -731,7 +744,7 @@ def _assert_mirrors_the_stepper(sol, rhs, ic, ends, speed_stop, tol):
                                   if public is not None and not c.startswith("reaper")])
 def test_left_half_is_the_stepped_left_branch(case, monkeypatch):
     """The collapsing profiles step only their right branch and mirror it;
-    the mirror must be what stepping toward ``-horizon`` gives, including
+    the mirror must be what stepping toward ``-inf`` gives, including
     a branch that ends truncated at its step floor."""
     _set_stops(monkeypatch, CASE_STOPS.get(case, {}))
     stepper, _, public = STEPPER_CASES[case]
@@ -771,9 +784,44 @@ def test_every_node_lies_before_the_stops(p, stop):
         assert np.all(np.abs(sol.gp) < profile_odes.M_STOP)
 
 
+def _eager(sol):
+    """The monitor and the right blow-up abscissa as the integrators computed
+    and stored them before the solution derived them."""
+    p, t, g, gp = sol.params, sol.t, sol.g, sol.gp
+    if isinstance(p, GrimReaperParams):
+        return np.zeros_like(t), None
+    defect = first_integral_defect(p, g, gp) / np.maximum(1.0, gp * gp)
+    return defect, None if sol.truncated else t[-1] + _blowup_tail(p, g[-1])
+
+
+_REAPER_CASES = st.tuples(st.builds(GrimReaperParams, st.floats(0.0, 10.0)),
+                          st.tuples(st.floats(-40.0, 0.0), st.floats(1e-3, 40.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_COLLAPSING, _REAPER_CASES))
+def test_derived_values_equal_the_eager_ones(p):
+    """The derived monitor and blow-up abscissa have the bits of the
+    expressions the integrators evaluated when they stored them, over the
+    benchmark's collapsing parameters and reapers of lambda up to 10; a
+    truncated copy has no blow-up abscissa, and the monitor is read-only."""
+    if isinstance(p, tuple):
+        sol = integrate_grim_reaper(*p)
+    elif isinstance(p, _MIN):
+        sol = integrate_minimal_profile(p)
+    else:
+        sol = integrate_conformal_profile(p)
+    defect, blowup = _eager(sol)
+    assert sol.node_defect.tobytes() == defect.tobytes()
+    assert (None if sol.right_blowup_t is None else sol.right_blowup_t.hex()) == (
+        None if blowup is None else blowup.hex())
+    assert not sol.node_defect.flags.writeable
+    assert dataclasses.replace(sol, truncated=True).right_blowup_t is None
+
+
 def test_collapsing_profiles_step_one_branch(monkeypatch):
-    """A collapsing profile is stepped once, toward ``+horizon``; the
-    grim reaper, which is not even, twice."""
+    """A collapsing profile is stepped once, toward ``+inf``; the grim
+    reaper, which is not even, twice."""
     ends = []
 
     def counting(rhs, ya, yb, t_bound, *rest):
@@ -785,10 +833,26 @@ def test_collapsing_profiles_step_one_branch(monkeypatch):
                          (integrate_conformal_profile, _CONF(2.0, 0.3))):
         ends.clear()
         integrate(p)
-        assert len(ends) == 1 and ends[0] > 0.0
+        assert ends == [math.inf]
     ends.clear()
     integrate_grim_reaper(GrimReaperParams(lam=0.5), (-40.0, 30.0))
     assert sorted(ends) == [-40.0, 30.0]
+
+
+def test_collapse_step_cap_keeps_steep_profiles_accurate():
+    """The collapsing branch's steps are capped at ``y0/20``.  At c = 100
+    the error controller alone would take longer steps: the interpolant's
+    error in ``g`` at the node midpoints where ``|g'| <= _SLOPE_CAP``,
+    against DOP853, is 2.6e-8 with the cap and 8.6e-7 without it
+    (measured)."""
+    p = MinimalProfileParams(100.0, 1.0)
+    sol = integrate_minimal_profile(p)
+    right = sol.t[sol.t >= 0.0]
+    q = 0.5 * (right[:-1] + right[1:])
+    q = q[np.abs(sol.eval_gp(q)) <= _SLOPE_CAP]
+    ref = solve_ivp(lambda t, y: (y[1], p.gpp(t, y[0], y[1])), (0.0, q[-1]), [p.y0, 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True).sol
+    assert np.max(np.abs(sol.eval_g(q) - ref(q)[0])) <= 1e-7
 
 
 # (c, y0) whose branch reaches a stop within a few ulp of its last node: a
@@ -819,8 +883,9 @@ def test_stage_arithmetic_failures_reject_steps():
     divides by zero or overflows must count as a rejected step, so the
     branch shrinks its step toward the bad region and ends truncated
     (status -1) instead of raising.  The right-hand sides are smooth (the
-    solution is a straight line) up to t = ``edge`` and fail at every
-    t > edge.  With edge = 0 the first-step probe fails too."""
+    solution is a straight line, so the slope list, the first component,
+    is all 1.0) up to t = ``edge`` and fail at every t > edge.  With
+    edge = 0 the first-step probe fails too."""
 
     def divides(edge):
         return lambda t, a, b: (1.0, 1.0 / (0.0 if t > edge else 1.0))
@@ -829,11 +894,11 @@ def test_stage_arithmetic_failures_reject_steps():
         return lambda t, a, b: (1.0, math.exp(1e3) if t > edge else 1.0)
 
     for make, edge in ((divides, 1.0), (overflows, 1.0), (divides, 0.0), (overflows, 0.0)):
-        t, a, b, status = _dopri54(make(edge), 0.0, 0.0, 5.0, False, 1e-10, 1e-12, 0.25)
+        t, a, slope, status = _dopri54(make(edge), 0.0, 0.0, 5.0, False, 1e-10, 1e-12, 0.25)
         assert status == -1
         assert edge - 1e-12 <= t[-1] <= edge
         assert np.max(np.abs(np.array(a) - t)) <= 1e-12
-        assert np.max(np.abs(np.array(b) - t)) <= 1e-12
+        assert slope == [1.0] * len(t)
 
 
 def _stepped(monkeypatch, integrate, *args):
@@ -915,7 +980,7 @@ def _reaper_paths(mp):
 
 
 # path -> (how its branches are stepped, the statuses they return, sha256 of
-# every node's float.hex and each status, in order)
+# the float.hex of every node's t, g and g', and each status, in order)
 STEPPER_PATHS = {
     "horizon": (_horizon_paths, {0},
         "7abde2b70392db253731caef4f27af671d8e6a5d9052943df86a7f231519decd"),
@@ -928,11 +993,11 @@ STEPPER_PATHS = {
     "step-floor": (_floor_paths, {-1},
         "c6f66a33128b97d392578e493f853832b706e2935fc933e953cffc3bb825d4a6"),
     "step-budget": (_budget_paths, {-1},
-        "5a5d1f512e82d7bd0c5840bdc5b11146aa1850484ce0a0e8a3f2bd0bd54a4870"),
+        "987cea3b305b81b1c2fdcbb59d7e599b5fdbca0e418a68fbfdc6194e81140c0a"),
     "stage-raises": (_stage_raise_paths, {-1},
-        "9944798803e81d1f40e3b5da5429973a2cc034aaeb1317cd2c58d1d2fe0703f3"),
+        "7487e73ef8c3ecfb755b55f115f74e68e54d272462f9f28f0a410e3b09886789"),
     "reaper": (_reaper_paths, {0},
-        "45087ae59ed00a93da080550c229820f17c5036bd9d326b29ad61d50df8462b9"),
+        "6732c8205b39dd5f1daaf86c18e1856523394d8d9423e229a7794478f797463d"),
 }
 
 
@@ -944,8 +1009,8 @@ def test_stepper_bits_are_pinned(path, monkeypatch):
     paths, statuses, digest = STEPPER_PATHS[path]
     runs = paths(monkeypatch)
     h = hashlib.sha256()
-    for ts, as_, bs, status in runs:
-        h.update(" ".join(float.hex(x) for x in (*ts, *as_, *bs)).encode())
+    for ts, gs, gps, status in runs:
+        h.update(" ".join(float.hex(x) for x in (*ts, *gs, *gps)).encode())
         h.update(f";{status};".encode())
     assert {run[3] for run in runs} == statuses
     assert h.hexdigest() == digest
