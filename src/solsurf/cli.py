@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import commands
-from .errors import DomainError, ParameterError, SamplingError
+from .errors import DomainError, ParameterError
 from .soliton_residuals import SolitonMode
 
 _PAIR_FLAGS = {flag for table in (commands.FAMILIES, commands.ODES)
@@ -115,7 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ParameterError, DomainError, SamplingError) as exc:
+    except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

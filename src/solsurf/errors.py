@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ParameterError", "DomainError", "SamplingError"]
+__all__ = ["ParameterError", "DomainError"]
 
 
 class ParameterError(ValueError):
@@ -9,8 +9,4 @@ class ParameterError(ValueError):
 
 class DomainError(ValueError):
     """An evaluation point (or a finite-difference stencil around it) left
-    the domain where the object is defined."""
-
-
-class SamplingError(RuntimeError):
-    """Every node of a requested grid failed to evaluate."""
+    its domain or gave no finite value."""

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import DomainError
 from .surface_jets import _curvature
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -140,7 +140,8 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     whose residual is not finite (its fundamental forms overflow, or its
     jet is collapsed, so its normal is NaN) fails with that reason, beside
     the nodes :func:`sample_grid` fails; ``failures`` stays row-major.
-    Raises :class:`SamplingError` if no node gives a finite residual.
+    Raises :class:`DomainError` if no node gives a finite residual, an
+    empty grid included: the one raise of a sweep for an unevaluable grid.
     """
     # Looked up at call time, so that a tracer which rebinds
     # ``surface_factory.sample_grid`` sees the sweeps made here.
@@ -165,11 +166,11 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
                         for si, ti, v in zip(s[i].tolist(), t[k].tolist(), r[bad].tolist())],
             key=lambda f: (f[0], f[1]),
         )
-        if not finite.any():
-            raise SamplingError(
-                f"no grid node of {fam.name!r} has a finite residual "
-                f"({len(failures)} failures), first (s, t, reason): {failures[0]}"
-            )
         arr = arr[finite]
+    if not finite.any():  # every node failed, here or in sample_grid
+        raise DomainError(
+            f"no grid node of {fam.name!r} has a finite residual "
+            f"({len(failures)} failures), first (s, t, reason): {failures[0]}"
+        )
     arr.setflags(write=False)
     return ResidualReport(mode=mode, family=fam, grid=grid, samples=arr, failures=failures)

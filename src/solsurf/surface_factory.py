@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SamplingError
+from .errors import DomainError, ParameterError
 from .profile_odes import (
     MAX_BRANCH_STEPS,
     ConformalProfileParams,
@@ -399,7 +399,7 @@ def sample_grid(
     node that is left can still give a residual that is not finite (its
     fundamental forms overflow, or it is collapsed, so its normal is NaN);
     :func:`~solsurf.soliton_residuals.residual_report` fails those nodes.
-    If *every* node fails, :class:`SamplingError` is raised.
+    Nothing is raised: an axis whose every node fails comes back empty.
     """
     s_axis, t_axis = grid_axes(fam, grid)
     a_rows, s_reasons = _axis_jet(fam.alpha, s_axis, "s")
@@ -415,11 +415,6 @@ def sample_grid(
         for i in (range(len(s_axis)) if t_failed else np.flatnonzero(s_bad).tolist())
         for j in (range(len(t_axis)) if s_bad[i] else t_failed)
     ]
-    if s_bad.all() or t_bad.all():
-        raise SamplingError(
-            f"no grid node of {fam.name!r} could be evaluated ({len(failures)} failures), "
-            f"first (s, t, reason): {failures[0]}"
-        )
     # compress keeps each curve jet C-contiguous; alpha's (ns, 1, 3) slots
     # broadcast against beta's (nt, 3)
     alpha = np.compress(~s_bad, a_rows, axis=1)[:, :, None]
@@ -432,11 +427,11 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[[np.ndarray], o
     of ``s`` rows at a time: yields ``(rows, f(jet))``, ``rows`` a slice of
     the ``s`` nodes in order and ``jet`` the ``(6, len(rows), nt, 3)`` jet
     ``product_surface_jet(alpha[:, rows], beta)``.  A block holds
-    ``BLOCK_NODES // nt`` rows, at least one.  Every slot is formed node by
-    node, so each block has the bits of the same rows of a whole-grid jet.
-    Each block's jet is dropped before the next is built, so only one is
-    ever held."""
-    ns, step = alpha.shape[1], max(1, BLOCK_NODES // beta.shape[1])
+    ``BLOCK_NODES // max(1, nt)`` rows, at least one, so an empty ``t`` axis
+    gives empty blocks.  Every slot is formed node by node, so each block
+    has the bits of the same rows of a whole-grid jet.  Each block's jet is
+    dropped before the next is built, so only one is ever held."""
+    ns, step = alpha.shape[1], max(1, BLOCK_NODES // max(1, beta.shape[1]))
     for lo in range(0, ns, step):
         rows = slice(lo, min(lo + step, ns))
         # a slot product may overflow to inf; a node whose residual is then

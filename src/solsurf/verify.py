@@ -43,7 +43,6 @@ from .profile_odes import (
     GrimReaperParams,
     MinimalProfileParams,
     _blowup_tail,
-    conformal_halfwidth_quadrature,
     integrate_conformal_profile,
     integrate_grim_reaper,
     integrate_minimal_profile,
@@ -235,14 +234,20 @@ def _check_planes() -> Measurement:
 # criteria 4 and 6: the collapsing minimal and conformal cylinders
 
 
+# The conformal half-width at a = 0, y0 = 1: the float of its 40-digit mpmath
+# value 0.32014030485888792746..., so the tail code cannot move its reference.
+_CONFORMAL_HALFWIDTH = 0.32014030485888795
+
+
 def _collapsing(kind: str):
     """The ``"minimal"`` or ``"conformal"`` profile at slope 0 and ``y0 = 1``,
-    and its half-width by an independent quadrature."""
+    and its half-width by a reference that shares no code with the tail:
+    the Beta-function closed form, or a frozen 40-digit value."""
     if kind == "minimal":
         return (integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0)),
                 minimal_halfwidth_quadrature(0.0, 1.0))
     return (integrate_conformal_profile(ConformalProfileParams(a=0.0, y0=1.0)),
-            conformal_halfwidth_quadrature(0.0, 1.0))
+            _CONFORMAL_HALFWIDTH)
 
 
 def _first_integral(kind: str) -> Measurement:
@@ -297,7 +302,7 @@ def _halfwidth(kind: str) -> Measurement:
     sol, r = _collapsing(kind)
     if sol.right_blowup_t is None:
         return math.nan, "a branch did not reach collapse"
-    source = "closed-form" if kind == "minimal" else "quadrature"
+    source = "closed-form" if kind == "minimal" else "40-digit mpmath"
     return float(abs(sol.right_blowup_t - r)), f"{source} half-width r = {r:.10f}"
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from solsurf import profile_odes, soliton_residuals, verify
+from solsurf.cli import main
 from solsurf.verify import run_checks
 
 
@@ -177,6 +178,24 @@ def test_failed_node_fails_every_grid_row(monkeypatch):
         assert not r.passed and math.isnan(r.defect) and "stub" in r.detail, r
 
 
+def test_a_grid_whose_every_node_fails_fails_its_row_alone(monkeypatch, capsys):
+    """A horosphere whose every ``t`` node fails leaves ``sample_grid`` an
+    empty ``t`` axis: its row reads NaN and names the first failure, and
+    ``solsurf verify`` still prints the table and exits 1, not 2."""
+    def unevaluable(a):
+        return verify.make_generic_first_kind(lambda s: (0.0, 0.0, 0.0),
+                                              lambda t: (-1.0, 0.0, 0.0), (-2.0, 2.0), (-2.0, 2.0))
+
+    monkeypatch.setattr(verify, "make_horosphere", unevaluable)
+    (r,) = run_checks("horosphere.soliton").results
+    assert not r.passed and math.isnan(r.defect)
+    assert "10201 failures, first (s, t, reason): (-2.0, -2.0, " \
+           "'profile value must be positive, got -1.0')" in r.detail
+    assert main(["verify", "--only", "horosphere.soliton"]) == 1
+    out = capsys.readouterr().out
+    assert "horosphere.soliton" in out and "1 CHECK(S) FAILED" in out
+
+
 def test_infinite_residual_fails_every_grid_row(monkeypatch):
     """A residual that overflows to inf at one node fails every grid row as
     NaN: inf would pass the ">" rows."""
@@ -233,13 +252,9 @@ def test_halfwidth_fails_a_branch_that_did_not_collapse(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["minimal", "conformal"])
 def test_halfwidth_fails_a_collapse_1e_5_late(monkeypatch, kind):
     """The solution derives its blow-up abscissa through the module's
-    ``_blowup_tail``, here 1e-5 too long.  verify's abscissa row keeps its
-    own binding, and the reference half-width is taken before the tail
-    moves (the conformal one is a tail too), so only the solution's
-    abscissa moves."""
-    name = f"{kind}_halfwidth_quadrature"
-    r = getattr(verify, name)(0.0, 1.0)
-    monkeypatch.setattr(verify, name, lambda *_: r)
+    ``_blowup_tail``, here 1e-5 too long.  Neither reference half-width is
+    a tail (the minimal one is in closed form, the conformal one a frozen
+    40-digit value), so the tail's error does not cancel in the row."""
     tail = profile_odes._blowup_tail
     monkeypatch.setattr(profile_odes, "_blowup_tail", lambda p, g: tail(p, g) + 1e-5)
     r = _only_row(kind, "halfwidth")

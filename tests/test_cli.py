@@ -143,6 +143,17 @@ def test_mesh_refuses_failed_nodes(tmp_path):
     assert not (tmp_path / "m.obj").exists()
 
 
+def test_mesh_refuses_a_grid_whose_every_node_fails(tmp_path):
+    """Every ``t`` node fails, so ``sample_grid`` returns an empty ``t``
+    axis; the writer still refuses all 9 nodes before opening the file."""
+    fam = make_generic_first_kind(
+        lambda s: (0.0, 0.0, 0.0), lambda t: (-1.0, 0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0)
+    )
+    with pytest.raises(DomainError, match="9 mesh node"):
+        write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, 3))
+    assert not (tmp_path / "m.obj").exists()
+
+
 def test_summary_formats_before_it_opens(tmp_path):
     """A parameter that does not format raises and leaves no summary file."""
     fam = dataclasses.replace(make_generic_first_kind(

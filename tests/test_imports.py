@@ -1,6 +1,7 @@
 """The runtime needs numpy alone: scipy is a test dependency, the oracle the
-in-house stepper, interpolant and quadrature are checked against, and
-neither ``numpy.random`` nor ``numpy.polynomial`` is loaded.  Every name a
+in-house stepper, interpolant and quadrature are checked against, sympy and
+mpmath are the symbolic and 40-digit oracles of the tests, and neither
+``numpy.random`` nor ``numpy.polynomial`` is loaded.  Every name a
 module exports, and every module name the README gives, resolves."""
 import importlib
 import pkgutil
@@ -39,6 +40,22 @@ def test_cli_import_loads_no_numpy_polynomial():
 
 def test_source_imports_no_scipy():
     statement = re.compile(r"^\s*(from|import) scipy", re.MULTILINE)
+    assert [str(p) for p in (ROOT / "src").rglob("*.py") if statement.search(p.read_text())] == []
+
+
+def test_cli_import_loads_no_sympy_or_mpmath():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import solsurf.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_source_imports_no_sympy_or_mpmath():
+    statement = re.compile(r"^\s*(from|import) (sympy|mpmath)\b", re.MULTILINE)
     assert [str(p) for p in (ROOT / "src").rglob("*.py") if statement.search(p.read_text())] == []
 
 
@@ -124,7 +141,7 @@ def test_top_level_names():
     assert names == [
         "ConformalProfileParams", "DomainError", "GridSpec", "GrimReaperParams", "IDENTITY",
         "MinimalProfileParams", "ParameterError", "ProfileSolution", "ResidualReport",
-        "SamplingError", "SolitonMode", "SurfaceFamily", "conformal_halfwidth_quadrature",
+        "SolitonMode", "SurfaceFamily", "conformal_halfwidth_quadrature",
         "finite_difference_jet", "first_kind_jet", "grid_axes", "integrate_conformal_profile",
         "integrate_grim_reaper", "integrate_minimal_profile", "lie_inverse", "lie_product",
         "make_conformal_cylinder", "make_generic_first_kind", "make_generic_second_kind",

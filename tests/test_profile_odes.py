@@ -42,7 +42,7 @@ from solsurf.profile_odes import (
     _dopri54,
     first_integral_defect,
 )
-from solsurf.verify import _SLOPE_CAP, _symmetry_defect
+from solsurf.verify import _CONFORMAL_HALFWIDTH, _SLOPE_CAP, _symmetry_defect
 
 
 # --- oracles --------------------------------------------------------------
@@ -65,9 +65,25 @@ def test_halfwidth_scaling_law():
 
 
 def test_conformal_halfwidth_frozen_anchor():
-    # high-precision reference for a=0, y0=1, frozen from an independent
-    # arbitrary-precision evaluation of the same integral
-    assert abs(conformal_halfwidth_quadrature(0.0, 1.0) - 0.32014030485889) <= 1e-8
+    # verify's reference for a=0, y0=1, frozen from a 40-digit evaluation
+    # of the same integral (recomputed below)
+    r = _CONFORMAL_HALFWIDTH
+    assert abs(conformal_halfwidth_quadrature(0.0, 1.0) - r) <= 1e-14 * r
+
+
+def test_conformal_halfwidth_reference_is_the_40_digit_value():
+    """verify's frozen conformal half-width is the float of the first
+    integral in ``g``, ``int_0^1 dg / sqrt(C*e^{4/g}/g^4 - 1)`` with
+    ``C = e^-4``, by mpmath at 40 digits; the integrand's cancellation at
+    ``g = 1`` leaves an imaginary residue of ~1e-21, so the real part is
+    taken."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.exp(-4)
+        r = mpmath.quad(lambda g: 1 / mpmath.sqrt(c * mpmath.exp(4 / g) / g ** 4 - 1), [0, 1])
+        assert abs(mpmath.im(r)) < mpmath.mpf(10) ** -18
+        assert float(mpmath.re(r)) == _CONFORMAL_HALFWIDTH
 
 
 def _quad_conformal_halfwidth(a, y0):

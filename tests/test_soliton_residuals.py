@@ -13,7 +13,6 @@ from hypothesis import example, given, strategies as st
 from solsurf import (
     GridSpec,
     ResidualReport,
-    SamplingError,
     SolitonMode,
     SurfaceFamily,
     first_kind_jet,
@@ -305,7 +304,7 @@ def test_masked_report_rows_are_sorted_and_written_per_row(ns, nt, keep):
 
     with mock.patch.object(soliton_residuals, "residual", masked):
         if not keep.any():
-            with pytest.raises(SamplingError, match="has a finite residual"):
+            with pytest.raises(DomainError, match="has a finite residual"):
                 residual_report(fam, TRANSLATOR, GridSpec(ns, nt))
             return
         rep = residual_report(fam, TRANSLATOR, GridSpec(ns, nt))
@@ -644,5 +643,5 @@ def test_residual_report_raises_when_everything_fails():
         (-1.0, 1.0),
         (-1.0, 1.0),
     )
-    with pytest.raises(SamplingError, match="profile value must be positive"):
+    with pytest.raises(DomainError, match="profile value must be positive"):
         residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 3))

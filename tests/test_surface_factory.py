@@ -260,6 +260,28 @@ def test_failed_s_and_t_nodes_are_listed_row_major():
     assert s.tolist() == [-1.0, 1.0] and t.tolist() == [-1.0, -0.5, 0.0, 1.0]
 
 
+def test_an_axis_that_fails_everywhere_comes_back_empty():
+    """When every ``t`` node fails, or every ``s`` node, ``sample_grid``
+    raises nothing: the failed axis is empty, its curve jet has no nodes,
+    and every grid node is listed row-major with its own reason."""
+    reason = "profile value must be positive, got -1.0"
+    fam = make_generic_first_kind(lambda s: (0.0, 0.0, 0.0), lambda t: (-1.0, 0.0, 0.0),
+                                  (-1.0, 1.0), (-1.0, 1.0))
+    (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 3))
+    assert s.tolist() == [-1.0, 0.0, 1.0] and t.tolist() == []
+    assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 0, 3)
+    assert failures == [(si, ti, reason) for si in (-1.0, 0.0, 1.0) for ti in (-1.0, 0.0, 1.0)]
+
+    fam = make_generic_first_kind(lambda s: (math.nan, 0.0, 0.0), lambda t: (2.0, 0.0, 0.0),
+                                  (-1.0, 1.0), (-1.0, 1.0))
+    (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(2, 3))
+    assert s.tolist() == [] and t.tolist() == [-1.0, 0.0, 1.0]
+    assert alpha.shape == (3, 0, 1, 3) and beta.shape == (3, 3, 3)
+    assert [(si, ti) for si, ti, _ in failures] == [
+        (si, ti) for si in (-1.0, 1.0) for ti in (-1.0, 0.0, 1.0)]
+    assert all(r.startswith(f"axis jet at s={si!r} is not finite") for si, _, r in failures)
+
+
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, the kept nodes of each axis come out of
     ``sample_grid`` as C-contiguous ``(3, ..., 3)`` curve jets, and each

@@ -1,0 +1,59 @@
+"""sympy as the derivation oracle of the reduced residual forms.
+
+The surface ``X = alpha(s) * beta(t)`` is built by the group law of the
+upper half-space, ``p * q = p3*q + (p1, p2, 0)``, with the factor curves'
+profiles as undefined functions ``f(s)`` and ``g(t)``.  Its residuals,
+cleared of the positive factor ``2*W^3``, are derived from the
+definitions, and the hand-written reduced forms must equal them
+identically: a reduced form that drops or rescales one term leaves a
+nonzero polynomial in the jets.
+"""
+import pytest
+import sympy as sp
+
+from solsurf import SolitonMode, reduced_residual_first_kind, reduced_residual_second_kind
+
+s, t = sp.symbols("s t", real=True)
+f, g = sp.Function("f")(s), sp.Function("g")(t)
+
+
+def _group_product(p, q):
+    """``p * q = p3*q + (p1, p2, 0)`` on 3-vectors."""
+    return p[2] * q + sp.Matrix([p[0], p[1], 0])
+
+
+def cleared_residual(alpha, beta, mode):
+    """``2*W^3`` times the ``mode`` residual of ``X = alpha * beta``, from
+    ``C = Xs x Xt``, ``W^2 = C.C`` and ``2*W^3*H = l'G - 2n'F + Em'`` with
+    ``l' = Xss.C``, ``n' = Xst.C`` and ``m' = Xtt.C``; ``N = C/W``."""
+    X = _group_product(alpha, beta)
+    Xs, Xt = X.diff(s), X.diff(t)
+    C = Xs.cross(Xt)
+    E, F, G, w2 = Xs.dot(Xs), Xs.dot(Xt), Xt.dot(Xt), C.dot(C)
+    bend = X.diff(s, 2).dot(C) * G - 2 * X.diff(s, t).dot(C) * F + E * X.diff(t, 2).dot(C)
+    X1, X2, X3 = X
+    if mode is SolitonMode.MINIMAL:
+        return X3 * bend + 2 * w2 * C[2]
+    if mode is SolitonMode.TRANSLATOR:
+        return X3 ** 2 * bend - 2 * w2 * (X1 * C[0] + X2 * C[1])
+    return X3 ** 2 * bend + 2 * w2 * (X3 + 1) * C[2]
+
+
+def _jet(h, x):
+    return h, h.diff(x), h.diff(x, 2)
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode), ids=lambda m: m.value)
+def test_first_kind_reduced_form_is_the_derived_one(mode):
+    """``alpha = (s, f(s), 1)`` and ``beta = (0, t, g(t))``."""
+    derived = cleared_residual(sp.Matrix([s, f, 1]), sp.Matrix([0, t, g]), mode)
+    hand = reduced_residual_first_kind(mode, _jet(f, s), _jet(g, t), s, t)
+    assert sp.expand(hand - derived) == 0
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode), ids=lambda m: m.value)
+def test_second_kind_reduced_form_is_the_derived_one(mode):
+    """``alpha = (s, f(s), 1)`` and ``beta = (0, 0, t)``."""
+    derived = cleared_residual(sp.Matrix([s, f, 1]), sp.Matrix([0, 0, t]), mode)
+    hand = reduced_residual_second_kind(mode, _jet(f, s), s, t)
+    assert sp.expand(hand - derived) == 0
