@@ -40,9 +40,11 @@ in the flat tails, so the equation is not stiff there (see
 :func:`integrate_grim_reaper`).
 
 The stepper returns each node's ``t``, ``g`` and ``g'``, and a status.
-Every stepped branch attempts at most ``MAX_BRANCH_STEPS`` steps; one that
-runs out ends like one whose step fell below its floor, and the solution's
-``truncated`` is set.  A solution stores its nodes and ``truncated`` alone.
+Every branch steps by one rule: the error controller alone sizes each
+step, floored at 10 ulp of ``t``, with no cap.  Every stepped branch
+attempts at most ``MAX_BRANCH_STEPS`` steps; one that runs out ends like
+one whose step fell below its floor, and the solution's ``truncated`` is
+set.  A solution stores its nodes and ``truncated`` alone.
 
 Between nodes a solution is read through one piecewise cubic Hermite
 interpolant of ``g`` and ``g'`` (:class:`_Hermite`), built from the nodal
@@ -80,8 +82,10 @@ M_STOP = 1e6             # ... or a collapsing one's |g'| up to this
 REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # Steps attempted per branch before it ends truncated, like a step that fell
 # below its floor.  The largest branch of an untruncated profile in the
-# tests, the benchmark and verify takes ~1.2k; the reaper's at lam = 0.5 on
-# -1e6:1e6, ~200.
+# tests, the benchmark and verify takes under 1k (minimal c = 100, 786);
+# the reaper's at lam = 0.5 on -1e6:1e6, ~200.  A collapsing branch too
+# steep to resolve meets its step floor first: minimal c = 1e4 after 834
+# nodes.
 MAX_BRANCH_STEPS = 1 << 16
 # (rtol, atol) of the stepper: the collapsing profiles', and the reaper's,
 # which are tighter (see integrate_grim_reaper).
@@ -395,7 +399,7 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
-def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
+def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol):
     """scipy's ``select_initial_step`` for a 4th-order error estimator."""
     span, d = abs(t_bound), math.copysign(1.0, t_bound)
     sa, sb = atol + abs(ya) * rtol, atol + abs(yb) * rtol
@@ -410,7 +414,7 @@ def _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, span, max_step)
+    return min(100.0 * h0, h1, span)
 
 
 # The 40-point Gauss--Legendre rule on [-1, 1], numpy's ``leggauss(40)`` bit
@@ -437,38 +441,38 @@ _GL_X = np.concatenate((-_GL_X20[::-1], _GL_X20))
 _GL_W = np.concatenate((_GL_W20[::-1], _GL_W20))
 
 
-def _gauss(f, a: float, b):
-    """``integral_a^b f`` by the 40-node Gauss--Legendre rule; ``f`` maps an
+def _gauss(f, b):
+    """``integral_0^b f`` by the 40-node Gauss--Legendre rule; ``f`` maps an
     array of abscissae to an array of values.  ``b`` is one upper limit or
     an array of them: ``f`` is evaluated once, on the ``(..., 40)``
     abscissae of every limit, and each limit's row is reduced by the same
     ``_GL_W @ row`` product as a lone limit's, so each integral has the bits
     of its scalar call (a matrix product would sum in another order).  A
     float for a scalar ``b``, else an array of ``b``'s shape."""
-    half = 0.5 * (np.asarray(b, dtype=float) - a)
-    values = f(a + half[..., None] * (_GL_X + 1.0))
+    half = 0.5 * np.asarray(b, dtype=float)
+    values = f(half[..., None] * (_GL_X + 1.0))
     sums = np.array([_GL_W @ row for row in values.reshape(-1, _GL_X.size)])
     out = half * sums.reshape(half.shape)
     return out if out.shape else float(out)
 
 
-def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
+def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol):
     """Integrate ``(a, b)' = rhs(t, a, b)`` from ``(0, ya, yb)`` toward
     ``t_bound`` (may be infinite) by scipy's RK45 algorithm, on Python floats.
 
     The Dormand--Prince 5(4) tableau, first step and step control are
     scipy's: the embedded 4th-order error in the RMS norm scaled by
     ``atol + max(|y|, |y_new|)*rtol``, step factors ``0.9*err^(-1/5)``
-    clipped to [0.2, 10], no growth right after a rejection, steps at most
-    ``max_step`` and at least 10 ulp of ``t``.  A stage that raises
-    ``ZeroDivisionError`` or ``OverflowError`` counts as an infinite error,
-    so its step is rejected and shrinks, as a non-finite stage's is.  An
-    accepted step is discarded, and the branch ends at its last node, if
-    its new state reaches a stop: the height stop ``a - EPS_G <= 0``
-    always, and with ``speed_stop`` (where ``b`` is the slope ``g'``) also
-    ``M_STOP*M_STOP - b*b <= 0``.  These are scipy's nodes for a terminal
-    event, without the event point it appends.  The stops are read from
-    the module when the branch starts.
+    clipped to [0.2, 10], no growth right after a rejection, and steps of
+    at least 10 ulp of ``t`` with no cap, as scipy's default.  A stage
+    that raises ``ZeroDivisionError`` or ``OverflowError`` counts as an
+    infinite error, so its step is rejected and shrinks, as a non-finite
+    stage's is.  An accepted step is discarded, and the branch ends at its
+    last node, if its new state reaches a stop: the height stop
+    ``a - EPS_G <= 0`` always, and with ``speed_stop`` (where ``b`` is the
+    slope ``g'``) also ``M_STOP*M_STOP - b*b <= 0``.  These are scipy's
+    nodes for a terminal event, without the event point it appends.  The
+    stops are read from the module when the branch starts.
 
     A stepped node costs about 2.5 us of interpreter time (2-core x86), so
     the loop does only what the stages need: the error norm is written
@@ -494,14 +498,12 @@ def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol, max_step):
     sqrt, nextafter, sqrt2, budget = math.sqrt, math.nextafter, _SQRT2, MAX_BRANCH_STEPS
     eps_g, m_stop2 = EPS_G, M_STOP * M_STOP
     t_append, g_append, gp_append = ts.append, gs.append, gps.append
-    h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol, max_step)
+    h_abs = _first_step(rhs, ya, yb, fa, fb, t_bound, rtol, atol)
     tries = 0
     while True:
         min_step = 10.0 * abs(nextafter(t, toward) - t)
-        if min_step > h_abs:  # h_abs = min(max(h_abs, min_step), max_step)
+        if min_step > h_abs:  # h_abs = max(h_abs, min_step)
             h_abs = min_step
-        if max_step < h_abs:
-            h_abs = max_step
         rejected = False
         while True:
             if h_abs < min_step or tries == budget:
@@ -582,36 +584,38 @@ def _blowup_tail(params, g_stop):
     ``math.asin``, since ``np.arcsin`` can differ from it in the last bit."""
     g_stop = np.asarray(g_stop, dtype=float)
     ends = [math.asin(min(1.0, g / params.y0)) for g in g_stop.ravel().tolist()]
-    return _gauss(params.dt_dphi, 0.0, np.reshape(ends, g_stop.shape))
+    return _gauss(params.dt_dphi, np.reshape(ends, g_stop.shape))
 
 
 def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
     """Shared driver for the two collapsing (minimal/conformal) profiles.
 
-    One branch is stepped toward ``+inf``, with steps of at most ``y0/20``,
-    until a stop, its step floor or its budget ends it; the left half is its
-    mirror, ``t`` and ``g'`` negated and ``g`` kept.  The ODEs see ``g'``
-    only through ``g'^2`` and :func:`_dopri54` and :func:`_first_step`
-    commute with negating ``t`` and ``g'`` under round-to-nearest, so
-    stepping toward ``-inf`` gives these nodes bit for bit.  The centre node
-    is the stepped branch's, ``t = 0.0`` and ``g' = 0.0`` (no ``-0.0``), and
-    the status, so the truncation, is shared.  A branch whose first step
-    already reaches a stop has only its ``t = 0`` node and is refused.
+    One branch is stepped toward ``+inf`` until a stop, its step floor or
+    its budget ends it; the left half is its mirror, ``t`` and ``g'``
+    negated and ``g`` kept.  The ODEs see ``g'`` only through ``g'^2`` and
+    :func:`_dopri54` and :func:`_first_step` commute with negating ``t`` and
+    ``g'`` under round-to-nearest, so stepping toward ``-inf`` gives these
+    nodes bit for bit.  The centre node is the stepped branch's, ``t = 0.0``
+    and ``g' = 0.0`` (no ``-0.0``), and the status, so the truncation, is
+    shared.  A branch whose first step already reaches a stop has only its
+    ``t = 0`` node and is refused.
 
-    The step cap buys accuracy at steep slopes, where the error controller
-    alone steps longer: the interpolant's error in ``g`` at the node
-    midpoints with ``|g'| <= 1e3``, against DOP853 at rtol 1e-13 and y0 = 1,
-    is 2.3e-8 capped and 2.0e-7 uncapped at minimal c = 30, 2.6e-8 and
-    8.6e-7 at c = 100, 3.4e-8 and 9.7e-7 at conformal a = 100.  On the
-    benchmark's ranges (c <= 3, a <= 2) it never binds.  Its cost: at
-    c = 1e4 the branch spends ``MAX_BRANCH_STEPS`` (131,073 nodes, ~0.33 s)
-    and the family refuses the truncated profile."""
+    The error controller alone sizes the steps, and its accuracy does not
+    depend on the slope when judged in the profile's own scale.  The
+    minimal ODE is scale-invariant, ``g(t) = y0*G(t/(y0*sqrt(1+c^2)))``, so
+    its own slope is ``G' = sqrt(1+c^2)*g'``: against DOP853 at rtol 1e-13
+    and y0 = 1, the interpolant's error in ``g`` at the node midpoints where
+    ``sqrt(1+slope^2)*|g'| <= 1e3`` is 9.1e-9, 9.2e-9, 9.4e-9 and 1.1e-8 at
+    minimal c = 0, 3, 30 and 100 (1,203 to 1,573 nodes), and 8.7e-9 to
+    1.0e-8 at the same conformal ``a``.  A slope too steep to resolve ends
+    at the step floor beside the collapse: c = 1e4 after 1,669 nodes, c = 1e8
+    after 1,499, and the family refuses the truncated profile."""
     if not params.y0 > EPS_G:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
         )
     rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, math.inf, True,
-                                   *_COLLAPSE_TOL, params.y0 / 20.0)
+                                   *_COLLAPSE_TOL)
     if status == 1 and len(rt) == 1:
         raise ParameterError(
             f"at initial height y0 = {params.y0!r} the first step from t = 0 already "
@@ -682,8 +686,8 @@ def integrate_grim_reaper(p: GrimReaperParams,
         gp = lam * exp(w)
         return gp, -(k + gp * gp) * 2.0 * v / (g * g)
 
-    rt, rg, rgp, right = _dopri54(rhs, 1.0, 0.0, hi, False, *_REAPER_TOL, math.inf)
-    lt, lg, lgp, left = _dopri54(rhs, 1.0, 0.0, lo, False, *_REAPER_TOL, math.inf)
+    rt, rg, rgp, right = _dopri54(rhs, 1.0, 0.0, hi, False, *_REAPER_TOL)
+    lt, lg, lgp, left = _dopri54(rhs, 1.0, 0.0, lo, False, *_REAPER_TOL)
     t = lt[::-1] + rt[1:]
     if len(t) < 2:
         raise ParameterError(

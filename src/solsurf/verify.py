@@ -353,6 +353,28 @@ def _check_reaper_shape() -> Measurement:
     return float(len(bad)), "failed: " + ",".join(bad) if bad else "all shape facts hold"
 
 
+def _check_reaper_linear() -> Measurement:
+    """The reaper's small-slope expansion, which the stepper's right-hand
+    side must reproduce.  Expanding ``g = 1 + lam*u + lam^2*v + O(lam^3)``
+    in ``g'' = -g'*(k + g'^2)*2t/g^2`` (the abscissa written ``t``, not
+    ``v``) gives ``u'' + 2kt*u' = 0`` with
+    ``u(0) = 0, u'(0) = 1``, so ``u = sqrt(pi/k)/2*erf(sqrt(k)*t)``, and
+    ``v'' + 2kt*v' = 4kt*u*u'`` with ``v(0) = v'(0) = 0``, whose ``v`` is
+    even, increasing in ``|t|`` and tends to ``1/(2k)``.  So
+    ``2k*max|g - 1 - lam*u|/lam^2`` over the nodes reads 1 up to ``O(lam)``;
+    the defect is its distance from 1, the worse of k = 1 and k = 0.3 at
+    lam = 1e-3 on -20:20, where ``v`` has reached its limit."""
+    lam, defects = 1e-3, []
+    for k in (1.0, 0.3):
+        sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=k), (-20.0, 20.0))
+        if sol.truncated:
+            return math.nan, f"k = {k}: the integration was truncated"
+        u = np.array([math.sqrt(math.pi / k) / 2.0 * math.erf(math.sqrt(k) * t)
+                      for t in sol.t.tolist()])
+        defects.append(abs(2.0 * k * np.max(np.abs(sol.g - 1.0 - lam * u)) / lam ** 2 - 1.0))
+    return float(np.max(defects)), "lambda = 1e-3, k in {1, 0.3}: lambda^2 term against 1/(2k)"
+
+
 # ---------------------------------------------------------------------------
 # criterion 7: reduced equations agree with the jet pipeline
 
@@ -500,6 +522,7 @@ _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
     ("grim_reaper.residual", 5, "<=", 1e-6,
      lambda: _profile_residual(make_grim_reaper(0.5, span=(-50.0, 50.0)), SolitonMode.TRANSLATOR,
                                "lambda=0.5, k=1, 51x51, 0 failures")),
+    ("grim_reaper.linear", 5, "<=", 1e-3, _check_reaper_linear),
     ("conformal.residual", 6, "<=", 1e-6,
      lambda: _profile_residual(make_conformal_cylinder(0.0, 1.0), SolitonMode.CONFORMAL)),
     ("conformal.first_integral", 6, "<=", 1e-8, partial(_first_integral, "conformal")),

@@ -69,6 +69,7 @@ def test_c05_grim_reaper(summary):
             "grim_reaper.constant": ("<=", 1e-12),
             "grim_reaper.shape": ("<=", 0.5),
             "grim_reaper.residual": ("<=", 1e-6),
+            "grim_reaper.linear": ("<=", 1e-3),
         },
     )
 
@@ -407,6 +408,40 @@ def test_reaper_shape_fails_a_slope_above_lambda(monkeypatch):
     _swap_reaper_profile(monkeypatch, lambda sol: dataclasses.replace(sol, gp=sol.gp * 1.01))
     (r,) = run_checks("grim_reaper.shape").results
     assert not r.passed and r.detail == "failed: slope_within_0_lam"
+
+
+def _mutant_reaper(p, span):
+    """``integrate_grim_reaper`` with its right-hand side's ``2*v`` read as
+    ``2.002*v``."""
+    lam, k = p.lam, p.k
+
+    def rhs(v, g, w):
+        gp = lam * math.exp(w)
+        return gp, -(k + gp * gp) * 2.002 * v / (g * g)
+
+    tol = profile_odes._REAPER_TOL
+    rt, rg, rgp, right = profile_odes._dopri54(rhs, 1.0, 0.0, span[1], False, *tol)
+    lt, lg, lgp, left = profile_odes._dopri54(rhs, 1.0, 0.0, span[0], False, *tol)
+    return profile_odes.ProfileSolution(p, t=lt[::-1] + rt[1:], g=lg[::-1] + rg[1:],
+                                        gp=lgp[::-1] + rgp[1:], truncated=right != 0 or left != 0)
+
+
+def test_reaper_linear_fails_a_mutant_stepper(monkeypatch):
+    """A ``2.002*v`` right-hand side moves every reaper node but keeps the
+    shape facts; the small-slope row reads ~0.88 for it, against ~1.2e-4
+    for the stepper (measured)."""
+    monkeypatch.setattr(verify, "integrate_grim_reaper", _mutant_reaper)
+    (r,) = run_checks("grim_reaper.linear").results
+    assert not r.passed and 0.5 < r.defect < 1.0
+
+
+def test_reaper_linear_fails_a_constant_profile(monkeypatch):
+    """The constant solution ``g == 1`` has no ``lambda*u`` term, so the
+    row reads ``2k*max|u|/lambda``, ``sqrt(pi*k)/lambda`` ~ 1.8e3 at k = 1."""
+    _swap_reaper_profile(monkeypatch, lambda sol: dataclasses.replace(
+        sol, g=np.ones_like(sol.g), gp=np.zeros_like(sol.gp)))
+    (r,) = run_checks("grim_reaper.linear").results
+    assert not r.passed and r.defect > 100.0
 
 
 def test_fd_convergence_fails_vanished_errors(monkeypatch):

@@ -239,7 +239,7 @@ REFUSALS = {
     # a truncated profile would clip the family's t_range without a word
     "residual --family minimal-cylinder --c 1e4 --mode minimal --grid 3x3":
         "the minimal_cylinder profile is truncated: its nodes reach only t in "
-        "[-3276.800000003155, 3276.800000003155], short of its natural end (a branch met "
+        "[-5990.701203756353, 5990.701203756353], short of its natural end (a branch met "
         "a stop, its step floor or its MAX_BRANCH_STEPS = 65536 step budget)",
     "residual --family grim-reaper --lambda 1e30 --mode translator --grid 5x5":
         "the grim_reaper profile is truncated: its nodes reach only t in "

@@ -7,7 +7,12 @@ cleared of the positive factor ``2*W^3``, are derived from the
 definitions, and the hand-written reduced forms must equal them
 identically: a reduced form that drops or rescales one term leaves a
 nonzero polynomial in the jets.
+
+It also derives the limit verify's ``grim_reaper.linear`` row reads: the
+``lambda^2`` term of the grim reaper's small-slope expansion tends to
+``1/(2k)``.
 """
+import mpmath
 import pytest
 import sympy as sp
 
@@ -57,3 +62,30 @@ def test_second_kind_reduced_form_is_the_derived_one(mode):
     derived = cleared_residual(sp.Matrix([s, f, 1]), sp.Matrix([0, 0, t]), mode)
     hand = reduced_residual_second_kind(mode, _jet(f, s), s, t)
     assert sp.expand(hand - derived) == 0
+
+
+def test_reaper_small_slope_limit_is_one_over_2k():
+    """With ``g = 1 + lam*u + lam^2*v + O(lam^3)`` in the reaper's
+    ``g'' = -g'*(k + g'^2)*2t/g^2``, ``g(0) = 1``, ``g'(0) = lam``, the
+    ``lam`` term vanishes for ``u = sqrt(pi/k)/2*erf(sqrt(k)*t)`` and the
+    ``lam^2`` term is ``v'' + 2kt*v' - 4kt*u*u'`` (the equation is
+    multiplied by ``g^2``, which is 1 at order 0).  With ``v(0) = v'(0) = 0``
+    that gives ``v' = e^{-kt^2}*integral_0^t 4ks*u(s) ds``, odd and >= 0 for
+    t >= 0, so ``v`` is even and ``sup|v| = v(inf)``; integrated to 30
+    digits, ``v(inf) = 1/(2k)`` for both of the row's ``k``."""
+    lam, k, r = sp.symbols("lambda k r", positive=True)
+    u = sp.sqrt(sp.pi / k) / 2 * sp.erf(sp.sqrt(k) * t)
+    v = sp.Function("v")(t)
+    h = 1 + lam * u + lam ** 2 * v
+    hp = h.diff(t)
+    cleared = sp.expand(h.diff(t, 2) * h ** 2 + hp * (k + hp ** 2) * 2 * t)
+    assert sp.simplify(cleared.coeff(lam, 1)) == 0
+    second = v.diff(t, 2) + 2 * k * t * v.diff(t) - 4 * k * t * u * u.diff(t)
+    assert sp.simplify(cleared.coeff(lam, 2) - second) == 0
+    vp = sp.exp(-k * t ** 2) * sp.integrate(4 * k * r * u.subs(t, r), (r, 0, t))
+    assert sp.simplify(second.subs(v.diff(t, 2), vp.diff(t)).subs(v.diff(t), vp)) == 0
+    assert vp.subs(t, 0) == 0
+    with mpmath.workdps(30):
+        for kk in (mpmath.mpf(1), mpmath.mpf(3) / 10):
+            limit = mpmath.quad(sp.lambdify(t, vp.subs(k, kk), "mpmath"), [0, 1, 5, mpmath.inf])
+            assert abs(limit - 1 / (2 * kk)) <= mpmath.mpf(10) ** -25
