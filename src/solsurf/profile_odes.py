@@ -52,6 +52,15 @@ values and the exact nodal slopes and summed in each interval's unit
 variable, so it stays finite on node gaps however short.  The interpolant
 and the quadrature are small numpy and float routines, so importing this
 module costs numpy alone.
+
+A collapsing profile is also an exact curve in ``phi``: ``g = y0*sin(phi)``
+at ``|t| = integral_phi^{pi/2} dt_dphi``.  The minimal and conformal
+cylinders read it that way (:func:`_closed_form`), at any ``t`` inside the
+collapse, with ``g'`` and ``g''`` from ``dt_dphi`` and its derivative; they
+step nothing.  What still steps: ``profile --ode`` (all three ODEs), the
+grim-reaper family, and verify's rows on stepped nodes (``first_integral``,
+``symmetry``, ``halfwidth`` and ``abscissa`` of both collapsing profiles,
+``determinism.profile`` and the reaper rows), which judge the stepper.
 """
 from __future__ import annotations
 
@@ -173,6 +182,14 @@ class MinimalProfileParams(_CollapseParams):
         s2 = np.sin(phi) ** 2
         return self.y0 * s2 / np.sqrt(self.kinv * (1.0 + s2))
 
+    def dt_dphi_prime(self, phi):
+        """``d(dt_dphi)/dphi``: ``y0*sin(phi)*cos(phi)*(2 + sin^2(phi))``
+        over ``sqrt(k*(1 + sin^2(phi)))*(1 + sin^2(phi))``."""
+        sin = np.sin(phi)
+        s2 = sin * sin
+        return self.y0 * sin * np.cos(phi) * (2.0 + s2) / (np.sqrt(self.kinv * (1.0 + s2))
+                                                           * (1.0 + s2))
+
 
 @dataclass(frozen=True)
 class GrimReaperParams:
@@ -246,8 +263,29 @@ class ConformalProfileParams(_CollapseParams):
         """
         sin, cos2 = np.sin(phi), np.cos(phi) ** 2
         with np.errstate(over="ignore", divide="ignore"):
-            e = 4.0 * cos2 / ((1.0 + sin) * self.y0 * sin) - 2.0 * np.log1p(-cos2)
-            return self.y0 / np.sqrt(self.kinv * np.expm1(e) / cos2)
+            return self.y0 / np.sqrt(self.kinv * np.expm1(self._exponent(sin, cos2)) / cos2)
+
+    def _exponent(self, sin, cos2):
+        """``E`` of :meth:`dt_dphi`; +inf at ``phi = 0``."""
+        return 4.0 * cos2 / ((1.0 + sin) * self.y0 * sin) - 2.0 * np.log1p(-cos2)
+
+    def dt_dphi_prime(self, phi):
+        """``d(dt_dphi)/dphi``.  With ``E`` as in :meth:`dt_dphi`,
+        ``dE/dphi = -4*cos(phi)*(1 + y0*sin(phi))/(y0*sin^2(phi))``, so with
+        ``D = dt_dphi``
+
+            D' = D*(2*cos(phi)*(1 + y0*sin(phi))/(y0*sin^2(phi)*(1 - e^-E))
+                    - sin(phi)/cos(phi)).
+
+        The two terms cancel as ``phi -> pi/2``, where ``D'`` vanishes: its
+        absolute error grows like ``D*eps/cos(phi)``, which ``cos(phi)*D'``,
+        the product a profile's ``g''`` reads, keeps at ``D*eps``."""
+        sin, cos = np.sin(phi), np.cos(phi)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e = self._exponent(sin, cos * cos)
+            return self.dt_dphi(phi) * (
+                -2.0 * cos * (1.0 + self.y0 * sin) / (self.y0 * sin * sin * np.expm1(-e))
+                - sin / cos)
 
 
 ProfileParams = Union[MinimalProfileParams, GrimReaperParams, ConformalProfileParams]
@@ -393,6 +431,7 @@ class ProfileSolution:
 
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = sys.float_info.epsilon
 
 
 def _rms(a: float, b: float) -> float:
@@ -445,14 +484,13 @@ def _gauss(f, b):
     """``integral_0^b f`` by the 40-node Gauss--Legendre rule; ``f`` maps an
     array of abscissae to an array of values.  ``b`` is one upper limit or
     an array of them: ``f`` is evaluated once, on the ``(..., 40)``
-    abscissae of every limit, and each limit's row is reduced by the same
-    ``_GL_W @ row`` product as a lone limit's, so each integral has the bits
-    of its scalar call (a matrix product would sum in another order).  A
-    float for a scalar ``b``, else an array of ``b``'s shape."""
+    abscissae of every limit, and every row is reduced by one
+    ``(values * _GL_W).sum(axis=-1)``, which sums each row alike whatever
+    the batch, so each integral has the bits of its scalar call (a matrix
+    product would not).  A float for a scalar ``b``, else an array of
+    ``b``'s shape."""
     half = 0.5 * np.asarray(b, dtype=float)
-    values = f(half[..., None] * (_GL_X + 1.0))
-    sums = np.array([_GL_W @ row for row in values.reshape(-1, _GL_X.size)])
-    out = half * sums.reshape(half.shape)
+    out = half * (f(half[..., None] * (_GL_X + 1.0)) * _GL_W).sum(axis=-1)
     return out if out.shape else float(out)
 
 
@@ -587,6 +625,110 @@ def _blowup_tail(params, g_stop):
     return _gauss(params.dt_dphi, np.reshape(ends, g_stop.shape))
 
 
+# The closed-form evaluator's seed table: the abscissa at this many equally
+# spaced phi on [0, pi/2], which brackets every root; from a linear seed in
+# its bracket, Newton ends in at most 4 steps on a family's t range.
+_SEED_NODES = 65
+# Newton steps per query before its bracket is taken as the root; bisection
+# alone narrows a bracket to an ulp in about 55.
+_NEWTON_STEPS = 100
+# A query is done after a step below this fraction of phi (the next would
+# move it by ~1e-22), or once its abscissa is within 4 ulp of the query,
+# where near the collapse |t| hardly moves with phi.
+_NEWTON_TOL = 1e-11
+# Queries solved at once: each holds a (_CHUNK, 40) array of quadrature
+# abscissae and a few temporaries of it, so an axis costs memory by chunks,
+# not by its length (a 201-node axis peaks at ~250 kB).
+_CHUNK = 128
+
+
+def _closed_form(params: _CollapseParams):
+    """A collapsing profile in closed form: its half-width ``r`` and its jet
+    function, which maps abscissae ``t`` with ``|t| < r`` to ``(g, g', g'')``
+    (floats for a scalar ``t``, arrays of its shape for an array).
+
+    Along either branch ``g = y0*sin(phi)`` and, with ``D = dt_dphi``,
+    ``|t| = integral_phi^{pi/2} D``.  Each integral is one 40-node rule
+    (:func:`_gauss`) on a panel that ends at ``phi_mid = pi/4``: ``|t|`` is
+    the rule from ``phi`` up to ``pi/2`` where ``phi >= phi_mid``, else
+    ``r`` less the rule from 0 up to ``phi``, and ``r`` is the sum of the two
+    panels at ``phi_mid``.  So the rule never spans both the collapse, where
+    the conformal ``D`` is flat to all orders, and ``t = 0``: with one rule
+    over ``[0, pi/2]``, ``r`` at conformal ``y0 = 2`` is 4.5e-14 off, and
+    ``g`` near the collapse 3.5e-12.  Each query's ``phi`` solves for its
+    ``|t|`` by Newton's method, from a linear seed in its bracket of a
+    ``_SEED_NODES`` table, bisecting whenever a step would leave the
+    bracket, until ``_NEWTON_TOL``; a query's iterates depend on it alone,
+    so each has the bits of its scalar call.  Then
+
+        g' = -sign(t)*y0*cos(phi)/D,
+        g'' = -y0*(sin(phi)*D + cos(phi)*D')/D^3,
+
+    ``D' = dt_dphi_prime``: both come from the first integral, never from
+    the ODE's right-hand side, so a residual of this jet checks the ODE
+    against its first integral.  A query with ``|t| >= r``, or NaN, raises
+    :class:`DomainError`."""
+    dt_dphi, half_pi = params.dt_dphi, 0.5 * math.pi
+    phis = np.linspace(0.0, half_pi, _SEED_NODES)
+    mid = float(phis[_SEED_NODES // 2])
+
+    def from_top(phi):
+        return _gauss(lambda u: dt_dphi(half_pi - u), half_pi - phi)
+
+    def from_collapse(phi):
+        return _gauss(dt_dphi, phi)
+
+    top = from_top(mid)
+    r = from_collapse(mid) + top
+    # |t| at the table's phi, increasing: phi runs down from pi/2 to 0
+    phis = phis[::-1]
+    ts = np.where(phis >= mid, from_top(phis), r - from_collapse(phis))
+
+    def abscissa(phi, upper):
+        out = np.empty_like(phi)
+        out[upper] = from_top(phi[upper])
+        out[~upper] = r - from_collapse(phi[~upper])
+        return out
+
+    def root(at):
+        """``phi`` at which ``|t|`` reaches each of ``at``, a 1-D array."""
+        upper = at <= top
+        j = np.searchsorted(ts, at, side="right")  # ts[0] = 0 <= at < r = ts[-1]
+        lo, hi = phis[j], phis[j - 1]
+        phi = hi + (at - ts[j - 1]) / (ts[j] - ts[j - 1]) * (lo - hi)
+        done = np.zeros(at.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                excess = abscissa(phi, upper) - at  # d|t|/dphi = -D
+                lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess < 0.0, phi, hi)
+                new = phi + excess / dt_dphi(phi)
+                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+                last = ((np.abs(new - phi) <= _NEWTON_TOL * new)
+                        | (np.abs(excess) <= 4.0 * _EPS * at))
+                phi = np.where(done, phi, new)
+                done |= last
+                if done.all():
+                    break
+        return phi
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        at = np.abs(t).ravel()
+        if not (at < r).all():
+            raise DomainError(f"query outside the profile's open interval (-{r!r}, {r!r})")
+        phi = np.concatenate([root(at[k:k + _CHUNK]) for k in range(0, max(at.size, 1), _CHUNK)])
+        sin, cos = np.sin(phi), np.cos(phi)
+        d, dp = dt_dphi(phi), params.dt_dphi_prime(phi)
+        g = params.y0 * sin
+        gp = np.sign(-t.ravel()) * params.y0 * cos / d
+        gpp = -params.y0 * (sin * d + cos * dp) / (d * d * d)
+        if not t.shape:
+            return float(g[0]), float(gp[0]), float(gpp[0])
+        return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)
+
+    return r, jet
+
+
 def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
     """Shared driver for the two collapsing (minimal/conformal) profiles.
 
@@ -609,7 +751,8 @@ def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
     minimal c = 0, 3, 30 and 100 (1,203 to 1,573 nodes), and 8.7e-9 to
     1.0e-8 at the same conformal ``a``.  A slope too steep to resolve ends
     at the step floor beside the collapse: c = 1e4 after 1,669 nodes, c = 1e8
-    after 1,499, and the family refuses the truncated profile."""
+    after 1,499, and ``profile`` reports it truncated (the families read the
+    profile in closed form, :func:`_closed_form`)."""
     if not params.y0 > EPS_G:
         raise ParameterError(
             f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"

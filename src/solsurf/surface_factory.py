@@ -9,13 +9,15 @@ evaluate each factor curve in one call on its whole axis, as one
 error).  A sweep then builds the surface jet one block of ``s`` rows at a
 time, about ``BLOCK_NODES`` nodes each, never for the whole grid at once.
 
-A family whose profile collapses takes the profile's node span in ``t``
-less ``MARGIN``, a fixed 1e-3 of the span per side, as its ``t_range``, so
-that sampled nodes stay away from the near-vertical ends where jets
-degrade.  Every family's ``t_range`` is the extent its grids sample.  A
-profile family refuses a profile whose integration was truncated.  A jet
-function returns the ``(value, d1, d2)`` scalar jet of its function: a
-triple at one abscissa, a ``(3, n)`` array on an axis.
+The minimal and conformal cylinders read their collapsing profile in
+closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
+collapse interval ``[-r, r]`` less ``MARGIN``, a fixed 1e-3 of its span per
+side, as their ``t_range``, so that sampled nodes stay away from the
+near-vertical ends where jets degrade.  The grim reaper reads its stepped
+profile on the profile's node span, and refuses a profile whose
+integration was truncated.  Every family's ``t_range`` is the extent its
+grids sample.  A jet function returns the ``(value, d1, d2)`` scalar jet of
+its function: a triple at one abscissa, a ``(3, n)`` array on an axis.
 """
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ from .profile_odes import (
     MinimalProfileParams,
     ProfileSolution,
     REAPER_SPAN_DEFAULT,
-    integrate_conformal_profile,
+    _closed_form,
+    _CollapseParams,
     integrate_grim_reaper,
-    integrate_minimal_profile,
 )
 from .surface_jets import (
     _horospherical as _horospherical_curve,
@@ -73,7 +75,7 @@ MAX_GRID_NODES = 1 << 20
 # stay in the CPU caches: at 1001x1001, residuals over blocks of 8 rows took
 # 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
 BLOCK_NODES = 8192
-# Fraction of the profile's t span clipped from each end where it collapses.
+# Fraction of a collapsing profile's span [-r, r] clipped from each end.
 MARGIN = 1e-3
 
 
@@ -215,10 +217,10 @@ def _profile_family(
     f: Callable[[float], tuple],
     sol: ProfileSolution,
 ) -> SurfaceFamily:
-    """A first-kind family whose height ``g`` is the profile ``sol``, on the
-    profile's node span in ``t``, less ``MARGIN`` of it per side where the
-    profile collapses.  A truncated profile, whose integration ended before
-    its natural end, is refused: its node span is not the family's."""
+    """A first-kind family whose height ``g`` is the stepped profile ``sol``
+    (the reaper), on the profile's node span in ``t``.  A truncated profile,
+    whose integration ended before its natural end, is refused: its node
+    span is not the family's."""
     lo, hi = float(sol.t[0]), float(sol.t[-1])
     if sol.truncated:
         raise ParameterError(
@@ -230,10 +232,23 @@ def _profile_family(
     def g(t):
         return sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t)
 
-    if sol.right_blowup_t is not None:
-        pad = MARGIN * (hi - lo)
-        lo, hi = lo + pad, hi - pad
     return SurfaceFamily(name, params, s_range, (lo, hi), _horospherical(f), _graph(g))
+
+
+def _collapsing_family(
+    name: str,
+    params: dict,
+    s_range: Tuple[float, float],
+    f: Callable[[float], tuple],
+    profile: _CollapseParams,
+) -> SurfaceFamily:
+    """A first-kind family whose height ``g`` is a collapsing profile, read
+    in closed form (:func:`~solsurf.profile_odes._closed_form`), on
+    ``t_range = +-r*(1 - 2*MARGIN)``: its span ``[-r, r]`` less ``MARGIN``
+    of it per side."""
+    r, g = _closed_form(profile)
+    hi = r * (1.0 - 2.0 * MARGIN)
+    return SurfaceFamily(name, params, s_range, (-hi, hi), _horospherical(f), _graph(g))
 
 
 def make_minimal_cylinder(
@@ -243,10 +258,9 @@ def make_minimal_cylinder(
     s_range: Tuple[float, float] = (-2.0, 2.0),
 ) -> SurfaceFamily:
     """Minimal surface generated by the collapsing even profile: first-kind
-    construction with f(s) = c*s + d and g the integrated minimal profile."""
-    sol = integrate_minimal_profile(MinimalProfileParams(c=c, y0=y0))
-    return _profile_family("minimal_cylinder", {"c": c, "y0": y0, "d": d}, s_range,
-                           _linear_jet(c, d), sol)
+    construction with f(s) = c*s + d and g the minimal profile."""
+    return _collapsing_family("minimal_cylinder", {"c": c, "y0": y0, "d": d}, s_range,
+                              _linear_jet(c, d), MinimalProfileParams(c=c, y0=y0))
 
 
 def make_grim_reaper(
@@ -277,9 +291,8 @@ def make_conformal_cylinder(
 ) -> SurfaceFamily:
     """Conformal-soliton surface generated by the collapsing conformal
     profile: first-kind construction with f(s) = a_slope*s."""
-    sol = integrate_conformal_profile(ConformalProfileParams(a=a_slope, y0=y0))
-    return _profile_family("conformal_cylinder", {"a_slope": a_slope, "y0": y0}, s_range,
-                           _linear_jet(a_slope, 0.0), sol)
+    return _collapsing_family("conformal_cylinder", {"a_slope": a_slope, "y0": y0}, s_range,
+                              _linear_jet(a_slope, 0.0), ConformalProfileParams(a=a_slope, y0=y0))
 
 
 def _coerced(fn: Callable[[float], object]) -> Callable[[float], tuple]:

@@ -16,14 +16,14 @@ from solsurf import (
     GridSpec,
     MinimalProfileParams,
     SolitonMode,
-    integrate_conformal_profile,
-    integrate_minimal_profile,
     make_generic_first_kind,
+    minimal_halfwidth_quadrature,
     residual_report,
 )
 from solsurf import commands
 from solsurf.cli import main
 from solsurf.export import fmt, write_obj_mesh, write_residual_summary
+from solsurf.profile_odes import _closed_form
 from solsurf.surface_factory import MARGIN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,11 +236,10 @@ REFUSALS = {
                                                  "not a finite, normal, positive float",
     "profile --ode grim-reaper --span=0:inf": "span must be finite, got (0.0, inf)",
     "mesh --family grim-reaper --span=-inf:0": "span must be finite, got (-inf, 0.0)",
+    # a collapsing family takes every y0 whose first-integral constant is normal
+    "residual --family minimal-cylinder --y0 1e-80 --mode minimal --grid 3x3":
+        "first-integral constant m = 1e-320 is not a finite, normal, positive float",
     # a truncated profile would clip the family's t_range without a word
-    "residual --family minimal-cylinder --c 1e4 --mode minimal --grid 3x3":
-        "the minimal_cylinder profile is truncated: its nodes reach only t in "
-        "[-5990.701203756353, 5990.701203756353], short of its natural end (a branch met "
-        "a stop, its step floor or its MAX_BRANCH_STEPS = 65536 step budget)",
     "residual --family grim-reaper --lambda 1e30 --mode translator --grid 5x5":
         "the grim_reaper profile is truncated: its nodes reach only t in "
         "[-3.2894581336928356e-25, 5.0]",
@@ -311,8 +310,7 @@ REFUSALS = {
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
-        # a profile drift slope this steep runs the stepped branch out of its step
-        # budget, so the truncated profile is refused before any residual is formed
+        # a profile drift slope this steep overflows every node's residual
         ["residual", "--family", "minimal-cylinder", "--c", "1e100", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "conformal-cylinder", "--a", "1e100", "--mode", "conformal"],
@@ -336,9 +334,10 @@ REFUSALS = {
         # is inf under residual_report's errstate, with no numpy warning
         ["residual", "--family", "grim-reaper", "--b", "1e100", "--lambda", "1e-30", "--mode",
          "translator", "--grid", "3x3"],
-        # truncated profiles: the step budget (c = 1e4), the height stop (lambda)
-        ["residual", "--family", "minimal-cylinder", "--c", "1e4", "--mode", "minimal",
+        # a collapsing family's y0 whose first-integral constant m = 1e-320 is subnormal
+        ["residual", "--family", "minimal-cylinder", "--y0", "1e-80", "--mode", "minimal",
          "--grid", "3x3"],
+        # truncated reaper profiles: the height stop (lambda)
         ["residual", "--family", "grim-reaper", "--lambda", "1e30", "--mode", "translator",
          "--grid", "5x5"],
         ["residual", "--family", "grim-reaper", "--lambda", "1e100", "--mode", "translator",
@@ -369,21 +368,40 @@ def test_reaper_on_a_tiny_span_sweeps_every_node(tmp_path, span, monkeypatch):
 
 @pytest.mark.parametrize("family", ["minimal-cylinder", "conformal-cylinder"])
 def test_margin_clips_a_collapsing_family(tmp_path, family):
-    """Where the profile collapses, the summary's t_range is the profile's
-    node span less MARGIN of it per side, and it is the extent the CSV
-    samples: its first and last t."""
+    """Where the profile collapses, the summary's t_range is the collapse
+    interval ``[-r, r]`` less MARGIN of its span per side, ``r`` the closed
+    form's half-width, and it is the extent the CSV samples: its first and
+    last t."""
     out = str(tmp_path / "r")
     assert main(["residual", "--family", family, "--mode", "minimal", "--grid", "3x3",
                  "--out", out]) == 0
     summary = (tmp_path / "r.summary.txt").read_text().splitlines()
     assert not [line for line in summary if line.startswith("margin=")]
-    t = (integrate_minimal_profile(MinimalProfileParams()) if family == "minimal-cylinder"
-         else integrate_conformal_profile(ConformalProfileParams())).t
-    lo, hi = float(t[0]), float(t[-1])
-    pad = MARGIN * (hi - lo)
-    assert f"t_range={fmt(lo + pad)}:{fmt(hi - pad)}" in summary
+    p = MinimalProfileParams() if family == "minimal-cylinder" else ConformalProfileParams()
+    hi = _closed_form(p)[0] * (1.0 - 2.0 * MARGIN)
+    assert f"t_range={fmt(-hi)}:{fmt(hi)}" in summary
     rows = (tmp_path / "r.csv").read_text().splitlines()
-    assert (rows[1].split(",")[1], rows[-1].split(",")[1]) == (fmt(lo + pad), fmt(hi - pad))
+    assert (rows[1].split(",")[1], rows[-1].split(",")[1]) == (fmt(-hi), fmt(hi))
+
+
+@pytest.mark.parametrize("flags, c, y0", [(["--c", "1e4"], 1e4, 1.0),
+                                          (["--y0", "1e-6"], 0.0, 1e-6)], ids=["c1e4", "y0-1e-6"])
+def test_collapsing_family_sweeps_where_the_stepper_stops(tmp_path, flags, c, y0):
+    """The minimal cylinder reads its profile in closed form, so neither a
+    slope too steep for the stepper (it ends at its step floor at c = 1e4)
+    nor a y0 at the stepper's height stop EPS_G = 1e-6 (``profile`` refuses
+    it) keeps it from sweeping: the residual is within verify's 1e-6 and the
+    t range is ``+-r*(1 - 2*MARGIN)``, ``r`` the closed form's half-width,
+    within 2 ulp of the Beta-function value."""
+    out = str(tmp_path / "r")
+    assert main(["residual", "--family", "minimal-cylinder", *flags, "--mode", "minimal",
+                 "--grid", "3x3", "--out", out]) == 0
+    summary = dict(line.split("=", 1) for line in (tmp_path / "r.summary.txt").read_text().split())
+    assert summary["failures"] == "0" and float(summary["MAX_ABS"]) <= 1e-6
+    r, want = _closed_form(MinimalProfileParams(c, y0))[0], minimal_halfwidth_quadrature(c, y0)
+    assert abs(r - want) <= 2.0 * math.ulp(want)
+    hi = r * (1.0 - 2.0 * MARGIN)
+    assert summary["t_range"] == f"{fmt(-hi)}:{fmt(hi)}"
 
 
 @pytest.mark.parametrize(

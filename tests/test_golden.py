@@ -61,16 +61,16 @@ RESIDUAL_SHA256 = {
         "f97b506e2291d6113ff06b6a29bc590d8fc84dd026f2b7e61d401cb8e744bd7b",
     ),
     ("minimal-cylinder", "minimal"): (
-        "e430fca4c0339c302e6a62af79baff3607bb4ae01ecb0f986455be58091bc21c",
-        "02c51695e6237248edea7f76107d6e075ce5f6a74d27de1544bf58897d4833bd",
+        "e4fb1a39bb16795a7ce71f6646e5f657417e41718cd0498b2dbdff4c691bf473",
+        "35cf9f425e01c427680a3c9bbc29d61b7bc060745bd5143c0d99b096fd5cb320",
     ),
     ("minimal-cylinder", "translator"): (
-        "cdf7b67d8ddfc689af1e05a38096f6d17335b30c7595b4c34110ef51dc2da2aa",
-        "985dbfe3c514151ebce3e8cf196bc4892b4e1f04b1a569c217d40021e3bebae5",
+        "b1057bb42cad150f8ccf7adf0805712ee125b1824d992b7f6fad0b2526acdc76",
+        "08db20a06e9720db395fe3f07386a55191a08182eb25089038a4f30f59054d34",
     ),
     ("minimal-cylinder", "conformal"): (
-        "5225ef4ae4977944f4f206d19555ad3b30c903aa0837729399165b318369bcf2",
-        "070ee744fab17e3b36c1e0a3db514ff57916fa4cfebf676daee1c288e79af6f5",
+        "0cfc6a5835b17cc4e3774d472934d0b66336e18a8aa462bb22cfc33b34fe919d",
+        "d0fb933eac63b96835f0fb7fbb4abfd941ce42a8d659282ca11e516b71ff234e",
     ),
     ("grim-reaper", "minimal"): (
         "d0012a64596a20ad79b0018502169cef9c94dacc4cfde603e6751324917123c5",
@@ -85,23 +85,23 @@ RESIDUAL_SHA256 = {
         "85f633980896ec2c4e68912b3768859008504fff0994ab818af0dd45cfeca627",
     ),
     ("conformal-cylinder", "minimal"): (
-        "617b22af43d2d164b722d407de4e64df932ee0c4ff3d0ee250d77c45b5d3dad9",
-        "a97d7dc3be19670de827f030bd9d2fafc0526e83f5e498495c1cbc3ae80a71e7",
+        "fc5ba4a23b4514e345d14a96ba1bf9060e7a11e6f7ac2601f47cf48f4e55f074",
+        "2656a5461a4f94db19c76e73181fe517931180f6d939376ed76df8e0e66ab9d8",
     ),
     ("conformal-cylinder", "translator"): (
-        "f13e8ce7bfd9e2ee54ee0ba5623cea40b49ccac5aaa280e71df0fd1d0903aa3b",
-        "f012c1f21b84455d7b0e031598659db7253c25e579053413321684ac67597095",
+        "9077823c3f45ede3d707f31faa8fcd78ffa2d4a1465b61791c38bc2c453d1311",
+        "fd6e2b9b6d44c60b4edda454e3d817da83d2ba1f1d7ed726af5f6065181c83b2",
     ),
     ("conformal-cylinder", "conformal"): (
-        "1390932e22638ca3c947d00c1d13639298a7971ff6d97d9b3d5b88fe39240f93",
-        "51ca970af21d22272e90d9c05391f8ab2c6326155e4eeac3541d661d3e92d3fb",
+        "988dbb58804a2d4ded13a08440c8bd7e0c5715fb4db37bbd9a8d42a39b37da45",
+        "8fa5a639fb1ade24eb4f37060d7c2b31cfa2e83dd4da2a5258387d64f6d78962",
     ),
 }
 
 # family -> sha256 of <out>.obj
 MESH_SHA256 = {
     "horosphere": "e95858e0a68d58c5b2e399f0b5b7b1e98bec8b79c1ec8f93d873dce385457900",
-    "minimal-cylinder": "506f8ebb467551e913ce9a6a0d03b921c506350120f9a8e77d2985af6f370772",
+    "minimal-cylinder": "8baad803d29df55fc04d56f4c1db0cac3bea7acdcd7364a73b4f230422f38114",
     "grim-reaper": "8829ed797122e6fd419ea908ea41cf07335d7b21d44136d12e9d639dbeaae294",
 }
 
@@ -154,9 +154,9 @@ DEFAULTS_SHA256 = {
     ),
     "conformal-cylinder": (
         "conformal",
-        "e140f822cb47fbf35208e75a981a65a65754ed36e3d655017fac29080dd7e9e9",
-        "5df1a7fbf68bbf77e49a709b90e9b46e90c7b4b9ef04c73b6f8cd9a97c15cb6b",
-        "33a1e148cd11aa1f0d6eca7c580ad65286c1fbc44bc5425bfd86ea903722b10b",
+        "af3b787c5b8b082be0ea68fc53b59e49464a6f492543e7b4a73b3a715526bac3",
+        "5be4a7c3c5eac8cbb6fec1e5d59515d801542c3c7164d474aa00cdd25bf5f42c",
+        "f3f915777e3c864f2f06f535934e88cedcd15ef33c93b9877e655fb201bd83b5",
     ),
 }
 

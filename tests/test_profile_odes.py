@@ -38,7 +38,9 @@ from solsurf.profile_odes import (
     _GL_X,
     _Hermite,
     _blowup_tail,
+    _closed_form,
     _dopri54,
+    _gauss,
     first_integral_defect,
 )
 from solsurf.verify import _CONFORMAL_HALFWIDTH, _SLOPE_CAP, _symmetry_defect
@@ -139,16 +141,34 @@ def test_blowup_tail_of_an_array_is_the_scalar_calls_bit_for_bit(integrate, p):
     one scalar call each; a scalar height still gives a plain float, with
     the bits of the rule written out: ``math.asin`` for the upper limit
     (``np.arcsin`` differs in the last bit at some of these heights) and
-    one 40-term dot product."""
+    one 40-term weighted sum."""
     heights = np.concatenate((integrate(p).g, [p.y0, 1.5 * p.y0]))
     tails = _blowup_tail(p, heights)
     scalars = [_blowup_tail(p, g) for g in heights.tolist()]
     assert all(type(x) is float for x in scalars)
     for g, tail in zip(heights.tolist(), scalars):
         half = 0.5 * math.asin(min(1.0, g / p.y0))
-        assert tail == half * float(_GL_W @ p.dt_dphi(half * (_GL_X + 1.0))), g
+        assert tail == half * float((p.dt_dphi(half * (_GL_X + 1.0)) * _GL_W).sum()), g
     assert tails.shape == heights.shape and tails.tobytes() == np.array(scalars).tobytes()
     assert tails[-1] == tails[-2] == _blowup_tail(p, p.y0)
+
+
+@pytest.mark.parametrize("p", [MinimalProfileParams(3.0, 0.5), ConformalProfileParams(3.0, 2.0)],
+                         ids=["minimal", "conformal"])
+def test_gauss_of_an_array_is_the_scalar_calls_bit_for_bit(p):
+    """Each of 1,000 upper limits in one batch, and in a (20, 50) batch,
+    integrates to the bits of its lone call, which is the weighted sum
+    ``(values * _GL_W).sum()`` of its row (``values @ _GL_W`` sums a batch
+    in another order, and ``_GL_W @ row`` differs from it in the last bit)."""
+    limits = np.linspace(0.0, 0.5 * math.pi, 1000)
+    batch = _gauss(p.dt_dphi, limits)
+    lone = [_gauss(p.dt_dphi, b) for b in limits.tolist()]
+    assert all(type(x) is float for x in lone)
+    assert batch.tobytes() == np.array(lone).tobytes()
+    assert _gauss(p.dt_dphi, limits.reshape(20, 50)).tobytes() == batch.tobytes()
+    half = 0.5 * limits[::97, None]
+    rows = p.dt_dphi(half * (_GL_X + 1.0))
+    assert (half[:, 0] * (rows * _GL_W).sum(axis=1)).tobytes() == batch[::97].tobytes()
 
 
 def test_gauss_legendre_rule_is_numpys():
@@ -188,6 +208,107 @@ def test_height_stop_near_y0_keeps_the_halfwidth(eps_g, monkeypatch):
         sol = integrate(p)
         assert abs(sol.right_blowup_t - r) <= 1e-10
         assert abs(sol.left_blowup_t + r) <= 1e-10
+
+
+# --- the collapsing profiles in closed form ---------------------------------
+
+
+def _mp_dt_dphi(p):
+    """``|dt/dphi| = y0*cos(phi)/|g'|`` by mpmath, ``g = y0*sin(phi)``, from
+    each first integral written so that it does not cancel near ``pi/2``:
+    minimal ``g'^2 = k*(y0^4/g^4 - 1) = k*cos^2*(1 + sin^2)/sin^4``, and
+    conformal ``g'^2 = k*(e^E - 1)`` with ``E = 4/g - 4/y0 - 4*log(sin)``,
+    whose ``4/g - 4/y0`` is ``4*cos^2/((1 + sin)*y0*sin)``."""
+    import mpmath
+
+    y0, k = mpmath.mpf(p.y0), 1 / (mpmath.mpf(p.slope) ** 2 + 1)
+    if isinstance(p, MinimalProfileParams):
+        return lambda phi: y0 * mpmath.sin(phi) ** 2 / mpmath.sqrt(k * (1 + mpmath.sin(phi) ** 2))
+
+    def d(phi):
+        sin, cos2 = mpmath.sin(phi), mpmath.cos(phi) ** 2
+        e = 4 * cos2 / ((1 + sin) * y0 * sin) - 4 * mpmath.log(sin)
+        return y0 / mpmath.sqrt(k * mpmath.expm1(e) / cos2)
+
+    return d
+
+
+@pytest.mark.parametrize("p", [cls(slope, y0) for cls in (MinimalProfileParams,
+                                                          ConformalProfileParams)
+                               for slope in (0.0, 3.0, 100.0) for y0 in (0.5, 2.0)], ids=repr)
+def test_closed_form_matches_a_30_digit_reference(p):
+    """``g`` and ``g'`` of the closed form within 1e-12 relative of a
+    30-digit reference at ``t/r`` in {-0.998, -0.5, 0.05, 0.9, 0.998}, the
+    ends of a family's t range included (largest measured: 5.1e-14 in
+    ``g``, 2.1e-13 in ``g'``).  The reference abscissa of ``phi`` is
+    ``integral_phi^{pi/2} D`` by mpmath's quadrature, and its ``phi`` one
+    Newton step at 30 digits from the closed form's own, which lands within
+    ~1e-25 of the root when it starts 1e-13 off."""
+    import mpmath
+
+    r, jet = _closed_form(p)
+    worst = 0.0
+    with mpmath.workdps(30):
+        d = _mp_dt_dphi(p)
+        for frac in (-0.998, -0.5, 0.05, 0.9, 0.998):
+            t = frac * r
+            g, gp, _ = jet(t)
+            phi = mpmath.asin(mpmath.mpf(g) / p.y0)
+            phi += (mpmath.quad(d, [phi, mpmath.pi / 2]) - abs(t)) / d(phi)
+            want_g = p.y0 * mpmath.sin(phi)
+            want_gp = -mpmath.sign(t) * p.y0 * mpmath.cos(phi) / d(phi)
+            worst = max(worst, float(abs(g - want_g) / want_g), float(abs(gp - want_gp) / abs(want_gp)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("p", [MinimalProfileParams(0.7, 1.0), MinimalProfileParams(100.0, 2.0),
+                               ConformalProfileParams(0.5, 1.3), ConformalProfileParams(100.0, 2.0)],
+                         ids=repr)
+def test_closed_form_gpp_is_the_odes(p):
+    """``g''`` from ``D' = dt_dphi_prime`` is the ODE's ``g''`` at the same
+    state, within 1e-14 relative, on both branches at the abscissae of 200
+    ``phi`` on [0.05, 1.5] (largest measured: 7.0e-16).  Near ``phi = 0.05``
+    the conformal abscissae lie within ~1e-14 of ``r``, which pins their
+    ``phi`` only to ~1e-2, or round to ``r`` itself, outside the domain, and
+    are left out: every case still reaches ``phi < 0.1``."""
+    r, jet = _closed_form(p)
+    phi = np.linspace(0.05, 1.5, 200)
+    t = r - _gauss(p.dt_dphi, phi)
+    t = t[t < r]
+    t = np.concatenate((-t, t))
+    g, gp, gpp = jet(t)
+    visited = np.arcsin(g / p.y0)
+    assert visited.min() < 0.1 and visited.max() > 1.49
+    assert np.max(np.abs(gpp - p.gpp(t, g, gp)) / np.abs(gpp)) <= 1e-14
+
+
+def test_closed_form_queries():
+    """An array query of any shape, here 300 abscissae over three chunks of
+    queries, gives arrays of its shape, each element with the bits of its
+    scalar call, which gives floats; the profile is even, ``t = 0`` reads
+    ``(y0, 0.0)`` exactly, and ``|t| >= r``, infinite or NaN raises
+    :class:`DomainError`, also from one element of an array."""
+    p = ConformalProfileParams(0.3, 0.9)
+    r, jet = _closed_form(p)
+    t = np.linspace(-0.999 * r, 0.999 * r, 300)
+    flat = jet(t)
+    grid = jet(t.reshape(20, 15))
+    assert all(a.shape == (20, 15) and a.tobytes() == b.tobytes() for a, b in zip(grid, flat))
+    for k, x in enumerate(t.tolist()):
+        one = jet(x)
+        assert all(type(v) is float for v in one)
+        assert one == tuple(float(a[k]) for a in flat), x
+    g, gp, gpp = jet(np.concatenate((-t, t)))
+    assert np.array_equal(g[:300], g[300:]) and np.array_equal(gp[:300], -gp[300:])
+    assert np.array_equal(gpp[:300], gpp[300:])
+    g0, gp0, _ = jet(0.0)
+    assert (g0, math.copysign(1.0, gp0), gp0) == (p.y0, 1.0, 0.0)
+    for bad in (r, -r, math.nextafter(r, 0.0) * 2.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="open interval"):
+            jet(bad)
+        with pytest.raises(DomainError, match="open interval"):
+            jet(np.array([0.0, bad]))
+    assert jet(math.nextafter(r, 0.0))[0] > 0.0
 
 
 # --- minimal profile -------------------------------------------------------

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from solsurf import (
+    ConformalProfileParams,
     DomainError,
     GridSpec,
     GrimReaperParams,
+    MinimalProfileParams,
     ParameterError,
     ProfileSolution,
     SolitonMode,
@@ -22,13 +24,16 @@ from solsurf import (
     make_horosphere,
     make_minimal_cylinder,
     make_vertical_plane,
+    minimal_halfwidth_quadrature,
     perturb_profile,
     residual_report,
     residual,
     sample_grid,
 )
 from solsurf import surface_factory
+from solsurf.profile_odes import _closed_form
 from solsurf.surface_factory import MARGIN
+from solsurf.verify import _CONFORMAL_HALFWIDTH
 
 GRID = GridSpec(21, 21)
 
@@ -92,20 +97,26 @@ def test_family_tags_and_params(minimal_cyl):
     assert minimal_cyl.params == {"c": 0.0, "y0": 1.0, "d": 0.0}
 
 
-def test_cylinder_t_range_covers_blowup_interval(minimal_cyl, minimal_sol):
-    """The profile's nodes end within 1e-3 of the collapse, and the t range
-    lies inside them."""
-    lo, hi = minimal_cyl.t_range
-    t, r = minimal_sol.t, minimal_sol.right_blowup_t
-    assert t[0] < lo < 0.0 < hi < t[-1] <= r <= t[-1] + 1e-3
+def test_cylinder_t_range_covers_blowup_interval(minimal_cyl, conformal_cyl):
+    """A collapsing family's t range is its collapse interval ``[-r, r]``
+    less MARGIN of its span per side, ``r`` the closed form's half-width,
+    within 2 ulp of the Beta-function value (minimal) and of the 40-digit
+    value (conformal, verify's reference)."""
+    for fam, p, want in ((minimal_cyl, MinimalProfileParams(0.0, 1.0),
+                          minimal_halfwidth_quadrature(0.0, 1.0)),
+                         (conformal_cyl, ConformalProfileParams(0.0, 1.0), _CONFORMAL_HALFWIDTH)):
+        r = _closed_form(p)[0]
+        hi = r * (1.0 - 2.0 * MARGIN)
+        assert fam.t_range == (-hi, hi)
+        assert abs(r - want) <= 2.0 * math.ulp(want)
 
 
-def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl, minimal_sol, reaper):
-    """Only a collapsing profile's node span loses MARGIN of it per side;
-    every family's grid samples its ranges, ends included."""
-    t = minimal_sol.t
-    pad = MARGIN * (float(t[-1]) - float(t[0]))
-    assert minimal_cyl.t_range == (float(t[0]) + pad, float(t[-1]) - pad)
+def test_grid_margin_applies_only_to_blowup_limited(minimal_cyl, reaper):
+    """Only a collapsing profile's span loses MARGIN of it per side; the
+    reaper's t range is its node span; every family's grid samples its
+    ranges, ends included."""
+    hi = _closed_form(MinimalProfileParams(0.0, 1.0))[0] * (1.0 - 2.0 * MARGIN)
+    assert minimal_cyl.t_range == (-hi, hi)
     t = integrate_grim_reaper(GrimReaperParams(lam=0.5), span=(-5.0, 5.0)).t
     assert reaper.t_range == (float(t[0]), float(t[-1]))
     for fam in (minimal_cyl, reaper, make_horosphere(1.0)):
@@ -198,9 +209,10 @@ def test_position_matches_jet(minimal_cyl):
     assert np.array_equal(minimal_cyl.position(0.3, 0.2), j[0])
 
 
-def test_profile_axis_is_one_call(minimal_cyl, reaper, monkeypatch):
+def test_profile_axis_is_one_call(reaper, monkeypatch):
     """sample_grid evaluates g, g' and g'' of a profile once each, on the
-    whole t axis."""
+    whole t axis: a stepped profile's three interpolant reads, and a
+    collapsing profile's one closed-form jet call."""
     calls = []
     for name in ("eval_g", "eval_gp", "eval_gpp"):
         method = getattr(ProfileSolution, name)
@@ -210,10 +222,21 @@ def test_profile_axis_is_one_call(minimal_cyl, reaper, monkeypatch):
             return method(sol, t)
 
         monkeypatch.setattr(ProfileSolution, name, counted)
-    for fam in (minimal_cyl, reaper, perturb_profile(reaper, 1e-2)):
+    for fam in (reaper, perturb_profile(reaper, 1e-2)):
         calls.clear()
         sample_grid(fam, GRID)
         assert sorted(calls) == [("eval_g", 21), ("eval_gp", 21), ("eval_gpp", 21)]
+    closed_form = surface_factory._closed_form
+
+    def counted_closed_form(params):
+        r, jet = closed_form(params)
+        return r, lambda t: calls.append(("jet", np.size(t))) or jet(t)
+
+    monkeypatch.setattr(surface_factory, "_closed_form", counted_closed_form)
+    for fam in (make_minimal_cylinder(0.0, 1.0), make_conformal_cylinder(0.0, 1.0)):
+        calls.clear()
+        sample_grid(fam, GRID)
+        assert calls == [("jet", 21)]
 
 
 def test_user_jet_errors_fail_their_own_nodes(grid_jet):
@@ -310,24 +333,30 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     assert all(slot.flags.c_contiguous for slot in (*aj, *bj))
 
 
-def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, minimal_sol, grid_jet):
-    """A t range that runs 0.5 past the profile fails just the t nodes
-    outside it, each with the profile's range message in plain floats; the
-    nodes kept carry the jets of ``fam.jet`` bit for bit."""
-    lo, hi = float(minimal_sol.t[0]), float(minimal_sol.t[-1])
-    fam = replace(minimal_cyl, t_range=(lo, hi + 0.5))
-    grid = GridSpec(3, 6)
-    s_axis, t_axis = grid_axes(fam, grid)
-    (s, t, j), failures = grid_jet(fam, grid)
-    reason = f"query outside the integrated range [{lo!r}, {hi!r}]"
-    assert failures == [(si, ti, reason) for si in s_axis.tolist() for ti in t_axis[4:].tolist()]
-    assert t_axis[3] < hi < t_axis[4]
-    assert s.tolist() == s_axis.tolist() and t.tolist() == t_axis[:4].tolist()
-    for a, si in enumerate(s.tolist()):
-        for b, ti in enumerate(t.tolist()):
-            want = fam.jet(si, ti)
-            for k in range(6):
-                assert np.array_equal(j[k][a, b], want[k]), (si, ti, k)
+def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, reaper, grid_jet):
+    """A t range that runs past the profile (0.5 past the minimal one, 5
+    past the reaper's) fails just the t nodes outside it, each with the
+    profile's range message in plain floats: the collapse interval's, open
+    at ``+-r``, or a stepped profile's node span.  The nodes kept carry the
+    jets of ``fam.jet`` bit for bit."""
+    r = _closed_form(MinimalProfileParams(0.0, 1.0))[0]
+    lo, hi = reaper.t_range
+    for fam, end, reason in (
+            (replace(minimal_cyl, t_range=(minimal_cyl.t_range[0], r + 0.5)), r,
+             f"query outside the profile's open interval (-{r!r}, {r!r})"),
+            (replace(reaper, t_range=(lo, hi + 5.0)), hi,
+             f"query outside the integrated range [{lo!r}, {hi!r}]")):
+        grid = GridSpec(3, 6)
+        s_axis, t_axis = grid_axes(fam, grid)
+        (s, t, j), failures = grid_jet(fam, grid)
+        assert failures == [(si, ti, reason) for si in s_axis.tolist() for ti in t_axis[4:].tolist()]
+        assert t_axis[3] < end < t_axis[4]
+        assert s.tolist() == s_axis.tolist() and t.tolist() == t_axis[:4].tolist()
+        for a, si in enumerate(s.tolist()):
+            for b, ti in enumerate(t.tolist()):
+                want = fam.jet(si, ti)
+                for k in range(6):
+                    assert np.array_equal(j[k][a, b], want[k]), (si, ti, k)
 
 
 def _generic_first_kind():

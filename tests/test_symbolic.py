@@ -10,13 +10,21 @@ nonzero polynomial in the jets.
 
 It also derives the limit verify's ``grim_reaper.linear`` row reads: the
 ``lambda^2`` term of the grim reaper's small-slope expansion tends to
-``1/(2k)``.
+``1/(2k)``; and the collapsing profiles' ``|dt/dphi|`` from their first
+integrals, whose derivative the closed form's ``g''`` reads.
 """
 import mpmath
+import numpy as np
 import pytest
 import sympy as sp
 
-from solsurf import SolitonMode, reduced_residual_first_kind, reduced_residual_second_kind
+from solsurf import (
+    ConformalProfileParams,
+    MinimalProfileParams,
+    SolitonMode,
+    reduced_residual_first_kind,
+    reduced_residual_second_kind,
+)
 
 s, t = sp.symbols("s t", real=True)
 f, g = sp.Function("f")(s), sp.Function("g")(t)
@@ -89,3 +97,34 @@ def test_reaper_small_slope_limit_is_one_over_2k():
         for kk in (mpmath.mpf(1), mpmath.mpf(3) / 10):
             limit = mpmath.quad(sp.lambdify(t, vp.subs(k, kk), "mpmath"), [0, 1, 5, mpmath.inf])
             assert abs(limit - 1 / (2 * kk)) <= mpmath.mpf(10) ** -25
+
+
+@pytest.mark.parametrize("cls", [MinimalProfileParams, ConformalProfileParams],
+                         ids=["minimal", "conformal"])
+def test_dt_dphi_prime_is_the_derivative_of_dt_dphi(cls):
+    """``D = |dt/dphi| = y0*cos(phi)/sqrt(F(y0*sin(phi)))`` from the first
+    integral ``g'^2 = F(g)`` (minimal ``m/g^4 - k``, conformal
+    ``C*e^{4/g}/g^4 - k``), differentiated by sympy and evaluated by mpmath
+    at 30 digits: at 30 ``phi`` on [0.05, 1.5] and three ``(slope, y0)``,
+    ``dt_dphi`` is ``D`` and ``dt_dphi_prime`` is ``dD/dphi`` within 1e-13
+    relative (largest measured: 3.6e-16 minimal, 4.5e-14 conformal, where
+    ``e^E`` of an ``E`` near 80 at ``phi = 0.05`` scales the rounding of
+    ``E``)."""
+    phi, y0, slope = sp.symbols("phi y0 slope", positive=True)
+    k = 1 / (slope ** 2 + 1)
+    g = y0 * sp.sin(phi)
+    if cls is MinimalProfileParams:
+        rhs = y0 ** 4 * k / g ** 4 - k
+    else:
+        rhs = y0 ** 4 * sp.exp(-4 / y0) * k * sp.exp(4 / g) / g ** 4 - k
+    d = y0 * sp.cos(phi) / sp.sqrt(rhs)
+    d_num, dp_num = (sp.lambdify((phi, y0, slope), e, "mpmath") for e in (d, d.diff(phi)))
+    worst = 0.0
+    with mpmath.workdps(30):
+        for a, h in ((0.0, 1.0), (3.0, 0.5), (100.0, 2.0)):
+            p = cls(a, h)
+            for x in np.linspace(0.05, 1.5, 30).tolist():
+                at = (mpmath.mpf(x), mpmath.mpf(h), mpmath.mpf(a))
+                for got, want in ((p.dt_dphi(x), d_num(*at)), (p.dt_dphi_prime(x), dp_num(*at))):
+                    worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst <= 1e-13
