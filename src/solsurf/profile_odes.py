@@ -13,38 +13,28 @@ Three initial value problems drive the curved families:
   ``g'^2 = C*e^{4/g}/g^4 - 1/(1+a^2)`` with ``C = y0^4*e^{-4/y0}/(1+a^2)``.
 
 The minimal and conformal profiles are even in ``t``, concave, and collapse
-(``g -> 0`` with ``|g'| -> inf``) at finite abscissae ``+-r``.  Integration
-runs outward from ``t = 0`` with the Dormand--Prince 5(4) pair, stepped the
-way scipy's RK45 steps it but on Python floats, where scipy's per-step
-array overhead on a 2-component state costs several times the arithmetic
-(:func:`_dopri54`).  Only the right branch of a collapsing profile is
-stepped: the left one is its mirror, the same bits the stepper gives toward
-``-t`` (:func:`_collapse_solution`).  A branch ends at its last node before
-a stop: the step that would take ``g`` down to ``EPS_G = 1e-6`` or ``|g'|``
-up to ``M_STOP = 1e6`` is discarded (the reaper has the height stop alone);
-both are fixed numerical policy, not parameters of a profile.  The rest of
-the abscissa, from that last node to the collapse, is recovered by
-quadrature of ``dt = -dg / sqrt(first integral)``, so it does not depend
-on where the branch ended: in ``phi``, with ``g = y0*sin(phi)``,
-the integrand is smooth from the collapse up to ``g = y0``, so a fixed
-40-node Gauss--Legendre rule (:func:`_gauss`) gives the blow-up abscissa
-quadrature accuracy (:func:`_blowup_tail`).  A solution derives it as
-``right_blowup_t``; ``left_blowup_t`` is its mirror.
+(``g -> 0`` with ``|g'| -> inf``) at finite abscissae ``+-r``.  Each is an
+exact curve in ``phi``, ``g = y0*sin(phi)`` at ``|t| = integral_phi^{pi/2}
+dt_dphi``, whose integrand is smooth from the collapse up to ``g = y0``:
+two fixed 40-node Gauss--Legendre panels (:class:`_Panels`) give ``r``,
+``|t|`` and the tail ``r - |t|``.  The minimal and conformal cylinders read
+the profile that way (:func:`_closed_form`), with ``g'`` and ``g''`` from
+``dt_dphi`` and its derivative; they step nothing.
 
-The grim reaper is not even, so both of its branches are stepped, on the
-state ``(g, w)`` with ``g' = lambda*e^w``.  In ``(g, g')`` its damping
-``-(k + 3*g'^2)*2*v/g^2`` grows with ``|v|/g^2`` even where the solution is
-flat, so the step is held by stability rather than accuracy; in ``(g, w)``
-the Jacobian's trace and determinant carry a factor ``g'``, which vanishes
-in the flat tails, so the equation is not stiff there (see
-:func:`integrate_grim_reaper`).
-
-The stepper returns each node's ``t``, ``g`` and ``g'``, and a status.
-Every branch steps by one rule: the error controller alone sizes each
-step, floored at 10 ulp of ``t``, with no cap.  Every stepped branch
-attempts at most ``MAX_BRANCH_STEPS`` steps; one that runs out ends like
-one whose step fell below its floor, and the solution's ``truncated`` is
-set.  A solution stores its nodes and ``truncated`` alone.
+What steps is ``profile --ode`` (all three ODEs), the grim-reaper family
+and verify's rows on stepped nodes, which judge the stepper: the
+Dormand--Prince 5(4) pair, stepped the way scipy's RK45 steps it but on
+Python floats, where scipy's per-step array overhead on a 2-component state
+costs several times the arithmetic (:func:`_dopri54`).  Only the right
+branch of a collapsing profile is stepped; the left one is its mirror
+(:func:`_collapse_solution`).  A branch ends at its last node before a
+stop: the step that would take ``g`` down to ``EPS_G = 1e-6`` or ``|g'|`` up
+to ``M_STOP = 1e6`` is discarded (the reaper has the height stop alone);
+both are fixed numerical policy, not parameters of a profile.  The blow-up
+abscissa is the last node's ``t`` plus its tail (:func:`_blowup_tail`), so
+it does not depend on where the branch ended.  The grim reaper is not even,
+so both of its branches are stepped, on the state ``(g, w)`` with
+``g' = lambda*e^w``, where it is not stiff (:func:`integrate_grim_reaper`).
 
 Between nodes a solution is read through one piecewise cubic Hermite
 interpolant of ``g`` and ``g'`` (:class:`_Hermite`), built from the nodal
@@ -52,15 +42,6 @@ values and the exact nodal slopes and summed in each interval's unit
 variable, so it stays finite on node gaps however short.  The interpolant
 and the quadrature are small numpy and float routines, so importing this
 module costs numpy alone.
-
-A collapsing profile is also an exact curve in ``phi``: ``g = y0*sin(phi)``
-at ``|t| = integral_phi^{pi/2} dt_dphi``.  The minimal and conformal
-cylinders read it that way (:func:`_closed_form`), at any ``t`` inside the
-collapse, with ``g'`` and ``g''`` from ``dt_dphi`` and its derivative; they
-step nothing.  What still steps: ``profile --ode`` (all three ODEs), the
-grim-reaper family, and verify's rows on stepped nodes (``first_integral``,
-``symmetry``, ``halfwidth`` and ``abscissa`` of both collapsing profiles,
-``determinism.profile`` and the reaper rows), which judge the stepper.
 """
 from __future__ import annotations
 
@@ -610,19 +591,61 @@ def _dopri54(rhs, ya, yb, t_bound, speed_stop, rtol, atol):
             return ts, gs, gps, 0
 
 
+_HALF_PI, _PHI_MID = 0.5 * math.pi, 0.25 * math.pi
+
+
+class _Panels:
+    """A collapsing profile's half-width ``r``, abscissa
+    ``|t| = integral_phi^{pi/2} D`` and tail ``r - |t|``, ``D = dt_dphi``,
+    ``g = y0*sin(phi)``.  Each is one 40-node rule (:func:`_gauss`) on the
+    panel that holds ``phi``: :meth:`top`, from ``phi`` up to ``pi/2``, at or
+    above ``phi_mid = pi/4``, else :meth:`collapse`, from 0 up to ``phi``.
+    ``r``, their sum at ``phi_mid``, is computed on first read, so a tail
+    below ``phi_mid`` is one rule alone.  No rule spans both the collapse,
+    where the conformal ``D`` is flat to all orders, and ``t = 0``: one rule
+    over ``[0, pi/2]`` puts the conformal ``r`` 4.5e-14 off at ``y0 = 2`` and
+    3.4e-12 at ``y0 = 10`` (3.6e-14 here), and ``g`` near the collapse 3.5e-12."""
+
+    def __init__(self, params: _CollapseParams) -> None:
+        self.d = params.dt_dphi
+
+    def top(self, phi):
+        return _gauss(lambda u: self.d(_HALF_PI - u), _HALF_PI - phi)
+
+    def collapse(self, phi):
+        return _gauss(self.d, phi)
+
+    @functools.cached_property
+    def r(self) -> float:
+        return self.collapse(_PHI_MID) + self.top(_PHI_MID)
+
+    def abscissa(self, phi, upper):
+        """``|t|`` at the 1-D array ``phi``, on the top panel where ``upper``."""
+        out = np.empty_like(phi)
+        out[upper] = self.top(phi[upper])
+        out[~upper] = self.r - self.collapse(phi[~upper])
+        return out
+
+    def tail(self, phi):
+        """``r - |t|`` at the array ``phi``, a float if it is 0-d."""
+        upper = phi >= _PHI_MID
+        out = np.empty_like(phi)
+        out[~upper] = self.collapse(phi[~upper])
+        if upper.any():
+            out[upper] = self.r - self.top(phi[upper])
+        return out if out.shape else float(out)
+
+
 def _blowup_tail(params, g_stop):
     """Remaining abscissa from the stopped state at height ``g_stop`` to the
-    collapse: ``integral_0^{g_stop} dg/|g'|`` over the first integral, by
-    quadrature in ``phi`` with ``g = y0*sin(phi)``.  In ``phi`` the integrand
-    (``params.dt_dphi``) is smooth up to ``g = y0``, where ``|g'|`` vanishes,
-    so the rule holds its accuracy however close to ``y0`` the stop lies; a
-    stop at or above ``y0`` is clamped to it.  ``g_stop`` is one height (a
-    float comes back) or an array of them, integrated in one batch with the
-    bits of the scalar calls (:func:`_gauss`); each upper limit is taken by
-    ``math.asin``, since ``np.arcsin`` can differ from it in the last bit."""
+    collapse, ``integral_0^{g_stop} dg/|g'|``: the tail of :class:`_Panels`
+    at ``phi = asin(g_stop/y0)`` by ``math.asin`` (``np.arcsin`` can differ
+    in the last bit), so it is accurate however close to ``y0`` the stop
+    lies; a stop above ``y0`` is clamped to it.  ``g_stop`` is one height
+    (a float comes back) or an array, with the bits of the scalar calls."""
     g_stop = np.asarray(g_stop, dtype=float)
     ends = [math.asin(min(1.0, g / params.y0)) for g in g_stop.ravel().tolist()]
-    return _gauss(params.dt_dphi, np.reshape(ends, g_stop.shape))
+    return _Panels(params).tail(np.reshape(ends, g_stop.shape))
 
 
 # The closed-form evaluator's seed table: the abscissa at this many equally
@@ -647,19 +670,13 @@ def _closed_form(params: _CollapseParams):
     function, which maps abscissae ``t`` with ``|t| < r`` to ``(g, g', g'')``
     (floats for a scalar ``t``, arrays of its shape for an array).
 
-    Along either branch ``g = y0*sin(phi)`` and, with ``D = dt_dphi``,
-    ``|t| = integral_phi^{pi/2} D``.  Each integral is one 40-node rule
-    (:func:`_gauss`) on a panel that ends at ``phi_mid = pi/4``: ``|t|`` is
-    the rule from ``phi`` up to ``pi/2`` where ``phi >= phi_mid``, else
-    ``r`` less the rule from 0 up to ``phi``, and ``r`` is the sum of the two
-    panels at ``phi_mid``.  So the rule never spans both the collapse, where
-    the conformal ``D`` is flat to all orders, and ``t = 0``: with one rule
-    over ``[0, pi/2]``, ``r`` at conformal ``y0 = 2`` is 4.5e-14 off, and
-    ``g`` near the collapse 3.5e-12.  Each query's ``phi`` solves for its
-    ``|t|`` by Newton's method, from a linear seed in its bracket of a
+    Along either branch ``g = y0*sin(phi)`` at the abscissa ``|t|`` of
+    :class:`_Panels`.  Each query's ``phi`` solves for its ``|t|`` by
+    Newton's method on one panel, the top one if ``|t|`` is at most the
+    abscissa at ``phi_mid``, from a linear seed in its bracket of a
     ``_SEED_NODES`` table, bisecting whenever a step would leave the
     bracket, until ``_NEWTON_TOL``; a query's iterates depend on it alone,
-    so each has the bits of its scalar call.  Then
+    so each has the bits of its scalar call.  Then, with ``D = dt_dphi``,
 
         g' = -sign(t)*y0*cos(phi)/D,
         g'' = -y0*(sin(phi)*D + cos(phi)*D')/D^3,
@@ -668,38 +685,23 @@ def _closed_form(params: _CollapseParams):
     the ODE's right-hand side, so a residual of this jet checks the ODE
     against its first integral.  A query with ``|t| >= r``, or NaN, raises
     :class:`DomainError`."""
-    dt_dphi, half_pi = params.dt_dphi, 0.5 * math.pi
-    phis = np.linspace(0.0, half_pi, _SEED_NODES)
-    mid = float(phis[_SEED_NODES // 2])
-
-    def from_top(phi):
-        return _gauss(lambda u: dt_dphi(half_pi - u), half_pi - phi)
-
-    def from_collapse(phi):
-        return _gauss(dt_dphi, phi)
-
-    top = from_top(mid)
-    r = from_collapse(mid) + top
+    panels = _Panels(params)
+    dt_dphi, r = params.dt_dphi, panels.r
     # |t| at the table's phi, increasing: phi runs down from pi/2 to 0
-    phis = phis[::-1]
-    ts = np.where(phis >= mid, from_top(phis), r - from_collapse(phis))
-
-    def abscissa(phi, upper):
-        out = np.empty_like(phi)
-        out[upper] = from_top(phi[upper])
-        out[~upper] = r - from_collapse(phi[~upper])
-        return out
+    phis = np.linspace(0.0, _HALF_PI, _SEED_NODES)[::-1]
+    ts = panels.abscissa(phis, phis >= _PHI_MID)
+    t_mid = ts[_SEED_NODES // 2]  # at phi_mid
 
     def root(at):
         """``phi`` at which ``|t|`` reaches each of ``at``, a 1-D array."""
-        upper = at <= top
+        upper = at <= t_mid
         j = np.searchsorted(ts, at, side="right")  # ts[0] = 0 <= at < r = ts[-1]
         lo, hi = phis[j], phis[j - 1]
         phi = hi + (at - ts[j - 1]) / (ts[j] - ts[j - 1]) * (lo - hi)
         done = np.zeros(at.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_STEPS):
-                excess = abscissa(phi, upper) - at  # d|t|/dphi = -D
+                excess = panels.abscissa(phi, upper) - at  # d|t|/dphi = -D
                 lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess < 0.0, phi, hi)
                 new = phi + excess / dt_dphi(phi)
                 new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
@@ -807,8 +809,7 @@ def integrate_grim_reaper(p: GrimReaperParams,
     solution, not the span: lam = 0.5 takes 396 nodes on -50:50, 399 on
     -1000:1000 and 405 on -1e6:1e6, and lam = 0 takes 15 on -50:50.  The
     tolerances (``rtol = 1e-12``, ``atol = 1e-13``) are tighter than the
-    collapsing profiles':
-    with fewer nodes, the Hermite interpolant's error in ``g`` at lam = 10
+    collapsing profiles': with fewer nodes, the Hermite interpolant's error in ``g`` at lam = 10
     on -40:40 is 4.6e-7 at ``rtol = 1e-10`` (325 nodes) and 1.3e-8 at these
     (746 nodes), against a DOP853 reference at rtol 1e-13.
 
@@ -858,8 +859,7 @@ def minimal_halfwidth_quadrature(c: float, y0: float) -> float:
 
 def conformal_halfwidth_quadrature(a: float, y0: float) -> float:
     """Collapse half-width of the conformal profile,
-    ``r = integral_0^{y0} dg / sqrt(C*e^{4/g}/g^4 - 1/(1+a^2))``, by
-    Gauss--Legendre quadrature in ``phi`` with ``g = y0*sin(phi)``, which
-    removes the endpoint singularity at ``g = y0``
-    (:meth:`ConformalProfileParams.dt_dphi`)."""
-    return _blowup_tail(ConformalProfileParams(a=a, y0=y0), y0)
+    ``r = integral_0^{y0} dg / sqrt(C*e^{4/g}/g^4 - 1/(1+a^2))``: the ``r``
+    of :class:`_Panels`, by quadrature in ``phi`` with ``g = y0*sin(phi)``,
+    which removes the endpoint singularity at ``g = y0``."""
+    return _Panels(ConformalProfileParams(a=a, y0=y0)).r

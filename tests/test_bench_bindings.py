@@ -107,3 +107,23 @@ def test_tracer_sees_the_profile_layers(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 1 2 True True", proc.stdout
+
+
+def test_profile_checker_sees_a_tail_1e_5_too_long(tmp_path):
+    """The benchmark's profile check judges a conformal profile's blow-up
+    abscissae against ``conformal_halfwidth_quadrature``, which reads the
+    half-width of ``profile_odes._Panels`` and never calls
+    ``profile_odes._blowup_tail``.  With that tail 1e-5 too long, as the
+    solution's ``left/right_blowup_t`` then are, both abscissae are
+    reported; had the reference been the same tail, the error would cancel."""
+    proc = _run_in_bench(
+        "import checks, workloads; from solsurf import profile_odes; "
+        "from solsurf.cli import main; tail = profile_odes._blowup_tail; "
+        "profile_odes._blowup_tail = lambda p, g: tail(p, g) + 1e-5; "
+        "cmd = workloads.profile_cmd('conformal', {'a': 0.5, 'y0': 1.3}); "
+        "out = sys.argv[3] + '/p'; code = main(cmd['argv'] + ['--out', out]); "
+        "print(code, sorted(p.split('=')[0] for p in checks.check_profile(cmd, out)[0]))",
+        str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 ['left_blowup_t', 'right_blowup_t']", proc.stdout

@@ -111,6 +111,25 @@ def test_conformal_halfwidth_matches_quad():
             assert abs(conformal_halfwidth_quadrature(a, y0) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("a, y0", [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.0, 10.0), (2.0, 0.3)])
+def test_conformal_halfwidth_matches_40_digits(a, y0):
+    """The conformal half-width within 1e-13 relative of
+    ``integral_0^{pi/2} dt_dphi`` by mpmath at 40 digits on the ``expm1``
+    form (:func:`_mp_dt_dphi`), in four panels (largest measured: 3.6e-14,
+    at y0 = 10).  One 40-node rule over ``[0, pi/2]`` is 1.5e-13 off at
+    y0 = 3 and 3.4e-12 at y0 = 10, where ``dt_dphi`` is flat to all orders
+    at the collapse.  The closed form's half-width, the tail from ``y0``
+    and the public function are one value, bit for bit."""
+    import mpmath
+
+    p = ConformalProfileParams(a, y0)
+    r = conformal_halfwidth_quadrature(a, y0)
+    with mpmath.workdps(40):
+        want = mpmath.quad(_mp_dt_dphi(p), mpmath.linspace(0, mpmath.pi / 2, 5))
+        assert abs(r - want) <= 1e-13 * want
+    assert _closed_form(p)[0] == _blowup_tail(p, p.y0) == r
+
+
 def _quad_tail(p, g_stop):
     """The blow-up tail as scipy's adaptive ``quad`` computed it, in ``g``."""
 
@@ -139,16 +158,24 @@ def test_blowup_tail_of_an_array_is_the_scalar_calls_bit_for_bit(integrate, p):
     """Tails of every node height of a branch, plus heights at and above
     ``y0`` (clamped to it), come out of one array call with the bits of
     one scalar call each; a scalar height still gives a plain float, with
-    the bits of the rule written out: ``math.asin`` for the upper limit
-    (``np.arcsin`` differs in the last bit at some of these heights) and
-    one 40-term weighted sum."""
+    the bits of the rule written out: ``phi = math.asin(g/y0)`` for the
+    limit (``np.arcsin`` differs in the last bit at some of these heights),
+    then below ``phi = pi/4`` one 40-term weighted sum over ``[0, phi]``,
+    and above it the half-width less one over ``[phi, pi/2]``."""
     heights = np.concatenate((integrate(p).g, [p.y0, 1.5 * p.y0]))
     tails = _blowup_tail(p, heights)
     scalars = [_blowup_tail(p, g) for g in heights.tolist()]
     assert all(type(x) is float for x in scalars)
+    r = _closed_form(p)[0]
     for g, tail in zip(heights.tolist(), scalars):
-        half = 0.5 * math.asin(min(1.0, g / p.y0))
-        assert tail == half * float((p.dt_dphi(half * (_GL_X + 1.0)) * _GL_W).sum()), g
+        phi = math.asin(min(1.0, g / p.y0))
+        if phi < 0.25 * math.pi:
+            half = 0.5 * phi
+            assert tail == half * float((p.dt_dphi(half * (_GL_X + 1.0)) * _GL_W).sum()), g
+        else:
+            half = 0.5 * (0.5 * math.pi - phi)
+            top = half * float((p.dt_dphi(0.5 * math.pi - half * (_GL_X + 1.0)) * _GL_W).sum())
+            assert tail == r - top, g
     assert tails.shape == heights.shape and tails.tobytes() == np.array(scalars).tobytes()
     assert tails[-1] == tails[-2] == _blowup_tail(p, p.y0)
 
