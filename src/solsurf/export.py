@@ -185,9 +185,9 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     Vertices are row-major over (s, t) — the node (i, j) is OBJ index
     ``i*nt + j + 1`` — and each grid cell is split into the two triangles
     ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.
-    The surface jet is built one block of ``s`` rows at a time, as a
-    residual sweep builds it, and the vertex text of each block is written
-    before the next is built; the faces follow, in the same blocks of cell
+    The surface points alone, no jet, are formed in a residual sweep's
+    blocks of ``s`` rows, and the vertex text of each block is written
+    before the next is formed; the faces follow, in the same blocks of cell
     rows.  Raises :class:`DomainError`, before the file is opened, if any
     node fails; a block that raises once the file is open removes it.
     Returns (vertex_count, face_count).
@@ -205,8 +205,8 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
     try:
         with _open_w(path) as fh:
-            blocks = [rows for rows, _ in _row_blocks(alpha, beta, lambda j: fh.write(
-                _rows(f"v {_NUM} {_NUM} {_NUM}\n", j[0].reshape(-1, 3))))]
+            blocks = [rows for rows, _ in _row_blocks(alpha, beta, lambda X: fh.write(
+                _rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3))))]
             for rows in blocks:
                 i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
                 fh.write(_rows("f %d %d %d\n", (cells + nt * i).reshape(-1, 3)))

@@ -51,9 +51,14 @@ def residual(mode: SolitonMode, j: np.ndarray):
     """Evaluate one soliton residual at every point of a surface jet, a
     ``(6, ..., 3)`` slot array: a float for a single point's ``(6, 3)`` jet,
     an array of the grid shape for a grid jet."""
-    mode = SolitonMode(mode)
-    H, (N1, N2, N3) = _curvature(j)
-    X1, X2, X3 = j[0, ..., 0], j[0, ..., 1], j[0, ..., 2]
+    return _residual_of(SolitonMode(mode), j[0], *_curvature(j))
+
+
+def _residual_of(mode: SolitonMode, X: np.ndarray, H, N):
+    """The residual of ``mode`` from points ``X``, ``(..., 3)``, and the mean
+    curvature ``H`` and normal components ``N`` that broadcast against them."""
+    N1, N2, N3 = N
+    X1, X2, X3 = X[..., 0], X[..., 1], X[..., 2]
     if mode is SolitonMode.MINIMAL:
         return X3 * H + N3
     if mode is SolitonMode.TRANSLATOR:
@@ -134,9 +139,9 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     and ``t_range``, and collect the values.
 
     The factor curves are evaluated once per axis by :func:`sample_grid`;
-    the surface jet and its residual are then formed one block of ``s``
-    rows at a time, each block's residuals written into the whole
-    ``samples`` table, so no jet of the whole grid is ever held.  A node
+    the residual is then formed one block of ``s`` rows at a time, with
+    one curvature per run of translated rows (:func:`_row_blocks`), into
+    the whole ``samples`` table; no jet of the whole grid is held.  A node
     whose residual is not finite (its fundamental forms overflow, or its
     jet is collapsed, so its normal is NaN) fails with that reason, beside
     the nodes :func:`sample_grid` fails; ``failures`` stays row-major.
@@ -153,7 +158,8 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     arr[..., 0], arr[..., 1] = s[:, None], t
     r = arr[..., 2]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # they fail below
-        for rows, values in _row_blocks(alpha, beta, lambda j: residual(mode, j)):
+        for rows, values in _row_blocks(
+                alpha, beta, lambda X, H, N: _residual_of(mode, X, H, N), curvature=True):
             r[rows] = values
     finite = np.isfinite(r)
     if finite.all():

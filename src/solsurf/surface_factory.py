@@ -6,8 +6,8 @@ and its parameter dict.  A second-kind family is ``X = (s, f(s), t)``: a
 shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
-error).  A sweep then builds the surface jet one block of ``s`` rows at a
-time, about ``BLOCK_NODES`` nodes each, never for the whole grid at once.
+error).  A sweep then forms the surface one block of ``s`` rows at a time,
+about ``BLOCK_NODES`` nodes each, and its curvature once per run of rows.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -28,6 +28,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .lie_halfspace import _mul
 from .profile_odes import (
     MAX_BRANCH_STEPS,
     ConformalProfileParams,
@@ -40,7 +41,9 @@ from .profile_odes import (
     integrate_grim_reaper,
 )
 from .surface_jets import (
+    _curvature,
     _horospherical as _horospherical_curve,
+    _positions,
     _require_triples,
     _vertical,
     product_surface_jet,
@@ -62,15 +65,15 @@ __all__ = [
 ]
 
 
-# In process on a 2-core x86 host (Intel Xeon), a 1001x1001 residual sweep
-# with its CSV and summary takes 0.17-0.25 s for the minimal cylinder and
-# 0.73-0.75 s for a generic first-kind family with curved f, where no s row
-# of residuals repeats the one before it, at a peak RSS of 64 MB either way,
+# In process on a 2-core x86 host (Intel Xeon, numpy 2.4), a 1001x1001
+# residual sweep with its CSV and summary takes 0.12-0.15 s for the minimal
+# cylinder (curvature on one row per block) and 0.76-0.88 s for a generic
+# first-kind family with curved f (on every row), at a peak RSS of 61-62 MB,
 # 24 MB of it the samples table; a 1001x1001 minimal-cylinder mesh takes
-# 2.1-3.2 s at 34 MB.  The cap (1024x1024) keeps every grid near that,
+# 2.5-2.8 s at 33 MB.  The cap (1024x1024) keeps every grid near that,
 # instead of letting a typo allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
-# Nodes of the surface jet a sweep builds at once: a block of whole s rows,
+# Nodes a sweep forms at once: a block of whole s rows,
 # at least one, 40 rows at nt = 201.  A block's jet and residual temporaries
 # stay in the CPU caches: at 1001x1001, residuals over blocks of 8 rows took
 # 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
@@ -407,8 +410,8 @@ def sample_grid(
     ``t`` are the axis nodes that are left, ``alpha`` the ``(3, len(s), 1,
     3)`` and ``beta`` the ``(3, len(t), 3)`` curve jets on them.  No surface
     jet is built here: the product of ``alpha`` and ``beta`` is the ``(6,
-    len(s), len(t), 3)`` jet of the whole grid, and a sweep builds it a
-    block of rows at a time instead (:func:`_row_blocks`).  The jet of a
+    len(s), len(t), 3)`` jet of the whole grid, and a sweep forms what it
+    needs of it a block of rows at a time (:func:`_row_blocks`).  The jet of a
     node that is left can still give a residual that is not finite (its
     fundamental forms overflow, or it is collapsed, so its normal is NaN);
     :func:`~solsurf.soliton_residuals.residual_report` fails those nodes.
@@ -435,22 +438,47 @@ def sample_grid(
     return (s_axis[~s_bad], t_axis[~t_bad], alpha, beta), failures
 
 
-def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[[np.ndarray], object]):
-    """``f`` of the surface jet of :func:`sample_grid`'s axis jets, one block
-    of ``s`` rows at a time: yields ``(rows, f(jet))``, ``rows`` a slice of
-    the ``s`` nodes in order and ``jet`` the ``(6, len(rows), nt, 3)`` jet
-    ``product_surface_jet(alpha[:, rows], beta)``.  A block holds
-    ``BLOCK_NODES // max(1, nt)`` rows, at least one, so an empty ``t`` axis
-    gives empty blocks.  Every slot is formed node by node, so each block
-    has the bits of the same rows of a whole-grid jet.  Each block's jet is
-    dropped before the next is built, so only one is ever held."""
+def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object],
+                curvature: bool = False):
+    """``f`` of the surface of :func:`sample_grid`'s axis jets, one block of
+    ``BLOCK_NODES // max(1, nt)`` ``s`` rows at a time (at least one): yields
+    ``(rows, f(X))``, ``rows`` a slice of the ``s`` nodes in order and ``X``
+    their points ``alpha[0, rows] * beta[0]``, or with ``curvature`` ``(rows,
+    f(X, H, N))``, ``H`` the mean curvature and ``N`` the normal's components.
+    ``H`` and ``N`` read a row of ``alpha`` only through ``a3``, ``alpha'``
+    and ``alpha''``: consecutive rows whose 7 numbers have the same bits are
+    horizontal translates with the same ``H`` and ``N``, a run.  They are
+    formed on the first row of each run that touches a block and reach the
+    run's rows by broadcasting or indexing; a block whose every row is a run
+    reads ``X`` from the jet of all its rows.  Every value has the bits of a
+    whole-grid jet's, and one block's arrays are held at a time."""
     ns, step = alpha.shape[1], max(1, BLOCK_NODES // max(1, beta.shape[1]))
+    key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1)
+    starts = np.ones(ns, dtype=bool)
+    starts[1:] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
     for lo in range(0, ns, step):
         rows = slice(lo, min(lo + step, ns))
+        heads = starts[rows].copy()
+        heads[0] = True  # a block's first row heads the run it continues
         # a slot product may overflow to inf; a node whose residual is then
         # not finite fails in residual_report, as a collapsed one does
         with np.errstate(over="ignore"):
-            jet = product_surface_jet(alpha[:, rows], beta)
-        out = f(jet)
-        del jet
+            if not curvature:
+                X = _positions(alpha[0, rows], beta[0])
+            elif heads.all():
+                jet = product_surface_jet(alpha[:, rows], beta)
+                X = jet[0]
+            else:  # a3, and so X3 = a3*b3 + a3*0.0, is a head's, checked in its jet
+                jet = product_surface_jet(alpha[:, lo + np.flatnonzero(heads)], beta)
+                X = _mul(alpha[0, rows], beta[0])
+        if curvature:
+            H, N = _curvature(jet)
+            if 1 < len(H) < len(heads):
+                run = np.cumsum(heads) - 1
+                H, N = H[run], tuple(c[run] for c in N)
+            out = f(X, H, N)
+            del jet, H, N
+        else:
+            out = f(X)
+        del X
         yield rows, out

@@ -121,12 +121,14 @@ def _vertical(y, z) -> np.ndarray:
     return _curve((0.0, 0.0, 0.0), y, z)
 
 
-def _checked(j: np.ndarray) -> np.ndarray:
-    """``j``, a fresh surface jet, made read-only once every point is above
-    the boundary; a collapsed one passes, and its normal is NaN."""
-    _require_positive(j[0, ..., 2], "surface point has non-positive height {!r}")
-    j.setflags(write=False)
-    return j
+def _positions(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Slot ``X = alpha * beta`` of :func:`product_surface_jet` from the value
+    slots of its curve jets; both curves' heights and every point's must be positive."""
+    _require_positive(a[..., 2:], "alpha height must be positive, got {!r}")
+    _require_positive(b[..., 2], "beta height must be positive, got {!r}")
+    X = _mul(a, b, out=out)
+    _require_positive(X[..., 2], "surface point has non-positive height {!r}")
+    return X
 
 
 def first_kind_jet(fj, gj, s, t) -> np.ndarray:
@@ -171,22 +173,21 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     with ``alpha``, ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as
     ``q``.  The curve slots broadcast against each other, so ``(3, n, 3)``
     curve jets give ``n`` points and ``(3, ns, 1, 3)`` times ``(3, nt, 3)``
-    the grid.  Both curve heights must be positive.  Each slot is written
-    in place into one fresh ``(6, ..., 3)`` array, the jet.
+    the grid.  Both curve heights and every point's must be positive.  Each
+    slot is written in place into one fresh ``(6, ..., 3)`` array, the jet.
     """
     a, a1, a2 = aj
     b, b1, b2 = bj
     a3, a3_1 = a[..., 2:], a1[..., 2:]
-    _require_positive(a3, "alpha height must be positive, got {!r}")
-    _require_positive(b[..., 2], "beta height must be positive, got {!r}")
     j = np.empty((6,) + np.broadcast_shapes(a.shape, b.shape))
-    _mul(a, b, out=j[0])
+    _positions(a, b, out=j[0])
     _mul(a1, b, out=j[1])
     np.multiply(a3, b1, out=j[2])
     _mul(a2, b, out=j[3])
     np.multiply(a3_1, b1, out=j[4])
     np.multiply(a3, b2, out=j[5])
-    return _checked(j)
+    j.setflags(write=False)
+    return j
 
 
 def unit_normal(j: np.ndarray) -> np.ndarray:
@@ -295,5 +296,7 @@ def finite_difference_jet(
         (Xen - Xeo - Xwn + Xwo) / (4.0 * h * h),
         (Xn - 2.0 * X + Xo) / (h * h),
     ])
-    return _checked(j.reshape((6,) + shape + (3,)))
+    j = j.reshape((6,) + shape + (3,))  # X is checked above the boundary by ev
+    j.setflags(write=False)
+    return j
 

@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import soliton_residuals
 from .errors import ParameterError
 from .lie_halfspace import (
     IDENTITY,
@@ -188,8 +189,9 @@ def _check_group_laws() -> Measurement:
 def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     """Worst ``|residual(mode, j) - offset|`` over ``(family, ((mode, offset),
     ...))`` cases, ``j`` the family's jet on ``grid``, taken over the row
-    blocks a sweep builds (the max of the blocks' maxima is the grid's, bit
-    for bit, NaN included).  A failed node voids the sweep: the defect is
+    blocks a sweep forms, one curvature serving every mode (the max of the
+    blocks' maxima is the grid's, bit for bit, NaN included).  A failed node
+    voids the sweep: the defect is
     NaN and the detail names the first failure.  An infinite residual fails
     the same way, since inf would pass a ``>`` row."""
     defects = []
@@ -198,8 +200,9 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
         if failures:
             return math.nan, (f"{fam.name} {fam.params}: {len(failures)} failures, "
                               f"first (s, t, reason): {failures[0]}")
-        for _, maxima in _row_blocks(alpha, beta, lambda j: [
-                np.max(np.abs(residual(mode, j) - offset)) for mode, offset in terms]):
+        for _, maxima in _row_blocks(alpha, beta, lambda X, H, N: [
+                np.max(np.abs(soliton_residuals._residual_of(mode, X, H, N) - offset))
+                for mode, offset in terms], curvature=True):
             defects += maxima
         if math.inf in defects:
             return math.nan, f"{fam.name} {fam.params}: a residual is infinite"

@@ -14,6 +14,7 @@ from solsurf import (
     sample_grid,
 )
 from solsurf.surface_factory import _row_blocks
+from solsurf.surface_jets import product_surface_jet
 
 
 @pytest.fixture(scope="session")
@@ -59,12 +60,14 @@ def rotated():
 def grid_jet():
     """``grid_jet(fam, grid)``: ``((s, t, jet), failures)``, where ``s``,
     ``t`` and ``failures`` are :func:`sample_grid`'s and ``jet`` is the
-    ``(6, len(s), len(t), 3)`` surface jet of the grid it keeps, joined
-    along ``s`` from the row blocks a sweep builds."""
+    ``(6, len(s), len(t), 3)`` surface jet of the grid it keeps, whose
+    points are those the row blocks of a sweep form, bit for bit."""
 
     def sampled(fam, grid: GridSpec):
         (s, t, alpha, beta), failures = sample_grid(fam, grid)
-        j = np.concatenate([jet for _, jet in _row_blocks(alpha, beta, lambda j: j)], axis=1)
+        j = product_surface_jet(alpha, beta)
+        X = np.concatenate([X for _, X in _row_blocks(alpha, beta, lambda X: X)])
+        assert X.tobytes() == j[0].tobytes()
         return (s, t, j), failures
 
     return sampled

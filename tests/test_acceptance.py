@@ -135,15 +135,14 @@ def test_run_checks_judges_each_defect(monkeypatch):
 def test_nan_residual_at_one_node_fails_its_rows(monkeypatch):
     """A residual that is NaN at a single node fails every row that reads a
     residual, whichever way the row is judged, and no other row."""
-    clean = soliton_residuals.residual
+    clean = soliton_residuals._residual_of
 
-    def one_nan(mode, j):
-        out = np.array(clean(mode, j), dtype=float)
+    def one_nan(mode, X, H, N):
+        out = np.array(clean(mode, X, H, N), dtype=float)
         out.flat[out.size // 2] = math.nan
         return out
 
-    monkeypatch.setattr(verify, "residual", one_nan)
-    monkeypatch.setattr(soliton_residuals, "residual", one_nan)
+    monkeypatch.setattr(soliton_residuals, "_residual_of", one_nan)
     results = run_checks().results
     failed = {r.name for r in results if not r.passed}
     assert failed == {
@@ -200,14 +199,14 @@ def test_a_grid_whose_every_node_fails_fails_its_row_alone(monkeypatch, capsys):
 def test_infinite_residual_fails_every_grid_row(monkeypatch):
     """A residual that overflows to inf at one node fails every grid row as
     NaN: inf would pass the ">" rows."""
-    clean = verify.residual
+    clean = soliton_residuals._residual_of
 
-    def one_inf(mode, j):
-        out = np.array(clean(mode, j), dtype=float)
+    def one_inf(mode, X, H, N):
+        out = np.array(clean(mode, X, H, N), dtype=float)
         out.flat[out.size // 2] = math.inf
         return out
 
-    monkeypatch.setattr(verify, "residual", one_inf)
+    monkeypatch.setattr(soliton_residuals, "_residual_of", one_inf)
     for r in _grid_results():
         assert not r.passed and math.isnan(r.defect) and "residual is infinite" in r.detail, r
 

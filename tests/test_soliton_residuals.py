@@ -1,4 +1,5 @@
 """The three residual equations, their reduced forms, and grid reports."""
+import bisect
 import dataclasses
 import math
 import tempfile
@@ -297,12 +298,12 @@ def test_masked_report_rows_are_sorted_and_written_per_row(ns, nt, keep):
     nodes, sorted by (s, t), and the CSV holds exactly those rows."""
     keep = np.array(keep[: ns * nt]).reshape(ns, nt)
     fam = make_generic_first_kind(_f1, _g1, (-1.5, 2.0), (-0.75, 1.25))
-    computed = soliton_residuals.residual
+    computed = soliton_residuals._residual_of
 
-    def masked(mode, j):
-        return np.where(keep, computed(mode, j), np.nan)
+    def masked(mode, X, H, N):
+        return np.where(keep, computed(mode, X, H, N), np.nan)
 
-    with mock.patch.object(soliton_residuals, "residual", masked):
+    with mock.patch.object(soliton_residuals, "_residual_of", masked):
         if not keep.any():
             with pytest.raises(DomainError, match="has a finite residual"):
                 residual_report(fam, TRANSLATOR, GridSpec(ns, nt))
@@ -600,6 +601,81 @@ def test_block_seams_keep_the_bits(mode, tmp_path):
     write_residual_summary(tmp_path / "blocked.txt", rep)
     write_residual_summary(tmp_path / "whole.txt", ref)
     assert (tmp_path / "blocked.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+
+
+# The runs family: f is piecewise linear, so its s rows come in runs that
+# share (a3, alpha', alpha''), on the seam grid.  By original s row: slope
+# 0.5 on 0-24, -0.0 on 25-59 (across the first block boundary), 0.0 on 60-69
+# (a run of its own by the sign bit alone), 2.0 on 70-80 and -1.25 on 81-122;
+# f raises at row 50, so original row 81 is kept row 80, a block boundary.
+_RUN_STARTS, _RUN_SLOPES = (0, 25, 60, 70, 81), (0.5, -0.0, 0.0, 2.0, -1.25)
+
+
+def _runs_family():
+    s_axis = np.linspace(*_SEAM_S, _SEAM_GRID.ns)
+    starts = [float(s_axis[i]) for i in _RUN_STARTS]
+    s_bad = float(s_axis[50])
+
+    def f(s):
+        if s == s_bad:
+            raise DomainError(f"no f at {s!r}")
+        slope = _RUN_SLOPES[bisect.bisect_right(starts, s) - 1]
+        return slope * s, slope, 0.0
+
+    return make_generic_first_kind(f, _g1, _SEAM_S, _SEAM_T)
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
+    """Rows whose curvature is formed once per run give the samples,
+    failures, CSV and summary of one whole-grid jet: runs end inside a block
+    and on its boundary, cross one, split at ``-0.0``/``0.0``, and lose a
+    failed s node.  Curvature is formed on the first row of each run that
+    touches a block: 2, 3, 1 and 1 rows in the blocks of 40, 40, 40 and 2."""
+    fam = _runs_family()
+    formed = []
+    curvature = surface_factory._curvature
+
+    def counted(j):
+        formed.append(j.shape[1])
+        return curvature(j)
+
+    monkeypatch.setattr(surface_factory, "_curvature", counted)
+    rep, ref = residual_report(fam, mode, _SEAM_GRID), _whole_grid_report(fam, mode, _SEAM_GRID)
+    assert len(rep.failures) == _SEAM_GRID.nt and rep.failures == ref.failures
+    assert rep.samples.tobytes() == ref.samples.tobytes()
+    for name, report in (("runs", rep), ("whole", ref)):
+        write_residual_csv(tmp_path / f"{name}.csv", report)
+        write_residual_summary(tmp_path / f"{name}.txt", report)
+    for ext in ("csv", "txt"):
+        assert (tmp_path / f"runs.{ext}").read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
+    assert formed == [2, 3, 1, 1]
+
+
+def test_curvature_is_formed_once_per_run_in_each_block(monkeypatch):
+    """A 201x201 sweep of the minimal cylinder, whose f is linear, forms
+    curvature on one row of each block of 40 rows; a curved-f family forms
+    it on every row.  verify's grid rows form it once per block for all
+    their modes."""
+    formed = []
+    curvature = surface_factory._curvature
+
+    def counted(j):
+        formed.append(j.shape[1])
+        return curvature(j)
+
+    monkeypatch.setattr(surface_factory, "_curvature", counted)
+    grid = GridSpec(201, 201)
+    residual_report(make_minimal_cylinder(1.2, 1.1), MINIMAL, grid)
+    assert formed == [1] * 6
+    formed.clear()
+    residual_report(make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5)), MINIMAL, grid)
+    assert formed == [40] * 5 + [1]
+    formed.clear()
+    terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
+    assert verify._residual_defect([(make_horosphere(1.0), terms)], GridSpec(101, 101), "x") \
+        == (0.0, "x")
+    assert formed == [1, 1]  # blocks of 81 and 20 rows
 
 
 def test_mesh_block_seams_keep_the_bits(tmp_path):
