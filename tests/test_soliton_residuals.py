@@ -495,12 +495,16 @@ def test_residual_report_peak_memory():
     """A report holds its whole output, the samples table (3 grid-sized
     float arrays) and its finite mask, and one block at a time: the block's
     jet (18 block-sized arrays) and the residual's temporaries.  At both
-    grids it peaks below 3.5 grid arrays plus 32 block arrays."""
-    fam = make_minimal_cylinder(1.2, 1.1)
-    for grid in _MEMORY_GRIDS:
-        whole, block = _array_bytes(grid)
-        peak = _traced_peak(lambda: residual_report(fam, MINIMAL, grid))
-        assert peak <= 3.5 * whole + 32 * block, (grid, peak / whole, peak / block)
+    grids it peaks below 3.5 grid arrays plus 32 block arrays, for the
+    minimal cylinder, whose linear f gives a jet of one row per block, and
+    for a curved f, whose every row heads a run, so each jet is a whole
+    block's."""
+    curved = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
+    for fam in (make_minimal_cylinder(1.2, 1.1), curved):
+        for grid in _MEMORY_GRIDS:
+            whole, block = _array_bytes(grid)
+            peak = _traced_peak(lambda: residual_report(fam, MINIMAL, grid))
+            assert peak <= 3.5 * whole + 32 * block, (fam.name, grid, peak / whole, peak / block)
 
 
 def test_sample_grid_peak_memory():

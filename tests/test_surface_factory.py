@@ -308,29 +308,39 @@ def test_an_axis_that_fails_everywhere_comes_back_empty():
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, the kept nodes of each axis come out of
     ``sample_grid`` as C-contiguous ``(3, ..., 3)`` curve jets, and each
-    row block reaches ``product_surface_jet`` with C-contiguous slots:
-    masking the middle axis of a ``(3, n, 3)`` array with ``rows[:, ~bad]``
-    would give strided slots that slow every slot formula."""
+    row block reaches ``product_surface_jet`` and ``_positions`` with
+    C-contiguous slots: masking the middle axis of a ``(3, n, 3)`` array with
+    ``rows[:, ~bad]`` would give strided slots that slow every slot formula.
+    A linear f is one run, so the block's points take the sliced path
+    through ``_positions`` and its jet is of the first row; a curved f makes
+    each row its own run, so its jet is of every row and holds the points."""
     seen = []
-    build = surface_factory.product_surface_jet
 
-    def recorded(aj, bj):
-        seen.append((aj, bj))
-        return build(aj, bj)
+    def recorded(build):
+        def call(aj, bj):
+            seen.append((build.__name__, aj, bj))
+            return build(aj, bj)
+        return call
 
-    monkeypatch.setattr(surface_factory, "product_surface_jet", recorded)
-    fam = make_generic_first_kind(lambda s: (0.1 * s, 0.1, 0.0),
-                                  lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
-    (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 5))
-    assert [ti for _, ti, _ in failures] == [0.0] * 3 and t.tolist() == [0.25, 0.5, 0.75, 1.0]
-    assert seen == []  # sampling builds no surface jet
-    assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 4, 3)
-    assert alpha.dtype == beta.dtype == np.float64
-    assert alpha.flags.c_contiguous and beta.flags.c_contiguous
-    list(surface_factory._row_blocks(alpha, beta, lambda X, H, N: X, curvature=True))
-    (aj, bj), = seen  # f is linear: one run, whose first row gives the curvature
-    assert aj.shape == (3, 1, 1, 3) and bj.shape == (3, 4, 3)
-    assert all(slot.flags.c_contiguous for slot in (*aj, *bj))
+    for name in ("product_surface_jet", "_positions"):
+        monkeypatch.setattr(surface_factory, name, recorded(getattr(surface_factory, name)))
+    for f, calls in (
+            (lambda s: (0.1 * s, 0.1, 0.0),
+             [("product_surface_jet", (3, 1, 1, 3)), ("_positions", (3, 1, 3))]),
+            (lambda s: (s * s, 2.0 * s, 2.0), [("product_surface_jet", (3, 3, 1, 3))])):
+        seen.clear()
+        fam = make_generic_first_kind(f, lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
+        (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 5))
+        assert [ti for _, ti, _ in failures] == [0.0] * 3 and t.tolist() == [0.25, 0.5, 0.75, 1.0]
+        assert seen == []  # sampling builds no surface jet
+        assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 4, 3)
+        assert alpha.dtype == beta.dtype == np.float64
+        assert alpha.flags.c_contiguous and beta.flags.c_contiguous
+        list(surface_factory._row_blocks(alpha, beta, lambda X, H, N: X, curvature=True))
+        assert [(name, aj.shape) for name, aj, _ in seen] == calls
+        for name, aj, bj in seen:
+            slots = (*aj, *bj) if name == "product_surface_jet" else (aj, bj)
+            assert all(slot.flags.c_contiguous for slot in slots), name
 
 
 def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, reaper, grid_jet):
