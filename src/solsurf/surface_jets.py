@@ -31,13 +31,15 @@ products of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
 Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 ``n = <Xst, N>``, so
 
-    H = (l*G - 2*n*F + E*m) / (2*(E*G - F^2)).
+    H = (l*G - 2*n*F + E*m) / (2*|Xs x Xt|^2),
 
-The mean curvature of the rescaled (hyperbolic) metric is ``X3*H + N3``,
-which is ``residual("minimal", j)`` in :mod:`solsurf.soliton_residuals`.
-The immersion test lives in the normal, which forms ``Xs x Xt`` once: at a
-collapsed point, ``|Xs x Xt| <= 1e-300``, the normal, ``H`` and every
-residual are NaN, so a sweep fails that node like any other non-finite one.
+where ``|Xs x Xt|^2 = E*G - F^2`` (Lagrange's identity) is a sum of squares
+that does not cancel at steep shear.  The mean curvature of the rescaled
+(hyperbolic) metric is ``X3*H + N3``, which is ``residual("minimal", j)`` in
+:mod:`solsurf.soliton_residuals`.  The immersion test lives in the normal,
+which forms ``Xs x Xt`` and its square once: at a collapsed point,
+``|Xs x Xt| <= 1e-300``, the normal, ``H`` and every residual are NaN, so a
+sweep fails that node like any other non-finite one.
 """
 from __future__ import annotations
 
@@ -85,12 +87,13 @@ def _cross(a, b):
 
 
 def _normal(j: np.ndarray):
-    """Components of the unit normal ``Xs x Xt / |Xs x Xt|``, NaN at a
-    collapsed point (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
+    """Components of the unit normal ``Xs x Xt / |Xs x Xt|`` and ``|Xs x Xt|^2``;
+    NaN components at a collapsed point (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
     c = _cross(_xyz(j[1]), _xyz(j[2]))
-    w = np.sqrt(_dot(c, c))
+    cc = _dot(c, c)
+    w = np.sqrt(cc)
     w = np.where(w > _DEGENERACY_THRESHOLD, w, np.nan)
-    return tuple(ck / w for ck in c)
+    return tuple(ck / w for ck in c), cc
 
 
 def _require_triples(jets) -> None:
@@ -193,11 +196,11 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
 def unit_normal(j: np.ndarray) -> np.ndarray:
     """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape;
     NaN at a collapsed point."""
-    return _stack(*_normal(j))
+    return _stack(*_normal(j)[0])
 
 
 def mean_curvature(j: np.ndarray):
-    """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*(E*G - F^2))``,
+    """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*|Xs x Xt|^2)``,
     with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``; NaN
     at a collapsed point."""
     return _curvature(j)[0]
@@ -208,10 +211,10 @@ def _curvature(j: np.ndarray):
     with: one cross product serves :func:`mean_curvature` and the soliton
     residuals, which read both.
 
-    The quotient is formed one operation at a time in the arrays of ``E``,
-    ``F``, ``G``, ``l``, ``m`` and ``n``, with the bits of the expression,
-    so the normal outlives it at no cost to the peak memory."""
-    N = _normal(j)
+    The numerator is formed one operation at a time in the arrays of ``E``,
+    ``F``, ``G``, ``l``, ``m`` and ``n``, with the bits of the expression, and
+    divided by ``2*|Xs x Xt|^2`` from the normal: ``E*G - F^2`` is never formed."""
+    N, cc = _normal(j)
     xs, xt, xss, xst, xtt = map(_xyz, j[1:])
     E, F, G = _dot(xs, xs), _dot(xs, xt), _dot(xt, xt)
     l, m, n = _dot(xss, N), _dot(xtt, N), _dot(xst, N)
@@ -221,11 +224,8 @@ def _curvature(j: np.ndarray):
     l -= n
     m *= E
     l += m
-    E *= G  # denominator 2*(E*G - F*F)
-    F *= F
-    E -= F
-    E *= 2.0
-    l /= E
+    cc *= 2.0  # denominator 2*|Xs x Xt|^2
+    l /= cc
     return l, N
 
 

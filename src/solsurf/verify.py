@@ -264,6 +264,15 @@ def _first_integral(kind: str) -> Measurement:
 _SLOPE_CAP = 1e3  # symmetry probes restricted to |g'| <= this
 
 
+def _check_steep_shear() -> Measurement:
+    # At drift slope c, E = 1 + c^2 and F = c: forming E*G - F^2 by
+    # subtraction would lose ~c^2*eps of H, which |Xs x Xt|^2 does not.
+    cases = [(make_minimal_cylinder(1e6, 1.0), ((SolitonMode.MINIMAL, 0.0),)),
+             (make_conformal_cylinder(1e6, 1.0), ((SolitonMode.CONFORMAL, 0.0),))]
+    return _residual_defect(cases, GridSpec(51, 51),
+                            "minimal c=1e6 and conformal a=1e6, y0=1, 51x51")
+
+
 def _symmetry_defect(sol) -> float:
     """How far an even profile is from its mirror between nodes.
 
@@ -520,6 +529,7 @@ _REGISTRY: List[Tuple[str, int, str, float, Callable[[], Measurement]]] = [
     ("minimal_cylinder.symmetry", 4, "<=", 1e-8, _check_minimal_symmetry),
     ("minimal_cylinder.halfwidth", 4, "<=", 1e-6, partial(_halfwidth, "minimal")),
     ("minimal_cylinder.abscissa", 4, "<=", 1e-9, partial(_abscissa, "minimal")),
+    ("steep_shear.residual", 4, "<=", 1e-12, _check_steep_shear),
     ("grim_reaper.constant", 5, "<=", 1e-12, _check_reaper_constant),
     ("grim_reaper.shape", 5, "<=", 0.5, _check_reaper_shape),
     ("grim_reaper.residual", 5, "<=", 1e-6,

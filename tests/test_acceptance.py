@@ -57,6 +57,7 @@ def test_c04_minimal_cylinder(summary):
             "minimal_cylinder.symmetry": ("<=", 1e-8),
             "minimal_cylinder.halfwidth": ("<=", 1e-6),
             "minimal_cylinder.abscissa": ("<=", 1e-9),
+            "steep_shear.residual": ("<=", 1e-12),
         },
     )
 
@@ -147,15 +148,16 @@ def test_nan_residual_at_one_node_fails_its_rows(monkeypatch):
     failed = {r.name for r in results if not r.passed}
     assert failed == {
         "horosphere.soliton", "plane.residuals", "minimal_cylinder.residual",
-        "grim_reaper.residual", "conformal.residual", "conformal.not_minimal",
-        "reduced.first_kind", "reduced.second_kind", "falsify.profiles",
+        "steep_shear.residual", "grim_reaper.residual", "conformal.residual",
+        "conformal.not_minimal", "reduced.first_kind", "reduced.second_kind",
+        "falsify.profiles",
     }
     assert all(math.isnan(r.defect) for r in results if r.name in failed)
 
 
 GRID_ROWS = ("horosphere.soliton", "plane.residuals", "minimal_cylinder.residual",
-             "grim_reaper.residual", "conformal.residual", "conformal.not_minimal",
-             "falsify.profiles")
+             "steep_shear.residual", "grim_reaper.residual", "conformal.residual",
+             "conformal.not_minimal", "falsify.profiles")
 
 
 def _grid_results():

@@ -246,9 +246,12 @@ REFUSALS = {
     "residual --family grim-reaper --lambda 1e100 --mode translator --grid 5x5":
         "the grim_reaper profile is truncated: its nodes reach only t in "
         "[-3.289458083752093e-95, 5.0]",
-    "residual --family grim-reaper --b 1e100 --lambda 1e-30 --mode translator --grid 3x3":
-        "no grid node of 'grim_reaper' has a finite residual (9 failures), first (s, t, "
-        "reason): (-2.0, -5.0, 'residual is not finite: inf')",
+    "residual --family minimal-cylinder --c 1e160 --mode minimal --grid 3x3":
+        "first-integral constant m = 0.0 is not a finite, normal, positive float",
+    "residual --family conformal-cylinder --a 1e160 --mode conformal":
+        "first-integral constant C = 0.0 is not a finite, normal, positive float",
+    "residual --family grim-reaper --b 1e160 --lambda 1e-30 --mode translator --grid 3x3":
+        "b_slope must have a finite square, got 1e+160",
 }
 
 
@@ -310,10 +313,10 @@ REFUSALS = {
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
         ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
-        # a profile drift slope this steep overflows every node's residual
-        ["residual", "--family", "minimal-cylinder", "--c", "1e100", "--mode", "minimal",
+        # a drift slope past the steep-shear sweep underflows the first-integral constant
+        ["residual", "--family", "minimal-cylinder", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
-        ["residual", "--family", "conformal-cylinder", "--a", "1e100", "--mode", "conformal"],
+        ["residual", "--family", "conformal-cylinder", "--a", "1e160", "--mode", "conformal"],
         # a reaper slope whose square overflows leaves no positive k
         ["residual", "--family", "grim-reaper", "--b", "inf", "--mode", "translator"],
         ["residual", "--family", "grim-reaper", "--b", "1e200", "--mode", "translator"],
@@ -330,9 +333,8 @@ REFUSALS = {
         # a reaper span with an infinite end would step until its budget ran out
         ["profile", "--ode", "grim-reaper", "--span=0:inf"],
         ["mesh", "--family", "grim-reaper", "--span=-inf:0"],
-        # E*G - F^2 cancels to 0 at every node, so l / E divides by zero: the residual
-        # is inf under residual_report's errstate, with no numpy warning
-        ["residual", "--family", "grim-reaper", "--b", "1e100", "--lambda", "1e-30", "--mode",
+        # the steep reaper slope past the steep-shear sweep: its square overflows
+        ["residual", "--family", "grim-reaper", "--b", "1e160", "--lambda", "1e-30", "--mode",
          "translator", "--grid", "3x3"],
         # a collapsing family's y0 whose first-integral constant m = 1e-320 is subnormal
         ["residual", "--family", "minimal-cylinder", "--y0", "1e-80", "--mode", "minimal",
@@ -349,6 +351,29 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
     assert main(argv) == 2
     message = REFUSALS.get(" ".join(argv))
     assert message is None or message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual", "--family", "minimal-cylinder", "--c", "1e100", "--mode", "minimal",
+         "--grid", "3x3"],
+        ["residual", "--family", "conformal-cylinder", "--a", "1e100", "--mode", "conformal"],
+        ["residual", "--family", "grim-reaper", "--b", "1e100", "--lambda", "1e-30", "--mode",
+         "translator", "--grid", "3x3"],
+    ],
+)
+def test_exact_solutions_at_steep_shear_sweep(tmp_path, argv, monkeypatch):
+    """Exact solutions whose drift slope is 1e100 sweep every node to a
+    rounding-level residual, with no numpy warning: the mean curvature
+    divides by ``|Xs x Xt|^2``, a sum of squares, where ``E*G - F^2`` would
+    cancel (to 0 for the reaper)."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", "r"]) == 0
+    summary = dict(line.split("=", 1) for line in (tmp_path / "r.summary.txt").read_text().split())
+    assert summary["failures"] == "0" and float(summary["MAX_ABS"]) <= 1e-15
 
 
 @pytest.mark.parametrize("span", ["0:1e-300", "-1e-300:1e-300", "0:5e-324"])

@@ -77,8 +77,8 @@ RESIDUAL_SHA256 = {
         "180ed8f24343461a92c89c21163fd4f5a63b45b93ed77604ea38617edeeae351",
     ),
     ("grim-reaper", "translator"): (
-        "67378ca71352340799a8e83e195b930900219011c3baa5576edaaa65e5f60883",
-        "75d7cadc385a0ab6194575abd89c4b167227e3c1edd03fbff4512025a1a0daea",
+        "28e80c380ecd84a1e8352884dd0f0ca8497becb1c6ff957d5381c0690da18e4a",
+        "215482d50ce44dc3955cc61891a70061be8515f4a3c19c0fd4e8f54742b6af38",
     ),
     ("grim-reaper", "conformal"): (
         "9ed32365c6e26314d77bbe29550270eea460063b264fd2a69c11f42a0e000d4f",
@@ -93,8 +93,8 @@ RESIDUAL_SHA256 = {
         "fd6e2b9b6d44c60b4edda454e3d817da83d2ba1f1d7ed726af5f6065181c83b2",
     ),
     ("conformal-cylinder", "conformal"): (
-        "988dbb58804a2d4ded13a08440c8bd7e0c5715fb4db37bbd9a8d42a39b37da45",
-        "8fa5a639fb1ade24eb4f37060d7c2b31cfa2e83dd4da2a5258387d64f6d78962",
+        "588ef9fb8cf7450596491abc9a3cf4e395557acd138d0f4721174293de6419d6",
+        "950436979acc95ee969a5b3f4656c13b92cc51811143a7a968f90cac7cd0cc0e",
     ),
 }
 

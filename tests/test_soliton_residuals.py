@@ -225,7 +225,9 @@ def test_residual_report_fails_non_finite_axis_jets(tmp_path):
 def test_residual_report_fails_non_finite_residuals(mode, tmp_path):
     """A node whose jet is finite but whose fundamental forms overflow
     (f' = 1e160, so E = 1 + f'^2 is inf) fails with the residual it gave,
-    in row-major order; the finite rows are kept."""
+    in row-major order; the finite rows are kept.  At t = 0, g' = 0, so
+    ``|Xs x Xt|^2 = 1`` and ``H = E*m/2`` is -inf, beyond the float range;
+    at t = +-1 the cross product overflows too and the residual is NaN."""
     fam = make_generic_first_kind(
         lambda s: (0.0, 1e160 if s > 0.0 else 0.5, 0.0),
         lambda t: (2.0 + 0.5 * math.cos(t), -0.5 * math.sin(t), -0.5 * math.cos(t)),
@@ -233,7 +235,8 @@ def test_residual_report_fails_non_finite_residuals(mode, tmp_path):
         (-1.0, 1.0),
     )
     rep = residual_report(fam, mode, GridSpec(3, 3))
-    assert rep.failures == [(1.0, t, "residual is not finite: nan") for t in (-1.0, 0.0, 1.0)]
+    assert rep.failures == [(1.0, t, f"residual is not finite: {r}")
+                            for t, r in ((-1.0, "nan"), (0.0, "-inf"), (1.0, "nan"))]
     assert rep.samples[:, 0].tolist() == [-1.0] * 3 + [0.0] * 3
     assert np.all(np.isfinite(rep.samples))
     assert math.isfinite(rep.max_abs)

@@ -199,6 +199,41 @@ def test_mean_curvature_profile_cylinder():
     assert abs(H - 1.0 / (2.0 * math.cosh(t) ** 2)) <= 1e-14
 
 
+def _mean_curvature_50_digits(j):
+    """``H`` of one float jet, each slot read exactly and every operation
+    carried out in 50-digit mpmath, by the textbook ``E*G - F^2``."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        _, xs, xt, xss, xst, xtt = ([mpmath.mpf(float(v)) for v in slot] for slot in j)
+        dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]  # noqa: E731
+        c = [xs[1] * xt[2] - xs[2] * xt[1], xs[2] * xt[0] - xs[0] * xt[2],
+             xs[0] * xt[1] - xs[1] * xt[0]]
+        N = [ck / mpmath.sqrt(dot(c, c)) for ck in c]
+        E, F, G = dot(xs, xs), dot(xs, xt), dot(xt, xt)
+        l, m, n = dot(xss, N), dot(xtt, N), dot(xst, N)
+        return (l * G - 2 * n * F + E * m) / (2 * (E * G - F * F))
+
+
+@pytest.mark.parametrize("c", [0.7, 1e3, 1e5, 1e6, 1e8])
+def test_mean_curvature_matches_50_digits_at_steep_shear(c):
+    """On the jets of a curved shear, ``f = c*s + 0.3 sin s`` and
+    ``g = 1 + 0.2 cos t`` on 7x7 nodes of [-2, 2]^2, ``H`` is within 2e-15
+    relative of the same jets' ``H`` in 50 digits at every slope.  Here
+    ``E = 1 + f'^2`` and ``F = f'``, so a denominator formed as
+    ``E*G - F^2`` would lose ~``c^2*eps`` of ``H``, and all of it at 1e8."""
+    s = np.linspace(-2.0, 2.0, 7)[:, None]
+    t = np.linspace(-2.0, 2.0, 7)
+    j = first_kind_jet((c * s + 0.3 * np.sin(s), c + 0.3 * np.cos(s), -0.3 * np.sin(s)),
+                       (1.0 + 0.2 * np.cos(t), -0.2 * np.sin(t), -0.2 * np.cos(t)), s, t)
+    H = mean_curvature(j)
+    worst = 0.0
+    for i, k in np.ndindex(H.shape):
+        exact = _mean_curvature_50_digits(j[:, i, k])
+        worst = max(worst, abs(float((H[i, k] - exact) / exact)))
+    assert worst <= 2e-15, worst
+
+
 def test_rotation_preserves_mean_curvature(rotated):
     j = first_kind_jet(FJ, GJ, 0.5, 0.3)
     for theta in (0.3, 2.0, -1.2):
