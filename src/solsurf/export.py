@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .soliton_residuals import ResidualReport
+from .surface_jets import _positions
 
 if TYPE_CHECKING:  # pragma: no cover
     from .profile_odes import ProfileSolution
@@ -185,28 +186,32 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     Vertices are row-major over (s, t) — the node (i, j) is OBJ index
     ``i*nt + j + 1`` — and each grid cell is split into the two triangles
     ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.
-    The surface points alone, no jet, are formed in a residual sweep's
-    blocks of ``s`` rows, and the vertex text of each block is written
-    before the next is formed; the faces follow, in the same blocks of cell
-    rows.  Raises :class:`DomainError`, before the file is opened, if any
-    node fails; a block that raises once the file is open removes it.
-    Returns (vertex_count, face_count).
+    The surface points alone, no jet and no curvature, are formed in a
+    residual sweep's blocks of ``s`` rows (:func:`_block_rows`), and the
+    vertex text of each block is written before the next is formed; the
+    faces follow, in the same blocks of cell rows.  Raises
+    :class:`DomainError`, before the file is opened, if any node fails; a
+    block that raises once the file is open removes it.  Returns
+    (vertex_count, face_count).
     """
-    from .surface_factory import _row_blocks, sample_grid
+    from .surface_factory import _block_rows, sample_grid
 
     (_, _, alpha, beta), failures = sample_grid(fam, grid)
     if failures:
         n = len(failures)
         raise DomainError(f"{n} mesh node(s) failed, first (s, t, reason): {failures[0]}")
     ns, nt = grid.ns, grid.nt
+    blocks = _block_rows(ns, nt)
     a = np.arange(1, nt)  # the OBJ index (0, j) of each cell's first corner
     # the two triangles of each cell in the first row of cells; a cell in
     # row i adds i*nt to every index
     cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
     try:
         with _open_w(path) as fh:
-            blocks = [rows for rows, _ in _row_blocks(alpha, beta, lambda X: fh.write(
-                _rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3))))]
+            for rows in blocks:
+                with np.errstate(over="ignore"):  # an overflowed point is written as inf
+                    X = _positions(alpha[0, rows], beta[0])
+                fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
             for rows in blocks:
                 i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
                 fh.write(_rows("f %d %d %d\n", (cells + nt * i).reshape(-1, 3)))

@@ -723,7 +723,10 @@ def _closed_form(params: _CollapseParams):
         d, dp = dt_dphi(phi), params.dt_dphi_prime(phi)
         g = params.y0 * sin
         gp = np.sign(-t.ravel()) * params.y0 * cos / d
-        gpp = -params.y0 * (sin * d + cos * dp) / (d * d * d)
+        # D^3 overflows past D ~ 5.6e102; (D*m)^3, m an exact power of 2, keeps its bits
+        m = np.ldexp(1.0, -np.frexp(d)[1])
+        dm = d * m
+        gpp = -params.y0 * (sin * d + cos * dp) * m / (dm * dm * dm) * m * m
         if not t.shape:
             return float(g[0]), float(gp[0]), float(gpp[0])
         return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)

@@ -142,8 +142,8 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     the residual is then formed one block of ``s`` rows at a time, with
     one curvature per run of translated rows (:func:`_row_blocks`), into
     the whole ``samples`` table; no jet of the whole grid is held.  A node
-    whose residual is not finite (its fundamental forms overflow, or its
-    jet is collapsed, so its normal is NaN) fails with that reason, beside
+    whose residual is not finite (its forms overflow, or its jet is collapsed,
+    so its normal is NaN) fails with that reason and no numpy warning, beside
     the nodes :func:`sample_grid` fails; ``failures`` stays row-major.
     Raises :class:`DomainError` if no node gives a finite residual, an
     empty grid included: the one raise of a sweep for an unevaluable grid.
@@ -157,10 +157,8 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     arr = np.empty((len(s), len(t), 3))
     arr[..., 0], arr[..., 1] = s[:, None], t
     r = arr[..., 2]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # they fail below
-        for rows, values in _row_blocks(
-                alpha, beta, lambda X, H, N: _residual_of(mode, X, H, N), curvature=True):
-            r[rows] = values
+    for rows, values in _row_blocks(alpha, beta, lambda X, H, N: _residual_of(mode, X, H, N)):
+        r[rows] = values  # a value that is not finite fails below
     finite = np.isfinite(r)
     if finite.all():
         arr = arr.reshape(-1, 3)

@@ -6,8 +6,8 @@ and its parameter dict.  A second-kind family is ``X = (s, f(s), t)``: a
 shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
-error).  A sweep then forms the surface one block of ``s`` rows at a time,
-about ``BLOCK_NODES`` nodes each, and its curvature once per run of rows.
+error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
+nodes, its curvature once per run of rows; a mesh forms the points alone.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -437,44 +437,41 @@ def sample_grid(
     return (s_axis[~s_bad], t_axis[~t_bad], alpha, beta), failures
 
 
-def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object],
-                curvature: bool = False):
-    """``f`` of the surface of :func:`sample_grid`'s axis jets, one block of
-    ``BLOCK_NODES // max(1, nt)`` ``s`` rows at a time (at least one): yields
-    ``(rows, f(X))``, ``rows`` a slice of the ``s`` nodes in order and ``X``
-    their points ``alpha[0, rows] * beta[0]``, or with ``curvature`` ``(rows,
-    f(X, H, N))``, ``H`` the mean curvature and ``N`` the normal's components.
-    ``H`` and ``N`` read a row of ``alpha`` only through ``a3``, ``alpha'``
-    and ``alpha''``: consecutive rows whose 7 numbers have the same bits are
-    horizontal translates with the same ``H`` and ``N``, a run.  They are
-    formed on the first row of each run that touches a block and reach the
-    run's rows by broadcasting or indexing.  Every value has the bits of a
-    whole-grid jet's, and one block's arrays are held at a time."""
-    ns, step = alpha.shape[1], max(1, BLOCK_NODES // max(1, beta.shape[1]))
+def _block_rows(ns: int, nt: int) -> List[slice]:
+    """Slices of ``ns`` rows of ``nt`` nodes, in order: blocks of about ``BLOCK_NODES``."""
+    step = max(1, BLOCK_NODES // max(1, nt))
+    return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
+
+
+def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
+    """``f(X, H, N)`` of the surface of :func:`sample_grid`'s axis jets, one
+    block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``,
+    ``X`` the block's points, ``H`` their mean curvature and ``N`` the
+    normal's components.  ``H`` and ``N`` read a row of ``alpha`` only
+    through ``a3``, ``alpha'`` and ``alpha''``: consecutive rows whose 7
+    numbers have the same bits are horizontal translates with the same ``H``
+    and ``N``, a run.  They are formed on the first row of each run that
+    touches a block and reach the run's rows by broadcasting or indexing.
+    Every value has the bits of a whole-grid jet's, and one block's arrays
+    are held at a time.  Jet, curvature and ``f`` run under the sweep's one
+    non-finite policy: no overflow, invalid or divide warning, and the
+    consumer fails a node whose value is not finite."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1)
-    starts = np.ones(ns, dtype=bool)
+    starts = np.ones(alpha.shape[1], dtype=bool)
     starts[1:] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
-    starts[::step] = True  # a block's first row heads the run it continues
-    for lo in range(0, ns, step):
-        rows = slice(lo, min(lo + step, ns))
+    for rows in _block_rows(alpha.shape[1], beta.shape[1]):
         heads = starts[rows]
-        # a slot product may overflow to inf; a node whose residual is then
-        # not finite fails in residual_report, as a collapsed one does
-        with np.errstate(over="ignore"):
-            if curvature:
-                jet = product_surface_jet(np.compress(heads, alpha[:, rows], axis=1), beta)
+        heads[0] = True  # a block's first row heads the run it continues
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jet = product_surface_jet(np.compress(heads, alpha[:, rows], axis=1), beta)
             # when every row heads a run (curved f) the jet holds the block's
             # points: forming them again made such a sweep 13-17% slower
             # (in process, 2-core x86)
-            X = jet[0] if curvature and heads.all() else _positions(alpha[0, rows], beta[0])
-        if curvature:
+            X = jet[0] if heads.all() else _positions(alpha[0, rows], beta[0])
             H, N = _curvature(jet)
             if 1 < len(H) < len(heads):
                 run = np.cumsum(heads) - 1
                 H, N = H[run], tuple(c[run] for c in N)
             out = f(X, H, N)
-            del jet, H, N
-        else:
-            out = f(X)
-        del X
+        del jet, X, H, N
         yield rows, out

@@ -202,7 +202,7 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
                               f"first (s, t, reason): {failures[0]}")
         for _, maxima in _row_blocks(alpha, beta, lambda X, H, N: [
                 np.max(np.abs(soliton_residuals._residual_of(mode, X, H, N) - offset))
-                for mode, offset in terms], curvature=True):
+                for mode, offset in terms]):
             defects += maxima
         if math.inf in defects:
             return math.nan, f"{fam.name} {fam.params}: a residual is infinite"

@@ -66,7 +66,7 @@ def grid_jet():
     def sampled(fam, grid: GridSpec):
         (s, t, alpha, beta), failures = sample_grid(fam, grid)
         j = product_surface_jet(alpha, beta)
-        X = np.concatenate([X for _, X in _row_blocks(alpha, beta, lambda X: X)])
+        X = np.concatenate([X for _, X in _row_blocks(alpha, beta, lambda X, H, N: X)])
         assert X.tobytes() == j[0].tobytes()
         return (s, t, j), failures
 

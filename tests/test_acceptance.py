@@ -7,12 +7,14 @@ loosened tolerance fails here too.
 """
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from solsurf import profile_odes, soliton_residuals, verify
 from solsurf.cli import main
+from solsurf.errors import DomainError
 from solsurf.verify import run_checks
 
 
@@ -211,6 +213,21 @@ def test_infinite_residual_fails_every_grid_row(monkeypatch):
     monkeypatch.setattr(soliton_residuals, "_residual_of", one_inf)
     for r in _grid_results():
         assert not r.passed and math.isnan(r.defect) and "residual is infinite" in r.detail, r
+
+
+def test_overflowed_forms_fail_a_grid_row_without_a_warning():
+    """A vertical plane of slope 1e160 overflows its fundamental forms, so
+    every residual is NaN: its grid row reads NaN under the sweep's
+    non-finite policy, with no numpy warning, as ``residual_report`` fails
+    the same nodes."""
+    fam, grid = verify.make_vertical_plane(1e160, 0.0), verify.GridSpec(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        defect, detail = verify._residual_defect(
+            [(fam, ((soliton_residuals.SolitonMode.MINIMAL, 0.0),))], grid, "x")
+        with pytest.raises(DomainError, match="9 failures.*not finite: nan"):
+            soliton_residuals.residual_report(fam, "minimal", grid)
+    assert math.isnan(defect) and detail == "x"
 
 
 ROW_PREFIX = {"minimal": "minimal_cylinder", "conformal": "conformal"}

@@ -361,13 +361,18 @@ def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):
         ["residual", "--family", "conformal-cylinder", "--a", "1e100", "--mode", "conformal"],
         ["residual", "--family", "grim-reaper", "--b", "1e100", "--lambda", "1e-30", "--mode",
          "translator", "--grid", "3x3"],
+        ["residual", "--family", "minimal-cylinder", "--c", "1e110", "--mode", "minimal",
+         "--grid", "3x3"],
+        ["residual", "--family", "conformal-cylinder", "--a", "1e110", "--mode", "conformal",
+         "--grid", "3x3"],
     ],
 )
 def test_exact_solutions_at_steep_shear_sweep(tmp_path, argv, monkeypatch):
-    """Exact solutions whose drift slope is 1e100 sweep every node to a
-    rounding-level residual, with no numpy warning: the mean curvature
+    """Exact solutions whose drift slope is 1e100 or 1e110 sweep every node
+    to a rounding-level residual, with no numpy warning: the mean curvature
     divides by ``|Xs x Xt|^2``, a sum of squares, where ``E*G - F^2`` would
-    cancel (to 0 for the reaper)."""
+    cancel (to 0 for the reaper), and the collapsing profile's ``g''``
+    divides by ``D^3`` rescaled, where ``D ~ 1e110`` would overflow it."""
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

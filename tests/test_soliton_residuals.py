@@ -521,9 +521,9 @@ def test_sample_grid_peak_memory():
 
 
 def test_write_obj_mesh_peak_memory(tmp_path):
-    """The mesh writer keeps nothing of the grid: it holds one block's jet
-    and the text of its vertices, or of a block of cell rows' faces, at
-    most 56 block-sized arrays at both grids."""
+    """The mesh writer keeps nothing of the grid: it holds one block's
+    points and the text of its vertices, or of a block of cell rows' faces,
+    at most 56 block-sized arrays at both grids."""
     fam = make_minimal_cylinder(1.2, 1.1)
     for grid in _MEMORY_GRIDS:
         whole, block = _array_bytes(grid)
@@ -594,7 +594,7 @@ def test_block_seams_keep_the_bits(mode, tmp_path):
     a failed t node and a row of NaN residuals in the third block."""
     fam = _seam_family(failing=True)
     (s, _, alpha, beta), failures = sample_grid(fam, _SEAM_GRID)
-    blocks = [rows for rows, _ in surface_factory._row_blocks(alpha, beta, lambda j: j)]
+    blocks = surface_factory._block_rows(alpha.shape[1], beta.shape[1])
     assert [(rows.start, rows.stop) for rows in blocks] == [(0, 40), (40, 80), (80, 120),
                                                             (120, 122)]
     assert {reason.split(" at ")[0] for _, _, reason in failures} == {"no f", "no g"}
@@ -701,6 +701,22 @@ def test_mesh_block_seams_keep_the_bits(tmp_path):
             a, b, c, d = i * nt + k + 1, (i + 1) * nt + k + 1, (i + 1) * nt + k + 2, i * nt + k + 2
             expect += [f"f {a} {b} {c}\n", f"f {a} {c} {d}\n"]
     assert (tmp_path / "m.obj").read_bytes() == "".join(expect).encode()
+
+
+def test_mesh_forms_no_jet_and_no_curvature(tmp_path, monkeypatch):
+    """The mesh forms its points alone, never through the sweep that forms
+    curvature: with the surface jet and the curvature made to raise, it
+    writes the same bytes, in blocks of 40, 40, 40 and 3 s rows."""
+    fam = _seam_family(failing=False)
+    write_obj_mesh(tmp_path / "clean.obj", fam, _SEAM_GRID)
+
+    def refused(*args):
+        raise AssertionError("the mesh formed a surface jet or a curvature")
+
+    for name in ("product_surface_jet", "_curvature"):
+        monkeypatch.setattr(surface_factory, name, refused)
+    write_obj_mesh(tmp_path / "m.obj", fam, _SEAM_GRID)
+    assert (tmp_path / "m.obj").read_bytes() == (tmp_path / "clean.obj").read_bytes()
 
 
 def test_mesh_block_error_removes_the_file(tmp_path):

@@ -336,7 +336,7 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
         assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 4, 3)
         assert alpha.dtype == beta.dtype == np.float64
         assert alpha.flags.c_contiguous and beta.flags.c_contiguous
-        list(surface_factory._row_blocks(alpha, beta, lambda X, H, N: X, curvature=True))
+        list(surface_factory._row_blocks(alpha, beta, lambda X, H, N: X))
         assert [(name, aj.shape) for name, aj, _ in seen] == calls
         for name, aj, bj in seen:
             slots = (*aj, *bj) if name == "product_surface_jet" else (aj, bj)
