@@ -40,11 +40,100 @@ def fmt(x: float) -> str:
 
 
 def _rows(template: str, table: np.ndarray) -> str:
-    """Every row of a 2-D table formatted by one ``%`` template (numbers as
-    ``_NUM``, the format of :func:`fmt`), in one call.  Serves the profile
-    CSV and the OBJ writer; the residual CSV formats one template per ``t``
+    """Every row of a 2-D table formatted by one ``%`` template, in one
+    call.  Serves the OBJ faces (``%d``); float tables go through
+    :func:`_num_rows`, and the residual CSV formats one template per ``t``
     column."""
     return (template * len(table)) % tuple(table.ravel().tolist())
+
+
+# Cells per chunk of :func:`_num_rows`.
+_CHUNK_CELLS = 1 << 13
+# 10**k for k = 12 - e, e = -32 .. 56 (index 56 - e), as two exact factors
+# of at most 10**22, each applied as a product or a quotient:
+# |x| * _M1 / _D1 * _M2 / _D2, two roundings at most.
+_K = 12 - np.arange(56, -33, -1)
+_K1 = np.clip(_K, -22, 22)
+_M1, _D1, _M2, _D2 = (10.0 ** np.maximum(sign * k, 0) for k in (_K1, _K - _K1) for sign in (1, -1))
+# Text words in native byte order: "0000" .. "9999"; "e-32" .. "e+57"
+# padded to 8 bytes; "0." .. "9." then "-0." .. "-9.", right-aligned in 4.
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_QUAD = np.stack(np.broadcast_arrays(_DIGITS[:, None, None, None], _DIGITS[:, None, None],
+                                     _DIGITS[:, None], _DIGITS), axis=-1).view(np.uint32).ravel()
+_EXP = np.frombuffer(b"".join(b"e%+03d\0\0\0\0" % e for e in range(-32, 58)), np.uint64)
+_HEAD = np.frombuffer(b"".join((sign + b"%d." % d).rjust(4, b"\0")
+                               for sign in (b"", b"-") for d in range(10)), np.uint32)
+
+
+def _num_rows(template: str, table: np.ndarray):
+    """The text of ``_rows(template, table)`` for a float table, byte for
+    byte, in chunks of at most ``_CHUNK_CELLS`` cells: yields one ``str``
+    per chunk of whole rows.  ``template`` is one row: ``_NUM`` per column,
+    a lead of at most 8 bytes before the first and a separator of at most
+    4 after each, with no ``%`` of their own.
+
+    A chunk is laid out in a ``uint32`` buffer, 6 words per cell: sign,
+    first digit and point; three words of four digits; exponent and
+    separator.  Each ``|x|`` in [1e-31, 1e56] is scaled to 13 digits by two
+    exact powers of ten (``_M1`` .. ``_D2``), so it is off by at most two
+    roundings, below 2.3e-3 of the last digit, and rounded to the nearest
+    integer; the words come from lookup tables, and the zero bytes that pad
+    them are dropped.  Zero is written as ``0.000000000000e+00``.  A cell
+    whose scaled fraction lies within 2**-7 of 1/2, where the two
+    roundings could decide the digit, or whose scaled value left [1e12,
+    1e13], and every NaN, infinity, subnormal or other value outside that
+    range, is formatted by ``%`` and spliced in."""
+    lead, *seps = (piece.encode() for piece in template.split(_NUM))
+    k = len(seps)
+    w = 2 if lead else 0  # words of the lead
+    tail = np.concatenate([_EXP | np.frombuffer(sep.rjust(8, b"\0"), np.uint64) for sep in seps])
+    tail_at = np.arange(k) * len(_EXP) + 88  # tail_at - i is e's entry in each column's tails
+    step = max(1, _CHUNK_CELLS // k)
+    for lo in range(0, len(table), step):
+        x = table[lo:lo + step]
+        buf = np.empty((len(x), w + 6 * k), np.uint32)
+        buf[:, :w] = np.frombuffer(lead.ljust(8, b"\0"), np.uint32)[:w]
+        cells = buf[:, w:].reshape(len(x), k, 6)
+        a = np.abs(x)
+        zero = a == 0.0
+        s = np.fmax(a, 1e-31)  # NaN -> 1e-31
+        np.fmin(s, 1e56, out=s)
+        s[zero] = 1.0
+        special = s != a
+        special ^= zero
+        i = np.floor(np.log10(s)).astype(np.intp)  # the decade e of each |x|
+        np.subtract(56, i, out=i)  # as the row 56 - e of _M1 .. _D2
+        s *= _M1.take(i)
+        s /= _D1.take(i)
+        s *= _M2.take(i)
+        s /= _D2.take(i)
+        r = np.rint(s)
+        special |= np.abs(s - r) > 0.5 - 2.0 ** -7
+        special |= (s < 1e12) | (s > 1e13)  # log10 missed the decade
+        top = r == 1e13  # rounds up to the next decade
+        r[top] = 1e12
+        i -= top
+        r[zero] = 0.0
+        hi = np.floor(r / 1e8)  # the first 5 digits, then the last 8
+        r -= hi * 1e8
+        low = r.astype(np.int32)
+        hi = hi.astype(np.int32)
+        q = hi // 10000
+        hi -= q * 10000
+        q += 10 * np.signbit(x).view(np.uint8)
+        cells[..., 0] = _HEAD.take(q)
+        cells[..., 1] = _QUAD.take(hi)
+        q = low // 10000
+        low -= q * 10000
+        cells[..., 2] = _QUAD.take(q)
+        cells[..., 3] = _QUAD.take(low)
+        cells.view(np.uint64)[..., 2] = tail.take(tail_at - i)
+        if special.any():  # 20 bytes of text, NUL-padded; the separator stays
+            row, col = np.nonzero(special)
+            text = ("%-20.12e" * len(row)) % tuple(x[row, col].tolist())
+            text = text.replace(" ", "\0").encode()
+            cells[row, col, :5] = np.frombuffer(text, np.uint32).reshape(-1, 5)
+        yield buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _open_w(path):
@@ -114,54 +203,15 @@ def write_residual_summary(path, report: ResidualReport) -> None:
         fh.write(text)
 
 
-# Row template of the profile CSV, and the factors that mirror a row: t and
-# g' negated, g and the defect kept.
-_PROFILE_ROW = f"{_NUM},{_NUM},{_NUM},{_NUM}\n"
-_MIRROR = np.array([-1.0, 1.0, -1.0, 1.0])
-
-
-def _negated(cells):
-    """The ``%.12e`` text of each value negated, from the text of the
-    value: the leading ``-`` toggled, exact for every non-NaN float,
-    ``-0.0`` and infinities included."""
-    return [c[1:] if c[0] == "-" else "-" + c for c in cells]
-
-
-def _profile_rows(table: np.ndarray) -> str:
-    """The rows of a ``(t, g, g', defect)`` table as profile CSV text.
-
-    A table of ``n = 2h + 1`` rows whose rows ``h - i`` and ``h + i`` match
-    bit for bit with ``t`` and ``g'`` negated, and that holds no NaN, is
-    formatted from its centre and right half alone: each of those values
-    once, with its separator, and the left half's ``t`` and ``g'`` text by
-    :func:`_negated`.  Any other table, the reaper's among them, is one
-    :func:`_rows` call.  Both give the bytes of formatting every value."""
-    n = len(table)
-    h = n // 2
-    if (n % 2 == 0 or np.isnan(table).any()
-            or (table[h + 1:] * _MIRROR).tobytes() != table[:h][::-1].tobytes()):
-        return _rows(_PROFILE_ROW, table)
-    # cells[4*r + j]: column j of row h + r, with the separator after it
-    cells = ((f"{_NUM},\0{_NUM},\0{_NUM},\0{_NUM}\n\0" * (h + 1))
-             % tuple(table[h:].ravel().tolist())).split("\0")
-    left = [""] * (4 * h)
-    for j in range(4):  # rows 2h .. h + 1, outermost first, as rows 0 .. h - 1
-        column = cells[4 * h + j:3:-4]
-        left[j::4] = column if j % 2 else _negated(column)
-    return "".join(left) + "".join(cells)
-
-
 def write_profile_csv(path, sol: "ProfileSolution") -> int:
     """One row per integration node: ``t,g,gp,first_integral_defect``.
     The defect column is the normalized conservation monitor (zeros for the
-    family without a conserved quantity).  An even profile's left half is
-    the mirror of its right half, so its text is derived from the right
-    half's (:func:`_profile_rows`): a minimal or conformal CSV formats
-    about half its values.  Returns the row count."""
-    text = _profile_rows(np.column_stack([sol.t, sol.g, sol.gp, sol.node_defect]))
+    family without a conserved quantity).  The rows are written by
+    :func:`_num_rows`, a chunk at a time.  Returns the row count."""
+    table = np.column_stack([sol.t, sol.g, sol.gp, sol.node_defect])
     with _open_w(path) as fh:
         fh.write("t,g,gp,first_integral_defect\n")
-        fh.write(text)
+        fh.writelines(_num_rows(f"{_NUM},{_NUM},{_NUM},{_NUM}\n", table))
     return len(sol.t)
 
 
@@ -188,8 +238,9 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.
     The surface points alone, no jet and no curvature, are formed in a
     residual sweep's blocks of ``s`` rows (:func:`_block_rows`), and the
-    vertex text of each block is written before the next is formed; the
-    faces follow, in the same blocks of cell rows.  Raises
+    vertex text of each block is written by :func:`_num_rows`, a chunk at a
+    time, before the next is formed; the faces follow, in the same blocks of
+    cell rows, formatted by ``%``.  Raises
     :class:`DomainError`, before the file is opened, if any node fails; a
     block that raises once the file is open removes it.  Returns
     (vertex_count, face_count).
@@ -211,7 +262,7 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
             for rows in blocks:
                 with np.errstate(over="ignore"):  # an overflowed point is written as inf
                     X = _positions(alpha[0, rows], beta[0])
-                fh.write(_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
+                fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
             for rows in blocks:
                 i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
                 fh.write(_rows("f %d %d %d\n", (cells + nt * i).reshape(-1, 3)))

@@ -240,11 +240,21 @@ class ConformalProfileParams(_CollapseParams):
         so ``|dt/dphi| = y0*cos(phi)/|g'|`` is evaluated as
         ``y0/sqrt(k*expm1(E)/cos^2(phi))``, which tends to
         ``y0/sqrt(k*(4/y0 + 2))`` as ``phi -> pi/2``.  Toward ``phi = 0``,
-        ``expm1(E)`` overflows to inf and the value to 0.
+        ``expm1(E)`` overflows to inf and the value to 0.  Where
+        ``k*expm1(E)`` is not a normal float, as near ``pi/2`` at a drift
+        slope past about 1e130, where it goes subnormal and then 0, the
+        quotient is formed first: ``k*(expm1(E)/cos^2(phi))``.
         """
         sin, cos2 = np.sin(phi), np.cos(phi) ** 2
         with np.errstate(over="ignore", divide="ignore"):
-            return self.y0 / np.sqrt(self.kinv * np.expm1(self._exponent(sin, cos2)) / cos2)
+            em1 = np.expm1(self._exponent(sin, cos2))
+            q = self.kinv * em1
+            low = q < sys.float_info.min
+            if np.any(low):  # subnormal or 0: divide by cos^2 first there
+                q = np.where(low, self.kinv * (em1 / cos2), q / cos2)
+            else:
+                q /= cos2
+            return self.y0 / np.sqrt(q)
 
     def _exponent(self, sin, cos2):
         """``E`` of :meth:`dt_dphi`; +inf at ``phi = 0``."""

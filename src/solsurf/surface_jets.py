@@ -250,9 +250,11 @@ def finite_difference_jet(
     jet, and an ``(n, 1)`` ``s`` and ``t`` with ``(m,)`` steps give ``n``
     points at ``m`` steps each.  ``evaluator(s, t)`` returns the position:
     a 3-vector when every argument is a scalar, otherwise ``(k, 3)``
-    positions for two 1-D arrays of ``k`` points (the broadcast points,
-    flattened), as ``SurfaceFamily.position`` does, so a batch costs nine
-    evaluator calls.
+    positions for two 1-D arrays of ``k`` points, as
+    ``SurfaceFamily.position`` does.  A scalar jet costs nine evaluator
+    calls, one per stencil offset; a batch costs one, on the ``9*n``
+    points of every offset (the broadcast points, flattened, offset by
+    offset).
     The stencil uses the four axis neighbours at distance ``h`` plus the
     four corners (for ``Xst``); all probed points must stay in the domain,
     otherwise a ``DomainError`` is raised.  Truncation error is O(h^2) per
@@ -282,11 +284,13 @@ def finite_difference_jet(
             )
         return p
 
-    X = ev(s, t)
-    Xe, Xw = ev(s + h, t), ev(s - h, t)
-    Xn, Xo = ev(s, t + h), ev(s, t - h)
-    Xen, Xeo = ev(s + h, t + h), ev(s + h, t - h)
-    Xwn, Xwo = ev(s - h, t + h), ev(s - h, t - h)
+    ss, tt = zip((s, t), (s + h, t), (s - h, t), (s, t + h), (s, t - h),
+                 (s + h, t + h), (s + h, t - h), (s - h, t + h), (s - h, t - h))
+    if shape:  # one call on every offset's points, offset by offset
+        stencil = np.split(ev(np.concatenate(ss), np.concatenate(tt)), 9)
+    else:
+        stencil = map(ev, ss, tt)
+    X, Xe, Xw, Xn, Xo, Xen, Xeo, Xwn, Xwo = stencil
     h = np.reshape(h, np.shape(h) + (1,))  # a column against (k, 3) positions
     j = np.stack([
         X,

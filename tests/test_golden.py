@@ -9,12 +9,16 @@ with no parameter flags, which pins the defaults its builder supplies; the
 profile files are also pinned with every parameter flag of the ODE set.
 
 A hash here may change only together with a CHANGES.md line that explains
-why the bytes changed.  The profile CSV writer derives an even profile's
-left half from its right half's text; the byte tests at the end compare it
-with formatting every value, on random tables.
+why the bytes changed.  The profile CSV and the OBJ vertices are written by
+a numpy ``%.12e`` kernel; the byte tests at the end compare it with
+formatting every value, on random tables and raw 64-bit patterns.
 """
 import hashlib
 import math
+import os
+import tempfile
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,7 +221,7 @@ def test_profile_bytes(tmp_path, ode, flags):
     assert got == PROFILE_SHA256[ode, flags]
 
 
-# --- the mirrored profile CSV -----------------------------------------------
+# --- the profile CSV against formatting every value ------------------------
 
 # Floats of every kind but NaN, with the signed zeros, subnormals, 3-digit
 # exponents and infinities drawn often.
@@ -241,52 +245,132 @@ def _every_value(table):
     return "".join(",".join(fmt(x) for x in row) + "\n" for row in table.tolist())
 
 
-def _profile_text(table):
-    """The writer's rows for ``table`` and the row count of each ``_rows``
-    call it made."""
-    calls, rows = [], export._rows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(export, "_rows", lambda template, t: calls.append(len(t)) or rows(template, t))
-        return export._profile_rows(table), calls
+def _assert_profile_bytes(table):
+    """``write_profile_csv`` writes the header, then ``table`` in the bytes
+    of the oracle."""
+    sol = SimpleNamespace(t=table[:, 0], g=table[:, 1], gp=table[:, 2], node_defect=table[:, 3])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        assert export.write_profile_csv(path, sol) == len(table)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii")
+    assert text == "t,g,gp,first_integral_defect\n" + _every_value(table)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ROWS)
 @example(_EXTREME)
 def test_mirrored_profile_bytes(right):
-    """A mirrored table is written from its right half, with no ``_rows``
-    call, in the bytes of formatting every value."""
-    table = _mirrored(right)
-    text, calls = _profile_text(table)
-    assert calls == []
-    assert text == _every_value(table)
-
-
-def _assert_falls_back(table):
-    text, calls = _profile_text(table)
-    assert calls == [len(table)]
-    assert text == _every_value(table)
+    """A mirrored table, as every minimal and conformal profile is, is
+    written in the bytes of formatting every value."""
+    _assert_profile_bytes(_mirrored(right))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_ROWS.filter(lambda rows: len(rows) > 1), st.data())
 @example(_EXTREME, None)
-def test_tables_that_are_not_mirrors_take_rows(right, data):
+def test_tables_that_are_not_mirrors_bytes(right, data):
     """An even-length table, one that is mirrored but for one bit, and one
-    that holds a NaN where it is otherwise mirrored are each one ``_rows``
-    call, in the same bytes."""
+    that holds a NaN where it is otherwise mirrored are written in the
+    bytes of formatting every value."""
     table = _mirrored(right)
-    _assert_falls_back(table[1:])
+    _assert_profile_bytes(table[1:])
     i = 0 if data is None else data.draw(st.integers(0, table.size - 1).filter(
         lambda k: k // 4 != len(table) // 2), label="flipped")
     flipped = table.copy()
     flipped.reshape(-1)[i:i + 1].view(np.int64)[0] ^= 1
-    _assert_falls_back(flipped)
+    _assert_profile_bytes(flipped)
     table[0, 1] = table[-1, 1] = math.nan
-    _assert_falls_back(table)
+    _assert_profile_bytes(table)
 
 
-def test_reaper_profile_takes_rows(tmp_path):
-    """The reaper is not even: its CSV is one ``_rows`` call over every node."""
+def test_reaper_profile_bytes():
+    """The reaper is not even, and its defect column is all zeros."""
     sol = integrate_grim_reaper(GrimReaperParams(lam=0.5), (-5.0, 5.0))
-    _assert_falls_back(np.column_stack([sol.t, sol.g, sol.gp, sol.node_defect]))
+    _assert_profile_bytes(np.column_stack([sol.t, sol.g, sol.gp, sol.node_defect]))
+
+
+# --- the %.12e kernel --------------------------------------------------------
+
+def _float(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+# Any 64-bit pattern, NaNs of every payload included, or a float in the
+# kernel's own range [1e-31, 1e56], which raw patterns reach one time in 7.
+_CELL = st.one_of(
+    st.integers(-(1 << 63), (1 << 63) - 1).map(_float),
+    st.floats(1e-31, 1e56).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+# A lead of 0, 2 or 8 bytes and separators of 1 to 4.
+_LEADS = st.sampled_from(["", "v ", "leadbyte"])
+_SEPS = st.sampled_from([",", " ", "\n", "\r\n", " | "])
+
+
+@st.composite
+def _templated_tables(draw):
+    """``(cells, lead, seps)``: 1 to 30 rows of 1 to 4 cells, and the row
+    template's lead and separators."""
+    k = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.lists(_CELL, min_size=k, max_size=k), min_size=1, max_size=30))
+    return cells, draw(_LEADS), draw(st.lists(_SEPS, min_size=k, max_size=k))
+
+
+# 13 digits and a 5: ties and near-ties at the 13th digit.
+_HALVES = [1.0000000000005, 2.5000000000005, -1.2345678901235e-3, 1234567890123.5,
+           4.4444444444445e20, -7.7777777777775e-21, 5.0000000000005e-25, 3.0000000000005e40]
+# Decades, the last value that rounds up into one, and the float below
+# one (whose log10 rounds up to the decade), at either factor.
+_EDGES = [9.9999999999995, 9.9999999999995e-1, -9.9999999999995e10, 9.9999999999995e33,
+          9.9999999999995e-11, 1e22, 1e23, -1e34, 1e35, 1e-10, 1e-11, 9.99999999999e33,
+          1.0000000000001e-10, 1e-31, 1e56, 9.99e-32, 1.01e56,
+          *(math.nextafter(x, 0.0) for x in (100.0, 1e15, 1e22, -1e-5, 1e-10, 1e40))]
+_SPECIALS = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+             math.inf, -math.inf, math.nan, _float(-1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_templated_tables())
+@example(([_HALVES], "", [","] * len(_HALVES)))
+@example(([_EDGES], "v ", ["\n"] * len(_EDGES)))
+@example(([[x, -x] for x in _SPECIALS], "", [",", "\n"]))
+@example(([[x] for x in _HALVES + _EDGES], "leadbyte", [" | "]))
+def test_num_rows_is_fmt_of_every_cell(case):
+    """The kernel writes every cell of a table, raw 64-bit patterns and
+    ties at the 13th digit among them, as ``fmt`` does, between the lead
+    and separators of the row template."""
+    cells, lead, seps = case
+    template = lead + "".join(export._NUM + sep for sep in seps)
+    table = np.array(cells, dtype=float).reshape(len(cells), len(seps))
+    want = "".join(lead + "".join(fmt(x) + sep for x, sep in zip(row, seps))
+                   for row in table.tolist())
+    assert "".join(export._num_rows(template, table)) == want
+
+
+def test_num_rows_chunks_whole_rows():
+    """Each chunk holds whole rows and at most ``_CHUNK_CELLS`` cells."""
+    table = np.linspace(-2.0, 3.0, 3 * (export._CHUNK_CELLS + 7)).reshape(-1, 3)
+    chunks = list(export._num_rows("v %.12e %.12e %.12e\n", table))
+    rows = [chunk.count("\n") for chunk in chunks]
+    assert rows == [export._CHUNK_CELLS // 3] * 3 + [len(table) - 3 * (export._CHUNK_CELLS // 3)]
+    assert all(chunk.endswith("\n") for chunk in chunks)
+
+
+def test_profile_csv_peak_memory(tmp_path):
+    """Writing a profile of 2*65,536 nodes, the most two branches can
+    step, holds its ``(n, 4)`` table and one chunk's text and temporaries:
+    at most 1.5 times the table's bytes.  A kernel that formats the whole
+    table at once holds about 17 times."""
+    n = 2 * 65536
+    t = np.linspace(-3.0, 3.0, n)
+    sol = SimpleNamespace(t=t, g=np.cosh(t), gp=np.sinh(t),
+                          node_defect=np.random.default_rng(1).standard_normal(n) * 1e-16)
+    path = tmp_path / "p.csv"
+    export.write_profile_csv(path, sol)
+    tracemalloc.start()
+    try:
+        export.write_profile_csv(path, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (n * 4 * 8), peak / (n * 4 * 8)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,7 @@ from solsurf import (
     verify,
 )
 from solsurf.errors import DomainError
-from solsurf.surface_factory import sample_grid
+from solsurf.surface_factory import make_conformal_cylinder, sample_grid
 from solsurf.surface_jets import _curve, _vertical, product_surface_jet
 from solsurf.commands import FAMILIES
 from solsurf.export import write_obj_mesh, write_residual_csv, write_residual_summary
@@ -744,3 +745,16 @@ def test_residual_report_raises_when_everything_fails():
     )
     with pytest.raises(DomainError, match="profile value must be positive"):
         residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 3))
+
+
+@pytest.mark.parametrize("a", [1e140, 1e150])
+def test_conformal_cylinder_at_huge_drift_slope(a):
+    """Past a drift slope of about 1e130 the conformal profile's
+    ``k*expm1(E)`` goes subnormal near the apex (1.5e-312 at 1e140), then 0
+    (at 1e150, where the Gauss sum would multiply 0 by inf); ``dt_dphi``
+    divides by ``cos^2(phi)`` first there, so the exact cylinder sweeps
+    every node to a rounding-level residual, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = residual_report(make_conformal_cylinder(a, 1.0), CONFORMAL, GridSpec(51, 51))
+    assert not rep.failures and rep.max_abs <= 1e-14, (len(rep.failures), rep.max_abs)

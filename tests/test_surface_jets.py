@@ -451,8 +451,9 @@ def test_batched_finite_difference_is_the_scalar_calls():
                 assert batch[:, i, k].tobytes() == one.tobytes()
 
 
-def test_batched_finite_difference_nine_evaluator_calls():
-    """A batch calls the evaluator once per stencil offset, with 1-D arrays."""
+def test_batched_finite_difference_one_evaluator_call():
+    """A batch of ``k`` points calls the evaluator once, with 1-D arrays of
+    the ``9*k`` stencil points."""
     fam, s, t, hs = next(_fd_cases())
     shapes = []
 
@@ -461,7 +462,8 @@ def test_batched_finite_difference_nine_evaluator_calls():
         return fam.position(ss, tt)
 
     finite_difference_jet(position, s[:, None], t[:, None], hs)
-    assert shapes == [((9,), (9,))] * 9
+    k = len(s) * len(hs)
+    assert shapes == [((9 * k,), (9 * k,))]
 
 
 def test_batched_finite_difference_one_point_leaves_domain():
