@@ -39,14 +39,6 @@ def fmt(x: float) -> str:
     return _NUM % float(x)
 
 
-def _rows(template: str, table: np.ndarray) -> str:
-    """Every row of a 2-D table formatted by one ``%`` template, in one
-    call.  Serves the OBJ faces (``%d``); float tables go through
-    :func:`_num_rows`, and the residual CSV formats one template per ``t``
-    column."""
-    return (template * len(table)) % tuple(table.ravel().tolist())
-
-
 # Cells per chunk of :func:`_num_rows`.
 _CHUNK_CELLS = 1 << 13
 # 10**k for k = 12 - e, e = -32 .. 56 (index 56 - e), as two exact factors
@@ -66,11 +58,12 @@ _HEAD = np.frombuffer(b"".join((sign + b"%d." % d).rjust(4, b"\0")
 
 
 def _num_rows(template: str, table: np.ndarray):
-    """The text of ``_rows(template, table)`` for a float table, byte for
-    byte, in chunks of at most ``_CHUNK_CELLS`` cells: yields one ``str``
-    per chunk of whole rows.  ``template`` is one row: ``_NUM`` per column,
-    a lead of at most 8 bytes before the first and a separator of at most
-    4 after each, with no ``%`` of their own.
+    """Every row of a float table as ``template`` writes it under ``%``,
+    each cell as :func:`fmt` writes it, byte for byte, in chunks of at most
+    ``_CHUNK_CELLS`` cells: yields one ``str`` per chunk of whole rows.
+    ``template`` is one row: ``_NUM`` per column, a lead of at most 8 bytes
+    before the first and a separator of at most 4 after each, with no ``%``
+    of their own.
 
     A chunk is laid out in a ``uint32`` buffer, 6 words per cell: sign,
     first digit and point; three words of four digits; exponent and
@@ -145,35 +138,30 @@ def write_residual_csv(path, report: ResidualReport) -> int:
     ``report.samples`` (the (s, t) product grid minus its failed nodes,
     sorted by (s, t)).  Returns the row count.
 
-    A run of rows that share the bits of ``s`` is one ``%`` over its
-    residuals alone: the template ``"<t>,%.12e\n"`` per row, joined, is
-    rebuilt only when the run's ``t`` column differs in bits from the
-    previous run's, and ``"<s>,"`` is formatted once per run.  The next run
-    reuses the lines, prefixed by its own ``s``, when its ``(t, residual)``
-    columns have the same bits.  Where the ``s`` step leaves every
-    residual's bits alone, as the horizontal translation of most families
-    and modes does, every run repeats and the CSV costs one number
-    conversion per ``t`` node and one per ``s`` node.  Only the previous run
-    is kept, and nothing is sorted.  The bytes are those of formatting every
-    number of every row with :func:`fmt`.
+    A run of rows that share the bits of ``s`` formats ``"<s>,"`` once and
+    writes it before each of the run's ``"<t>,<residual>\n"`` lines.  Those
+    lines are one :func:`_num_rows` call over the run's ``(t, residual)``
+    columns, and the next run reuses them when its columns have the same
+    bits.  Where the ``s`` step leaves every residual's bits alone, as the
+    horizontal translation of most families and modes does, every run
+    repeats, and the CSV costs one kernel call in all and one number
+    conversion per ``s`` node.  Only the previous run is kept, and nothing
+    is sorted.  The bytes are those of formatting every number of every row
+    with :func:`fmt`.
     """
     samples = report.samples
     s_bits = samples[:, 0].view(np.int64)
     bounds = np.ones(len(samples) + 1, dtype=bool)  # where a run of equal s bits starts or ends
     bounds[1:-1] = s_bits[1:] != s_bits[:-1]
     edges = np.flatnonzero(bounds).tolist()
-    piece = f"{_NUM},%{_NUM}\n"
-    last_t = template = last = lines = None
+    last = lines = None
     with _open_w(path) as fh:
         fh.write("s,t,residual\n")
         for lo, hi in zip(edges, edges[1:]):
             row = samples[lo:hi, 1:].tobytes()
             if row != last:
-                t_bits = samples[lo:hi, 1].tobytes()
-                if t_bits != last_t:
-                    last_t = t_bits
-                    template = "".join([piece % t for t in samples[lo:hi, 1].tolist()])
-                last, lines = row, (template % tuple(samples[lo:hi, 2].tolist())).splitlines(True)
+                last = row
+                lines = "".join(_num_rows(f"{_NUM},{_NUM}\n", samples[lo:hi, 1:])).splitlines(True)
             pre = fmt(samples[lo, 0]) + ","
             fh.write(pre + pre.join(lines))
     return len(samples)
@@ -265,7 +253,8 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
                 fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
             for rows in blocks:
                 i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
-                fh.write(_rows("f %d %d %d\n", (cells + nt * i).reshape(-1, 3)))
+                faces = (cells + nt * i).reshape(-1, 3)
+                fh.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
     except DomainError:
         os.remove(path)
         raise

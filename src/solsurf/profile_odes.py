@@ -249,11 +249,7 @@ class ConformalProfileParams(_CollapseParams):
         with np.errstate(over="ignore", divide="ignore"):
             em1 = np.expm1(self._exponent(sin, cos2))
             q = self.kinv * em1
-            low = q < sys.float_info.min
-            if np.any(low):  # subnormal or 0: divide by cos^2 first there
-                q = np.where(low, self.kinv * (em1 / cos2), q / cos2)
-            else:
-                q /= cos2
+            q = np.where(q < sys.float_info.min, self.kinv * (em1 / cos2), q / cos2)
             return self.y0 / np.sqrt(q)
 
     def _exponent(self, sin, cos2):

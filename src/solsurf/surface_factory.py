@@ -65,11 +65,11 @@ __all__ = [
 
 
 # In process on a 2-core x86 host (Intel Xeon, numpy 2.4), a 1001x1001
-# residual sweep with its CSV and summary takes 0.12-0.15 s for the minimal
-# cylinder (curvature on one row per block) and 0.76-0.88 s for a generic
-# first-kind family with curved f (on every row), at a peak RSS of 61-62 MB,
+# residual sweep with its CSV and summary takes 0.15-0.27 s for the minimal
+# cylinder (curvature on one row per block) and 0.61-0.76 s for a generic
+# first-kind family with curved f (on every row), at a peak RSS of 61-63 MB,
 # 24 MB of it the samples table; a 1001x1001 minimal-cylinder mesh takes
-# 2.5-2.8 s at 33 MB.  The cap (1024x1024) keeps every grid near that,
+# 1.2-1.6 s at 33 MB.  The cap (1024x1024) keeps every grid near that,
 # instead of letting a typo allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
 # Nodes a sweep forms at once: a block of whole s rows,

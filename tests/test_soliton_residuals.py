@@ -28,6 +28,7 @@ from solsurf import (
     reduced_residual_second_kind,
     residual,
     residual_report,
+    export,
     second_kind_jet,
     soliton_residuals,
     surface_factory,
@@ -357,26 +358,57 @@ _ROUNDED_ROWS = ("minimal-cylinder", "translator", {"c": 1.5, "y0": 1.25})
 _GRID_CASES = _SWEEP_SHAPES + [_ROUNDED_ROWS]
 
 
+def _kernel_calls(monkeypatch):
+    """The row count of every table ``export._num_rows`` is called with from
+    now on, in call order."""
+    calls = []
+    num_rows = export._num_rows
+
+    def counted(template, table):
+        calls.append(len(table))
+        return num_rows(template, table)
+
+    monkeypatch.setattr(export, "_num_rows", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name,mode,kw", _GRID_CASES,
                          ids=[f"{name}-{mode}" for name, mode, _ in _GRID_CASES])
-def test_residual_csv_bytes_at_the_sweep_grid(name, mode, kw, tmp_path):
+def test_residual_csv_bytes_at_the_sweep_grid(name, mode, kw, tmp_path, monkeypatch):
     """At 201x201 the CSV is the per-row format, whether the writer reuses
-    the previous row's lines (every sweep shape) or formats each row."""
+    the previous row's lines (every sweep shape) or formats each row, and
+    the kernel formats only the rows that are not reused."""
     rep = residual_report(FAMILIES[name][0](**kw), SolitonMode(mode), GridSpec(201, 201))
     assert rep.samples.shape == (201 * 201, 3)
+    calls = _kernel_calls(monkeypatch)
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
     if (name, mode, kw) in _SWEEP_SHAPES:
         assert _repeated_rows(rep) == 200
+        assert calls == [201]
     else:
         assert _repeated_rows(rep) < 200
-    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+        assert calls == [201] * (201 - _repeated_rows(rep))
 
 
-def test_residual_csv_bytes_when_every_row_is_distinct(tmp_path):
+def test_residual_csv_bytes_when_every_row_is_distinct(tmp_path, monkeypatch):
     """A curved f makes every s row its own: nothing is reused."""
     fam = make_generic_first_kind(_f1, _g1, (-1.0, 1.0), (-1.0, 1.0))
     rep = residual_report(fam, MINIMAL, GridSpec(201, 201))
     assert _repeated_rows(rep) == 0
+    calls = _kernel_calls(monkeypatch)
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+    assert calls == [201] * 201
+
+
+def test_residual_csv_bytes_when_a_row_spans_kernel_chunks(tmp_path, monkeypatch):
+    """A row of more than ``_CHUNK_CELLS // 2`` nodes comes back from the
+    kernel in several chunks, and the writer keeps every one of them."""
+    fam = make_generic_first_kind(_f1, _g1, (-1.0, 1.0), (-1.0, 1.0))
+    rep = residual_report(fam, MINIMAL, GridSpec(3, 5000))
+    assert rep.samples.shape == (3 * 5000, 3) and 5000 > export._CHUNK_CELLS // 2
+    calls = _kernel_calls(monkeypatch)
+    _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+    assert calls == [5000] * 3
 
 
 # One s row as (t, residual) pairs, and rows that differ from it, or from
@@ -386,13 +418,19 @@ _NEG_ZERO = [(0.0, -0.0), (0.5, 0.25), (1.0, 0.25)]  # equal to _ROW under ==
 _NO_MID = [(0.0, 0.0), (1.0, 0.25)]  # t = 0.5 failed
 _NO_END = [(0.0, 0.0), (0.5, 0.25)]  # t = 1.0 failed: the residuals of _NO_MID
 _LAST = [(0.0, 0.0), (0.5, 0.25), (1.0, 0.375)]
+# Residuals the kernel hands to ``%`` and splices in: a subnormal, a value
+# past its range and a tie at the 13th digit; then the tie one ulp lower,
+# which rounds down (1.000000000000e+00, not 1.000000000001e+00).
+_SPLICED = [(0.0, 5e-324), (0.5, 1e300), (1.0, 1.0000000000005)]
+_ULP_OFF = [(0.0, 5e-324), (0.5, 1e300), (1.0, math.nextafter(1.0000000000005, 0.0))]
 
 
 @pytest.mark.parametrize("rows", [
     [_ROW, _ROW, _NEG_ZERO, _NEG_ZERO, _ROW],
     [_ROW, _ROW, _NO_MID, _NO_END, _NO_END, _ROW],
     [_ROW, _ROW, _LAST, _LAST, _ROW],
-], ids=["signed-zero", "missing-t", "last-residual"])
+    [_ROW, _SPLICED, _SPLICED, _ULP_OFF, _ULP_OFF, _ROW],
+], ids=["signed-zero", "missing-t", "last-residual", "spliced-ulp"])
 def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
     """A row is written from the previous row's lines only when its t and
     residual columns have the same bits, so each file is the per-row format."""
