@@ -228,9 +228,9 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     residual sweep's blocks of ``s`` rows (:func:`_block_rows`), and the
     vertex text of each block is written by :func:`_num_rows`, a chunk at a
     time, before the next is formed; the faces follow, in the same blocks of
-    cell rows, formatted by ``%``.  Raises
-    :class:`DomainError`, before the file is opened, if any node fails; a
-    block that raises once the file is open removes it.  Returns
+    cell rows, each index's text formed once per block and joined by ``%``.
+    Raises :class:`DomainError`, before the file is opened, if any node
+    fails; a block that raises once the file is open removes it.  Returns
     (vertex_count, face_count).
     """
     from .surface_factory import _block_rows, sample_grid
@@ -241,9 +241,9 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
         raise DomainError(f"{n} mesh node(s) failed, first (s, t, reason): {failures[0]}")
     ns, nt = grid.ns, grid.nt
     blocks = _block_rows(ns, nt)
-    a = np.arange(1, nt)  # the OBJ index (0, j) of each cell's first corner
-    # the two triangles of each cell in the first row of cells; a cell in
-    # row i adds i*nt to every index
+    a = np.arange(nt - 1)  # the node (0, j) of each cell's first corner
+    # the two triangles of each cell in a block's first row of cells, as
+    # offsets from its first node; a cell in the block's row i adds i*nt
     cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
     try:
         with _open_w(path) as fh:
@@ -252,9 +252,11 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
                     X = _positions(alpha[0, rows], beta[0])
                 fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
             for rows in blocks:
-                i = np.arange(rows.start, min(rows.stop, ns - 1))[:, None, None]
-                faces = (cells + nt * i).reshape(-1, 3)
-                fh.write("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
+                lo, hi = rows.start, min(rows.stop, ns - 1)
+                # the text of each OBJ index on the block's cell rows, once
+                index = np.array([str(k) for k in range(lo * nt + 1, (hi + 1) * nt + 1)], object)
+                faces = index[cells + nt * np.arange(hi - lo)[:, None, None]].ravel()
+                fh.write("f %s %s %s\n" * (len(faces) // 3) % tuple(faces.tolist()))
     except DomainError:
         os.remove(path)
         raise

@@ -17,7 +17,8 @@ A point is a ``(..., 3)`` array of coordinate slots, as a jet slot is:
 checks the points it receives and returns, acts elementwise with numpy's
 broadcasting, and returns a fresh read-only array.  :func:`_mul` states
 the product once; :func:`lie_product` is it between point checks, and
-:func:`solsurf.surface_jets.product_surface_jet` builds every jet with it.
+:mod:`solsurf.surface_jets` forms every jet's points and its ``Xs`` and
+``Xss`` slots with it.
 """
 from __future__ import annotations
 

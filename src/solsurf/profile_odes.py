@@ -796,8 +796,8 @@ def integrate_conformal_profile(p: ConformalProfileParams) -> ProfileSolution:
 
 def integrate_grim_reaper(p: GrimReaperParams,
                           span: tuple = REAPER_SPAN_DEFAULT) -> ProfileSolution:
-    """Integrate the translator profile over ``span``, which must be finite
-    and contain 0.
+    """Integrate the translator profile over ``span``, which must be finite,
+    increasing and contain 0; each is refused in that order, by name.
 
     The Dormand--Prince stepper runs on ``(g, w)`` with ``g' = lam*e^w``,
     ``w(0) = 0``:
@@ -829,10 +829,12 @@ def integrate_grim_reaper(p: GrimReaperParams,
     conserved-quantity monitor; node defects are reported as zero.
     """
     lo, hi = float(span[0]), float(span[1])
-    if not (lo < hi and lo <= 0.0 <= hi):
-        raise ParameterError(f"span must contain 0, got {span!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"span must be finite, got {span!r}")
+    if not lo < hi:
+        raise ParameterError(f"span must be increasing, got {span!r}")
+    if not lo <= 0.0 <= hi:
+        raise ParameterError(f"span must contain 0, got {span!r}")
     lam, k, exp = p.lam, p.k, math.exp
 
     def rhs(v, g, w):

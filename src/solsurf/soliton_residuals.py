@@ -51,7 +51,7 @@ def residual(mode: SolitonMode, j: np.ndarray):
     """Evaluate one soliton residual at every point of a surface jet, a
     ``(6, ..., 3)`` slot array: a float for a single point's ``(6, 3)`` jet,
     an array of the grid shape for a grid jet."""
-    return _residual_of(SolitonMode(mode), j[0], *_curvature(j))
+    return _residual_of(SolitonMode(mode), j[0], *_curvature(j[1:]))
 
 
 def _residual_of(mode: SolitonMode, X: np.ndarray, H, N):

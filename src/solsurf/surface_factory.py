@@ -7,7 +7,8 @@ shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
 error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
-nodes, its curvature once per run of rows; a mesh forms the points alone.
+nodes: its points, and its curvature once per run of rows, never a surface
+jet; a mesh forms the points alone.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -41,6 +42,7 @@ from .profile_odes import (
 )
 from .surface_jets import (
     _curvature,
+    _derivatives,
     _horospherical as _horospherical_curve,
     _positions,
     _require_triples,
@@ -69,12 +71,12 @@ __all__ = [
 # cylinder (curvature on one row per block) and 0.61-0.76 s for a generic
 # first-kind family with curved f (on every row), at a peak RSS of 61-63 MB,
 # 24 MB of it the samples table; a 1001x1001 minimal-cylinder mesh takes
-# 1.2-1.6 s at 33 MB.  The cap (1024x1024) keeps every grid near that,
+# 0.8-1.3 s at 34 MB.  The cap (1024x1024) keeps every grid near that,
 # instead of letting a typo allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
-# Nodes a sweep forms at once: a block of whole s rows,
-# at least one, 40 rows at nt = 201.  A block's jet and residual temporaries
-# stay in the CPU caches: at 1001x1001, residuals over blocks of 8 rows took
+# Nodes a sweep forms at once: a block of whole s rows, at least one, 40
+# rows at nt = 201.  A block's slots and residual temporaries stay in the
+# CPU caches: at 1001x1001, residuals over blocks of 8 rows took
 # 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
 BLOCK_NODES = 8192
 # Fraction of a collapsing profile's span [-r, r] clipped from each end.
@@ -123,9 +125,10 @@ class SurfaceFamily:
     so ``X = (s, t + f(s), g(t))``; a second-kind one has
     ``beta(t) = (0, 0, t)``, so ``X = (s, f(s), t)``.  ``jet(s, t)``
     returns the read-only ``(6, ..., 3)`` surface jet ``X, Xs, Xt, Xss, Xst,
-    Xtt``; ``position`` is its slot ``X``, the bare embedding, convenient for
-    finite-difference cross-checks.  A profile lives only in ``beta``, so
-    the family :func:`perturb_profile` returns holds no profile but its own.
+    Xtt``; ``position`` forms its slot ``X`` alone, the bare embedding,
+    convenient for finite-difference cross-checks.  A profile lives only in
+    ``beta``, so the family :func:`perturb_profile` returns holds no profile
+    but its own.
 
     Construction, :func:`dataclasses.replace` included, stores both ranges
     as float pairs and refuses one that is not a finite increasing pair
@@ -147,7 +150,7 @@ class SurfaceFamily:
         return product_surface_jet(self.alpha(s), self.beta(t))
 
     def position(self, s: float, t: float) -> np.ndarray:
-        return self.jet(s, t)[0]
+        return _positions(self.alpha(s)[0], self.beta(t)[0])
 
 
 def _horospherical(f: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
@@ -447,15 +450,19 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     """``f(X, H, N)`` of the surface of :func:`sample_grid`'s axis jets, one
     block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``,
     ``X`` the block's points, ``H`` their mean curvature and ``N`` the
-    normal's components.  ``H`` and ``N`` read a row of ``alpha`` only
-    through ``a3``, ``alpha'`` and ``alpha''``: consecutive rows whose 7
-    numbers have the same bits are horizontal translates with the same ``H``
-    and ``N``, a run.  They are formed on the first row of each run that
-    touches a block and reach the run's rows by broadcasting or indexing.
-    Every value has the bits of a whole-grid jet's, and one block's arrays
-    are held at a time.  Jet, curvature and ``f`` run under the sweep's one
-    non-finite policy: no overflow, invalid or divide warning, and the
-    consumer fails a node whose value is not finite."""
+    normal's components.  Every block takes one path: ``X`` is
+    :func:`_positions` of its rows, and ``H`` and ``N`` are
+    :func:`_curvature` of the five :func:`_derivatives` slots, so no point
+    is formed twice and no surface jet is built.  ``H`` and ``N`` read a
+    row of ``alpha`` only through ``a3``, ``alpha'`` and ``alpha''``:
+    consecutive rows whose 7 numbers have the same bits are horizontal
+    translates with the same ``H`` and ``N``, a run.  They are formed on the
+    first row of each run that touches a block and reach the run's rows by
+    broadcasting or indexing.  Every value has the bits of a whole-grid
+    jet's, and one block's arrays are held at a time.  Points, curvature and
+    ``f`` run under the sweep's one non-finite policy: no overflow, invalid
+    or divide warning, and the consumer fails a node whose value is not
+    finite."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1)
     starts = np.ones(alpha.shape[1], dtype=bool)
     starts[1:] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
@@ -463,15 +470,11 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
         heads = starts[rows]
         heads[0] = True  # a block's first row heads the run it continues
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            jet = product_surface_jet(np.compress(heads, alpha[:, rows], axis=1), beta)
-            # when every row heads a run (curved f) the jet holds the block's
-            # points: forming them again made such a sweep 13-17% slower
-            # (in process, 2-core x86)
-            X = jet[0] if heads.all() else _positions(alpha[0, rows], beta[0])
-            H, N = _curvature(jet)
+            X = _positions(alpha[0, rows], beta[0])
+            H, N = _curvature(_derivatives(np.compress(heads, alpha[:, rows], axis=1), beta))
             if 1 < len(H) < len(heads):
                 run = np.cumsum(heads) - 1
                 H, N = H[run], tuple(c[run] for c in N)
             out = f(X, H, N)
-        del jet, X, H, N
+        del X, H, N
         yield rows, out

@@ -19,9 +19,12 @@ axis; three of them, stacked, are a curve jet.  Every function that reads
 a jet works component-wise, so a grid and a single point go through the
 same expressions.
 
-:func:`product_surface_jet` is the one builder.  Both canonical shapes are
-products of a horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical
-``beta(t)``:
+:func:`product_surface_jet` is the one builder: slot ``X`` is
+:func:`_positions` and the five derivative slots ``Xs, Xt, Xss, Xst,
+Xtt`` are :func:`_derivatives`, the only slots the normal and the mean
+curvature read, so a sweep forms its points and its curvature apart and
+never builds a surface jet.  Both canonical shapes are products of a
+horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical ``beta(t)``:
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
   with ``g > 0``;
@@ -86,10 +89,11 @@ def _cross(a, b):
     return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
-def _normal(j: np.ndarray):
-    """Components of the unit normal ``Xs x Xt / |Xs x Xt|`` and ``|Xs x Xt|^2``;
-    NaN components at a collapsed point (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
-    c = _cross(_xyz(j[1]), _xyz(j[2]))
+def _normal(d: np.ndarray):
+    """Components of the unit normal ``Xs x Xt / |Xs x Xt|`` and ``|Xs x Xt|^2``
+    from a jet's derivative slots ``d = j[1:]``; NaN components at a
+    collapsed point (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
+    c = _cross(_xyz(d[0]), _xyz(d[1]))
     cc = _dot(c, c)
     w = np.sqrt(cc)
     w = np.where(w > _DEGENERACY_THRESHOLD, w, np.nan)
@@ -164,58 +168,73 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
 
     ``aj`` and ``bj`` are curve jets: ``(3, ..., 3)`` arrays whose value,
     d1 and d2 slots ``alpha, alpha', alpha''`` (and ``beta, beta',
-    beta''``) come first.  With ``P`` the horizontal projection
-    ``(v1, v2, 0)`` and ``a3`` the height slot of ``alpha``:
+    beta''``) come first.  Slot ``X`` is :func:`_positions`, the five
+    derivative slots are :func:`_derivatives`, each written in place into
+    one fresh ``(6, ..., 3)`` array, the jet.  The curve slots broadcast
+    against each other, so ``(3, n, 3)`` curve jets give ``n`` points and
+    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid.  Both curve heights and
+    every point's must be positive.
+    """
+    j = np.empty((6,) + np.broadcast_shapes(aj[0].shape, bj[0].shape))
+    _positions(aj[0], bj[0], out=j[0])
+    _derivatives(aj, bj, out=j[1:])
+    j.setflags(write=False)
+    return j
 
-        X   = a3*beta   + P(alpha)      Xs  = a3'*beta  + P(alpha')
-        Xt  = a3*beta'                  Xss = a3''*beta + P(alpha'')
-        Xst = a3'*beta'                 Xtt = a3*beta''
 
-    The group law ``p * q = p3*q + P(p)`` is linear in ``p``, so ``X``,
-    ``Xs`` and ``Xss`` are that law, :func:`solsurf.lie_halfspace._mul`,
-    with ``alpha``, ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as
-    ``q``.  The curve slots broadcast against each other, so ``(3, n, 3)``
-    curve jets give ``n`` points and ``(3, ns, 1, 3)`` times ``(3, nt, 3)``
-    the grid.  Both curve heights and every point's must be positive.  Each
-    slot is written in place into one fresh ``(6, ..., 3)`` array, the jet.
+def _derivatives(aj: np.ndarray, bj: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The five derivative slots ``Xs, Xt, Xss, Xst, Xtt`` of
+    :func:`product_surface_jet`, a ``(5, ..., 3)`` array (``out`` if it is
+    given), the only slots the normal and the curvature read.  With ``P``
+    the horizontal projection ``(v1, v2, 0)`` and ``a3`` the height slot of
+    ``alpha``:
+
+        Xs  = a3'*beta  + P(alpha')     Xt  = a3*beta'
+        Xss = a3''*beta + P(alpha'')    Xst = a3'*beta'
+        Xtt = a3*beta''
+
+    The group law ``p * q = p3*q + P(p)`` is linear in ``p``, so ``Xs`` and
+    ``Xss``, like ``X``, are that law, :func:`solsurf.lie_halfspace._mul`,
+    with ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as ``q``.  No
+    height is checked here: that is :func:`_positions`'s.
     """
     a, a1, a2 = aj
     b, b1, b2 = bj
     a3, a3_1 = a[..., 2:], a1[..., 2:]
-    j = np.empty((6,) + np.broadcast_shapes(a.shape, b.shape))
-    _positions(a, b, out=j[0])
-    _mul(a1, b, out=j[1])
-    np.multiply(a3, b1, out=j[2])
-    _mul(a2, b, out=j[3])
-    np.multiply(a3_1, b1, out=j[4])
-    np.multiply(a3, b2, out=j[5])
-    j.setflags(write=False)
-    return j
+    if out is None:
+        out = np.empty((5,) + np.broadcast_shapes(a.shape, b.shape))
+    _mul(a1, b, out=out[0])
+    np.multiply(a3, b1, out=out[1])
+    _mul(a2, b, out=out[2])
+    np.multiply(a3_1, b1, out=out[3])
+    np.multiply(a3, b2, out=out[4])
+    return out
 
 
 def unit_normal(j: np.ndarray) -> np.ndarray:
     """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape;
     NaN at a collapsed point."""
-    return _stack(*_normal(j)[0])
+    return _stack(*_normal(j[1:])[0])
 
 
 def mean_curvature(j: np.ndarray):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*|Xs x Xt|^2)``,
     with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``; NaN
     at a collapsed point."""
-    return _curvature(j)[0]
+    return _curvature(j[1:])[0]
 
 
-def _curvature(j: np.ndarray):
+def _curvature(d: np.ndarray):
     """Mean curvature and the components of the unit normal it was formed
-    with: one cross product serves :func:`mean_curvature` and the soliton
-    residuals, which read both.
+    with, from the five derivative slots ``Xs, Xt, Xss, Xst, Xtt = d`` of a
+    jet, ``j[1:]``: no point is read.  One cross product serves
+    :func:`mean_curvature` and the soliton residuals, which read both.
 
     The numerator is formed one operation at a time in the arrays of ``E``,
     ``F``, ``G``, ``l``, ``m`` and ``n``, with the bits of the expression, and
     divided by ``2*|Xs x Xt|^2`` from the normal: ``E*G - F^2`` is never formed."""
-    N, cc = _normal(j)
-    xs, xt, xss, xst, xtt = map(_xyz, j[1:])
+    N, cc = _normal(d)
+    xs, xt, xss, xst, xtt = map(_xyz, d)
     E, F, G = _dot(xs, xs), _dot(xs, xt), _dot(xt, xt)
     l, m, n = _dot(xss, N), _dot(xtt, N), _dot(xst, N)
     l *= G  # numerator l*G - (2*n)*F + E*m, left to right

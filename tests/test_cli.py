@@ -236,6 +236,7 @@ REFUSALS = {
                                                  "not a finite, normal, positive float",
     "profile --ode grim-reaper --span=0:inf": "span must be finite, got (0.0, inf)",
     "mesh --family grim-reaper --span=-inf:0": "span must be finite, got (-inf, 0.0)",
+    "profile --ode grim-reaper --span 0:0": "span must be increasing, got (0.0, 0.0)",
     # a collapsing family takes every y0 whose first-integral constant is normal
     "residual --family minimal-cylinder --y0 1e-80 --mode minimal --grid 3x3":
         "first-integral constant m = 1e-320 is not a finite, normal, positive float",
@@ -344,6 +345,8 @@ REFUSALS = {
          "--grid", "5x5"],
         ["residual", "--family", "grim-reaper", "--lambda", "1e100", "--mode", "translator",
          "--grid", "5x5"],
+        # an empty reaper span is refused as not increasing, not as missing 0
+        ["profile", "--ode", "grim-reaper", "--span", "0:0"],
     ],
 )
 def test_parameter_errors_exit_2(tmp_path, argv, monkeypatch, capsys):

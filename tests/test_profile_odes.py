@@ -9,6 +9,7 @@ hand-provable shape facts.
 import dataclasses
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -744,9 +745,21 @@ def test_reaper_short_spans_have_finite_profiles(lam, k, r, shape):
         assert np.isfinite(getattr(sol, name)(q)).all(), name
 
 
-@pytest.mark.parametrize("span", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+@pytest.mark.parametrize("span", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf),
+                                  (math.nan, 1.0), (-1.0, math.nan)])
 def test_reaper_refuses_an_infinite_span(span):
     with pytest.raises(ParameterError, match="span must be finite"):
+        integrate_grim_reaper(GrimReaperParams(), span)
+
+
+@pytest.mark.parametrize("span, reason", [((0.0, 0.0), "span must be increasing"),
+                                          ((2.0, 1.0), "span must be increasing"),
+                                          ((1.0, 2.0), "span must contain 0")])
+def test_reaper_span_refusal_names_its_reason(span, reason):
+    """A finite span is refused first for not increasing, then for missing
+    0, each by its own message: an empty or reversed span does not read as
+    one that misses 0."""
+    with pytest.raises(ParameterError, match=f"^{reason}, got {re.escape(repr(span))}$"):
         integrate_grim_reaper(GrimReaperParams(), span)
 
 

@@ -536,11 +536,11 @@ def _array_bytes(grid):
 def test_residual_report_peak_memory():
     """A report holds its whole output, the samples table (3 grid-sized
     float arrays) and its finite mask, and one block at a time: the block's
-    jet (18 block-sized arrays) and the residual's temporaries.  At both
-    grids it peaks below 3.5 grid arrays plus 32 block arrays, for the
-    minimal cylinder, whose linear f gives a jet of one row per block, and
-    for a curved f, whose every row heads a run, so each jet is a whole
-    block's."""
+    points and derivative slots (3 and 15 block-sized arrays) and the
+    residual's temporaries.  At both grids it peaks below 3.5 grid arrays
+    plus 32 block arrays, for the minimal cylinder, whose linear f gives
+    derivative slots of one row per block, and for a curved f, whose every
+    row heads a run, so its slots are a whole block's."""
     curved = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
     for fam in (make_minimal_cylinder(1.2, 1.1), curved):
         for grid in _MEMORY_GRIDS:
@@ -572,9 +572,10 @@ def test_write_obj_mesh_peak_memory(tmp_path):
 
 def test_verify_residual_defect_peak_memory():
     """verify's grid rows keep only each block's residual maxima, so one
-    block's jet is alive at a time: on a 1001x201 horosphere with two modes
-    they peak at most at 33 block-sized arrays (a jet is 18; a loop that
-    keeps the jet it was handed holds two while the next is built)."""
+    block's points and curvature are alive at a time: on a 1001x201
+    horosphere with two modes they peak at most at 33 block-sized arrays (a
+    block's points are 3 and its derivative slots at most 15; a loop that
+    keeps the block it was handed holds two while the next is formed)."""
     grid = GridSpec(1001, 201)
     terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
     _, block = _array_bytes(grid)
@@ -742,17 +743,39 @@ def test_mesh_block_seams_keep_the_bits(tmp_path):
     assert (tmp_path / "m.obj").read_bytes() == "".join(expect).encode()
 
 
+def test_sweeps_build_no_surface_jet(monkeypatch):
+    """A residual sweep and verify's grid rows form points and curvature
+    apart, never a surface jet: with ``product_surface_jet`` made to raise,
+    the blocked report of every mode has the samples and failures of one
+    whole-grid jet, and the horosphere row still measures 0."""
+    fam = _seam_family(failing=True)
+    refs = {mode: _whole_grid_report(fam, mode, _SEAM_GRID) for mode in SolitonMode}
+
+    def refused(*args):
+        raise AssertionError("a sweep built a surface jet")
+
+    monkeypatch.setattr(surface_factory, "product_surface_jet", refused)
+    for mode, ref in refs.items():
+        rep = residual_report(fam, mode, _SEAM_GRID)
+        assert rep.failures == ref.failures, mode
+        assert rep.samples.tobytes() == ref.samples.tobytes(), mode
+    terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
+    assert verify._residual_defect([(make_horosphere(1.0), terms)], GridSpec(101, 101), "x") \
+        == (0.0, "x")
+
+
 def test_mesh_forms_no_jet_and_no_curvature(tmp_path, monkeypatch):
     """The mesh forms its points alone, never through the sweep that forms
-    curvature: with the surface jet and the curvature made to raise, it
-    writes the same bytes, in blocks of 40, 40, 40 and 3 s rows."""
+    curvature: with the surface jet, the derivative slots and the curvature
+    made to raise, it writes the same bytes, in blocks of 40, 40, 40 and 3
+    s rows."""
     fam = _seam_family(failing=False)
     write_obj_mesh(tmp_path / "clean.obj", fam, _SEAM_GRID)
 
     def refused(*args):
-        raise AssertionError("the mesh formed a surface jet or a curvature")
+        raise AssertionError("the mesh formed a surface jet, derivatives or a curvature")
 
-    for name in ("product_surface_jet", "_curvature"):
+    for name in ("product_surface_jet", "_derivatives", "_curvature"):
         monkeypatch.setattr(surface_factory, name, refused)
     write_obj_mesh(tmp_path / "m.obj", fam, _SEAM_GRID)
     assert (tmp_path / "m.obj").read_bytes() == (tmp_path / "clean.obj").read_bytes()

@@ -308,12 +308,13 @@ def test_an_axis_that_fails_everywhere_comes_back_empty():
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, the kept nodes of each axis come out of
     ``sample_grid`` as C-contiguous ``(3, ..., 3)`` curve jets, and each
-    row block reaches ``product_surface_jet`` and ``_positions`` with
-    C-contiguous slots: masking the middle axis of a ``(3, n, 3)`` array with
+    row block reaches ``_positions`` and ``_derivatives`` with C-contiguous
+    slots: masking the middle axis of a ``(3, n, 3)`` array with
     ``rows[:, ~bad]`` would give strided slots that slow every slot formula.
-    A linear f is one run, so the block's points take the sliced path
-    through ``_positions`` and its jet is of the first row; a curved f makes
-    each row its own run, so its jet is of every row and holds the points."""
+    Every block takes one path: its points through ``_positions`` on every
+    row, its derivative slots on the first row of each run, which for a
+    linear f (one run) is the first row and for a curved f (each row its
+    own run) every row."""
     seen = []
 
     def recorded(build):
@@ -322,12 +323,13 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
             return build(aj, bj)
         return call
 
-    for name in ("product_surface_jet", "_positions"):
+    for name in ("_positions", "_derivatives"):
         monkeypatch.setattr(surface_factory, name, recorded(getattr(surface_factory, name)))
     for f, calls in (
             (lambda s: (0.1 * s, 0.1, 0.0),
-             [("product_surface_jet", (3, 1, 1, 3)), ("_positions", (3, 1, 3))]),
-            (lambda s: (s * s, 2.0 * s, 2.0), [("product_surface_jet", (3, 3, 1, 3))])):
+             [("_positions", (3, 1, 3)), ("_derivatives", (3, 1, 1, 3))]),
+            (lambda s: (s * s, 2.0 * s, 2.0),
+             [("_positions", (3, 1, 3)), ("_derivatives", (3, 3, 1, 3))])):
         seen.clear()
         fam = make_generic_first_kind(f, lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
         (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 5))
@@ -339,7 +341,7 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
         list(surface_factory._row_blocks(alpha, beta, lambda X, H, N: X))
         assert [(name, aj.shape) for name, aj, _ in seen] == calls
         for name, aj, bj in seen:
-            slots = (*aj, *bj) if name == "product_surface_jet" else (aj, bj)
+            slots = (*aj, *bj) if name == "_derivatives" else (aj, bj)
             assert all(slot.flags.c_contiguous for slot in slots), name
 
 
