@@ -134,37 +134,32 @@ def _open_w(path):
 
 
 def write_residual_csv(path, report: ResidualReport) -> int:
-    """One row per sampled node: ``s,t,residual``, in the order of
-    ``report.samples`` (the (s, t) product grid minus its failed nodes,
-    sorted by (s, t)).  Returns the row count.
+    """One line ``s,t,residual`` per finite node of ``report.r``, row-major
+    over the grid.  Returns the line count.
 
-    A run of rows that share the bits of ``s`` formats ``"<s>,"`` once and
-    writes it before each of the run's ``"<t>,<residual>\n"`` lines.  Those
-    lines are one :func:`_num_rows` call over the run's ``(t, residual)``
-    columns, and the next run reuses them when its columns have the same
-    bits.  Where the ``s`` step leaves every residual's bits alone, as the
-    horizontal translation of most families and modes does, every run
-    repeats, and the CSV costs one kernel call in all and one number
-    conversion per ``s`` node.  Only the previous run is kept, and nothing
-    is sorted.  The bytes are those of formatting every number of every row
-    with :func:`fmt`.
-    """
-    samples = report.samples
-    s_bits = samples[:, 0].view(np.int64)
-    bounds = np.ones(len(samples) + 1, dtype=bool)  # where a run of equal s bits starts or ends
-    bounds[1:-1] = s_bits[1:] != s_bits[:-1]
-    edges = np.flatnonzero(bounds).tolist()
-    last = lines = None
+    Each ``s`` row formats ``"<s>,"`` once and writes it before each of its
+    ``"<t>,<residual>\n"`` lines: one :func:`_num_rows` call over ``t`` and
+    the residuals at the row's finite nodes, which the next row reuses when
+    its residuals have the same bits (``t`` is the same on every row).
+    Where the ``s`` step leaves the residuals' bits alone, as the horizontal
+    translation of most families and modes does, the CSV costs one kernel
+    call and one number conversion per ``s`` node.  A row whose every node
+    failed writes nothing.  The bytes are those of :func:`fmt` on every
+    number."""
+    last, lines, n = None, [], 0
     with _open_w(path) as fh:
         fh.write("s,t,residual\n")
-        for lo, hi in zip(edges, edges[1:]):
-            row = samples[lo:hi, 1:].tobytes()
-            if row != last:
-                last = row
-                lines = "".join(_num_rows(f"{_NUM},{_NUM}\n", samples[lo:hi, 1:])).splitlines(True)
-            pre = fmt(samples[lo, 0]) + ","
-            fh.write(pre + pre.join(lines))
-    return len(samples)
+        for s, row in zip(report.s.tolist(), report.r):
+            bits = row.tobytes()
+            if bits != last:
+                last, m = bits, np.isfinite(row)
+                table = np.column_stack([report.t[m], row[m]])
+                lines = "".join(_num_rows(f"{_NUM},{_NUM}\n", table)).splitlines(True)
+            if lines:
+                pre = fmt(s) + ","
+                fh.write(pre + pre.join(lines))
+                n += len(lines)
+    return n
 
 
 def write_residual_summary(path, report: ResidualReport) -> None:
@@ -181,7 +176,7 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     lines += [
         f"mode={report.mode.value}",
         f"grid={grid.ns}x{grid.nt}",
-        f"nodes={len(report.samples)}",
+        f"nodes={np.count_nonzero(np.isfinite(report.r))}",
         f"failures={len(report.failures)}",
         f"mean_abs={fmt(report.mean_abs)}",
         f"MAX_ABS={fmt(report.max_abs)}",

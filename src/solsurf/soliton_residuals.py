@@ -103,18 +103,19 @@ def reduced_residual_second_kind(mode: SolitonMode, fj, s: float, t: float) -> f
 
 @dataclass
 class ResidualReport:
-    """Residuals sampled over a grid.  ``samples`` has columns (s, t, value)
-    and holds the (s, t) product grid minus its failed nodes, sorted by
-    (s, t); every value is finite.  Evaluation failures are kept
-    separately.  ``family`` and ``grid`` are the swept family and grid,
-    which :func:`~solsurf.export.write_residual_summary` reads.  When every
-    node is finite, ``samples`` is the grid-shaped table itself, reshaped,
-    not a masked copy."""
+    """Residuals swept over a grid, as the sweep computed them: ``r`` is the
+    read-only ``(len(s), len(t))`` grid on the axis nodes ``s`` and ``t``
+    that :func:`sample_grid` kept.  Its entries that are not finite are the
+    nodes ``failures`` lists as ``residual is not finite``; a failed axis
+    node has no row or column.  ``family`` and ``grid``, the swept family
+    and grid, are read by :func:`~solsurf.export.write_residual_summary`."""
 
     mode: SolitonMode
     family: "SurfaceFamily"
     grid: "GridSpec"
-    samples: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
     failures: List[Tuple[float, float, str]]
 
     @property
@@ -126,12 +127,22 @@ class ResidualReport:
         return self.grid.nt
 
     @property
+    def samples(self) -> np.ndarray:
+        """The finite nodes' ``(s, t, value)`` rows, row-major, formed on each read."""
+        i, k = np.nonzero(np.isfinite(self.r))
+        return np.column_stack([self.s[i], self.t[k], self.r[i, k]])
+
+    def _finite_abs(self) -> np.ndarray:
+        a = self.r[np.isfinite(self.r)]
+        return np.abs(a, out=a)
+
+    @property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.samples[:, 2])))
+        return float(np.max(self._finite_abs()))
 
     @property
     def mean_abs(self) -> float:
-        return float(np.mean(np.abs(self.samples[:, 2])))
+        return float(np.mean(self._finite_abs()))
 
 
 def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -> ResidualReport:
@@ -141,9 +152,9 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
     The factor curves are evaluated once per axis by :func:`sample_grid`;
     the residual is then formed one block of ``s`` rows at a time, with
     one curvature per run of translated rows (:func:`_row_blocks`), into
-    the whole ``samples`` table; no jet of the whole grid is held.  A node
-    whose residual is not finite (its forms overflow, or its jet is collapsed,
-    so its normal is NaN) fails with that reason and no numpy warning, beside
+    the rows of ``r``; no jet of the whole grid is held.  A node whose
+    residual is not finite (its forms overflow, or its jet is collapsed, so
+    its normal is NaN) fails with that reason and no numpy warning, beside
     the nodes :func:`sample_grid` fails; ``failures`` stays row-major.
     Raises :class:`DomainError` if no node gives a finite residual, an
     empty grid included: the one raise of a sweep for an unevaluable grid.
@@ -154,27 +165,19 @@ def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -
 
     mode = SolitonMode(mode)
     (s, t, alpha, beta), failures = sample_grid(fam, grid)
-    arr = np.empty((len(s), len(t), 3))
-    arr[..., 0], arr[..., 1] = s[:, None], t
-    r = arr[..., 2]
+    r = np.empty((len(s), len(t)))
     for rows, values in _row_blocks(alpha, beta, lambda X, H, N: _residual_of(mode, X, H, N)):
         r[rows] = values  # a value that is not finite fails below
-    finite = np.isfinite(r)
-    if finite.all():
-        arr = arr.reshape(-1, 3)
-    else:
-        bad = ~finite
+    bad = ~np.isfinite(r)
+    if bad.any():
         i, k = np.nonzero(bad)
-        failures = sorted(
-            failures + [(si, ti, f"residual is not finite: {v!r}")
-                        for si, ti, v in zip(s[i].tolist(), t[k].tolist(), r[bad].tolist())],
-            key=lambda f: (f[0], f[1]),
-        )
-        arr = arr[finite]
-    if not finite.any():  # every node failed, here or in sample_grid
+        failures += [(si, ti, f"residual is not finite: {v!r}")
+                     for si, ti, v in zip(s[i].tolist(), t[k].tolist(), r[bad].tolist())]
+        failures.sort(key=lambda f: (f[0], f[1]))
+    if bad.all():  # every node failed, here or in sample_grid
         raise DomainError(
             f"no grid node of {fam.name!r} has a finite residual "
             f"({len(failures)} failures), first (s, t, reason): {failures[0]}"
         )
-    arr.setflags(write=False)
-    return ResidualReport(mode=mode, family=fam, grid=grid, samples=arr, failures=failures)
+    r.setflags(write=False)
+    return ResidualReport(mode, fam, grid, s, t, r, failures)

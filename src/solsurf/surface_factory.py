@@ -23,6 +23,7 @@ its function: a triple at one abscissa, a ``(3, n)`` array on an axis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -66,13 +67,12 @@ __all__ = [
 ]
 
 
-# In process on a 2-core x86 host (Intel Xeon, numpy 2.4), a 1001x1001
-# residual sweep with its CSV and summary takes 0.15-0.27 s for the minimal
-# cylinder (curvature on one row per block) and 0.61-0.76 s for a generic
-# first-kind family with curved f (on every row), at a peak RSS of 61-63 MB,
-# 24 MB of it the samples table; a 1001x1001 minimal-cylinder mesh takes
-# 0.8-1.3 s at 34 MB.  The cap (1024x1024) keeps every grid near that,
-# instead of letting a typo allocate until the process is killed.
+# On a 2-core x86 host (Intel Xeon, numpy 2.4), a 1001x1001 residual sweep
+# with its CSV and summary takes 0.09-0.20 s in process for the minimal
+# cylinder and 0.47-0.82 s for a curved-f first kind, at a peak RSS of
+# 47-48 MB; a 1001x1001 minimal-cylinder mesh takes 0.8-1.3 s at 34 MB.  The
+# cap (1024x1024) keeps every grid near that, instead of letting a typo
+# allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
 # Nodes a sweep forms at once: a block of whole s rows, at least one, 40
 # rows at nt = 201.  A block's slots and residual temporaries stay in the
@@ -85,20 +85,22 @@ MARGIN = 1e-3
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
-    """A sampling grid: ``ns`` nodes across ``s``, ``nt`` across ``t``.  At
-    most ``MAX_GRID_NODES`` nodes are allowed."""
+    """A sampling grid: ``ns`` nodes across ``s``, ``nt`` across ``t``, each
+    an integer of at least 2.  At most ``MAX_GRID_NODES`` nodes are allowed."""
 
     ns: int
     nt: int
 
     def __post_init__(self) -> None:
-        if self.ns < 2 or self.nt < 2:
-            raise ParameterError(f"grid needs at least 2x2 nodes, got {self.ns}x{self.nt}")
-        if self.ns * self.nt > MAX_GRID_NODES:
-            raise ParameterError(
-                f"grid {self.ns}x{self.nt} has {self.ns * self.nt} nodes, "
-                f"more than the cap of {MAX_GRID_NODES}"
-            )
+        try:  # numpy integers pass, as Python ints; floats, NaN included, do not
+            ns, nt = operator.index(self.ns), operator.index(self.nt)
+        except TypeError:
+            raise ParameterError(f"grid counts must be integers, got {self.ns!r}x{self.nt!r}") from None
+        if ns < 2 or nt < 2:
+            raise ParameterError(f"grid needs at least 2x2 nodes, got {ns}x{nt}")
+        if ns * nt > MAX_GRID_NODES:
+            raise ParameterError(f"grid {ns}x{nt} has {ns * nt} nodes, "
+                                 f"more than the cap of {MAX_GRID_NODES}")
 
 
 def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from solsurf import GrimReaperParams, export, integrate_grim_reaper
+from solsurf import GrimReaperParams, ResidualReport, export, integrate_grim_reaper
 from solsurf.cli import main
 from solsurf.export import fmt
 
@@ -122,6 +122,35 @@ def test_residual_bytes(tmp_path, family, mode):
     assert main(argv) == 0
     got = (_sha256(tmp_path / "r.csv"), _sha256(tmp_path / "r.summary.txt"))
     assert got == RESIDUAL_SHA256[family, mode]
+
+
+# A sweep with failed nodes: on this t range the translator residual's
+# X3^2*H overflows to NaN on the upper 9 of the 17 t columns, so 207 of the
+# 391 nodes fail.  (sha256 of <out>.csv, sha256 of <out>.summary.txt)
+FAILING_ARGS = ["--family", "vertical-plane", "--d", "-0.3", "--t-range", "1:3e154",
+                "--mode", "translator"]
+FAILING_SHA256 = (
+    "125b58379540930495f54a7523e0dc8ef5bba99f969e6cdc38540e42e970b0e9",
+    "0eaa5542dc3575b9b5da4d6cb2da6279b5c584ca573d40cb743a9e28f8850848",
+)
+
+
+def test_residual_command_forms_no_samples_table(tmp_path, monkeypatch):
+    """``residual`` writes its files from the report's grid: with
+    ``ResidualReport.samples`` made to raise, a sweep with failed nodes and
+    one without exit 0 with their pinned bytes."""
+    def refused(report):
+        raise AssertionError("the residual command formed the samples table")
+
+    monkeypatch.setattr(ResidualReport, "samples", property(refused))
+    for argv, expect in (
+        (FAILING_ARGS, FAILING_SHA256),
+        (["--family", "horosphere", *FAMILY_ARGS["horosphere"], "--mode", "translator"],
+         RESIDUAL_SHA256["horosphere", "translator"]),
+    ):
+        out = tmp_path / "r"
+        assert main(["residual", *argv, "--grid", GRID, "--out", str(out)]) == 0
+        assert (_sha256(tmp_path / "r.csv"), _sha256(tmp_path / "r.summary.txt")) == expect
 
 
 @pytest.mark.parametrize("family", list(MESH_SHA256))

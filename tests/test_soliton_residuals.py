@@ -159,7 +159,10 @@ def test_residual_report_grid_structure():
     grid = GridSpec(3, 4)
     rep = residual_report(fam, SolitonMode.TRANSLATOR, grid)
     assert rep.family is fam and rep.grid is grid
+    assert rep.s.tolist() == [0.0, 0.5, 1.0] and rep.t.tolist() == [0.0, 2 / 3, 4 / 3, 2.0]
+    assert rep.r.shape == (3, 4) and not rep.r.flags.writeable
     assert rep.samples.shape == (12, 3)
+    assert rep.samples[:, 2].tolist() == rep.r.ravel().tolist()
     assert rep.ns == 3 and rep.nt == 4
     # sorted by (s, t): first four rows share s = 0
     assert np.all(rep.samples[:4, 0] == 0.0)
@@ -324,23 +327,23 @@ def test_masked_report_rows_are_sorted_and_written_per_row(ns, nt, keep):
         _assert_csv_is_per_row_format(rep, Path(tmp) / "residual.csv")
 
 
-def test_residual_csv_keeps_signed_zeros_in_any_row_order(tmp_path):
-    """The writer tells axis values apart by their bits, so 0.0 and -0.0 in
-    one column keep their signs, and rows out of (s, t) order still match."""
+def test_residual_csv_keeps_signed_zeros(tmp_path):
+    """The writer formats each s node on its own and the t nodes by their
+    bits, so 0.0 and -0.0 on either axis keep their signs, on rows that
+    reuse the lines of the row before them too."""
     fam = make_generic_first_kind(_f1, _g1, (-1.0, 1.0), (-1.0, 1.0))
     rep = residual_report(fam, TRANSLATOR, GridSpec(3, 3))
-    samples = rep.samples.copy()
-    samples[::2, :2] *= -1.0  # s and t flip sign on alternate rows: 0.0 and -0.0 both occur
-    rep = dataclasses.replace(rep, samples=samples[[4, 0, 8, 1, 2, 7, 3, 6, 5]])
-    assert {math.copysign(1.0, s) for s in rep.samples[:, 0] if s == 0.0} == {-1.0, 1.0}
+    rep = dataclasses.replace(rep, s=np.array([0.0, -0.0, 0.0]), t=np.array([-0.0, 0.0, 1.0]),
+                              r=np.repeat(rep.r[:1], 3, axis=0))  # every row repeats
+    for axis in (rep.s, rep.t):
+        assert {math.copysign(1.0, x) for x in axis.tolist() if x == 0.0} == {-1.0, 1.0}
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 
 def _repeated_rows(rep):
-    """How many s rows of a full grid have the (t, residual) bits of the row
-    before them."""
-    rows = rep.samples[:, 1:].reshape(rep.ns, rep.nt, 2)
-    return sum(rows[i].tobytes() == rows[i - 1].tobytes() for i in range(1, rep.ns))
+    """How many s rows of a grid have the residual bits of the row before
+    them."""
+    return sum(rep.r[i].tobytes() == rep.r[i - 1].tobytes() for i in range(1, len(rep.s)))
 
 
 # The family/mode pairs of the benchmark's residual sweep, with parameters
@@ -411,33 +414,34 @@ def test_residual_csv_bytes_when_a_row_spans_kernel_chunks(tmp_path, monkeypatch
     assert calls == [5000] * 3
 
 
-# One s row as (t, residual) pairs, and rows that differ from it, or from
-# each other, in one way only.
-_ROW = [(0.0, 0.0), (0.5, 0.25), (1.0, 0.25)]
-_NEG_ZERO = [(0.0, -0.0), (0.5, 0.25), (1.0, 0.25)]  # equal to _ROW under ==
-_NO_MID = [(0.0, 0.0), (1.0, 0.25)]  # t = 0.5 failed
-_NO_END = [(0.0, 0.0), (0.5, 0.25)]  # t = 1.0 failed: the residuals of _NO_MID
-_LAST = [(0.0, 0.0), (0.5, 0.25), (1.0, 0.375)]
+# One s row of residuals at t = 0, 0.5 and 1, and rows that differ from it,
+# or from each other, in one way only.
+_ROW = [0.0, 0.25, 0.25]
+_NEG_ZERO = [-0.0, 0.25, 0.25]  # equal to _ROW under ==
+_NO_MID = [0.0, math.nan, 0.25]  # t = 0.5 failed
+_NO_END = [0.0, 0.25, math.nan]  # t = 1.0 failed: the finite residuals of _NO_MID
+_NONE_LEFT = [math.nan] * 3  # every node failed: the row writes nothing
+_LAST = [0.0, 0.25, 0.375]
 # Residuals the kernel hands to ``%`` and splices in: a subnormal, a value
 # past its range and a tie at the 13th digit; then the tie one ulp lower,
 # which rounds down (1.000000000000e+00, not 1.000000000001e+00).
-_SPLICED = [(0.0, 5e-324), (0.5, 1e300), (1.0, 1.0000000000005)]
-_ULP_OFF = [(0.0, 5e-324), (0.5, 1e300), (1.0, math.nextafter(1.0000000000005, 0.0))]
+_SPLICED = [5e-324, 1e300, 1.0000000000005]
+_ULP_OFF = [5e-324, 1e300, math.nextafter(1.0000000000005, 0.0)]
 
 
 @pytest.mark.parametrize("rows", [
     [_ROW, _ROW, _NEG_ZERO, _NEG_ZERO, _ROW],
-    [_ROW, _ROW, _NO_MID, _NO_END, _NO_END, _ROW],
+    [_ROW, _ROW, _NO_MID, _NO_END, _NO_END, _NONE_LEFT, _NONE_LEFT, _ROW],
     [_ROW, _ROW, _LAST, _LAST, _ROW],
     [_ROW, _SPLICED, _SPLICED, _ULP_OFF, _ULP_OFF, _ROW],
 ], ids=["signed-zero", "missing-t", "last-residual", "spliced-ulp"])
 def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
-    """A row is written from the previous row's lines only when its t and
-    residual columns have the same bits, so each file is the per-row format."""
-    samples = np.array([(float(i), t, r) for i, row in enumerate(rows) for t, r in row])
+    """A row is written from the previous row's lines only when its
+    residuals have the same bits, so each file is the per-row format."""
     fam = make_horosphere(1.0, s_range=(0.0, len(rows) - 1.0), t_range=(0.0, 1.0))
     grid = GridSpec(len(rows), len(_ROW))
-    rep = ResidualReport(TRANSLATOR, fam, grid, samples, [])
+    s, t = np.arange(len(rows), dtype=float), np.array([0.0, 0.5, 1.0])
+    rep = ResidualReport(TRANSLATOR, fam, grid, s, t, np.array(rows), [])
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 
@@ -533,20 +537,24 @@ def _array_bytes(grid):
     return grid.ns * grid.nt * 8, rows * grid.nt * 8
 
 
-def test_residual_report_peak_memory():
-    """A report holds its whole output, the samples table (3 grid-sized
-    float arrays) and its finite mask, and one block at a time: the block's
-    points and derivative slots (3 and 15 block-sized arrays) and the
-    residual's temporaries.  At both grids it peaks below 3.5 grid arrays
-    plus 32 block arrays, for the minimal cylinder, whose linear f gives
-    derivative slots of one row per block, and for a curved f, whose every
-    row heads a run, so its slots are a whole block's."""
+def test_residual_report_peak_memory(tmp_path):
+    """A report holds its residual grid (one grid-sized float array), the
+    grid's non-finite mask (two bool grids, a quarter of one) and one
+    block at a time: the block's points and derivative
+    slots (3 and 15 block-sized arrays) and the residual's temporaries; the
+    CSV writer then holds one row's text.  Report and CSV peaked at 1.06
+    grid arrays plus 32 block arrays (curved f at 1001x201, numpy 2.4); the
+    bound adds 0.44 grid arrays of margin.  It holds for the minimal
+    cylinder, whose linear f gives derivative slots of one row per block,
+    and for a curved f, whose every row heads a run, so its slots are a
+    whole block's."""
     curved = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
     for fam in (make_minimal_cylinder(1.2, 1.1), curved):
         for grid in _MEMORY_GRIDS:
             whole, block = _array_bytes(grid)
-            peak = _traced_peak(lambda: residual_report(fam, MINIMAL, grid))
-            assert peak <= 3.5 * whole + 32 * block, (fam.name, grid, peak / whole, peak / block)
+            peak = _traced_peak(lambda: write_residual_csv(
+                tmp_path / "r.csv", residual_report(fam, MINIMAL, grid)))
+            assert peak <= 1.5 * whole + 32 * block, (fam.name, grid, peak / whole, peak / block)
 
 
 def test_sample_grid_peak_memory():
@@ -615,21 +623,21 @@ def _whole_grid_report(fam, mode, grid):
     (s, t, alpha, beta), failures = sample_grid(fam, grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = residual(mode, product_surface_jet(alpha, beta))
-    rows, bad = [], []
-    for a, si in enumerate(s.tolist()):
-        for b, ti in enumerate(t.tolist()):
-            v = float(r[a, b])
-            if math.isfinite(v):
-                rows.append((si, ti, v))
-            else:
-                bad.append((si, ti, f"residual is not finite: {v!r}"))
+    bad = [(si, ti, f"residual is not finite: {v!r}")
+           for si, row in zip(s.tolist(), r.tolist())
+           for ti, v in zip(t.tolist(), row) if not math.isfinite(v)]
     failures = sorted(failures + bad, key=lambda f: (f[0], f[1]))
-    return ResidualReport(mode, fam, grid, np.array(rows), failures)
+    return ResidualReport(mode, fam, grid, s, t, r, failures)
+
+
+def _grid_bytes(rep):
+    """The bits of a report's axes and residual grid."""
+    return rep.s.tobytes(), rep.t.tobytes(), rep.r.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
 def test_block_seams_keep_the_bits(mode, tmp_path):
-    """A sweep in blocks of 40, 40, 40 and 2 s rows gives the samples,
+    """A sweep in blocks of 40, 40, 40 and 2 s rows gives the residual grid,
     failures, CSV and summary of one whole-grid jet, with a failed s node,
     a failed t node and a row of NaN residuals in the third block."""
     fam = _seam_family(failing=True)
@@ -642,7 +650,7 @@ def test_block_seams_keep_the_bits(mode, tmp_path):
     assert rep.failures == ref.failures
     huge = [si for si, _, reason in rep.failures if reason.startswith("residual is not finite")]
     assert len(huge) == 200 and set(huge) == {float(s[96])}  # row 96: the third block
-    assert rep.samples.tobytes() == ref.samples.tobytes()
+    assert _grid_bytes(rep) == _grid_bytes(ref)
     assert len(set(rep.samples[:, 2].tolist())) > len(rep.samples) // 2  # rows differ
     _assert_csv_is_per_row_format(rep, tmp_path / "blocked.csv")  # so the reference's rows too
     write_residual_summary(tmp_path / "blocked.txt", rep)
@@ -674,7 +682,7 @@ def _runs_family():
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
 def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
-    """Rows whose curvature is formed once per run give the samples,
+    """Rows whose curvature is formed once per run give the residual grid,
     failures, CSV and summary of one whole-grid jet: runs end inside a block
     and on its boundary, cross one, split at ``-0.0``/``0.0``, and lose a
     failed s node.  Curvature is formed on the first row of each run that
@@ -690,7 +698,7 @@ def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
     monkeypatch.setattr(surface_factory, "_curvature", counted)
     rep, ref = residual_report(fam, mode, _SEAM_GRID), _whole_grid_report(fam, mode, _SEAM_GRID)
     assert len(rep.failures) == _SEAM_GRID.nt and rep.failures == ref.failures
-    assert rep.samples.tobytes() == ref.samples.tobytes()
+    assert _grid_bytes(rep) == _grid_bytes(ref)
     for name, report in (("runs", rep), ("whole", ref)):
         write_residual_csv(tmp_path / f"{name}.csv", report)
         write_residual_summary(tmp_path / f"{name}.txt", report)
@@ -746,7 +754,7 @@ def test_mesh_block_seams_keep_the_bits(tmp_path):
 def test_sweeps_build_no_surface_jet(monkeypatch):
     """A residual sweep and verify's grid rows form points and curvature
     apart, never a surface jet: with ``product_surface_jet`` made to raise,
-    the blocked report of every mode has the samples and failures of one
+    the blocked report of every mode has the residual grid and failures of one
     whole-grid jet, and the horosphere row still measures 0."""
     fam = _seam_family(failing=True)
     refs = {mode: _whole_grid_report(fam, mode, _SEAM_GRID) for mode in SolitonMode}
@@ -758,7 +766,7 @@ def test_sweeps_build_no_surface_jet(monkeypatch):
     for mode, ref in refs.items():
         rep = residual_report(fam, mode, _SEAM_GRID)
         assert rep.failures == ref.failures, mode
-        assert rep.samples.tobytes() == ref.samples.tobytes(), mode
+        assert _grid_bytes(rep) == _grid_bytes(ref), mode
     terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
     assert verify._residual_defect([(make_horosphere(1.0), terms)], GridSpec(101, 101), "x") \
         == (0.0, "x")

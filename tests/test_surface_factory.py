@@ -183,6 +183,11 @@ def test_constructor_validation():
         make_vertical_plane(1.0, 0.0, t_range=(-1.0, 1.0))
     with pytest.raises(ParameterError):
         GridSpec(1, 5)
+    # a node count must be an integer: numpy's pass, floats (NaN too) do not
+    for ns, nt in ((2.5, 3), (3.0, 3), (math.nan, 3), (3, math.inf), (3, "4")):
+        with pytest.raises(ParameterError, match=f"must be integers, got {ns!r}x{nt!r}"):
+            GridSpec(ns, nt)
+    assert GridSpec(np.int64(3), np.int32(4)).nt == 4
 
 
 def test_family_refuses_a_reversed_range_however_built():
@@ -202,6 +207,9 @@ def test_grid_node_cap():
     GridSpec(1001, 1001)
     with pytest.raises(ParameterError, match="200000000 nodes.*1048576"):
         GridSpec(2, 10**8)
+    # the cap counts in Python ints, where a product of int32 counts would wrap to 0
+    with pytest.raises(ParameterError, match="4294967296 nodes.*1048576"):
+        GridSpec(np.int32(65536), np.int32(65536))
 
 
 def test_position_matches_jet(minimal_cyl):
