@@ -168,16 +168,16 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     sweep.  The last line is always ``MAX_ABS=<value>`` so shell pipelines
     can grab it.  A parameter that does not format raises before the file
     is opened."""
-    fam, grid = report.family, report.grid
+    fam, nodes = report.family, np.count_nonzero(np.isfinite(report.r))
     lines = [f"family={fam.name}"]
     lines += [f"param.{key}={fmt(fam.params[key])}" for key in sorted(fam.params)]
     lines += [f"{name}={fmt(lo)}:{fmt(hi)}"
               for name, (lo, hi) in (("s_range", fam.s_range), ("t_range", fam.t_range))]
     lines += [
         f"mode={report.mode.value}",
-        f"grid={grid.ns}x{grid.nt}",
-        f"nodes={np.count_nonzero(np.isfinite(report.r))}",
-        f"failures={len(report.failures)}",
+        f"grid={report.ns}x{report.nt}",
+        f"nodes={nodes}",
+        f"failures={report.r.size - nodes}",
         f"mean_abs={fmt(report.mean_abs)}",
         f"MAX_ABS={fmt(report.max_abs)}",
     ]
@@ -228,10 +228,10 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     fails; a block that raises once the file is open removes it.  Returns
     (vertex_count, face_count).
     """
-    from .surface_factory import _block_rows, sample_grid
+    from .surface_factory import _block_rows, _failures, sample_grid
 
-    (_, _, alpha, beta), failures = sample_grid(fam, grid)
-    if failures:
+    (s, t, alpha, beta), reasons = sample_grid(fam, grid)
+    if failures := _failures(s, t, reasons):
         n = len(failures)
         raise DomainError(f"{n} mesh node(s) failed, first (s, t, reason): {failures[0]}")
     ns, nt = grid.ns, grid.nt

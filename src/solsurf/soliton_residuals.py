@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import surface_factory
 from .errors import DomainError
+from .surface_factory import GridSpec, SurfaceFamily, _failures, _row_blocks
 from .surface_jets import _curvature
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .surface_factory import GridSpec, SurfaceFamily
 
 __all__ = [
     "SolitonMode",
@@ -103,28 +102,30 @@ def reduced_residual_second_kind(mode: SolitonMode, fj, s: float, t: float) -> f
 
 @dataclass
 class ResidualReport:
-    """Residuals swept over a grid, as the sweep computed them: ``r`` is the
-    read-only ``(len(s), len(t))`` grid on the axis nodes ``s`` and ``t``
-    that :func:`sample_grid` kept.  Its entries that are not finite are the
-    nodes ``failures`` lists as ``residual is not finite``; a failed axis
-    node has no row or column.  ``family`` and ``grid``, the swept family
-    and grid, are read by :func:`~solsurf.export.write_residual_summary`."""
+    """Residuals swept over a grid: ``r`` is the read-only ``(len(s),
+    len(t))`` grid on the axes ``s`` and ``t``, not finite at every failed
+    node, ``reasons`` :func:`sample_grid`'s per axis node, and ``family``
+    the swept family, which :func:`~solsurf.export.write_residual_summary` reads."""
 
     mode: SolitonMode
-    family: "SurfaceFamily"
-    grid: "GridSpec"
+    family: SurfaceFamily
     s: np.ndarray
     t: np.ndarray
     r: np.ndarray
-    failures: List[Tuple[float, float, str]]
+    reasons: Tuple[List[Optional[str]], List[Optional[str]]]
 
     @property
     def ns(self) -> int:
-        return self.grid.ns
+        return self.r.shape[0]
 
     @property
     def nt(self) -> int:
-        return self.grid.nt
+        return self.r.shape[1]
+
+    @property
+    def failures(self) -> List[Tuple[float, float, str]]:
+        """The failed nodes, row-major, as ``(s, t, reason)`` (:func:`_failures`)."""
+        return _failures(self.s, self.t, self.reasons, self.r)
 
     @property
     def samples(self) -> np.ndarray:
@@ -145,39 +146,30 @@ class ResidualReport:
         return float(np.mean(self._finite_abs()))
 
 
-def residual_report(fam: "SurfaceFamily", mode: SolitonMode, grid: "GridSpec") -> ResidualReport:
+def residual_report(fam: SurfaceFamily, mode: SolitonMode, grid: GridSpec) -> ResidualReport:
     """Sweep one residual over a family grid, on the family's ``s_range``
     and ``t_range``, and collect the values.
 
     The factor curves are evaluated once per axis by :func:`sample_grid`;
     the residual is then formed one block of ``s`` rows at a time, with
     one curvature per run of translated rows (:func:`_row_blocks`), into
-    the rows of ``r``; no jet of the whole grid is held.  A node whose
-    residual is not finite (its forms overflow, or its jet is collapsed, so
-    its normal is NaN) fails with that reason and no numpy warning, beside
-    the nodes :func:`sample_grid` fails; ``failures`` stays row-major.
-    Raises :class:`DomainError` if no node gives a finite residual, an
-    empty grid included: the one raise of a sweep for an unevaluable grid.
+    the rows of ``r``; no jet of the whole grid is held.  A failed node is
+    a residual that is not finite, with no numpy warning: its axis node
+    failed, its point is off the half-space, or its forms overflow or its
+    jet is collapsed, so its normal is NaN; the report's ``failures`` reads
+    them off ``r``.  Raises :class:`DomainError` if no node gives a finite
+    residual: the one raise of a sweep for an unevaluable grid.
     """
-    # Looked up at call time, so that a tracer which rebinds
-    # ``surface_factory.sample_grid`` sees the sweeps made here.
-    from .surface_factory import _row_blocks, sample_grid
-
     mode = SolitonMode(mode)
-    (s, t, alpha, beta), failures = sample_grid(fam, grid)
+    # looked up at call time, so that a tracer which rebinds it sees this sweep
+    (s, t, alpha, beta), reasons = surface_factory.sample_grid(fam, grid)
     r = np.empty((len(s), len(t)))
     for rows, values in _row_blocks(alpha, beta, lambda X, H, N: _residual_of(mode, X, H, N)):
-        r[rows] = values  # a value that is not finite fails below
-    bad = ~np.isfinite(r)
-    if bad.any():
-        i, k = np.nonzero(bad)
-        failures += [(si, ti, f"residual is not finite: {v!r}")
-                     for si, ti, v in zip(s[i].tolist(), t[k].tolist(), r[bad].tolist())]
-        failures.sort(key=lambda f: (f[0], f[1]))
-    if bad.all():  # every node failed, here or in sample_grid
+        r[rows] = values
+    r.setflags(write=False)
+    if not np.isfinite(r).any():  # every node failed, so the first row holds the first
         raise DomainError(
             f"no grid node of {fam.name!r} has a finite residual "
-            f"({len(failures)} failures), first (s, t, reason): {failures[0]}"
+            f"({r.size} failures), first (s, t, reason): {_failures(s, t, reasons, r[:1])[0]}"
         )
-    r.setflags(write=False)
-    return ResidualReport(mode, fam, grid, s, t, r, failures)
+    return ResidualReport(mode, fam, s, t, r, reasons)

@@ -8,7 +8,7 @@ evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
 error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
 nodes: its points, and its curvature once per run of rows, never a surface
-jet; a mesh forms the points alone.
+jet; a mesh forms the points alone.  A failed node is a NaN of the grid.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -30,6 +30,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .lie_halfspace import _mul
 from .profile_odes import (
     MAX_BRANCH_STEPS,
     ConformalProfileParams,
@@ -373,14 +374,15 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
 
 
 def _axis_jet(fn, nodes: np.ndarray, label: str):
-    """Curve jets of ``fn`` on one grid axis, as one ``(3, n, 3)`` array
-    (NaN at a node that raises), and per node the reason it failed or None.
+    """Curve jets of ``fn`` on one grid axis, as one ``(3, n, 3)`` array,
+    and per node the reason it failed or None.
 
     ``fn`` is called once on the whole axis.  If it raises a domain error,
     it is rerun node by node, so only the nodes that raise fail, each with
     its own message.  A node fails, for the first of these reasons, when
     ``fn`` raises at it (a factor curve's height that is not positive
-    raises) or when its jet is not finite.
+    raises) or when its jet is not finite.  A failed node is NaN in every
+    slot: a NaN in a slot some residual does not read would not fail it.
     """
     rows = np.full((3, len(nodes), 3), np.nan)
     reasons: List[Optional[str]] = [None] * len(nodes)
@@ -393,58 +395,61 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
                     rows[:, k] = fn(x)
                 except DomainError as exc:
                     reasons[k] = str(exc)
-    for k in np.flatnonzero(~np.isfinite(rows).all(axis=(0, 2))).tolist():
+    bad = ~np.isfinite(rows).all(axis=(0, 2))
+    for k in np.flatnonzero(bad).tolist():
         if reasons[k] is None:
             jet = tuple(rows[:, k].ravel().tolist())
             reasons[k] = f"axis jet at {label}={float(nodes[k])!r} is not finite: {jet}"
+    rows[:, bad] = np.nan
     return rows, reasons
 
 
 def sample_grid(
     fam: SurfaceFamily, grid: GridSpec
-) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], List[Tuple[float, float, str]]]:
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+           Tuple[List[Optional[str]], List[Optional[str]]]]:
     """Evaluate the family's two factor curves on the grid's axes:
-    ``((s, t, alpha, beta), failures)``.
+    ``((s, t, alpha, beta), (s_reasons, t_reasons))``.
 
-    Each factor curve is evaluated in one call on its axis, and node by node
-    only after that call raises (:func:`_axis_jet`), so a domain error fails
-    just the axis nodes that raise it.  A grid node fails here when its ``s``
-    or ``t`` axis node fails; failures are collected row-major (s varies
-    slowest) as ``(s, t, reason)`` instead of aborting the sweep.  ``s`` and
-    ``t`` are the axis nodes that are left, ``alpha`` the ``(3, len(s), 1,
-    3)`` and ``beta`` the ``(3, len(t), 3)`` curve jets on them.  No surface
-    jet is built here: the product of ``alpha`` and ``beta`` is the ``(6,
-    len(s), len(t), 3)`` jet of the whole grid, and a sweep forms what it
-    needs of it a block of rows at a time (:func:`_row_blocks`).  The jet of a
-    node that is left can still give a residual that is not finite (its
-    fundamental forms overflow, or it is collapsed, so its normal is NaN);
-    :func:`~solsurf.soliton_residuals.residual_report` fails those nodes.
-    Nothing is raised: an axis whose every node fails comes back empty.
+    ``s`` and ``t`` are the grid's whole axes, ``alpha`` the ``(3, ns, 1,
+    3)`` and ``beta`` the ``(3, nt, 3)`` curve jets on them, and the
+    reasons hold, per axis node, why it failed or None.  Each curve is
+    evaluated in one call on its axis, and node by node only after that
+    call raises (:func:`_axis_jet`), so a domain error fails just the axis
+    nodes that raise it.  A failed axis node is NaN in every slot, so every
+    grid node of its row or column is a NaN of whatever grid a sweep forms;
+    nothing is raised.  No surface jet is built here: a sweep forms what it
+    needs of the ``(6, ns, nt, 3)`` grid jet a block of rows at a time
+    (:func:`_row_blocks`).
     """
-    s_axis, t_axis = grid_axes(fam, grid)
-    a_rows, s_reasons = _axis_jet(fam.alpha, s_axis, "s")
-    b_rows, t_reasons = _axis_jet(fam.beta, t_axis, "t")
-    s_bad = np.array([r is not None for r in s_reasons])
-    t_bad = np.array([r is not None for r in t_reasons])
-    # Listed from the failed axis indices, never a grid-sized mask: a failed
-    # s row fails every node (its reason wins), any other row its failed t
-    # nodes; with no t failure only the failed s rows are visited.
-    t_failed = np.flatnonzero(t_bad).tolist()
-    failures = [
-        (float(s_axis[i]), float(t_axis[j]), s_reasons[i] if s_bad[i] else t_reasons[j])
-        for i in (range(len(s_axis)) if t_failed else np.flatnonzero(s_bad).tolist())
-        for j in (range(len(t_axis)) if s_bad[i] else t_failed)
-    ]
-    # compress keeps each curve jet C-contiguous; alpha's (ns, 1, 3) slots
-    # broadcast against beta's (nt, 3)
-    alpha = np.compress(~s_bad, a_rows, axis=1)[:, :, None]
-    beta = np.compress(~t_bad, b_rows, axis=1)
-    return (s_axis[~s_bad], t_axis[~t_bad], alpha, beta), failures
+    s, t = grid_axes(fam, grid)
+    alpha, s_reasons = _axis_jet(fam.alpha, s, "s")
+    beta, t_reasons = _axis_jet(fam.beta, t, "t")
+    return (s, t, alpha[:, :, None], beta), (s_reasons, t_reasons)
+
+
+def _failures(s, t, reasons, r: Optional[np.ndarray] = None) -> List[Tuple[float, float, str]]:
+    """The nodes where ``r``, a sweep's grid, is not finite (without ``r``,
+    the nodes of a failed axis node), row-major, as ``(s, t, reason)`` in
+    Python floats.  The reason is, of :func:`sample_grid`'s ``reasons``, the
+    ``s`` node's, else the ``t`` node's, else ``residual is not finite: {value!r}``."""
+    s_reasons, t_reasons = reasons
+    if r is None:  # every such node has an axis node's reason, so r is not read
+        bad = np.logical_or.outer([x is not None for x in s_reasons],
+                                  [x is not None for x in t_reasons])
+    else:
+        bad = ~np.isfinite(r)
+    s, t = s.tolist(), t.tolist()
+    return [(s[a], t[b], s_reasons[a] if s_reasons[a] is not None
+             else t_reasons[b] if t_reasons[b] is not None
+             else f"residual is not finite: {float(r[a, b])!r}")
+            for a in np.flatnonzero(bad.any(axis=1)).tolist()
+            for b in np.flatnonzero(bad[a]).tolist()]
 
 
 def _block_rows(ns: int, nt: int) -> List[slice]:
     """Slices of ``ns`` rows of ``nt`` nodes, in order: blocks of about ``BLOCK_NODES``."""
-    step = max(1, BLOCK_NODES // max(1, nt))
+    step = max(1, BLOCK_NODES // nt)
     return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
 
 
@@ -452,19 +457,19 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     """``f(X, H, N)`` of the surface of :func:`sample_grid`'s axis jets, one
     block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``,
     ``X`` the block's points, ``H`` their mean curvature and ``N`` the
-    normal's components.  Every block takes one path: ``X`` is
-    :func:`_positions` of its rows, and ``H`` and ``N`` are
-    :func:`_curvature` of the five :func:`_derivatives` slots, so no point
-    is formed twice and no surface jet is built.  ``H`` and ``N`` read a
-    row of ``alpha`` only through ``a3``, ``alpha'`` and ``alpha''``:
-    consecutive rows whose 7 numbers have the same bits are horizontal
-    translates with the same ``H`` and ``N``, a run.  They are formed on the
-    first row of each run that touches a block and reach the run's rows by
-    broadcasting or indexing.  Every value has the bits of a whole-grid
-    jet's, and one block's arrays are held at a time.  Points, curvature and
-    ``f`` run under the sweep's one non-finite policy: no overflow, invalid
-    or divide warning, and the consumer fails a node whose value is not
-    finite."""
+    normal's components.  Every block takes one path: ``X`` is the group
+    product :func:`~solsurf.lie_halfspace._mul` of its rows, and ``H`` and
+    ``N`` are :func:`_curvature` of the five :func:`_derivatives` slots, so
+    no point is formed twice and no surface jet is built.  ``H`` and ``N``
+    read a row of ``alpha`` only through ``a3``, ``alpha'`` and
+    ``alpha''``: consecutive rows whose 7 numbers have the same bits are
+    horizontal translates with the same ``H`` and ``N``, a run.  They are
+    formed on the first row of each run that touches a block and reach the
+    run's rows by broadcasting or indexing.  Every value has the bits of a
+    whole-grid jet's, and one block's arrays are held at a time.  Points,
+    curvature and ``f`` run under the sweep's one non-finite policy: no
+    overflow, invalid or divide warning, and a node whose value is not
+    finite fails, a point off the half-space set to NaN included."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1)
     starts = np.ones(alpha.shape[1], dtype=bool)
     starts[1:] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
@@ -472,7 +477,8 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
         heads = starts[rows]
         heads[0] = True  # a block's first row heads the run it continues
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            X = _positions(alpha[0, rows], beta[0])
+            X = _mul(alpha[0, rows], beta[0])
+            X[~(X[..., 2] > 0.0)] = np.nan  # off the half-space: the node fails
             H, N = _curvature(_derivatives(np.compress(heads, alpha[:, rows], axis=1), beta))
             if 1 < len(H) < len(heads):
                 run = np.cumsum(heads) - 1

@@ -57,6 +57,7 @@ from .soliton_residuals import (
 )
 from .surface_factory import (
     GridSpec,
+    _failures,
     _row_blocks,
     make_conformal_cylinder,
     make_generic_first_kind,
@@ -190,14 +191,14 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     """Worst ``|residual(mode, j) - offset|`` over ``(family, ((mode, offset),
     ...))`` cases, ``j`` the family's jet on ``grid``, taken over the row
     blocks a sweep forms, one curvature serving every mode (the max of the
-    blocks' maxima is the grid's, bit for bit, NaN included).  A failed node
-    voids the sweep: the defect is
-    NaN and the detail names the first failure.  An infinite residual fails
-    the same way, since inf would pass a ``>`` row."""
+    blocks' maxima is the grid's, bit for bit, NaN included).  A failed axis
+    node voids the sweep: the defect is NaN and the detail names the first
+    failure.  Any other failed node reads NaN, and an infinite residual
+    voids the sweep too, since inf would pass a ``>`` row."""
     defects = []
     for fam, terms in cases:
-        (_, _, alpha, beta), failures = sample_grid(fam, grid)
-        if failures:
+        (s, t, alpha, beta), reasons = sample_grid(fam, grid)
+        if failures := _failures(s, t, reasons):
             return math.nan, (f"{fam.name} {fam.params}: {len(failures)} failures, "
                               f"first (s, t, reason): {failures[0]}")
         for _, maxima in _row_blocks(alpha, beta, lambda X, H, N: [

@@ -13,7 +13,7 @@ from solsurf import (
     integrate_minimal_profile,
     sample_grid,
 )
-from solsurf.surface_factory import _row_blocks
+from solsurf.surface_factory import _failures, _row_blocks
 from solsurf.surface_jets import product_surface_jet
 
 
@@ -58,16 +58,20 @@ def rotated():
 
 @pytest.fixture(scope="session")
 def grid_jet():
-    """``grid_jet(fam, grid)``: ``((s, t, jet), failures)``, where ``s``,
-    ``t`` and ``failures`` are :func:`sample_grid`'s and ``jet`` is the
-    ``(6, len(s), len(t), 3)`` surface jet of the grid it keeps, whose
-    points are those the row blocks of a sweep form, bit for bit."""
+    """``grid_jet(fam, grid)``: ``((s, t, jet), failures)``, where ``s``
+    and ``t`` are the axis nodes :func:`sample_grid` evaluated, ``failures``
+    the grid nodes it failed (:func:`_failures`), and ``jet`` the ``(6,
+    len(s), len(t), 3)`` surface jet of the nodes it kept, whose points are
+    those the row blocks of a sweep form, bit for bit; the row blocks' points
+    of every failed node are NaN."""
 
     def sampled(fam, grid: GridSpec):
-        (s, t, alpha, beta), failures = sample_grid(fam, grid)
-        j = product_surface_jet(alpha, beta)
+        (s, t, alpha, beta), reasons = sample_grid(fam, grid)
+        i, k = (np.array([x is None for x in axis]) for axis in reasons)
+        j = product_surface_jet(alpha[:, i], beta[:, k])
         X = np.concatenate([X for _, X in _row_blocks(alpha, beta, lambda X, H, N: X)])
-        assert X.tobytes() == j[0].tobytes()
-        return (s, t, j), failures
+        assert X[i][:, k].tobytes() == j[0].tobytes()
+        assert np.isnan(X[~i]).all() and np.isnan(X[:, ~k]).all()
+        return (s[i], t[k], j), _failures(s, t, reasons)
 
     return sampled

@@ -172,8 +172,8 @@ def test_failed_node_fails_every_grid_row(monkeypatch):
     clean = verify.sample_grid
 
     def one_failure(fam, grid):
-        sampled, failures = clean(fam, grid)
-        return sampled, failures + [(0.0, 0.0, "stub")]
+        sampled, (s_reasons, t_reasons) = clean(fam, grid)
+        return sampled, (["stub"] + s_reasons[1:], t_reasons)
 
     monkeypatch.setattr(verify, "sample_grid", one_failure)
     results = _grid_results()

@@ -137,12 +137,14 @@ FAILING_SHA256 = (
 
 def test_residual_command_forms_no_samples_table(tmp_path, monkeypatch):
     """``residual`` writes its files from the report's grid: with
-    ``ResidualReport.samples`` made to raise, a sweep with failed nodes and
-    one without exit 0 with their pinned bytes."""
+    ``ResidualReport.samples`` and ``ResidualReport.failures`` made to
+    raise, a sweep with failed nodes and one without exit 0 with their
+    pinned bytes, so no command path forms a table or a tuple per node."""
     def refused(report):
-        raise AssertionError("the residual command formed the samples table")
+        raise AssertionError("the residual command formed a table of nodes")
 
     monkeypatch.setattr(ResidualReport, "samples", property(refused))
+    monkeypatch.setattr(ResidualReport, "failures", property(refused))
     for argv, expect in (
         (FAILING_ARGS, FAILING_SHA256),
         (["--family", "horosphere", *FAMILY_ARGS["horosphere"], "--mode", "translator"],

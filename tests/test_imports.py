@@ -178,7 +178,7 @@ def test_public_dataclass_shapes():
         "ProfileSolution": (["params", "t", "g", "gp", "truncated"], True),
         "SurfaceFamily": (["name", "params", "s_range", "t_range", "alpha", "beta"], False),
         "GridSpec": (["ns", "nt"], True),
-        "ResidualReport": (["mode", "family", "grid", "s", "t", "r", "failures"], False),
+        "ResidualReport": (["mode", "family", "s", "t", "r", "reasons"], False),
         "CheckResult": (["name", "criterion", "passed", "defect", "tolerance", "sense",
                          "seconds", "detail"], True),
         "VerifySummary": (["results"], False),

@@ -158,7 +158,7 @@ def test_residual_report_grid_structure():
     fam = make_horosphere(1.0, s_range=(0.0, 1.0), t_range=(0.0, 2.0))
     grid = GridSpec(3, 4)
     rep = residual_report(fam, SolitonMode.TRANSLATOR, grid)
-    assert rep.family is fam and rep.grid is grid
+    assert rep.family is fam and rep.reasons == ([None] * 3, [None] * 4)
     assert rep.s.tolist() == [0.0, 0.5, 1.0] and rep.t.tolist() == [0.0, 2 / 3, 4 / 3, 2.0]
     assert rep.r.shape == (3, 4) and not rep.r.flags.writeable
     assert rep.samples.shape == (12, 3)
@@ -224,6 +224,17 @@ def test_residual_report_fails_non_finite_axis_jets(tmp_path):
     assert np.all(np.isfinite(rep.samples))
     # the s = 0 row is gone and the other rows lack their t = 0.5 node
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
+
+
+def test_a_failed_axis_node_fails_every_residual():
+    """A failed axis node is NaN in every slot, so it fails in every mode:
+    a NaN f leaves only X2 NaN, which the minimal residual ``X3*H + N3``
+    never reads, and the node would otherwise come out finite."""
+    fam = make_generic_first_kind(lambda s: (math.nan if s > 0.0 else 0.0, 0.0, 0.0),
+                                  lambda t: (2.0 + t, 1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0))
+    rep = residual_report(fam, MINIMAL, GridSpec(3, 3))
+    reason = "axis jet at s=1.0 is not finite: (1.0, nan, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)"
+    assert rep.failures == [(1.0, t, reason) for t in (-1.0, 0.0, 1.0)]
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
@@ -439,9 +450,8 @@ def test_residual_csv_reuses_a_row_only_with_equal_bits(rows, tmp_path):
     """A row is written from the previous row's lines only when its
     residuals have the same bits, so each file is the per-row format."""
     fam = make_horosphere(1.0, s_range=(0.0, len(rows) - 1.0), t_range=(0.0, 1.0))
-    grid = GridSpec(len(rows), len(_ROW))
     s, t = np.arange(len(rows), dtype=float), np.array([0.0, 0.5, 1.0])
-    rep = ResidualReport(TRANSLATOR, fam, grid, s, t, np.array(rows), [])
+    rep = ResidualReport(TRANSLATOR, fam, s, t, np.array(rows), ([None] * len(s), [None] * 3))
     _assert_csv_is_per_row_format(rep, tmp_path / "residual.csv")
 
 
@@ -546,10 +556,14 @@ def test_residual_report_peak_memory(tmp_path):
     grid arrays plus 32 block arrays (curved f at 1001x201, numpy 2.4); the
     bound adds 0.44 grid arrays of margin.  It holds for the minimal
     cylinder, whose linear f gives derivative slots of one row per block,
-    and for a curved f, whose every row heads a run, so its slots are a
-    whole block's."""
+    for a curved f, whose every row heads a run, so its slots are a whole
+    block's, and for that f with f' = 1e160 for s > 0, whose failed nodes
+    the report holds as NaNs of its grid, not as a list."""
     curved = make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5))
-    for fam in (make_minimal_cylinder(1.2, 1.1), curved):
+    failing = make_generic_first_kind(
+        lambda s: (math.sin(s), 1e160 if s > 0.0 else math.cos(s), -math.sin(s)), _g1,
+        (-2.0, 1.5), (-1.0, 2.5))
+    for fam in (make_minimal_cylinder(1.2, 1.1), curved, failing):
         for grid in _MEMORY_GRIDS:
             whole, block = _array_bytes(grid)
             peak = _traced_peak(lambda: write_residual_csv(
@@ -618,16 +632,24 @@ def _seam_family(failing: bool):
 
 
 def _whole_grid_report(fam, mode, grid):
-    """The report of one whole-grid jet, node by node: the reference the
-    blocked sweep must match."""
-    (s, t, alpha, beta), failures = sample_grid(fam, grid)
+    """The report of one whole-grid jet of the nodes ``sample_grid`` kept,
+    NaN at the others: the reference the blocked sweep must match."""
+    (s, t, alpha, beta), reasons = sample_grid(fam, grid)
+    i, k = (np.array([x is None for x in axis]) for axis in reasons)
+    r = np.full((len(s), len(t)), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = residual(mode, product_surface_jet(alpha, beta))
-    bad = [(si, ti, f"residual is not finite: {v!r}")
-           for si, row in zip(s.tolist(), r.tolist())
-           for ti, v in zip(t.tolist(), row) if not math.isfinite(v)]
-    failures = sorted(failures + bad, key=lambda f: (f[0], f[1]))
-    return ResidualReport(mode, fam, grid, s, t, r, failures)
+        r[np.ix_(i, k)] = residual(mode, product_surface_jet(alpha[:, i], beta[:, k]))
+    return ResidualReport(mode, fam, s, t, r, reasons)
+
+
+def _listed(rep):
+    """A report's failed nodes listed node by node: the reference of its
+    ``failures``.  A node's reason is its s node's, else its t node's, else
+    its residual's."""
+    s_reasons, t_reasons = rep.reasons
+    return [(si, ti, next(x for x in (sr, tr, f"residual is not finite: {v!r}") if x is not None))
+            for si, sr, row in zip(rep.s.tolist(), s_reasons, rep.r.tolist())
+            for ti, tr, v in zip(rep.t.tolist(), t_reasons, row) if not math.isfinite(v)]
 
 
 def _grid_bytes(rep):
@@ -637,19 +659,19 @@ def _grid_bytes(rep):
 
 @pytest.mark.parametrize("mode", list(SolitonMode))
 def test_block_seams_keep_the_bits(mode, tmp_path):
-    """A sweep in blocks of 40, 40, 40 and 2 s rows gives the residual grid,
+    """A sweep in blocks of 40, 40, 40 and 3 s rows gives the residual grid,
     failures, CSV and summary of one whole-grid jet, with a failed s node,
     a failed t node and a row of NaN residuals in the third block."""
     fam = _seam_family(failing=True)
-    (s, _, alpha, beta), failures = sample_grid(fam, _SEAM_GRID)
+    (s, _, alpha, beta), reasons = sample_grid(fam, _SEAM_GRID)
     blocks = surface_factory._block_rows(alpha.shape[1], beta.shape[1])
     assert [(rows.start, rows.stop) for rows in blocks] == [(0, 40), (40, 80), (80, 120),
-                                                            (120, 122)]
-    assert {reason.split(" at ")[0] for _, _, reason in failures} == {"no f", "no g"}
+                                                            (120, 123)]
+    assert {x.split(" at ")[0] for axis in reasons for x in axis if x} == {"no f", "no g"}
     rep, ref = residual_report(fam, mode, _SEAM_GRID), _whole_grid_report(fam, mode, _SEAM_GRID)
-    assert rep.failures == ref.failures
+    assert rep.failures == _listed(ref)
     huge = [si for si, _, reason in rep.failures if reason.startswith("residual is not finite")]
-    assert len(huge) == 200 and set(huge) == {float(s[96])}  # row 96: the third block
+    assert len(huge) == 200 and set(huge) == {float(s[97])}  # row 97: the third block
     assert _grid_bytes(rep) == _grid_bytes(ref)
     assert len(set(rep.samples[:, 2].tolist())) > len(rep.samples) // 2  # rows differ
     _assert_csv_is_per_row_format(rep, tmp_path / "blocked.csv")  # so the reference's rows too
@@ -659,11 +681,11 @@ def test_block_seams_keep_the_bits(mode, tmp_path):
 
 
 # The runs family: f is piecewise linear, so its s rows come in runs that
-# share (a3, alpha', alpha''), on the seam grid.  By original s row: slope
-# 0.5 on 0-24, -0.0 on 25-59 (across the first block boundary), 0.0 on 60-69
-# (a run of its own by the sign bit alone), 2.0 on 70-80 and -1.25 on 81-122;
-# f raises at row 50, so original row 81 is kept row 80, a block boundary.
-_RUN_STARTS, _RUN_SLOPES = (0, 25, 60, 70, 81), (0.5, -0.0, 0.0, 2.0, -1.25)
+# share (a3, alpha', alpha''), on the seam grid.  By s row: slope 0.5 on
+# 0-24, -0.0 on 25-59 (across the first block boundary), 0.0 on 60-69 (a run
+# of its own by the sign bit alone), 2.0 on 70-79 and -1.25 on 80-122, from a
+# block boundary; f raises at row 50, a NaN row that splits its run in three.
+_RUN_STARTS, _RUN_SLOPES = (0, 25, 60, 70, 80), (0.5, -0.0, 0.0, 2.0, -1.25)
 
 
 def _runs_family():
@@ -684,9 +706,9 @@ def _runs_family():
 def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
     """Rows whose curvature is formed once per run give the residual grid,
     failures, CSV and summary of one whole-grid jet: runs end inside a block
-    and on its boundary, cross one, split at ``-0.0``/``0.0``, and lose a
+    and on its boundary, cross one, split at ``-0.0``/``0.0``, and at a
     failed s node.  Curvature is formed on the first row of each run that
-    touches a block: 2, 3, 1 and 1 rows in the blocks of 40, 40, 40 and 2."""
+    touches a block: 2, 5, 1 and 1 rows in the blocks of 40, 40, 40 and 3."""
     fam = _runs_family()
     formed = []
     curvature = surface_factory._curvature
@@ -697,14 +719,14 @@ def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
 
     monkeypatch.setattr(surface_factory, "_curvature", counted)
     rep, ref = residual_report(fam, mode, _SEAM_GRID), _whole_grid_report(fam, mode, _SEAM_GRID)
-    assert len(rep.failures) == _SEAM_GRID.nt and rep.failures == ref.failures
+    assert len(rep.failures) == _SEAM_GRID.nt and rep.failures == _listed(ref)
     assert _grid_bytes(rep) == _grid_bytes(ref)
     for name, report in (("runs", rep), ("whole", ref)):
         write_residual_csv(tmp_path / f"{name}.csv", report)
         write_residual_summary(tmp_path / f"{name}.txt", report)
     for ext in ("csv", "txt"):
         assert (tmp_path / f"runs.{ext}").read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
-    assert formed == [2, 3, 1, 1]
+    assert formed == [2, 5, 1, 1]
 
 
 def test_curvature_is_formed_once_per_run_in_each_block(monkeypatch):
@@ -740,8 +762,8 @@ def test_mesh_block_seams_keep_the_bits(tmp_path):
     fam, grid = _seam_family(failing=False), _SEAM_GRID
     ns, nt = grid.ns, grid.nt
     assert write_obj_mesh(tmp_path / "m.obj", fam, grid) == (ns * nt, 2 * (ns - 1) * (nt - 1))
-    (_, _, alpha, beta), failures = sample_grid(fam, grid)
-    assert failures == []
+    (_, _, alpha, beta), reasons = sample_grid(fam, grid)
+    assert reasons == ([None] * ns, [None] * nt)
     X = product_surface_jet(alpha, beta)[0]
     expect = [f"v {x:.12e} {y:.12e} {z:.12e}\n" for x, y, z in X.reshape(-1, 3).tolist()]
     for i in range(ns - 1):
@@ -765,7 +787,7 @@ def test_sweeps_build_no_surface_jet(monkeypatch):
     monkeypatch.setattr(surface_factory, "product_surface_jet", refused)
     for mode, ref in refs.items():
         rep = residual_report(fam, mode, _SEAM_GRID)
-        assert rep.failures == ref.failures, mode
+        assert rep.failures == _listed(ref), mode
         assert _grid_bytes(rep) == _grid_bytes(ref), mode
     terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
     assert verify._residual_defect([(make_horosphere(1.0), terms)], GridSpec(101, 101), "x") \
@@ -802,6 +824,36 @@ def test_mesh_block_error_removes_the_file(tmp_path):
     fam = SurfaceFamily("underflow", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
     with pytest.raises(DomainError, match="non-positive height 0.0"):
         write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, surface_factory.BLOCK_NODES))
+    assert not (tmp_path / "m.obj").exists()
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_points_off_the_half_space_fail_their_own_nodes(mode, tmp_path):
+    """Points off the half-space on the rows s > 0.5 fail just those rows'
+    nodes as NaN residuals, and the sweep goes on over the other rows, with
+    no numpy warning: the curves of the mesh test above, whose heights of
+    1e-200 multiply to 0 there (the mesh still refuses them), and an alpha
+    of height -1 there, whose points are below the boundary plane though
+    their normal and curvature are finite."""
+    def family(a3, b3):
+        def alpha(s):
+            return _curve((s, 1.0, 0.0), (0.0, 0.0, 0.0), (np.where(s > 0.5, a3, 1.0), 0.0, 0.0))
+
+        def beta(t):
+            return _vertical((t, 1.0, 0.0), (np.full_like(t, b3), 0.0, 0.0))
+
+        return SurfaceFamily("off", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
+
+    grid, t = GridSpec(9, 5), [0.0, 0.25, 0.5, 0.75, 1.0]
+    for fam in (family(1e-200, 1e-200), family(-1.0, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = residual_report(fam, mode, grid)
+        assert rep.failures == [(s, ti, "residual is not finite: nan")
+                                for s in (0.75, 1.0) for ti in t]
+        assert np.isfinite(rep.r[:7]).all()
+    with pytest.raises(DomainError, match="non-positive height 0.0"):
+        write_obj_mesh(tmp_path / "m.obj", family(1e-200, 1e-200), grid)
     assert not (tmp_path / "m.obj").exists()
 
 

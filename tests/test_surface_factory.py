@@ -32,7 +32,7 @@ from solsurf import (
 )
 from solsurf import surface_factory
 from solsurf.profile_odes import _closed_form
-from solsurf.surface_factory import MARGIN
+from solsurf.surface_factory import MARGIN, _failures
 from solsurf.verify import _CONFORMAL_HALFWIDTH
 
 GRID = GridSpec(21, 21)
@@ -129,8 +129,9 @@ def test_replaced_t_range_is_sampled_as_given(minimal_cyl):
     """A collapsing family's margin is taken once, when it is built: a t
     range given through ``replace`` is sampled as it stands."""
     fam = replace(minimal_cyl, t_range=(-0.5, 0.25))
-    (_, t, _, _), failures = sample_grid(fam, GridSpec(3, 5))
-    assert not failures and t.tolist() == [-0.5, -0.3125, -0.125, 0.0625, 0.25]
+    (_, t, _, _), reasons = sample_grid(fam, GridSpec(3, 5))
+    assert reasons == ([None] * 3, [None] * 5)
+    assert t.tolist() == [-0.5, -0.3125, -0.125, 0.0625, 0.25]
 
 
 def test_sample_grid_row_major_order(grid_jet):
@@ -270,7 +271,8 @@ def test_failed_s_and_t_nodes_are_listed_row_major():
     """With an ``s`` node and a ``t`` node failing, the failures are every
     node of the failed row plus the failed column of every other row, in
     row-major order, and at the node where both fail the ``s`` reason wins,
-    as a grid-sized mask of the two axes would list them."""
+    in the listing of the axes and in a report's.  The axes stay whole, and
+    each failed axis node is NaN in every slot of its curve jet."""
 
     def f(s):
         if s == 0.0:
@@ -283,46 +285,55 @@ def test_failed_s_and_t_nodes_are_listed_row_major():
         return (2.0 + t, 1.0, 0.0)
 
     fam = make_generic_first_kind(f, g, (-1.0, 1.0), (-1.0, 1.0))
-    (s, t, _, _), failures = sample_grid(fam, GridSpec(3, 5))
+    (s, t, alpha, beta), reasons = sample_grid(fam, GridSpec(3, 5))
+    assert reasons == ([None, "no drift at 0.0", None], [None] * 3 + ["no profile at 0.5", None])
     want = [(si, ti, "no drift at 0.0" if si == 0.0 else "no profile at 0.5")
             for si in (-1.0, 0.0, 1.0) for ti in (-1.0, -0.5, 0.0, 0.5, 1.0)
             if si == 0.0 or ti == 0.5]
+    failures = _failures(s, t, reasons)
     assert failures == want and len(failures) == 7
-    assert s.tolist() == [-1.0, 1.0] and t.tolist() == [-1.0, -0.5, 0.0, 1.0]
+    assert residual_report(fam, SolitonMode.MINIMAL, GridSpec(3, 5)).failures == want
+    assert s.tolist() == [-1.0, 0.0, 1.0] and t.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert np.isnan(alpha[:, 1]).all() and np.isnan(beta[:, 3]).all()
+    assert np.isfinite(alpha[:, ::2]).all() and np.isfinite(np.delete(beta, 3, axis=1)).all()
 
 
 def test_an_axis_that_fails_everywhere_comes_back_empty():
     """When every ``t`` node fails, or every ``s`` node, ``sample_grid``
-    raises nothing: the failed axis is empty, its curve jet has no nodes,
-    and every grid node is listed row-major with its own reason."""
+    raises nothing: the failed axis comes back whole and all NaN, with a
+    reason per node, and every grid node is listed row-major with its own
+    reason."""
     reason = "profile value must be positive, got -1.0"
     fam = make_generic_first_kind(lambda s: (0.0, 0.0, 0.0), lambda t: (-1.0, 0.0, 0.0),
                                   (-1.0, 1.0), (-1.0, 1.0))
-    (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 3))
-    assert s.tolist() == [-1.0, 0.0, 1.0] and t.tolist() == []
-    assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 0, 3)
-    assert failures == [(si, ti, reason) for si in (-1.0, 0.0, 1.0) for ti in (-1.0, 0.0, 1.0)]
+    (s, t, alpha, beta), reasons = sample_grid(fam, GridSpec(3, 3))
+    assert s.tolist() == [-1.0, 0.0, 1.0] and t.tolist() == [-1.0, 0.0, 1.0]
+    assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 3, 3)
+    assert np.isfinite(alpha).all() and np.isnan(beta).all()
+    assert reasons == ([None] * 3, [reason] * 3)
+    assert _failures(s, t, reasons) == [
+        (si, ti, reason) for si in (-1.0, 0.0, 1.0) for ti in (-1.0, 0.0, 1.0)]
 
     fam = make_generic_first_kind(lambda s: (math.nan, 0.0, 0.0), lambda t: (2.0, 0.0, 0.0),
                                   (-1.0, 1.0), (-1.0, 1.0))
-    (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(2, 3))
-    assert s.tolist() == [] and t.tolist() == [-1.0, 0.0, 1.0]
-    assert alpha.shape == (3, 0, 1, 3) and beta.shape == (3, 3, 3)
+    (s, t, alpha, beta), reasons = sample_grid(fam, GridSpec(2, 3))
+    assert s.tolist() == [-1.0, 1.0] and t.tolist() == [-1.0, 0.0, 1.0]
+    assert alpha.shape == (3, 2, 1, 3) and beta.shape == (3, 3, 3)
+    assert np.isnan(alpha).all() and np.isfinite(beta).all()
+    failures = _failures(s, t, reasons)
     assert [(si, ti) for si, ti, _ in failures] == [
         (si, ti) for si in (-1.0, 1.0) for ti in (-1.0, 0.0, 1.0)]
     assert all(r.startswith(f"axis jet at s={si!r} is not finite") for si, _, r in failures)
 
 
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
-    """With a failed t node, the kept nodes of each axis come out of
-    ``sample_grid`` as C-contiguous ``(3, ..., 3)`` curve jets, and each
-    row block reaches ``_positions`` and ``_derivatives`` with C-contiguous
-    slots: masking the middle axis of a ``(3, n, 3)`` array with
-    ``rows[:, ~bad]`` would give strided slots that slow every slot formula.
-    Every block takes one path: its points through ``_positions`` on every
-    row, its derivative slots on the first row of each run, which for a
-    linear f (one run) is the first row and for a curved f (each row its
-    own run) every row."""
+    """With a failed t node, both whole axes come out of ``sample_grid`` as
+    C-contiguous ``(3, ..., 3)`` curve jets, and each row block reaches
+    ``_mul`` and ``_derivatives`` with C-contiguous slots: strided slots
+    would slow every slot formula.  Every block takes one path: its points
+    through ``_mul`` on every row, its derivative slots on the first row of
+    each run, which for a linear f (one run) is the first row and for a
+    curved f (each row its own run) every row."""
     seen = []
 
     def recorded(build):
@@ -331,19 +342,20 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
             return build(aj, bj)
         return call
 
-    for name in ("_positions", "_derivatives"):
+    for name in ("_mul", "_derivatives"):
         monkeypatch.setattr(surface_factory, name, recorded(getattr(surface_factory, name)))
     for f, calls in (
             (lambda s: (0.1 * s, 0.1, 0.0),
-             [("_positions", (3, 1, 3)), ("_derivatives", (3, 1, 1, 3))]),
+             [("_mul", (3, 1, 3)), ("_derivatives", (3, 1, 1, 3))]),
             (lambda s: (s * s, 2.0 * s, 2.0),
-             [("_positions", (3, 1, 3)), ("_derivatives", (3, 3, 1, 3))])):
+             [("_mul", (3, 1, 3)), ("_derivatives", (3, 3, 1, 3))])):
         seen.clear()
         fam = make_generic_first_kind(f, lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
-        (s, t, alpha, beta), failures = sample_grid(fam, GridSpec(3, 5))
-        assert [ti for _, ti, _ in failures] == [0.0] * 3 and t.tolist() == [0.25, 0.5, 0.75, 1.0]
+        (s, t, alpha, beta), reasons = sample_grid(fam, GridSpec(3, 5))
+        assert [ti for _, ti, _ in _failures(s, t, reasons)] == [0.0] * 3
+        assert t.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert seen == []  # sampling builds no surface jet
-        assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 4, 3)
+        assert alpha.shape == (3, 3, 1, 3) and beta.shape == (3, 5, 3)
         assert alpha.dtype == beta.dtype == np.float64
         assert alpha.flags.c_contiguous and beta.flags.c_contiguous
         list(surface_factory._row_blocks(alpha, beta, lambda X, H, N: X))
