@@ -7,8 +7,8 @@ shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
 error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
-nodes: its points, and its curvature once per run of rows, never a surface
-jet; a mesh forms the points alone.  A failed node is a NaN of the grid.
+nodes: its points, and each run of rows' curvature once per sweep, never a
+surface jet; a mesh forms the points alone.  A failed node is a NaN of the grid.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -69,15 +69,15 @@ __all__ = [
 
 
 # On a 2-core x86 host (Intel Xeon, numpy 2.4), a 1001x1001 residual sweep
-# with its CSV and summary takes 0.09-0.20 s in process for the minimal
-# cylinder and 0.47-0.82 s for a curved-f first kind, at a peak RSS of
-# 47-48 MB; a 1001x1001 minimal-cylinder mesh takes 0.8-1.3 s at 34 MB.  The
+# with its CSV and summary takes 0.12-0.15 s in process for the minimal
+# cylinder and 0.58-0.76 s for a curved-f first kind, at a peak RSS of
+# 47 MB; a 1001x1001 minimal-cylinder mesh takes 0.8-1.3 s at 34 MB.  The
 # cap (1024x1024) keeps every grid near that, instead of letting a typo
 # allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
-# Nodes a sweep forms at once: a block of whole s rows, at least one, 40
-# rows at nt = 201.  A block's slots and residual temporaries stay in the
-# CPU caches: at 1001x1001, residuals over blocks of 8 rows took
+# Nodes a sweep forms at once: whole s rows, at least one, 40 at nt = 201
+# (a run of translated rows forms its slots once, across blocks).  Slots and
+# temporaries stay in the CPU caches: at 1001x1001, blocks of 8 rows took
 # 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
 BLOCK_NODES = 8192
 # Fraction of a collapsing profile's span [-r, r] clipped from each end.
@@ -447,6 +447,15 @@ def _failures(s, t, reasons, r: Optional[np.ndarray] = None) -> List[Tuple[float
             for b in np.flatnonzero(bad[a]).tolist()]
 
 
+def _refused(s, t, reasons) -> Optional[Tuple[int, Tuple[float, float, str]]]:
+    """How many nodes the failed axis nodes fail, and the first as :func:`_failures`
+    lists it from one row (0 if a ``t`` node failed, else the first failed ``s`` row)."""
+    s_bad, t_bad = ([x is not None for x in side] for side in reasons)
+    if n := len(s) * len(t) - s_bad.count(False) * t_bad.count(False):
+        a = 0 if any(t_bad) else s_bad.index(True)
+        return n, _failures(s[a:a + 1], t, (reasons[0][a:a + 1], reasons[1]))[0]
+
+
 def _block_rows(ns: int, nt: int) -> List[slice]:
     """Slices of ``ns`` rows of ``nt`` nodes, in order: blocks of about ``BLOCK_NODES``."""
     step = max(1, BLOCK_NODES // nt)
@@ -464,25 +473,31 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     read a row of ``alpha`` only through ``a3``, ``alpha'`` and
     ``alpha''``: consecutive rows whose 7 numbers have the same bits are
     horizontal translates with the same ``H`` and ``N``, a run.  They are
-    formed on the first row of each run that touches a block and reach the
-    run's rows by broadcasting or indexing.  Every value has the bits of a
-    whole-grid jet's, and one block's arrays are held at a time.  Points,
-    curvature and ``f`` run under the sweep's one non-finite policy: no
-    overflow, invalid or divide warning, and a node whose value is not
-    finite fails, a point off the half-space set to NaN included."""
+    formed once per sweep, on each run's first row, carried over block seams
+    as copies of one row, and reach the run's rows by broadcasting or
+    indexing.  Every value has a whole-grid jet's bits, and one block's
+    arrays are held at a time.  Points, curvature and ``f`` run under one
+    non-finite policy: no overflow, invalid or divide warning, and a node
+    whose value is not finite fails, a point off the half-space included."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1)
-    starts = np.ones(alpha.shape[1], dtype=bool)
-    starts[1:] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
+    starts = np.ones(alpha.shape[1] + 1, dtype=bool)  # a run head past the last row too
+    starts[1:-1] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
     for rows in _block_rows(alpha.shape[1], beta.shape[1]):
         heads = starts[rows]
-        heads[0] = True  # a block's first row heads the run it continues
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             X = _mul(alpha[0, rows], beta[0])
             X[~(X[..., 2] > 0.0)] = np.nan  # off the half-space: the node fails
-            H, N = _curvature(_derivatives(np.compress(heads, alpha[:, rows], axis=1), beta))
-            if 1 < len(H) < len(heads):
-                run = np.cumsum(heads) - 1
-                H, N = H[run], tuple(c[run] for c in N)
+            if not heads.any():  # the block lies inside the last block's last run
+                H, *N = last
+            else:
+                H, N = _curvature(_derivatives(np.compress(heads, alpha[:, rows], axis=1), beta))
+                if not heads[0]:  # its first rows continue that run
+                    H, *N = map(np.concatenate, zip(last, (H, *N)))
+                if 1 < len(H) < len(heads):
+                    run = np.cumsum(heads) - heads[0]
+                    H, N = H[run], [c[run] for c in N]
+                if not starts[rows.stop]:  # its last run goes on: copies, so no block stays alive
+                    last = tuple(c[-1:].copy() for c in (H, *N))
             out = f(X, H, N)
         del X, H, N
         yield rows, out

@@ -57,7 +57,7 @@ from .soliton_residuals import (
 )
 from .surface_factory import (
     GridSpec,
-    _failures,
+    _refused,
     _row_blocks,
     make_conformal_cylinder,
     make_generic_first_kind,
@@ -198,9 +198,9 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     defects = []
     for fam, terms in cases:
         (s, t, alpha, beta), reasons = sample_grid(fam, grid)
-        if failures := _failures(s, t, reasons):
-            return math.nan, (f"{fam.name} {fam.params}: {len(failures)} failures, "
-                              f"first (s, t, reason): {failures[0]}")
+        if refused := _refused(s, t, reasons):
+            return math.nan, (f"{fam.name} {fam.params}: {refused[0]} failures, "
+                              f"first (s, t, reason): {refused[1]}")
         for _, maxima in _row_blocks(alpha, beta, lambda X, H, N: [
                 np.max(np.abs(soliton_residuals._residual_of(mode, X, H, N) - offset))
                 for mode, offset in terms]):

@@ -22,7 +22,7 @@ from solsurf import (
 )
 from solsurf import commands
 from solsurf.cli import main
-from solsurf.export import fmt, write_obj_mesh, write_residual_summary
+from solsurf.export import _open_w, fmt, write_obj_mesh, write_residual_summary
 from solsurf.profile_odes import _closed_form
 from solsurf.surface_factory import MARGIN
 
@@ -163,6 +163,18 @@ def test_summary_formats_before_it_opens(tmp_path):
     with pytest.raises(ValueError, match="flat"):
         write_residual_summary(tmp_path / "r.summary.txt", rep)
     assert not (tmp_path / "r.summary.txt").exists()
+
+
+def test_text_outputs_reach_the_os_in_64_kib_writes(tmp_path):
+    """Every text output buffers 64 KiB: five lines of 11,700 characters, a
+    201-node residual CSV row's size, stay in the process until close, which
+    writes all 58,500."""
+    path, line = tmp_path / "out.txt", "x" * 11_699 + "\n"
+    with _open_w(path) as fh:
+        for _ in range(5):
+            fh.write(line)
+            assert path.stat().st_size == 0
+    assert path.read_text() == line * 5
 
 
 def test_underscore_family_alias(tmp_path):

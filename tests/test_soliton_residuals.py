@@ -37,7 +37,7 @@ from solsurf import (
     verify,
 )
 from solsurf.errors import DomainError
-from solsurf.surface_factory import make_conformal_cylinder, sample_grid
+from solsurf.surface_factory import _failures, make_conformal_cylinder, sample_grid
 from solsurf.surface_jets import _curve, _vertical, product_surface_jet
 from solsurf.commands import FAMILIES
 from solsurf.export import write_obj_mesh, write_residual_csv, write_residual_summary
@@ -555,7 +555,7 @@ def test_residual_report_peak_memory(tmp_path):
     CSV writer then holds one row's text.  Report and CSV peaked at 1.06
     grid arrays plus 32 block arrays (curved f at 1001x201, numpy 2.4); the
     bound adds 0.44 grid arrays of margin.  It holds for the minimal
-    cylinder, whose linear f gives derivative slots of one row per block,
+    cylinder, whose linear f gives derivative slots of one row per sweep,
     for a curved f, whose every row heads a run, so its slots are a whole
     block's, and for that f with f' = 1e160 for s > 0, whose failed nodes
     the report holds as NaNs of its grid, not as a list."""
@@ -603,6 +603,55 @@ def test_verify_residual_defect_peak_memory():
     _, block = _array_bytes(grid)
     peak = _traced_peak(lambda: verify._residual_defect([(make_horosphere(1.0), terms)], grid, ""))
     assert peak <= 33 * block, peak / block
+
+
+def _axis_failing(s_bad, t_bad):
+    """A flat first kind on [-1, 1]^2 whose f raises at the s nodes in
+    ``s_bad`` and whose g(t) = t - t_bad fails every t node up to ``t_bad``."""
+    def f(s):
+        if s in s_bad:
+            raise DomainError(f"no f at {s!r}")
+        return 0.0, 0.0, 0.0
+
+    return make_generic_first_kind(f, lambda t: (t - t_bad, 1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("s_bad, t_bad", [
+    ((), -0.5), ((0.5,), -2.0), ((-1.0,), -2.0), ((0.0, 0.5), -0.5), ((-1.0,), 0.0),
+    ((), 1.0)])
+def test_refusals_count_failed_nodes_without_listing_them(s_bad, t_bad, tmp_path):
+    """The mesh's and verify's refusals of a failed axis node name the count
+    and the first of the nodes the whole :func:`_failures` list holds, with
+    failed ``s`` rows, ``t`` columns, both, and every node failed."""
+    fam, grid = _axis_failing(s_bad, t_bad), GridSpec(5, 9)
+    (s, t, _, _), reasons = sample_grid(fam, grid)
+    listed = _failures(s, t, reasons)
+    assert listed
+    with pytest.raises(DomainError) as exc:
+        write_obj_mesh(tmp_path / "m.obj", fam, grid)
+    assert str(exc.value) == \
+        f"{len(listed)} mesh node(s) failed, first (s, t, reason): {listed[0]}"
+    defect, detail = verify._residual_defect([(fam, ((MINIMAL, 0.0),))], grid, "x")
+    assert math.isnan(defect)
+    assert detail == (f"{fam.name} {fam.params}: {len(listed)} failures, "
+                      f"first (s, t, reason): {listed[0]}")
+
+
+def test_refusal_peak_memory(tmp_path):
+    """A 1001x1001 mesh whose g(t) = t fails 501 of its t nodes is refused
+    for its 501,501 failed nodes without a tuple per node: the refusal
+    traces a peak under 1 MB (0.35 MB on numpy 2.4), where listing every
+    node traced 37.5 MB."""
+    fam = _axis_failing((), 0.0)
+
+    def refuse():
+        with pytest.raises(DomainError) as exc:
+            write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(1001, 1001))
+        return str(exc.value)
+
+    assert refuse().startswith("501501 mesh node(s) failed, first (s, t, reason): (-1.0, -1.0, ")
+    peak = _traced_peak(refuse)
+    assert peak <= 1 << 20, peak
 
 
 # The seam family: f is curved, so no two s rows of residuals repeat, on a
@@ -707,8 +756,10 @@ def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
     """Rows whose curvature is formed once per run give the residual grid,
     failures, CSV and summary of one whole-grid jet: runs end inside a block
     and on its boundary, cross one, split at ``-0.0``/``0.0``, and at a
-    failed s node.  Curvature is formed on the first row of each run that
-    touches a block: 2, 5, 1 and 1 rows in the blocks of 40, 40, 40 and 3."""
+    failed s node.  Curvature is formed on the first row of each run, once
+    for the whole sweep: 2, 4 and 1 rows in the blocks of 40, 40 and 40, none
+    in the last block of 3, and none for rows 40 and 120, whose runs cross
+    the seams."""
     fam = _runs_family()
     formed = []
     curvature = surface_factory._curvature
@@ -726,14 +777,14 @@ def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
         write_residual_summary(tmp_path / f"{name}.txt", report)
     for ext in ("csv", "txt"):
         assert (tmp_path / f"runs.{ext}").read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
-    assert formed == [2, 5, 1, 1]
+    assert formed == [2, 4, 1]
 
 
-def test_curvature_is_formed_once_per_run_in_each_block(monkeypatch):
+def test_curvature_is_formed_once_per_run(monkeypatch):
     """A 201x201 sweep of the minimal cylinder, whose f is linear, forms
-    curvature on one row of each block of 40 rows; a curved-f family forms
-    it on every row.  verify's grid rows form it once per block for all
-    their modes."""
+    curvature on one row for the whole sweep, though its run spans 6 blocks
+    of 40 rows; a curved-f family forms it on every row.  verify's grid rows
+    form it once for all their modes."""
     formed = []
     curvature = surface_factory._curvature
 
@@ -744,7 +795,7 @@ def test_curvature_is_formed_once_per_run_in_each_block(monkeypatch):
     monkeypatch.setattr(surface_factory, "_curvature", counted)
     grid = GridSpec(201, 201)
     residual_report(make_minimal_cylinder(1.2, 1.1), MINIMAL, grid)
-    assert formed == [1] * 6
+    assert formed == [1]
     formed.clear()
     residual_report(make_generic_first_kind(_f1, _g1, (-2.0, 1.5), (-1.0, 2.5)), MINIMAL, grid)
     assert formed == [40] * 5 + [1]
@@ -752,7 +803,7 @@ def test_curvature_is_formed_once_per_run_in_each_block(monkeypatch):
     terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
     assert verify._residual_defect([(make_horosphere(1.0), terms)], GridSpec(101, 101), "x") \
         == (0.0, "x")
-    assert formed == [1, 1]  # blocks of 81 and 20 rows
+    assert formed == [1]  # one run over blocks of 81 and 20 rows
 
 
 def test_mesh_block_seams_keep_the_bits(tmp_path):
