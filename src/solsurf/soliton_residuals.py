@@ -151,9 +151,10 @@ def residual_report(fam: SurfaceFamily, mode: SolitonMode, grid: GridSpec) -> Re
     and ``t_range``, and collect the values.
 
     The factor curves are evaluated once per axis by :func:`sample_grid`;
-    the residual is then formed one block of ``s`` rows at a time, with
-    one curvature per run of translated rows (:func:`_row_blocks`), into
-    the rows of ``r``; no jet of the whole grid is held.  A failed node is
+    the residual is then formed one block of ``s`` rows at a time into the
+    rows of ``r``, with one curvature for the sweep when every ``s`` row is a
+    translate of the first, else one per block (:func:`_row_blocks`); no jet
+    of the whole grid is held.  A failed node is
     a residual that is not finite, with no numpy warning: its axis node
     failed, its point is off the half-space, or its forms overflow or its
     jet is collapsed, so its normal is NaN; the report's ``failures`` reads

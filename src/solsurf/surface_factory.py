@@ -7,8 +7,10 @@ shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
 evaluate each factor curve in one call on its whole axis, as one
 ``(3, n, 3)`` curve jet (node by node only after that call raises a domain
 error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
-nodes: its points, and each run of rows' curvature once per sweep, never a
-surface jet; a mesh forms the points alone.  A failed node is a NaN of the grid.
+nodes: its points, and its curvature once per sweep when every row of
+``alpha`` is a horizontal translate of the first (a linear ``f``), else once
+per block, never a surface jet; a mesh forms the points alone.  A failed node
+is a NaN of the grid.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -76,9 +78,10 @@ __all__ = [
 # allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
 # Nodes a sweep forms at once: whole s rows, at least one, 40 at nt = 201
-# (a run of translated rows forms its slots once, across blocks).  Slots and
-# temporaries stay in the CPU caches: at 1001x1001, blocks of 8 rows took
-# 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
+# (curvature too, unless every row is a translate of the first: then one
+# curvature serves every block).  Slots and temporaries stay in the CPU caches: at
+# 1001x1001, blocks of 8 rows took 55-59 ms against 119-140 ms for one
+# whole-grid jet (2-core x86).
 BLOCK_NODES = 8192
 # Fraction of a collapsing profile's span [-r, r] clipped from each end.
 MARGIN = 1e-3
@@ -466,38 +469,28 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     """``f(X, H, N)`` of the surface of :func:`sample_grid`'s axis jets, one
     block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``,
     ``X`` the block's points, ``H`` their mean curvature and ``N`` the
-    normal's components.  Every block takes one path: ``X`` is the group
-    product :func:`~solsurf.lie_halfspace._mul` of its rows, and ``H`` and
-    ``N`` are :func:`_curvature` of the five :func:`_derivatives` slots, so
-    no point is formed twice and no surface jet is built.  ``H`` and ``N``
-    read a row of ``alpha`` only through ``a3``, ``alpha'`` and
-    ``alpha''``: consecutive rows whose 7 numbers have the same bits are
-    horizontal translates with the same ``H`` and ``N``, a run.  They are
-    formed once per sweep, on each run's first row, carried over block seams
-    as copies of one row, and reach the run's rows by broadcasting or
-    indexing.  Every value has a whole-grid jet's bits, and one block's
-    arrays are held at a time.  Points, curvature and ``f`` run under one
-    non-finite policy: no overflow, invalid or divide warning, and a node
-    whose value is not finite fails, a point off the half-space included."""
-    key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1)
-    starts = np.ones(alpha.shape[1] + 1, dtype=bool)  # a run head past the last row too
-    starts[1:-1] = (key[1:].view(np.int64) != key[:-1].view(np.int64)).any(axis=1)
+    normal's components.  ``X`` is the group product
+    :func:`~solsurf.lie_halfspace._mul` of the block's rows, and ``H`` and
+    ``N`` are :func:`_curvature` of the five :func:`_derivatives` slots: no
+    point is formed twice and no surface jet is built.  ``H`` and ``N`` read
+    a row of ``alpha`` only through ``a3``, ``alpha'`` and ``alpha''``, so if
+    every row's 7 numbers have row 0's bits (every row a horizontal translate
+    of it: a linear ``f``), they are formed once, on row 0, for every block.
+    Else (a curved or piecewise-linear ``f``, a failed ``s`` node's NaN, a
+    ``-0.0`` where row 0 has ``0.0``) each block forms them on its rows.
+    Every value has a whole-grid jet's bits, and one block's arrays are held
+    at a time.  Points, curvature and ``f`` run under one non-finite policy:
+    no overflow, invalid or divide warning, and a node whose value is not
+    finite fails, a point off the half-space included."""
+    key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1).view(np.int64)
+    shared, once = bool((key == key[0]).all()), ()
     for rows in _block_rows(alpha.shape[1], beta.shape[1]):
-        heads = starts[rows]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             X = _mul(alpha[0, rows], beta[0])
             X[~(X[..., 2] > 0.0)] = np.nan  # off the half-space: the node fails
-            if not heads.any():  # the block lies inside the last block's last run
-                H, *N = last
-            else:
-                H, N = _curvature(_derivatives(np.compress(heads, alpha[:, rows], axis=1), beta))
-                if not heads[0]:  # its first rows continue that run
-                    H, *N = map(np.concatenate, zip(last, (H, *N)))
-                if 1 < len(H) < len(heads):
-                    run = np.cumsum(heads) - heads[0]
-                    H, N = H[run], [c[run] for c in N]
-                if not starts[rows.stop]:  # its last run goes on: copies, so no block stays alive
-                    last = tuple(c[-1:].copy() for c in (H, *N))
+            H, N = once or _curvature(_derivatives(alpha[:, :1] if shared else alpha[:, rows], beta))
+            if shared:  # formed in the first block, for every block
+                once = H, N
             out = f(X, H, N)
         del X, H, N
         yield rows, out

@@ -729,38 +729,32 @@ def test_block_seams_keep_the_bits(mode, tmp_path):
     assert (tmp_path / "blocked.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
 
 
-# The runs family: f is piecewise linear, so its s rows come in runs that
-# share (a3, alpha', alpha''), on the seam grid.  By s row: slope 0.5 on
-# 0-24, -0.0 on 25-59 (across the first block boundary), 0.0 on 60-69 (a run
-# of its own by the sign bit alone), 2.0 on 70-79 and -1.25 on 80-122, from a
-# block boundary; f raises at row 50, a NaN row that splits its run in three.
+# The runs family: f is piecewise linear, so its s rows come in runs of
+# horizontal translates that share (a3, alpha', alpha''), on the seam grid; a
+# sweep shares curvature only when every row is a translate, so this family
+# forms it on every row.  By s row: slope 0.5 on 0-24, -0.0 on 25-59 (across
+# the first block boundary), 0.0 on 60-69 (apart from the last by the sign bit
+# alone), 2.0 on 70-79 and -1.25 on 80-122, from a block boundary; f raises at
+# row 50, a NaN row.
 _RUN_STARTS, _RUN_SLOPES = (0, 25, 60, 70, 80), (0.5, -0.0, 0.0, 2.0, -1.25)
 
 
-def _runs_family():
+def _runs_family(starts=_RUN_STARTS, slopes=_RUN_SLOPES, bad=50):
     s_axis = np.linspace(*_SEAM_S, _SEAM_GRID.ns)
-    starts = [float(s_axis[i]) for i in _RUN_STARTS]
-    s_bad = float(s_axis[50])
+    starts = [float(s_axis[i]) for i in starts]
+    s_bad = None if bad is None else float(s_axis[bad])
 
     def f(s):
         if s == s_bad:
             raise DomainError(f"no f at {s!r}")
-        slope = _RUN_SLOPES[bisect.bisect_right(starts, s) - 1]
+        slope = slopes[bisect.bisect_right(starts, s) - 1]
         return slope * s, slope, 0.0
 
     return make_generic_first_kind(f, _g1, _SEAM_S, _SEAM_T)
 
 
-@pytest.mark.parametrize("mode", list(SolitonMode))
-def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
-    """Rows whose curvature is formed once per run give the residual grid,
-    failures, CSV and summary of one whole-grid jet: runs end inside a block
-    and on its boundary, cross one, split at ``-0.0``/``0.0``, and at a
-    failed s node.  Curvature is formed on the first row of each run, once
-    for the whole sweep: 2, 4 and 1 rows in the blocks of 40, 40 and 40, none
-    in the last block of 3, and none for rows 40 and 120, whose runs cross
-    the seams."""
-    fam = _runs_family()
+def _counted_curvature(monkeypatch):
+    """The number of rows of each curvature a sweep forms, in order."""
     formed = []
     curvature = surface_factory._curvature
 
@@ -769,6 +763,19 @@ def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
         return curvature(j)
 
     monkeypatch.setattr(surface_factory, "_curvature", counted)
+    return formed
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
+    """Runs of translated rows that are not the whole grid give the residual
+    grid, failures, CSV and summary of one whole-grid jet: runs end inside a
+    block and on its boundary, cross one, differ at ``-0.0``/``0.0``, and
+    meet a failed s node.  Not every row is a translate of row 0, so each
+    block forms its own curvature, on all its rows: blocks of 40, 40, 40
+    and 3."""
+    formed = _counted_curvature(monkeypatch)
+    fam = _runs_family()
     rep, ref = residual_report(fam, mode, _SEAM_GRID), _whole_grid_report(fam, mode, _SEAM_GRID)
     assert len(rep.failures) == _SEAM_GRID.nt and rep.failures == _listed(ref)
     assert _grid_bytes(rep) == _grid_bytes(ref)
@@ -777,22 +784,19 @@ def test_runs_of_translated_rows_keep_the_bits(mode, tmp_path, monkeypatch):
         write_residual_summary(tmp_path / f"{name}.txt", report)
     for ext in ("csv", "txt"):
         assert (tmp_path / f"runs.{ext}").read_bytes() == (tmp_path / f"whole.{ext}").read_bytes()
-    assert formed == [2, 4, 1]
+    assert formed == [40, 40, 40, 3]
 
 
 def test_curvature_is_formed_once_per_run(monkeypatch):
     """A 201x201 sweep of the minimal cylinder, whose f is linear, forms
-    curvature on one row for the whole sweep, though its run spans 6 blocks
-    of 40 rows; a curved-f family forms it on every row.  verify's grid rows
-    form it once for all their modes."""
-    formed = []
-    curvature = surface_factory._curvature
-
-    def counted(j):
-        formed.append(j.shape[1])
-        return curvature(j)
-
-    monkeypatch.setattr(surface_factory, "_curvature", counted)
+    curvature on one row for the whole sweep, though it spans 6 blocks of
+    40 rows; a curved-f family forms it on every row.  verify's grid rows
+    form it once for all their modes, and every CLI family, whose f is
+    linear, once at its defaults at 201x201 and 1001x201.  A linear f with
+    one failed s node, or with a ``-0.0`` slope where row 0 has ``0.0``, does
+    not make every row a translate of row 0 by bits: each block forms its
+    own, with the bits of one whole-grid jet."""
+    formed = _counted_curvature(monkeypatch)
     grid = GridSpec(201, 201)
     residual_report(make_minimal_cylinder(1.2, 1.1), MINIMAL, grid)
     assert formed == [1]
@@ -803,7 +807,21 @@ def test_curvature_is_formed_once_per_run(monkeypatch):
     terms = ((TRANSLATOR, 0.0), (MINIMAL, 1.0))
     assert verify._residual_defect([(make_horosphere(1.0), terms)], GridSpec(101, 101), "x") \
         == (0.0, "x")
-    assert formed == [1]  # one run over blocks of 81 and 20 rows
+    assert formed == [1]  # one curvature for blocks of 81 and 20 rows
+    for name, (build, _) in FAMILIES.items():  # every CLI family, at its defaults
+        fam = build()
+        for grid in (GridSpec(201, 201), GridSpec(1001, 201)):
+            formed.clear()
+            residual_report(fam, MINIMAL, grid)
+            assert formed == [1], (name, grid)
+    for fam, failed in ((_runs_family((0,), (0.5,), bad=61), _SEAM_GRID.nt),
+                        (_runs_family((0, 70), (0.0, -0.0), bad=None), 0)):
+        formed.clear()
+        rep = residual_report(fam, MINIMAL, _SEAM_GRID)
+        assert formed == [40, 40, 40, 3]
+        ref = _whole_grid_report(fam, MINIMAL, _SEAM_GRID)
+        assert len(rep.failures) == failed and rep.failures == _listed(ref)
+        assert _grid_bytes(rep) == _grid_bytes(ref)
 
 
 def test_mesh_block_seams_keep_the_bits(tmp_path):

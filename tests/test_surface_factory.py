@@ -330,10 +330,10 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, both whole axes come out of ``sample_grid`` as
     C-contiguous ``(3, ..., 3)`` curve jets, and each row block reaches
     ``_mul`` and ``_derivatives`` with C-contiguous slots: strided slots
-    would slow every slot formula.  Every block takes one path: its points
-    through ``_mul`` on every row, its derivative slots on the first row of
-    each run, which for a linear f (one run) is the first row and for a
-    curved f (each row its own run) every row."""
+    would slow every slot formula.  A block forms its points through
+    ``_mul`` on every row, then its derivative slots: on row 0 alone when
+    every row is a translate of it (a linear f), else on every row (a
+    curved f)."""
     seen = []
 
     def recorded(build):
