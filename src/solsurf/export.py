@@ -225,8 +225,10 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     vertex text of each block is written by :func:`_num_rows`, a chunk at a
     time, before the next is formed; the faces follow, in the same blocks of
     cell rows, each index's text formed once per block and joined by ``%``.
-    Raises :class:`DomainError`, before the file is opened, if any node
-    fails; a block that raises once the file is open removes it.  Returns
+    Raises :class:`DomainError`, before the file is opened, if any axis node
+    fails.  A block holding a point off the half-space, a NaN of
+    :func:`~solsurf.surface_jets._positions`, raises once the file is open,
+    naming its first such node ``(s, t)``, and removes the file.  Returns
     (vertex_count, face_count).
     """
     from .surface_factory import _block_rows, _refused, sample_grid
@@ -245,6 +247,10 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
             for rows in blocks:
                 with np.errstate(over="ignore"):  # an overflowed point is written as inf
                     X = _positions(alpha[0, rows], beta[0])
+                if (off := np.isnan(X[..., 2])).any():
+                    i, k = np.argwhere(off)[0].tolist()
+                    raise DomainError(f"mesh point (s, t) = ({float(s[rows][i])!r}, "
+                                      f"{float(t[k])!r}) is off the half-space")
                 fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
             for rows in blocks:
                 lo, hi = rows.start, min(rows.stop, ns - 1)

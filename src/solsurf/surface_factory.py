@@ -32,7 +32,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .lie_halfspace import _mul
 from .profile_odes import (
     MAX_BRANCH_STEPS,
     ConformalProfileParams,
@@ -132,9 +131,9 @@ class SurfaceFamily:
     ``beta(t) = (0, 0, t)``, so ``X = (s, f(s), t)``.  ``jet(s, t)``
     returns the read-only ``(6, ..., 3)`` surface jet ``X, Xs, Xt, Xss, Xst,
     Xtt``; ``position`` forms its slot ``X`` alone, the bare embedding,
-    convenient for finite-difference cross-checks.  A profile lives only in
-    ``beta``, so the family :func:`perturb_profile` returns holds no profile
-    but its own.
+    NaN off the half-space as in the jet, convenient for finite-difference
+    cross-checks.  A profile lives only in ``beta``, so the family
+    :func:`perturb_profile` returns holds no profile but its own.
 
     Construction, :func:`dataclasses.replace` included, stores both ranges
     as float pairs and refuses one that is not a finite increasing pair
@@ -469,10 +468,10 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     """``f(X, H, N)`` of the surface of :func:`sample_grid`'s axis jets, one
     block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``,
     ``X`` the block's points, ``H`` their mean curvature and ``N`` the
-    normal's components.  ``X`` is the group product
-    :func:`~solsurf.lie_halfspace._mul` of the block's rows, and ``H`` and
-    ``N`` are :func:`_curvature` of the five :func:`_derivatives` slots: no
-    point is formed twice and no surface jet is built.  ``H`` and ``N`` read
+    normal's components.  ``X`` is :func:`_positions` of the block's rows,
+    NaN off the half-space, and ``H`` and ``N`` are :func:`_curvature` of
+    the five :func:`_derivatives` slots: no point is formed twice and no
+    surface jet is built.  ``H`` and ``N`` read
     a row of ``alpha`` only through ``a3``, ``alpha'`` and ``alpha''``, so if
     every row's 7 numbers have row 0's bits (every row a horizontal translate
     of it: a linear ``f``), they are formed once, on row 0, for every block.
@@ -481,13 +480,12 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     Every value has a whole-grid jet's bits, and one block's arrays are held
     at a time.  Points, curvature and ``f`` run under one non-finite policy:
     no overflow, invalid or divide warning, and a node whose value is not
-    finite fails, a point off the half-space included."""
+    finite fails, a point off the half-space (a NaN of ``X``) included."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1).view(np.int64)
     shared, once = bool((key == key[0]).all()), ()
     for rows in _block_rows(alpha.shape[1], beta.shape[1]):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            X = _mul(alpha[0, rows], beta[0])
-            X[~(X[..., 2] > 0.0)] = np.nan  # off the half-space: the node fails
+            X = _positions(alpha[0, rows], beta[0])  # NaN off the half-space: the node fails
             H, N = once or _curvature(_derivatives(alpha[:, :1] if shared else alpha[:, rows], beta))
             if shared:  # formed in the first block, for every block
                 once = H, N

@@ -23,7 +23,10 @@ same expressions.
 :func:`_positions` and the five derivative slots ``Xs, Xt, Xss, Xst,
 Xtt`` are :func:`_derivatives`, the only slots the normal and the mean
 curvature read, so a sweep forms its points and its curvature apart and
-never builds a surface jet.  Both canonical shapes are products of a
+never builds a surface jet.  :func:`_positions` is the one statement of
+the half-space for every point the program forms, a sweep's, a mesh's and
+a single jet's: a point whose alpha height or own height is not > 0 is NaN,
+never an exception.  Both canonical shapes are products of a
 horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical ``beta(t)``:
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
@@ -130,11 +133,15 @@ def _vertical(y, z) -> np.ndarray:
 
 def _positions(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Slot ``X = alpha * beta`` of :func:`product_surface_jet` from the value
-    slots of its curve jets; both curves' heights and every point's must be positive."""
-    _require_positive(a[..., 2:], "alpha height must be positive, got {!r}")
-    _require_positive(b[..., 2], "beta height must be positive, got {!r}")
+    slots of its curve jets (``out`` if it is given): the one statement of
+    which points lie in the half-space.  A point lies there when alpha's
+    height and its own are > 0, which makes beta's > 0 too.  Any other point
+    is NaN in all three components: a height that underflows to 0 is one,
+    and so is an infinite alpha height, whose product height is NaN.
+    Nothing is raised, so a sweep fails such a node, a mesh refuses it and
+    a single jet's residuals there are NaN."""
     X = _mul(a, b, out=out)
-    _require_positive(X[..., 2], "surface point has non-positive height {!r}")
+    X[~((a[..., 2] > 0.0) & (X[..., 2] > 0.0))] = np.nan
     return X
 
 
@@ -172,8 +179,10 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     derivative slots are :func:`_derivatives`, each written in place into
     one fresh ``(6, ..., 3)`` array, the jet.  The curve slots broadcast
     against each other, so ``(3, n, 3)`` curve jets give ``n`` points and
-    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid.  Both curve heights and
-    every point's must be positive.
+    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid.  A point off the
+    half-space is NaN in slot ``X`` alone: the derivative slots are formed
+    as anywhere else, so its mean curvature, which reads no point, stays
+    the Euclidean one, and every residual there, which reads ``X``, is NaN.
     """
     j = np.empty((6,) + np.broadcast_shapes(aj[0].shape, bj[0].shape))
     _positions(aj[0], bj[0], out=j[0])
@@ -196,7 +205,7 @@ def _derivatives(aj: np.ndarray, bj: np.ndarray, out: np.ndarray | None = None) 
     The group law ``p * q = p3*q + P(p)`` is linear in ``p``, so ``Xs`` and
     ``Xss``, like ``X``, are that law, :func:`solsurf.lie_halfspace._mul`,
     with ``alpha'`` and ``alpha''`` as ``p`` and ``beta`` as ``q``.  No
-    height is checked here: that is :func:`_positions`'s.
+    height is read here: the half-space is :func:`_positions`'s.
     """
     a, a1, a2 = aj
     b, b1, b2 = bj
@@ -248,16 +257,8 @@ def _curvature(d: np.ndarray):
     return l, N
 
 
-def _stencil_points(ss, tt) -> str:
-    """The probed point, or the extent of a batch of them, for a message."""
-    if np.ndim(ss) == 0:
-        return f"stencil point (s={float(ss)!r}, t={float(tt)!r})"
-    return (f"a stencil point in s [{float(np.min(ss))!r}, {float(np.max(ss))!r}], "
-            f"t [{float(np.min(tt))!r}, {float(np.max(tt))!r}]")
-
-
 def finite_difference_jet(
-    evaluator: Callable[[float, float], np.ndarray],
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s,
     t,
     h,
@@ -266,51 +267,40 @@ def finite_difference_jet(
 
     ``s``, ``t`` and the step ``h`` broadcast like numpy arrays to a
     ``shape``, and the jet is ``(6, *shape, 3)``: scalars give one point's
-    jet, and an ``(n, 1)`` ``s`` and ``t`` with ``(m,)`` steps give ``n``
-    points at ``m`` steps each.  ``evaluator(s, t)`` returns the position:
-    a 3-vector when every argument is a scalar, otherwise ``(k, 3)``
-    positions for two 1-D arrays of ``k`` points, as
-    ``SurfaceFamily.position`` does.  A scalar jet costs nine evaluator
-    calls, one per stencil offset; a batch costs one, on the ``9*n``
-    points of every offset (the broadcast points, flattened, offset by
-    offset).
+    ``(6, 3)`` jet, and an ``(n, 1)`` ``s`` and ``t`` with ``(m,)`` steps
+    give ``n`` points at ``m`` steps each.  ``evaluator(s, t)`` takes two
+    1-D arrays of ``k`` points and returns their ``(k, 3)`` positions, as
+    ``SurfaceFamily.position`` does.  Every jet, a single point's too, costs
+    one evaluator call, on the ``9*k`` points of every stencil offset (the
+    broadcast points, flattened, offset by offset).
     The stencil uses the four axis neighbours at distance ``h`` plus the
     four corners (for ``Xst``); all probed points must stay in the domain,
     otherwise a ``DomainError`` is raised.  Truncation error is O(h^2) per
-    slot, and each point's jet has the bits of its own scalar call.
+    slot, and each point's jet has the bits of its own call.
     """
     if not np.all(np.greater(h, 0.0)):
         raise ParameterError(f"step must be positive, got {float(np.min(h))!r}")
     shape = np.broadcast_shapes(np.shape(s), np.shape(t), np.shape(h))
-    if shape:
-        s, t, h = (np.broadcast_to(v, shape).ravel() for v in (s, t, h))
-
-    def ev(ss, tt) -> np.ndarray:
-        try:
-            p = np.asarray(evaluator(ss, tt), dtype=float)
-        except (DomainError, ArithmeticError, ValueError) as exc:
-            raise DomainError(f"{_stencil_points(ss, tt)} left the surface domain") from exc
-        if p.shape != np.shape(ss) + (3,):
-            raise ParameterError(
-                f"evaluator must return {np.shape(ss) + (3,)} positions, got shape {p.shape}"
-            )
-        up = p[..., 2] > 0.0
-        if not up.all():
-            k = int(np.argmin(up))
-            raise DomainError(
-                f"{_stencil_points(np.ravel(ss)[k], np.ravel(tt)[k])} has non-positive "
-                f"height {float(np.ravel(p[..., 2])[k])!r}"
-            )
-        return p
-
-    ss, tt = zip((s, t), (s + h, t), (s - h, t), (s, t + h), (s, t - h),
-                 (s + h, t + h), (s + h, t - h), (s - h, t + h), (s - h, t - h))
-    if shape:  # one call on every offset's points, offset by offset
-        stencil = np.split(ev(np.concatenate(ss), np.concatenate(tt)), 9)
-    else:
-        stencil = map(ev, ss, tt)
-    X, Xe, Xw, Xn, Xo, Xen, Xeo, Xwn, Xwo = stencil
-    h = np.reshape(h, np.shape(h) + (1,))  # a column against (k, 3) positions
+    s, t, h = (np.broadcast_to(v, shape).ravel() for v in (s, t, h))
+    ss, tt = (np.concatenate(v) for v in zip(
+        (s, t), (s + h, t), (s - h, t), (s, t + h), (s, t - h),
+        (s + h, t + h), (s + h, t - h), (s - h, t + h), (s - h, t - h)))
+    try:
+        p = np.asarray(evaluator(ss, tt), dtype=float)
+    except (DomainError, ArithmeticError, ValueError) as exc:
+        raise DomainError(
+            f"a stencil point in s [{float(np.min(ss))!r}, {float(np.max(ss))!r}], "
+            f"t [{float(np.min(tt))!r}, {float(np.max(tt))!r}] left the surface domain"
+        ) from exc
+    if p.shape != ss.shape + (3,):
+        raise ParameterError(f"evaluator must return {ss.shape + (3,)} positions, got shape {p.shape}")
+    up = p[:, 2] > 0.0
+    if not up.all():
+        k = int(np.argmin(up))
+        raise DomainError(f"stencil point (s={float(ss[k])!r}, t={float(tt[k])!r}) is off "
+                          f"the half-space: height {float(p[k, 2])!r}")
+    X, Xe, Xw, Xn, Xo, Xen, Xeo, Xwn, Xwo = np.split(p, 9)
+    h = h[:, None]  # a column against (k, 3) positions
     j = np.stack([
         X,
         (Xe - Xw) / (2.0 * h),
@@ -319,7 +309,6 @@ def finite_difference_jet(
         (Xen - Xeo - Xwn + Xwo) / (4.0 * h * h),
         (Xn - 2.0 * X + Xo) / (h * h),
     ])
-    j = j.reshape((6,) + shape + (3,))  # X is checked above the boundary by ev
+    j = j.reshape((6,) + shape + (3,))
     j.setflags(write=False)
     return j
-

@@ -2,7 +2,10 @@
 in-house stepper, interpolant and quadrature are checked against, sympy and
 mpmath are the symbolic and 40-digit oracles of the tests, and neither
 ``numpy.random`` nor ``numpy.polynomial`` is loaded.  Every name a
-module exports, and every module name the README gives, resolves."""
+module exports, and every module name the README gives, resolves.  The
+half-space has one rule in the source: only ``surface_jets`` reaches the bare
+group product."""
+import ast
 import importlib
 import pkgutil
 import re
@@ -77,6 +80,29 @@ def test_verify_battery_loads_no_numpy_random():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_one_half_space_rule():
+    """Whether a point lies in the half-space is decided once, by
+    ``surface_jets._positions``: no module but ``surface_jets`` imports or
+    reads the bare product ``lie_halfspace._mul``, and the sweep's
+    ``_row_blocks`` and the mesh's ``write_obj_mesh`` form their points
+    through ``_positions``."""
+    def reaches_mul(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").endswith("lie_halfspace") \
+                and any(alias.name == "_mul" for alias in node.names)
+        return isinstance(node, ast.Attribute) and node.attr == "_mul"
+
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "solsurf").glob("*.py")}
+    users = [stem for stem, tree in sorted(trees.items())
+             if stem != "lie_halfspace" and any(map(reaches_mul, ast.walk(tree)))]
+    assert users == ["surface_jets"]
+    for stem, name in (("surface_factory", "_row_blocks"), ("export", "write_obj_mesh")):
+        (fn,) = [node for node in trees[stem].body
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert any(isinstance(node, ast.Name) and node.id == "_positions"
+                   for node in ast.walk(fn)), name
 
 
 def test_every_exported_name_resolves():

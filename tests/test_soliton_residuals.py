@@ -883,7 +883,8 @@ def test_mesh_forms_no_jet_and_no_curvature(tmp_path, monkeypatch):
 def test_mesh_block_error_removes_the_file(tmp_path):
     """A block whose points underflow to the boundary raises once the file
     is open (blocks of one row at nt = 8192; alpha and beta heights of
-    1e-200 multiply to 0 on the last row), and the partial file goes."""
+    1e-200 multiply to 0 on the last row), naming the block's first such
+    node, and the partial file goes."""
     def alpha(s):
         return _curve((s, 1.0, 0.0), (0.0, 0.0, 0.0), (np.where(s > 0.5, 1e-200, 1.0), 0.0, 0.0))
 
@@ -891,7 +892,8 @@ def test_mesh_block_error_removes_the_file(tmp_path):
         return _vertical((t, 1.0, 0.0), (np.full_like(t, 1e-200), 0.0, 0.0))
 
     fam = SurfaceFamily("underflow", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
-    with pytest.raises(DomainError, match="non-positive height 0.0"):
+    off = r"mesh point \(s, t\) = \(1.0, 0.0\) is off the half-space"
+    with pytest.raises(DomainError, match=off):
         write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, surface_factory.BLOCK_NODES))
     assert not (tmp_path / "m.obj").exists()
 
@@ -921,9 +923,54 @@ def test_points_off_the_half_space_fail_their_own_nodes(mode, tmp_path):
         assert rep.failures == [(s, ti, "residual is not finite: nan")
                                 for s in (0.75, 1.0) for ti in t]
         assert np.isfinite(rep.r[:7]).all()
-    with pytest.raises(DomainError, match="non-positive height 0.0"):
+    off = r"mesh point \(s, t\) = \(0.75, 0.0\) is off the half-space"
+    with pytest.raises(DomainError, match=off):
         write_obj_mesh(tmp_path / "m.obj", family(1e-200, 1e-200), grid)
     assert not (tmp_path / "m.obj").exists()
+
+
+def _below_family():
+    """``alpha = (s, 0, -1)`` and ``beta = (0, t, -2 + 0.1t)``, raw curves
+    that no profile check sees: both heights are negative, so every point
+    ``(.., .., 2 - 0.1t)`` lies above the boundary plane though no node is
+    a product in the half-space group."""
+    def alpha(s):
+        return _curve((s, 1.0, 0.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+
+    def beta(t):
+        return _curve((0.0, 0.0, 0.0), (t, 1.0, 0.0), (-2.0 + 0.1 * t, 0.1, 0.0))
+
+    return SurfaceFamily("below", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_negative_factor_heights_fail_every_sweep_node(mode):
+    """A node whose alpha and beta heights are both negative is off the
+    half-space though its point's height is positive: the sweep fails all 25
+    nodes as NaN residuals, so the report refuses the grid."""
+    off = r"\(25 failures\), first \(s, t, reason\): \(-1.0, 0.0, 'residual is not finite: nan'\)"
+    with pytest.raises(DomainError, match=off):
+        residual_report(_below_family(), mode, GridSpec(5, 5))
+
+
+def test_negative_factor_heights_are_refused_by_the_mesh(tmp_path):
+    """The mesh refuses the same nodes as the sweep, names the first, and
+    leaves no file."""
+    off = r"mesh point \(s, t\) = \(-1.0, 0.0\) is off the half-space"
+    with pytest.raises(DomainError, match=off):
+        write_obj_mesh(tmp_path / "m.obj", _below_family(), GridSpec(5, 5))
+    assert not (tmp_path / "m.obj").exists()
+
+
+def test_negative_factor_heights_give_a_nan_point_in_a_single_jet():
+    """A single jet there has a NaN point and finite derivative slots: its
+    mean curvature, which reads no point, is the Euclidean one, and every
+    residual, which reads the point, is NaN; the bare position is NaN too."""
+    fam = _below_family()
+    j = fam.jet(0.0, 0.0)
+    assert np.isnan(j[0]).all() and np.isnan(fam.position(0.0, 0.0)).all()
+    assert np.isfinite(j[1:]).all() and math.isfinite(mean_curvature(j))
+    assert all(math.isnan(residual(mode, j)) for mode in SolitonMode)
 
 
 def test_residual_report_raises_when_everything_fails():

@@ -329,9 +329,9 @@ def test_an_axis_that_fails_everywhere_comes_back_empty():
 def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, both whole axes come out of ``sample_grid`` as
     C-contiguous ``(3, ..., 3)`` curve jets, and each row block reaches
-    ``_mul`` and ``_derivatives`` with C-contiguous slots: strided slots
+    ``_positions`` and ``_derivatives`` with C-contiguous slots: strided slots
     would slow every slot formula.  A block forms its points through
-    ``_mul`` on every row, then its derivative slots: on row 0 alone when
+    ``_positions`` on every row, then its derivative slots: on row 0 alone when
     every row is a translate of it (a linear f), else on every row (a
     curved f)."""
     seen = []
@@ -342,13 +342,13 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
             return build(aj, bj)
         return call
 
-    for name in ("_mul", "_derivatives"):
+    for name in ("_positions", "_derivatives"):
         monkeypatch.setattr(surface_factory, name, recorded(getattr(surface_factory, name)))
     for f, calls in (
             (lambda s: (0.1 * s, 0.1, 0.0),
-             [("_mul", (3, 1, 3)), ("_derivatives", (3, 1, 1, 3))]),
+             [("_positions", (3, 1, 3)), ("_derivatives", (3, 1, 1, 3))]),
             (lambda s: (s * s, 2.0 * s, 2.0),
-             [("_mul", (3, 1, 3)), ("_derivatives", (3, 3, 1, 3))])):
+             [("_positions", (3, 1, 3)), ("_derivatives", (3, 3, 1, 3))])):
         seen.clear()
         fam = make_generic_first_kind(f, lambda t: (t - 0.1, 1.0, 0.0), (-1.0, 1.0), (0.0, 1.0))
         (s, t, alpha, beta), reasons = sample_grid(fam, GridSpec(3, 5))

@@ -65,7 +65,11 @@ def _beta(t):
 
 
 def _swept(s, t):
-    return lie_product(_alpha(s)[0], _beta(t)[0])
+    """``alpha(s) * beta(t)`` at 1-D arrays of points: the value slots of
+    :func:`_alpha` and :func:`_beta`, as arrays."""
+    e = np.exp(0.3 * s)
+    return lie_product(np.stack([np.sin(s), s * s, e], axis=-1),
+                       np.stack([t, np.cos(t), 2.0 + np.sin(t)], axis=-1))
 
 
 def test_product_jet_is_the_group_law():
@@ -247,7 +251,7 @@ def test_collapsed_jet_reads_nan():
     # a constant beta curve collapses Xt
     alpha = _horospherical((0.0, 1.0, 0.0), FJ)
     beta = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    fd = finite_difference_jet(lambda s, t: np.array([0.0, 0.0, 1.0]), 0.0, 0.0, 0.1)
+    fd = finite_difference_jet(lambda s, t: np.tile([0.0, 0.0, 1.0], (len(s), 1)), 0.0, 0.0, 0.1)
     for j in (product_surface_jet(alpha, beta), fd):
         assert not j.flags.writeable
         assert j[2].tolist() == [0.0, 0.0, 0.0]
@@ -301,8 +305,8 @@ def test_jet_arrays_are_read_only():
 
 def _jets_from(aj, bj, positions):
     """Both builders' jets at (0.7, -1.1): the product jet of ``aj``, ``bj``
-    and the finite-difference jet of an evaluator that returns the arrays in
-    ``positions``, one per call, so the test holds every array a builder saw."""
+    and the finite-difference jet of an evaluator that returns the array in
+    ``positions`` from its one call, so the test holds every array a builder saw."""
     calls = iter(positions)
     fd = finite_difference_jet(lambda s, t: next(calls), 0.7, -1.1, 1e-2)
     return product_surface_jet(aj, bj), fd
@@ -310,12 +314,12 @@ def _jets_from(aj, bj, positions):
 
 def _stencil_positions():
     """The nine positions finite_difference_jet asks for at (0.7, -1.1)
-    with h = 1e-2, in the order it asks for them, as writeable copies the
-    caller owns."""
+    with h = 1e-2, in its one call, as a list of one writeable ``(9, 3)``
+    array the caller owns."""
     asked = []
     finite_difference_jet(lambda s, t: asked.append((s, t)) or _swept(s, t),
                           0.7, -1.1, 1e-2)
-    assert len(asked) == 9
+    assert [(np.shape(s), np.shape(t)) for s, t in asked] == [((9,), (9,))]
     return [_swept(s, t).copy() for s, t in asked]
 
 
@@ -385,7 +389,7 @@ def test_left_translation_commutes_with_the_jet_builder():
 
 
 def _wavy_position(s, t):
-    return np.array([s, t + math.sin(s), 2.0 + 0.5 * math.cos(t)])
+    return np.stack([s, t + np.sin(s), 2.0 + 0.5 * np.cos(t)], axis=-1)
 
 
 def _wavy_jet(s, t):
@@ -418,9 +422,9 @@ def test_finite_difference_slots_agree():
 
 def test_finite_difference_stencil_leaves_domain():
     def pos(s, t):
-        if t <= 0.0:
+        if np.any(t <= 0.0):
             raise DomainError("below the boundary")
-        return np.array([s, s + t, t])
+        return np.stack([s, s + t, t], axis=-1)
 
     with pytest.raises(DomainError):
         finite_difference_jet(pos, 0.0, 0.005, 1e-2)
