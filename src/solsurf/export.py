@@ -7,7 +7,6 @@ detail, so identical inputs produce byte-identical files.
 """
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -226,39 +225,40 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
     time, before the next is formed; the faces follow, in the same blocks of
     cell rows, each index's text formed once per block and joined by ``%``.
     Raises :class:`DomainError`, before the file is opened, if any axis node
-    fails.  A block holding a point off the half-space, a NaN of
-    :func:`~solsurf.surface_jets._positions`, raises once the file is open,
-    naming its first such node ``(s, t)``, and removes the file.  Returns
-    (vertex_count, face_count).
+    fails or any point is off the half-space, a NaN of
+    :func:`~solsurf.surface_jets._positions`, naming its first such node
+    ``(s, t)``.  A row is off where its lowest point is: with every axis
+    node finite, a point's height is the rounded product ``a3*b3``, which
+    never falls as ``b3`` grows when ``a3 > 0``.  Returns (vertex_count,
+    face_count).
     """
     from .surface_factory import _block_rows, _refused, sample_grid
 
     (s, t, alpha, beta), reasons = sample_grid(fam, grid)
     if refused := _refused(s, t, reasons):
         raise DomainError("%d mesh node(s) failed, first (s, t, reason): %s" % refused)
+    with np.errstate(over="ignore"):  # a height that overflows to inf is in the half-space
+        low = _positions(alpha[0, :, 0], beta[0, np.argmin(beta[0, :, 2])])
+        if (off := np.isnan(low[:, 2])).any():
+            i = int(np.argmax(off))
+            k = int(np.argmax(np.isnan(_positions(alpha[0, i], beta[0])[:, 2])))
+            raise DomainError(f"mesh point (s, t) = ({float(s[i])!r}, {float(t[k])!r}) "
+                              "is off the half-space")
     ns, nt = grid.ns, grid.nt
     blocks = _block_rows(ns, nt)
     a = np.arange(nt - 1)  # the node (0, j) of each cell's first corner
     # the two triangles of each cell in a block's first row of cells, as
     # offsets from its first node; a cell in the block's row i adds i*nt
     cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
-    try:
-        with _open_w(path) as fh:
-            for rows in blocks:
-                with np.errstate(over="ignore"):  # an overflowed point is written as inf
-                    X = _positions(alpha[0, rows], beta[0])
-                if (off := np.isnan(X[..., 2])).any():
-                    i, k = np.argwhere(off)[0].tolist()
-                    raise DomainError(f"mesh point (s, t) = ({float(s[rows][i])!r}, "
-                                      f"{float(t[k])!r}) is off the half-space")
-                fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
-            for rows in blocks:
-                lo, hi = rows.start, min(rows.stop, ns - 1)
-                # the text of each OBJ index on the block's cell rows, once
-                index = np.array([str(k) for k in range(lo * nt + 1, (hi + 1) * nt + 1)], object)
-                faces = index[cells + nt * np.arange(hi - lo)[:, None, None]].ravel()
-                fh.write("f %s %s %s\n" * (len(faces) // 3) % tuple(faces.tolist()))
-    except DomainError:
-        os.remove(path)
-        raise
+    with _open_w(path) as fh:
+        for rows in blocks:
+            with np.errstate(over="ignore"):  # an overflowed point is written as inf
+                X = _positions(alpha[0, rows], beta[0])
+            fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
+        for rows in blocks:
+            lo, hi = rows.start, min(rows.stop, ns - 1)
+            # the text of each OBJ index on the block's cell rows, once
+            index = np.array([str(k) for k in range(lo * nt + 1, (hi + 1) * nt + 1)], object)
+            faces = index[cells + nt * np.arange(hi - lo)[:, None, None]].ravel()
+            fh.write("f %s %s %s\n" * (len(faces) // 3) % tuple(faces.tolist()))
     return ns * nt, 2 * (ns - 1) * (nt - 1)

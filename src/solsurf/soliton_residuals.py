@@ -141,10 +141,6 @@ class ResidualReport:
     def max_abs(self) -> float:
         return float(np.max(self._finite_abs()))
 
-    @property
-    def mean_abs(self) -> float:
-        return float(np.mean(self._finite_abs()))
-
 
 def residual_report(fam: SurfaceFamily, mode: SolitonMode, grid: GridSpec) -> ResidualReport:
     """Sweep one residual over a family grid, on the family's ``s_range``

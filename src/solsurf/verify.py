@@ -193,8 +193,9 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
     blocks a sweep forms, one curvature serving every mode (the max of the
     blocks' maxima is the grid's, bit for bit, NaN included).  A failed axis
     node voids the sweep: the defect is NaN and the detail names the first
-    failure.  Any other failed node reads NaN, and an infinite residual
-    voids the sweep too, since inf would pass a ``>`` row."""
+    failure.  A residual that is not finite, a failed node's NaN or an
+    overflow's inf (which would pass a ``>`` row), voids it too, and the
+    detail says so rather than the row's own."""
     defects = []
     for fam, terms in cases:
         (s, t, alpha, beta), reasons = sample_grid(fam, grid)
@@ -205,8 +206,8 @@ def _residual_defect(cases, grid: GridSpec, detail: str) -> Measurement:
                 np.max(np.abs(soliton_residuals._residual_of(mode, X, H, N) - offset))
                 for mode, offset in terms]):
             defects += maxima
-        if math.inf in defects:
-            return math.nan, f"{fam.name} {fam.params}: a residual is infinite"
+        if not np.isfinite(defects).all():
+            return math.nan, f"{fam.name} {fam.params}: a residual is not finite"
     return float(np.max(defects)), detail
 
 

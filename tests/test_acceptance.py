@@ -202,7 +202,8 @@ def test_a_grid_whose_every_node_fails_fails_its_row_alone(monkeypatch, capsys):
 
 def test_infinite_residual_fails_every_grid_row(monkeypatch):
     """A residual that overflows to inf at one node fails every grid row as
-    NaN: inf would pass the ">" rows."""
+    NaN, with a detail that says a residual is not finite: inf would pass
+    the ">" rows."""
     clean = soliton_residuals._residual_of
 
     def one_inf(mode, X, H, N):
@@ -212,14 +213,14 @@ def test_infinite_residual_fails_every_grid_row(monkeypatch):
 
     monkeypatch.setattr(soliton_residuals, "_residual_of", one_inf)
     for r in _grid_results():
-        assert not r.passed and math.isnan(r.defect) and "residual is infinite" in r.detail, r
+        assert not r.passed and math.isnan(r.defect) and "a residual is not finite" in r.detail, r
 
 
 def test_overflowed_forms_fail_a_grid_row_without_a_warning():
     """A vertical plane of slope 1e160 overflows its fundamental forms, so
     every residual is NaN: its grid row reads NaN under the sweep's
-    non-finite policy, with no numpy warning, as ``residual_report`` fails
-    the same nodes."""
+    non-finite policy, with no numpy warning and a detail that says so, not
+    the row's own, as ``residual_report`` fails the same nodes."""
     fam, grid = verify.make_vertical_plane(1e160, 0.0), verify.GridSpec(3, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -227,7 +228,7 @@ def test_overflowed_forms_fail_a_grid_row_without_a_warning():
             [(fam, ((soliton_residuals.SolitonMode.MINIMAL, 0.0),))], grid, "x")
         with pytest.raises(DomainError, match="9 failures.*not finite: nan"):
             soliton_residuals.residual_report(fam, "minimal", grid)
-    assert math.isnan(defect) and detail == "x"
+    assert math.isnan(defect) and detail == f"{fam.name} {fam.params}: a residual is not finite"
 
 
 ROW_PREFIX = {"minimal": "minimal_cylinder", "conformal": "conformal"}

@@ -1,7 +1,7 @@
 """The CLI contract as a property: any ``residual``, ``mesh`` or ``profile``
 argv drawn from extreme flag values exits 0 or 2, refuses with one
-``error:`` line, finishes within a time budget and writes no more bytes
-than its grid allows."""
+``error:`` line and no file under its ``--out`` prefix, finishes within a
+time budget and writes no more bytes than its grid allows."""
 import contextlib
 import io
 import os
@@ -64,8 +64,9 @@ def byte_bound(cmd: str, ns: int, nt: int) -> int:
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(run=cli_runs())
 def test_cli_contract(run):
-    """Exit 0 or 2; exit 2 prints exactly one stderr line, ``error: ...``;
-    each run takes under ``BUDGET_S`` and writes at most :func:`byte_bound`.
+    """Exit 0 or 2; exit 2 prints exactly one stderr line, ``error: ...``,
+    and leaves no file under the ``--out`` prefix; each run takes under
+    ``BUDGET_S`` and writes at most :func:`byte_bound`.
     Runs go through ``main`` in process, one at a time (300 draws, ~1-2 s of
     tier-1 on a shared 2-core host)."""
     cmd, argv, (ns, nt) = run
@@ -75,10 +76,11 @@ def test_cli_contract(run):
             start = time.perf_counter()
             rc = main([*argv, "--out", os.path.join(tmp, "o")])
             elapsed = time.perf_counter() - start
-        written = sum(entry.stat().st_size for entry in os.scandir(tmp))
+        sizes = {entry.name: entry.stat().st_size for entry in os.scandir(tmp)}
     assert rc in (0, 2), (argv, rc)
     if rc == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert not sizes, (argv, sorted(sizes))
     assert elapsed < BUDGET_S, (argv, elapsed)
-    assert written <= byte_bound(cmd, ns, nt), (argv, written)
+    assert sum(sizes.values()) <= byte_bound(cmd, ns, nt), (argv, sizes)

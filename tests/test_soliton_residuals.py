@@ -2,6 +2,7 @@
 import bisect
 import dataclasses
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solsurf import (
     GridSpec,
@@ -38,7 +39,7 @@ from solsurf import (
 )
 from solsurf.errors import DomainError
 from solsurf.surface_factory import _failures, make_conformal_cylinder, sample_grid
-from solsurf.surface_jets import _curve, _vertical, product_surface_jet
+from solsurf.surface_jets import _curve, _positions, _vertical, product_surface_jet
 from solsurf.commands import FAMILIES
 from solsurf.export import write_obj_mesh, write_residual_csv, write_residual_summary
 
@@ -168,7 +169,6 @@ def test_residual_report_grid_structure():
     assert np.all(rep.samples[:4, 0] == 0.0)
     assert np.all(np.diff(rep.samples[:4, 1]) > 0)
     assert rep.max_abs == np.max(np.abs(rep.samples[:, 2]))
-    assert rep.mean_abs == pytest.approx(np.mean(np.abs(rep.samples[:, 2])))
     assert rep.failures == []
 
 
@@ -880,18 +880,25 @@ def test_mesh_forms_no_jet_and_no_curvature(tmp_path, monkeypatch):
     assert (tmp_path / "m.obj").read_bytes() == (tmp_path / "clean.obj").read_bytes()
 
 
-def test_mesh_block_error_removes_the_file(tmp_path):
-    """A block whose points underflow to the boundary raises once the file
-    is open (blocks of one row at nt = 8192; alpha and beta heights of
-    1e-200 multiply to 0 on the last row), naming the block's first such
-    node, and the partial file goes."""
+def _underflow_family(edge):
+    """Alpha and beta heights of 1e-200, whose products underflow to the
+    boundary, on the rows ``s > edge`` of [-1, 1]; heights 1 and 1e-200
+    elsewhere."""
     def alpha(s):
-        return _curve((s, 1.0, 0.0), (0.0, 0.0, 0.0), (np.where(s > 0.5, 1e-200, 1.0), 0.0, 0.0))
+        return _curve((s, 1.0, 0.0), (0.0, 0.0, 0.0), (np.where(s > edge, 1e-200, 1.0), 0.0, 0.0))
 
     def beta(t):
         return _vertical((t, 1.0, 0.0), (np.full_like(t, 1e-200), 0.0, 0.0))
 
-    fam = SurfaceFamily("underflow", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
+    return SurfaceFamily("underflow", {}, (-1.0, 1.0), (0.0, 1.0), alpha, beta)
+
+
+def test_mesh_block_error_removes_the_file(tmp_path):
+    """A row whose points underflow to the boundary (alpha and beta heights
+    of 1e-200 multiply to 0 on the last of three rows of nt = 8192) is
+    refused before the file is opened, naming its first such node, so no
+    file is left."""
+    fam = _underflow_family(0.5)
     off = r"mesh point \(s, t\) = \(1.0, 0.0\) is off the half-space"
     with pytest.raises(DomainError, match=off):
         write_obj_mesh(tmp_path / "m.obj", fam, GridSpec(3, surface_factory.BLOCK_NODES))
@@ -962,6 +969,68 @@ def test_negative_factor_heights_are_refused_by_the_mesh(tmp_path):
     assert not (tmp_path / "m.obj").exists()
 
 
+@pytest.mark.parametrize("fam, grid, at", [
+    (_underflow_family(0.5), GridSpec(3, surface_factory.BLOCK_NODES), "(1.0, 0.0)"),
+    (_below_family(), GridSpec(5, 5), "(-1.0, 0.0)"),
+    (_underflow_family(0.99), GridSpec(1001, 1001), "(0.992, 0.0)"),
+], ids=["underflow-3xBLOCK", "below-5x5", "underflow-1001x1001"])
+def test_a_refused_mesh_opens_no_file(tmp_path, monkeypatch, fam, grid, at):
+    """Every refusal comes before the file is opened: the first node off
+    the half-space, found from each row's lowest point, is named without a
+    call to ``_open_w`` (the 1001x1001 family is off on its last 5 rows,
+    after some 60 MB of vertex text)."""
+    def opened(*args):
+        raise AssertionError("the mesh opened its file")
+
+    monkeypatch.setattr(export, "_open_w", opened)
+    off = r"mesh point \(s, t\) = %s is off the half-space" % re.escape(at)
+    with pytest.raises(DomainError, match=off):
+        write_obj_mesh(tmp_path / "m.obj", fam, grid)
+
+
+class _Opened(Exception):
+    pass
+
+
+def _slots(n):
+    """``n`` finite point slots: ordinary horizontal components, and heights
+    that are negative, zero, subnormal, or spread from 1e-320 to 1e308."""
+    spread = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+    height = st.one_of(*[spread] * 6, st.sampled_from([0.0, -0.0, 5e-324, 2e-310]),
+                       spread.map(lambda h: -h))
+    slot = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), height)
+    return st.lists(slot, min_size=n, max_size=n).map(np.array)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(2, 6).flatmap(_slots), st.integers(2, 6).flatmap(_slots))
+def test_a_row_is_off_the_half_space_where_its_lowest_point_is(a, b):
+    """A point's height is the rounded product ``a3*b3``, which never falls
+    as ``b3`` grows when ``a3 > 0``: the rows whose lowest point is off the
+    half-space are the rows holding any point off it, products that
+    underflow to 0 or overflow to inf included.  The mesh of the product
+    refuses the grid's first such node, or else opens its file (200
+    derandomised draws, ~1.3 s of tier-1 on a shared 2-core host)."""
+    with np.errstate(over="ignore"):
+        off = np.isnan(_positions(a[:, None], b)[..., 2])
+        low = _positions(a, b[np.argmin(b[:, 2])])
+    assert np.isnan(low[:, 2]).tolist() == off.any(axis=1).tolist()
+
+    def curve(slots):
+        return lambda x: _curve(*((slots[np.asarray(x).astype(int), c], 0.0, 0.0) for c in range(3)))
+
+    fam = SurfaceFamily("slots", {}, (0.0, len(a) - 1.0), (0.0, len(b) - 1.0), curve(a), curve(b))
+    with mock.patch.object(export, "_open_w", side_effect=_Opened):
+        if off.any():
+            i, k = np.argwhere(off)[0].tolist()
+            at = re.escape(f"({float(i)!r}, {float(k)!r})")
+            with pytest.raises(DomainError, match=rf"mesh point \(s, t\) = {at} is off"):
+                write_obj_mesh("unopened.obj", fam, GridSpec(len(a), len(b)))
+        else:
+            with pytest.raises(_Opened):
+                write_obj_mesh("unopened.obj", fam, GridSpec(len(a), len(b)))
+
+
 def test_negative_factor_heights_give_a_nan_point_in_a_single_jet():
     """A single jet there has a NaN point and finite derivative slots: its
     mean curvature, which reads no point, is the Euclidean one, and every
@@ -971,6 +1040,52 @@ def test_negative_factor_heights_give_a_nan_point_in_a_single_jet():
     assert np.isnan(j[0]).all() and np.isnan(fam.position(0.0, 0.0)).all()
     assert np.isfinite(j[1:]).all() and math.isfinite(mean_curvature(j))
     assert all(math.isnan(residual(mode, j)) for mode in SolitonMode)
+
+
+@pytest.mark.parametrize("mode, weight, bracket, tol", [
+    (MINIMAL, lambda z: z ** -2.0, lambda z: -2.0 / z, 1e-4),
+    (CONFORMAL, lambda z: np.exp(2.0 / z) / z ** 2, lambda z: -2.0 / z ** 2, 2e-5),
+], ids=["minimal", "conformal"])
+def test_minimal_and_conformal_residuals_are_weighted_area_gradients(mode, weight, bracket, tol):
+    """The minimal and conformal residuals are, up to a factor, the
+    gradients of the weighted areas ``F_w = int w(X3) |Xs x Xt| ds dt``,
+    ``w = e^psi / z^2``: moving the surface by ``eps * V``, ``V`` vanishing
+    on the boundary, gives ``dF/deps = int <V, N> w [(psi' - 2/z) N3 - 2H]
+    |Xs x Xt|``, whose bracket is ``-(2/z) (zH + N3)`` for ``psi = 0`` (the
+    hyperbolic area) and ``-(2/z^2) (z^2 H + (z + 1) N3)`` for ``psi = 2/z``.
+    With ``V = u e_z``, ``<V, N> |Xs x Xt| = u (Xs x Xt)_3``, so ``F_w`` and
+    its symmetric difference in ``eps`` need the family's positions alone,
+    by central differences, and share no code with ``_curvature`` or
+    ``_residual_of``.  On ``X = (s, t + 0.3 sin s, 1 + 0.2 cos t)`` at 201^2
+    the gap ``dF/pred - 1`` reads 1.11e-5 (minimal) and 1.77e-6
+    (conformal), falling 4-fold per halving of the step; the mutants
+    ``1.001 N3`` (minimal) and ``(X3 + 1.001) N3`` (conformal) read 1.11e-3
+    and 4.87e-4, beyond ten times each tolerance."""
+    fam = make_generic_first_kind(lambda s: (0.3 * math.sin(s), 0.3 * math.cos(s), -0.3 * math.sin(s)),
+                                  lambda t: (1.0 + 0.2 * math.cos(t), -0.2 * math.sin(t), -0.2 * math.cos(t)),
+                                  (-2.0, 2.0), (-2.0, 2.0))
+    n = 201
+    axis = np.linspace(-2.0, 2.0, n)
+    h = axis[1] - axis[0]
+    S, T = np.meshgrid(axis, axis, indexing="ij")
+    X = fam.position(S.ravel(), T.ravel()).reshape(n, n, 3)
+    rho2 = (S * S + T * T) / 1.5 ** 2  # a smooth bump of radius 1.5, 0 at the boundary
+    u, inside = np.zeros_like(S), rho2 < 1.0
+    u[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
+
+    def cross(Y):
+        return np.cross(np.gradient(Y, h, axis=0), np.gradient(Y, h, axis=1))
+
+    def area(eps):
+        Y = X.copy()
+        Y[..., 2] += eps * u
+        return np.sum(weight(Y[..., 2]) * np.linalg.norm(cross(Y), axis=-1)) * h * h
+
+    eps = 1e-6
+    dF = (area(eps) - area(-eps)) / (2.0 * eps)
+    z, r = X[..., 2], residual_report(fam, mode, GridSpec(n, n)).r
+    pred = np.sum(u * cross(X)[..., 2] * weight(z) * bracket(z) * r) * h * h
+    assert abs(dF / pred - 1.0) <= tol, dF / pred - 1.0
 
 
 def test_residual_report_raises_when_everything_fails():
