@@ -39,9 +39,11 @@ so both of its branches are stepped, on the state ``(g, w)`` with
 Between nodes a solution is read through one piecewise cubic Hermite
 interpolant of ``g`` and ``g'`` (:class:`_Hermite`), built from the nodal
 values and the exact nodal slopes and summed in each interval's unit
-variable, so it stays finite on node gaps however short.  The interpolant
-and the quadrature are small numpy and float routines, so importing this
-module costs numpy alone.
+variable, so it stays finite on node gaps however short.  Every
+first-kind profile is read as its jet ``(g, g', g'')`` in one call, the
+stepped one's :meth:`ProfileSolution.jet` as the closed form's.  The
+interpolant and the quadrature are small numpy and float routines, so
+importing this module costs numpy alone.
 """
 from __future__ import annotations
 
@@ -322,11 +324,12 @@ class ProfileSolution:
     and whether any branch was truncated before its natural end.  It is
     frozen, so what it derives from them on first read never goes stale.
 
-    Between nodes, ``g`` and ``g'`` come from one cubic Hermite interpolant
-    of the two series, with the exact nodal slopes ``g'`` and ``g''``, and
-    ``g''`` is recomputed from the ODE right-hand side at the interpolated
-    state; each query array makes one interval search.  Queries outside the
-    node range raise ``DomainError``.
+    Between nodes, :meth:`jet` reads ``g`` and ``g'`` from one cubic
+    Hermite interpolant of the two series, with the exact nodal slopes
+    ``g'`` and ``g''``, and recomputes ``g''`` from the ODE right-hand side
+    at the interpolated state: one domain check and one interval search per
+    query array.  ``eval_g``, ``eval_gp`` and ``eval_gpp`` are its three
+    parts.  Queries outside the node range raise ``DomainError``.
     """
 
     params: ProfileParams
@@ -394,9 +397,10 @@ class ProfileSolution:
         built on first use."""
         return _Hermite(self.t, np.stack((self.g, self.gp)), np.stack((self.gp, self.gpp_nodes())))
 
-    def _eval(self, t, f):
-        """``f(q, g, g')`` at the abscissae ``q = t``, a float for a scalar
-        ``t``; raises :class:`DomainError` if any lies outside the nodes (NaN
+    def jet(self, t):
+        """``(g, g', g'')`` at the abscissae ``t``, from one interpolant call:
+        floats for a scalar ``t``, else arrays of its shape.  Raises
+        :class:`DomainError` if any abscissa lies outside the nodes (NaN
         does)."""
         q = np.asarray(t, dtype=float)
         if not ((q >= self.t[0]) & (q <= self.t[-1])).all():
@@ -404,17 +408,20 @@ class ProfileSolution:
                 f"query outside the integrated range "
                 f"[{float(self.t[0])!r}, {float(self.t[-1])!r}]"
             )
-        out = f(q, *self._hermite(q))
-        return out if out.shape else float(out)
+        g, gp = self._hermite(q)
+        gpp = self.params.gpp(q, g, gp)
+        if not q.shape:
+            return float(g), float(gp), float(gpp)
+        return g, gp, gpp
 
     def eval_g(self, t):
-        return self._eval(t, lambda q, g, gp: g)
+        return self.jet(t)[0]
 
     def eval_gp(self, t):
-        return self._eval(t, lambda q, g, gp: gp)
+        return self.jet(t)[1]
 
     def eval_gpp(self, t):
-        return self._eval(t, self.params.gpp)
+        return self.jet(t)[2]
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -677,10 +684,10 @@ def _closed_form(params: _CollapseParams):
     (floats for a scalar ``t``, arrays of its shape for an array).
 
     Along either branch ``g = y0*sin(phi)`` at the abscissa ``|t|`` of
-    :class:`_Panels`.  Each query's ``phi`` solves for its ``|t|`` by
-    Newton's method on one panel, the top one if ``|t|`` is at most the
-    abscissa at ``phi_mid``, from a linear seed in its bracket of a
-    ``_SEED_NODES`` table, bisecting whenever a step would leave the
+    :class:`_Panels`.  Each distinct ``|t|`` of the queries is solved once:
+    its ``phi`` by Newton's method on one panel, the top one if ``|t|`` is
+    at most the abscissa at ``phi_mid``, from a linear seed in its bracket
+    of a ``_SEED_NODES`` table, bisecting whenever a step would leave the
     bracket, until ``_NEWTON_TOL``; a query's iterates depend on it alone,
     so each has the bits of its scalar call.  Then, with ``D = dt_dphi``,
 
@@ -724,7 +731,9 @@ def _closed_form(params: _CollapseParams):
         at = np.abs(t).ravel()
         if not (at < r).all():
             raise DomainError(f"query outside the profile's open interval (-{r!r}, {r!r})")
+        at, back = np.unique(at, return_inverse=True)
         phi = np.concatenate([root(at[k:k + _CHUNK]) for k in range(0, max(at.size, 1), _CHUNK)])
+        phi = phi[back]
         sin, cos = np.sin(phi), np.cos(phi)
         d, dp = dt_dphi(phi), params.dt_dphi_prime(phi)
         g = params.y0 * sin

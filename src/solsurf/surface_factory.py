@@ -37,7 +37,6 @@ from .profile_odes import (
     ConformalProfileParams,
     GrimReaperParams,
     MinimalProfileParams,
-    ProfileSolution,
     REAPER_SPAN_DEFAULT,
     _closed_form,
     _CollapseParams,
@@ -220,31 +219,6 @@ def make_vertical_plane(
     )
 
 
-def _profile_family(
-    name: str,
-    params: dict,
-    s_range: Tuple[float, float],
-    f: Callable[[float], tuple],
-    sol: ProfileSolution,
-) -> SurfaceFamily:
-    """A first-kind family whose height ``g`` is the stepped profile ``sol``
-    (the reaper), on the profile's node span in ``t``.  A truncated profile,
-    whose integration ended before its natural end, is refused: its node
-    span is not the family's."""
-    lo, hi = float(sol.t[0]), float(sol.t[-1])
-    if sol.truncated:
-        raise ParameterError(
-            f"the {name} profile is truncated: its nodes reach only t in [{lo!r}, {hi!r}], "
-            "short of its natural end (a branch met a stop, its step floor or its "
-            f"MAX_BRANCH_STEPS = {MAX_BRANCH_STEPS} step budget)"
-        )
-
-    def g(t):
-        return sol.eval_g(t), sol.eval_gp(t), sol.eval_gpp(t)
-
-    return SurfaceFamily(name, params, s_range, (lo, hi), _horospherical(f), _graph(g))
-
-
 def _collapsing_family(
     name: str,
     params: dict,
@@ -285,13 +259,25 @@ def make_grim_reaper(
 
     A shift ``a`` of the profile, ``X(s, t; a) = (s, t + b*s + a, g(a + t))``,
     is this surface with ``t`` relabelled, ``X(s, t; a) = X(s, t + a; 0)``,
-    so the family takes none."""
+    so the family takes none.
+
+    The family's ``t_range`` is the profile's node span, read by its jet
+    (:meth:`~solsurf.profile_odes.ProfileSolution.jet`).  A truncated
+    profile, whose integration ended before its natural end, is refused:
+    its node span is not the family's."""
     k = 1.0 / (b_slope * b_slope + 1.0)
     if not k > 0.0:
         raise ParameterError(f"b_slope must have a finite square, got {b_slope!r}")
     sol = integrate_grim_reaper(GrimReaperParams(lam=lam, k=k), span=span)
-    return _profile_family("grim_reaper", {"lam": lam, "b_slope": b_slope, "k": k}, s_range,
-                           _linear_jet(b_slope, 0.0), sol)
+    lo, hi = float(sol.t[0]), float(sol.t[-1])
+    if sol.truncated:
+        raise ParameterError(
+            f"the grim_reaper profile is truncated: its nodes reach only t in [{lo!r}, {hi!r}], "
+            "short of its natural end (a branch met a stop, its step floor or its "
+            f"MAX_BRANCH_STEPS = {MAX_BRANCH_STEPS} step budget)"
+        )
+    return SurfaceFamily("grim_reaper", {"lam": lam, "b_slope": b_slope, "k": k}, s_range,
+                         (lo, hi), _horospherical(_linear_jet(b_slope, 0.0)), _graph(sol.jet))
 
 
 def make_conformal_cylinder(

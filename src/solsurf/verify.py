@@ -288,13 +288,13 @@ def _symmetry_defect(sol) -> float:
     t = sol.t
     right = t[(t >= 0.0) & (t <= min(-t[0], t[-1]))]
     q = 0.5 * (right[:-1] + right[1:])
-    gp_right, gp_left = sol.eval_gp(q), sol.eval_gp(-q)
+    (g_right, gp_right, _), (g_left, gp_left, _) = sol.jet(q), sol.jet(-q)
     ok = (np.abs(gp_right) <= _SLOPE_CAP) & (np.abs(gp_left) <= _SLOPE_CAP)
     if not np.any(ok):
         return math.nan
-    q, gp_right, gp_left = q[ok], gp_right[ok], gp_left[ok]
+    g_right, gp_right, g_left, gp_left = g_right[ok], gp_right[ok], g_left[ok], gp_left[ok]
     return float(max(
-        np.max(np.abs(sol.eval_g(-q) - sol.eval_g(q))),
+        np.max(np.abs(g_left - g_right)),
         np.max(np.abs(gp_left + gp_right) / np.maximum(1.0, np.abs(gp_right))),
     ))
 

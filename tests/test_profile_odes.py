@@ -339,6 +339,36 @@ def test_closed_form_queries():
     assert jet(math.nextafter(r, 0.0))[0] > 0.0
 
 
+@pytest.mark.parametrize("cls", [MinimalProfileParams, ConformalProfileParams],
+                         ids=["minimal", "conformal"])
+def test_closed_form_solves_each_distinct_abscissa_once(cls, monkeypatch):
+    """An axis whose ``|t|`` repeat, ``-q`` reversed then ``q``, costs the
+    Newton solves of ``q`` alone: ``dt_dphi`` reads as many cells for it as
+    for ``q`` plus one final read per added query (two for the conformal
+    ``dt_dphi_prime``, which reads ``dt_dphi`` too).  Every value has the
+    bits of its scalar call."""
+    cells = []
+    dt_dphi = cls.dt_dphi
+
+    def counted(self, phi):
+        cells.append(np.size(phi))
+        return dt_dphi(self, phi)
+
+    monkeypatch.setattr(cls, "dt_dphi", counted)
+    r, jet = _closed_form(cls(0.3, 0.9))
+    q = np.linspace(0.01 * r, 0.99 * r, 50)
+    axis = np.concatenate((-q[::-1], q))
+    cells.clear()
+    jet(q)
+    half = sum(cells)
+    cells.clear()
+    flat = jet(axis)
+    finals = 1 if cls is MinimalProfileParams else 2
+    assert sum(cells) == half + finals * q.size
+    for k, x in enumerate(axis.tolist()):
+        assert jet(x) == tuple(float(a[k]) for a in flat), x
+
+
 # --- minimal profile -------------------------------------------------------
 
 
@@ -488,9 +518,28 @@ def test_hermite_is_no_less_accurate_than_scipy(integrate):
         assert worst(public(q)) <= worst(CubicHermiteSpline(sol.t, y, dydx)(q))
 
 
+@pytest.mark.parametrize("which", ["minimal", "reaper"])
+def test_jet_is_the_three_readers_bit_for_bit(which, minimal_sol, reaper_sol):
+    """``jet(q)`` is ``(g, g', g'')`` as three separate reads would give it:
+    ``g`` and ``g'`` each from its own interpolant call and ``g''`` from the
+    ODE at the state of a third, for an array ``q`` (nodes and points
+    between them) and, as floats, for each scalar in it."""
+    sol = {"minimal": minimal_sol, "reaper": reaper_sol}[which]
+    q = np.concatenate((sol.t[::7], np.linspace(sol.t[0], sol.t[-1], 101)))
+    want = (sol._hermite(q)[0], sol._hermite(q)[1], sol.params.gpp(q, *sol._hermite(q)))
+    got = sol.jet(q)
+    assert all(a.shape == q.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert [a.tobytes() for a in got] == [sol.eval_g(q).tobytes(), sol.eval_gp(q).tobytes(),
+                                          sol.eval_gpp(q).tobytes()]
+    for k, x in enumerate(q.tolist()):
+        one = sol.jet(x)
+        assert all(type(v) is float for v in one)
+        assert one == tuple(float(a[k]) for a in want), x
+
+
 def test_eval_makes_one_interval_search_per_query(minimal_sol, monkeypatch):
-    """Each reader makes one interpolant call per query array: eval_gpp
-    reads g and g' from the same one."""
+    """Each reader makes one interpolant call per query array: jet and
+    eval_gpp read g and g' from the same one."""
     calls = []
     call = _Hermite.__call__
 
@@ -500,7 +549,7 @@ def test_eval_makes_one_interval_search_per_query(minimal_sol, monkeypatch):
 
     monkeypatch.setattr(_Hermite, "__call__", counted)
     q = np.linspace(-0.5, 0.5, 11)
-    for name in ("eval_g", "eval_gp", "eval_gpp"):
+    for name in ("jet", "eval_g", "eval_gp", "eval_gpp"):
         calls.clear()
         getattr(minimal_sol, name)(q)
         assert calls == [(11,)], name
@@ -511,9 +560,11 @@ def test_eval_outside_range_raises(minimal_sol):
         minimal_sol.eval_g(minimal_sol.t[-1] + 0.1)
     with pytest.raises(DomainError):
         minimal_sol.eval_gp(minimal_sol.t[0] - 0.1)
+    with pytest.raises(DomainError):
+        minimal_sol.jet(minimal_sol.t[-1] + 0.1)
 
 
-@pytest.mark.parametrize("name", ["eval_g", "eval_gp", "eval_gpp"])
+@pytest.mark.parametrize("name", ["jet", "eval_g", "eval_gp", "eval_gpp"])
 @pytest.mark.parametrize("query", [math.nan, [0.1, math.nan]], ids=["scalar", "array"])
 def test_eval_refuses_nan(minimal_sol, name, query):
     """NaN lies outside every node range, so a query holding one raises

@@ -218,12 +218,14 @@ def test_position_matches_jet(minimal_cyl):
     assert np.array_equal(minimal_cyl.position(0.3, 0.2), j[0])
 
 
-def test_profile_axis_is_one_call(reaper, monkeypatch):
-    """sample_grid evaluates g, g' and g'' of a profile once each, on the
-    whole t axis: a stepped profile's three interpolant reads, and a
-    collapsing profile's one closed-form jet call."""
+def test_profile_axis_is_one_call(monkeypatch):
+    """sample_grid reads g, g' and g'' of a profile in one jet call on the
+    whole t axis: a stepped profile's ``ProfileSolution.jet``, with no
+    ``eval_*`` read beside it, and a collapsing profile's closed-form jet.
+    Each family is built after the counters are in place, since it binds
+    its profile's jet when it is made."""
     calls = []
-    for name in ("eval_g", "eval_gp", "eval_gpp"):
+    for name in ("jet", "eval_g", "eval_gp", "eval_gpp"):
         method = getattr(ProfileSolution, name)
 
         def counted(sol, t, method=method, name=name):
@@ -231,10 +233,11 @@ def test_profile_axis_is_one_call(reaper, monkeypatch):
             return method(sol, t)
 
         monkeypatch.setattr(ProfileSolution, name, counted)
+    reaper = make_grim_reaper(0.5, span=(-5.0, 5.0))
     for fam in (reaper, perturb_profile(reaper, 1e-2)):
         calls.clear()
         sample_grid(fam, GRID)
-        assert sorted(calls) == [("eval_g", 21), ("eval_gp", 21), ("eval_gpp", 21)]
+        assert calls == [("jet", 21)]
     closed_form = surface_factory._closed_form
 
     def counted_closed_form(params):

@@ -12,6 +12,12 @@ It also derives the limit verify's ``grim_reaper.linear`` row reads: the
 ``lambda^2`` term of the grim reaper's small-slope expansion tends to
 ``1/(2k)``; and the collapsing profiles' ``|dt/dphi|`` from their first
 integrals, whose derivative the closed form's ``g''`` reads.
+
+Products of two one-parameter subgroups, ``exp(u*omega) * exp(v*eta)``, are
+surfaces whose rows are not translates of each other (alpha's height
+varies along ``u``).  Their cleared residuals are derived in closed form,
+and the float pipeline's residuals on such a product are checked against
+those exact, nonzero values.
 """
 import mpmath
 import numpy as np
@@ -24,7 +30,9 @@ from solsurf import (
     SolitonMode,
     reduced_residual_first_kind,
     reduced_residual_second_kind,
+    residual,
 )
+from solsurf.surface_jets import product_surface_jet
 
 s, t = sp.symbols("s t", real=True)
 f, g = sp.Function("f")(s), sp.Function("g")(t)
@@ -128,3 +136,83 @@ def test_dt_dphi_prime_is_the_derivative_of_dt_dphi(cls):
                 for got, want in ((p.dt_dphi(x), d_num(*at)), (p.dt_dphi_prime(x), dp_num(*at))):
                     worst = max(worst, float(abs(got - want) / abs(want)))
     assert worst <= 1e-13
+
+
+def _subgroup(x, w1, w2, w3):
+    """``exp(x*omega)`` of the half-space group: ``(w1*phi, w2*phi, e^{w3*x})``
+    with ``phi = (e^{w3*x} - 1)/w3``, or ``(w1*x, w2*x, 1)`` when ``w3 = 0``.
+    It is a one-parameter subgroup: ``phi(u) + e^{w3*u}*phi(v) = phi(u + v)``."""
+    if w3 == 0:
+        return sp.Matrix([w1 * x, w2 * x, 1])
+    phi = (sp.exp(w3 * x) - 1) / w3
+    return sp.Matrix([w1 * phi, w2 * phi, sp.exp(w3 * x)])
+
+
+_OMEGA = sp.symbols("omega1:4", real=True)
+_ETA = sp.symbols("eta1:4", real=True)
+
+
+@pytest.mark.parametrize("vertical", [(False, False), (False, True), (True, False), (True, True)],
+                         ids=["flat-flat", "flat-eta3", "omega3-flat", "omega3-eta3"])
+def test_subgroup_product_residuals_are_the_derived_table(vertical):
+    """With ``delta = omega1*eta2 - omega2*eta1`` and ``Z = e^{omega3*u + eta3*v}``,
+    the cleared residual of ``exp(u*omega) * exp(v*eta)`` is
+    ``2*delta*|omega x eta|^2*e^{3*eta3*v}*e^{6*omega3*u}`` times 1 (minimal),
+    ``Z - 1`` (translator) or ``Z + 1`` (conformal), whether ``omega3`` and
+    ``eta3`` are each 0 or not."""
+    w1, w2, w3 = _OMEGA
+    e1, e2, e3 = _ETA
+    w3, e3 = (w3 if vertical[0] else 0), (e3 if vertical[1] else 0)
+    omega, eta = sp.Matrix([w1, w2, w3]), sp.Matrix([e1, e2, e3])
+    z = sp.exp(w3 * s + e3 * t)
+    cross = omega.cross(eta)
+    base = 2 * (w1 * e2 - w2 * e1) * cross.dot(cross) * sp.exp(3 * e3 * t) * sp.exp(6 * w3 * s)
+    alpha, beta = _subgroup(s, w1, w2, w3), _subgroup(t, e1, e2, e3)
+    for mode, factor in ((SolitonMode.MINIMAL, 1), (SolitonMode.TRANSLATOR, z - 1),
+                         (SolitonMode.CONFORMAL, z + 1)):
+        derived = cleared_residual(alpha, beta, mode)
+        assert sp.simplify(sp.expand(derived - base * factor)) == 0, mode
+
+
+def _subgroup_jet(x, w):
+    """The float curve jet of ``exp(x*w)``, ``w[2] != 0``, at the array ``x``:
+    ``alpha' = e^{w3*x}*w`` and ``alpha'' = w3*e^{w3*x}*w``."""
+    w = np.asarray(w)
+    e = np.exp(w[2] * x)[..., None]
+    value = np.expm1(w[2] * x)[..., None] / w[2] * w
+    value[..., 2] = e[..., 0]
+    return np.stack((value, e * w, w[2] * e * w))
+
+
+# Largest |float - exact| measured over the three modes and both (omega, eta)
+# below: 8.9e-16 (conformal, where max|r| is 2.78); the bound is ~4.5x that.
+_SUBGROUP_TOL = 4e-15
+
+
+@pytest.mark.parametrize("eta", [(0.2, 0.9, -0.5), (0.35, -0.2, -0.5)],
+                         ids=["transverse", "delta-zero"])
+def test_float_residuals_match_the_exact_ones_on_a_subgroup_product(eta):
+    """The float pipeline, ``residual(mode, product_surface_jet(...))`` on the
+    7x9 nodes of ``[-1, 1]^2``, against ``R/(2*W^3)`` of the derived
+    residual ``R``, evaluated by mpmath at 30 digits on the same binary
+    values.  At ``omega = (0.7, -0.4, 0.3)`` and the first ``eta`` the
+    residuals are far from 0 (``max|r|`` 0.86, 1.06 and 2.78), and alpha's
+    height differs on every row; at the second ``eta``, ``delta = 0`` and
+    the exact residuals are 0.  A minimal residual that scales ``N3`` by
+    1.001 fails at the first ``eta`` by 8.6e-4 (at the second, ``N3`` is 0
+    and ``H`` too, so no scaling of either shows)."""
+    omega = (0.7, -0.4, 0.3)
+    u, v = np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 9)
+    j = product_surface_jet(_subgroup_jet(u[:, None], omega), _subgroup_jet(v, eta))
+    alpha, beta = _subgroup(s, *_OMEGA), _subgroup(t, *_ETA)
+    X = _group_product(alpha, beta)
+    C = X.diff(s).cross(X.diff(t))
+    args = [mpmath.mpf(x) for x in omega + eta]
+    for mode in SolitonMode:
+        exact = sp.lambdify((s, t) + _OMEGA + _ETA,
+                            cleared_residual(alpha, beta, mode)
+                            / (2 * C.dot(C) ** sp.Rational(3, 2)), "mpmath")
+        with mpmath.workdps(30):
+            want = np.array([[float(exact(mpmath.mpf(a), mpmath.mpf(b), *args))
+                              for b in v.tolist()] for a in u.tolist()])
+        assert np.max(np.abs(residual(mode, j) - want)) <= _SUBGROUP_TOL, mode
