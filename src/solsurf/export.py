@@ -1,5 +1,6 @@
 """Deterministic text export: residual CSV + summary, profile CSV + events,
-and OBJ meshes.
+and OBJ meshes.  This module only formats: a mesh's points and refusals come
+from :mod:`~solsurf.surface_factory`, a report's statistics from the report.
 
 Every number is written in the :func:`fmt` format (scientific, 13 significant
 digits, locale independent), and no file contains timestamps or environment
@@ -11,12 +12,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
-from .soliton_residuals import ResidualReport
-from .surface_jets import _positions
+from .surface_factory import _block_rows, _mesh_points
 
 if TYPE_CHECKING:  # pragma: no cover
     from .profile_odes import ProfileSolution
+    from .soliton_residuals import ResidualReport
     from .surface_factory import GridSpec, SurfaceFamily
 
 __all__ = [
@@ -168,7 +168,7 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     sweep.  The last line is always ``MAX_ABS=<value>`` so shell pipelines
     can grab it.  A parameter that does not format raises before the file
     is opened."""
-    fam, a = report.family, report._finite_abs()  # one scan of the grid
+    fam, (nodes, mean_abs, max_abs) = report.family, report._stats
     lines = [f"family={fam.name}"]
     lines += [f"param.{key}={fmt(fam.params[key])}" for key in sorted(fam.params)]
     lines += [f"{name}={fmt(lo)}:{fmt(hi)}"
@@ -176,10 +176,10 @@ def write_residual_summary(path, report: ResidualReport) -> None:
     lines += [
         f"mode={report.mode.value}",
         f"grid={report.ns}x{report.nt}",
-        f"nodes={a.size}",
-        f"failures={report.r.size - a.size}",
-        f"mean_abs={fmt(np.mean(a))}",
-        f"MAX_ABS={fmt(np.max(a))}",
+        f"nodes={nodes}",
+        f"failures={report.r.size - nodes}",
+        f"mean_abs={fmt(mean_abs)}",
+        f"MAX_ABS={fmt(max_abs)}",
     ]
     text = "".join(line + "\n" for line in lines)  # formatted before the file is opened
     with _open_w(path) as fh:
@@ -199,18 +199,20 @@ def write_profile_csv(path, sol: "ProfileSolution") -> int:
 
 
 def write_profile_events(path, sol: "ProfileSolution") -> None:
-    """Key=value sidecar with the blow-up abscissae and truncation flag."""
+    """Key=value sidecar with the blow-up abscissae and truncation flag,
+    formatted before the file is opened and written at once."""
 
     def opt(v) -> str:
         return "none" if v is None else fmt(v)
 
+    text = (f"family={sol.family}\n"
+            f"left_blowup_t={opt(sol.left_blowup_t)}\n"
+            f"right_blowup_t={opt(sol.right_blowup_t)}\n"
+            f"truncated={'true' if sol.truncated else 'false'}\n"
+            f"nodes={len(sol.t)}\n"
+            f"conserved_max_defect={fmt(sol.conserved_max_defect)}\n")
     with _open_w(path) as fh:
-        fh.write(f"family={sol.family}\n")
-        fh.write(f"left_blowup_t={opt(sol.left_blowup_t)}\n")
-        fh.write(f"right_blowup_t={opt(sol.right_blowup_t)}\n")
-        fh.write(f"truncated={'true' if sol.truncated else 'false'}\n")
-        fh.write(f"nodes={len(sol.t)}\n")
-        fh.write(f"conserved_max_defect={fmt(sol.conserved_max_defect)}\n")
+        fh.write(text)
 
 
 def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
@@ -218,44 +220,24 @@ def write_obj_mesh(path, fam: "SurfaceFamily", grid: "GridSpec") -> tuple:
 
     Vertices are row-major over (s, t) — the node (i, j) is OBJ index
     ``i*nt + j + 1`` — and each grid cell is split into the two triangles
-    ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.
-    The surface points alone, no jet and no curvature, are formed in a
-    residual sweep's blocks of ``s`` rows (:func:`_block_rows`), and the
-    vertex text of each block is written by :func:`_num_rows`, a chunk at a
-    time, before the next is formed; the faces follow, in the same blocks of
-    cell rows, each index's text formed once per block and joined by ``%``.
-    Raises :class:`DomainError`, before the file is opened, if any axis node
-    fails or any point is off the half-space, a NaN of
-    :func:`~solsurf.surface_jets._positions`, naming its first such node
-    ``(s, t)``.  A row is off where its lowest point is: with every axis
-    node finite, a point's height is the rounded product ``a3*b3``, which
-    never falls as ``b3`` grows when ``a3 > 0``.  Returns (vertex_count,
-    face_count).
+    ``(i,j) (i+1,j) (i+1,j+1)`` and ``(i,j) (i+1,j+1) (i,j+1)``.  The
+    points come a block of ``s`` rows at a time from
+    :func:`~solsurf.surface_factory._mesh_points`, which refuses the grid
+    before the file is opened; each block's vertex text is written by
+    :func:`_num_rows` before the next block is formed, then the faces, in
+    the same blocks of cell rows, each index's text formed once per block
+    and joined by ``%``.  Returns (vertex_count, face_count).
     """
-    from .surface_factory import _block_rows, _refused, sample_grid
-
-    (s, t, alpha, beta), reasons = sample_grid(fam, grid)
-    if refused := _refused(s, t, reasons):
-        raise DomainError("%d mesh node(s) failed, first (s, t, reason): %s" % refused)
-    with np.errstate(over="ignore"):  # a height that overflows to inf is in the half-space
-        low = _positions(alpha[0, :, 0], beta[0, np.argmin(beta[0, :, 2])])
-        if (off := np.isnan(low[:, 2])).any():
-            i = int(np.argmax(off))
-            k = int(np.argmax(np.isnan(_positions(alpha[0, i], beta[0])[:, 2])))
-            raise DomainError(f"mesh point (s, t) = ({float(s[i])!r}, {float(t[k])!r}) "
-                              "is off the half-space")
+    blocks = _mesh_points(fam, grid)
     ns, nt = grid.ns, grid.nt
-    blocks = _block_rows(ns, nt)
     a = np.arange(nt - 1)  # the node (0, j) of each cell's first corner
     # the two triangles of each cell in a block's first row of cells, as
     # offsets from its first node; a cell in the block's row i adds i*nt
     cells = np.stack([a, a + nt, a + nt + 1, a, a + nt + 1, a + 1], axis=-1)
     with _open_w(path) as fh:
-        for rows in blocks:
-            with np.errstate(over="ignore"):  # an overflowed point is written as inf
-                X = _positions(alpha[0, rows], beta[0])
+        for X in blocks:
             fh.writelines(_num_rows(f"v {_NUM} {_NUM} {_NUM}\n", X.reshape(-1, 3)))
-        for rows in blocks:
+        for rows in _block_rows(ns, nt):
             lo, hi = rows.start, min(rows.stop, ns - 1)
             # the text of each OBJ index on the block's cell rows, once
             index = np.array([str(k) for k in range(lo * nt + 1, (hi + 1) * nt + 1)], object)

@@ -689,7 +689,7 @@ def _closed_form(params: _CollapseParams):
     at most the abscissa at ``phi_mid``, from a linear seed in its bracket
     of a ``_SEED_NODES`` table, bisecting whenever a step would leave the
     bracket, until ``_NEWTON_TOL``; a query's iterates depend on it alone,
-    so each has the bits of its scalar call.  Then, with ``D = dt_dphi``,
+    so each has its scalar call's bits and cost.  Then, with ``D = dt_dphi``,
 
         g' = -sign(t)*y0*cos(phi)/D,
         g'' = -y0*(sin(phi)*D + cos(phi)*D')/D^3,
@@ -711,20 +711,20 @@ def _closed_form(params: _CollapseParams):
         j = np.searchsorted(ts, at, side="right")  # ts[0] = 0 <= at < r = ts[-1]
         lo, hi = phis[j], phis[j - 1]
         phi = hi + (at - ts[j - 1]) / (ts[j] - ts[j - 1]) * (lo - hi)
-        done = np.zeros(at.shape, dtype=bool)
+        out, live = np.empty_like(at), np.arange(at.size)  # live: the unconverged queries
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(_NEWTON_STEPS):
                 excess = panels.abscissa(phi, upper) - at  # d|t|/dphi = -D
                 lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess < 0.0, phi, hi)
                 new = phi + excess / dt_dphi(phi)
                 new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-                last = ((np.abs(new - phi) <= _NEWTON_TOL * new)
-                        | (np.abs(excess) <= 4.0 * _EPS * at))
-                phi = np.where(done, phi, new)
-                done |= last
-                if done.all():
+                out[live] = new
+                keep = ~((np.abs(new - phi) <= _NEWTON_TOL * new)
+                         | (np.abs(excess) <= 4.0 * _EPS * at))
+                live, phi, at, upper, lo, hi = (x[keep] for x in (live, new, at, upper, lo, hi))
+                if not live.size:
                     break
-        return phi
+        return out
 
     def jet(t):
         t = np.asarray(t, dtype=float)

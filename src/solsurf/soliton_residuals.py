@@ -20,6 +20,7 @@ and serve as its cross-check.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -105,7 +106,8 @@ class ResidualReport:
     """Residuals swept over a grid: ``r`` is the read-only ``(len(s),
     len(t))`` grid on the axes ``s`` and ``t``, not finite at every failed
     node, ``reasons`` :func:`sample_grid`'s per axis node, and ``family``
-    the swept family, which :func:`~solsurf.export.write_residual_summary` reads."""
+    the swept family, which :func:`~solsurf.export.write_residual_summary` reads.
+    ``max_abs`` and the summary read ``_stats``, formed on first read."""
 
     mode: SolitonMode
     family: SurfaceFamily
@@ -133,29 +135,27 @@ class ResidualReport:
         i, k = np.nonzero(np.isfinite(self.r))
         return np.column_stack([self.s[i], self.t[k], self.r[i, k]])
 
-    def _finite_abs(self) -> np.ndarray:
+    @functools.cached_property
+    def _stats(self) -> Tuple[int, float, float]:
+        """The finite nodes' count, mean ``|r|`` and max ``|r|``: one scan of ``r``."""
         a = self.r[np.isfinite(self.r)]
-        return np.abs(a, out=a)
+        np.abs(a, out=a)
+        return a.size, float(np.mean(a)), float(np.max(a))
 
     @property
     def max_abs(self) -> float:
-        return float(np.max(self._finite_abs()))
+        return self._stats[2]
 
 
 def residual_report(fam: SurfaceFamily, mode: SolitonMode, grid: GridSpec) -> ResidualReport:
     """Sweep one residual over a family grid, on the family's ``s_range``
-    and ``t_range``, and collect the values.
-
-    The factor curves are evaluated once per axis by :func:`sample_grid`;
-    the residual is then formed one block of ``s`` rows at a time into the
-    rows of ``r``, with one curvature for the sweep when every ``s`` row is a
-    translate of the first, else one per block (:func:`_row_blocks`); no jet
-    of the whole grid is held.  A failed node is
-    a residual that is not finite, with no numpy warning: its axis node
-    failed, its point is off the half-space, or its forms overflow or its
-    jet is collapsed, so its normal is NaN; the report's ``failures`` reads
-    them off ``r``.  Raises :class:`DomainError` if no node gives a finite
-    residual: the one raise of a sweep for an unevaluable grid.
+    and ``t_range``: :func:`_row_blocks` forms it one block of ``s`` rows at
+    a time into the rows of ``r``.  A failed node is a residual that is not
+    finite, with no numpy warning: its axis node failed, its point is off
+    the half-space, or its forms overflow or its jet is collapsed, so its
+    normal is NaN; the report's ``failures`` reads them off ``r``.  Raises
+    :class:`DomainError` if no node gives a finite residual: the one raise
+    of a sweep for an unevaluable grid.
     """
     mode = SolitonMode(mode)
     # looked up at call time, so that a tracer which rebinds it sees this sweep

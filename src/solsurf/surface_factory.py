@@ -9,8 +9,9 @@ evaluate each factor curve in one call on its whole axis, as one
 error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
 nodes: its points, and its curvature once per sweep when every row of
 ``alpha`` is a horizontal translate of the first (a linear ``f``), else once
-per block, never a surface jet; a mesh forms the points alone.  A failed node
-is a NaN of the grid.
+per block, never a surface jet.  A mesh's points, formed alone, and its two
+refusals are stated here too (:func:`_mesh_points`), so the OBJ writer only
+formats.  A failed node is a NaN of the grid.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -448,6 +449,29 @@ def _block_rows(ns: int, nt: int) -> List[slice]:
     """Slices of ``ns`` rows of ``nt`` nodes, in order: blocks of about ``BLOCK_NODES``."""
     step = max(1, BLOCK_NODES // nt)
     return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
+
+
+def _mesh_points(fam: SurfaceFamily, grid: GridSpec) -> Iterator[np.ndarray]:
+    """A mesh's points, each block of :func:`_block_rows` formed when asked
+    for: :func:`_positions` of its rows, ``(rows, nt, 3)``, no jet and no
+    curvature, inf where a height overflows (in the half-space).  Raises
+    :class:`DomainError` before any block is formed if an axis node fails
+    (:func:`_refused`) or a point is off the half-space, a NaN of
+    :func:`_positions`, naming the first such point ``(s, t)``.  A row is
+    off where its lowest point is: with every axis node finite, a point's
+    height is the rounded product ``a3*b3``, which never falls as ``b3``
+    grows when ``a3 > 0``."""
+    (s, t, alpha, beta), reasons = sample_grid(fam, grid)
+    if refused := _refused(s, t, reasons):
+        raise DomainError("%d mesh node(s) failed, first (s, t, reason): %s" % refused)
+    points = np.errstate(over="ignore")(lambda a, b: _positions(a, b))
+    low = points(alpha[0, :, 0], beta[0, np.argmin(beta[0, :, 2])])
+    if (off := np.isnan(low[:, 2])).any():
+        i = int(np.argmax(off))
+        k = int(np.argmax(np.isnan(points(alpha[0, i], beta[0])[:, 2])))
+        raise DomainError(f"mesh point (s, t) = ({float(s[i])!r}, {float(t[k])!r}) "
+                          "is off the half-space")
+    return (points(alpha[0, rows], beta[0]) for rows in _block_rows(grid.ns, grid.nt))
 
 
 def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):

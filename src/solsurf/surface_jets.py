@@ -69,13 +69,6 @@ __all__ = [
 _DEGENERACY_THRESHOLD = 1e-300
 
 
-def _require_positive(v, message: str) -> None:
-    """Raise :class:`DomainError` unless every element of ``v`` is > 0 (NaN
-    fails); ``message`` is formatted with the smallest element."""
-    if not (np.asarray(v) > 0.0).all():
-        raise DomainError(message.format(float(np.min(v))))
-
-
 def _xyz(v: np.ndarray):
     """The three components of ``(..., 3)`` slots (``[()]`` turns the 0-d
     components of a single point into numpy scalars, which compute faster)."""
@@ -127,7 +120,8 @@ def _horospherical(x, y) -> np.ndarray:
 def _vertical(y, z) -> np.ndarray:
     """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
     its height ``z``, a surface's profile, must be positive."""
-    _require_positive(z[0], "profile value must be positive, got {!r}")
+    if not (np.asarray(z[0]) > 0.0).all():  # NaN fails
+        raise DomainError(f"profile value must be positive, got {float(np.min(z[0]))!r}")
     return _curve((0.0, 0.0, 0.0), y, z)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -24,6 +25,7 @@ from solsurf import commands
 from solsurf.cli import main
 from solsurf.export import _open_w, fmt, write_obj_mesh, write_residual_summary
 from solsurf.profile_odes import _closed_form
+from solsurf.soliton_residuals import ResidualReport
 from solsurf.surface_factory import MARGIN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +165,29 @@ def test_summary_formats_before_it_opens(tmp_path):
     with pytest.raises(ValueError, match="flat"):
         write_residual_summary(tmp_path / "r.summary.txt", rep)
     assert not (tmp_path / "r.summary.txt").exists()
+
+
+def test_a_residual_run_scans_its_grid_once(tmp_path, monkeypatch, capsys):
+    """One ``residual`` run scans its report's grid for finite values once:
+    the summary and the printed ``MAX_ABS=`` line read the count, mean and
+    max the report keeps, three numbers and no grid-sized array, and the
+    printed line is the summary's last, byte for byte."""
+    scans, scan = [], ResidualReport._stats.func
+
+    def counted(rep):
+        scans.append(rep)
+        return scan(rep)
+
+    stats = functools.cached_property(counted)
+    stats.__set_name__(ResidualReport, "_stats")
+    monkeypatch.setattr(ResidualReport, "_stats", stats)
+    assert run(tmp_path, "residual", "--family", "minimal-cylinder", "--mode", "minimal",
+               "--grid", "31x21", "--out", "{out}/r") == 0
+    (rep,) = scans
+    assert rep.r.shape == (31, 21)
+    assert [type(x) for x in rep.__dict__["_stats"]] == [int, float, float]
+    summary = (tmp_path / "r.summary.txt").read_bytes().splitlines()
+    assert capsys.readouterr().out.encode().splitlines()[-1] == summary[-1]
 
 
 def test_text_outputs_reach_the_os_in_64_kib_writes(tmp_path):

@@ -86,8 +86,10 @@ def test_one_half_space_rule():
     """Whether a point lies in the half-space is decided once, by
     ``surface_jets._positions``: no module but ``surface_jets`` imports or
     reads the bare product ``lie_halfspace._mul``, and the sweep's
-    ``_row_blocks`` and the mesh's ``write_obj_mesh`` form their points
-    through ``_positions``."""
+    ``_row_blocks`` and the mesh's ``_mesh_points`` form their points
+    through ``_positions``.  ``export`` only formats: it names none of
+    ``sample_grid``, ``_refused`` and ``_positions``, so the mesh's
+    sampling, refusals and points are ``surface_factory``'s."""
     def reaches_mul(node) -> bool:
         if isinstance(node, ast.ImportFrom):
             return (node.module or "").endswith("lie_halfspace") \
@@ -98,11 +100,15 @@ def test_one_half_space_rule():
     users = [stem for stem, tree in sorted(trees.items())
              if stem != "lie_halfspace" and any(map(reaches_mul, ast.walk(tree)))]
     assert users == ["surface_jets"]
-    for stem, name in (("surface_factory", "_row_blocks"), ("export", "write_obj_mesh")):
+    for stem, name in (("surface_factory", "_row_blocks"), ("surface_factory", "_mesh_points")):
         (fn,) = [node for node in trees[stem].body
                  if isinstance(node, ast.FunctionDef) and node.name == name]
         assert any(isinstance(node, ast.Name) and node.id == "_positions"
                    for node in ast.walk(fn)), name
+    named = {getattr(node, attr) for node in ast.walk(trees["export"])
+             for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
+             if isinstance(node, kind)}
+    assert named.isdisjoint({"sample_grid", "_refused", "_positions"}), named
 
 
 def test_every_exported_name_resolves():

@@ -369,6 +369,34 @@ def test_closed_form_solves_each_distinct_abscissa_once(cls, monkeypatch):
         assert jet(x) == tuple(float(a[k]) for a in flat), x
 
 
+@pytest.mark.parametrize("cls", [MinimalProfileParams, ConformalProfileParams],
+                         ids=["minimal", "conformal"])
+def test_closed_form_solves_each_query_until_it_converges(cls, monkeypatch):
+    """A query's Newton steps stop when it converges, not when the slowest
+    query of its chunk does: 50 distinct abscissae in one call read exactly
+    the ``dt_dphi`` cells of their 50 scalar calls (iterating every query
+    of a chunk until all converge read 6,200 against 5,790 minimal, 6,250
+    against 5,840 conformal)."""
+    cells = []
+    dt_dphi = cls.dt_dphi
+
+    def counted(self, phi):
+        cells.append(np.size(phi))
+        return dt_dphi(self, phi)
+
+    monkeypatch.setattr(cls, "dt_dphi", counted)
+    r, jet = _closed_form(cls(0.3, 0.9))
+    q = np.linspace(0.01 * r, 0.99 * r, 50)
+    jet(q)
+    cells.clear()
+    jet(q)
+    batch = sum(cells)
+    cells.clear()
+    for x in q.tolist():
+        jet(x)
+    assert batch == sum(cells), (batch, sum(cells))
+
+
 # --- minimal profile -------------------------------------------------------
 
 
