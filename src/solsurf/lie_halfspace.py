@@ -15,7 +15,9 @@ through the identity is simultaneously a group automorphism and an isometry.
 A point is a ``(..., 3)`` array of coordinate slots, as a jet slot is:
 ``(3,)`` for one point, ``(n, 3)`` for ``n`` of them.  Every operation
 checks the points it receives and returns, acts elementwise with numpy's
-broadcasting, and returns a fresh read-only array.  :func:`_mul` states
+broadcasting, and returns a fresh read-only array; a result that
+overflows, an ``e^w`` of the chart too, fails that check and is refused
+with :class:`ParameterError`.  :func:`_mul` states
 the product once; :func:`lie_product` is it between point checks, and
 :mod:`solsurf.surface_jets` forms every jet's points and its ``Xs`` and
 ``Xss`` slots with it.
@@ -112,17 +114,6 @@ def _result(check, a: np.ndarray) -> np.ndarray:
 IDENTITY = _result(_point, np.array([0.0, 0.0, 1.0]))
 
 
-def _exp(w):
-    """``e^w`` of a float or an array, by numpy's one routine for both;
-    raises :class:`OverflowError`, as ``math.exp`` does, where it overflows
-    (``w`` is finite, so only an overflow gives inf)."""
-    with np.errstate(over="ignore"):
-        e = np.exp(w)
-    if not np.all(e < _INF):
-        raise OverflowError(f"e^w overflows the float range, w up to {float(np.max(w))!r}")
-    return e
-
-
 # An operation's arithmetic runs under errstate: a result that overflows is
 # refused by the check on it, not reported by a numpy warning.
 _quiet = np.errstate(over="ignore", invalid="ignore")
@@ -145,29 +136,18 @@ def lie_inverse(p) -> np.ndarray:
 @_quiet
 def semidirect_product(p, q) -> np.ndarray:
     """Product of the semidirect presentation:
-    ``(x1 + e^{w1} x2, y1 + e^{w1} y2, w1 + w2)``.
-
-    Raises
-    ------
-    OverflowError
-        If ``e^{w1}`` overflows the float range.
-    """
+    ``(x1 + e^{w1} x2, y1 + e^{w1} y2, w1 + w2)``."""
     p, q = _semidirect(p), _semidirect(q)
-    s = _exp(p[..., 2])
+    s = np.exp(p[..., 2])
     return _result(_semidirect, _stack(p[..., 0] + s * q[..., 0], p[..., 1] + s * q[..., 1],
                                        p[..., 2] + q[..., 2]))
 
 
+@_quiet
 def semidirect_to_halfspace(p) -> np.ndarray:
-    """The group isomorphism ``(x, y, w) -> (x, y, e^w)``.
-
-    Raises
-    ------
-    OverflowError
-        If ``e^w`` overflows the float range.
-    """
+    """The group isomorphism ``(x, y, w) -> (x, y, e^w)``."""
     p = _semidirect(p)
-    return _result(_point, _stack(p[..., 0], p[..., 1], _exp(p[..., 2])))
+    return _result(_point, _stack(p[..., 0], p[..., 1], np.exp(p[..., 2])))
 
 
 @_quiet

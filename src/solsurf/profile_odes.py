@@ -77,7 +77,7 @@ REAPER_SPAN_DEFAULT = (-5.0, 5.0)
 # tests, the benchmark and verify takes under 1k (minimal c = 100, 786);
 # the reaper's at lam = 0.5 on -1e6:1e6, ~200.  A collapsing branch too
 # steep to resolve meets its step floor first: minimal c = 1e4 after 834
-# nodes.
+# steps (835 nodes on the branch, 1,669 after mirroring).
 MAX_BRANCH_STEPS = 1 << 16
 # (rtol, atol) of the stepper: the collapsing profiles', and the reaper's,
 # which are tighter (see integrate_grim_reaper).
@@ -870,9 +870,10 @@ def minimal_halfwidth_quadrature(c: float, y0: float) -> float:
     a Beta integral and scales out the parameters exactly:
 
         r = y0*sqrt(c^2+1) * B(3/4, 1/2)/4.
+
+    ``(c, y0)`` that :class:`MinimalProfileParams` refuses are refused.
     """
-    if not y0 > 0.0:
-        raise ParameterError(f"initial height must be positive, got {y0!r}")
+    MinimalProfileParams(c=c, y0=y0)
     beta = math.gamma(0.75) * math.gamma(0.5) / math.gamma(1.25)
     return y0 * math.sqrt(c * c + 1.0) * beta / 4.0
 

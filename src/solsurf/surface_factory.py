@@ -464,7 +464,7 @@ def _mesh_points(fam: SurfaceFamily, grid: GridSpec) -> Iterator[np.ndarray]:
     (s, t, alpha, beta), reasons = sample_grid(fam, grid)
     if refused := _refused(s, t, reasons):
         raise DomainError("%d mesh node(s) failed, first (s, t, reason): %s" % refused)
-    points = np.errstate(over="ignore")(lambda a, b: _positions(a, b))
+    points = np.errstate(over="ignore")(_positions)
     low = points(alpha[0, :, 0], beta[0, np.argmin(beta[0, :, 2])])
     if (off := np.isnan(low[:, 2])).any():
         i = int(np.argmax(off))

@@ -39,9 +39,10 @@ Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 
     H = (l*G - 2*n*F + E*m) / (2*|Xs x Xt|^2),
 
-where ``|Xs x Xt|^2 = E*G - F^2`` (Lagrange's identity) is a sum of squares
-that does not cancel at steep shear.  The mean curvature of the rescaled
-(hyperbolic) metric is ``X3*H + N3``, which is ``residual("minimal", j)`` in
+one expression in :func:`_curvature`, where ``|Xs x Xt|^2 = E*G - F^2``
+(Lagrange's identity) is a sum of squares that does not cancel at steep
+shear.  The mean curvature of the rescaled (hyperbolic) metric is
+``X3*H + N3``, which is ``residual("minimal", j)`` in
 :mod:`solsurf.soliton_residuals`.  The immersion test lives in the normal,
 which forms ``Xs x Xt`` and its square once: at a collapsed point,
 ``|Xs x Xt| <= 1e-300``, the normal, ``H`` and every residual are NaN, so a
@@ -125,16 +126,16 @@ def _vertical(y, z) -> np.ndarray:
     return _curve((0.0, 0.0, 0.0), y, z)
 
 
-def _positions(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Slot ``X = alpha * beta`` of :func:`product_surface_jet` from the value
-    slots of its curve jets (``out`` if it is given): the one statement of
-    which points lie in the half-space.  A point lies there when alpha's
-    height and its own are > 0, which makes beta's > 0 too.  Any other point
+    slots of its curve jets, a fresh array: the one statement of which
+    points lie in the half-space.  A point lies there when alpha's height
+    and its own are > 0, which makes beta's > 0 too.  Any other point
     is NaN in all three components: a height that underflows to 0 is one,
     and so is an infinite alpha height, whose product height is NaN.
     Nothing is raised, so a sweep fails such a node, a mesh refuses it and
     a single jet's residuals there are NaN."""
-    X = _mul(a, b, out=out)
+    X = _mul(a, b)
     X[~((a[..., 2] > 0.0) & (X[..., 2] > 0.0))] = np.nan
     return X
 
@@ -169,28 +170,28 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
 
     ``aj`` and ``bj`` are curve jets: ``(3, ..., 3)`` arrays whose value,
     d1 and d2 slots ``alpha, alpha', alpha''`` (and ``beta, beta',
-    beta''``) come first.  Slot ``X`` is :func:`_positions`, the five
-    derivative slots are :func:`_derivatives`, each written in place into
-    one fresh ``(6, ..., 3)`` array, the jet.  The curve slots broadcast
+    beta''``) come first.  Slot ``X`` is :func:`_positions` and the five
+    derivative slots are :func:`_derivatives`, joined into one fresh
+    ``(6, ..., 3)`` array, the jet.  The curve slots broadcast
     against each other, so ``(3, n, 3)`` curve jets give ``n`` points and
-    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid.  A point off the
+    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid; integer slots are
+    read as floats.  A point off the
     half-space is NaN in slot ``X`` alone: the derivative slots are formed
     as anywhere else, so its mean curvature, which reads no point, stays
     the Euclidean one, and every residual there, which reads ``X``, is NaN.
     """
-    j = np.empty((6,) + np.broadcast_shapes(aj[0].shape, bj[0].shape))
-    _positions(aj[0], bj[0], out=j[0])
-    _derivatives(aj, bj, out=j[1:])
+    aj, bj = np.asarray(aj, dtype=float), np.asarray(bj, dtype=float)
+    j = np.concatenate((_positions(aj[0], bj[0])[None], _derivatives(aj, bj)))
     j.setflags(write=False)
     return j
 
 
-def _derivatives(aj: np.ndarray, bj: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _derivatives(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     """The five derivative slots ``Xs, Xt, Xss, Xst, Xtt`` of
-    :func:`product_surface_jet`, a ``(5, ..., 3)`` array (``out`` if it is
-    given), the only slots the normal and the curvature read.  With ``P``
-    the horizontal projection ``(v1, v2, 0)`` and ``a3`` the height slot of
-    ``alpha``:
+    :func:`product_surface_jet`, one fresh ``(5, ..., 3)`` array whose
+    slots are written in place, the only slots the normal and the curvature
+    read.  With ``P`` the horizontal projection ``(v1, v2, 0)`` and ``a3``
+    the height slot of ``alpha``:
 
         Xs  = a3'*beta  + P(alpha')     Xt  = a3*beta'
         Xss = a3''*beta + P(alpha'')    Xst = a3'*beta'
@@ -204,8 +205,7 @@ def _derivatives(aj: np.ndarray, bj: np.ndarray, out: np.ndarray | None = None) 
     a, a1, a2 = aj
     b, b1, b2 = bj
     a3, a3_1 = a[..., 2:], a1[..., 2:]
-    if out is None:
-        out = np.empty((5,) + np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty((5,) + np.broadcast_shapes(a.shape, b.shape))
     _mul(a1, b, out=out[0])
     np.multiply(a3, b1, out=out[1])
     _mul(a2, b, out=out[2])
@@ -232,23 +232,13 @@ def _curvature(d: np.ndarray):
     with, from the five derivative slots ``Xs, Xt, Xss, Xst, Xtt = d`` of a
     jet, ``j[1:]``: no point is read.  One cross product serves
     :func:`mean_curvature` and the soliton residuals, which read both.
-
-    The numerator is formed one operation at a time in the arrays of ``E``,
-    ``F``, ``G``, ``l``, ``m`` and ``n``, with the bits of the expression, and
-    divided by ``2*|Xs x Xt|^2`` from the normal: ``E*G - F^2`` is never formed."""
+    The denominator ``2*|Xs x Xt|^2`` is the normal's: ``E*G - F^2`` is
+    never formed."""
     N, cc = _normal(d)
     xs, xt, xss, xst, xtt = map(_xyz, d)
     E, F, G = _dot(xs, xs), _dot(xs, xt), _dot(xt, xt)
     l, m, n = _dot(xss, N), _dot(xtt, N), _dot(xst, N)
-    l *= G  # numerator l*G - (2*n)*F + E*m, left to right
-    n *= 2.0
-    n *= F
-    l -= n
-    m *= E
-    l += m
-    cc *= 2.0  # denominator 2*|Xs x Xt|^2
-    l /= cc
-    return l, N
+    return (l * G - 2.0 * n * F + E * m) / (2.0 * cc), N
 
 
 def finite_difference_jet(

@@ -4,9 +4,10 @@ mpmath are the symbolic and 40-digit oracles of the tests, and neither
 ``numpy.random`` nor ``numpy.polynomial`` is loaded.  Every name a
 module exports, and every module name the README gives, resolves.  The
 half-space has one rule in the source: only ``surface_jets`` reaches the bare
-group product."""
+group product, and the group module refuses by one exception class."""
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import subprocess
@@ -109,6 +110,26 @@ def test_one_half_space_rule():
              for kind, attr in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name"))
              if isinstance(node, kind)}
     assert named.isdisjoint({"sample_grid", "_refused", "_positions"}), named
+
+
+def test_group_module_refuses_by_one_exception_class():
+    """An overflowing result of ``lie_halfspace`` is refused by the check
+    on it, as every other bad result is: the module raises no exception
+    class but ``ParameterError``."""
+    tree = ast.parse((ROOT / "src" / "solsurf" / "lie_halfspace.py").read_text())
+    raised = {ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    assert raised == {"ParameterError"}
+
+
+def test_jet_kernels_return_fresh_arrays():
+    """No jet kernel takes numpy's ``out=``: only ``_mul`` does, to fill
+    the buffer ``_derivatives`` allocates."""
+    from solsurf import surface_jets
+
+    for fn in (surface_jets._positions, surface_jets._derivatives,
+               surface_jets.product_surface_jet):
+        assert "out" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_every_exported_name_resolves():

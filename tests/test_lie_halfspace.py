@@ -165,8 +165,12 @@ def test_rejects_nonfinite_semidirect():
 
 
 def test_exponential_chart_overflow_is_loud():
-    with pytest.raises(OverflowError):
-        semidirect_to_halfspace(np.array([0.0, 0.0, 1e4]))
+    """``e^w`` overflows to an infinite height, which the result check
+    refuses, as it refuses an overflowing ``lie_product``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="height must be positive and finite, got z=inf$"):
+            semidirect_to_halfspace(np.array([0.0, 0.0, 1e4]))
 
 
 def test_jets_and_products_share_one_law():
@@ -231,16 +235,20 @@ def test_array_semidirect_point_with_one_bad_entry_is_refused():
 
 
 def test_array_exponential_chart_overflow_is_loud_without_warnings():
-    """One overflowing ``w`` raises, as ``math.exp`` would, and numpy's
-    overflow warning is not printed on the way."""
+    """One overflowing ``w`` is refused by the check on the result, which
+    names the slot and, in an array, its index, and numpy's overflow
+    warning is not printed on the way: the infinite height of the chart,
+    and the ``inf*0`` of the product's horizontal slots."""
     u = np.zeros((4, 3))
     u[2, 2] = 1e4
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in (np.array([0.0, 0.0, 1e4]), u):
-            with pytest.raises(OverflowError):
+        for p, at in ((np.array([0.0, 0.0, 1e4]), ""), (u, r" at index \(2,\)")):
+            with pytest.raises(ParameterError,
+                               match=f"height must be positive and finite, got z=inf{at}$"):
                 semidirect_to_halfspace(p)
-            with pytest.raises(OverflowError):
+            with pytest.raises(ParameterError, match="semidirect coordinates must be finite, "
+                                                     f"got x=nan, y=nan, w=20000.0{at}$"):
                 semidirect_product(p, p)
 
 

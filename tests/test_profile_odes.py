@@ -66,6 +66,22 @@ def test_halfwidth_scaling_law():
         assert abs(minimal_halfwidth_quadrature(c, y0) - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("slope, y0", [(math.nan, 1.0), (math.inf, 1.0), (1e200, 1.0),
+                                       (0.0, math.inf)])
+def test_halfwidth_references_refuse_what_the_parameters_refuse(slope, y0):
+    """Both half-width references refuse the parameters their profiles
+    refuse, rather than hand back a NaN or an infinite half-width."""
+    for reference in (minimal_halfwidth_quadrature, conformal_halfwidth_quadrature):
+        with pytest.raises(ParameterError):
+            reference(slope, y0)
+
+
+def test_minimal_halfwidth_keeps_its_bits():
+    """The parameter check adds no arithmetic to the Beta formula."""
+    assert minimal_halfwidth_quadrature(0.0, 1.0).hex() == "0x1.32b95184360cbp-1"
+    assert minimal_halfwidth_quadrature(1.3, 0.7).hex() == "0x1.60252d24a6bcdp-1"
+
+
 def test_conformal_halfwidth_frozen_anchor():
     # verify's reference for a=0, y0=1, frozen from a 40-digit evaluation
     # of the same integral (recomputed below)

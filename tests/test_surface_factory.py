@@ -368,6 +368,20 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
             assert all(slot.flags.c_contiguous for slot in slots), name
 
 
+def test_mesh_points_are_formed_by_the_module_positions(monkeypatch):
+    """The mesh looks ``_positions`` up on its module when it runs, for its
+    lowest points and for each block, so a patched ``_positions`` reaches
+    both."""
+    seen = []
+    real = surface_factory._positions
+    monkeypatch.setattr(surface_factory, "_positions",
+                        lambda a, b: seen.append(a.shape) or real(a, b))
+    fam = make_generic_first_kind(lambda s: (0.1 * s, 0.1, 0.0), lambda t: (t + 1.0, 1.0, 0.0),
+                                  (-1.0, 1.0), (0.0, 1.0))
+    (X,) = surface_factory._mesh_points(fam, GridSpec(3, 5))
+    assert seen == [(3, 3), (3, 1, 3)] and X.shape == (3, 5, 3)
+
+
 def test_profile_range_errors_fail_their_own_nodes(minimal_cyl, reaper, grid_jet):
     """A t range that runs past the profile (0.5 past the minimal one, 5
     past the reaper's) fails just the t nodes outside it, each with the

@@ -167,6 +167,16 @@ def test_product_slots_are_the_broadcast_sums_at_a_point():
     assert j.shape == (6, 3)
 
 
+def test_product_of_integer_curve_jets_is_the_float_jet():
+    """Integer slots are read as floats: the jet has the bits of the same
+    curve jets given as floats, a point off the half-space included."""
+    aj = np.array([[[0, 2, 1], [1, 0, 0]], [[1, 0, 3], [0, 1, -1]], [[0, 1, 0], [2, 0, 0]]])
+    bj = np.array([[[0, 0, 1], [3, 1, 2]], [[0, 1, 0], [1, 0, 1]], [[1, 0, 0], [0, 0, -1]]])
+    j = product_surface_jet(aj, bj)
+    assert j.dtype == np.float64 and np.isnan(j[0, 1]).all()
+    assert j.tobytes() == product_surface_jet(aj.astype(float), bj.astype(float)).tobytes()
+
+
 def test_unit_normal_first_kind_closed_form():
     # Xs x Xt = (f'g', -g', 1), so N = (f'g', -g', 1)/W with
     # W^2 = g'^2 (f'^2 + 1) + 1
