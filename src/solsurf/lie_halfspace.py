@@ -45,19 +45,19 @@ _INF = math.inf
 _HORIZONTAL = np.array([1.0, 1.0, 0.0])
 
 
-def _mul(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The product ``p * q = p3*q + P(p)``, unchecked; it is linear in ``p``.
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The product ``p * q = p3*q + P(p)``, unchecked, as a fresh array of
+    the inputs' result type; it is linear in ``p``.
 
     ``P(p)`` is added to ``p3*q`` in place one component at a time (on a
     grid each add runs along ``t``), with the bits of the broadcast sum: the
-    height adds ``p3*0.0``, which turns an infinite ``p3`` into NaN.  ``out``
-    is numpy's: the product is written there if it is given.
+    height adds ``p3*0.0``, which turns an infinite ``p3`` into NaN.
     """
-    out = np.multiply(p[..., 2:], q, out=out)
+    pq = p[..., 2:] * q
     h = p * _HORIZONTAL
     for k in range(3):
-        out[..., k] += h[..., k]
-    return out
+        pq[..., k] += h[..., k]
+    return pq
 
 
 def _require(ok, message: str, **values) -> None:

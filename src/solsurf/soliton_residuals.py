@@ -56,14 +56,21 @@ def residual(mode: SolitonMode, j: np.ndarray):
 
 def _residual_of(mode: SolitonMode, X: np.ndarray, H, N):
     """The residual of ``mode`` from points ``X``, ``(..., 3)``, and the mean
-    curvature ``H`` and normal components ``N`` that broadcast against them."""
+    curvature ``H`` and normal components ``N`` that broadcast against them.
+    Where ``X3*X3`` overflows (``== inf``, which object arrays take too) the
+    height term is ``X3*(X3*H)``: ``X3*H = H_hyp - N3`` does not overflow."""
     N1, N2, N3 = N
     X1, X2, X3 = X[..., 0], X[..., 1], X[..., 2]
     if mode is SolitonMode.MINIMAL:
         return X3 * H + N3
+    with np.errstate(over="ignore", invalid="ignore"):  # where q is inf, h is replaced
+        q = X3 * X3
+        h = q * H
+    if np.any(q == np.inf):
+        h = np.where(q == np.inf, X3 * (X3 * H), h)[()]
     if mode is SolitonMode.TRANSLATOR:
-        return (X3 * X3) * H - (X1 * N1 + X2 * N2)
-    return (X3 * X3) * H + (X3 + 1.0) * N3
+        return h - (X1 * N1 + X2 * N2)
+    return h + (X3 + 1.0) * N3
 
 
 def reduced_residual_first_kind(mode: SolitonMode, fj, gj, s: float, t: float) -> float:

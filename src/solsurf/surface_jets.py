@@ -26,8 +26,10 @@ curvature read, so a sweep forms its points and its curvature apart and
 never builds a surface jet.  :func:`_positions` is the one statement of
 the half-space for every point the program forms, a sweep's, a mesh's and
 a single jet's: a point whose alpha height or own height is not > 0 is NaN,
-never an exception.  Both canonical shapes are products of a
-horospherical ``alpha(s) = (s, f(s), 1)`` and a vertical ``beta(t)``:
+never an exception.  The kernels fill no buffer, so object jets of ``mpmath``
+numbers run the same statements (the tests' 50-digit reference).  Both
+canonical shapes are products of a horospherical ``alpha(s) = (s, f(s), 1)``
+and a vertical ``beta(t)``:
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
   with ``g > 0``;
@@ -181,17 +183,17 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     the Euclidean one, and every residual there, which reads ``X``, is NaN.
     """
     aj, bj = np.asarray(aj, dtype=float), np.asarray(bj, dtype=float)
-    j = np.concatenate((_positions(aj[0], bj[0])[None], _derivatives(aj, bj)))
+    j = np.stack((_positions(aj[0], bj[0]), *_derivatives(aj, bj)))
     j.setflags(write=False)
     return j
 
 
-def _derivatives(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
+def _derivatives(aj: np.ndarray, bj: np.ndarray):
     """The five derivative slots ``Xs, Xt, Xss, Xst, Xtt`` of
-    :func:`product_surface_jet`, one fresh ``(5, ..., 3)`` array whose
-    slots are written in place, the only slots the normal and the curvature
-    read.  With ``P`` the horizontal projection ``(v1, v2, 0)`` and ``a3``
-    the height slot of ``alpha``:
+    :func:`product_surface_jet`, a tuple of fresh ``(..., 3)`` arrays of
+    the curve jets' result type, the only slots the normal and the
+    curvature read.  With ``P`` the horizontal projection ``(v1, v2, 0)``
+    and ``a3`` the height slot of ``alpha``:
 
         Xs  = a3'*beta  + P(alpha')     Xt  = a3*beta'
         Xss = a3''*beta + P(alpha'')    Xst = a3'*beta'
@@ -205,13 +207,7 @@ def _derivatives(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     a, a1, a2 = aj
     b, b1, b2 = bj
     a3, a3_1 = a[..., 2:], a1[..., 2:]
-    out = np.empty((5,) + np.broadcast_shapes(a.shape, b.shape))
-    _mul(a1, b, out=out[0])
-    np.multiply(a3, b1, out=out[1])
-    _mul(a2, b, out=out[2])
-    np.multiply(a3_1, b1, out=out[3])
-    np.multiply(a3, b2, out=out[4])
-    return out
+    return _mul(a1, b), a3 * b1, _mul(a2, b), a3_1 * b1, a3 * b2
 
 
 def unit_normal(j: np.ndarray) -> np.ndarray:

@@ -57,6 +57,22 @@ def rotated():
 
 
 @pytest.fixture(scope="session")
+def subgroup_jet():
+    """``subgroup_jet(x, w)``: the float curve jet of the one-parameter
+    subgroup ``exp(x*w)``, ``w[2] != 0``, at the array ``x``:
+    ``alpha' = e^{w3*x}*w`` and ``alpha'' = w3*e^{w3*x}*w``."""
+
+    def jet(x, w):
+        w = np.asarray(w)
+        e = np.exp(w[2] * x)[..., None]
+        value = np.expm1(w[2] * x)[..., None] / w[2] * w
+        value[..., 2] = e[..., 0]
+        return np.stack((value, e * w, w[2] * e * w))
+
+    return jet
+
+
+@pytest.fixture(scope="session")
 def grid_jet():
     """``grid_jet(fam, grid)``: ``((s, t, jet), failures)``, where ``s``
     and ``t`` are the axis nodes :func:`sample_grid` evaluated, ``failures``

@@ -245,8 +245,8 @@ REFUSALS = {
     "residual --family vertical-plane --c 1e160 --mode minimal --grid 3x3":
         "no grid node of 'vertical_plane' has a finite residual (9 failures), first (s, t, "
         "reason): (-2.0, 0.5, 'residual is not finite: nan')",
-    "residual --family horosphere --a 1e300 --mode conformal":
-        "no grid node of 'horosphere' has a finite residual",
+    "residual --family vertical-plane --c 1e160 --mode conformal":
+        "no grid node of 'vertical_plane' has a finite residual",
     # the family derives k = 1/(b^2 + 1) and takes no --k, so it names --b's keyword
     "residual --family grim-reaper --b inf --mode translator":
         "b_slope must have a finite square, got inf",
@@ -350,7 +350,7 @@ REFUSALS = {
         # fundamental forms that overflow at every node: no residual is finite
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
-        ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
+        ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "conformal"],
         # a drift slope past the steep-shear sweep underflows the first-integral constant
         ["residual", "--family", "minimal-cylinder", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
@@ -479,7 +479,9 @@ def test_collapsing_family_sweeps_where_the_stepper_stops(tmp_path, flags, c, y0
     [
         ["residual", "--family", "vertical-plane", "--c", "1e160", "--mode", "minimal",
          "--grid", "3x3"],
-        ["residual", "--family", "horosphere", "--a", "1e300", "--mode", "conformal"],
+        # X3^2 overflows too, so the height term takes its other grouping
+        ["residual", "--family", "vertical-plane", "--c", "1e160", "--t-range", "1e200:1e201",
+         "--mode", "conformal"],
     ],
 )
 def test_overflowing_sweep_fails_without_runtime_warnings(tmp_path, argv, monkeypatch, capsys):
@@ -493,6 +495,18 @@ def test_overflowing_sweep_fails_without_runtime_warnings(tmp_path, argv, monkey
     err = capsys.readouterr().err
     assert "has a finite residual" in err and "no grid node of" in err
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("a, mode, max_abs", [("1e155", "translator", "0.000000000000e+00"),
+                                              ("1e300", "conformal", "1.000000000000e+300")])
+def test_horosphere_sweeps_where_its_height_squared_overflows(tmp_path, a, mode, max_abs):
+    """A horosphere at height ``a`` is a translator, and its conformal
+    residual is ``±(a + 1)``: where ``X3^2`` overflows, the height term is
+    ``X3*(X3*H)``, so every node is finite, with no numpy warning."""
+    assert main(["residual", "--family", "horosphere", "--a", a, "--mode", mode,
+                 "--out", str(tmp_path / "r")]) == 0
+    summary = dict(line.split("=", 1) for line in (tmp_path / "r.summary.txt").read_text().split())
+    assert (summary["failures"], summary["MAX_ABS"]) == ("0", max_abs)
 
 
 # For every flag of commands.ODES and commands.FAMILIES, a value that takes

@@ -124,14 +124,14 @@ def test_residual_bytes(tmp_path, family, mode):
     assert got == RESIDUAL_SHA256[family, mode]
 
 
-# A sweep with failed nodes: on this t range the translator residual's
-# X3^2*H overflows to NaN on the upper 9 of the 17 t columns, so 207 of the
-# 391 nodes fail.  (sha256 of <out>.csv, sha256 of <out>.summary.txt)
-FAILING_ARGS = ["--family", "vertical-plane", "--d", "-0.3", "--t-range", "1:3e154",
+# A sweep with failed nodes: on this s range the plane's f(s) = 2*s
+# overflows on the upper 12 of the 23 s rows, so 204 of the 391 nodes fail.
+# (sha256 of <out>.csv, sha256 of <out>.summary.txt)
+FAILING_ARGS = ["--family", "vertical-plane", "--c", "2", "--s-range", "8e307:1e308",
                 "--mode", "translator"]
 FAILING_SHA256 = (
-    "125b58379540930495f54a7523e0dc8ef5bba99f969e6cdc38540e42e970b0e9",
-    "0eaa5542dc3575b9b5da4d6cb2da6279b5c584ca573d40cb743a9e28f8850848",
+    "1a34d654b8a2a88b6b7ac2b0b817c5a92e765428a1cd5d3ede796a26c3519a50",
+    "7ccb3fcd2a48342bd67c6b073174e36053cd1bff9dfaabbf906d33d113e933db",
 )
 
 

@@ -123,11 +123,11 @@ def test_group_module_refuses_by_one_exception_class():
 
 
 def test_jet_kernels_return_fresh_arrays():
-    """No jet kernel takes numpy's ``out=``: only ``_mul`` does, to fill
-    the buffer ``_derivatives`` allocates."""
-    from solsurf import surface_jets
+    """No jet kernel takes numpy's ``out=``, the group law ``_mul`` included:
+    every slot is a fresh array of its inputs' result type."""
+    from solsurf import lie_halfspace, surface_jets
 
-    for fn in (surface_jets._positions, surface_jets._derivatives,
+    for fn in (lie_halfspace._mul, surface_jets._positions, surface_jets._derivatives,
                surface_jets.product_surface_jet):
         assert "out" not in inspect.signature(fn).parameters, fn.__name__
 

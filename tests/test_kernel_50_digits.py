@@ -1,0 +1,150 @@
+"""The sweep's own kernel at 50 digits: a reference that shares the code and
+not the rounding.
+
+The four kernels a sweep runs, ``_positions``, ``_derivatives``,
+``_curvature`` and ``_residual_of``, fill no float buffer: their slots take
+the curve jets' result type.  So a product's float curve jets, converted
+exactly to object arrays of ``mpmath.mpf``, run through the same statements
+at ``mp.dps = 50``, and the float kernel is checked against its own
+50-digit run on the same binary inputs.  (``product_surface_jet`` and
+``_curve`` read floats, so the helper calls the kernels directly.)
+"""
+import mpmath
+import numpy as np
+import pytest
+
+from solsurf import GridSpec, SolitonMode, make_horosphere, make_vertical_plane, sample_grid
+from solsurf.soliton_residuals import _residual_of
+from solsurf.surface_jets import (
+    _curvature,
+    _derivatives,
+    _horospherical,
+    _positions,
+    _vertical,
+    product_surface_jet,
+)
+
+_to_mp = np.vectorize(mpmath.mpf, otypes=[object])
+
+
+def kernel_residual(mode, aj, bj):
+    """The ``mode`` residual of ``alpha * beta`` from the curve jets ``aj``
+    and ``bj`` through the sweep's four kernels, in the jets' own number
+    type, under the sweep's non-finite policy (no numpy warning)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        X = _positions(aj[0], bj[0])
+        return _residual_of(SolitonMode(mode), X, *_curvature(_derivatives(aj, bj)))
+
+
+def mp50_residual(mode, aj, bj):
+    """:func:`kernel_residual` at 50 digits on the exact values of the float
+    curve jets ``aj`` and ``bj``: an object array of ``mpmath.mpf``."""
+    with mpmath.workdps(50):
+        return kernel_residual(mode, _to_mp(aj), _to_mp(bj))
+
+
+def _worst(fl, mp) -> float:
+    """The worst ``|fl - mp| / max(1, |mp|)``, formed at 50 digits."""
+    with mpmath.workdps(50):
+        return float(np.max(np.abs(fl - mp) / np.maximum(1, np.abs(mp))))
+
+
+def _random_curve(rng, n):
+    """``n`` random curve jets, entries in [-1, 1], heights in [0.5, 2]."""
+    c = rng.uniform(-1.0, 1.0, (3, n, 3))
+    c[0, :, 2] = rng.uniform(0.5, 2.0, n)
+    return c
+
+
+def _random(subgroup_jet):
+    rng = np.random.default_rng(20)
+    return _random_curve(rng, 200), _random_curve(rng, 200)
+
+
+def _near_degenerate(subgroup_jet):
+    """Random jets whose ``Xt`` is ``Xs`` turned by ~1e-4, so that
+    ``|Xs x Xt|^2`` is down to 7e-11 of ``E*G``."""
+    rng = np.random.default_rng(21)
+    aj, bj = _random_curve(rng, 200), _random_curve(rng, 200)
+    bj[1] = _derivatives(aj, bj)[0] / aj[0, :, 2:] + 1e-4 * rng.uniform(-1.0, 1.0, (200, 3))
+    return aj, bj
+
+
+def _steep(subgroup_jet):
+    """``f = c*s + 0.3 sin s`` with ``c = 1e6`` and ``g = 1 + 1e-7 sin t`` on
+    21x21 nodes of [-1, 1]^2: ``E*G ~ 1e12`` while ``|Xs x Xt|^2 ~ 1``."""
+    c, s, t = 1e6, np.linspace(-1.0, 1.0, 21)[:, None], np.linspace(-1.0, 1.0, 21)
+    return (_horospherical((s, 1.0, 0.0), (c * s + 0.3 * np.sin(s), c + 0.3 * np.cos(s),
+                                           -0.3 * np.sin(s))),
+            _vertical((t, 1.0, 0.0), (1.0 + 1e-7 * np.sin(t), 1e-7 * np.cos(t),
+                                      -1e-7 * np.sin(t))))
+
+
+def _subgroup(subgroup_jet):
+    """``exp(u*omega) * exp(v*eta)`` on 21x21 nodes of [-1, 1]^2, whose
+    ``max|r|`` is 0.86, 1.06 and 2.78 (minimal, translator, conformal)."""
+    u = np.linspace(-1.0, 1.0, 21)
+    return subgroup_jet(u[:, None], (0.7, -0.4, 0.3)), subgroup_jet(u, (0.2, 0.9, -0.5))
+
+
+# jets -> worst |fl - mp50| / max(1, |mp50|) measured over the three modes;
+# each mode must stay within _MARGIN times it.
+_MEASURED = {
+    _subgroup: 3.0e-16,
+    _random: 1.4e-15,
+    _near_degenerate: 2.9e-10,
+    _steep: 6.2e-16,
+}
+_MARGIN = 4.0
+
+
+@pytest.mark.parametrize("jets", list(_MEASURED), ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_float_kernel_is_its_50_digit_run_to_rounding(jets, mode, subgroup_jet):
+    """The float kernel's worst error against its own 50-digit run on the
+    same binary jets.  At steep shear a normal whose square is formed as
+    ``E*G - F^2`` cancels ~12 digits and fails this by ~1e-4."""
+    aj, bj = jets(subgroup_jet)
+    worst = _worst(kernel_residual(mode, aj, bj), mp50_residual(mode, aj, bj))
+    assert worst <= _MARGIN * _MEASURED[jets], worst
+
+
+def test_float_curve_jets_give_float64_slots(subgroup_jet):
+    """Float jets keep float64 in every kernel, and the jet builder's slots
+    are the kernels' own, bit for bit."""
+    aj, bj = _subgroup(subgroup_jet)
+    X, d = _positions(aj[0], bj[0]), _derivatives(aj, bj)
+    assert [v.dtype for v in (X, *d)] == [np.float64] * 6
+    assert product_surface_jet(aj, bj).tobytes() == np.stack((X, *d)).tobytes()
+
+
+@pytest.mark.parametrize("a, mode", [(1e155, SolitonMode.TRANSLATOR),
+                                     (1e300, SolitonMode.CONFORMAL)])
+def test_overflowing_height_term_is_the_50_digit_one(a, mode):
+    """On a horosphere at height ``a``, where ``X3^2`` overflows, the float
+    kernel's residual is its 50-digit run rounded: 0 (a translator) and
+    ``±(a + 1)``."""
+    (_, _, aj, bj), _ = sample_grid(make_horosphere(a), GridSpec(5, 5))
+    fl, mp = kernel_residual(mode, aj, bj), mp50_residual(mode, aj, bj)
+    assert np.isfinite(fl).all()
+    assert fl.tobytes() == mp.astype(float).tobytes()
+
+
+def _overflowing_plane():
+    (_, _, aj, bj), _ = sample_grid(make_vertical_plane(1e160), GridSpec(5, 5))
+    return aj, bj
+
+
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_overflowing_forms_read_zero_at_50_digits(mode):
+    """The vertical plane at ``c = 1e160`` solves every mode: its 50-digit
+    kernel reads exactly 0 at every node."""
+    assert (mp50_residual(mode, *_overflowing_plane()) == 0).all()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5, the forms half: E = 1 + c^2 overflows, "
+                          "so the float normal is NaN")
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_float_kernel_reads_the_overflowing_forms(mode):
+    assert (kernel_residual(mode, *_overflowing_plane()) == 0).all()

@@ -46,10 +46,11 @@ from solsurf.export import write_obj_mesh, write_residual_csv, write_residual_su
 MINIMAL, TRANSLATOR, CONFORMAL = SolitonMode
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 1e155, 1e300])
 def test_horosphere_residual_values(a):
     """Flat slices kill the translator equation exactly; the other two
-    residuals take the closed values 1 and a+1."""
+    residuals take the closed values 1 and a+1, also where ``a^2``
+    overflows, with no numpy warning."""
     j = make_horosphere(a).jet(0.37, -1.21)
     assert residual(TRANSLATOR, j) == 0.0
     assert residual(MINIMAL, j) == 1.0
@@ -758,9 +759,9 @@ def _counted_curvature(monkeypatch):
     formed = []
     curvature = surface_factory._curvature
 
-    def counted(j):
-        formed.append(j.shape[1])
-        return curvature(j)
+    def counted(d):
+        formed.append(d[0].shape[0])
+        return curvature(d)
 
     monkeypatch.setattr(surface_factory, "_curvature", counted)
     return formed

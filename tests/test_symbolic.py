@@ -174,16 +174,6 @@ def test_subgroup_product_residuals_are_the_derived_table(vertical):
         assert sp.simplify(sp.expand(derived - base * factor)) == 0, mode
 
 
-def _subgroup_jet(x, w):
-    """The float curve jet of ``exp(x*w)``, ``w[2] != 0``, at the array ``x``:
-    ``alpha' = e^{w3*x}*w`` and ``alpha'' = w3*e^{w3*x}*w``."""
-    w = np.asarray(w)
-    e = np.exp(w[2] * x)[..., None]
-    value = np.expm1(w[2] * x)[..., None] / w[2] * w
-    value[..., 2] = e[..., 0]
-    return np.stack((value, e * w, w[2] * e * w))
-
-
 # Largest |float - exact| measured over the three modes and both (omega, eta)
 # below: 8.9e-16 (conformal, where max|r| is 2.78); the bound is ~4.5x that.
 _SUBGROUP_TOL = 4e-15
@@ -191,7 +181,7 @@ _SUBGROUP_TOL = 4e-15
 
 @pytest.mark.parametrize("eta", [(0.2, 0.9, -0.5), (0.35, -0.2, -0.5)],
                          ids=["transverse", "delta-zero"])
-def test_float_residuals_match_the_exact_ones_on_a_subgroup_product(eta):
+def test_float_residuals_match_the_exact_ones_on_a_subgroup_product(eta, subgroup_jet):
     """The float pipeline, ``residual(mode, product_surface_jet(...))`` on the
     7x9 nodes of ``[-1, 1]^2``, against ``R/(2*W^3)`` of the derived
     residual ``R``, evaluated by mpmath at 30 digits on the same binary
@@ -203,7 +193,7 @@ def test_float_residuals_match_the_exact_ones_on_a_subgroup_product(eta):
     and ``H`` too, so no scaling of either shows)."""
     omega = (0.7, -0.4, 0.3)
     u, v = np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 9)
-    j = product_surface_jet(_subgroup_jet(u[:, None], omega), _subgroup_jet(v, eta))
+    j = product_surface_jet(subgroup_jet(u[:, None], omega), subgroup_jet(v, eta))
     alpha, beta = _subgroup(s, *_OMEGA), _subgroup(t, *_ETA)
     X = _group_product(alpha, beta)
     C = X.diff(s).cross(X.diff(t))
