@@ -114,9 +114,9 @@ def _result(check, a: np.ndarray) -> np.ndarray:
 IDENTITY = _result(_point, np.array([0.0, 0.0, 1.0]))
 
 
-# An operation's arithmetic runs under errstate: a result that overflows is
-# refused by the check on it, not reported by a numpy warning.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# The one non-finite policy, of these operations and of the jet kernels: no
+# numpy warning.  Only a decorator, on no function that calls a _quiet one.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import surface_factory
 from .errors import DomainError
+from .lie_halfspace import _quiet
 from .surface_factory import GridSpec, SurfaceFamily, _failures, _row_blocks
 from .surface_jets import _curvature
 
@@ -54,18 +55,19 @@ def residual(mode: SolitonMode, j: np.ndarray):
     return _residual_of(SolitonMode(mode), j[0], *_curvature(j[1:]))
 
 
+@_quiet
 def _residual_of(mode: SolitonMode, X: np.ndarray, H, N):
     """The residual of ``mode`` from points ``X``, ``(..., 3)``, and the mean
-    curvature ``H`` and normal components ``N`` that broadcast against them.
-    Where ``X3*X3`` overflows (``== inf``, which object arrays take too) the
-    height term is ``X3*(X3*H)``: ``X3*H = H_hyp - N3`` does not overflow."""
+    curvature ``H`` and normal components ``N`` that broadcast against them,
+    with no numpy warning (``_quiet``).  Where ``X3*X3`` overflows (``==
+    inf``, which object arrays take too) the height term is ``X3*(X3*H)``:
+    ``X3*H = H_hyp - N3`` does not overflow."""
     N1, N2, N3 = N
     X1, X2, X3 = X[..., 0], X[..., 1], X[..., 2]
     if mode is SolitonMode.MINIMAL:
         return X3 * H + N3
-    with np.errstate(over="ignore", invalid="ignore"):  # where q is inf, h is replaced
-        q = X3 * X3
-        h = q * H
+    q = X3 * X3
+    h = q * H
     if np.any(q == np.inf):
         h = np.where(q == np.inf, X3 * (X3 * H), h)[()]
     if mode is SolitonMode.TRANSLATOR:

@@ -11,7 +11,8 @@ nodes: its points, and its curvature once per sweep when every row of
 ``alpha`` is a horizontal translate of the first (a linear ``f``), else once
 per block, never a surface jet.  A mesh's points, formed alone, and its two
 refusals are stated here too (:func:`_mesh_points`), so the OBJ writer only
-formats.  A failed node is a NaN of the grid.
+formats.  A failed node is a NaN of the grid.  The jet kernels own the
+error state (``_quiet``); only :func:`_axis_jet`, on callers' curves, sets one.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -454,8 +455,8 @@ def _block_rows(ns: int, nt: int) -> List[slice]:
 def _mesh_points(fam: SurfaceFamily, grid: GridSpec) -> Iterator[np.ndarray]:
     """A mesh's points, each block of :func:`_block_rows` formed when asked
     for: :func:`_positions` of its rows, ``(rows, nt, 3)``, no jet and no
-    curvature, inf where a height overflows (in the half-space).  Raises
-    :class:`DomainError` before any block is formed if an axis node fails
+    curvature, inf where a height overflows (in the half-space), unwarned.
+    Raises :class:`DomainError` before any block is formed if an axis node fails
     (:func:`_refused`) or a point is off the half-space, a NaN of
     :func:`_positions`, naming the first such point ``(s, t)``.  A row is
     off where its lowest point is: with every axis node finite, a point's
@@ -464,14 +465,13 @@ def _mesh_points(fam: SurfaceFamily, grid: GridSpec) -> Iterator[np.ndarray]:
     (s, t, alpha, beta), reasons = sample_grid(fam, grid)
     if refused := _refused(s, t, reasons):
         raise DomainError("%d mesh node(s) failed, first (s, t, reason): %s" % refused)
-    points = np.errstate(over="ignore")(_positions)
-    low = points(alpha[0, :, 0], beta[0, np.argmin(beta[0, :, 2])])
+    low = _positions(alpha[0, :, 0], beta[0, np.argmin(beta[0, :, 2])])
     if (off := np.isnan(low[:, 2])).any():
         i = int(np.argmax(off))
-        k = int(np.argmax(np.isnan(points(alpha[0, i], beta[0])[:, 2])))
+        k = int(np.argmax(np.isnan(_positions(alpha[0, i], beta[0])[:, 2])))
         raise DomainError(f"mesh point (s, t) = ({float(s[i])!r}, {float(t[k])!r}) "
                           "is off the half-space")
-    return (points(alpha[0, rows], beta[0]) for rows in _block_rows(grid.ns, grid.nt))
+    return (_positions(alpha[0, rows], beta[0]) for rows in _block_rows(grid.ns, grid.nt))
 
 
 def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
@@ -488,17 +488,16 @@ def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     Else (a curved or piecewise-linear ``f``, a failed ``s`` node's NaN, a
     ``-0.0`` where row 0 has ``0.0``) each block forms them on its rows.
     Every value has a whole-grid jet's bits, and one block's arrays are held
-    at a time.  Points, curvature and ``f`` run under one non-finite policy:
-    no overflow, invalid or divide warning, and a node whose value is not
-    finite fails, a point off the half-space (a NaN of ``X``) included."""
+    at a time.  The kernels and ``_residual_of`` own the non-finite policy
+    (``_quiet``): no overflow, invalid or divide warning, and a node whose
+    value is not finite fails, a point off the half-space (NaN) included."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1).view(np.int64)
     shared, once = bool((key == key[0]).all()), ()
     for rows in _block_rows(alpha.shape[1], beta.shape[1]):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            X = _positions(alpha[0, rows], beta[0])  # NaN off the half-space: the node fails
-            H, N = once or _curvature(_derivatives(alpha[:, :1] if shared else alpha[:, rows], beta))
-            if shared:  # formed in the first block, for every block
-                once = H, N
-            out = f(X, H, N)
+        X = _positions(alpha[0, rows], beta[0])  # NaN off the half-space: the node fails
+        H, N = once or _curvature(_derivatives(alpha[:, :1] if shared else alpha[:, rows], beta))
+        if shared:  # formed in the first block, for every block
+            once = H, N
+        out = f(X, H, N)
         del X, H, N
         yield rows, out

@@ -27,7 +27,8 @@ never builds a surface jet.  :func:`_positions` is the one statement of
 the half-space for every point the program forms, a sweep's, a mesh's and
 a single jet's: a point whose alpha height or own height is not > 0 is NaN,
 never an exception.  The kernels fill no buffer, so object jets of ``mpmath``
-numbers run the same statements (the tests' 50-digit reference).  Both
+numbers run the same statements (the tests' 50-digit reference), and none
+warns: they run under ``lie_halfspace._quiet``, the one non-finite policy.  Both
 canonical shapes are products of a horospherical ``alpha(s) = (s, f(s), 1)``
 and a vertical ``beta(t)``:
 
@@ -46,9 +47,9 @@ one expression in :func:`_curvature`, where ``|Xs x Xt|^2 = E*G - F^2``
 shear.  The mean curvature of the rescaled (hyperbolic) metric is
 ``X3*H + N3``, which is ``residual("minimal", j)`` in
 :mod:`solsurf.soliton_residuals`.  The immersion test lives in the normal,
-which forms ``Xs x Xt`` and its square once: at a collapsed point,
-``|Xs x Xt| <= 1e-300``, the normal, ``H`` and every residual are NaN, so a
-sweep fails that node like any other non-finite one.
+which forms ``Xs x Xt`` and its square once: where ``|Xs x Xt| <= 1e-300``
+(collapsed) or its square overflows, the normal, ``H`` and every residual
+are NaN, so a sweep fails that node like any other non-finite one.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .lie_halfspace import _mul, _stack
+from .lie_halfspace import _mul, _quiet, _stack
 
 __all__ = [
     "first_kind_jet",
@@ -90,12 +91,12 @@ def _cross(a, b):
 
 def _normal(d: np.ndarray):
     """Components of the unit normal ``Xs x Xt / |Xs x Xt|`` and ``|Xs x Xt|^2``
-    from a jet's derivative slots ``d = j[1:]``; NaN components at a
-    collapsed point (``|Xs x Xt| <= _DEGENERACY_THRESHOLD``)."""
+    from a jet's derivative slots ``d = j[1:]``; NaN components unless
+    ``_DEGENERACY_THRESHOLD < |Xs x Xt| < inf`` (``/ inf`` would read 0)."""
     c = _cross(_xyz(d[0]), _xyz(d[1]))
     cc = _dot(c, c)
     w = np.sqrt(cc)
-    w = np.where(w > _DEGENERACY_THRESHOLD, w, np.nan)
+    w = np.where((w > _DEGENERACY_THRESHOLD) & (w < np.inf), w, np.nan)
     return tuple(ck / w for ck in c), cc
 
 
@@ -128,6 +129,7 @@ def _vertical(y, z) -> np.ndarray:
     return _curve((0.0, 0.0, 0.0), y, z)
 
 
+@_quiet
 def _positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Slot ``X = alpha * beta`` of :func:`product_surface_jet` from the value
     slots of its curve jets, a fresh array: the one statement of which
@@ -188,6 +190,7 @@ def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     return j
 
 
+@_quiet
 def _derivatives(aj: np.ndarray, bj: np.ndarray):
     """The five derivative slots ``Xs, Xt, Xss, Xst, Xtt`` of
     :func:`product_surface_jet`, a tuple of fresh ``(..., 3)`` arrays of
@@ -210,19 +213,21 @@ def _derivatives(aj: np.ndarray, bj: np.ndarray):
     return _mul(a1, b), a3 * b1, _mul(a2, b), a3_1 * b1, a3 * b2
 
 
+@_quiet
 def unit_normal(j: np.ndarray) -> np.ndarray:
     """Unit normal ``Xs x Xt / |Xs x Xt|``, with the jet's ``(..., 3)`` shape;
-    NaN at a collapsed point."""
+    NaN at a collapsed point and where ``|Xs x Xt|^2`` overflows."""
     return _stack(*_normal(j[1:])[0])
 
 
 def mean_curvature(j: np.ndarray):
     """Euclidean mean curvature ``(l*G - 2*n*F + E*m) / (2*|Xs x Xt|^2)``,
     with ``l, m, n`` the second fundamental form on ``Xss, Xtt, Xst``; NaN
-    at a collapsed point."""
+    where the normal is."""
     return _curvature(j[1:])[0]
 
 
+@_quiet
 def _curvature(d: np.ndarray):
     """Mean curvature and the components of the unit normal it was formed
     with, from the five derivative slots ``Xs, Xt, Xss, Xst, Xtt = d`` of a

@@ -73,6 +73,15 @@ def subgroup_jet():
 
 
 @pytest.fixture(scope="session")
+def fast_horosphere():
+    """Float curve jets of one node of the horosphere ``X = (1e100*s,
+    1e100*t, 1)``: ``alpha = (1e100*s, 0, 1)`` and ``beta = (0, 1e100*t, 1)``
+    at ``s = t = 0``, where ``|Xs x Xt|^2 = 1e400`` overflows."""
+    return (np.array([[0.0, 0.0, 1.0], [1e100, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[0.0, 0.0, 1.0], [0.0, 1e100, 0.0], [0.0, 0.0, 0.0]]))
+
+
+@pytest.fixture(scope="session")
 def grid_jet():
     """``grid_jet(fam, grid)``: ``((s, t, jet), failures)``, where ``s``
     and ``t`` are the axis nodes :func:`sample_grid` evaluated, ``failures``

@@ -112,6 +112,35 @@ def test_one_half_space_rule():
     assert named.isdisjoint({"sample_grid", "_refused", "_positions"}), named
 
 
+def test_one_non_finite_policy():
+    """Kernel arithmetic never warns, a rule stated once, by
+    ``lie_halfspace._quiet``: it decorates the jet kernels, and the kernel
+    modules call ``np.errstate`` nowhere else but in ``_axis_jet``, which
+    runs functions that callers supply.  ``_quiet`` is only a decorator, and
+    no ``_quiet`` function calls another: numpy 2 refuses a nested entry of
+    one errstate instance, and numpy 1 restores the wrong saved state."""
+    trees = {stem: ast.parse((ROOT / "src" / "solsurf" / f"{stem}.py").read_text())
+             for stem in ("lie_halfspace", "soliton_residuals", "surface_factory", "surface_jets")}
+
+    def holder(node):  # a top-level statement's name: a def's or an assignment's
+        return getattr(node, "name", None) or ast.unparse(node.targets[0])
+
+    found = {stem: sorted(holder(node) for node in tree.body for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and ast.unparse(call.func) == "np.errstate")
+             for stem, tree in trees.items()}
+    assert found == {"lie_halfspace": ["_quiet"], "soliton_residuals": [],
+                     "surface_factory": ["_axis_jet"], "surface_jets": []}
+    defs = [node for tree in trees.values() for node in tree.body if isinstance(node, ast.FunctionDef)]
+    quiet = {fn.name: fn for fn in defs if "_quiet" in map(ast.unparse, fn.decorator_list)}
+    assert {"_positions", "_derivatives", "_curvature", "unit_normal", "_residual_of"} <= set(quiet)
+    loads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_quiet" and isinstance(node.ctx, ast.Load)]
+    assert len(loads) == len(quiet)
+    for name, fn in quiet.items():
+        called = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert called.isdisjoint(quiet), (name, called & set(quiet))
+
+
 def test_group_module_refuses_by_one_exception_class():
     """An overflowing result of ``lie_halfspace`` is refused by the check
     on it, as every other bad result is: the module raises no exception

@@ -13,7 +13,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from solsurf import GridSpec, SolitonMode, make_horosphere, make_vertical_plane, sample_grid
+from solsurf import (
+    GridSpec,
+    SolitonMode,
+    make_conformal_cylinder,
+    make_grim_reaper,
+    make_horosphere,
+    make_minimal_cylinder,
+    make_vertical_plane,
+    sample_grid,
+)
 from solsurf.soliton_residuals import _residual_of
 from solsurf.surface_jets import (
     _curvature,
@@ -30,10 +39,9 @@ _to_mp = np.vectorize(mpmath.mpf, otypes=[object])
 def kernel_residual(mode, aj, bj):
     """The ``mode`` residual of ``alpha * beta`` from the curve jets ``aj``
     and ``bj`` through the sweep's four kernels, in the jets' own number
-    type, under the sweep's non-finite policy (no numpy warning)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        X = _positions(aj[0], bj[0])
-        return _residual_of(SolitonMode(mode), X, *_curvature(_derivatives(aj, bj)))
+    type; the kernels' own non-finite policy keeps them from warning."""
+    X = _positions(aj[0], bj[0])
+    return _residual_of(SolitonMode(mode), X, *_curvature(_derivatives(aj, bj)))
 
 
 def mp50_residual(mode, aj, bj):
@@ -87,6 +95,16 @@ def _subgroup(subgroup_jet):
     return subgroup_jet(u[:, None], (0.7, -0.4, 0.3)), subgroup_jet(u, (0.2, 0.9, -0.5))
 
 
+def _sampled(make, *params):
+    """The curve jets ``sample_grid`` forms on the 9x9 grid of ``make(*params)``,
+    a CLI family, whose profile jets carry their own float error."""
+    def jets(subgroup_jet):
+        (_, _, aj, bj), _ = sample_grid(make(*params), GridSpec(9, 9))
+        return aj, bj
+    jets.__name__ = make.__name__.replace("make", "")
+    return jets
+
+
 # jets -> worst |fl - mp50| / max(1, |mp50|) measured over the three modes;
 # each mode must stay within _MARGIN times it.
 _MEASURED = {
@@ -94,6 +112,11 @@ _MEASURED = {
     _random: 1.4e-15,
     _near_degenerate: 2.9e-10,
     _steep: 6.2e-16,
+    _sampled(make_horosphere, 1.3): 9.7e-17,
+    _sampled(make_vertical_plane, 0.7, 0.2): 1.7e-16,
+    _sampled(make_minimal_cylinder, 0.7, 1.2): 5.7e-16,
+    _sampled(make_grim_reaper, 0.5): 1.7e-16,
+    _sampled(make_conformal_cylinder, 0.4, 0.9): 3.8e-16,
 }
 _MARGIN = 4.0
 
@@ -130,21 +153,36 @@ def test_overflowing_height_term_is_the_50_digit_one(a, mode):
     assert fl.tobytes() == mp.astype(float).tobytes()
 
 
-def _overflowing_plane():
+@pytest.fixture(scope="module")
+def overflowing_plane():
     (_, _, aj, bj), _ = sample_grid(make_vertical_plane(1e160), GridSpec(5, 5))
     return aj, bj
 
 
+# fixture of curve jets whose forms overflow -> their 50-digit residuals,
+# in SolitonMode order
+_OVERFLOWING = {"overflowing_plane": (0, 0, 0), "fast_horosphere": (1, 0, 2)}
+
+
 @pytest.mark.parametrize("mode", list(SolitonMode))
-def test_overflowing_forms_read_zero_at_50_digits(mode):
+def test_overflowing_forms_read_zero_at_50_digits(mode, overflowing_plane):
     """The vertical plane at ``c = 1e160`` solves every mode: its 50-digit
     kernel reads exactly 0 at every node."""
-    assert (mp50_residual(mode, *_overflowing_plane()) == 0).all()
+    assert (mp50_residual(mode, *overflowing_plane) == 0).all()
+
+
+@pytest.mark.parametrize("mode, value", zip(SolitonMode, _OVERFLOWING["fast_horosphere"]))
+def test_fast_horosphere_reads_its_curvature_at_50_digits(mode, value, fast_horosphere):
+    """A horosphere's hyperbolic mean curvature is 1 at any speed: the
+    50-digit kernel reads 1, 0 and 2 (minimal, translator, conformal)."""
+    assert mp50_residual(mode, *fast_horosphere) == value
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5, the forms half: E = 1 + c^2 overflows, "
-                          "so the float normal is NaN")
+                   reason="ROADMAP item 5, the forms half: E = 1 + c^2 and |Xs x Xt|^2 "
+                          "overflow, so the float normal is NaN")
+@pytest.mark.parametrize("jets", list(_OVERFLOWING))
 @pytest.mark.parametrize("mode", list(SolitonMode))
-def test_float_kernel_reads_the_overflowing_forms(mode):
-    assert (kernel_residual(mode, *_overflowing_plane()) == 0).all()
+def test_float_kernel_reads_the_overflowing_forms(jets, mode, request):
+    value = dict(zip(SolitonMode, _OVERFLOWING[jets]))[mode]
+    assert (kernel_residual(mode, *request.getfixturevalue(jets)) == value).all()

@@ -57,6 +57,21 @@ def test_horosphere_residual_values(a):
     assert residual(CONFORMAL, j) == a + 1.0
 
 
+def test_single_jets_fail_quietly(fast_horosphere):
+    """A single jet whose forms overflow fails as a sweep's node does:
+    every residual, the mean curvature and the normal are NaN, and numpy
+    does not warn.  On the vertical plane at ``c = 1e160`` ``E = 1 + c^2``
+    overflows; on the horosphere at speed 1e100, whose jet is finite,
+    ``|Xs x Xt|^2`` does, and a normal ``Xs x Xt / inf = 0`` would give it
+    residuals 0, 0, 0, passing it as minimal (at 50 digits: 1, 0, 2)."""
+    for j in (make_vertical_plane(1e160).jet(0.4, 1.2), product_surface_jet(*fast_horosphere)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [residual(mode, j) for mode in SolitonMode]
+            values += [mean_curvature(j), *unit_normal(j)]
+        assert np.isnan(values).all(), values
+
+
 @pytest.mark.parametrize("c,d", [(0.0, 0.0), (1.0, -1.0), (3.0, 2.0)])
 def test_vertical_plane_residual_values(c, d):
     # minimal and conformal vanish for every plane; the translator residual
@@ -687,8 +702,7 @@ def _whole_grid_report(fam, mode, grid):
     (s, t, alpha, beta), reasons = sample_grid(fam, grid)
     i, k = (np.array([x is None for x in axis]) for axis in reasons)
     r = np.full((len(s), len(t)), np.nan)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r[np.ix_(i, k)] = residual(mode, product_surface_jet(alpha[:, i], beta[:, k]))
+    r[np.ix_(i, k)] = residual(mode, product_surface_jet(alpha[:, i], beta[:, k]))
     return ResidualReport(mode, fam, s, t, r, reasons)
 
 
@@ -1012,9 +1026,8 @@ def test_a_row_is_off_the_half_space_where_its_lowest_point_is(a, b):
     underflow to 0 or overflow to inf included.  The mesh of the product
     refuses the grid's first such node, or else opens its file (200
     derandomised draws, ~1.3 s of tier-1 on a shared 2-core host)."""
-    with np.errstate(over="ignore"):
-        off = np.isnan(_positions(a[:, None], b)[..., 2])
-        low = _positions(a, b[np.argmin(b[:, 2])])
+    off = np.isnan(_positions(a[:, None], b)[..., 2])
+    low = _positions(a, b[np.argmin(b[:, 2])])
     assert np.isnan(low[:, 2]).tolist() == off.any(axis=1).tolist()
 
     def curve(slots):
