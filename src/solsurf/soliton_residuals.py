@@ -5,8 +5,8 @@ solutions (X is the embedding, N the unit normal ``Xs x Xt / |Xs x Xt|``,
 H the Euclidean mean curvature):
 
     minimal:     X3*H + N3
-    translator:  X3^2*H - (X1*N1 + X2*N2)
-    conformal:   X3^2*H + (X3 + 1)*N3
+    translator:  X3*(X3*H) - (X1*N1 + X2*N2)
+    conformal:   X3*(X3*H) + (X3 + 1)*N3
 
 The minimal residual ``X3*H + N3`` is also the mean curvature of the
 surface measured in the rescaled (hyperbolic) ambient metric, so
@@ -59,20 +59,16 @@ def residual(mode: SolitonMode, j: np.ndarray):
 def _residual_of(mode: SolitonMode, X: np.ndarray, H, N):
     """The residual of ``mode`` from points ``X``, ``(..., 3)``, and the mean
     curvature ``H`` and normal components ``N`` that broadcast against them,
-    with no numpy warning (``_quiet``).  Where ``X3*X3`` overflows (``==
-    inf``, which object arrays take too) the height term is ``X3*(X3*H)``:
-    ``X3*H = H_hyp - N3`` does not overflow."""
+    with no numpy warning (``_quiet``), one expression per mode.  ``X3*H =
+    H_hyp - N3`` stays in range where ``X3*X3`` overflows (above ~1.3e154)
+    or underflows (below ~1.5e-154), so the height term is ``X3*(X3*H)``."""
     N1, N2, N3 = N
     X1, X2, X3 = X[..., 0], X[..., 1], X[..., 2]
     if mode is SolitonMode.MINIMAL:
         return X3 * H + N3
-    q = X3 * X3
-    h = q * H
-    if np.any(q == np.inf):
-        h = np.where(q == np.inf, X3 * (X3 * H), h)[()]
     if mode is SolitonMode.TRANSLATOR:
-        return h - (X1 * N1 + X2 * N2)
-    return h + (X3 + 1.0) * N3
+        return X3 * (X3 * H) - (X1 * N1 + X2 * N2)
+    return X3 * (X3 * H) + (X3 + 1.0) * N3
 
 
 def reduced_residual_first_kind(mode: SolitonMode, fj, gj, s: float, t: float) -> float:

@@ -272,6 +272,8 @@ def finite_difference_jet(
         (s + h, t + h), (s + h, t - h), (s - h, t + h), (s - h, t - h)))
     try:
         p = np.asarray(evaluator(ss, tt), dtype=float)
+    except ParameterError:  # a malformed surface, not a point off its domain
+        raise
     except (DomainError, ArithmeticError, ValueError) as exc:
         raise DomainError(
             f"a stencil point in s [{float(np.min(ss))!r}, {float(np.max(ss))!r}], "

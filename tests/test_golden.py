@@ -81,8 +81,8 @@ RESIDUAL_SHA256 = {
         "180ed8f24343461a92c89c21163fd4f5a63b45b93ed77604ea38617edeeae351",
     ),
     ("grim-reaper", "translator"): (
-        "28e80c380ecd84a1e8352884dd0f0ca8497becb1c6ff957d5381c0690da18e4a",
-        "215482d50ce44dc3955cc61891a70061be8515f4a3c19c0fd4e8f54742b6af38",
+        "1446de106af4c4339b81cf440de009f308bd9e28055af49a892f08dd2ca8d342",
+        "26b880146e5791f294bcdaf1025c5e481c4750059e52589b4291144d8b3bbd81",
     ),
     ("grim-reaper", "conformal"): (
         "9ed32365c6e26314d77bbe29550270eea460063b264fd2a69c11f42a0e000d4f",
@@ -97,8 +97,8 @@ RESIDUAL_SHA256 = {
         "fd6e2b9b6d44c60b4edda454e3d817da83d2ba1f1d7ed726af5f6065181c83b2",
     ),
     ("conformal-cylinder", "conformal"): (
-        "588ef9fb8cf7450596491abc9a3cf4e395557acd138d0f4721174293de6419d6",
-        "950436979acc95ee969a5b3f4656c13b92cc51811143a7a968f90cac7cd0cc0e",
+        "1e0fe0d8134fb6678f9f6b898d034604fc99b3b1b7187724e1adb5ae980536dc",
+        "29dbdca77c40da76ddead4eb798e69ebd9c6a0e59bdc810d2f4296aa418a24dc",
     ),
 }
 
@@ -183,14 +183,14 @@ DEFAULTS_SHA256 = {
     ),
     "grim-reaper": (
         "translator",
-        "98e93bccce707979d656bd7fefcc031db69663161f287ad6419ab457162d7ab9",
-        "4ce93b4f681f696192fe1c0b01dab0a9108c428cf5521c5cec301367eb897dfa",
+        "2baa62a7f233b3659cf366e3d97a28187c759c9c0e91d683cdb9f8581ef680b5",
+        "c723067f6be88964f4360d6583d73e8f4883829f93aef30f7da6740eef35d637",
         "e7a53e79f28951df22fed7e9157615d9000c073d1f6f0e2830b5eaf7dc5fde3b",
     ),
     "conformal-cylinder": (
         "conformal",
-        "af3b787c5b8b082be0ea68fc53b59e49464a6f492543e7b4a73b3a715526bac3",
-        "5be4a7c3c5eac8cbb6fec1e5d59515d801542c3c7164d474aa00cdd25bf5f42c",
+        "7b8d059d55fbc6dc4f45a222429cc4797e035d43035fc8b9ce90223f1d3ec5de",
+        "5c52b5d86b06056153c89f8ac5ea4c91b713d6af0593963e67317fc37e536703",
         "f3f915777e3c864f2f06f535934e88cedcd15ef33c93b9877e655fb201bd83b5",
     ),
 }

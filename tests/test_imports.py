@@ -141,6 +141,21 @@ def test_one_non_finite_policy():
         assert called.isdisjoint(quiet), (name, called & set(quiet))
 
 
+def test_residual_kernel_branches_only_on_its_mode():
+    """``_residual_of`` is one expression per mode: it calls no numpy
+    function and its ``if`` tests read ``mode`` alone, so float64 and
+    50-digit object jets run the same statements, with no branch on their
+    values."""
+    tree = ast.parse((ROOT / "src" / "solsurf" / "soliton_residuals.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_residual_of")
+    called = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert not [name for name in called if name.startswith("np.")], called
+    tests = [node.test for node in ast.walk(fn) if isinstance(node, (ast.If, ast.IfExp))]
+    read = [{n.id for n in ast.walk(test) if isinstance(n, ast.Name)} for test in tests]
+    assert read and all(names <= {"mode", "SolitonMode"} for names in read), read
+
+
 def test_group_module_refuses_by_one_exception_class():
     """An overflowing result of ``lie_halfspace`` is refused by the check
     on it, as every other bad result is: the module raises no exception

@@ -7,7 +7,9 @@ the curve jets' result type.  So a product's float curve jets, converted
 exactly to object arrays of ``mpmath.mpf``, run through the same statements
 at ``mp.dps = 50``, and the float kernel is checked against its own
 50-digit run on the same binary inputs.  (``product_surface_jet`` and
-``_curve`` read floats, so the helper calls the kernels directly.)
+``_curve`` read floats, so the helper calls the kernels directly.)  On the
+same jet sets the translator and conformal residuals are checked against
+the minimal one and their fields.
 """
 import mpmath
 import numpy as np
@@ -132,6 +134,25 @@ def test_float_kernel_is_its_50_digit_run_to_rounding(jets, mode, subgroup_jet):
     assert worst <= _MARGIN * _MEASURED[jets], worst
 
 
+@pytest.mark.parametrize("jets", list(_MEASURED), ids=lambda f: f.__name__.lstrip("_"))
+def test_residuals_are_the_hyperbolic_mean_curvature_against_a_field(jets, subgroup_jet):
+    """``H_hyp = r_M`` against the field of each soliton: the translator
+    residual is ``X3*r_M - <X, N>`` (``xi = X``) and the conformal one
+    ``X3*r_M + N3`` (``xi = -e3``), each defect scaled by ``max(1,
+    |X3*r_M|, |<X, N>|)``; the worst measured is 4.8e-16 (minimal cylinder,
+    conformal), bounded at ``_MARGIN`` times it."""
+    aj, bj = jets(subgroup_jet)
+    X = _positions(aj[0], bj[0])
+    H, N = _curvature(_derivatives(aj, bj))
+    r = {mode: _residual_of(mode, X, H, N) for mode in SolitonMode}
+    height, field = X[..., 2] * r[SolitonMode.MINIMAL], sum(X[..., i] * N[i] for i in range(3))
+    scale = np.maximum(1.0, np.maximum(np.abs(height), np.abs(field)))
+    for mode, want in ((SolitonMode.TRANSLATOR, height - field),
+                       (SolitonMode.CONFORMAL, height + N[2])):
+        worst = float(np.max(np.abs(r[mode] - want) / scale))
+        assert worst <= _MARGIN * 4.8e-16, (mode, worst)
+
+
 def test_float_curve_jets_give_float64_slots(subgroup_jet):
     """Float jets keep float64 in every kernel, and the jet builder's slots
     are the kernels' own, bit for bit."""
@@ -151,6 +172,26 @@ def test_overflowing_height_term_is_the_50_digit_one(a, mode):
     fl, mp = kernel_residual(mode, aj, bj), mp50_residual(mode, aj, bj)
     assert np.isfinite(fl).all()
     assert fl.tobytes() == mp.astype(float).tobytes()
+
+
+def _low_node(z):
+    """Curve jets of one node at height ``z``, ``alpha = ((0,0,1), (1,0,0),
+    0)`` and ``beta = ((0,0,z), (0,1,1), (0,0,1/z))``: ``X3*H = 1/sqrt(32)``
+    at every ``z``, so the translator residual ``X3*(X3*H)`` is
+    ``z/sqrt(32)``."""
+    return (np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            np.array([[0.0, 0.0, z], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0 / z]]))
+
+
+@pytest.mark.parametrize("z", [1e-160, 1e-170, 1e-200])
+def test_underflowing_height_term_is_the_50_digit_one(z):
+    """Below a height of ~1.5e-154, where ``X3^2`` turns subnormal or rounds
+    to 0, the float translator residual is its 50-digit run to a few ulp:
+    ``X3*H`` stays in range."""
+    jets = _low_node(z)
+    fl, mp = kernel_residual("translator", *jets), mp50_residual("translator", *jets)
+    with mpmath.workdps(50):
+        assert abs(fl - mp) <= 4 * np.finfo(float).eps * abs(mp), (fl, mp)
 
 
 @pytest.fixture(scope="module")

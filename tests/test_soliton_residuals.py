@@ -520,8 +520,8 @@ def _from_public_parts(mode, j):
     if mode is MINIMAL:
         return X3 * H + N[..., 2]
     if mode is TRANSLATOR:
-        return (X3 * X3) * H - (X1 * N[..., 0] + X2 * N[..., 1])
-    return (X3 * X3) * H + (X3 + 1.0) * N[..., 2]
+        return X3 * (X3 * H) - (X1 * N[..., 0] + X2 * N[..., 1])
+    return X3 * (X3 * H) + (X3 + 1.0) * N[..., 2]
 
 
 @pytest.mark.parametrize("mode", list(SolitonMode))

@@ -440,6 +440,15 @@ def test_finite_difference_stencil_leaves_domain():
         finite_difference_jet(pos, 0.0, 0.005, 1e-2)
 
 
+def test_finite_difference_names_a_malformed_curve():
+    """A surface whose curve jet is malformed is refused for that, not as a
+    stencil point off its domain: the evaluator's ``ParameterError`` passes
+    through unchanged."""
+    fam = make_generic_first_kind(lambda s: (s, 1.0), lambda t: (1.0, 0.0, 0.0), (-1, 1), (-1, 1))
+    with pytest.raises(ParameterError, match=r"a scalar jet is \(value, d1, d2\), got 2 entries"):
+        finite_difference_jet(fam.position, 0.0, 0.0, 1e-3)
+
+
 def test_finite_difference_rejects_bad_step():
     with pytest.raises(ParameterError):
         finite_difference_jet(_wavy_position, 0.0, 0.0, 0.0)

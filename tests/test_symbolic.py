@@ -17,7 +17,8 @@ Products of two one-parameter subgroups, ``exp(u*omega) * exp(v*eta)``, are
 surfaces whose rows are not translates of each other (alpha's height
 varies along ``u``).  Their cleared residuals are derived in closed form,
 and the float pipeline's residuals on such a product are checked against
-those exact, nonzero values.
+those exact, nonzero values.  So is the translator residual along every
+left-translation field ``xi_lam(X) = lam3*X + (lam1, lam2, 0)``.
 """
 import mpmath
 import numpy as np
@@ -32,7 +33,7 @@ from solsurf import (
     reduced_residual_second_kind,
     residual,
 )
-from solsurf.surface_jets import product_surface_jet
+from solsurf.surface_jets import product_surface_jet, unit_normal
 
 s, t = sp.symbols("s t", real=True)
 f, g = sp.Function("f")(s), sp.Function("g")(t)
@@ -150,33 +151,84 @@ def _subgroup(x, w1, w2, w3):
 
 _OMEGA = sp.symbols("omega1:4", real=True)
 _ETA = sp.symbols("eta1:4", real=True)
+_LAMBDA = sp.symbols("lambda1:4", real=True)
+# omega3 and eta3 each symbolic or 0
+_VERTICAL = pytest.mark.parametrize(
+    "vertical", [(False, False), (False, True), (True, False), (True, True)],
+    ids=["flat-flat", "flat-eta3", "omega3-flat", "omega3-eta3"])
 
 
-@pytest.mark.parametrize("vertical", [(False, False), (False, True), (True, False), (True, True)],
-                         ids=["flat-flat", "flat-eta3", "omega3-flat", "omega3-eta3"])
+def _subgroup_pair(vertical):
+    """``exp(s*omega)``, ``exp(t*eta)``, ``delta = omega1*eta2 - omega2*eta1``,
+    ``omega x eta``, ``Z = e^{omega3*s + eta3*t}`` and the weight
+    ``2*|omega x eta|^2*e^{3*eta3*t}*e^{6*omega3*s}``, with ``omega3`` and
+    ``eta3`` each symbolic or 0 as ``vertical`` says."""
+    w1, w2, w3 = _OMEGA
+    e1, e2, e3 = _ETA
+    w3, e3 = (w3 if vertical[0] else 0), (e3 if vertical[1] else 0)
+    cross = sp.Matrix([w1, w2, w3]).cross(sp.Matrix([e1, e2, e3]))
+    weight = 2 * cross.dot(cross) * sp.exp(3 * e3 * t) * sp.exp(6 * w3 * s)
+    return (_subgroup(s, w1, w2, w3), _subgroup(t, e1, e2, e3), w1 * e2 - w2 * e1, cross,
+            sp.exp(w3 * s + e3 * t), weight)
+
+
+def cleared_field_residual(alpha, beta, lam):
+    """``2*W^3`` times ``X3*r_M - <xi(X), N>``, the translator residual along
+    the left-translation field ``xi(X) = lam3*X + (lam1, lam2, 0)``; at
+    ``lam = (0, 0, 1)``, ``xi = X`` and it is the translator residual."""
+    X = _group_product(alpha, beta)
+    C = X.diff(s).cross(X.diff(t))
+    xi = lam[2] * X + sp.Matrix([lam[0], lam[1], 0])
+    return X[2] * cleared_residual(alpha, beta, SolitonMode.MINIMAL) - 2 * C.dot(C) * xi.dot(C)
+
+
+@_VERTICAL
 def test_subgroup_product_residuals_are_the_derived_table(vertical):
     """With ``delta = omega1*eta2 - omega2*eta1`` and ``Z = e^{omega3*u + eta3*v}``,
     the cleared residual of ``exp(u*omega) * exp(v*eta)`` is
     ``2*delta*|omega x eta|^2*e^{3*eta3*v}*e^{6*omega3*u}`` times 1 (minimal),
     ``Z - 1`` (translator) or ``Z + 1`` (conformal), whether ``omega3`` and
     ``eta3`` are each 0 or not."""
-    w1, w2, w3 = _OMEGA
-    e1, e2, e3 = _ETA
-    w3, e3 = (w3 if vertical[0] else 0), (e3 if vertical[1] else 0)
-    omega, eta = sp.Matrix([w1, w2, w3]), sp.Matrix([e1, e2, e3])
-    z = sp.exp(w3 * s + e3 * t)
-    cross = omega.cross(eta)
-    base = 2 * (w1 * e2 - w2 * e1) * cross.dot(cross) * sp.exp(3 * e3 * t) * sp.exp(6 * w3 * s)
-    alpha, beta = _subgroup(s, w1, w2, w3), _subgroup(t, e1, e2, e3)
+    alpha, beta, delta, _, z, weight = _subgroup_pair(vertical)
     for mode, factor in ((SolitonMode.MINIMAL, 1), (SolitonMode.TRANSLATOR, z - 1),
                          (SolitonMode.CONFORMAL, z + 1)):
         derived = cleared_residual(alpha, beta, mode)
-        assert sp.simplify(sp.expand(derived - base * factor)) == 0, mode
+        assert sp.simplify(sp.expand(derived - weight * delta * factor)) == 0, mode
+
+
+@_VERTICAL
+def test_left_translation_translator_residual_is_the_derived_one(vertical):
+    """Along ``xi_lam(X) = lam3*X + (lam1, lam2, 0)``, which generates the
+    left translations, the cleared residual of ``exp(u*omega) * exp(v*eta)``
+    is ``2*|omega x eta|^2*e^{3*eta3*v}*e^{6*omega3*u}*(delta*Z - <lam,
+    omega x eta>)``, whether ``omega3`` and ``eta3`` are each 0 or not; at
+    ``lam = (0, 0, 1)`` it is the table's translator row."""
+    alpha, beta, delta, cross, z, weight = _subgroup_pair(vertical)
+    lam = sp.Matrix(_LAMBDA)
+    derived = cleared_field_residual(alpha, beta, lam)
+    assert sp.simplify(sp.expand(derived - weight * (delta * z - cross.dot(lam)))) == 0
+
+
+def _exact_grid(cleared, u, v, params):
+    """``R/(2*W^3)`` of a cleared residual ``R`` of ``exp(s*omega) *
+    exp(t*eta)`` in ``(s, t)`` and the symbols ``_OMEGA + _ETA + _LAMBDA``,
+    evaluated by mpmath at 30 digits on the float nodes ``u x v`` and the
+    float ``params``."""
+    X = _group_product(_subgroup(s, *_OMEGA), _subgroup(t, *_ETA))
+    C = X.diff(s).cross(X.diff(t))
+    exact = sp.lambdify((s, t) + _OMEGA + _ETA + _LAMBDA,
+                        cleared / (2 * C.dot(C) ** sp.Rational(3, 2)), "mpmath")
+    with mpmath.workdps(30):
+        args = [mpmath.mpf(x) for x in params]
+        return np.array([[float(exact(mpmath.mpf(a), mpmath.mpf(b), *args))
+                          for b in v.tolist()] for a in u.tolist()])
 
 
 # Largest |float - exact| measured over the three modes and both (omega, eta)
 # below: 8.9e-16 (conformal, where max|r| is 2.78); the bound is ~4.5x that.
 _SUBGROUP_TOL = 4e-15
+_OMEGA_AT = (0.7, -0.4, 0.3)
+_NODES = np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 9)
 
 
 @pytest.mark.parametrize("eta", [(0.2, 0.9, -0.5), (0.35, -0.2, -0.5)],
@@ -191,18 +243,26 @@ def test_float_residuals_match_the_exact_ones_on_a_subgroup_product(eta, subgrou
     the exact residuals are 0.  A minimal residual that scales ``N3`` by
     1.001 fails at the first ``eta`` by 8.6e-4 (at the second, ``N3`` is 0
     and ``H`` too, so no scaling of either shows)."""
-    omega = (0.7, -0.4, 0.3)
-    u, v = np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 9)
-    j = product_surface_jet(subgroup_jet(u[:, None], omega), subgroup_jet(v, eta))
+    u, v = _NODES
+    j = product_surface_jet(subgroup_jet(u[:, None], _OMEGA_AT), subgroup_jet(v, eta))
     alpha, beta = _subgroup(s, *_OMEGA), _subgroup(t, *_ETA)
-    X = _group_product(alpha, beta)
-    C = X.diff(s).cross(X.diff(t))
-    args = [mpmath.mpf(x) for x in omega + eta]
     for mode in SolitonMode:
-        exact = sp.lambdify((s, t) + _OMEGA + _ETA,
-                            cleared_residual(alpha, beta, mode)
-                            / (2 * C.dot(C) ** sp.Rational(3, 2)), "mpmath")
-        with mpmath.workdps(30):
-            want = np.array([[float(exact(mpmath.mpf(a), mpmath.mpf(b), *args))
-                              for b in v.tolist()] for a in u.tolist()])
+        want = _exact_grid(cleared_residual(alpha, beta, mode), u, v, _OMEGA_AT + eta + (0,) * 3)
         assert np.max(np.abs(residual(mode, j) - want)) <= _SUBGROUP_TOL, mode
+
+
+def test_float_field_residual_matches_the_exact_one_on_a_subgroup_product(subgroup_jet):
+    """``X3*residual(MINIMAL, j) - <xi_lam(X), unit_normal(j)>`` at ``lam =
+    (0.8, -1.1, 0.6)``, on the transverse product's 7x9 nodes, against
+    ``R/(2*W^3)`` of the derived field residual ``R`` at 30 digits.  Its
+    ``max|r|`` is 2.02, and the largest ``|float - exact|`` measured is
+    4.4e-16, bounded at ~4.5x that."""
+    lam, eta = (0.8, -1.1, 0.6), (0.2, 0.9, -0.5)
+    u, v = _NODES
+    j = product_surface_jet(subgroup_jet(u[:, None], _OMEGA_AT), subgroup_jet(v, eta))
+    X = j[0]
+    xi = lam[2] * X + np.array([lam[0], lam[1], 0.0])
+    got = X[..., 2] * residual(SolitonMode.MINIMAL, j) - np.sum(xi * unit_normal(j), axis=-1)
+    want = _exact_grid(cleared_field_residual(_subgroup(s, *_OMEGA), _subgroup(t, *_ETA),
+                                              sp.Matrix(_LAMBDA)), u, v, _OMEGA_AT + eta + lam)
+    assert np.max(np.abs(got - want)) <= 2e-15
