@@ -2,17 +2,19 @@
 
 Every family is packaged as a :class:`SurfaceFamily`: a rectangle of
 parameters ``(s, t)``, its two factor curves ``alpha(s)`` and ``beta(t)``,
-and its parameter dict.  A second-kind family is ``X = (s, f(s), t)``: a
-shift of it in ``y`` is a constant in ``f``, not a parameter of its own.  Grids
-evaluate each factor curve in one call on its whole axis, as one
-``(3, n, 3)`` curve jet (node by node only after that call raises a domain
-error).  A residual sweep forms the surface in blocks of about ``BLOCK_NODES``
-nodes: its points, and its curvature once per sweep when every row of
-``alpha`` is a horizontal translate of the first (a linear ``f``), else once
-per block, never a surface jet.  A mesh's points, formed alone, and its two
-refusals are stated here too (:func:`_mesh_points`), so the OBJ writer only
-formats.  A failed node is a NaN of the grid.  The jet kernels own the
-error state (``_quiet``); only :func:`_axis_jet`, on callers' curves, sets one.
+the constructors of :mod:`solsurf.surface_jets` fed by jet functions
+(:func:`_along`), and its parameter dict.  A second-kind family is ``X = (s,
+f(s), t)``: a shift of it in ``y`` is a constant in ``f``, not a parameter
+of its own.  Grids evaluate each factor curve in one call on its whole axis,
+as one ``(3, n, 3)`` curve jet (node by node only after that call raises a
+domain error).  A residual sweep forms the surface in blocks of about
+``BLOCK_NODES`` nodes: its points, and its curvature once, before the first
+block, when every row of ``alpha`` is a horizontal translate of the first (a
+linear ``f``), else once per block, never a surface jet.  A mesh's points,
+formed alone, and its two refusals are stated here too (:func:`_mesh_points`),
+so the OBJ writer only formats.  A failed node is a NaN of the grid.  The jet
+kernels own the error state (``_quiet``); only :func:`_axis_jet`, on
+callers' curves, sets one.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -47,9 +49,11 @@ from .profile_odes import (
 from .surface_jets import (
     _curvature,
     _derivatives,
-    _horospherical as _horospherical_curve,
+    _graph,
+    _horospherical,
     _positions,
     _require_triples,
+    _rising,
     _vertical,
     product_surface_jet,
 )
@@ -70,18 +74,19 @@ __all__ = [
 ]
 
 
-# On a 2-core x86 host (Intel Xeon, numpy 2.4), a 1001x1001 residual sweep
-# with its CSV and summary takes 0.12-0.15 s in process for the minimal
-# cylinder and 0.58-0.76 s for a curved-f first kind, at a peak RSS of
-# 47 MB; a 1001x1001 minimal-cylinder mesh takes 0.8-1.3 s at 34 MB.  The
-# cap (1024x1024) keeps every grid near that, instead of letting a typo
-# allocate until the process is killed.
+# At 1001x1001 on a 2-core x86 host (Intel Xeon, numpy 2.4), timed in process
+# in 5 fresh processes: residual_report in minimal mode, write_residual_csv and
+# write_residual_summary take 0.07-0.14 s for the minimal cylinder (c = 0.7)
+# and 0.48-0.70 s for the curved-f first kind (s, 0.3 sin s, 1)*(0, t, 1 +
+# 0.2 cos t) on [-2, 2]^2, at a peak RSS of 47 MB; write_obj_mesh of the
+# cylinder takes 0.78-1.15 s at 34 MB.  The cap (1024x1024) keeps every grid
+# near that, instead of letting a typo allocate until the process is killed.
 MAX_GRID_NODES = 1 << 20
 # Nodes a sweep forms at once: whole s rows, at least one, 40 at nt = 201
-# (curvature too, unless every row is a translate of the first: then one
-# curvature serves every block).  Slots and temporaries stay in the CPU caches: at
-# 1001x1001, blocks of 8 rows took 55-59 ms against 119-140 ms for one
-# whole-grid jet (2-core x86).
+# (curvature too, unless every row is a translate of the first: then it is
+# formed on row 0 before the first block).  Slots and temporaries stay in the
+# CPU caches: at 1001x1001, blocks of 8 rows took 55-59 ms against 119-140 ms
+# for one whole-grid jet (2-core x86).
 BLOCK_NODES = 8192
 # Fraction of a collapsing profile's span [-r, r] clipped from each end.
 MARGIN = 1e-3
@@ -126,10 +131,9 @@ class SurfaceFamily:
     ``alpha(s)`` and ``beta(t)`` return the curve jet of each factor, a
     ``(3, ..., 3)`` array of its value, d1 and d2 slots: ``(3, 3)`` at one
     abscissa, ``(3, n, 3)`` on the ``n`` nodes of a grid axis (a 1-D
-    array).  Every family has a horospherical ``alpha(s) = (s, f(s), 1)``.
-    A first-kind family has ``beta(t) = (0, t, g(t))`` with a profile ``g``,
-    so ``X = (s, t + f(s), g(t))``; a second-kind one has
-    ``beta(t) = (0, 0, t)``, so ``X = (s, f(s), t)``.  ``jet(s, t)``
+    array).  Every family's ``alpha`` is ``surface_jets._horospherical`` and
+    its ``beta`` is ``_graph`` of a profile (first kind) or ``_rising``
+    (second kind), the shapes :mod:`solsurf.surface_jets` states.  ``jet(s, t)``
     returns the read-only ``(6, ..., 3)`` surface jet ``X, Xs, Xt, Xss, Xst,
     Xtt``; ``position`` forms its slot ``X`` alone, the bare embedding,
     NaN off the half-space as in the jet, convenient for finite-difference
@@ -159,19 +163,9 @@ class SurfaceFamily:
         return _positions(self.alpha(s)[0], self.beta(t)[0])
 
 
-def _horospherical(f: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
-    """``alpha(s) = (s, f(s), 1)`` from the jet function of ``f``."""
-    return lambda s: _horospherical_curve((s, 1.0, 0.0), f(s))
-
-
-def _graph(g: Callable[[float], tuple]) -> Callable[[float], np.ndarray]:
-    """``beta(t) = (0, t, g(t))`` from the jet function of the height ``g``."""
-    return lambda t: _vertical((t, 1.0, 0.0), g(t))
-
-
-def _rising(t) -> np.ndarray:
-    """``beta(t) = (0, 0, t)``, the vertical line of a second-kind family."""
-    return _vertical((0.0, 0.0, 0.0), (t, 1.0, 0.0))
+def _along(curve: Callable[..., np.ndarray], jet_fn: Callable[[float], tuple]):
+    """The factor curve ``x -> curve(x, jet_fn(x))``, at one abscissa or on a grid axis."""
+    return lambda x: curve(x, jet_fn(x))
 
 
 def _second_kind_family(
@@ -184,7 +178,7 @@ def _second_kind_family(
     """A second-kind family: ``alpha`` from ``f``, ``beta`` rising.  Its t
     range must stay above the boundary plane, which keeps every sampled
     ``t`` positive."""
-    fam = SurfaceFamily(name, params, s_range, t_range, _horospherical(f_jet_fn), _rising)
+    fam = SurfaceFamily(name, params, s_range, t_range, _along(_horospherical, f_jet_fn), _rising)
     if not fam.t_range[0] > 0.0:
         raise ParameterError(f"t_range must stay above the boundary plane, got {t_range!r}")
     return fam
@@ -206,7 +200,8 @@ def make_horosphere(
     if not a > 0.0:
         raise ParameterError(f"height must be positive, got {a!r}")
     return SurfaceFamily("horosphere", {"a": a}, s_range, t_range,
-                         _horospherical(_linear_jet(0.0, 0.0)), _graph(_linear_jet(0.0, a)))
+                         _along(_horospherical, _linear_jet(0.0, 0.0)),
+                         _along(_graph, _linear_jet(0.0, a)))
 
 
 def make_vertical_plane(
@@ -234,7 +229,8 @@ def _collapsing_family(
     of it per side."""
     r, g = _closed_form(profile)
     hi = r * (1.0 - 2.0 * MARGIN)
-    return SurfaceFamily(name, params, s_range, (-hi, hi), _horospherical(f), _graph(g))
+    return SurfaceFamily(name, params, s_range, (-hi, hi),
+                         _along(_horospherical, f), _along(_graph, g))
 
 
 def make_minimal_cylinder(
@@ -279,7 +275,8 @@ def make_grim_reaper(
             f"MAX_BRANCH_STEPS = {MAX_BRANCH_STEPS} step budget)"
         )
     return SurfaceFamily("grim_reaper", {"lam": lam, "b_slope": b_slope, "k": k}, s_range,
-                         (lo, hi), _horospherical(_linear_jet(b_slope, 0.0)), _graph(sol.jet))
+                         (lo, hi), _along(_horospherical, _linear_jet(b_slope, 0.0)),
+                         _along(_graph, sol.jet))
 
 
 def make_conformal_cylinder(
@@ -321,7 +318,7 @@ def make_generic_first_kind(
     ``f_fn``/``g_fn`` return a ``(value, d1, d2)`` triple.
     """
     return SurfaceFamily("generic_first_kind", {}, s_range, t_range,
-                         _horospherical(_coerced(f_fn)), _graph(_coerced(g_fn)))
+                         _along(_horospherical, _coerced(f_fn)), _along(_graph, _coerced(g_fn)))
 
 
 def make_generic_second_kind(
@@ -476,28 +473,25 @@ def _mesh_points(fam: SurfaceFamily, grid: GridSpec) -> Iterator[np.ndarray]:
 
 def _row_blocks(alpha: np.ndarray, beta: np.ndarray, f: Callable[..., object]):
     """``f(X, H, N)`` of the surface of :func:`sample_grid`'s axis jets, one
-    block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``,
-    ``X`` the block's points, ``H`` their mean curvature and ``N`` the
-    normal's components.  ``X`` is :func:`_positions` of the block's rows,
-    NaN off the half-space, and ``H`` and ``N`` are :func:`_curvature` of
-    the five :func:`_derivatives` slots: no point is formed twice and no
-    surface jet is built.  ``H`` and ``N`` read
-    a row of ``alpha`` only through ``a3``, ``alpha'`` and ``alpha''``, so if
-    every row's 7 numbers have row 0's bits (every row a horizontal translate
-    of it: a linear ``f``), they are formed once, on row 0, for every block.
-    Else (a curved or piecewise-linear ``f``, a failed ``s`` node's NaN, a
-    ``-0.0`` where row 0 has ``0.0``) each block forms them on its rows.
-    Every value has a whole-grid jet's bits, and one block's arrays are held
-    at a time.  The kernels and ``_residual_of`` own the non-finite policy
-    (``_quiet``): no overflow, invalid or divide warning, and a node whose
-    value is not finite fails, a point off the half-space (NaN) included."""
+    block of :func:`_block_rows` at a time: yields ``(rows, f(X, H, N))``.
+    ``X`` is :func:`_positions` of the block's rows, NaN off the half-space,
+    and ``H`` and ``N`` (mean curvature, normal components) are
+    :func:`_curvature` of the five :func:`_derivatives` slots: no point is
+    formed twice and no surface jet is built.  ``H`` and ``N`` read a row of
+    ``alpha`` only through ``a3``, ``alpha'`` and ``alpha''``, so when every
+    row's 7 numbers have row 0's bits (each row a horizontal translate of it:
+    a linear ``f``), ``shared`` forms them on row 0 before the first block,
+    for every block.  Else (a curved or piecewise-linear ``f``, a failed
+    ``s`` node's NaN, a ``-0.0`` where row 0 has ``0.0``) ``shared`` is
+    empty and each block forms them on its rows.  Every value has a
+    whole-grid jet's bits, one block's arrays are held at a time, and the
+    kernels own the non-finite policy (``_quiet``): nothing warns, and a node
+    whose value is not finite fails, a point off the half-space included."""
     key = np.concatenate([alpha[0, :, 0, 2:], alpha[1, :, 0], alpha[2, :, 0]], axis=1).view(np.int64)
-    shared, once = bool((key == key[0]).all()), ()
+    shared = _curvature(_derivatives(alpha[:, :1], beta)) if (key == key[0]).all() else ()
     for rows in _block_rows(alpha.shape[1], beta.shape[1]):
         X = _positions(alpha[0, rows], beta[0])  # NaN off the half-space: the node fails
-        H, N = once or _curvature(_derivatives(alpha[:, :1] if shared else alpha[:, rows], beta))
-        if shared:  # formed in the first block, for every block
-            once = H, N
+        H, N = shared or _curvature(_derivatives(alpha[:, rows], beta))
         out = f(X, H, N)
         del X, H, N
         yield rows, out

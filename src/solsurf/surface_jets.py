@@ -28,14 +28,17 @@ the half-space for every point the program forms, a sweep's, a mesh's and
 a single jet's: a point whose alpha height or own height is not > 0 is NaN,
 never an exception.  The kernels fill no buffer, so object jets of ``mpmath``
 numbers run the same statements (the tests' 50-digit reference), and none
-warns: they run under ``lie_halfspace._quiet``, the one non-finite policy.  Both
-canonical shapes are products of a horospherical ``alpha(s) = (s, f(s), 1)``
-and a vertical ``beta(t)``:
+warns: they run under ``lie_halfspace._quiet``, the one non-finite policy.  The
+factor curves are built here alone, each from an abscissa and a scalar jet,
+and both canonical shapes are products of a horospherical ``alpha(s) = (s,
+f(s), 1)`` (:func:`_horospherical`) and a vertical ``beta(t)``:
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
-  with ``g > 0``;
+  with ``g > 0`` (:func:`_graph`);
 * second kind: ``X(s, t) = (s, f(s), t)``, ``beta(t) = (0, 0, t)`` with
-  ``t > 0``.
+  ``t > 0`` (:func:`_rising`).
+
+``surface_factory`` feeds a family's jet functions to the same constructors.
 
 Mean curvature uses the letter convention ``l = <Xss, N>``, ``m = <Xtt, N>``,
 ``n = <Xst, N>``, so
@@ -116,17 +119,27 @@ def _curve(x, y, z) -> np.ndarray:
     return np.array(np.broadcast_arrays(*map(_stack, x, y, z)), dtype=float)
 
 
-def _horospherical(x, y) -> np.ndarray:
-    """Curve constrained to the unit-height slice: ``(x(s), y(s), 1)``."""
-    return _curve(x, y, (1.0, 0.0, 0.0))
-
-
 def _vertical(y, z) -> np.ndarray:
     """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
     its height ``z``, a surface's profile, must be positive."""
     if not (np.asarray(z[0]) > 0.0).all():  # NaN fails
         raise DomainError(f"profile value must be positive, got {float(np.min(z[0]))!r}")
     return _curve((0.0, 0.0, 0.0), y, z)
+
+
+def _horospherical(s, fj) -> np.ndarray:
+    """``alpha(s) = (s, f(s), 1)`` from the scalar jet ``fj`` of ``f`` at ``s``."""
+    return _curve((s, 1.0, 0.0), fj, (1.0, 0.0, 0.0))
+
+
+def _graph(t, gj) -> np.ndarray:
+    """``beta(t) = (0, t, g(t))`` from the jet ``gj`` of the height ``g > 0`` at ``t``."""
+    return _vertical((t, 1.0, 0.0), gj)
+
+
+def _rising(t) -> np.ndarray:
+    """``beta(t) = (0, 0, t)``, the vertical line of the second kind, on ``t > 0``."""
+    return _vertical((0.0, 0.0, 0.0), (t, 1.0, 0.0))
 
 
 @_quiet
@@ -147,26 +160,18 @@ def _positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def first_kind_jet(fj, gj, s, t) -> np.ndarray:
     """Jet of ``X(s, t) = (s, t + f(s), g(t))``; requires ``g(t) > 0``.
 
-    The product of ``alpha = (s, f(s), 1)`` and ``beta = (0, t, g(t))``;
     ``fj`` and ``gj`` are the ``(value, d1, d2)`` jets of ``f`` at ``s`` and
     of ``g`` at ``t``.  Arguments broadcast like numpy arrays: scalars give
     a ``(6, 3)`` jet, ``n``-vectors ``(6, n, 3)``, and an ``(ns, 1)`` s side
     with an ``(nt,)`` t side the ``(6, ns, nt, 3)`` grid.
     """
-    return product_surface_jet(
-        _horospherical((s, 1.0, 0.0), fj),
-        _vertical((t, 1.0, 0.0), gj),
-    )
+    return product_surface_jet(_horospherical(s, fj), _graph(t, gj))
 
 
 def second_kind_jet(fj, s, t) -> np.ndarray:
-    """Jet of ``X(s, t) = (s, f(s), t)`` on the half ``t > 0``: the product
-    of ``alpha = (s, f(s), 1)`` and ``beta = (0, 0, t)``.  Arguments
+    """Jet of ``X(s, t) = (s, f(s), t)`` on the half ``t > 0``; arguments
     broadcast as in :func:`first_kind_jet`."""
-    return product_surface_jet(
-        _horospherical((s, 1.0, 0.0), fj),
-        _vertical((0.0, 0.0, 0.0), (t, 1.0, 0.0)),
-    )
+    return product_surface_jet(_horospherical(s, fj), _rising(t))
 
 
 def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:

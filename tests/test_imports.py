@@ -112,6 +112,33 @@ def test_one_half_space_rule():
     assert named.isdisjoint({"sample_grid", "_refused", "_positions"}), named
 
 
+def test_one_home_of_the_factor_curves():
+    """The factor curves are built in ``surface_jets`` alone: its
+    constructors ``_horospherical``, ``_graph`` and ``_rising`` are defined
+    in no other module, and ``first_kind_jet`` and ``second_kind_jet`` are
+    products of them.  ``surface_factory`` defines no curve builder of its
+    own, never calls ``_curve``, and calls ``_vertical`` only in
+    ``perturb_profile``, whose bumped height is no constructor's."""
+    constructors = {"_horospherical", "_graph", "_rising"}
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "solsurf").glob("*.py")}
+
+    def calls(node):  # the bare names of the functions called under node
+        return {ast.unparse(n.func).rpartition(".")[2] for n in ast.walk(node)
+                if isinstance(n, ast.Call)}
+
+    defined = {stem: {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+               for stem, tree in trees.items()}
+    assert [stem for stem, names in sorted(defined.items()) if names & constructors] \
+        == ["surface_jets"]
+    assert constructors <= defined["surface_jets"]
+    jets = {n.name: n for n in trees["surface_jets"].body if isinstance(n, ast.FunctionDef)}
+    assert {"_horospherical", "_graph"} <= calls(jets["first_kind_jet"])
+    assert {"_horospherical", "_rising"} <= calls(jets["second_kind_jet"])
+    factory = [n for n in trees["surface_factory"].body if isinstance(n, ast.FunctionDef)]
+    assert not [fn.name for fn in factory if "_curve" in calls(fn)]
+    assert [fn.name for fn in factory if "_vertical" in calls(fn)] == ["perturb_profile"]
+
+
 def test_one_non_finite_policy():
     """Kernel arithmetic never warns, a rule stated once, by
     ``lie_halfspace._quiet``: it decorates the jet kernels, and the kernel

@@ -29,9 +29,9 @@ from solsurf.soliton_residuals import _residual_of
 from solsurf.surface_jets import (
     _curvature,
     _derivatives,
+    _graph,
     _horospherical,
     _positions,
-    _vertical,
     product_surface_jet,
 )
 
@@ -84,10 +84,8 @@ def _steep(subgroup_jet):
     """``f = c*s + 0.3 sin s`` with ``c = 1e6`` and ``g = 1 + 1e-7 sin t`` on
     21x21 nodes of [-1, 1]^2: ``E*G ~ 1e12`` while ``|Xs x Xt|^2 ~ 1``."""
     c, s, t = 1e6, np.linspace(-1.0, 1.0, 21)[:, None], np.linspace(-1.0, 1.0, 21)
-    return (_horospherical((s, 1.0, 0.0), (c * s + 0.3 * np.sin(s), c + 0.3 * np.cos(s),
-                                           -0.3 * np.sin(s))),
-            _vertical((t, 1.0, 0.0), (1.0 + 1e-7 * np.sin(t), 1e-7 * np.cos(t),
-                                      -1e-7 * np.sin(t))))
+    return (_horospherical(s, (c * s + 0.3 * np.sin(s), c + 0.3 * np.cos(s), -0.3 * np.sin(s))),
+            _graph(t, (1.0 + 1e-7 * np.sin(t), 1e-7 * np.cos(t), -1e-7 * np.sin(t))))
 
 
 def _subgroup(subgroup_jet):

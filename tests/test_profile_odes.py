@@ -110,8 +110,7 @@ def _quad_conformal_halfwidth(a, y0):
     p = ConformalProfileParams(a=a, y0=y0)
 
     def integrand(phi):
-        with np.errstate(over="ignore", divide="ignore"):
-            v = p.first_integral_rhs(y0 * math.sin(phi))
+        v = p.first_integral_rhs(y0 * math.sin(phi))
         if not 0.0 < v < math.inf:  # inf toward phi = 0, rounding at pi/2
             return 0.0
         return y0 * math.cos(phi) / math.sqrt(v)
@@ -151,8 +150,7 @@ def _quad_tail(p, g_stop):
     """The blow-up tail as scipy's adaptive ``quad`` computed it, in ``g``."""
 
     def integrand(x):
-        with np.errstate(over="ignore", divide="ignore"):
-            v = p.first_integral_rhs(x)
+        v = p.first_integral_rhs(x)
         return 0.0 if not np.isfinite(v) else 1.0 / math.sqrt(v)
 
     return quad(integrand, 0.0, g_stop, epsabs=1e-15, epsrel=1e-10, limit=200)[0]

@@ -39,7 +39,7 @@ from solsurf import (
 )
 from solsurf.errors import DomainError
 from solsurf.surface_factory import _failures, make_conformal_cylinder, sample_grid
-from solsurf.surface_jets import _curve, _positions, _vertical, product_surface_jet
+from solsurf.surface_jets import _curve, _horospherical, _positions, _vertical, product_surface_jet
 from solsurf.commands import FAMILIES
 from solsurf.export import write_obj_mesh, write_residual_csv, write_residual_summary
 
@@ -278,7 +278,7 @@ def test_residual_report_fails_non_finite_residuals(mode, tmp_path):
 def _cusp():
     """A product family that is not immersed on its ``t = 0`` column:
     ``beta(t) = (0, t^3, 1)`` has ``beta'(0) = 0``, so ``Xt = 0`` there."""
-    alpha = surface_factory._horospherical(surface_factory._linear_jet(0.5, 0.0))
+    alpha = surface_factory._along(_horospherical, surface_factory._linear_jet(0.5, 0.0))
 
     def beta(t):
         return _vertical((t ** 3, 3.0 * t * t, 6.0 * t), (1.0, 0.0, 0.0))

@@ -333,10 +333,11 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
     """With a failed t node, both whole axes come out of ``sample_grid`` as
     C-contiguous ``(3, ..., 3)`` curve jets, and each row block reaches
     ``_positions`` and ``_derivatives`` with C-contiguous slots: strided slots
-    would slow every slot formula.  A block forms its points through
-    ``_positions`` on every row, then its derivative slots: on row 0 alone when
-    every row is a translate of it (a linear f), else on every row (a
-    curved f)."""
+    would slow every slot formula.  When every row is a translate of row 0 (a
+    linear f), the sweep forms the derivative slots on row 0 alone before its
+    first block, which then forms its points through ``_positions`` on every
+    row; else (a curved f) a block forms its points, then its derivative
+    slots on every row."""
     seen = []
 
     def recorded(build):
@@ -349,7 +350,7 @@ def test_sampled_curve_jets_are_contiguous_slot_arrays(monkeypatch):
         monkeypatch.setattr(surface_factory, name, recorded(getattr(surface_factory, name)))
     for f, calls in (
             (lambda s: (0.1 * s, 0.1, 0.0),
-             [("_positions", (3, 1, 3)), ("_derivatives", (3, 1, 1, 3))]),
+             [("_derivatives", (3, 1, 1, 3)), ("_positions", (3, 1, 3))]),
             (lambda s: (s * s, 2.0 * s, 2.0),
              [("_positions", (3, 1, 3)), ("_derivatives", (3, 3, 1, 3))])):
         seen.clear()

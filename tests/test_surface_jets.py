@@ -259,7 +259,7 @@ def test_collapsed_jet_reads_nan():
     normal, mean curvature and residuals are NaN, without a warning; the
     finite-difference jet of a constant map too."""
     # a constant beta curve collapses Xt
-    alpha = _horospherical((0.0, 1.0, 0.0), FJ)
+    alpha = _horospherical(0.0, FJ)
     beta = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     fd = finite_difference_jet(lambda s, t: np.tile([0.0, 0.0, 1.0], (len(s), 1)), 0.0, 0.0, 0.1)
     for j in (product_surface_jet(alpha, beta), fd):

@@ -6,7 +6,9 @@ profiles as undefined functions ``f(s)`` and ``g(t)``.  Its residuals,
 cleared of the positive factor ``2*W^3``, are derived from the
 definitions, and the hand-written reduced forms must equal them
 identically: a reduced form that drops or rescales one term leaves a
-nonzero polynomial in the jets.
+nonzero polynomial in the jets.  The other order, ``beta * alpha``, is
+another surface, derived here too, and the float pipeline, given the
+factors in that order, forms its residuals with the opposite normal.
 
 It also derives the limit verify's ``grim_reaper.linear`` row reads: the
 ``lambda^2`` term of the grim reaper's small-slope expansion tends to
@@ -18,7 +20,9 @@ surfaces whose rows are not translates of each other (alpha's height
 varies along ``u``).  Their cleared residuals are derived in closed form,
 and the float pipeline's residuals on such a product are checked against
 those exact, nonzero values.  So is the translator residual along every
-left-translation field ``xi_lam(X) = lam3*X + (lam1, lam2, 0)``.
+left-translation field ``xi_lam(X) = lam3*X + (lam1, lam2, 0)``.  An orbit
+``alpha = exp(u*omega)`` times a graph ``beta = (0, t, g)`` has one minimal
+ODE in ``g`` that does not read ``u``.
 """
 import mpmath
 import numpy as np
@@ -33,7 +37,7 @@ from solsurf import (
     reduced_residual_second_kind,
     residual,
 )
-from solsurf.surface_jets import product_surface_jet, unit_normal
+from solsurf.surface_jets import _graph, _horospherical, product_surface_jet, unit_normal
 
 s, t = sp.symbols("s t", real=True)
 f, g = sp.Function("f")(s), sp.Function("g")(t)
@@ -79,6 +83,73 @@ def test_second_kind_reduced_form_is_the_derived_one(mode):
     derived = cleared_residual(sp.Matrix([s, f, 1]), sp.Matrix([0, 0, t]), mode)
     hand = reduced_residual_second_kind(mode, _jet(f, s), s, t)
     assert sp.expand(hand - derived) == 0
+
+
+_FJET = sp.symbols("f0:3")  # f(s), f'(s) and f''(s) as plain symbols
+
+
+def _in_fjet(expr):
+    """``expr`` expanded, with ``f``, ``f'`` and ``f''`` replaced by ``_FJET``."""
+    return sp.expand(expr.subs(f.diff(s, 2), _FJET[2]).subs(f.diff(s), _FJET[1]).subs(f, _FJET[0]))
+
+
+@pytest.mark.parametrize("mode, forward", [(SolitonMode.MINIMAL, 3), (SolitonMode.TRANSLATOR, 7),
+                                           (SolitonMode.CONFORMAL, 3)],
+                         ids=["minimal", "translator", "conformal"])
+def test_other_order_is_another_surface(mode, forward):
+    """The group is not abelian, so the first-kind curves give a second
+    surface, ``beta * alpha = (g*s, t + g*f(s), g)``.  Its cleared residual
+    has 17 monomials in ``(s, f, f', f'')`` in every mode, against 3, 7 and
+    3 for ``alpha * beta``; for an affine ``f = c*s + d`` it does not depend
+    on ``s``, in any mode."""
+    alpha, beta = sp.Matrix([s, f, 1]), sp.Matrix([0, t, g])
+    terms = [len(sp.Poly(_in_fjet(cleared_residual(*pair, mode)), s, *_FJET).terms())
+             for pair in ((beta, alpha), (alpha, beta))]
+    assert terms == [17, forward]
+    c, d = sp.symbols("c d", real=True)
+    assert sp.expand(cleared_residual(beta, sp.Matrix([s, c * s + d, 1]), mode).diff(s)) == 0
+
+
+def test_other_order_of_a_linear_f_is_the_first_kind_reparametrised():
+    """For ``f = c*s``, ``beta * alpha = (s', t + c*s', g)`` with ``s' = g*s``:
+    the first kind again, so each cleared residual is ``g^3`` times
+    ``alpha * beta``'s, and the minimal one is ``g^3*[(1 + c^2)(g*g'' +
+    2*g'^2) + 2]``, the minimal cylinder's ODE."""
+    c = sp.symbols("c", real=True)
+    alpha, beta = sp.Matrix([s, c * s, 1]), sp.Matrix([0, t, g])
+    for mode in SolitonMode:
+        swapped = cleared_residual(beta, alpha, mode)
+        assert sp.expand(swapped - g ** 3 * cleared_residual(alpha, beta, mode)) == 0, mode
+    ode = (1 + c ** 2) * (g * g.diff(t, 2) + 2 * g.diff(t) ** 2) + 2
+    assert sp.expand(cleared_residual(beta, alpha, SolitonMode.MINIMAL) - g ** 3 * ode) == 0
+
+
+def test_float_residuals_of_the_other_order_flip_with_its_normal():
+    """``product_surface_jet(beta_jet, alpha_jet)`` is ``beta * alpha`` with
+    its parameters in the factors' order, ``(t, s)``, and the normal is
+    ``X_t x X_s / |X_t x X_s|``: the first parameter is always the left
+    factor's.  So that normal is ``-C/W`` for the derived ``C = X_s x X_t``,
+    and every residual, linear in the normal, is ``-R/(2*W^3)`` of the
+    derived ``R``.  At ``f = 0.3 sin s + 0.7 s``, ``g = 1 + cos(t)/5`` on 7x5
+    nodes of ``[-1, 1]^2`` (``max|r|`` 0.91, 0.31 and 1.99) the float
+    pipeline, built with the curve constructors the families use, matches it
+    (largest gap measured: 4.4e-16, conformal); with the other sign it
+    would be off by ``2*|r|``."""
+    f_at = sp.Rational(3, 10) * sp.sin(s) + sp.Rational(7, 10) * s
+    alpha, beta = sp.Matrix([s, f_at, 1]), sp.Matrix([0, t, 1 + sp.cos(t) / 5])
+    X = _group_product(beta, alpha)
+    C = X.diff(s).cross(X.diff(t))
+    u, v = np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 7)[:, None]
+    fj = (0.3 * np.sin(u) + 0.7 * u, 0.3 * np.cos(u) + 0.7, -0.3 * np.sin(u))
+    gj = (1.0 + np.cos(v) / 5.0, -np.sin(v) / 5.0, -np.cos(v) / 5.0)
+    j = product_surface_jet(_graph(v, gj), _horospherical(u, fj))
+    for mode in SolitonMode:
+        exact = sp.lambdify((s, t), cleared_residual(beta, alpha, mode)
+                            / (2 * C.dot(C) ** sp.Rational(3, 2)), "mpmath")
+        with mpmath.workdps(30):
+            want = np.array([[-float(exact(mpmath.mpf(a), mpmath.mpf(b))) for a in u.tolist()]
+                             for b in v.ravel().tolist()])
+        assert np.max(np.abs(residual(mode, j) - want)) <= 2e-15, mode
 
 
 def test_reaper_small_slope_limit_is_one_over_2k():
@@ -207,6 +278,29 @@ def test_left_translation_translator_residual_is_the_derived_one(vertical):
     lam = sp.Matrix(_LAMBDA)
     derived = cleared_field_residual(alpha, beta, lam)
     assert sp.simplify(sp.expand(derived - weight * (delta * z - cross.dot(lam)))) == 0
+
+
+def test_orbit_minimal_residual_is_one_ode_in_g():
+    """With ``alpha = exp(u*omega)`` and ``beta = (0, t, g(t))``, at symbolic
+    ``omega``, the cleared minimal residual is ``omega1*e^{6*omega3*u}`` times
+    ``g*g''*(omega1^2 + (omega2 + omega3*t)^2 + omega3^2*g^2) +
+    2*((omega3*(g - t*g') - omega2*g')^2 + omega1^2*(1 + g'^2))``, one ODE in
+    ``g`` that does not read ``u``: ``alpha'/alpha3 = omega`` along the
+    orbit.  The translator and conformal residuals divided by it still read
+    ``u``: at one exact point their ``u``-derivatives are 0.97, not 0."""
+    w1, w2, w3 = _OMEGA
+    alpha, beta = _subgroup(s, w1, w2, w3), sp.Matrix([0, t, g])
+    gp, gpp = g.diff(t), g.diff(t, 2)
+    ode = (g * gpp * (w1 ** 2 + (w2 + w3 * t) ** 2 + w3 ** 2 * g ** 2)
+           + 2 * ((w3 * (g - t * gp) - w2 * gp) ** 2 + w1 ** 2 * (1 + gp ** 2)))
+    minimal = cleared_residual(alpha, beta, SolitonMode.MINIMAL)
+    assert sp.simplify(sp.expand(minimal - w1 * sp.exp(6 * w3 * s) * ode)) == 0
+    at = {w1: 1, w2: sp.Rational(1, 2), w3: sp.Rational(7, 10), s: sp.Rational(1, 5),
+          t: sp.Rational(1, 3)}
+    jet = {gpp: -sp.Rational(3, 2), gp: -sp.Rational(1, 4), g: sp.Rational(6, 5)}
+    for mode in (SolitonMode.TRANSLATOR, SolitonMode.CONFORMAL):
+        slope = (cleared_residual(alpha, beta, mode) / minimal).diff(s)
+        assert abs(sp.N(slope.subs(jet).subs(at))) > 0.5, mode
 
 
 def _exact_grid(cleared, u, v, params):
