@@ -240,19 +240,13 @@ class ConformalProfileParams(_CollapseParams):
               = 4*cos^2(phi)/((1 + sin(phi))*y0*sin(phi)) - 2*log1p(-cos^2(phi)),
 
         so ``|dt/dphi| = y0*cos(phi)/|g'|`` is evaluated as
-        ``y0/sqrt(k*expm1(E)/cos^2(phi))``, which tends to
+        ``y0/sqrt(k*(expm1(E)/cos^2(phi)))``, which tends to
         ``y0/sqrt(k*(4/y0 + 2))`` as ``phi -> pi/2``.  Toward ``phi = 0``,
-        ``expm1(E)`` overflows to inf and the value to 0.  Where
-        ``k*expm1(E)`` is not a normal float, as near ``pi/2`` at a drift
-        slope past about 1e130, where it goes subnormal and then 0, the
-        quotient is formed first: ``k*(expm1(E)/cos^2(phi))``.
+        ``expm1(E)`` overflows to inf and the value to 0.
         """
         sin, cos2 = np.sin(phi), np.cos(phi) ** 2
         with np.errstate(over="ignore", divide="ignore"):
-            em1 = np.expm1(self._exponent(sin, cos2))
-            q = self.kinv * em1
-            q = np.where(q < sys.float_info.min, self.kinv * (em1 / cos2), q / cos2)
-            return self.y0 / np.sqrt(q)
+            return self.y0 / np.sqrt(self.kinv * (np.expm1(self._exponent(sin, cos2)) / cos2))
 
     def _exponent(self, sin, cos2):
         """``E`` of :meth:`dt_dphi`; +inf at ``phi = 0``."""
@@ -692,7 +686,7 @@ def _closed_form(params: _CollapseParams):
     so each has its scalar call's bits and cost.  Then, with ``D = dt_dphi``,
 
         g' = -sign(t)*y0*cos(phi)/D,
-        g'' = -y0*(sin(phi)*D + cos(phi)*D')/D^3,
+        g'' = -y0*(sin(phi)*D + cos(phi)*D')/D/D/D,
 
     ``D' = dt_dphi_prime``: both come from the first integral, never from
     the ODE's right-hand side, so a residual of this jet checks the ODE
@@ -738,10 +732,7 @@ def _closed_form(params: _CollapseParams):
         d, dp = dt_dphi(phi), params.dt_dphi_prime(phi)
         g = params.y0 * sin
         gp = np.sign(-t.ravel()) * params.y0 * cos / d
-        # D^3 overflows past D ~ 5.6e102; (D*m)^3, m an exact power of 2, keeps its bits
-        m = np.ldexp(1.0, -np.frexp(d)[1])
-        dm = d * m
-        gpp = -params.y0 * (sin * d + cos * dp) * m / (dm * dm * dm) * m * m
+        gpp = -params.y0 * (sin * d + cos * dp) / d / d / d
         if not t.shape:
             return float(g[0]), float(gp[0]), float(gpp[0])
         return g.reshape(t.shape), gp.reshape(t.shape), gpp.reshape(t.shape)

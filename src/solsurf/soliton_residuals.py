@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -142,10 +143,14 @@ class ResidualReport:
 
     @functools.cached_property
     def _stats(self) -> Tuple[int, float, float]:
-        """The finite nodes' count, mean ``|r|`` and max ``|r|``: one scan of ``r``."""
+        """The finite nodes' count, mean ``|r|`` and max ``|r|``.  Past a max
+        of 1 the mean is taken of ``|r|/2^e``, ``2^e`` just above the max, so
+        its sum cannot overflow, and scaled back."""
         a = self.r[np.isfinite(self.r)]
         np.abs(a, out=a)
-        return a.size, float(np.mean(a)), float(np.max(a))
+        top = float(np.max(a))
+        e = math.frexp(top)[1] if top >= 1.0 else 0
+        return a.size, math.ldexp(float(np.mean(np.ldexp(a, -e, out=a))), e), top
 
     @property
     def max_abs(self) -> float:

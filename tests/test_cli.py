@@ -412,13 +412,38 @@ def test_exact_solutions_at_steep_shear_sweep(tmp_path, argv, monkeypatch):
     to a rounding-level residual, with no numpy warning: the mean curvature
     divides by ``|Xs x Xt|^2``, a sum of squares, where ``E*G - F^2`` would
     cancel (to 0 for the reaper), and the collapsing profile's ``g''``
-    divides by ``D^3`` rescaled, where ``D ~ 1e110`` would overflow it."""
+    divides by ``D`` three times, where ``D^3`` would overflow at
+    ``D ~ 1e110``."""
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv + ["--out", "r"]) == 0
     summary = dict(line.split("=", 1) for line in (tmp_path / "r.summary.txt").read_text().split())
     assert summary["failures"] == "0" and float(summary["MAX_ABS"]) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual", "--family", "vertical-plane", "--d", "1e308", "--mode", "translator",
+         "--grid", "3x3"],
+        ["residual", "--family", "minimal-cylinder", "--d", "1e308", "--mode", "translator",
+         "--grid", "5x5"],
+        ["residual", "--family", "horosphere", "--a", "1e308", "--mode", "conformal",
+         "--grid", "5x5"],
+    ],
+)
+def test_summary_mean_of_residuals_near_the_float_max(tmp_path, argv, monkeypatch):
+    """Residuals near 1e308 whose sum would overflow give a finite summary
+    mean, no larger than the max, with no numpy warning: the mean is taken
+    of ``|r|`` scaled down by an exact power of two and scaled back."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", "r"]) == 0
+    summary = dict(line.split("=", 1) for line in (tmp_path / "r.summary.txt").read_text().split())
+    mean, top = float(summary["mean_abs"]), float(summary["MAX_ABS"])
+    assert summary["failures"] == "0" and 1e307 < mean <= top < math.inf, summary
 
 
 @pytest.mark.parametrize("span", ["0:1e-300", "-1e-300:1e-300", "0:5e-324"])

@@ -16,7 +16,7 @@ from solsurf.profile_odes import MAX_BRANCH_STEPS
 
 # Zero, signed zero, subnormal, tiny, ordinary, huge and non-finite values.
 VALUES = ("0", "-0.0", "5e-324", "1e-300", "1e-8", "0.7", "2", "-3", "1e8", "1e155",
-          "1e300", "-1e300", "inf", "nan")
+          "1e300", "-1e300", "1e308", "-1e308", "inf", "nan")
 # Ordinary, empty, reversed, subnormal, huge and non-finite intervals.
 INTERVALS = ("-1:1", "0.5:4.5", "1:1", "2:1", "0:5e-324", "0:1e-300", "-1e-300:1e-300",
              "-1e6:1e6", "-1e300:1e300", "-inf:0", "nan:1")

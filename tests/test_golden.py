@@ -65,8 +65,8 @@ RESIDUAL_SHA256 = {
         "f97b506e2291d6113ff06b6a29bc590d8fc84dd026f2b7e61d401cb8e744bd7b",
     ),
     ("minimal-cylinder", "minimal"): (
-        "e4fb1a39bb16795a7ce71f6646e5f657417e41718cd0498b2dbdff4c691bf473",
-        "35cf9f425e01c427680a3c9bbc29d61b7bc060745bd5143c0d99b096fd5cb320",
+        "3ba4bdfd875b2d64516142df9254302d94cb83c4198929dd8ccc1f3c89b0065b",
+        "751f053c8f735f1cbdaa3643132d492a6775dc758aa00c27b72c08c9ad1de09d",
     ),
     ("minimal-cylinder", "translator"): (
         "b1057bb42cad150f8ccf7adf0805712ee125b1824d992b7f6fad0b2526acdc76",
@@ -97,8 +97,8 @@ RESIDUAL_SHA256 = {
         "fd6e2b9b6d44c60b4edda454e3d817da83d2ba1f1d7ed726af5f6065181c83b2",
     ),
     ("conformal-cylinder", "conformal"): (
-        "1e0fe0d8134fb6678f9f6b898d034604fc99b3b1b7187724e1adb5ae980536dc",
-        "29dbdca77c40da76ddead4eb798e69ebd9c6a0e59bdc810d2f4296aa418a24dc",
+        "fc5b1e97de9238a4a0c90f2e33b247b5924d2a85aeadfbfc7791e69071f45dd4",
+        "7eec5c0a92cecf54bc6f997bc56f6a6edee82f11a5d4e30ab33c6e4e026329da",
     ),
 }
 
@@ -189,8 +189,8 @@ DEFAULTS_SHA256 = {
     ),
     "conformal-cylinder": (
         "conformal",
-        "7b8d059d55fbc6dc4f45a222429cc4797e035d43035fc8b9ce90223f1d3ec5de",
-        "5c52b5d86b06056153c89f8ac5ea4c91b713d6af0593963e67317fc37e536703",
+        "d999aca0f0bbe409d3085d389027206ae90d9d281b725a837c37937ae3e5f060",
+        "ee116c9ab36bc206f979487e9ac1fd8717a22cbdcd10bbaba20a5cae300044ba",
         "f3f915777e3c864f2f06f535934e88cedcd15ef33c93b9877e655fb201bd83b5",
     ),
 }

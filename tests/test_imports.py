@@ -183,6 +183,22 @@ def test_residual_kernel_branches_only_on_its_mode():
     assert read and all(names <= {"mode", "SolitonMode"} for names in read), read
 
 
+def test_closed_form_has_one_formula_at_every_slope():
+    """The closed-form profile forms each quantity by one range-safe
+    expression at every slope: ``profile_odes`` rescales by no power of two
+    (``g''`` divides by ``D`` three times instead of by ``D^3``), and the
+    conformal ``dt_dphi`` selects between no two orders of one product."""
+    tree = ast.parse((ROOT / "src" / "solsurf" / "profile_odes.py").read_text())
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called.isdisjoint({"np.frexp", "np.ldexp"}), called & {"np.frexp", "np.ldexp"}
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ConformalProfileParams")
+    fn = next(node for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "dt_dphi")
+    assert not [node for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.where"]
+
+
 def test_group_module_refuses_by_one_exception_class():
     """An overflowing result of ``lie_halfspace`` is refused by the check
     on it, as every other bad result is: the module raises no exception

@@ -303,13 +303,19 @@ def test_closed_form_matches_a_30_digit_reference(p):
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("p", [MinimalProfileParams(0.7, 1.0), MinimalProfileParams(100.0, 2.0),
-                               ConformalProfileParams(0.5, 1.3), ConformalProfileParams(100.0, 2.0)],
-                         ids=repr)
+@pytest.mark.parametrize(
+    "p",
+    [MinimalProfileParams(0.7, 1.0), MinimalProfileParams(100.0, 2.0),
+     ConformalProfileParams(0.5, 1.3), ConformalProfileParams(100.0, 2.0)]
+    + [MinimalProfileParams(c, 1.0) for c in (1e103, 1e140, 1e150)]
+    + [ConformalProfileParams(a, 1.0) for a in (1e103, 1e130, 1e140, 1e150)],
+    ids=repr)
 def test_closed_form_gpp_is_the_odes(p):
     """``g''`` from ``D' = dt_dphi_prime`` is the ODE's ``g''`` at the same
     state, within 1e-14 relative, on both branches at the abscissae of 200
-    ``phi`` on [0.05, 1.5] (largest measured: 7.0e-16).  Near ``phi = 0.05``
+    ``phi`` on [0.05, 1.5] (largest measured: 6.6e-16), also at slopes up to
+    1e150, where ``D`` passes 5.6e102, past which ``D^3`` overflows, and
+    the conformal ``k*expm1(E)`` goes subnormal near the apex.  Near ``phi = 0.05``
     the conformal abscissae lie within ~1e-14 of ``r``, which pins their
     ``phi`` only to ~1e-2, or round to ``r`` itself, outside the domain, and
     are left out: every case still reaches ``phi < 0.1``."""

@@ -1115,11 +1115,12 @@ def test_residual_report_raises_when_everything_fails():
 
 @pytest.mark.parametrize("a", [1e140, 1e150])
 def test_conformal_cylinder_at_huge_drift_slope(a):
-    """Past a drift slope of about 1e130 the conformal profile's
-    ``k*expm1(E)`` goes subnormal near the apex (1.5e-312 at 1e140), then 0
-    (at 1e150, where the Gauss sum would multiply 0 by inf); ``dt_dphi``
-    divides by ``cos^2(phi)`` first there, so the exact cylinder sweeps
-    every node to a rounding-level residual, with no numpy warning."""
+    """Past a drift slope of about 1e130 the product ``k*expm1(E)`` would
+    go subnormal near the apex (1.5e-312 at 1e140), then 0 (at 1e150, where
+    the Gauss sum would multiply 0 by inf); ``dt_dphi`` divides
+    ``expm1(E)`` by ``cos^2(phi)`` before it multiplies by ``k``, at every
+    slope, so the exact cylinder sweeps every node to a rounding-level
+    residual, with no numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = residual_report(make_conformal_cylinder(a, 1.0), CONFORMAL, GridSpec(51, 51))

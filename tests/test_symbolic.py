@@ -22,7 +22,9 @@ and the float pipeline's residuals on such a product are checked against
 those exact, nonzero values.  So is the translator residual along every
 left-translation field ``xi_lam(X) = lam3*X + (lam1, lam2, 0)``.  An orbit
 ``alpha = exp(u*omega)`` times a graph ``beta = (0, t, g)`` has one minimal
-ODE in ``g`` that does not read ``u``.
+ODE in ``g`` that does not read ``u``.  An ``xz``-graph ``(s, 0, f)`` times
+that graph has a minimal residual whose three ``g`` coefficients never
+vanish together.
 """
 import mpmath
 import numpy as np
@@ -122,6 +124,43 @@ def test_other_order_of_a_linear_f_is_the_first_kind_reparametrised():
         assert sp.expand(swapped - g ** 3 * cleared_residual(alpha, beta, mode)) == 0, mode
     ode = (1 + c ** 2) * (g * g.diff(t, 2) + 2 * g.diff(t) ** 2) + 2
     assert sp.expand(cleared_residual(beta, alpha, SolitonMode.MINIMAL) - g ** 3 * ode) == 0
+
+
+def test_xz_times_yz_minimal_residual_has_no_profile_pair():
+    """``alpha = (s, 0, f(s))`` times ``beta = (0, t, g(t))``, an
+    ``xz``-curve times a ``yz``-curve: the cleared minimal residual is
+    ``f^3*[f'^2*P + f*f''*Q + R]`` with ``P = 2(t*g' - g)^2 + g*g''*(g^2 +
+    t^2)``, ``Q = g*(g - t*g')*(1 + g'^2)`` and ``R = g*g'' + 2*g'^2 + 2``,
+    which read ``t`` and ``g`` alone.  The translator and conformal
+    residuals are not of that form: their monomials in ``(s, f, f', f'')``
+    are not among ``f^3*f'^2``, ``f^4*f''`` and ``f^3``.  ``P``, ``Q`` and
+    ``R`` never vanish together: ``Q = 0`` is ``g = t*g'`` (``g > 0``), with
+    ``R = 0`` it gives ``P = -2t^2*(1 + g'^2)^2 < 0`` at ``t != 0``, and at
+    ``t = 0``, ``Q = g^2*(1 + g'^2) > 0``.  So a minimal product of this
+    kind needs ``f'^2``, ``f*f''`` and 1 linearly dependent on its ``s``
+    range."""
+    alpha, beta = sp.Matrix([s, 0, f]), sp.Matrix([0, t, g])
+    gp, gpp = g.diff(t), g.diff(t, 2)
+    P = 2 * (t * gp - g) ** 2 + g * gpp * (g ** 2 + t ** 2)
+    Q = g * (g - t * gp) * (1 + gp ** 2)
+    R = g * gpp + 2 * gp ** 2 + 2
+    fp, fpp = f.diff(s), f.diff(s, 2)
+    minimal = cleared_residual(alpha, beta, SolitonMode.MINIMAL)
+    assert sp.expand(minimal - f ** 3 * (fp ** 2 * P + f * fpp * Q + R)) == 0
+    separated = {(0, 3, 2, 0), (0, 4, 0, 1), (0, 3, 0, 0)}  # f^3*f'^2, f^4*f'', f^3
+    for mode in (SolitonMode.TRANSLATOR, SolitonMode.CONFORMAL):
+        monomials = sp.Poly(_in_fjet(cleared_residual(alpha, beta, mode)), s, *_FJET).monoms()
+        assert not set(monomials) <= separated, mode
+    g0, g1 = sp.symbols("g0 g1", real=True)  # g and g' at one t
+
+    def at(expr, height):
+        """``expr`` at ``g = height``, ``g' = g1`` and the ``g''`` of ``R = 0``."""
+        return expr.subs(gpp, -2 * (1 + g1 ** 2) / height).subs(gp, g1).subs(g, height)
+
+    assert sp.simplify(at(R, g0)) == 0
+    assert sp.simplify(at(Q, t * g1)) == 0
+    assert sp.simplify(at(P, t * g1) + 2 * t ** 2 * (1 + g1 ** 2) ** 2) == 0
+    assert sp.expand(at(Q, g0).subs(t, 0) - g0 ** 2 * (1 + g1 ** 2)) == 0
 
 
 def test_float_residuals_of_the_other_order_flip_with_its_normal():
