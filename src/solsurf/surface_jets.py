@@ -20,18 +20,18 @@ a jet works component-wise, so a grid and a single point go through the
 same expressions.
 
 :func:`product_surface_jet` is the one builder: slot ``X`` is
-:func:`_positions` and the five derivative slots ``Xs, Xt, Xss, Xst,
-Xtt`` are :func:`_derivatives`, the only slots the normal and the mean
-curvature read, so a sweep forms its points and its curvature apart and
-never builds a surface jet.  :func:`_positions` is the one statement of
-the half-space for every point the program forms, a sweep's, a mesh's and
-a single jet's: a point whose alpha height or own height is not > 0 is NaN,
-never an exception.  The kernels fill no buffer, so object jets of ``mpmath``
-numbers run the same statements (the tests' 50-digit reference), and none
-warns: they run under ``lie_halfspace._quiet``, the one non-finite policy.  The
-factor curves are built here alone, each from an abscissa and a scalar jet,
-and both canonical shapes are products of a horospherical ``alpha(s) = (s,
-f(s), 1)`` (:func:`_horospherical`) and a vertical ``beta(t)``:
+:func:`_positions` and the five derivative slots ``Xs, Xt, Xss, Xst, Xtt`` are
+:func:`_derivatives`, the only slots the normal and the mean curvature read,
+so a sweep forms its points and its curvature apart and never builds a surface
+jet.  :func:`_positions` is the one statement of the half-space for every
+point the program forms, a sweep's, a mesh's and a single jet's: a point whose
+alpha height or own height is not > 0 is NaN, never an exception.  Neither the
+kernels nor the builder cast to float, so ``mpmath`` numbers and intervals run
+the same statements (the tests' references), and none warns: they run under
+``lie_halfspace._quiet``, the one non-finite policy.  The factor curves are
+built here alone, each from an abscissa and a scalar jet, and both canonical
+shapes are products of a horospherical ``alpha(s) = (s, f(s), 1)``
+(:func:`_horospherical`) and a vertical ``beta(t)``:
 
 * first kind:  ``X(s, t) = (s, t + f(s), g(t))``, ``beta(t) = (0, t, g(t))``
   with ``g > 0`` (:func:`_graph`);
@@ -98,8 +98,8 @@ def _normal(d: np.ndarray):
     ``_DEGENERACY_THRESHOLD < |Xs x Xt| < inf`` (``/ inf`` would read 0)."""
     c = _cross(_xyz(d[0]), _xyz(d[1]))
     cc = _dot(c, c)
-    w = np.sqrt(cc)
-    w = np.where((w > _DEGENERACY_THRESHOLD) & (w < np.inf), w, np.nan)
+    w = np.power(cc, 0.5)
+    w = np.where((w > _DEGENERACY_THRESHOLD) & (w < np.inf), w, np.nan)[()]
     return tuple(ck / w for ck in c), cc
 
 
@@ -113,17 +113,20 @@ def _require_triples(jets) -> None:
 def _curve(x, y, z) -> np.ndarray:
     """The curve jet ``(x, y, z)`` from the scalar jets of its components,
     each a ``(value, d1, d2)`` triple whose entries broadcast: a fresh
-    ``(3, ..., 3)`` float array whose value, d1 and d2 slots are ``c[0]``,
-    ``c[1]`` and ``c[2]``.  A scalar jet of any other length is refused."""
+    ``(3, ..., 3)`` array of their result type, float64 at least, whose
+    slots are ``c[0]``, ``c[1]`` and ``c[2]``.  Other lengths are refused."""
     _require_triples((x, y, z))
-    return np.array(np.broadcast_arrays(*map(_stack, x, y, z)), dtype=float)
+    c = np.broadcast_arrays(*map(_stack, x, y, z))
+    return np.array(c, dtype=np.result_type(*c, np.float64))
 
 
 def _vertical(y, z) -> np.ndarray:
     """Curve constrained to the vertical slice x = 0: ``(0, y(t), z(t))``;
     its height ``z``, a surface's profile, must be positive."""
     if not (np.asarray(z[0]) > 0.0).all():  # NaN fails
-        raise DomainError(f"profile value must be positive, got {float(np.min(z[0]))!r}")
+        m = np.min(z[0])  # an mpmath number, an interval too, is shown as itself
+        raise DomainError(f"profile value must be positive, "
+                          f"got {float(m) if isinstance(m, np.number) else m!r}")
     return _curve((0.0, 0.0, 0.0), y, z)
 
 
@@ -177,19 +180,20 @@ def second_kind_jet(fj, s, t) -> np.ndarray:
 def product_surface_jet(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
     """Jet of the swept surface ``X(s, t) = alpha(s) * beta(t)``.
 
-    ``aj`` and ``bj`` are curve jets: ``(3, ..., 3)`` arrays whose value,
-    d1 and d2 slots ``alpha, alpha', alpha''`` (and ``beta, beta',
-    beta''``) come first.  Slot ``X`` is :func:`_positions` and the five
-    derivative slots are :func:`_derivatives`, joined into one fresh
-    ``(6, ..., 3)`` array, the jet.  The curve slots broadcast
-    against each other, so ``(3, n, 3)`` curve jets give ``n`` points and
-    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid; integer slots are
-    read as floats.  A point off the
+    ``aj`` and ``bj`` are curve jets: ``(3, ..., 3)`` arrays whose value, d1
+    and d2 slots ``alpha, alpha', alpha''`` (and ``beta, beta', beta''``)
+    come first.  Slot ``X`` is :func:`_positions` and the five derivative
+    slots are :func:`_derivatives`, joined into one fresh ``(6, ..., 3)``
+    array, the jet, of the curve jets' result type and float64 at least
+    (``mpmath`` numbers stay objects).  The curve slots broadcast against
+    each other, so ``(3, n, 3)`` curve jets give ``n`` points and
+    ``(3, ns, 1, 3)`` times ``(3, nt, 3)`` the grid.  A point off the
     half-space is NaN in slot ``X`` alone: the derivative slots are formed
     as anywhere else, so its mean curvature, which reads no point, stays
     the Euclidean one, and every residual there, which reads ``X``, is NaN.
     """
-    aj, bj = np.asarray(aj, dtype=float), np.asarray(bj, dtype=float)
+    aj, bj = np.asarray(aj), np.asarray(bj)
+    aj, bj = (v.astype(np.result_type(aj, bj, np.float64), copy=False) for v in (aj, bj))
     j = np.stack((_positions(aj[0], bj[0]), *_derivatives(aj, bj)))
     j.setflags(write=False)
     return j

@@ -100,3 +100,13 @@ def grid_jet():
         return (s[i], t[k], j), _failures(s, t, reasons)
 
     return sampled
+
+
+@pytest.fixture
+def iv80():
+    """``mpmath.iv`` at 80 bits, its precision restored afterwards."""
+    from mpmath import iv
+
+    prec, iv.prec = iv.prec, 80
+    yield iv
+    iv.prec = prec

@@ -3,13 +3,12 @@ not the rounding.
 
 The four kernels a sweep runs, ``_positions``, ``_derivatives``,
 ``_curvature`` and ``_residual_of``, fill no float buffer: their slots take
-the curve jets' result type.  So a product's float curve jets, converted
-exactly to object arrays of ``mpmath.mpf``, run through the same statements
-at ``mp.dps = 50``, and the float kernel is checked against its own
-50-digit run on the same binary inputs.  (``product_surface_jet`` and
-``_curve`` read floats, so the helper calls the kernels directly.)  On the
-same jet sets the translator and conformal residuals are checked against
-the minimal one and their fields.
+the curve jets' result type, and so does ``product_surface_jet``, the jet
+builder.  So a product's float curve jets, converted exactly to object
+arrays of ``mpmath.mpf``, run through the same builder and ``residual`` at
+``mp.dps = 50``, and the float run is checked against its own 50-digit run
+on the same binary inputs.  On the same jet sets the translator and
+conformal residuals are checked against the minimal one and their fields.
 """
 import mpmath
 import numpy as np
@@ -25,32 +24,28 @@ from solsurf import (
     make_vertical_plane,
     sample_grid,
 )
-from solsurf.soliton_residuals import _residual_of
+from solsurf.soliton_residuals import residual
 from solsurf.surface_jets import (
-    _curvature,
     _derivatives,
     _graph,
     _horospherical,
     _positions,
     product_surface_jet,
+    unit_normal,
 )
 
 _to_mp = np.vectorize(mpmath.mpf, otypes=[object])
-
-
-def kernel_residual(mode, aj, bj):
-    """The ``mode`` residual of ``alpha * beta`` from the curve jets ``aj``
-    and ``bj`` through the sweep's four kernels, in the jets' own number
-    type; the kernels' own non-finite policy keeps them from warning."""
-    X = _positions(aj[0], bj[0])
-    return _residual_of(SolitonMode(mode), X, *_curvature(_derivatives(aj, bj)))
+_to_iv = np.vectorize(mpmath.iv.mpf, otypes=[object])
 
 
 def mp50_residual(mode, aj, bj):
-    """:func:`kernel_residual` at 50 digits on the exact values of the float
-    curve jets ``aj`` and ``bj``: an object array of ``mpmath.mpf``."""
+    """The ``mode`` residual of ``alpha * beta`` at 50 digits on the exact
+    values of the float curve jets ``aj`` and ``bj``, through the public
+    builder: an object array of ``mpmath.mpf``, never a float one."""
     with mpmath.workdps(50):
-        return kernel_residual(mode, _to_mp(aj), _to_mp(bj))
+        r = residual(mode, product_surface_jet(_to_mp(aj), _to_mp(bj)))
+    assert np.asarray(r).dtype == object
+    return r
 
 
 def _worst(fl, mp) -> float:
@@ -76,7 +71,7 @@ def _near_degenerate(subgroup_jet):
     ``|Xs x Xt|^2`` is down to 7e-11 of ``E*G``."""
     rng = np.random.default_rng(21)
     aj, bj = _random_curve(rng, 200), _random_curve(rng, 200)
-    bj[1] = _derivatives(aj, bj)[0] / aj[0, :, 2:] + 1e-4 * rng.uniform(-1.0, 1.0, (200, 3))
+    bj[1] = product_surface_jet(aj, bj)[1] / aj[0, :, 2:] + 1e-4 * rng.uniform(-1.0, 1.0, (200, 3))
     return aj, bj
 
 
@@ -128,7 +123,7 @@ def test_float_kernel_is_its_50_digit_run_to_rounding(jets, mode, subgroup_jet):
     same binary jets.  At steep shear a normal whose square is formed as
     ``E*G - F^2`` cancels ~12 digits and fails this by ~1e-4."""
     aj, bj = jets(subgroup_jet)
-    worst = _worst(kernel_residual(mode, aj, bj), mp50_residual(mode, aj, bj))
+    worst = _worst(residual(mode, product_surface_jet(aj, bj)), mp50_residual(mode, aj, bj))
     assert worst <= _MARGIN * _MEASURED[jets], worst
 
 
@@ -139,14 +134,13 @@ def test_residuals_are_the_hyperbolic_mean_curvature_against_a_field(jets, subgr
     ``X3*r_M + N3`` (``xi = -e3``), each defect scaled by ``max(1,
     |X3*r_M|, |<X, N>|)``; the worst measured is 4.8e-16 (minimal cylinder,
     conformal), bounded at ``_MARGIN`` times it."""
-    aj, bj = jets(subgroup_jet)
-    X = _positions(aj[0], bj[0])
-    H, N = _curvature(_derivatives(aj, bj))
-    r = {mode: _residual_of(mode, X, H, N) for mode in SolitonMode}
-    height, field = X[..., 2] * r[SolitonMode.MINIMAL], sum(X[..., i] * N[i] for i in range(3))
+    j = product_surface_jet(*jets(subgroup_jet))
+    X, N = j[0], unit_normal(j)
+    r = {mode: residual(mode, j) for mode in SolitonMode}
+    height, field = X[..., 2] * r[SolitonMode.MINIMAL], sum(X[..., i] * N[..., i] for i in range(3))
     scale = np.maximum(1.0, np.maximum(np.abs(height), np.abs(field)))
     for mode, want in ((SolitonMode.TRANSLATOR, height - field),
-                       (SolitonMode.CONFORMAL, height + N[2])):
+                       (SolitonMode.CONFORMAL, height + N[..., 2])):
         worst = float(np.max(np.abs(r[mode] - want) / scale))
         assert worst <= _MARGIN * 4.8e-16, (mode, worst)
 
@@ -160,6 +154,24 @@ def test_float_curve_jets_give_float64_slots(subgroup_jet):
     assert product_surface_jet(aj, bj).tobytes() == np.stack((X, *d)).tobytes()
 
 
+@pytest.mark.parametrize("mode", list(SolitonMode))
+def test_public_builder_keeps_mpmath_number_types(mode, subgroup_jet, iv80):
+    """``product_surface_jet`` and ``residual`` run on ``mpf`` and on
+    ``mpmath.iv`` curve jets, on a grid and at one point, in the jets' own
+    type: an 80-bit enclosure, on the exact values of float jets, holds
+    their 50-digit residual at every node.  With ``np.sqrt``, which calls an
+    object's ``.sqrt()``, intervals are refused, and a single point's
+    normal needs its 0-d select unwrapped."""
+    aj, bj = _subgroup(subgroup_jet)
+    for a, b in ((aj, bj), (aj[:, 4, 0], bj[:, 7])):
+        mp = np.asarray(mp50_residual(mode, a, b))
+        enclosure = np.asarray(residual(mode, product_surface_jet(_to_iv(a), _to_iv(b))))
+        assert mp.shape == enclosure.shape == np.shape(a[0, ..., 0] + b[0, ..., 0])
+        assert all(isinstance(x, mpmath.mpf) for x in mp.flat)
+        assert all(isinstance(box, mpmath.ctx_iv.ivmpf) and x in box
+                   for x, box in zip(mp.flat, enclosure.flat))
+
+
 @pytest.mark.parametrize("a, mode", [(1e155, SolitonMode.TRANSLATOR),
                                      (1e300, SolitonMode.CONFORMAL)])
 def test_overflowing_height_term_is_the_50_digit_one(a, mode):
@@ -167,7 +179,7 @@ def test_overflowing_height_term_is_the_50_digit_one(a, mode):
     kernel's residual is its 50-digit run rounded: 0 (a translator) and
     ``±(a + 1)``."""
     (_, _, aj, bj), _ = sample_grid(make_horosphere(a), GridSpec(5, 5))
-    fl, mp = kernel_residual(mode, aj, bj), mp50_residual(mode, aj, bj)
+    fl, mp = residual(mode, product_surface_jet(aj, bj)), mp50_residual(mode, aj, bj)
     assert np.isfinite(fl).all()
     assert fl.tobytes() == mp.astype(float).tobytes()
 
@@ -187,7 +199,7 @@ def test_underflowing_height_term_is_the_50_digit_one(z):
     to 0, the float translator residual is its 50-digit run to a few ulp:
     ``X3*H`` stays in range."""
     jets = _low_node(z)
-    fl, mp = kernel_residual("translator", *jets), mp50_residual("translator", *jets)
+    fl, mp = residual("translator", product_surface_jet(*jets)), mp50_residual("translator", *jets)
     with mpmath.workdps(50):
         assert abs(fl - mp) <= 4 * np.finfo(float).eps * abs(mp), (fl, mp)
 
@@ -224,4 +236,4 @@ def test_fast_horosphere_reads_its_curvature_at_50_digits(mode, value, fast_horo
 @pytest.mark.parametrize("mode", list(SolitonMode))
 def test_float_kernel_reads_the_overflowing_forms(jets, mode, request):
     value = dict(zip(SolitonMode, _OVERFLOWING[jets]))[mode]
-    assert (kernel_residual(mode, *request.getfixturevalue(jets)) == value).all()
+    assert (residual(mode, product_surface_jet(*request.getfixturevalue(jets))) == value).all()
