@@ -114,9 +114,13 @@ def _result(check, a: np.ndarray) -> np.ndarray:
 IDENTITY = _result(_point, np.array([0.0, 0.0, 1.0]))
 
 
-# The one non-finite policy, of these operations and of the jet kernels: no
-# numpy warning.  Only a decorator, on no function that calls a _quiet one.
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _quiet(fn):
+    """The package's one non-finite policy: ``fn`` under its own numpy error
+    state, in which overflow, invalid values and division by zero do not
+    warn.  Decorated functions may call one another.  A generator would
+    leave the state before its first value, and a recursive function would
+    enter its state twice, which numpy 1 restores wrongly: decorate neither."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")(fn)
 
 
 @_quiet

@@ -19,7 +19,10 @@ dt_dphi``, whose integrand is smooth from the collapse up to ``g = y0``:
 two fixed 40-node Gauss--Legendre panels (:class:`_Panels`) give ``r``,
 ``|t|`` and the tail ``r - |t|``.  The minimal and conformal cylinders read
 the profile that way (:func:`_closed_form`), with ``g'`` and ``g''`` from
-``dt_dphi`` and its derivative; they step nothing.
+``dt_dphi`` and its derivative; they step nothing.  The first integrals,
+the conformal ``dt_dphi`` and its derivative and the Newton solve meet
+infinities by design: they run under ``lie_halfspace._quiet``, the one
+non-finite policy, and do not warn.
 
 What steps is ``profile --ode`` (all three ODEs), the grim-reaper family
 and verify's rows on stepped nodes, which judge the stepper: the
@@ -56,6 +59,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .lie_halfspace import _quiet
 
 __all__ = [
     "MinimalProfileParams",
@@ -150,11 +154,11 @@ class MinimalProfileParams(_CollapseParams):
 
         return rhs
 
+    @_quiet
     def first_integral_rhs(self, g):
         """``m/g^4 - 1/(c^2+1)``, the value ``g'^2`` must equal."""
         g = np.asarray(g, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = self.m / g ** 4 - self.kinv
+        out = self.m / g ** 4 - self.kinv
         return out if out.shape else float(out)
 
     def dt_dphi(self, phi):
@@ -223,13 +227,14 @@ class ConformalProfileParams(_CollapseParams):
 
         return rhs
 
+    @_quiet
     def first_integral_rhs(self, g):
         """``C*e^{4/g}/g^4 - 1/(1+a^2)``; overflows saturate to +inf."""
         g = np.asarray(g, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            out = self.C * np.exp(4.0 / g) / g ** 4 - self.kinv
+        out = self.C * np.exp(4.0 / g) / g ** 4 - self.kinv
         return out if out.shape else float(out)
 
+    @_quiet
     def dt_dphi(self, phi):
         """``|dt/dphi|`` along a collapsing branch, ``g = y0*sin(phi)``.
 
@@ -245,13 +250,13 @@ class ConformalProfileParams(_CollapseParams):
         ``expm1(E)`` overflows to inf and the value to 0.
         """
         sin, cos2 = np.sin(phi), np.cos(phi) ** 2
-        with np.errstate(over="ignore", divide="ignore"):
-            return self.y0 / np.sqrt(self.kinv * (np.expm1(self._exponent(sin, cos2)) / cos2))
+        return self.y0 / np.sqrt(self.kinv * (np.expm1(self._exponent(sin, cos2)) / cos2))
 
     def _exponent(self, sin, cos2):
         """``E`` of :meth:`dt_dphi`; +inf at ``phi = 0``."""
         return 4.0 * cos2 / ((1.0 + sin) * self.y0 * sin) - 2.0 * np.log1p(-cos2)
 
+    @_quiet
     def dt_dphi_prime(self, phi):
         """``d(dt_dphi)/dphi``.  With ``E`` as in :meth:`dt_dphi`,
         ``dE/dphi = -4*cos(phi)*(1 + y0*sin(phi))/(y0*sin^2(phi))``, so with
@@ -264,11 +269,10 @@ class ConformalProfileParams(_CollapseParams):
         absolute error grows like ``D*eps/cos(phi)``, which ``cos(phi)*D'``,
         the product a profile's ``g''`` reads, keeps at ``D*eps``."""
         sin, cos = np.sin(phi), np.cos(phi)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            e = self._exponent(sin, cos * cos)
-            return self.dt_dphi(phi) * (
-                -2.0 * cos * (1.0 + self.y0 * sin) / (self.y0 * sin * sin * np.expm1(-e))
-                - sin / cos)
+        e = self._exponent(sin, cos * cos)
+        return self.dt_dphi(phi) * (
+            -2.0 * cos * (1.0 + self.y0 * sin) / (self.y0 * sin * sin * np.expm1(-e))
+            - sin / cos)
 
 
 ProfileParams = Union[MinimalProfileParams, GrimReaperParams, ConformalProfileParams]
@@ -699,6 +703,7 @@ def _closed_form(params: _CollapseParams):
     ts = panels.abscissa(phis, phis >= _PHI_MID)
     t_mid = ts[_SEED_NODES // 2]  # at phi_mid
 
+    @_quiet
     def root(at):
         """``phi`` at which ``|t|`` reaches each of ``at``, a 1-D array."""
         upper = at <= t_mid
@@ -706,18 +711,17 @@ def _closed_form(params: _CollapseParams):
         lo, hi = phis[j], phis[j - 1]
         phi = hi + (at - ts[j - 1]) / (ts[j] - ts[j - 1]) * (lo - hi)
         out, live = np.empty_like(at), np.arange(at.size)  # live: the unconverged queries
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_NEWTON_STEPS):
-                excess = panels.abscissa(phi, upper) - at  # d|t|/dphi = -D
-                lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess < 0.0, phi, hi)
-                new = phi + excess / dt_dphi(phi)
-                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-                out[live] = new
-                keep = ~((np.abs(new - phi) <= _NEWTON_TOL * new)
-                         | (np.abs(excess) <= 4.0 * _EPS * at))
-                live, phi, at, upper, lo, hi = (x[keep] for x in (live, new, at, upper, lo, hi))
-                if not live.size:
-                    break
+        for _ in range(_NEWTON_STEPS):
+            excess = panels.abscissa(phi, upper) - at  # d|t|/dphi = -D
+            lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess < 0.0, phi, hi)
+            new = phi + excess / dt_dphi(phi)
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            out[live] = new
+            keep = ~((np.abs(new - phi) <= _NEWTON_TOL * new)
+                     | (np.abs(excess) <= 4.0 * _EPS * at))
+            live, phi, at, upper, lo, hi = (x[keep] for x in (live, new, at, upper, lo, hi))
+            if not live.size:
+                break
         return out
 
     def jet(t):

@@ -12,9 +12,10 @@ domain error).  A residual sweep forms the surface in blocks of about
 block, when every row of ``alpha`` is a horizontal translate of the first (a
 linear ``f``), else once per block, never a surface jet.  A mesh's points,
 formed alone, and its two refusals are stated here too (:func:`_mesh_points`),
-so the OBJ writer only formats.  A failed node is a NaN of the grid.  The jet
-kernels own the error state (``_quiet``); only :func:`_axis_jet`, on
-callers' curves, sets one.
+so the OBJ writer only formats.  A failed node is a NaN of the grid, formed
+without a numpy warning: ``lie_halfspace._quiet``, the one non-finite
+policy, decorates the jet kernels and :func:`_axis_jet`, which runs
+callers' curves.
 
 The minimal and conformal cylinders read their collapsing profile in
 closed form (:func:`~solsurf.profile_odes._closed_form`) and take its
@@ -36,6 +37,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .lie_halfspace import _quiet
 from .profile_odes import (
     MAX_BRANCH_STEPS,
     ConformalProfileParams,
@@ -360,6 +362,7 @@ def grid_axes(fam: SurfaceFamily, grid: GridSpec) -> Tuple[np.ndarray, np.ndarra
     return np.linspace(*fam.s_range, grid.ns), np.linspace(*fam.t_range, grid.nt)
 
 
+@_quiet
 def _axis_jet(fn, nodes: np.ndarray, label: str):
     """Curve jets of ``fn`` on one grid axis, as one ``(3, n, 3)`` array,
     and per node the reason it failed or None.
@@ -373,15 +376,14 @@ def _axis_jet(fn, nodes: np.ndarray, label: str):
     """
     rows = np.full((3, len(nodes), 3), np.nan)
     reasons: List[Optional[str]] = [None] * len(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite jet fails below
-        try:
-            rows[:] = fn(nodes)
-        except DomainError:
-            for k, x in enumerate(nodes.tolist()):
-                try:
-                    rows[:, k] = fn(x)
-                except DomainError as exc:
-                    reasons[k] = str(exc)
+    try:
+        rows[:] = fn(nodes)
+    except DomainError:
+        for k, x in enumerate(nodes.tolist()):
+            try:
+                rows[:, k] = fn(x)
+            except DomainError as exc:
+                reasons[k] = str(exc)
     bad = ~np.isfinite(rows).all(axis=(0, 2))
     for k in np.flatnonzero(bad).tolist():
         if reasons[k] is None:

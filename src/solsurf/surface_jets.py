@@ -95,11 +95,16 @@ def _cross(a, b):
 def _normal(d: np.ndarray):
     """Components of the unit normal ``Xs x Xt / |Xs x Xt|`` and ``|Xs x Xt|^2``
     from a jet's derivative slots ``d = j[1:]``; NaN components unless
-    ``_DEGENERACY_THRESHOLD < |Xs x Xt| < inf`` (``/ inf`` would read 0)."""
+    ``_DEGENERACY_THRESHOLD < |Xs x Xt| < inf`` (``/ inf`` would read 0).
+    The square sums ``|ck|*|ck|`` (``ck*ck``'s bits), so an interval that
+    straddles 0 squares to no negative value, and the ufunc comparisons read
+    an undecided interval comparison as false: a box that may be collapsed
+    reads ``[-inf, +inf]`` in its normal and every residual, undecided."""
     c = _cross(_xyz(d[0]), _xyz(d[1]))
-    cc = _dot(c, c)
+    m = tuple(map(abs, c))
+    cc = _dot(m, m)
     w = np.power(cc, 0.5)
-    w = np.where((w > _DEGENERACY_THRESHOLD) & (w < np.inf), w, np.nan)[()]
+    w = np.where(np.greater(w, _DEGENERACY_THRESHOLD) & np.less(w, np.inf), w, np.nan)[()]
     return tuple(ck / w for ck in c), cc
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from solsurf import SolitonMode, first_kind_jet, residual
+from solsurf import SolitonMode, first_kind_jet, product_surface_jet, residual, unit_normal
 
 _box = np.vectorize(lambda lo, hi: iv.mpf([lo, hi]), otypes=[object])
 _sin, _cos = (np.vectorize(f, otypes=[object]) for f in (iv.sin, iv.cos))
@@ -67,3 +67,22 @@ def test_one_box_is_a_0d_enclosure(iv80):
     r = [residual(mode, j) for mode in SolitonMode]
     assert all(isinstance(x, type(s)) for x in r)
     assert r[0].a > 0 and r[1].b < 0 and r[2].a > 0
+
+
+@pytest.mark.parametrize("shape", [(), (1,)])
+def test_a_box_that_may_be_collapsed_is_undecided(shape, iv80):
+    """On ``alpha = (0, 0, 1)`` moving along ``x`` and ``beta = (0, 0, 1)``
+    moving along ``y`` at a speed in [-1, 1], ``Xs x Xt`` straddles 0: the
+    box may hold a collapsed point.  Its normal and every residual are
+    then ``[-inf, +inf]``, undecided, as one 0-d box and as an array of one."""
+    one, zero, box = iv.mpf(1), iv.mpf(0), iv.mpf([-1, 1])
+    a = np.array([[zero, zero, one], [one, zero, zero], [zero, zero, zero]], dtype=object)
+    b = np.array([[zero, zero, one], [zero, box, zero], [zero, zero, zero]], dtype=object)
+    j = product_surface_jet(a.reshape((3,) + shape + (3,)), b.reshape((3,) + shape + (3,)))
+    whole = iv.mpf([-np.inf, np.inf])
+    assert unit_normal(j).shape == shape + (3,)
+    assert all(n == whole for n in unit_normal(j).flat)
+    for mode in SolitonMode:
+        r = residual(mode, j)
+        assert np.shape(r) == shape
+        assert all(isinstance(x, type(box)) and 0 in x and x == whole for x in np.ravel(r))

@@ -140,32 +140,48 @@ def test_one_home_of_the_factor_curves():
 
 
 def test_one_non_finite_policy():
-    """Kernel arithmetic never warns, a rule stated once, by
-    ``lie_halfspace._quiet``: it decorates the jet kernels, and the kernel
-    modules call ``np.errstate`` nowhere else but in ``_axis_jet``, which
-    runs functions that callers supply.  ``_quiet`` is only a decorator, and
-    no ``_quiet`` function calls another: numpy 2 refuses a nested entry of
-    one errstate instance, and numpy 1 restores the wrong saved state."""
-    trees = {stem: ast.parse((ROOT / "src" / "solsurf" / f"{stem}.py").read_text())
-             for stem in ("lie_halfspace", "soliton_residuals", "surface_factory", "surface_jets")}
+    """Arithmetic that meets non-finite values by design never warns, a rule
+    stated once, by ``lie_halfspace._quiet``: no module of the package
+    calls ``np.errstate`` but there, and it decorates the jet kernels, the
+    grid axes' ``_axis_jet`` and the profile functions that meet infinities.
+    Each decorated function has its own error state, so decorated functions
+    may call one another; none is a generator, whose state would end before
+    its first value, and none calls itself, which would enter one state
+    twice."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "solsurf").glob("*.py")}
 
-    def holder(node):  # a top-level statement's name: a def's or an assignment's
-        return getattr(node, "name", None) or ast.unparse(node.targets[0])
+    def defs(node, prefix=""):  # every function under node, by qualified name
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from defs(child, prefix)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+            yield from defs(child, f"{prefix}{child.name}.")
 
-    found = {stem: sorted(holder(node) for node in tree.body for call in ast.walk(node)
-                          if isinstance(call, ast.Call) and ast.unparse(call.func) == "np.errstate")
-             for stem, tree in trees.items()}
-    assert found == {"lie_halfspace": ["_quiet"], "soliton_residuals": [],
-                     "surface_factory": ["_axis_jet"], "surface_jets": []}
-    defs = [node for tree in trees.values() for node in tree.body if isinstance(node, ast.FunctionDef)]
-    quiet = {fn.name: fn for fn in defs if "_quiet" in map(ast.unparse, fn.decorator_list)}
-    assert {"_positions", "_derivatives", "_curvature", "unit_normal", "_residual_of"} <= set(quiet)
-    loads = [node for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "_quiet" and isinstance(node.ctx, ast.Load)]
-    assert len(loads) == len(quiet)
+    def errstates(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func).rpartition(".")[2] == "errstate"]
+
+    assert {stem: len(errstates(tree)) for stem, tree in trees.items() if errstates(tree)} \
+        == {"lie_halfspace": 1}
+    (quiet_def,) = [fn for name, fn in defs(trees["lie_halfspace"]) if name == "_quiet"]
+    assert errstates(quiet_def) == errstates(trees["lie_halfspace"])
+    quiet = {f"{stem}.{name}": fn for stem, tree in trees.items() for name, fn in defs(tree)
+             if "_quiet" in map(ast.unparse, fn.decorator_list)}
+    assert {"lie_halfspace.lie_product", "surface_jets._positions", "surface_jets._derivatives",
+            "surface_jets._curvature", "surface_jets.unit_normal",
+            "soliton_residuals._residual_of", "surface_factory._axis_jet",
+            "profile_odes.MinimalProfileParams.first_integral_rhs",
+            "profile_odes.ConformalProfileParams.first_integral_rhs",
+            "profile_odes.ConformalProfileParams.dt_dphi",
+            "profile_odes.ConformalProfileParams.dt_dphi_prime",
+            "profile_odes._closed_form.root"} <= set(quiet)
     for name, fn in quiet.items():
-        called = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
-        assert called.isdisjoint(quiet), (name, called & set(quiet))
+        assert not [n for n in ast.walk(fn) if isinstance(n, (ast.Yield, ast.YieldFrom))], name
+        called = {ast.unparse(n.func).rpartition(".")[2] for n in ast.walk(fn)
+                  if isinstance(n, ast.Call)}
+        assert fn.name not in called, name
 
 
 def test_residual_kernel_branches_only_on_its_mode():

@@ -1,4 +1,6 @@
 """Group structure of the upper half-space."""
+import contextlib
+import importlib.util
 import math
 import warnings
 
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from solsurf import (
     IDENTITY,
+    MinimalProfileParams,
     ParameterError,
     lie_inverse,
     lie_product,
@@ -16,6 +19,7 @@ from solsurf import (
     semidirect_to_halfspace,
 )
 from solsurf import lie_halfspace, surface_jets, verify
+from solsurf.surface_factory import _axis_jet
 
 # coordinate strategies: heights bounded away from 0 and infinity so products
 # of three points stay in a well-conditioned range
@@ -272,3 +276,100 @@ def test_results_are_fresh_read_only_arrays():
             out[0, 0] = -1.0
     with pytest.raises(ValueError):
         IDENTITY[2] = 2.0
+
+
+# A caller's numpy error state, neither numpy's default nor _quiet's.
+_CALLER = {"divide": "raise", "over": "warn", "under": "raise", "invalid": "raise"}
+_INSIDE = dict(_CALLER, divide="ignore", over="ignore", invalid="ignore")
+
+
+class _SavedStateErrstate(contextlib.ContextDecorator):
+    """numpy 1's ``errstate``: it keeps the state it replaced on the
+    instance, so a second entry of one instance overwrites the first's."""
+
+    def __init__(self, **flags):
+        self.flags = flags
+
+    def __enter__(self):
+        self.saved = np.seterr(**self.flags)
+
+    def __exit__(self, *exc):
+        np.seterr(**self.saved)
+
+
+def _numpy1_quiet(monkeypatch):
+    """``_quiet`` of a fresh copy of ``lie_halfspace`` run with numpy 1's
+    ``errstate``, which stays patched in while the test decorates."""
+    spec = importlib.util.spec_from_file_location("solsurf._lie_halfspace_copy",
+                                                  lie_halfspace.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(np, "errstate", _SavedStateErrstate)
+    spec.loader.exec_module(module)
+    return module._quiet
+
+
+def _run_nested(quiet):
+    """From the state ``_CALLER``, call a ``quiet`` function that calls a
+    ``quiet`` function that returns and one that raises, then the raising
+    one alone: the error states seen after each of the four calls.  Each
+    inner function's invalid or divide-by-zero operation would raise in
+    ``_CALLER``'s state."""
+    @quiet
+    def divides():
+        return np.float64(1.0) / np.float64(0.0)
+
+    @quiet
+    def fails():
+        return np.float64(0.0) / np.float64(0.0) + float("not a number")
+
+    @quiet
+    def outer():
+        assert divides() == math.inf
+        seen.append(np.geterr())
+        with pytest.raises(ValueError):
+            fails()
+        seen.append(np.geterr())
+
+    seen = []
+    old = np.seterr(**_CALLER)
+    try:
+        outer()
+        seen.append(np.geterr())
+        with pytest.raises(ValueError):
+            fails()
+        seen.append(np.geterr())
+    finally:
+        np.seterr(**old)
+    return seen
+
+
+def test_quiet_functions_nest_and_leave_the_callers_state(monkeypatch):
+    """Each ``_quiet`` function has its own error state: one may call
+    another, nothing is raised, and after every call, returned or raised,
+    ``np.geterr()`` is its caller's again.  In the package, ``_axis_jet``
+    runs a curve that calls the quiet first integral, and one whose quiet
+    first integral raises a ``ValueError``, not a domain error, which
+    ``_axis_jet`` passes on.  The same holds under numpy 1's errstate,
+    which keeps the replaced state on the instance: one instance shared by
+    every function would hand its quiet state back to the caller."""
+    p = MinimalProfileParams()
+    seen = []
+
+    def curve(t):
+        assert p.first_integral_rhs(0.0) == math.inf
+        seen.append(np.geterr())
+        return np.ones((3, len(t), 3))
+
+    old = np.seterr(**_CALLER)
+    try:
+        rows, reasons = _axis_jet(curve, np.linspace(0.0, 1.0, 4), "t")
+        seen.append(np.geterr())
+        with pytest.raises(ValueError):
+            _axis_jet(lambda t: p.first_integral_rhs(["not a height"]), np.zeros(2), "t")
+        seen.append(np.geterr())
+    finally:
+        np.seterr(**old)
+    assert (rows == 1.0).all() and reasons == [None] * 4
+    assert seen == [_INSIDE, _CALLER, _CALLER]
+    assert _run_nested(lie_halfspace._quiet) == [_INSIDE, _INSIDE, _CALLER, _CALLER]
+    assert _run_nested(_numpy1_quiet(monkeypatch)) == [_INSIDE, _INSIDE, _CALLER, _CALLER]

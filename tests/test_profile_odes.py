@@ -709,6 +709,16 @@ def test_solution_copies_the_arrays_it_is_given():
     assert not sol.node_defect.flags.writeable
 
 
+@pytest.mark.parametrize("t, g, message", [
+    ([0.0], [1.0], "a profile solution needs at least two nodes"),
+    ([0.0, 0.0], [1.0, 1.0], "profile nodes must be strictly increasing in t"),
+    ([0.0, 1.0], [1.0, 0.0], "profile nodes must have positive g"),
+])
+def test_solution_refuses_malformed_nodes(t, g, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        ProfileSolution(GrimReaperParams(), t, g, np.zeros(len(t)), False)
+
+
 @pytest.mark.parametrize("name", ["node_defect", "right_blowup_t"])
 def test_derived_values_are_not_constructor_arguments(name):
     with pytest.raises(TypeError):

@@ -175,6 +175,12 @@ def test_perturbation_needs_profile_backing():
         perturb_profile(make_vertical_plane(1.0, 0.0), 1e-2)
 
 
+@pytest.mark.parametrize("amplitude", [math.inf, math.nan])
+def test_perturbation_amplitude_must_be_finite(amplitude):
+    with pytest.raises(ParameterError, match=f"amplitude must be finite, got {amplitude!r}$"):
+        perturb_profile(make_minimal_cylinder(0.0, 1.0), amplitude)
+
+
 def test_constructor_validation():
     with pytest.raises(ParameterError):
         make_horosphere(0.0)

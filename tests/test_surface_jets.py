@@ -493,6 +493,13 @@ def test_finite_difference_rejects_bad_step():
         finite_difference_jet(_wavy_position, 0.0, 0.0, 0.0)
 
 
+def test_finite_difference_refuses_an_evaluator_of_the_wrong_shape():
+    """Nine stencil offsets at two points ask for 18 positions."""
+    with pytest.raises(ParameterError, match=r"evaluator must return \(18, 3\) positions, "
+                                             r"got shape \(18, 2\)$"):
+        finite_difference_jet(lambda s, t: np.stack([s, t], axis=-1), [0.0, 0.1], 0.5, 1e-2)
+
+
 def _fd_cases():
     hs = np.array([1e-2, 5e-3, 2.5e-3])
     surfaces, s, t = _fd_surfaces()
