@@ -1,16 +1,16 @@
 """Argument parsing and exit-code mapping for the ``solsurf`` tool.
 
     solsurf residual --family horosphere --a 1 --mode translator --grid 101x101
-    solsurf profile  --ode minimal --c 0 --y0 1
-    solsurf mesh     --family grim-reaper --lambda 0.8 --grid 41x41
+    solsurf profile  --ode minimal --c -1e-3 --y0 1
+    solsurf mesh     --family grim-reaper --lambda 0.8 --span -10:10 --grid 41x41
     solsurf verify   [--only lie]
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
-3 I/O error.
+Exit codes: 0 success or ``--help``, 1 verification failure, 2 usage or
+parameter error (one ``error:`` line), 3 I/O error.  A table flag takes a
+signed value as ``--c -1e-3`` or ``--c=-1e-3``; a flag has one spelling.
 
-The parser is built once per process, on the first `main` call, and reused
-by every later call; it holds no run state, since each ``parse_args`` fills
-a fresh namespace.
+The parser is built on the first `main` call and reused by every later one;
+it holds no run state, since each ``parse_args`` fills a fresh namespace.
 """
 from __future__ import annotations
 
@@ -23,30 +23,31 @@ from . import commands
 from .errors import DomainError, ParameterError
 from .soliton_residuals import SolitonMode
 
-_PAIR_FLAGS = {flag for table in (commands.FAMILIES, commands.ODES)
-               for flag, interval in commands.table_flags(table).items() if interval}
+_TABLE_FLAGS = {*commands.table_flags(commands.FAMILIES), *commands.table_flags(commands.ODES)}
 
 
-def _merge_pair_flags(argv: Sequence[str]) -> List[str]:
-    """Allow ``--span -10:10``: argparse would read the value as an option,
-    so glue ``flag value`` pairs into ``flag=value`` when the value leads
-    with a minus sign and contains a colon."""
+def _glue_signed(argv: Sequence[str]) -> List[str]:
+    """``--c -1e-3`` -> ``--c=-1e-3`` for a flag of the two tables, whose value
+    argparse reads as an option if it leads with one minus and is not a plain
+    decimal (``-1e-3``, ``-inf``, ``-5.``).  No other flag is glued."""
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if (
-            a in _PAIR_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and ":" in argv[i + 1]
-        ):
-            out.append(f"{a}={argv[i + 1]}")
-            i += 2
+    for a in argv:
+        if out and out[-1] in _TABLE_FLAGS and a.startswith("-") and not a.startswith("--"):
+            out[-1] += "=" + a
         else:
             out.append(a)
-            i += 1
     return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the tool, subcommands' included: it takes no abbreviated
+    flag, and raises :class:`ParameterError` where argparse prints the usage."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ParameterError(f"{self.prog}: {message}")
 
 
 def _add_table_flags(p: argparse.ArgumentParser, choice: str, table: dict) -> None:
@@ -70,7 +71,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built on the first call; every later call returns the same parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solsurf",
         description="Translation surfaces in the upper half-space: soliton "
                     "residuals, profile curves, meshes, and self-verification.",
@@ -103,18 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(_merge_pair_flags(argv))
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(_glue_signed(sys.argv[1:] if argv is None else argv))
         return args.func(args)
+    except SystemExit:  # only --help exits, after argparse printed the usage
+        return 0
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

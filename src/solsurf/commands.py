@@ -128,9 +128,10 @@ def build(table: dict, name: str, args):
 
 
 def cmd_residual(args) -> int:
+    grid = parse_grid(args.grid)
     fam = build(FAMILIES, args.family, args)
     mode = SolitonMode(args.mode)
-    rep = residual_report(fam, mode, parse_grid(args.grid))
+    rep = residual_report(fam, mode, grid)
     out = args.out if args.out is not None else f"residual_{fam.name}_{mode.value}"
     n = write_residual_csv(out + ".csv", rep)
     write_residual_summary(out + ".summary.txt", rep)
@@ -151,9 +152,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    grid = parse_grid(args.grid)
     fam = build(FAMILIES, args.family, args)
     out = args.out if args.out is not None else f"mesh_{fam.name}"
-    nv, nf = write_obj_mesh(out + ".obj", fam, parse_grid(args.grid))
+    nv, nf = write_obj_mesh(out + ".obj", fam, grid)
     print(f"wrote {out}.obj ({nv} vertices, {nf} triangles)")
     return 0
 

@@ -81,8 +81,12 @@ __all__ = [
 # write_residual_summary take 0.07-0.14 s for the minimal cylinder (c = 0.7)
 # and 0.48-0.70 s for the curved-f first kind (s, 0.3 sin s, 1)*(0, t, 1 +
 # 0.2 cos t) on [-2, 2]^2, at a peak RSS of 47 MB; write_obj_mesh of the
-# cylinder takes 0.78-1.15 s at 34 MB.  The cap (1024x1024) keeps every grid
-# near that, instead of letting a typo allocate until the process is killed.
+# cylinder takes 0.78-1.15 s at 34 MB.  The cap (1024x1024) keeps a square grid
+# near that, instead of letting a typo allocate until the process is killed,
+# but not a long one: one row is one block, and beta's axis jet and row 0's
+# curvature span every t node, so the cylinder's residual_report on 2x524288
+# peaks at 195 MB RSS (30 MB before it) in 1.6-2.1 s, against 48 MB and
+# 0.06-0.12 s for a whole 1024x1024 residual run (3 fresh processes each).
 MAX_GRID_NODES = 1 << 20
 # Nodes a sweep forms at once: whole s rows, at least one, 40 at nt = 201
 # (curvature too, unless every row is a translate of the first: then it is

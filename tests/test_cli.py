@@ -618,6 +618,76 @@ def test_missing_required_flag_exits_2():
     assert main([]) == 2  # no subcommand
 
 
+@pytest.mark.parametrize("cmd,flag,value", [
+    (["profile", "--ode", "minimal"], "--c", "-1e-3"),
+    (["profile", "--ode", "conformal"], "--a", "-5."),
+    (["mesh", "--family", "conformal-cylinder", "--grid", "3x3"], "--a", "-5."),
+    (["profile", "--ode", "grim-reaper"], "--span", "-1e1:1e1"),
+    (["residual", "--family", "vertical-plane", "--mode", "minimal", "--grid", "3x3"],
+     "--c", "-1e-3"),
+])
+def test_signed_value_in_either_form_writes_the_same_bytes(tmp_path, cmd, flag, value):
+    """A value that leads with a minus and that argparse alone reads as an
+    option (``-1e-3``, ``-5.``) writes the same bytes as a second token as
+    after ``=``."""
+    assert main([*cmd, flag, value, "--out", str(tmp_path / "two")]) == 0
+    assert main([*cmd, f"{flag}={value}", "--out", str(tmp_path / "eq")]) == 0
+    suffixes = [p.name[3:] for p in tmp_path.glob("two.*")]
+    assert suffixes and sorted(suffixes) == sorted(p.name[2:] for p in tmp_path.glob("eq.*"))
+    for suffix in suffixes:
+        assert (tmp_path / f"two{suffix}").read_bytes() == (tmp_path / f"eq{suffix}").read_bytes()
+
+
+def test_signed_value_in_either_form_is_refused_alike(capsys):
+    cmd = ["residual", "--family", "grim-reaper", "--mode", "translator"]
+    assert main(cmd + ["--b", "-inf"]) == 2
+    two = capsys.readouterr().err
+    assert main(cmd + ["--b=-inf"]) == 2
+    assert two == capsys.readouterr().err == "error: b_slope must have a finite square, got -inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--family", "grim-reaper", "--mode", "translator", "--lam", "0.5"],
+    ["profile", "--ode", "minimal", "--y", "2"],
+    ["mesh", "--family", "horosphere", "--grid", "3x3", "--fam", "horosphere"],
+])
+def test_a_flag_has_only_its_full_spelling(tmp_path, argv, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--family", "horosphere"],  # no --mode
+    [],  # no subcommand
+    ["residual", "--family", "nosuch", "--mode", "minimal"],
+    ["profile", "--ode", "minimal", "--c", "abc"],
+    ["profile", "--ode", "minimal", "--c", "--y0", "1"],
+    ["profile", "--ode", "minimal", "--m-stop", "-1"],
+])
+def test_a_usage_error_is_one_error_line(argv, capsys):
+    """argparse's refusals print as every other exit 2 does: one stderr line
+    and no usage block."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["residual", "--family", "grim-reaper", "--lambda", "1e30", "--mode", "translator",
+      "--grid", "oops"], "error: grid must look like 51x51, got 'oops'\n"),
+    (["mesh", "--family", "grim-reaper", "--lambda", "1e30", "--grid", "2x100000000"],
+     "error: grid 2x100000000 has 200000000 nodes, more than the cap of 1048576\n"),
+])
+def test_the_grid_is_refused_before_the_family_is_built(tmp_path, argv, message, monkeypatch,
+                                                         capsys):
+    """With a truncated reaper and a bad grid, the grid is refused: it is
+    parsed before the profile is integrated."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_io_error_exits_3(tmp_path):
     rc = main(["mesh", "--family", "horosphere", "--a", "1", "--grid", "2x2",
                "--out", str(tmp_path / "no" / "such" / "dir" / "x")])

@@ -1,5 +1,6 @@
 """The CLI contract as a property: any ``residual``, ``mesh`` or ``profile``
-argv drawn from extreme flag values exits 0 or 2, refuses with one
+argv drawn from extreme or malformed flag values, each given as
+``flag=value`` or as two tokens, exits 0 or 2, refuses with one
 ``error:`` line and no file under its ``--out`` prefix, finishes within a
 time budget and writes no more bytes than its grid allows."""
 import contextlib
@@ -14,12 +15,12 @@ from solsurf import SolitonMode, commands
 from solsurf.cli import main
 from solsurf.profile_odes import MAX_BRANCH_STEPS
 
-# Zero, signed zero, subnormal, tiny, ordinary, huge and non-finite values.
+# Zero, signed zero, subnormal, tiny, ordinary, huge, non-finite and malformed values.
 VALUES = ("0", "-0.0", "5e-324", "1e-300", "1e-8", "0.7", "2", "-3", "1e8", "1e155",
-          "1e300", "-1e300", "1e308", "-1e308", "inf", "nan")
-# Ordinary, empty, reversed, subnormal, huge and non-finite intervals.
+          "1e300", "-1e300", "1e308", "-1e308", "inf", "nan", "abc")
+# Ordinary, empty, reversed, subnormal, huge, non-finite and malformed intervals.
 INTERVALS = ("-1:1", "0.5:4.5", "1:1", "2:1", "0:5e-324", "0:1e-300", "-1e-300:1e-300",
-             "-1e6:1e6", "-1e300:1e300", "-inf:0", "nan:1")
+             "-1e6:1e6", "-1e300:1e300", "-inf:0", "nan:1", "1", "a:b")
 # Per run.  The slowest draws, a reaper span out to 1e300, take 0.55-0.65 s
 # on a shared 2-core x86 host (~37k steps a branch); the rest take < 0.05 s.
 BUDGET_S = 5.0
@@ -31,14 +32,16 @@ CELL, SIDECAR = 20, 1024
 @st.composite
 def cli_runs(draw):
     """``(cmd, argv, (ns, nt))``: a subcommand, its family or ODE, each flag
-    of that entry given or not, a grid of at most 21x21, and a mode."""
+    of that entry given or not, as ``flag=value`` or as two tokens, a grid
+    of at most 21x21, and a mode."""
     cmd = draw(st.sampled_from(("residual", "mesh", "profile")))
     choice, table = ("--ode", commands.ODES) if cmd == "profile" else ("--family", commands.FAMILIES)
     name = draw(st.sampled_from(sorted(table)))
     argv = [cmd, choice, name]
     for flag, interval in commands.table_flags({name: table[name]}).items():
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(st.sampled_from(INTERVALS if interval else VALUES))}")
+            value = draw(st.sampled_from(INTERVALS if interval else VALUES))
+            argv += draw(st.sampled_from(([f"{flag}={value}"], [flag, value])))
     grid = draw(st.integers(2, 21)), draw(st.integers(2, 21))
     if cmd != "profile":
         argv += ["--grid", "%dx%d" % grid]
