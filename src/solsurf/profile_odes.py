@@ -33,10 +33,10 @@ branch of a collapsing profile is stepped; the left one is its mirror
 (:func:`_collapse_solution`).  A branch ends at its last node before a
 stop: the step that would take ``g`` down to ``EPS_G = 1e-6`` or ``|g'|`` up
 to ``M_STOP = 1e6`` is discarded (the reaper has the height stop alone);
-both are fixed numerical policy, not parameters of a profile.  The blow-up
-abscissa is the last node's ``t`` plus its tail (:func:`_blowup_tail`), so
-it does not depend on where the branch ended.  The grim reaper is not even,
-so both of its branches are stepped, on the state ``(g, w)`` with
+both are fixed numerical policy, not parameters of a profile.  Each blow-up
+abscissa is its end node's ``t`` and that node's tail outward
+(:func:`_blowup_tail`), however the branch ended.  The grim reaper is not
+even, so both of its branches are stepped, on the state ``(g, w)`` with
 ``g' = lambda*e^w``, where it is not stiff (:func:`integrate_grim_reaper`).
 
 Between nodes a solution is read through one piecewise cubic Hermite
@@ -54,7 +54,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -364,18 +364,17 @@ class ProfileSolution:
         return out
 
     @functools.cached_property
-    def right_blowup_t(self) -> Optional[float]:
-        """``t_last + tail(g_last)`` (:func:`_blowup_tail`) of a collapsing
-        profile whose branch reached a stop; None when it was truncated, and
-        for the reaper, which does not collapse.  Collapsing profiles are
-        even, so the left abscissa is its mirror."""
-        if self.truncated or not isinstance(self.params, _CollapseParams):
-            return None
-        return self.t[-1] + _blowup_tail(self.params, self.g[-1])
+    def _blowups(self) -> tuple:
+        """``(t_0 - tail(g_0), t_last + tail(g_last))`` (:func:`_blowup_tail`),
+        each end read from its own node however its branch ended; ``(None,
+        None)`` for the reaper, which does not collapse."""
+        if not isinstance(self.params, _CollapseParams):
+            return None, None
+        left, right = _blowup_tail(self.params, self.g[[0, -1]])
+        return self.t[0] - left, self.t[-1] + right
 
-    @property
-    def left_blowup_t(self) -> Optional[float]:
-        return None if self.right_blowup_t is None else -self.right_blowup_t
+    left_blowup_t = property(lambda self: self._blowups[0])
+    right_blowup_t = property(lambda self: self._blowups[1])
 
     @property
     def family(self) -> str:

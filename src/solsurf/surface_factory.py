@@ -83,16 +83,14 @@ __all__ = [
 # 0.2 cos t) on [-2, 2]^2, at a peak RSS of 47 MB; write_obj_mesh of the
 # cylinder takes 0.78-1.15 s at 34 MB.  The cap (1024x1024) keeps a square grid
 # near that, instead of letting a typo allocate until the process is killed,
-# but not a long one: one row is one block, and beta's axis jet and row 0's
-# curvature span every t node, so the cylinder's residual_report on 2x524288
-# peaks at 195 MB RSS (30 MB before it) in 1.6-2.1 s, against 48 MB and
-# 0.06-0.12 s for a whole 1024x1024 residual run (3 fresh processes each).
+# and each axis at most BLOCK_NODES keeps one row in one block: on 2x524288 the
+# cylinder's residual_report peaked at 194 MB RSS (30 MB before) in 1.4-1.8 s.
 MAX_GRID_NODES = 1 << 20
-# Nodes a sweep forms at once: whole s rows, at least one, 40 at nt = 201
-# (curvature too, unless every row is a translate of the first: then it is
-# formed on row 0 before the first block).  Slots and temporaries stay in the
-# CPU caches: at 1001x1001, blocks of 8 rows took 55-59 ms against 119-140 ms
-# for one whole-grid jet (2-core x86).
+# Nodes a sweep forms at once, and the most nodes an axis may have: whole s
+# rows, 40 at nt = 201 (curvature too, unless every row is a translate of the
+# first: then it is formed on row 0 before the first block).  Slots and
+# temporaries stay in the CPU caches: at 1001x1001, blocks of 8 rows took
+# 55-59 ms against 119-140 ms for one whole-grid jet (2-core x86).
 BLOCK_NODES = 8192
 # Fraction of a collapsing profile's span [-r, r] clipped from each end.
 MARGIN = 1e-3
@@ -101,7 +99,7 @@ MARGIN = 1e-3
 @dataclass(frozen=True, slots=True)
 class GridSpec:
     """A sampling grid: ``ns`` nodes across ``s``, ``nt`` across ``t``, each
-    an integer of at least 2.  At most ``MAX_GRID_NODES`` nodes are allowed."""
+    an integer in ``[2, BLOCK_NODES]``, and at most ``MAX_GRID_NODES`` in all."""
 
     ns: int
     nt: int
@@ -116,6 +114,8 @@ class GridSpec:
         if ns * nt > MAX_GRID_NODES:
             raise ParameterError(f"grid {ns}x{nt} has {ns * nt} nodes, "
                                  f"more than the cap of {MAX_GRID_NODES}")
+        if max(ns, nt) > BLOCK_NODES:
+            raise ParameterError(f"grid {ns}x{nt} has an axis of more than {BLOCK_NODES} nodes")
 
 
 def _check_range(name: str, rng: Tuple[float, float]) -> Tuple[float, float]:
@@ -451,7 +451,7 @@ def _refused(s, t, reasons) -> Optional[Tuple[int, Tuple[float, float, str]]]:
 
 def _block_rows(ns: int, nt: int) -> List[slice]:
     """Slices of ``ns`` rows of ``nt`` nodes, in order: blocks of about ``BLOCK_NODES``."""
-    step = max(1, BLOCK_NODES // nt)
+    step = BLOCK_NODES // nt
     return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
 
 

@@ -311,13 +311,14 @@ def _check_minimal_symmetry() -> Measurement:
 
 
 def _halfwidth(kind: str) -> Measurement:
-    """Distance of the right blow-up abscissa from the reference half-width
-    ``r``; the left branch's is its mirror, at the same distance from ``-r``."""
+    """Worst distance of each blow-up abscissa from its end of the reference
+    collapse interval ``[-r, r]``; NaN for a truncated profile."""
     sol, r = _collapsing(kind)
-    if sol.right_blowup_t is None:
+    if sol.truncated:
         return math.nan, "a branch did not reach collapse"
     source = "closed-form" if kind == "minimal" else "40-digit mpmath"
-    return float(abs(sol.right_blowup_t - r)), f"{source} half-width r = {r:.10f}"
+    defect = max(abs(sol.left_blowup_t + r), abs(sol.right_blowup_t - r))
+    return float(defect), f"{source} half-width r = {r:.10f}"
 
 
 def _abscissa(kind: str) -> Measurement:

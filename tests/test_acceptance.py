@@ -378,6 +378,23 @@ def test_symmetry_fails_a_left_half_with_the_wrong_slope_sign(monkeypatch):
     assert not r.passed and 1.0 < r.defect < 3.0
 
 
+def test_symmetry_fails_an_odd_term_in_the_ode(monkeypatch):
+    """The row does not hold by construction: the stored halves mirror each
+    other, but the interpolant's slopes are the ODE's ``g''`` at those
+    nodes, so a term ``eps*g'``, odd in ``t``, makes the halves disagree
+    between nodes.  The row reads 1.57e-6, 1.57e-7, 1.57e-8 and 1.57e-9 at
+    eps = 1e-2, 1e-3, 1e-4 and 1e-5 (measured)."""
+    clean = verify.MinimalProfileParams.system
+
+    def drifted(p):
+        rhs = clean(p)
+        return lambda t, g, gp: (gp, rhs(t, g, gp)[1] + 1e-3 * gp)
+
+    monkeypatch.setattr(verify.MinimalProfileParams, "system", drifted)
+    (r,) = run_checks("minimal_cylinder.symmetry").results
+    assert not r.passed and 1e-7 <= r.defect <= 1e-6
+
+
 def _swap_reaper_profile(monkeypatch, swap):
     """Make every reaper profile verify integrates come out as
     ``swap(profile)``."""

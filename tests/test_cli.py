@@ -678,6 +678,8 @@ def test_a_usage_error_is_one_error_line(argv, capsys):
       "--grid", "oops"], "error: grid must look like 51x51, got 'oops'\n"),
     (["mesh", "--family", "grim-reaper", "--lambda", "1e30", "--grid", "2x100000000"],
      "error: grid 2x100000000 has 200000000 nodes, more than the cap of 1048576\n"),
+    (["residual", "--family", "grim-reaper", "--lambda", "1e30", "--mode", "translator",
+      "--grid", "2x8193"], "error: grid 2x8193 has an axis of more than 8192 nodes\n"),
 ])
 def test_the_grid_is_refused_before_the_family_is_built(tmp_path, argv, message, monkeypatch,
                                                          capsys):

@@ -681,18 +681,34 @@ def _two_node_solution(params, truncated=False):
 
 
 def test_events_state_the_blowup_once():
-    """The right blow-up abscissa is derived from the last node, and the
-    left one is its mirror; neither has a setter, and no field of the
-    frozen solution can be assigned."""
+    """Each blow-up abscissa is derived from its own end node, truncated or
+    not; neither has a setter, and no field of the frozen solution can be
+    assigned."""
     sol = _two_node_solution(MinimalProfileParams())
     assert sol.right_blowup_t == 1.0 + _blowup_tail(sol.params, 0.5)
-    assert sol.left_blowup_t == -sol.right_blowup_t
-    assert _two_node_solution(MinimalProfileParams(), truncated=True).left_blowup_t is None
+    assert sol.left_blowup_t == 0.0 - _blowup_tail(sol.params, 1.0)
+    assert _two_node_solution(sol.params, truncated=True).left_blowup_t == sol.left_blowup_t
     assert _two_node_solution(GrimReaperParams()).left_blowup_t is None
     assert ProfileSolution.left_blowup_t.fset is None
     for name in ("params", "t", "truncated", "node_defect", "right_blowup_t"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sol, name, None)
+
+
+def test_each_blowup_is_read_from_its_own_end(monkeypatch):
+    """A collapsing profile whose two ends differ, as one stepped on both
+    branches would, reads each blow-up abscissa from its own end node: the
+    left one ``t_0 - tail(g_0)``, the right one ``t_last + tail(g_last)``,
+    from one tail call on both end heights, read once."""
+    tail, heights = _blowup_tail, []
+    monkeypatch.setattr(profile_odes, "_blowup_tail",
+                        lambda p, g: heights.append(g.tolist()) or tail(p, g))
+    p = MinimalProfileParams()
+    sol = ProfileSolution(p, [-0.5, 0.0, 0.25], [0.25, 1.0, 0.75], [3.0, 0.0, -1.0], False)
+    want = (-0.5 - tail(p, 0.25), 0.25 + tail(p, 0.75))
+    for _ in range(2):
+        assert (sol.left_blowup_t, sol.right_blowup_t) == want
+    assert heights == [[0.25, 0.75]]
 
 
 def test_solution_copies_the_arrays_it_is_given():
@@ -1020,7 +1036,7 @@ def _assert_mirrors_the_stepper(sol, rhs, ic, ends, speed_stop, tol):
         for stepped, stored in ((t, sol.t), (g, sol.g), (gp, sol.gp)):
             assert np.array(stepped).tobytes() == stored[half].tobytes()
         assert sol.truncated == (status != 1)
-        want = None if status != 1 else (t[-1] + side * _blowup_tail(sol.params, g[-1])).hex()
+        want = (t[-1] + side * _blowup_tail(sol.params, g[-1])).hex()
         assert (None if blowup is None else blowup.hex()) == want
     assert sol.node_defect[n - 1::-1].tobytes() == sol.node_defect[n - 1:].tobytes()
 
@@ -1081,7 +1097,7 @@ def _eager(sol):
     if isinstance(p, GrimReaperParams):
         return np.zeros_like(t), None
     defect = first_integral_defect(p, g, gp) / np.maximum(1.0, gp * gp)
-    return defect, None if sol.truncated else t[-1] + _blowup_tail(p, g[-1])
+    return defect, t[-1] + _blowup_tail(p, g[-1])
 
 
 _REAPER_CASES = st.tuples(st.builds(GrimReaperParams, st.floats(0.0, 10.0)),
@@ -1094,7 +1110,8 @@ def test_derived_values_equal_the_eager_ones(p):
     """The derived monitor and blow-up abscissa have the bits of the
     expressions the integrators evaluated when they stored them, over the
     benchmark's collapsing parameters and reapers of lambda up to 10; a
-    truncated copy has no blow-up abscissa, and the monitor is read-only."""
+    truncated copy has the same blow-up abscissa, and the monitor is
+    read-only."""
     if isinstance(p, tuple):
         sol = integrate_grim_reaper(*p)
     elif isinstance(p, _MIN):
@@ -1106,7 +1123,7 @@ def test_derived_values_equal_the_eager_ones(p):
     assert (None if sol.right_blowup_t is None else sol.right_blowup_t.hex()) == (
         None if blowup is None else blowup.hex())
     assert not sol.node_defect.flags.writeable
-    assert dataclasses.replace(sol, truncated=True).right_blowup_t is None
+    assert dataclasses.replace(sol, truncated=True).right_blowup_t == sol.right_blowup_t
 
 
 def test_collapsing_profiles_step_one_branch(monkeypatch):
@@ -1159,11 +1176,15 @@ def test_unresolvable_slopes_end_at_the_step_floor(c):
     the collapse, within 2e-11 relative of the half-width (measured), in a
     few thousand nodes: 1,669 at c = 1e4 and 1,499 at c = 1e8, where a step
     cap of ``y0/20`` spent the whole budget (131,073 nodes).  A sweep
-    refuses the profile: see ``REFUSALS`` in ``tests/test_cli.py``."""
+    refuses the profile: see ``REFUSALS`` in ``tests/test_cli.py``.  The
+    profile is truncated, yet its blow-up abscissae, read from its end
+    nodes, lie within 2.1e-11 relative of ``+-r`` (measured)."""
     sol = integrate_minimal_profile(MinimalProfileParams(c, 1.0))
     r = minimal_halfwidth_quadrature(c, 1.0)
     assert sol.truncated and len(sol.t) < 2000
     assert abs(sol.t[-1] - r) <= 1e-9 * r
+    assert abs(sol.right_blowup_t - r) <= 1e-9 * r
+    assert sol.left_blowup_t == -sol.right_blowup_t
 
 
 # (c, y0) whose branch reaches a stop within a few ulp of its last node: a

@@ -219,6 +219,16 @@ def test_grid_node_cap():
         GridSpec(np.int32(65536), np.int32(65536))
 
 
+def test_grid_axis_cap():
+    """One axis of more than ``BLOCK_NODES`` nodes is refused, however few
+    nodes the grid has: a sweep's row and its axis jets span a whole axis."""
+    cap = surface_factory.BLOCK_NODES
+    assert GridSpec(3, cap).nt == cap
+    for ns, nt in ((2, cap + 1), (cap + 1, 2)):
+        with pytest.raises(ParameterError, match=f"^grid {ns}x{nt} has an axis of more than {cap} nodes$"):
+            GridSpec(ns, nt)
+
+
 def test_position_matches_jet(minimal_cyl):
     j = minimal_cyl.jet(0.3, 0.2)
     assert np.array_equal(minimal_cyl.position(0.3, 0.2), j[0])
