@@ -38,6 +38,7 @@ abscissa is its end node's ``t`` and that node's tail outward
 (:func:`_blowup_tail`), however the branch ended.  The grim reaper is not
 even, so both of its branches are stepped, on the state ``(g, w)`` with
 ``g' = lambda*e^w``, where it is not stiff (:func:`integrate_grim_reaper`).
+Each stepped ODE is its parameters' ``system()``; no integrator states one.
 
 Between nodes a solution is read through one piecewise cubic Hermite
 interpolant of ``g`` and ``g'`` (:class:`_Hermite`), built from the nodal
@@ -198,6 +199,17 @@ class GrimReaperParams:
 
     def gpp(self, v, g, gp):
         return -gp * (self.k + gp * gp) * 2.0 * v / (g * g)
+
+    def system(self):
+        """The stepped ODE on ``(g, w)``, ``g' = lam*e^w``: ``rhs(v, g, w)``
+        is ``(g', w')`` on floats, with ``lam`` and ``k`` bound once."""
+        lam, k, exp = self.lam, self.k, math.exp
+
+        def rhs(v, g, w):
+            gp = lam * exp(w)
+            return gp, -(k + gp * gp) * 2.0 * v / (g * g)
+
+        return rhs
 
 
 @dataclass(frozen=True)
@@ -754,7 +766,7 @@ def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
     nodes bit for bit.  The centre node is the stepped branch's, ``t = 0.0``
     and ``g' = 0.0`` (no ``-0.0``), and the status, so the truncation, is
     shared.  A branch whose first step already reaches a stop has only its
-    ``t = 0`` node and is refused.
+    ``t = 0`` node and is refused, as is every ``y0`` at or below ``EPS_G``.
 
     The error controller alone sizes the steps, and its accuracy does not
     depend on the slope when judged in the profile's own scale.  The
@@ -767,10 +779,6 @@ def _collapse_solution(params: _CollapseParams) -> ProfileSolution:
     at the step floor beside the collapse: c = 1e4 after 1,669 nodes, c = 1e8
     after 1,499, and ``profile`` reports it truncated (the families read the
     profile in closed form, :func:`_closed_form`)."""
-    if not params.y0 > EPS_G:
-        raise ParameterError(
-            f"initial height y0 = {params.y0!r} must lie above the height stop EPS_G = {EPS_G!r}"
-        )
     rt, rg, rgp, status = _dopri54(params.system(), params.y0, 0.0, math.inf, True,
                                    *_COLLAPSE_TOL)
     if status == 1 and len(rt) == 1:
@@ -802,8 +810,8 @@ def integrate_grim_reaper(p: GrimReaperParams,
     """Integrate the translator profile over ``span``, which must be finite,
     increasing and contain 0; each is refused in that order, by name.
 
-    The Dormand--Prince stepper runs on ``(g, w)`` with ``g' = lam*e^w``,
-    ``w(0) = 0``:
+    The Dormand--Prince stepper runs :meth:`GrimReaperParams.system`, on
+    ``(g, w)`` with ``g' = lam*e^w``, ``w(0) = 0``:
 
         g' = lam*e^w,    w' = g''/g' = -(k + lam^2*e^{2w}) * 2*v / g^2.
 
@@ -838,12 +846,7 @@ def integrate_grim_reaper(p: GrimReaperParams,
         raise ParameterError(f"span must be increasing, got {span!r}")
     if not lo <= 0.0 <= hi:
         raise ParameterError(f"span must contain 0, got {span!r}")
-    lam, k, exp = p.lam, p.k, math.exp
-
-    def rhs(v, g, w):
-        gp = lam * exp(w)
-        return gp, -(k + gp * gp) * 2.0 * v / (g * g)
-
+    rhs = p.system()
     rt, rg, rgp, right = _dopri54(rhs, 1.0, 0.0, hi, False, *_REAPER_TOL)
     lt, lg, lgp, left = _dopri54(rhs, 1.0, 0.0, lo, False, *_REAPER_TOL)
     t = lt[::-1] + rt[1:]

@@ -56,7 +56,6 @@ from .surface_jets import (
     _positions,
     _require_triples,
     _rising,
-    _vertical,
     product_surface_jet,
 )
 
@@ -337,8 +336,8 @@ def make_generic_second_kind(
 
 
 def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
-    """Additively perturb the height of a first-kind family's ``beta`` by
-    ``amplitude * cos(t)``, with honestly perturbed derivatives.
+    """Add ``amplitude * cos(t)`` and its derivatives to the height of a
+    first-kind family's ``beta``, a ``_graph`` as every first-kind ``beta`` is.
 
     The result should *fail* residual checks: it is the falsification probe
     that guards the evaluation pipeline against vacuous passes.  A
@@ -356,7 +355,7 @@ def perturb_profile(fam: SurfaceFamily, amplitude: float) -> SurfaceFamily:
         c = beta(t)
         z = c[..., 2]
         cos, sin = amplitude * np.cos(t), amplitude * np.sin(t)
-        return _vertical(c[..., 1], (z[0] + cos, z[1] - sin, z[2] - cos))
+        return _graph(t, (z[0] + cos, z[1] - sin, z[2] - cos))
 
     return replace(fam, params=dict(fam.params, perturb_amplitude=amplitude), beta=bumped)
 

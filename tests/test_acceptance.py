@@ -378,21 +378,42 @@ def test_symmetry_fails_a_left_half_with_the_wrong_slope_sign(monkeypatch):
     assert not r.passed and 1.0 < r.defect < 3.0
 
 
+def _odd_term(monkeypatch, eps):
+    """Add ``eps*g'``, odd in ``t``, to the minimal ODE's stepped ``g''``."""
+    clean = verify.MinimalProfileParams.system
+
+    def drifted(p):
+        rhs = clean(p)
+        return lambda t, g, gp: (gp, rhs(t, g, gp)[1] + eps * gp)
+
+    monkeypatch.setattr(verify.MinimalProfileParams, "system", drifted)
+
+
 def test_symmetry_fails_an_odd_term_in_the_ode(monkeypatch):
     """The row does not hold by construction: the stored halves mirror each
     other, but the interpolant's slopes are the ODE's ``g''`` at those
     nodes, so a term ``eps*g'``, odd in ``t``, makes the halves disagree
     between nodes.  The row reads 1.57e-6, 1.57e-7, 1.57e-8 and 1.57e-9 at
     eps = 1e-2, 1e-3, 1e-4 and 1e-5 (measured)."""
-    clean = verify.MinimalProfileParams.system
-
-    def drifted(p):
-        rhs = clean(p)
-        return lambda t, g, gp: (gp, rhs(t, g, gp)[1] + 1e-3 * gp)
-
-    monkeypatch.setattr(verify.MinimalProfileParams, "system", drifted)
+    _odd_term(monkeypatch, 1e-3)
     (r,) = run_checks("minimal_cylinder.symmetry").results
     assert not r.passed and 1e-7 <= r.defect <= 1e-6
+
+
+def test_an_odd_term_below_symmetry_fails_the_first_integral_and_abscissa(monkeypatch):
+    """At eps = 1e-5 the symmetry row passes (1.57e-9 against 1e-8) and so
+    does the half-width (6.41e-7 against 1e-6), but the first integral
+    (4.79e-6 against 1e-8) and the abscissa (6.41e-7 against 1e-9) fail,
+    measured: those two rows catch the fault.  The residual row reads the
+    closed form, which steps nothing, and passes."""
+    _odd_term(monkeypatch, 1e-5)
+    rows = {r.name.removeprefix("minimal_cylinder."): r
+            for r in run_checks("minimal_cylinder.").results}
+    assert sorted(name for name, r in rows.items() if not r.passed) \
+        == ["abscissa", "first_integral"]
+    assert 1e-6 <= rows["first_integral"].defect <= 1e-5
+    assert 1e-7 <= rows["abscissa"].defect <= 1e-6
+    assert 1e-9 <= rows["symmetry"].defect <= 1e-8
 
 
 def _swap_reaper_profile(monkeypatch, swap):
@@ -446,27 +467,18 @@ def test_reaper_shape_fails_a_slope_above_lambda(monkeypatch):
     assert not r.passed and r.detail == "failed: slope_within_0_lam"
 
 
-def _mutant_reaper(p, span):
-    """``integrate_grim_reaper`` with its right-hand side's ``2*v`` read as
-    ``2.002*v``."""
-    lam, k = p.lam, p.k
-
-    def rhs(v, g, w):
-        gp = lam * math.exp(w)
-        return gp, -(k + gp * gp) * 2.002 * v / (g * g)
-
-    tol = profile_odes._REAPER_TOL
-    rt, rg, rgp, right = profile_odes._dopri54(rhs, 1.0, 0.0, span[1], False, *tol)
-    lt, lg, lgp, left = profile_odes._dopri54(rhs, 1.0, 0.0, span[0], False, *tol)
-    return profile_odes.ProfileSolution(p, t=lt[::-1] + rt[1:], g=lg[::-1] + rg[1:],
-                                        gp=lgp[::-1] + rgp[1:], truncated=right != 0 or left != 0)
-
-
 def test_reaper_linear_fails_a_mutant_stepper(monkeypatch):
-    """A ``2.002*v`` right-hand side moves every reaper node but keeps the
-    shape facts; the small-slope row reads ~0.88 for it, against ~1.2e-4
-    for the stepper (measured)."""
-    monkeypatch.setattr(verify, "integrate_grim_reaper", _mutant_reaper)
+    """The stepped system with ``v`` read as ``1.001*v`` (its ``2*v`` as
+    ``2.002*v``), run through the real integrator, moves every reaper node
+    but keeps the shape facts; the small-slope row reads ~0.88 for it,
+    against ~1.2e-4 for the stepper (measured)."""
+    clean = verify.GrimReaperParams.system
+
+    def mutant(p):
+        rhs = clean(p)
+        return lambda v, g, w: rhs(1.001 * v, g, w)
+
+    monkeypatch.setattr(verify.GrimReaperParams, "system", mutant)
     (r,) = run_checks("grim_reaper.linear").results
     assert not r.passed and 0.5 < r.defect < 1.0
 

@@ -265,7 +265,8 @@ REFUSALS = {
     "profile --ode minimal --eps-g -1": "unrecognized arguments: --eps-g -1",
     "profile --ode grim-reaper --eps-g nan": "unrecognized arguments: --eps-g nan",
     "profile --ode minimal --y0 1e-6":
-        "initial height y0 = 1e-06 must lie above the height stop EPS_G = 1e-06",
+        "at initial height y0 = 1e-06 the first step from t = 0 already "
+        "reaches a stop (g <= EPS_G = 1e-06 or |g'| >= M_STOP = 1000000.0)",
     "profile --ode minimal --y0 1.0000000000000002e-6":
         "at initial height y0 = 1.0000000000000002e-06 the first step from t = 0 already "
         "reaches a stop (g <= EPS_G = 1e-06 or |g'| >= M_STOP = 1000000.0)",
@@ -334,8 +335,9 @@ REFUSALS = {
         ["profile", "--ode", "grim-reaper", "--eps-g", "nan"],
         # y0 at or below the height stop EPS_G = 1e-6 (1e-80 already has a subnormal m)
         ["profile", "--ode", "minimal", "--y0", "1e-80"],
+        # at EPS_G and the float above it the first step reaches a stop, leaving no node
+        # past t = 0
         ["profile", "--ode", "minimal", "--y0", "1e-6"],
-        # the float above EPS_G: the first step reaches a stop, leaving no node past t = 0
         ["profile", "--ode", "minimal", "--y0", "1.0000000000000002e-6"],
         # y0 above the height stop, but m = 1.5e-323 is subnormal
         ["profile", "--ode", "minimal", "--y0", "2e-6", "--c", "1e150"],

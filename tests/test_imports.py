@@ -117,8 +117,8 @@ def test_one_home_of_the_factor_curves():
     constructors ``_horospherical``, ``_graph`` and ``_rising`` are defined
     in no other module, and ``first_kind_jet`` and ``second_kind_jet`` are
     products of them.  ``surface_factory`` defines no curve builder of its
-    own, never calls ``_curve``, and calls ``_vertical`` only in
-    ``perturb_profile``, whose bumped height is no constructor's."""
+    own and calls neither ``_curve`` nor ``_vertical``: ``perturb_profile``'s
+    bumped height is a ``_graph`` too."""
     constructors = {"_horospherical", "_graph", "_rising"}
     trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "solsurf").glob("*.py")}
 
@@ -135,8 +135,23 @@ def test_one_home_of_the_factor_curves():
     assert {"_horospherical", "_graph"} <= calls(jets["first_kind_jet"])
     assert {"_horospherical", "_rising"} <= calls(jets["second_kind_jet"])
     factory = [n for n in trees["surface_factory"].body if isinstance(n, ast.FunctionDef)]
-    assert not [fn.name for fn in factory if "_curve" in calls(fn)]
-    assert [fn.name for fn in factory if "_vertical" in calls(fn)] == ["perturb_profile"]
+    assert not [fn.name for fn in factory if {"_curve", "_vertical"} & calls(fn)]
+
+
+def test_one_home_per_profile_ode():
+    """Each stepped profile ODE is its parameters' ``system()``: the three
+    parameter classes define it, and neither ``_collapse_solution`` nor
+    ``integrate_grim_reaper`` defines a function of its own, so a mutant of
+    any stepped ODE is one ``system`` patch, run through the real
+    integrator."""
+    tree = ast.parse((ROOT / "src" / "solsurf" / "profile_odes.py").read_text())
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for cls in ("MinimalProfileParams", "GrimReaperParams", "ConformalProfileParams"):
+        assert "system" in {n.name for n in top[cls].body if isinstance(n, ast.FunctionDef)}, cls
+    for name in ("_collapse_solution", "integrate_grim_reaper"):
+        nested = [n for n in ast.walk(top[name]) if n is not top[name]
+                  and isinstance(n, (ast.FunctionDef, ast.Lambda))]
+        assert nested == [], name
 
 
 def test_one_non_finite_policy():

@@ -127,22 +127,31 @@ def test_conformal_halfwidth_matches_quad():
             assert abs(conformal_halfwidth_quadrature(a, y0) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("a, y0", [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.0, 10.0), (2.0, 0.3)])
+@pytest.mark.parametrize("a, y0", [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0), (0.0, 10.0), (2.0, 0.3),
+                                   (0.0, 0.006), (0.0, 0.01), (0.0, 0.03)])
 def test_conformal_halfwidth_matches_40_digits(a, y0):
     """The conformal half-width within 1e-13 relative of
     ``integral_0^{pi/2} dt_dphi`` by mpmath at 40 digits on the ``expm1``
     form (:func:`_mp_dt_dphi`), in four panels (largest measured: 3.6e-14,
     at y0 = 10).  One 40-node rule over ``[0, pi/2]`` is 1.5e-13 off at
     y0 = 3 and 3.4e-12 at y0 = 10, where ``dt_dphi`` is flat to all orders
-    at the collapse.  The closed form's half-width, the tail from ``y0``
-    and the public function are one value, bit for bit."""
+    at the collapse.  Near the smallest ``y0`` accepted (~0.0058, below
+    which ``C`` underflows) ``dt_dphi`` peaks at ``pi/2`` with a width of
+    about ``sqrt(y0)``, which the breaks at ``pi/2 - sqrt(y0)*{64, ...,
+    1/16}`` resolve: the half-width is 1.28e-12 off at y0 = 0.006, within
+    5e-12, and 4.61e-15 and 3.56e-15 at 0.01 and 0.03 (measured).  The
+    closed form's half-width, the tail from ``y0`` and the public function
+    are one value, bit for bit."""
     import mpmath
 
     p = ConformalProfileParams(a, y0)
     r = conformal_halfwidth_quadrature(a, y0)
     with mpmath.workdps(40):
-        want = mpmath.quad(_mp_dt_dphi(p), mpmath.linspace(0, mpmath.pi / 2, 5))
-        assert abs(r - want) <= 1e-13 * want
+        top, width = mpmath.pi / 2, mpmath.sqrt(mpmath.mpf(y0))
+        peak = [top - width * w for w in (64, 16, 4, 1, mpmath.mpf(1) / 4, mpmath.mpf(1) / 16)]
+        breaks = sorted(set(mpmath.linspace(0, top, 5)) | {x for x in peak if x > 0})
+        want = mpmath.quad(_mp_dt_dphi(p), breaks)
+        assert abs(r - want) <= (5e-12 if y0 < 0.01 else 1e-13) * want
     assert _closed_form(p)[0] == _blowup_tail(p, p.y0) == r
 
 
@@ -896,19 +905,13 @@ def _collapse_case(p, end=None):
     applies, and tolerances of integrate_minimal_profile /
     integrate_conformal_profile, whose branch steps toward ``+inf``."""
     end = math.inf if end is None else end
-    return (lambda t, g, gp: (gp, p.gpp(t, g, gp)), (p.y0, 0.0), (end, -end),
-            True, (1e-10, 1e-12))
+    return p.system(), (p.y0, 0.0), (end, -end), True, (1e-10, 1e-12)
 
 
 def _reaper_case(p, span=(-40.0, 40.0)):
     """The same for integrate_grim_reaper on ``(g, w)``, ``g' = lam*e^w``:
     the height stop alone."""
-
-    def rhs(v, g, w):
-        gp = p.lam * math.exp(w)
-        return gp, -(p.k + gp * gp) * 2.0 * v / (g * g)
-
-    return rhs, (1.0, 0.0), (span[1], span[0]), False, (1e-12, 1e-13)
+    return p.system(), (1.0, 0.0), (span[1], span[0]), False, (1e-12, 1e-13)
 
 
 def _height_event(t, y):
@@ -1405,10 +1408,11 @@ def test_parameter_validation(monkeypatch):
         ConformalProfileParams(a=0.0, y0=-1.0)
     with pytest.raises(ParameterError):
         integrate_grim_reaper(GrimReaperParams(lam=0.0, k=1.0), span=(1.0, 5.0))
-    # a collapsing profile must start above its height stop
+    # a collapsing profile must keep a node past t = 0: refused where the first step
+    # reaches a stop, from the height stop itself ...
     with pytest.raises(ParameterError, match=r"y0 = 1e-06 .* EPS_G = 1e-06"):
         integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1e-6))
-    # ... and keep a node past t = 0: refused where the first step reaches a stop
+    # ... or from the float above it
     stops = r"y0 = {!r} .* EPS_G = {!r} or \|g'\| >= M_STOP = 1000000.0"
     with pytest.raises(ParameterError, match=stops.format(1.0000000000000002e-6, 1e-6)):
         integrate_minimal_profile(MinimalProfileParams(c=0.0, y0=1.0000000000000002e-6))
